@@ -1,10 +1,29 @@
 """Command-line pipeline: index, qv, predict, evaluate, tune, sweep.
 
-All commands read one YAML configuration file (see ``config_template``
-in the README) plus optional ``--set dotted.key=value`` overrides. Every
-run with the same configuration and seed produces byte-identical output
-files. Exit code is 0 on success and 1 on any validation or processing
-error; validation runs before any output file is touched.
+All commands read one YAML configuration file plus optional
+``--set dotted.key=value`` overrides. Every run with the same
+configuration and seed produces byte-identical output files. Exit code
+is 0 on success and 1 on any validation or processing error; validation
+runs before any output file is touched.
+
+Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
+working example):
+
+- ``seed`` (0), ``run_tag`` ("qvqpp")
+- ``paths``: ``collection``, ``train_queries``, ``train_qrels``,
+  ``test_queries``, ``test_qrels``, ``target_run``, ``index_dir`` and
+  ``output_dir`` are required; ``embeddings`` only for the dense query
+  retriever. Relative paths resolve against the config file's directory.
+- ``qpp``: ``lambda`` (0.5), ``k`` (1), ``n`` (100), ``query_retriever``
+  (bm25 | dense), ``use_2hop`` (true), ``pseudo_query_m`` (20), ``rbo_p``
+  (0.9), ``rbo_depth`` (100), ``base`` (nqc | uef), ``internal_depth``
+  (100), ``run_depth`` (100)
+- ``predictor``: ``top_k`` (100), ``uef_samples`` (20),
+  ``uef_sample_size`` (25), ``mu`` (1000.0)
+- ``bm25``: ``k1`` (0.9), ``b`` (0.4)
+- ``evaluation``: ``target_metric`` (ap@100 | ndcg@10), ``fold_a`` (a list
+  of query ids or the path of a file with one id per line), ``lambdas``
+  (0.0 to 1.0 in steps of 0.1), ``ks`` (1 to 10)
 """
 
 from __future__ import annotations
@@ -122,6 +141,9 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
         return (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
 
     qpp_raw = raw.get("qpp", {}) or {}
+    use_2hop = _get(qpp_raw, "use_2hop", True)
+    if not isinstance(use_2hop, bool):
+        raise ValueError("qpp.use_2hop must be true or false")
     rbo = RboParams(
         p=float(_get(qpp_raw, "rbo_p", 0.9)),
         eval_depth=int(_get(qpp_raw, "rbo_depth", 100)),
@@ -131,7 +153,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
         k=int(_get(qpp_raw, "k", 1)),
         n=int(_get(qpp_raw, "n", 100)),
         query_retriever=str(_get(qpp_raw, "query_retriever", "bm25")),
-        use_2hop=bool(_get(qpp_raw, "use_2hop", True)),
+        use_2hop=use_2hop,
         pseudo_query_m=int(_get(qpp_raw, "pseudo_query_m", 20)),
         rbo_params=rbo,
         base=str(_get(qpp_raw, "base", "nqc")),
@@ -200,9 +222,17 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
         store = load_vectors(cfg.embeddings)
     collection = {d.id: d for d in parse_collection(cfg.collection)}
     training_queries = {q.id: q for q in parse_queries(cfg.train_queries)}
+    doc_index = load_index(doc_index_path)
+    query_index = load_index(query_index_path)
+    for index, index_path, items, source in (
+        (doc_index, doc_index_path, collection, cfg.collection),
+        (query_index, query_index_path, training_queries, cfg.train_queries),
+    ):
+        if set(index.item_ids) != set(items):
+            raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (its ids differ from {source})")
     return PipelineResources(
-        doc_index=load_index(doc_index_path),
-        query_index=load_index(query_index_path),
+        doc_index=doc_index,
+        query_index=query_index,
         training_queries=training_queries,
         training_qrels=parse_qrels(cfg.train_qrels),
         collection=collection,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-from scipy import stats
+from itertools import groupby
+from statistics import NormalDist
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import Qrels, RankedList
 
@@ -71,20 +73,49 @@ def ndcg_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
     return dcg / idcg if idcg > 0.0 else 0.0
 
 
+def _tied_pairs(values: Iterable[Hashable]) -> int:
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+
+def _discordant_pairs(predicted: Sequence[float], actual: Sequence[float]) -> int:
+    """Pairs ordered one way by ``predicted`` and strictly the other way by ``actual``."""
+    seen: list[float] = []  # actual values of items with a smaller prediction, sorted
+    discordant = 0
+    for _, group in groupby(sorted(zip(predicted, actual)), key=lambda pair: pair[0]):
+        group_actual = [a for _, a in group]
+        for a in group_actual:
+            discordant += len(seen) - bisect_right(seen, a)
+        for a in group_actual:
+            insort(seen, a)
+    return discordant
+
+
 def kendall_tau(pairs: Sequence[EvalPair]) -> float:
     """Tie-aware Kendall tau (tau-b) between predicted and actual values.
 
-    Raises when fewer than two pairs are given or when either side is
-    constant (the tau-b denominator vanishes).
+    Counts tied and discordant pairs exactly in O(n log n) and combines
+    them with the same floating-point operations as
+    ``scipy.stats.kendalltau(variant="b")``, so the values are identical.
+    Raises when fewer than two pairs are given, when a value is nan, or
+    when either side is constant (the tau-b denominator vanishes).
     """
     if len(pairs) < 2:
         raise ValueError(f"kendall tau needs >= 2 pairs, got {len(pairs)}")
     predicted = [p.predicted for p in pairs]
     actual = [p.actual for p in pairs]
-    tau = stats.kendalltau(predicted, actual, variant="b").statistic
-    if math.isnan(tau):
+    if any(math.isnan(v) for v in predicted + actual):
+        raise ValueError("kendall tau undefined: a predicted or actual value is nan")
+    total = len(pairs) * (len(pairs) - 1) // 2
+    predicted_ties = _tied_pairs(predicted)
+    actual_ties = _tied_pairs(actual)
+    if predicted_ties == total or actual_ties == total:
         raise ValueError("kendall tau undefined: predictions or actuals are all tied")
-    return float(tau)
+    joint_ties = _tied_pairs(zip(predicted, actual))
+    con_minus_dis = (
+        total - predicted_ties - actual_ties + joint_ties - 2 * _discordant_pairs(predicted, actual)
+    )
+    tau = con_minus_dis / math.sqrt(total - predicted_ties) / math.sqrt(total - actual_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 class FisherResult(NamedTuple):
@@ -106,7 +137,7 @@ def fisher_z_compare(tau_a: float, tau_b: float, n: int, confidence: float = 0.9
         if abs(tau) >= 1.0:
             raise ValueError(f"{name} must satisfy |tau| < 1, got {tau}")
     z = (math.atanh(tau_a) - math.atanh(tau_b)) / math.sqrt(2.0 / (n - 3))
-    critical = stats.norm.ppf(0.5 + confidence / 2.0)
+    critical = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return FisherResult(significant=abs(z) > critical, z=z)
 
 

@@ -98,17 +98,20 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _dirichlet_prob(tf: int, doc_len: int, corpus_prob: float, mu: float) -> float:
-    return (tf + mu * corpus_prob) / (doc_len + mu)
-
-
 def build_relevance_model(
     index: InvertedIndex, sample: RankedList, *, mu: float = DEFAULT_MU
 ) -> RelevanceModel:
     """Relevance model over the sampled documents' vocabulary.
 
     term_weight(w) is proportional to the softmax-score-weighted sum of
-    Dirichlet-smoothed document language models p(w|D) over the sample.
+    Dirichlet-smoothed document language models p(w|D) over the sample:
+
+        mass(w) = sum_D omega_D * (tf_D(w) + mu * p_w) / (|D| + mu)
+                = sum_D omega_D * tf_D(w) / (|D| + mu) + mu * p_w * sum_D omega_D / (|D| + mu)
+
+    The first sum is non-zero only for the documents containing w and the
+    second factor is shared by every term, so each sampled document costs
+    its own number of distinct terms, not the model's vocabulary size.
     """
     if not sample.entries:
         raise ValueError("relevance model needs a non-empty sample")
@@ -117,23 +120,20 @@ def build_relevance_model(
         if doc_id not in index.ordinal_of:
             raise ValueError(f"sampled document {doc_id!r} is not in the index")
         ordinals.append(index.ordinal_of[doc_id])
-    vocab: set[str] = set()
-    for ordinal in ordinals:
-        vocab.update(index.term_counts[ordinal])
-    if not vocab:
+    doc_weights = _softmax(np.asarray(sample.scores(), dtype=np.float64)).tolist()
+    # omega_D / (|D| + mu) per sampled document
+    coefs = [w / (index.item_lengths[o] + mu) for w, o in zip(doc_weights, ordinals)]
+    tf_mass: dict[str, float] = {}
+    for coef, ordinal in zip(coefs, ordinals):
+        for term, tf in index.term_counts[ordinal].items():
+            tf_mass[term] = tf_mass.get(term, 0.0) + coef * tf
+    if not tf_mass:
         raise ValueError("all sampled documents are empty")
-    doc_weights = _softmax(np.asarray(sample.scores(), dtype=np.float64))
-    total_tokens = index.total_tokens
-    weights: dict[str, float] = {}
-    for term in sorted(vocab):
-        corpus_prob = index.collection_freqs[term] / total_tokens
-        mass = 0.0
-        for weight, ordinal in zip(doc_weights, ordinals):
-            tf = index.term_counts[ordinal].get(term, 0)
-            mass += weight * _dirichlet_prob(tf, index.item_lengths[ordinal], corpus_prob, mu)
-        weights[term] = mass
-    normalizer = sum(weights.values())
-    return RelevanceModel({term: w / normalizer for term, w in weights.items()})
+    smoothing = mu * math.fsum(coefs) / index.total_tokens
+    terms = sorted(tf_mass)
+    masses = [tf_mass[term] + smoothing * index.collection_freqs[term] for term in terms]
+    normalizer = math.fsum(masses)
+    return RelevanceModel(dict(zip(terms, [m / normalizer for m in masses])))
 
 
 def rm_rerank(
@@ -146,26 +146,51 @@ def rm_rerank(
 ) -> RankedList:
     """Reorder the top ``depth`` of ``ranked`` by sum_w model(w) * ln p(w|D).
 
+    With p(w|D) = (tf + mu * p_w) / (|D| + mu), S = sum_w model(w) and
+    C = sum_w model(w) * ln(mu * p_w), the score equals
+
+        C - S * ln(|D| + mu) + sum_{w in D} model(w) * ln(1 + tf / (mu * p_w))
+
+    C and S are computed once per model, so each document costs its own
+    number of distinct terms. Model terms with mu * p_w = 0 (absent from
+    the index, or mu = 0) have no finite ln(mu * p_w): every document must
+    contain them, else the term has zero smoothed probability and a
+    ValueError names it; they enter the score as model(w) * ln(tf).
     Ties are broken by doc_id ascending. Every document must be indexed.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     total_tokens = index.total_tokens
+    smoothed: dict[str, tuple[float, float]] = {}  # term -> (model weight, mu * p_w)
+    unsmoothed: list[tuple[str, float]] = []
+    constant_parts = []
+    for term, weight in model.term_weights.items():
+        mu_p = mu * index.collection_freqs.get(term, 0) / total_tokens
+        if mu_p > 0.0:
+            smoothed[term] = (weight, mu_p)
+            constant_parts.append(weight * math.log(mu_p))
+        else:
+            unsmoothed.append((term, weight))
+    constant = math.fsum(constant_parts)
+    weight_sum = math.fsum(model.term_weights.values())
     rescored: list[tuple[str, float]] = []
     for doc_id, _ in ranked.entries[:depth]:
         if doc_id not in index.ordinal_of:
             raise ValueError(f"document {doc_id!r} is not in the index")
         ordinal = index.ordinal_of[doc_id]
         counts = index.term_counts[ordinal]
-        doc_len = index.item_lengths[ordinal]
-        score = 0.0
-        for term, weight in model.term_weights.items():
-            corpus_prob = index.collection_freqs.get(term, 0) / total_tokens
-            prob = _dirichlet_prob(counts.get(term, 0), doc_len, corpus_prob, mu)
-            if prob <= 0.0:
+        parts = [constant]
+        for term, weight in unsmoothed:
+            tf = counts.get(term, 0)
+            if tf == 0:
                 raise ValueError(f"term {term!r} has zero smoothed probability")
-            score += weight * math.log(prob)
-        rescored.append((doc_id, score))
+            parts.append(weight * math.log(tf))
+        parts.append(-weight_sum * math.log(index.item_lengths[ordinal] + mu))
+        for term, tf in counts.items():
+            entry = smoothed.get(term)
+            if entry is not None:
+                parts.append(entry[0] * math.log1p(tf / entry[1]))
+        rescored.append((doc_id, math.fsum(parts)))
     return RankedList.from_scores(ranked.query_id, rescored)
 
 

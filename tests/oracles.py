@@ -127,10 +127,42 @@ def kendall_tau_pairs(predicted, actual):
     return (concordant - discordant) / denom
 
 
+def relevance_model_dense(items, sample, mu=1000.0):
+    """RM1 term weights by the dense vocabulary x sample loop, from raw texts.
+
+    ``sample`` is [(doc_id, score)]; document weights are the softmax of
+    the scores. Every term of the sampled documents gets
+    sum_D weight_D * (tf + mu * p(w|C)) / (|D| + mu), normalized to sum 1.
+    """
+    token_bags = {item_id: Counter(tokenize(text)) for item_id, text in items}
+    corpus = Counter()
+    for bag in token_bags.values():
+        corpus.update(bag)
+    total = sum(corpus.values())
+    top = max(score for _, score in sample)
+    exps = [math.exp(score - top) for _, score in sample]
+    doc_weights = [e / math.fsum(exps) for e in exps]
+    vocab = set()
+    for doc_id, _ in sample:
+        vocab.update(token_bags[doc_id])
+    masses = {}
+    for term in vocab:
+        corpus_prob = corpus[term] / total
+        masses[term] = math.fsum(
+            weight * (token_bags[doc_id].get(term, 0) + mu * corpus_prob)
+            / (sum(token_bags[doc_id].values()) + mu)
+            for weight, (doc_id, _) in zip(doc_weights, sample)
+        )
+    normalizer = math.fsum(masses.values())
+    return {term: mass / normalizer for term, mass in masses.items()}
+
+
 def rm_rescore(items, model_weights, doc_ids, mu=1000.0):
     """Score docs by sum_w weight * ln(dirichlet p(w|D)), from raw texts.
 
-    Returns [(doc_id, score)] sorted by (score desc, id asc).
+    Summed with math.fsum, so documents whose terms contribute the same
+    multiset of addends tie exactly. Returns [(doc_id, score)] sorted by
+    (score desc, id asc).
     """
     token_bags = {item_id: Counter(tokenize(text)) for item_id, text in items}
     corpus = Counter()
@@ -141,10 +173,10 @@ def rm_rescore(items, model_weights, doc_ids, mu=1000.0):
     for doc_id in doc_ids:
         bag = token_bags[doc_id]
         length = sum(bag.values())
-        score = 0.0
-        for term, weight in model_weights.items():
-            prob = (bag.get(term, 0) + mu * corpus.get(term, 0) / total) / (length + mu)
-            score += weight * math.log(prob)
+        score = math.fsum(
+            weight * math.log((bag.get(term, 0) + mu * corpus.get(term, 0) / total) / (length + mu))
+            for term, weight in model_weights.items()
+        )
         results.append((doc_id, score))
     results.sort(key=lambda e: (-e[1], e[0]))
     return results

@@ -5,6 +5,29 @@ import pytest
 from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
 from qvqpp.cli import main
 
+# Outputs of the fixture workspace with qpp.base=uef, recorded from the
+# dense relevance-model implementation; a changed UEF re-ranking that
+# flips a tie changes these bytes.
+UEF_PREDICTIONS_GOLDEN = """\
+dl01\t0.920065
+dl02\t0.185933
+dl03\t0.204089
+dl04\t0.295897
+dl05\t0.227552
+"""
+UEF_SWEEP_GOLDEN = """\
+lambda,k,tau
+0,1,0.000000
+0,2,0.000000
+0,3,0.000000
+0.5,1,0.000000
+0.5,2,0.000000
+0.5,3,-0.200000
+1,1,0.000000
+1,2,0.200000
+1,3,0.000000
+"""
+
 
 @pytest.fixture(scope="module")
 def indexed_workspace(workspace):
@@ -54,6 +77,33 @@ paths:
         )
         assert code == 1
         assert "query retriever" in capsys.readouterr().err
+
+    def test_quoted_boolean_rejected(self, indexed_workspace, capsys):
+        # a quoted YAML "false" is a non-empty string; it must not enable 2-hop
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"],
+            "--set", 'qpp.use_2hop="false"',
+        )
+        assert code == 1
+        assert "error: qpp.use_2hop must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path_key, file_name",
+        [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
+    )
+    def test_stale_index_rejected(self, indexed_workspace, tmp_path, capsys, path_key, file_name):
+        lines = (indexed_workspace["data"] / file_name).read_text(encoding="utf-8").splitlines(True)
+        shortened = tmp_path / file_name
+        shortened.write_text("".join(lines[1:]), encoding="utf-8")
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"],
+            "--set", f"paths.{path_key}={shortened}",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "index is stale; rerun qvqpp index" in err
+        assert "Traceback" not in err
 
 
 class TestQvCommand:
@@ -123,6 +173,15 @@ class TestPredictCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_uef_predictions_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "uef.tsv"
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"],
+            "--set", "qpp.base=uef", "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == UEF_PREDICTIONS_GOLDEN
 
     def test_rebuilt_index_gives_identical_predictions(self, indexed_workspace, tmp_path):
         fresh_index = tmp_path / "fresh_index"
@@ -267,6 +326,15 @@ class TestTuneAndSweep:
         for out in (a, b):
             assert run_cli("sweep", "--config", indexed_workspace["config"], "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_uef_sweep_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "uef.csv"
+        code = run_cli(
+            "sweep", "--config", indexed_workspace["config"],
+            "--set", "qpp.base=uef", "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == UEF_SWEEP_GOLDEN
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(

@@ -104,6 +104,24 @@ class TestKendallTau:
                 continue
             assert kendall_tau(pairs_from(predicted, actual)) == pytest.approx(want, abs=1e-12)
 
+    def test_bit_identical_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(79)
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            predicted = [rng.randint(0, rng.randint(1, 8)) / 3 for _ in range(n)]
+            actual = [rng.randint(0, rng.randint(1, 8)) / 7 for _ in range(n)]
+            want = stats.kendalltau(predicted, actual, variant="b").statistic
+            if math.isnan(want):
+                with pytest.raises(ValueError, match="all tied"):
+                    kendall_tau(pairs_from(predicted, actual))
+                continue
+            assert kendall_tau(pairs_from(predicted, actual)) == want
+
+    def test_nan_value_is_error(self):
+        with pytest.raises(ValueError, match="nan"):
+            kendall_tau(pairs_from([1.0, float("nan"), 3.0], [1, 2, 3]))
+
     def test_negation_antisymmetry_without_ties(self):
         rng = random.Random(78)
         predicted = rng.sample(range(100), 25)
@@ -142,6 +160,13 @@ class TestFisherZ:
     def test_tau_magnitude_one_rejected(self):
         with pytest.raises(ValueError, match="tau_a"):
             fisher_z_compare(1.0, 0.1, 50)
+
+    def test_critical_values(self):
+        # z ~ 2.5758 is the two-sided 99% critical value, 1.96 the 95% one
+        assert not fisher_z_compare(math.tanh(2.575 * math.sqrt(2 / 47)), 0.0, 50).significant
+        assert fisher_z_compare(math.tanh(2.577 * math.sqrt(2 / 47)), 0.0, 50).significant
+        assert not fisher_z_compare(math.tanh(1.959 * math.sqrt(2 / 47)), 0.0, 50, 0.95).significant
+        assert fisher_z_compare(math.tanh(1.961 * math.sqrt(2 / 47)), 0.0, 50, 0.95).significant
 
     def test_confidence_changes_verdict(self):
         # z ~ 1.99: significant at 95% but not at 99%

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qvqpp import (
@@ -13,6 +15,7 @@ from qvqpp import (
     PredictorParams,
     RankedList,
     RboParams,
+    RelevanceModel,
     bm25_retrieve,
     build_index,
     build_relevance_model,
@@ -21,6 +24,7 @@ from qvqpp import (
     nqc,
     rbo_ext,
     rm_rerank,
+    tokenize,
     uef,
 )
 
@@ -166,6 +170,105 @@ class TestRmRerank:
         assert got.doc_ids() == [doc_id for doc_id, _ in want]
         for (_, g), (_, w) in zip(got.entries, want):
             assert g == pytest.approx(w, abs=1e-12)
+
+    def test_model_term_missing_from_index_has_zero_probability(self):
+        index = build_index([("dA", "apple pie"), ("dB", "apple tart")])
+        model = RelevanceModel({"apple": 0.5, "zzz": 0.5})
+        base = ranked("q", [("dA", 2.0), ("dB", 1.0)])
+        with pytest.raises(ValueError, match="'zzz' has zero smoothed probability"):
+            rm_rerank(model, base, index, depth=2)
+
+    def test_mu_zero_needs_every_model_term_in_every_head_doc(self):
+        index = build_index([("dA", "apple pie"), ("dB", "apple tart")])
+        model = RelevanceModel({"apple": 0.5, "pie": 0.5})
+        base = ranked("q", [("dA", 2.0), ("dB", 1.0)])
+        with pytest.raises(ValueError, match="'pie' has zero smoothed probability"):
+            rm_rerank(model, base, index, depth=2, mu=0.0)
+        # dA holds both terms: p(w|dA) = 1/2 each, so the score is ln(1/2)
+        head = rm_rerank(model, base, index, depth=1, mu=0.0)
+        assert head.doc_ids() == ["dA"]
+        assert head.entries[0][1] == pytest.approx(math.log(0.5), abs=1e-12)
+
+
+# Small random corpora: few distinct words so that documents share terms,
+# tie, repeat or tokenize to nothing ("the" is a stopword).
+WORDS = ["the", "alpha", "beta", "gamma", "delta", "eps", "zeta"]
+random_corpora = st.lists(
+    st.lists(st.sampled_from(WORDS), max_size=8), min_size=1, max_size=7
+).map(lambda texts: [(f"d{i}", " ".join(words)) for i, words in enumerate(texts)])
+
+
+def assert_oracle_ranking(got, want, tol=1e-12):
+    """``got`` scores every doc as the oracle ``want`` does, to ``tol``, and in its order.
+
+    Only docs whose oracle scores lie within ``tol`` may swap: the sparse
+    score and the oracle round differently, so a mathematically exact tie
+    such as ln((1 + mu) / (1 + mu)) = ln(mu / mu) can come out 1e-17 apart.
+    """
+    want_scores = dict(want)
+    assert sorted(got.doc_ids()) == sorted(want_scores)
+    for doc_id, score in got.entries:
+        assert score == pytest.approx(want_scores[doc_id], abs=tol)
+    for (earlier, _), (later, _) in zip(got.entries, got.entries[1:]):
+        assert want_scores[earlier] >= want_scores[later] - tol
+
+
+@st.composite
+def corpus_and_sample(draw):
+    items = draw(random_corpora)
+    ids = [doc_id for doc_id, _ in items]
+    chosen = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids), unique=True))
+    scores = draw(st.lists(st.floats(0.0, 10.0), min_size=len(chosen), max_size=len(chosen)))
+    mu = draw(st.sampled_from([0.5, 10.0, 1000.0]))
+    return items, RankedList.from_scores("q", zip(chosen, scores)), mu
+
+
+class TestRelevanceModelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_and_sample())
+    def test_build_matches_dense_oracle(self, case):
+        items, sample, mu = case
+        index = build_index(items)
+        if not any(tokenize(dict(items)[doc_id]) for doc_id in sample.doc_ids()):
+            with pytest.raises(ValueError, match="empty"):
+                build_relevance_model(index, sample, mu=mu)
+            return
+        got = build_relevance_model(index, sample, mu=mu).term_weights
+        want = oracles.relevance_model_dense(items, sample.entries, mu=mu)
+        assert list(got) == sorted(want)
+        for term, weight in want.items():
+            assert got[term] == pytest.approx(weight, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_and_sample())
+    def test_rerank_matches_oracle(self, case):
+        items, sample, mu = case
+        index = build_index(items)
+        if not any(tokenize(dict(items)[doc_id]) for doc_id in sample.doc_ids()):
+            return
+        model = build_relevance_model(index, sample, mu=mu)
+        head = ranked("q", [(doc_id, 1.0) for doc_id, _ in items])
+        got = rm_rerank(model, head, index, depth=len(head), mu=mu)
+        want = oracles.rm_rescore(items, model.term_weights, head.doc_ids(), mu=mu)
+        assert_oracle_ranking(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_and_sample())
+    def test_mu_zero_rejects_exactly_heads_missing_a_model_term(self, case):
+        items, sample, _ = case
+        index = build_index(items)
+        if not any(tokenize(dict(items)[doc_id]) for doc_id in sample.doc_ids()):
+            return
+        model = build_relevance_model(index, sample)
+        head = ranked("q", sample.entries)
+        bags = {doc_id: set(tokenize(text)) for doc_id, text in items}
+        if any(set(model.term_weights) - bags[doc_id] for doc_id in head.doc_ids()):
+            with pytest.raises(ValueError, match="zero smoothed probability"):
+                rm_rerank(model, head, index, depth=len(head), mu=0.0)
+            return
+        got = rm_rerank(model, head, index, depth=len(head), mu=0.0)
+        want = oracles.rm_rescore(items, model.term_weights, head.doc_ids(), mu=0.0)
+        assert_oracle_ranking(got, want)
 
 
 UEF_CORPUS = [
