@@ -119,7 +119,10 @@ def build_relevance_model(
     for doc_id, _ in sample.entries:
         if doc_id not in index.ordinal_of:
             raise ValueError(f"sampled document {doc_id!r} is not in the index")
-        ordinals.append(index.ordinal_of[doc_id])
+        ordinal = index.ordinal_of[doc_id]
+        if index.item_lengths[ordinal] + mu == 0.0:
+            raise ValueError(f"every term has zero smoothed probability in empty document {doc_id!r}")
+        ordinals.append(ordinal)
     doc_weights = _softmax(np.asarray(sample.scores(), dtype=np.float64)).tolist()
     # omega_D / (|D| + mu) per sampled document
     coefs = [w / (index.item_lengths[o] + mu) for w, o in zip(doc_weights, ordinals)]
@@ -249,6 +252,13 @@ class PredictorParams:
     mu: float = DEFAULT_MU
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+
+    def __post_init__(self) -> None:
+        for name in ("top_k", "uef_samples", "uef_sample_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
 
 
 @dataclass

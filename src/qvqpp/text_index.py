@@ -13,6 +13,7 @@ import pickle
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .corpus_io import Document, RankedList
@@ -50,7 +51,8 @@ class InvertedIndex:
     Ordinals are assigned in input order; postings lists are sorted by
     ordinal. ``term_counts`` keeps each item's token frequencies so that
     language-model scoring (relevance models) can re-read item content
-    without the raw text.
+    without the raw text. ``total_tokens`` and ``avgdl`` are computed on
+    first use and kept, so an index must not be mutated after it is read.
     """
 
     item_ids: list[str]
@@ -65,11 +67,11 @@ class InvertedIndex:
     def size(self) -> int:
         return len(self.item_ids)
 
-    @property
+    @cached_property
     def total_tokens(self) -> int:
         return sum(self.item_lengths)
 
-    @property
+    @cached_property
     def avgdl(self) -> float:
         return self.total_tokens / self.size if self.size else 0.0
 

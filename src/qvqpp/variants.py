@@ -21,6 +21,8 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .corpus_io import Document, Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext
@@ -37,6 +39,19 @@ RETRIEVER_BM25 = "bm25"
 RETRIEVER_DENSE = "dense"
 
 BASE_PREDICTORS = ("nqc", "uef")
+
+# A memoized retrieval: ranked ids (the index's own id strings) and a float64
+# array of their scores, about a fifth of the memory of a RankedList.
+CompactRun = tuple[tuple[str, ...], np.ndarray]
+
+
+def _compact(run: RankedList) -> CompactRun:
+    return tuple(run.doc_ids()), np.array(run.scores(), dtype=np.float64)
+
+
+def _entries(run: CompactRun) -> list[tuple[str, float]]:
+    ids, scores = run
+    return list(zip(ids, scores.tolist()))
 
 
 @dataclass
@@ -170,6 +185,7 @@ def expand_2hop(
     *,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
+    cache: Optional[dict[tuple[str, int, int], CompactRun]] = None,
 ) -> QVSet:
     """Union the 1-hop set with queries reached through relevant documents.
 
@@ -179,9 +195,17 @@ def expand_2hop(
     lexical: pseudo-queries have no embeddings). Duplicates keep the
     lowest hop tag; a relevant document missing from the collection is
     skipped with a warning.
+
+    A document's retrieval does not depend on the target, so it is kept
+    in ``cache`` under (doc id, pseudo_query_m, n) and reused by later
+    calls that pass the same dict; such calls must share
+    ``query_index``, ``collection``, ``k1`` and ``b``. Without a cache
+    each call keeps its own. Target exclusion, de-duplication and hop
+    tags are applied per call, so the result does not depend on reuse.
     """
     if one_hop.stage != STAGE_ONE_HOP:
         raise ValueError(f"expected a one-hop set, got stage {one_hop.stage!r}")
+    hits = {} if cache is None else cache
     merged = list(one_hop.candidates)
     seen = {c.query.id for c in merged}
     for candidate in one_hop.candidates:
@@ -195,13 +219,17 @@ def expand_2hop(
                     doc_id, candidate.query.id,
                 )
                 continue
-            pseudo = make_pseudo_query(doc, config.pseudo_query_m)
-            if not pseudo.terms:
-                continue
-            retrieved = bm25_retrieve(
-                query_index, list(pseudo.terms), depth=config.n, k1=k1, b=b, query_id=doc_id
-            )
-            for qid, score in retrieved.entries:
+            key = (doc_id, config.pseudo_query_m, config.n)
+            found = hits.get(key)
+            if found is None:
+                pseudo = make_pseudo_query(doc, config.pseudo_query_m)
+                retrieved = RankedList(doc_id, [])
+                if pseudo.terms:
+                    retrieved = bm25_retrieve(
+                        query_index, list(pseudo.terms), depth=config.n, k1=k1, b=b, query_id=doc_id
+                    )
+                found = hits[key] = _compact(retrieved)
+            for qid, score in _entries(found):
                 if qid == one_hop.target_query_id or qid in seen:
                     continue
                 seen.add(qid)
@@ -219,30 +247,46 @@ def rerank_by_rbo(
     *,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
+    cache: Optional[dict[tuple[str, int], CompactRun]] = None,
 ) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
     ``target_run`` must be the target query's list from the internal
     BM25 retriever at ``internal_depth``. Each candidate retrieves its
     own internal run; candidates with an empty run get overlap 0. Ties
-    break by (hop ascending, query id ascending).
+    break by (hop ascending, query id ascending). Only the k survivors
+    carry their run as a RankedList.
+
+    A candidate's internal run does not depend on the target, so it is
+    kept in ``cache`` under (query text, internal_depth) and reused by
+    later calls that pass the same dict; such calls must share
+    ``internal_retriever``, ``k1`` and ``b``. Without a cache each call
+    keeps its own.
     """
     if merged.stage != STAGE_MERGED:
         raise ValueError(f"expected a merged set, got stage {merged.stage!r}")
-    scored: list[QVCandidate] = []
+    runs = {} if cache is None else cache
+    target_ids = target_run.doc_ids()
+    scored: list[tuple[float, QVCandidate, CompactRun]] = []
     for candidate in merged.candidates:
-        internal_run = bm25_retrieve(
-            internal_retriever,
-            tokenize(candidate.query.text),
-            depth=config.internal_depth,
-            k1=k1,
-            b=b,
-            query_id=candidate.query.id,
-        )
-        overlap = rbo_ext(target_run, internal_run, config.rbo_params)
-        scored.append(replace(candidate, rbo=overlap, internal_run=internal_run))
-    scored.sort(key=lambda c: (-c.rbo, c.hop, c.query.id))
-    return QVSet(merged.target_query_id, scored[: config.k], STAGE_RERANKED)
+        key = (candidate.query.text, config.internal_depth)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _compact(bm25_retrieve(
+                internal_retriever,
+                tokenize(candidate.query.text),
+                depth=config.internal_depth,
+                k1=k1,
+                b=b,
+                query_id=candidate.query.id,
+            ))
+        scored.append((rbo_ext(target_ids, run[0], config.rbo_params), candidate, run))
+    scored.sort(key=lambda row: (-row[0], row[1].hop, row[1].query.id))
+    kept = [
+        replace(candidate, rbo=overlap, internal_run=RankedList(candidate.query.id, _entries(run)))
+        for overlap, candidate, run in scored[: config.k]
+    ]
+    return QVSet(merged.target_query_id, kept, STAGE_RERANKED)
 
 
 def smooth_qpp(
@@ -279,7 +323,20 @@ def smooth_qpp(
 
 @dataclass
 class PipelineResources:
-    """Read-only shared state for per-query prediction."""
+    """Read-only shared state for per-query prediction, plus two retrieval caches.
+
+    ``internal_runs`` maps (query text, internal_depth) to that text's
+    internal BM25 run over ``doc_index``; ``pseudo_query_hits`` maps
+    (doc id, pseudo_query_m, n) to the training queries that the
+    document's pseudo-query retrieves over ``query_index``. Neither
+    depends on the target, so :func:`build_qv_set` computes each once
+    and keeps it, as ids plus a float64 array of scores, for the life
+    of this object. Their size is bounded by the training data: one
+    entry per distinct training-query text and depth, one per judged
+    document and (m, n). Both fill lazily and are not init fields:
+    ``dataclasses.replace`` starts them empty, as it must when it swaps
+    an index, the collection, ``k1`` or ``b``.
+    """
 
     doc_index: InvertedIndex
     query_index: InvertedIndex
@@ -289,6 +346,12 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    internal_runs: dict[tuple[str, int], CompactRun] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    pseudo_query_hits: dict[tuple[str, int, int], CompactRun] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
@@ -304,6 +367,7 @@ def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QV
         merged = expand_2hop(
             one_hop, res.training_qrels, config, res.query_index,
             res.collection, res.training_queries, k1=res.k1, b=res.b,
+            cache=res.pseudo_query_hits,
         )
     else:
         merged = merge_one_hop_only(one_hop)
@@ -311,7 +375,9 @@ def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QV
         res.doc_index, tokenize(target.text), depth=config.internal_depth,
         k1=res.k1, b=res.b, query_id=target.id,
     )
-    return rerank_by_rbo(merged, target_internal, res.doc_index, config, k1=res.k1, b=res.b)
+    return rerank_by_rbo(
+        merged, target_internal, res.doc_index, config, k1=res.k1, b=res.b, cache=res.internal_runs
+    )
 
 
 def predict_query(

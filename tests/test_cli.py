@@ -5,6 +5,43 @@ import pytest
 from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
 from qvqpp.cli import main
 
+# Outputs of the fixture workspace with its default 2-hop NQC configuration,
+# recorded before the internal runs and pseudo-query retrievals were cached
+# across targets; any change to the variant pools, their RBO order or the
+# survivors' runs changes these bytes.
+NQC_PREDICTIONS_GOLDEN = """\
+dl01\t1.146785
+dl02\t0.488831
+dl03\t0.462056
+dl04\t0.481745
+dl05\t0.472767
+"""
+NQC_SWEEP_GOLDEN = """\
+lambda,k,tau
+0,1,0.000000
+0,2,0.000000
+0,3,0.000000
+0.5,1,-0.200000
+0.5,2,-0.200000
+0.5,3,0.000000
+1,1,-0.200000
+1,2,-0.600000
+1,3,-0.200000
+"""
+NQC_QV_GOLDEN = """\
+qid\tvariant_qid\thop\trbo\tvariant_text
+dl01\tt01\t1\t1.000000\tcoffee brewing water temperature
+dl01\tt03\t2\t0.098884\tfrench press plunger steeping heat level
+dl02\tt04\t1\t0.678233\twhale krill pod plankton
+dl02\tt06\t2\t0.614699\tbaleen calf plankton pod
+dl03\tt07\t1\t0.736213\twattage photovoltaic rooftop cell
+dl03\tt08\t1\t0.656774\tsolar wattage grid
+dl04\tt10\t1\t0.850036\tnile limestone chamber
+dl04\tt12\t1\t0.805799\tpyramid giza dynasty
+dl05\tt13\t1\t0.804924\thydration rye proof sourdough
+dl05\tt14\t1\t0.641827\tstarter bake proof levain
+"""
+
 # Outputs of the fixture workspace with qpp.base=uef, recorded from the
 # dense relevance-model implementation; a changed UEF re-ranking that
 # flips a tie changes these bytes.
@@ -88,6 +125,22 @@ paths:
         assert "error: qpp.use_2hop must be true or false" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("predictor.mu=-1", "mu must be >= 0"),
+            ("predictor.top_k=0", "top_k must be >= 1"),
+            ("predictor.uef_samples=0", "uef_samples must be >= 1"),
+            ("predictor.uef_sample_size=-2", "uef_sample_size must be >= 1"),
+        ],
+    )
+    def test_bad_predictor_param_rejected(self, indexed_workspace, capsys, override, message):
+        code = run_cli("predict", "--config", indexed_workspace["config"], "--set", override)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "path_key, file_name",
         [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
     )
@@ -116,6 +169,11 @@ class TestQvCommand:
         # config k=2 caps the per-target rows
         for qid in ("dl01", "dl02", "dl03", "dl04", "dl05"):
             assert 1 <= sum(1 for line in lines[1:] if line.startswith(qid + "\t")) <= 2
+
+    def test_report_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "qv.tsv"
+        assert run_cli("qv", "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == NQC_QV_GOLDEN
 
     def test_query_without_variants_notes_to_stderr(self, indexed_workspace, capsys, tmp_path):
         extended = tmp_path / "test_queries.tsv"
@@ -173,6 +231,11 @@ class TestPredictCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_predictions_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "nqc.tsv"
+        assert run_cli("predict", "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
 
     def test_uef_predictions_golden(self, indexed_workspace, tmp_path):
         out = tmp_path / "uef.tsv"
@@ -326,6 +389,11 @@ class TestTuneAndSweep:
         for out in (a, b):
             assert run_cli("sweep", "--config", indexed_workspace["config"], "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "nqc.csv"
+        assert run_cli("sweep", "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == NQC_SWEEP_GOLDEN
 
     def test_uef_sweep_golden(self, indexed_workspace, tmp_path):
         out = tmp_path / "uef.csv"

@@ -143,6 +143,14 @@ class TestRelevanceModel:
         with pytest.raises(ValueError, match="not in the index"):
             build_relevance_model(index, ranked("q", [("nope", 1.0)]))
 
+    def test_empty_document_with_mu_zero_has_zero_probability(self):
+        # p(w|D) = (tf + mu * p_w) / (|D| + mu) is 0/0 for an empty D when mu = 0
+        index = build_index([("a", "the of"), ("b", "apple")])
+        with pytest.raises(ValueError, match="zero smoothed probability in empty document 'a'"):
+            build_relevance_model(index, ranked("q", [("a", 2.0), ("b", 1.0)]), mu=0.0)
+        model = build_relevance_model(index, ranked("q", [("b", 1.0)]), mu=0.0)
+        assert model.term_weights == {"apple": 1.0}
+
 
 class TestRmRerank:
     def test_concentrated_model_promotes_unique_doc(self):
@@ -352,6 +360,20 @@ class TestUef:
         index, inp = uef_fixture_input()
         with pytest.raises(ValueError, match="exceeds"):
             uef(inp, index, rng_seed=1, samples=1, sample_size=len(inp.ranked_list) + 1)
+
+
+class TestPredictorParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("top_k", 0), ("top_k", -3), ("uef_samples", 0), ("uef_sample_size", 0), ("mu", -5.0)],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            PredictorParams(**{name: value})
+
+    def test_smallest_values_accepted(self):
+        params = PredictorParams(top_k=1, uef_samples=1, uef_sample_size=1, mu=0.0)
+        assert (params.top_k, params.uef_samples, params.uef_sample_size, params.mu) == (1, 1, 1, 0.0)
 
 
 class TestPredictorContext:

@@ -171,6 +171,17 @@ class TestPersistence:
         for terms in (["coffee"], ["espresso", "crema"], ["water", "temperature"]):
             assert bm25_retrieve(index, terms, 10).entries == bm25_retrieve(reloaded, terms, 10).entries
 
+    def test_totals_computed_on_first_read_after_load(self, tmp_path):
+        # an artifact holds no cached totals, so those written before they were cached load alike
+        index = build_index(TOY_CORPUS)
+        path = tmp_path / "toy.idx"
+        save_index(index, path)
+        reloaded = load_index(path)
+        assert "total_tokens" not in vars(reloaded) and "avgdl" not in vars(reloaded)
+        assert reloaded.total_tokens == sum(index.item_lengths)
+        assert reloaded.avgdl == sum(index.item_lengths) / index.size
+        assert vars(reloaded)["avgdl"] == reloaded.avgdl
+
     def test_bad_artifact_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
         import pickle

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
+from qvqpp import variants
 from qvqpp import (
     Document,
     Query,
@@ -384,3 +387,121 @@ class TestPipelineInvariants:
         assert qv.stage == STAGE_RERANKED and len(qv.candidates) <= 2
         value = smooth_qpp(target_run[target.id], qv, config, context, tokenize(target.text))
         assert value >= 0.0
+
+
+def with_renamed_copies(targets):
+    """The targets plus a copy of each under a new id: every copy shares its original's pool."""
+    return list(targets) + [Query(f"copy-{t.id}", t.text) for t in targets]
+
+
+def qv_snapshot(qv_set):
+    return [
+        (c.query.id, c.hop, c.retrieval_score, c.rbo, c.internal_run.query_id, c.internal_run.entries)
+        for c in qv_set.candidates
+    ]
+
+
+class TestRetrievalCache:
+    # configs that each differ from the first in one cache-key parameter
+    KEY_CONFIGS = [
+        dict(k=3, n=100),
+        dict(k=1, n=2),
+        dict(k=3, n=100, pseudo_query_m=2),
+        dict(k=3, n=100, internal_depth=5),
+    ]
+
+    @pytest.mark.parametrize("use_2hop", [True, False])
+    def test_shared_resources_match_fresh_ones(self, corpus, resources, use_2hop):
+        configs = [QppConfig(use_2hop=use_2hop, **kw) for kw in self.KEY_CONFIGS]
+        shared = replace(resources)
+        for target in with_renamed_copies(corpus.test_queries) * 2:
+            for config in configs:
+                got = build_qv_set(target, config, shared)
+                want = build_qv_set(target, config, replace(resources))
+                assert qv_snapshot(got) == qv_snapshot(want)
+        assert shared.internal_runs
+        assert bool(shared.pseudo_query_hits) == use_2hop
+
+    def test_shared_pseudo_query_cache_matches_none(self):
+        # docX's pseudo-query reaches three queries through "delta" and a fourth through "epsilon"
+        training = {
+            "tq1": Query("tq1", "alpha beta"),
+            "tq2": Query("tq2", "delta one"),
+            "tq3": Query("tq3", "delta two"),
+            "tq4": Query("tq4", "delta three"),
+            "tq5": Query("tq5", "epsilon four"),
+        }
+        collection = {"docX": Document("docX", "delta delta delta epsilon")}
+        qrels = {"tq1": {"docX": 1}}
+        query_index = build_index((q.id, q.text) for q in training.values())
+        cache = {}
+        pools = []
+        for kw in (dict(k=1, n=5), dict(k=1, n=2), dict(k=1, n=5, pseudo_query_m=1)):
+            config = QppConfig(**kw)
+            one_hop = retrieve_1hop(Query("T", "alpha"), config, query_index, training)
+            args = (one_hop, qrels, config, query_index, collection, training)
+            got = expand_2hop(*args, cache=cache)
+            want = expand_2hop(*args)
+            assert [(c.query.id, c.hop, c.retrieval_score) for c in got.candidates] == [
+                (c.query.id, c.hop, c.retrieval_score) for c in want.candidates
+            ]
+            pools.append(got.query_ids())
+        assert pools == [["tq1", "tq5", "tq2", "tq3", "tq4"], ["tq1", "tq5", "tq2"], ["tq1", "tq2", "tq3", "tq4"]]
+        assert sorted(cache) == [("docX", 1, 5), ("docX", 20, 2), ("docX", 20, 5)]
+
+    def test_one_internal_run_per_distinct_candidate_text(self, corpus, resources, monkeypatch):
+        config = QppConfig(k=2, n=100)
+        training = corpus.training_query_map()
+        targets = with_renamed_copies(corpus.test_queries)
+        texts, relevant_docs = set(), set()
+        for target in targets:
+            one_hop = retrieve_1hop(target, config, resources.query_index, training)
+            merged = expand_2hop(
+                one_hop, corpus.train_qrels, config, resources.query_index, corpus.collection_map(), training
+            )
+            texts |= {c.query.text for c in merged.candidates}
+            relevant_docs |= {
+                doc_id for c in one_hop.candidates
+                for doc_id, grade in corpus.train_qrels.get(c.query.id, {}).items() if grade >= 1
+            }
+        calls = {"doc": 0, "query": 0}
+        real = variants.bm25_retrieve
+
+        def counting(index, *args, **kwargs):
+            calls["doc" if index is resources.doc_index else "query"] += 1
+            return real(index, *args, **kwargs)
+
+        monkeypatch.setattr(variants, "bm25_retrieve", counting)
+        res = replace(resources)
+        for target in targets:
+            build_qv_set(target, config, res)
+        assert calls == {"doc": len(texts) + len(targets), "query": len(relevant_docs) + len(targets)}
+        for target in targets:
+            build_qv_set(target, config, res)
+        assert calls == {"doc": len(texts) + 2 * len(targets), "query": len(relevant_docs) + 2 * len(targets)}
+
+    def test_entries_are_compact(self, corpus, resources):
+        res = replace(resources)
+        qv_set = build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
+        assert all(type(score) is float for c in qv_set.candidates for _, score in c.internal_run.entries)
+        for ids, scores in list(res.internal_runs.values()) + list(res.pseudo_query_hits.values()):
+            assert isinstance(ids, tuple) and scores.dtype == np.float64 and len(ids) == len(scores)
+
+    def test_replace_starts_with_empty_caches(self, corpus, resources):
+        res = replace(resources)
+        build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
+        assert res.internal_runs and res.pseudo_query_hits
+        fresh = replace(res)
+        assert fresh.internal_runs == {} and fresh.pseudo_query_hits == {}
+
+    def test_missing_relevant_doc_warns_for_every_target(self, corpus, resources, caplog):
+        qrels = {q.id: {"not-a-doc": 1} for q in corpus.train_queries}
+        res = replace(resources, training_qrels=qrels)
+        config = QppConfig(k=2, n=100)
+        for target in with_renamed_copies(corpus.test_queries):
+            one_hop = retrieve_1hop(target, config, res.query_index, res.training_queries)
+            assert one_hop.candidates
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                build_qv_set(target, config, res)
+            assert caplog.text.count("'not-a-doc'") == len(one_hop.candidates)
