@@ -20,7 +20,6 @@ from qvqpp import (
     build_index,
     build_qv_set,
     expand_2hop,
-    merge_one_hop_only,
     retrieve_1hop,
     smooth_qpp,
     tokenize,
@@ -89,8 +88,7 @@ def main():
         value = smooth_qpp(target_run, qv_set, cfg, context, tokenize(TARGET.text))
         print(f"  lambda={lam:.1f}  estimate {value:.4f}")
 
-    without = merge_one_hop_only(one_hop)
-    print(f"\nwith 2-hop disabled the candidate set is just {without.query_ids()}")
+    print(f"\nwith 2-hop disabled the candidate set is just {one_hop.query_ids()}")
 
 
 if __name__ == "__main__":

@@ -65,7 +65,6 @@ from .variants import (
     QVSet,
     build_qv_set,
     expand_2hop,
-    merge_one_hop_only,
     predict_query,
     rerank_by_rbo,
     retrieve_1hop,

@@ -9,7 +9,7 @@ runs before any output file is touched.
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
 
-- ``seed`` (0), ``run_tag`` ("qvqpp")
+- ``seed`` (0)
 - ``paths``: ``collection``, ``train_queries``, ``train_qrels``,
   ``test_queries``, ``test_qrels``, ``target_run``, ``index_dir`` and
   ``output_dir`` are required; ``embeddings`` only for the dense query
@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 import yaml
 
 from .corpus_io import (
-    Qrels,
     Query,
     RankedList,
     parse_collection,
@@ -101,20 +100,37 @@ class PipelineConfig:
     lambdas: list[float]
     ks: list[int]
     run_depth: int = 100
-    run_tag: str = "qvqpp"
 
 
-def _get(section: Mapping, key: str, default):
-    value = section.get(key, default)
-    if value is None:
-        return default
-    return value
+def _yaml(text, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{where}: malformed YAML: {' '.join(str(exc).split())}") from None
+
+
+def _section(raw: Mapping, name: str) -> Mapping:
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a mapping, got {section!r}")
+    return section
+
+
+def _get(section: Mapping, name: str, default, kind, many: bool = False):
+    """The dotted key ``name`` of ``section`` as ``kind``, or as a list of them; null means ``default``."""
+    value = section.get(name.rsplit(".", 1)[-1])
+    value = default if value is None else value
+    try:
+        return [kind(v) for v in value] if many else kind(value)
+    except (TypeError, ValueError):
+        expected = f"a list of {kind.__name__}" if many else kind.__name__
+        raise ValueError(f"{name}: expected {expected}, got {value!r}") from None
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
     """Parse the YAML config and apply ``dotted.key=value`` overrides."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle) or {}
+        raw = _yaml(handle, str(path)) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config root must be a mapping")
     for override in overrides:
@@ -127,10 +143,10 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ValueError(f"override {dotted!r} does not address a mapping")
-        node[keys[-1]] = yaml.safe_load(value_text)
+        node[keys[-1]] = _yaml(value_text, f"override {dotted!r}")
 
     base_dir = Path(path).parent
-    paths = raw.get("paths", {}) or {}
+    paths = _section(raw, "paths")
 
     def resolve(key: str, required: bool = True) -> Path | None:
         value = paths.get(key)
@@ -138,49 +154,49 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
             if required:
                 raise ValueError(f"config is missing paths.{key}")
             return None
+        if not isinstance(value, str):
+            raise ValueError(f"paths.{key}: expected str, got {value!r}")
         return (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
 
-    qpp_raw = raw.get("qpp", {}) or {}
-    use_2hop = _get(qpp_raw, "use_2hop", True)
+    qpp_raw = _section(raw, "qpp")
+    use_2hop = True if qpp_raw.get("use_2hop") is None else qpp_raw["use_2hop"]
     if not isinstance(use_2hop, bool):
         raise ValueError("qpp.use_2hop must be true or false")
     rbo = RboParams(
-        p=float(_get(qpp_raw, "rbo_p", 0.9)),
-        eval_depth=int(_get(qpp_raw, "rbo_depth", 100)),
+        p=_get(qpp_raw, "qpp.rbo_p", 0.9, float),
+        eval_depth=_get(qpp_raw, "qpp.rbo_depth", 100, int),
     )
     qpp = QppConfig(
-        lam=float(_get(qpp_raw, "lambda", 0.5)),
-        k=int(_get(qpp_raw, "k", 1)),
-        n=int(_get(qpp_raw, "n", 100)),
-        query_retriever=str(_get(qpp_raw, "query_retriever", "bm25")),
+        lam=_get(qpp_raw, "qpp.lambda", 0.5, float),
+        k=_get(qpp_raw, "qpp.k", 1, int),
+        n=_get(qpp_raw, "qpp.n", 100, int),
+        query_retriever=_get(qpp_raw, "qpp.query_retriever", "bm25", str),
         use_2hop=use_2hop,
-        pseudo_query_m=int(_get(qpp_raw, "pseudo_query_m", 20)),
+        pseudo_query_m=_get(qpp_raw, "qpp.pseudo_query_m", 20, int),
         rbo_params=rbo,
-        base=str(_get(qpp_raw, "base", "nqc")),
-        internal_depth=int(_get(qpp_raw, "internal_depth", 100)),
+        base=_get(qpp_raw, "qpp.base", "nqc", str),
+        internal_depth=_get(qpp_raw, "qpp.internal_depth", 100, int),
     )
-    pred_raw = raw.get("predictor", {}) or {}
-    bm25_raw = raw.get("bm25", {}) or {}
+    pred_raw = _section(raw, "predictor")
+    bm25_raw = _section(raw, "bm25")
     predictor = PredictorParams(
-        top_k=int(_get(pred_raw, "top_k", 100)),
-        uef_samples=int(_get(pred_raw, "uef_samples", 20)),
-        uef_sample_size=int(_get(pred_raw, "uef_sample_size", 25)),
-        mu=float(_get(pred_raw, "mu", 1000.0)),
-        k1=float(_get(bm25_raw, "k1", 0.9)),
-        b=float(_get(bm25_raw, "b", 0.4)),
+        top_k=_get(pred_raw, "predictor.top_k", 100, int),
+        uef_samples=_get(pred_raw, "predictor.uef_samples", 20, int),
+        uef_sample_size=_get(pred_raw, "predictor.uef_sample_size", 25, int),
+        mu=_get(pred_raw, "predictor.mu", 1000.0, float),
+        k1=_get(bm25_raw, "bm25.k1", 0.9, float),
+        b=_get(bm25_raw, "bm25.b", 0.4, float),
     )
-    eval_raw = raw.get("evaluation", {}) or {}
-    metric = str(_get(eval_raw, "target_metric", "ap@100"))
+    eval_raw = _section(raw, "evaluation")
+    metric = _get(eval_raw, "evaluation.target_metric", "ap@100", str)
     if metric not in TARGET_METRICS:
         raise ValueError(f"target_metric must be one of {TARGET_METRICS}, got {metric!r}")
-    fold_a = _get(eval_raw, "fold_a", [])
+    fold_a = _get(eval_raw, "evaluation.fold_a", [], str, many=not isinstance(eval_raw.get("fold_a"), str))
     if isinstance(fold_a, str):
         fold_path = (base_dir / fold_a) if not Path(fold_a).is_absolute() else Path(fold_a)
         if not fold_path.exists():
             raise ValueError(f"fold_a file {fold_path} does not exist")
         fold_a = [line.strip() for line in fold_path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    lambdas = [float(v) for v in _get(eval_raw, "lambdas", DEFAULT_LAMBDAS)]
-    ks = [int(v) for v in _get(eval_raw, "ks", DEFAULT_KS)]
 
     return PipelineConfig(
         collection=resolve("collection"),
@@ -192,15 +208,14 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
         index_dir=resolve("index_dir"),
         output_dir=resolve("output_dir"),
         embeddings=resolve("embeddings", required=False),
-        seed=int(raw.get("seed", 0)),
+        seed=_get(raw, "seed", 0, int),
         qpp=qpp,
         predictor=predictor,
         target_metric=metric,
-        fold_a=[str(v) for v in fold_a],
-        lambdas=lambdas,
-        ks=ks,
-        run_depth=int(_get(qpp_raw, "run_depth", 100)),
-        run_tag=str(raw.get("run_tag", "qvqpp")),
+        fold_a=fold_a,
+        lambdas=_get(eval_raw, "evaluation.lambdas", DEFAULT_LAMBDAS, float, many=True),
+        ks=_get(eval_raw, "evaluation.ks", DEFAULT_KS, int, many=True),
+        run_depth=_get(qpp_raw, "qpp.run_depth", 100, int),
     )
 
 
@@ -256,16 +271,21 @@ def _load_targets(cfg: PipelineConfig) -> dict[str, Query]:
     return {q.id: q for q in parse_queries(cfg.test_queries)}
 
 
-def _load_target_run(cfg: PipelineConfig, targets: Mapping[str, Query]) -> dict[str, RankedList]:
+def _load_target_run(cfg: PipelineConfig) -> tuple[dict[str, Query], dict[str, RankedList]]:
+    """The target queries and their external run; every run query must have a text."""
+    targets = _load_targets(cfg)
     _require_files(cfg.target_run)
     run_map = parse_run(cfg.target_run, depth=cfg.run_depth)
     unknown = sorted(set(run_map) - set(targets))
     if unknown:
         raise ValueError(f"run file contains queries with no text: {', '.join(unknown)}")
-    return run_map
+    return targets, run_map
 
 
-def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList], qrels: Qrels) -> dict[str, float]:
+def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> dict[str, float]:
+    """The target metric of each run query against the test qrels."""
+    _require_files(cfg.test_qrels)
+    qrels = parse_qrels(cfg.test_qrels)
     values = {}
     for qid in sorted(run_map):
         if cfg.target_metric == "ap@100":
@@ -313,8 +333,7 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
 def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write one smoothed prediction per query in the target run file."""
     res = _load_resources(cfg)
-    targets = _load_targets(cfg)
-    run_map = _load_target_run(cfg, targets)
+    targets, run_map = _load_target_run(cfg)
     context = _make_context(cfg, res)
     out = out_path or cfg.output_dir / "predictions.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -335,13 +354,9 @@ def cmd_evaluate(
     metrics_out: Path | None = None,
 ) -> int:
     """Correlate a predictions file with the target metric; optional baseline comparison."""
-    _require_files(predictions_path, cfg.test_qrels, cfg.target_run)
-    if baseline_path is not None:
-        _require_files(baseline_path)
-    targets = _load_targets(cfg)
-    run_map = _load_target_run(cfg, targets)
-    qrels = parse_qrels(cfg.test_qrels)
-    actual = _actual_metric(cfg, run_map, qrels)
+    _require_files(predictions_path, cfg.test_qrels, cfg.target_run, baseline_path)
+    _, run_map = _load_target_run(cfg)
+    actual = _actual_metric(cfg, run_map)
     if metrics_out is not None:
         metrics_out.parent.mkdir(parents=True, exist_ok=True)
         write_score_tsv(actual, metrics_out)
@@ -374,9 +389,27 @@ def cmd_evaluate(
     return 0
 
 
-def _prediction_engine(cfg: PipelineConfig, res, targets, run_map, context, k_max: int):
-    """Precompute per-query variant sets once; sweeping lambda/k is then cheap."""
-    qpp_kmax = replace(cfg.qpp, k=k_max)
+def _grid_inputs(cfg: PipelineConfig):
+    """Check the (lambda, k) grid, then load the resources, targets, run and metric of ``tune``/``sweep``."""
+    if not cfg.lambdas or not cfg.ks:
+        raise ValueError("evaluation.lambdas and evaluation.ks must be non-empty")
+    bad_lambdas = [lam for lam in cfg.lambdas if not 0.0 <= lam <= 1.0]
+    if bad_lambdas:
+        raise ValueError(f"evaluation.lambdas must lie in [0, 1], got {bad_lambdas[0]:g}")
+    if min(cfg.ks) < 1:
+        raise ValueError(f"evaluation.ks must be >= 1, got {min(cfg.ks)}")
+    if max(cfg.ks) >= cfg.qpp.n:
+        raise ValueError(f"largest grid k ({max(cfg.ks)}) must stay below candidate pool n ({cfg.qpp.n})")
+    _require_files(cfg.test_qrels, cfg.target_run)
+    res = _load_resources(cfg)
+    targets, run_map = _load_target_run(cfg)
+    return res, targets, run_map, _actual_metric(cfg, run_map)
+
+
+def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
+    """Build each target's variant set once, at the largest grid k; sweeping lambda/k is then cheap."""
+    context = _make_context(cfg, res)
+    qpp_kmax = replace(cfg.qpp, k=max(cfg.ks))
     qv_sets = {}
     terms = {}
     for qid in sorted(run_map):
@@ -393,22 +426,9 @@ def _prediction_engine(cfg: PipelineConfig, res, targets, run_map, context, k_ma
     return predict_fn
 
 
-def _check_grid(cfg: PipelineConfig) -> None:
-    if not cfg.lambdas or not cfg.ks:
-        raise ValueError("evaluation.lambdas and evaluation.ks must be non-empty")
-    if max(cfg.ks) >= cfg.qpp.n:
-        raise ValueError(f"largest grid k ({max(cfg.ks)}) must stay below candidate pool n ({cfg.qpp.n})")
-
-
 def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: Path | None = None) -> int:
     """2-fold tuning: fit (lambda, k) on each fold's train split, report test tau."""
-    _check_grid(cfg)
-    _require_files(cfg.test_qrels, cfg.target_run)
-    res = _load_resources(cfg)
-    targets = _load_targets(cfg)
-    run_map = _load_target_run(cfg, targets)
-    qrels = parse_qrels(cfg.test_qrels)
-    actual = _actual_metric(cfg, run_map, qrels)
+    res, targets, run_map, actual = _grid_inputs(cfg)
     fold_a = frozenset(cfg.fold_a)
     if not fold_a:
         raise ValueError("evaluation.fold_a must list the query ids of the first fold")
@@ -419,9 +439,7 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
     if not fold_b:
         raise ValueError("fold_a covers every run query; the second fold is empty")
     folds = (FoldSpec(fold_a, fold_b), FoldSpec(fold_b, fold_a))
-    context = _make_context(cfg, res)
-    predict_fn = _prediction_engine(cfg, res, targets, run_map, context, max(cfg.ks))
-    report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, predict_fn, actual)
+    report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     lines = [f"target_metric: {cfg.target_metric}", f"base: {cfg.qpp.base}"]
     for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
         lines += [
@@ -457,16 +475,8 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
 
 def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Evaluate tau for the full (lambda, k) grid on all run queries; emit CSV."""
-    _check_grid(cfg)
-    _require_files(cfg.test_qrels, cfg.target_run)
-    res = _load_resources(cfg)
-    targets = _load_targets(cfg)
-    run_map = _load_target_run(cfg, targets)
-    qrels = parse_qrels(cfg.test_qrels)
-    actual = _actual_metric(cfg, run_map, qrels)
-    context = _make_context(cfg, res)
-    predict_fn = _prediction_engine(cfg, res, targets, run_map, context, max(cfg.ks))
-    rows = sweep_grid(cfg.lambdas, cfg.ks, predict_fn, actual)
+    res, targets, run_map, actual = _grid_inputs(cfg)
+    rows = sweep_grid(cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     out = out_path or cfg.output_dir / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["lambda,k,tau\n"]

@@ -23,6 +23,9 @@ DEFAULT_B = 0.4
 
 INDEX_FORMAT = "qvqpp.inverted_index"
 INDEX_VERSION = 1
+# What unpickling truncated, corrupted or foreign bytes raises (seen by mutating saved artifacts).
+UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, ValueError, TypeError, AttributeError,
+                   ImportError, IndexError, KeyError, OverflowError, MemoryError)
 
 # Fixed English stopword list. Deliberately keeps single letters such as
 # "s" (possessive fragments stay searchable) while dropping question
@@ -174,10 +177,16 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
+    """Read an index written by :func:`save_index`; any other content is a ValueError."""
     with open(path, "rb") as handle:
-        payload = pickle.load(handle)
+        try:
+            payload = pickle.load(handle)
+        except UNPICKLE_ERRORS:
+            payload = None
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"{path}: not a {INDEX_FORMAT} artifact")
     if payload.get("version") != INDEX_VERSION:
         raise ValueError(f"{path}: unsupported index version {payload.get('version')!r}")
+    if not isinstance(payload.get("index"), InvertedIndex):
+        raise ValueError(f"{path}: not a {INDEX_FORMAT} artifact")
     return payload["index"]

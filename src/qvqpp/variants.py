@@ -31,10 +31,6 @@ from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_retrieve, mak
 
 logger = logging.getLogger(__name__)
 
-STAGE_ONE_HOP = "one-hop"
-STAGE_MERGED = "merged"
-STAGE_RERANKED = "reranked-top-k"
-
 RETRIEVER_BM25 = "bm25"
 RETRIEVER_DENSE = "dense"
 
@@ -67,11 +63,10 @@ class QVCandidate:
 
 @dataclass
 class QVSet:
-    """A set of variant candidates for one target query at a given stage."""
+    """The variant candidates of one target query, in pipeline order."""
 
     target_query_id: str
     candidates: list[QVCandidate]
-    stage: str
 
     def __post_init__(self) -> None:
         ids = [c.query.id for c in self.candidates]
@@ -84,9 +79,7 @@ class QVSet:
         return [c.query.id for c in self.candidates]
 
     def top(self, k: int) -> "QVSet":
-        if self.stage != STAGE_RERANKED:
-            raise ValueError(f"top() requires a reranked set, got stage {self.stage!r}")
-        return QVSet(self.target_query_id, list(self.candidates[:k]), STAGE_RERANKED)
+        return QVSet(self.target_query_id, list(self.candidates[:k]))
 
 
 @dataclass
@@ -165,14 +158,7 @@ def retrieve_1hop(
         candidates.append(QVCandidate(query=training_query, hop=1, retrieval_score=score))
         if len(candidates) == config.n:
             break
-    return QVSet(target.id, candidates, STAGE_ONE_HOP)
-
-
-def merge_one_hop_only(one_hop: QVSet) -> QVSet:
-    """The merged set when 2-hop expansion is disabled: hop-1 candidates only."""
-    if one_hop.stage != STAGE_ONE_HOP:
-        raise ValueError(f"expected a one-hop set, got stage {one_hop.stage!r}")
-    return QVSet(one_hop.target_query_id, list(one_hop.candidates), STAGE_MERGED)
+    return QVSet(target.id, candidates)
 
 
 def expand_2hop(
@@ -203,8 +189,6 @@ def expand_2hop(
     each call keeps its own. Target exclusion, de-duplication and hop
     tags are applied per call, so the result does not depend on reuse.
     """
-    if one_hop.stage != STAGE_ONE_HOP:
-        raise ValueError(f"expected a one-hop set, got stage {one_hop.stage!r}")
     hits = {} if cache is None else cache
     merged = list(one_hop.candidates)
     seen = {c.query.id for c in merged}
@@ -236,7 +220,7 @@ def expand_2hop(
                 merged.append(
                     QVCandidate(query=training_queries[qid], hop=2, retrieval_score=score)
                 )
-    return QVSet(one_hop.target_query_id, merged, STAGE_MERGED)
+    return QVSet(one_hop.target_query_id, merged)
 
 
 def rerank_by_rbo(
@@ -263,8 +247,6 @@ def rerank_by_rbo(
     ``internal_retriever``, ``k1`` and ``b``. Without a cache each call
     keeps its own.
     """
-    if merged.stage != STAGE_MERGED:
-        raise ValueError(f"expected a merged set, got stage {merged.stage!r}")
     runs = {} if cache is None else cache
     target_ids = target_run.doc_ids()
     scored: list[tuple[float, QVCandidate, CompactRun]] = []
@@ -286,7 +268,7 @@ def rerank_by_rbo(
         replace(candidate, rbo=overlap, internal_run=RankedList(candidate.query.id, _entries(run)))
         for overlap, candidate, run in scored[: config.k]
     ]
-    return QVSet(merged.target_query_id, kept, STAGE_RERANKED)
+    return QVSet(merged.target_query_id, kept)
 
 
 def smooth_qpp(
@@ -298,12 +280,12 @@ def smooth_qpp(
 ) -> float:
     """(1 - lambda) * phi(target) + lambda * sum_i (rbo_i / sum rbo) * phi(variant_i).
 
-    Falls back to the plain base prediction when the variant set is
-    empty or every overlap weight is zero. Zero-weight candidates are
-    skipped, so their (possibly empty) runs are never evaluated.
+    ``qv_set`` comes from :func:`rerank_by_rbo`, so every candidate
+    carries its overlap and internal run. Falls back to the plain base
+    prediction when the variant set is empty or every overlap weight is
+    zero. Zero-weight candidates are skipped, so their (possibly empty)
+    runs are never evaluated.
     """
-    if qv_set.stage != STAGE_RERANKED:
-        raise ValueError(f"expected a reranked set, got stage {qv_set.stage!r}")
     phi_target = context.evaluate(config.base, target_run, target_terms, target_run.query_id)
     weight_sum = sum(c.rbo for c in qv_set.candidates)
     if not qv_set.candidates or weight_sum <= 0.0:
@@ -362,15 +344,13 @@ def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QV
         hop1_index: InvertedIndex | EmbeddingStore = res.embedding_store
     else:
         hop1_index = res.query_index
-    one_hop = retrieve_1hop(target, config, hop1_index, res.training_queries, k1=res.k1, b=res.b)
+    merged = retrieve_1hop(target, config, hop1_index, res.training_queries, k1=res.k1, b=res.b)
     if config.use_2hop:
         merged = expand_2hop(
-            one_hop, res.training_qrels, config, res.query_index,
+            merged, res.training_qrels, config, res.query_index,
             res.collection, res.training_queries, k1=res.k1, b=res.b,
             cache=res.pseudo_query_hits,
         )
-    else:
-        merged = merge_one_hop_only(one_hop)
     target_internal = bm25_retrieve(
         res.doc_index, tokenize(target.text), depth=config.internal_depth,
         k1=res.k1, b=res.b, query_id=target.id,

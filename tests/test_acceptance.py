@@ -26,7 +26,6 @@ from qvqpp import (
     build_qv_set,
     expand_2hop,
     kendall_tau,
-    merge_one_hop_only,
     ndcg_at_k,
     nqc,
     parse_score_tsv,
@@ -100,11 +99,7 @@ def test_c03_smoothing_reductions(corpus, resources, context, target_run):
 
     from qvqpp import QVSet
 
-    zero_weights = QVSet(
-        qv.target_query_id,
-        [replace(c, rbo=0.0) for c in qv.candidates],
-        qv.stage,
-    )
+    zero_weights = QVSet(qv.target_query_id, [replace(c, rbo=0.0) for c in qv.candidates])
     assert smooth_qpp(run, zero_weights, QppConfig(lam=1.0, k=3, n=100), context, terms) == base_value
 
     values = {
@@ -261,9 +256,8 @@ def test_c09_end_to_end_pipeline(corpus, resources, workspace, tmp_path):
         one_hop, corpus.train_qrels, config, resources.query_index,
         corpus.collection_map(), corpus.training_query_map(),
     )
-    without = merge_one_hop_only(one_hop)
-    assert set(without.query_ids()) < set(with_2hop.query_ids())
-    assert "t03" in set(with_2hop.query_ids()) - set(without.query_ids())
+    assert set(one_hop.query_ids()) < set(with_2hop.query_ids())
+    assert "t03" in set(with_2hop.query_ids()) - set(one_hop.query_ids())
     report(9, "index/qv/predict/evaluate deterministic end-to-end; linked cluster grows E+ strictly")
 
 

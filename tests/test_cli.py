@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+import re
+
 import pytest
 
 from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
@@ -65,6 +68,59 @@ lambda,k,tau
 1,3,0.000000
 """
 
+# Outputs of `tune` and `evaluate --baseline` on the fixture workspace and on
+# its doubled form (below), recorded before the CLI's input loading was
+# merged into one path. BASELINE_SCORES is the baseline predictions file.
+TUNE_GOLDEN = """\
+target_metric: ap@100
+base: nqc
+fold_1_train_size: 3
+fold_1_test_size: 2
+fold_1_chosen_lambda: 0.5
+fold_1_chosen_k: 1
+fold_1_train_tau: -0.333333
+fold_1_test_tau: 1.000000
+fold_2_train_size: 2
+fold_2_test_size: 3
+fold_2_chosen_lambda: 0
+fold_2_chosen_k: 1
+fold_2_train_tau: 1.000000
+fold_2_test_tau: -1.000000
+mean_test_tau: 0.000000
+"""
+TUNE_BASELINE_GOLDEN = """\
+target_metric: ndcg@10
+base: nqc
+fold_1_train_size: 5
+fold_1_test_size: 5
+fold_1_chosen_lambda: 0.5
+fold_1_chosen_k: 1
+fold_1_train_tau: -0.500000
+fold_1_test_tau: 0.500000
+fold_2_train_size: 5
+fold_2_test_size: 5
+fold_2_chosen_lambda: 0.5
+fold_2_chosen_k: 2
+fold_2_train_tau: 1.000000
+fold_2_test_tau: -0.500000
+mean_test_tau: 0.000000
+fold_1_baseline_test_tau: 0.000000
+fold_1_fisher_z: 0.549306
+fold_1_significant_at_0.99: false
+fold_2_baseline_test_tau: 0.000000
+fold_2_fisher_z: -0.549306
+fold_2_significant_at_0.99: false
+"""
+EVALUATE_BASELINE_GOLDEN = """\
+target_metric: ap@100
+n_queries: 5
+tau: -0.200000
+baseline_tau: 0.400000
+fisher_z: -0.626381
+significant_at_0.99: false
+"""
+BASELINE_SCORES = {"dl01": 0.3, "dl02": 0.9, "dl03": 0.1, "dl04": 0.7, "dl05": 0.5}
+
 
 @pytest.fixture(scope="module")
 def indexed_workspace(workspace):
@@ -76,6 +132,26 @@ def indexed_workspace(workspace):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def doubled_overrides(indexed_workspace, tmp_path_factory):
+    """Overrides that add a renamed copy dl06-dl10 of each target, its run and its qrels.
+
+    With fold_a = dl01-dl03, dl06, dl07 both tune folds test 5 queries, enough for the
+    Fisher comparison (n >= 4) that ``tune --baseline`` runs per fold.
+    """
+    data = indexed_workspace["data"]
+    out = tmp_path_factory.mktemp("doubled")
+    overrides = ["--set", "evaluation.fold_a=[dl01, dl02, dl03, dl06, dl07]", "--set", "evaluation.target_metric=ndcg@10"]
+    for key, name in (
+        ("test_queries", "test_queries.tsv"), ("target_run", "target_run.txt"), ("test_qrels", "test_qrels.txt"),
+    ):
+        text = (data / name).read_text(encoding="utf-8")
+        copy = re.sub(r"^dl0(\d)", lambda m: f"dl{int(m.group(1)) + 5:02d}", text, flags=re.M)
+        (out / name).write_text(text + copy, encoding="utf-8")
+        overrides += ["--set", f"paths.{key}={out / name}"]
+    return overrides
 
 
 class TestValidation:
@@ -156,6 +232,76 @@ paths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "index is stale; rerun qvqpp index" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config_text, override, message",
+        [
+            ("paths: [unclosed\n", None, "config.yaml: malformed YAML"),
+            (None, "qpp.lambda=[0.5, 1", "override 'qpp.lambda': malformed YAML"),
+            (None, "qpp=5", "config section 'qpp' must be a mapping, got 5"),
+            ("paths: 5\n", None, "config section 'paths' must be a mapping, got 5"),
+            (None, "seed=[1]", "seed: expected int, got [1]"),
+            (None, "paths.collection=[1,2]", "paths.collection: expected str, got [1, 2]"),
+            (None, "evaluation.lambdas=5", "evaluation.lambdas: expected a list of float, got 5"),
+            (None, "evaluation.fold_a=5", "evaluation.fold_a: expected a list of str, got 5"),
+        ],
+    )
+    def test_malformed_config_rejected(self, indexed_workspace, tmp_path, capsys, config_text, override, message):
+        config = indexed_workspace["config"]
+        if config_text is not None:
+            config = tmp_path / "config.yaml"
+            config.write_text(config_text, encoding="utf-8")
+        overrides = ["--set", override] if override is not None else []
+        assert run_cli("predict", "--config", config, *overrides) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["tune", "sweep"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("evaluation.lambdas=[0.5, 2]", "evaluation.lambdas must lie in [0, 1], got 2"),
+            ("evaluation.lambdas=[-0.1, 0.5]", "evaluation.lambdas must lie in [0, 1], got -0.1"),
+            ("evaluation.ks=[0, 1]", "evaluation.ks must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_grid_rejected_before_loading(self, indexed_workspace, tmp_path, capsys, command, override, message):
+        # the index directory does not exist: only a grid check that runs first can name the grid
+        out = tmp_path / "report"
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--set", override,
+            "--set", f"paths.index_dir={tmp_path / 'no-index'}", "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: b"\x80\x04garbage that is no pickle",
+            lambda data: pickle.dumps({"format": "qvqpp.inverted_index", "version": 1, "index": {"item_ids": []}}),
+        ],
+        ids=["truncated", "garbage", "foreign-payload"],
+    )
+    def test_corrupt_index_rejected(self, indexed_workspace, tmp_path, capsys, corrupt):
+        built = indexed_workspace["root"] / "work" / "index"
+        index_dir = tmp_path / "index"
+        index_dir.mkdir()
+        (index_dir / "queries.idx").write_bytes((built / "queries.idx").read_bytes())
+        (index_dir / "documents.idx").write_bytes(corrupt((built / "documents.idx").read_bytes()))
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"], "--set", f"paths.index_dir={index_dir}",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "documents.idx: not a qvqpp.inverted_index artifact" in err
         assert "Traceback" not in err
 
 
@@ -336,6 +482,19 @@ class TestEvaluateCommand:
         text = out.read_text(encoding="utf-8")
         assert "baseline_tau:" in text and "fisher_z:" in text
 
+    def test_baseline_golden(self, indexed_workspace, tmp_path):
+        predictions = tmp_path / "pred.tsv"
+        predictions.write_text(NQC_PREDICTIONS_GOLDEN, encoding="utf-8")
+        baseline = tmp_path / "base.tsv"
+        write_score_tsv(BASELINE_SCORES, baseline)
+        out = tmp_path / "report.txt"
+        code = run_cli(
+            "evaluate", "--config", indexed_workspace["config"],
+            "--predictions", predictions, "--baseline", baseline, "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == EVALUATE_BASELINE_GOLDEN
+
     def test_metrics_out_writes_ground_truth_tsv(self, indexed_workspace, tmp_path):
         data = indexed_workspace["data"]
         run_map = parse_run(data / "target_run.txt", depth=100)
@@ -403,6 +562,25 @@ class TestTuneAndSweep:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == UEF_SWEEP_GOLDEN
+
+    def test_tune_golden(self, indexed_workspace, tmp_path):
+        out = tmp_path / "tune.txt"
+        assert run_cli("tune", "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == TUNE_GOLDEN
+
+    def test_tune_baseline_golden(self, indexed_workspace, doubled_overrides, tmp_path):
+        baseline = tmp_path / "baseline.tsv"
+        write_score_tsv(
+            {**BASELINE_SCORES, **{f"dl{int(q[2:]) + 5:02d}": -v for q, v in BASELINE_SCORES.items()}},
+            baseline,
+        )
+        out = tmp_path / "tune.txt"
+        code = run_cli(
+            "tune", "--config", indexed_workspace["config"], *doubled_overrides,
+            "--baseline", baseline, "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == TUNE_BASELINE_GOLDEN
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(

@@ -189,3 +189,27 @@ class TestPersistence:
         path.write_bytes(pickle.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a"):
             load_index(path)
+
+    @pytest.mark.parametrize("cut", [0, 1, 10, -1])
+    def test_truncated_artifact_rejected(self, tmp_path, cut):
+        path = tmp_path / "toy.idx"
+        save_index(build_index(TOY_CORPUS), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: cut % len(data)])
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
+            load_index(path)
+
+    def test_garbage_artifact_rejected(self, tmp_path):
+        path = tmp_path / "junk.idx"
+        path.write_bytes(b"\x80\x04garbage that is no pickle")
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
+            load_index(path)
+
+    @pytest.mark.parametrize("index", [None, {"postings": {}}, "qvqpp"])
+    def test_payload_without_index_rejected(self, tmp_path, index):
+        import pickle
+
+        path = tmp_path / "foreign.idx"
+        path.write_bytes(pickle.dumps({"format": "qvqpp.inverted_index", "version": 1, "index": index}))
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
+            load_index(path)

@@ -19,7 +19,6 @@ from qvqpp import (
     build_index,
     build_qv_set,
     expand_2hop,
-    merge_one_hop_only,
     rbo_ext,
     rerank_by_rbo,
     retrieve_1hop,
@@ -28,7 +27,6 @@ from qvqpp import (
     tokenize,
 )
 from qvqpp.text_index import bm25_retrieve
-from qvqpp.variants import STAGE_MERGED, STAGE_ONE_HOP, STAGE_RERANKED
 
 
 class TestQppConfig:
@@ -63,7 +61,6 @@ class TestRetrieve1Hop:
                 if tokenize(training[qid].text) != tokenize(target.text)
             ][:5]
             assert [(c.query.id, c.retrieval_score) for c in got.candidates] == pytest.approx(expected)
-            assert got.stage == STAGE_ONE_HOP
             assert all(c.hop == 1 for c in got.candidates)
 
     def test_verbatim_copy_excluded(self, corpus):
@@ -114,7 +111,6 @@ class Test2Hop:
         merged = expand_2hop(
             one_hop, {}, config, query_index, corpus.collection_map(), corpus.training_query_map()
         )
-        assert merged.stage == STAGE_MERGED
         assert [(c.query.id, c.hop) for c in merged.candidates] == [
             (c.query.id, c.hop) for c in one_hop.candidates
         ]
@@ -190,11 +186,6 @@ class Test2Hop:
                         expected.append((qid, 2))
         assert [(c.query.id, c.hop) for c in merged.candidates] == expected
 
-    def test_requires_one_hop_stage(self, corpus, query_index):
-        merged = QVSet("dl01", [], STAGE_MERGED)
-        with pytest.raises(ValueError, match="one-hop"):
-            expand_2hop(merged, {}, QppConfig(), query_index, {}, {})
-
 
 class TestRerankByRbo:
     def test_identical_retrieval_gets_rbo_one(self, corpus, resources):
@@ -204,7 +195,6 @@ class TestRerankByRbo:
         qv_set = build_qv_set(corpus.test_queries[0], config, resources)
         assert qv_set.candidates[0].query.id == "t01"
         assert qv_set.candidates[0].rbo == pytest.approx(1.0, abs=1e-12)
-        assert qv_set.stage == STAGE_RERANKED
 
     def test_all_zero_rbo_falls_back_to_hop_then_id(self, query_index, corpus):
         candidates = [
@@ -212,7 +202,7 @@ class TestRerankByRbo:
             QVCandidate(query=corpus.train_queries[3], hop=1, retrieval_score=1.0),
             QVCandidate(query=corpus.train_queries[5], hop=1, retrieval_score=1.0),
         ]
-        merged = QVSet("zz", candidates, STAGE_MERGED)
+        merged = QVSet("zz", candidates)
         doc_index = build_index([("lone", "completely unrelated contents")])
         empty_target_run = RankedList("zz", [])
         config = QppConfig(k=2, n=100)
@@ -241,11 +231,6 @@ class TestRerankByRbo:
         assert [(c.query.id, c.hop) for c in got.candidates] == [(i, h) for i, h, _ in scored[:2]]
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
 
-    def test_requires_merged_stage(self, doc_index):
-        one = QVSet("q", [], STAGE_ONE_HOP)
-        with pytest.raises(ValueError, match="merged"):
-            rerank_by_rbo(one, RankedList("q", []), doc_index, QppConfig())
-
 
 class StubContext:
     """Returns preset predictor values keyed by query id."""
@@ -258,7 +243,7 @@ class StubContext:
 
 
 def reranked_set(target_id, *cands):
-    return QVSet(target_id, list(cands), STAGE_RERANKED)
+    return QVSet(target_id, list(cands))
 
 
 def candidate(qid, rbo, run_docs=("d1",)):
@@ -334,13 +319,6 @@ class TestSmoothQpp:
                 )
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
-    def test_requires_reranked_stage(self):
-        with pytest.raises(ValueError, match="reranked"):
-            smooth_qpp(
-                RankedList("T", []), QVSet("T", [], STAGE_MERGED), QppConfig(),
-                StubContext({}), ["x"],
-            )
-
 
 class TestPipelineInvariants:
     def test_one_hop_contained_in_merged_everywhere(self, corpus, resources):
@@ -362,10 +340,12 @@ class TestPipelineInvariants:
             via_empty_qrels = expand_2hop(
                 one_hop, {}, config_on, resources.query_index, corpus.collection_map(), training
             )
-            via_toggle = merge_one_hop_only(one_hop)
             assert [(c.query.id, c.hop) for c in via_empty_qrels.candidates] == [
-                (c.query.id, c.hop) for c in via_toggle.candidates
+                (c.query.id, c.hop) for c in one_hop.candidates
             ]
+            via_toggle = build_qv_set(target, replace(config_on, use_2hop=False), resources)
+            via_empty = build_qv_set(target, config_on, replace(resources, training_qrels={}))
+            assert qv_snapshot(via_toggle) == qv_snapshot(via_empty)
 
     def test_target_never_among_candidates(self, corpus, resources):
         config = QppConfig(k=3, n=100)
@@ -376,15 +356,15 @@ class TestPipelineInvariants:
     def test_qvset_rejects_duplicates_and_target(self, corpus):
         q = corpus.train_queries[0]
         with pytest.raises(ValueError, match="duplicate"):
-            QVSet("T", [QVCandidate(q, 1, 1.0), QVCandidate(q, 2, 0.5)], STAGE_MERGED)
+            QVSet("T", [QVCandidate(q, 1, 1.0), QVCandidate(q, 2, 0.5)])
         with pytest.raises(ValueError, match="target query"):
-            QVSet(q.id, [QVCandidate(q, 1, 1.0)], STAGE_MERGED)
+            QVSet(q.id, [QVCandidate(q, 1, 1.0)])
 
     def test_dense_pipeline_runs_end_to_end(self, corpus, resources, context, target_run):
         config = QppConfig(lam=0.4, k=2, n=50, query_retriever="dense", use_2hop=True)
         target = corpus.test_queries[0]
         qv = build_qv_set(target, config, resources)
-        assert qv.stage == STAGE_RERANKED and len(qv.candidates) <= 2
+        assert len(qv.candidates) <= 2
         value = smooth_qpp(target_run[target.id], qv, config, context, tokenize(target.text))
         assert value >= 0.0
 
