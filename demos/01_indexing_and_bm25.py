@@ -24,8 +24,9 @@ def main():
 
     print("\n== index ==")
     index = build_index(DOCS)
-    print(f"  {index.size} documents, {len(index.postings)} terms, avgdl {index.avgdl:.2f}")
-    print(f"  postings['coffee'] = {index.postings['coffee']}")
+    print(f"  {index.size} documents, {len(index.terms)} terms, avgdl {index.avgdl:.2f}")
+    ordinals, tfs = index.postings("coffee")
+    print(f"  postings['coffee'] = {list(zip(ordinals.tolist(), tfs.tolist()))}")
 
     print("\n== bm25 retrieval ==")
     for query in ("coffee water temperature", "espresso crema", "tea ceremony"):

@@ -20,13 +20,10 @@ from .corpus_io import (
     write_run,
     write_score_tsv,
 )
-from .dense_index import EmbeddingStore, knn_cosine, load_vectors, store_from_arrays
+from .dense_index import knn_cosine, load_vectors, store_from_arrays
 from .evaluation import (
     EvalPair,
-    FisherResult,
-    FoldOutcome,
     FoldSpec,
-    TuneReport,
     ap_at_k,
     fisher_z_compare,
     kendall_tau,
@@ -48,9 +45,6 @@ from .predictors import (
 )
 from .rank_sim import RboParams, rbo_ext
 from .text_index import (
-    STOPWORDS,
-    InvertedIndex,
-    PseudoQuery,
     bm25_retrieve,
     build_index,
     load_index,
@@ -65,7 +59,6 @@ from .variants import (
     QVSet,
     build_qv_set,
     expand_2hop,
-    predict_query,
     rerank_by_rbo,
     retrieve_1hop,
     smooth_qpp,

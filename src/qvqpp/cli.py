@@ -49,6 +49,7 @@ from .corpus_io import (
 )
 from .dense_index import load_vectors
 from .evaluation import (
+    FISHER_MIN_N,
     EvalPair,
     FoldSpec,
     ap_at_k,
@@ -243,8 +244,8 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
         (doc_index, doc_index_path, collection, cfg.collection),
         (query_index, query_index_path, training_queries, cfg.train_queries),
     ):
-        if set(index.item_ids) != set(items):
-            raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (its ids differ from {source})")
+        if not index.built_from((item.id, item.text) for item in items.values()):
+            raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (it was not built from {source})")
     return PipelineResources(
         doc_index=doc_index,
         query_index=query_index,
@@ -307,7 +308,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
     save_index(query_index, cfg.index_dir / QUERY_INDEX_FILE)
     logger.info(
         "indexed %d documents (%d terms) and %d queries (%d terms)",
-        doc_index.size, len(doc_index.postings), query_index.size, len(query_index.postings),
+        doc_index.size, len(doc_index.terms), query_index.size, len(query_index.terms),
     )
     return 0
 
@@ -439,6 +440,16 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
     if not fold_b:
         raise ValueError("fold_a covers every run query; the second fold is empty")
     folds = (FoldSpec(fold_a, fold_b), FoldSpec(fold_b, fold_a))
+    baseline = None
+    if baseline_path is not None:
+        _require_files(baseline_path)
+        baseline = parse_score_tsv(baseline_path)
+        missing = sorted(set(run_map) - set(baseline))
+        if missing:
+            raise ValueError(f"baseline predictions missing queries: {', '.join(missing)}")
+        smallest = min(len(fold.test_ids) for fold in folds)
+        if smallest < FISHER_MIN_N:
+            raise ValueError(f"fisher z needs n >= {FISHER_MIN_N} test queries per fold, got {smallest}")
     report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     lines = [f"target_metric: {cfg.target_metric}", f"base: {cfg.qpp.base}"]
     for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
@@ -451,12 +462,7 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
             f"fold_{number}_test_tau: {outcome.test_tau:.6f}",
         ]
     lines.append(f"mean_test_tau: {report_data.mean_test_tau:.6f}")
-    if baseline_path is not None:
-        _require_files(baseline_path)
-        baseline = parse_score_tsv(baseline_path)
-        missing = sorted(set(run_map) - set(baseline))
-        if missing:
-            raise ValueError(f"baseline predictions missing queries: {', '.join(missing)}")
+    if baseline is not None:
         for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
             ids = sorted(fold.test_ids)
             base_tau = kendall_tau([EvalPair(q, baseline[q], actual[q]) for q in ids])

@@ -123,14 +123,18 @@ class FisherResult(NamedTuple):
     z: float
 
 
+# sqrt(2 / (n - 3)) needs n > 3
+FISHER_MIN_N = 4
+
+
 def fisher_z_compare(tau_a: float, tau_b: float, n: int, confidence: float = 0.99) -> FisherResult:
     """Two-sided Fisher r-to-z comparison of two correlations over n queries.
 
     Uses the independent-samples approximation
     z = (atanh(tau_a) - atanh(tau_b)) / sqrt(2 / (n - 3)).
     """
-    if n < 4:
-        raise ValueError(f"fisher z needs n >= 4, got {n}")
+    if n < FISHER_MIN_N:
+        raise ValueError(f"fisher z needs n >= {FISHER_MIN_N}, got {n}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     for name, tau in (("tau_a", tau_a), ("tau_b", tau_b)):

@@ -76,9 +76,10 @@ def collection_score(
     avgdl = index.avgdl
     score = 0.0
     for term, query_tf in Counter(terms).items():
-        cf = index.collection_freqs.get(term, 0)
-        if cf == 0:
+        tid = index.term_id.get(term)
+        if tid is None:
             continue
+        cf = int(index.cf[tid])
         idf = bm25_idf(index, term)
         norm = k1 * (1.0 - b + b * total / avgdl)
         score += query_tf * idf * cf * (k1 + 1.0) / (cf + norm)
@@ -117,26 +118,26 @@ def build_relevance_model(
         raise ValueError("relevance model needs a non-empty sample")
     ordinals = []
     for doc_id, _ in sample.entries:
-        if doc_id not in index.ordinal_of:
+        ordinal = index.ordinal_of.get(doc_id)
+        if ordinal is None:
             raise ValueError(f"sampled document {doc_id!r} is not in the index")
-        ordinal = index.ordinal_of[doc_id]
-        if index.item_lengths[ordinal] + mu == 0.0:
+        if index.lengths[ordinal] + mu == 0.0:
             raise ValueError(f"every term has zero smoothed probability in empty document {doc_id!r}")
         ordinals.append(ordinal)
     doc_weights = _softmax(np.asarray(sample.scores(), dtype=np.float64)).tolist()
     # omega_D / (|D| + mu) per sampled document
-    coefs = [w / (index.item_lengths[o] + mu) for w, o in zip(doc_weights, ordinals)]
-    tf_mass: dict[str, float] = {}
-    for coef, ordinal in zip(coefs, ordinals):
-        for term, tf in index.term_counts[ordinal].items():
-            tf_mass[term] = tf_mass.get(term, 0.0) + coef * tf
-    if not tf_mass:
+    coefs = [w / (length + mu) for w, length in zip(doc_weights, index.lengths[ordinals].tolist())]
+    term_ids, tfs, bounds = index.rows(ordinals)
+    if not len(term_ids):
         raise ValueError("all sampled documents are empty")
+    # sorted term ids are the terms in sorted order; bincount adds each term's
+    # coef * tf in sample order, as a running sum from 0.0 would
+    model_ids, slot = np.unique(term_ids, return_inverse=True)
+    tf_mass = np.bincount(slot, weights=np.repeat(coefs, np.diff(bounds)) * tfs)
     smoothing = mu * math.fsum(coefs) / index.total_tokens
-    terms = sorted(tf_mass)
-    masses = [tf_mass[term] + smoothing * index.collection_freqs[term] for term in terms]
-    normalizer = math.fsum(masses)
-    return RelevanceModel(dict(zip(terms, [m / normalizer for m in masses])))
+    masses = tf_mass + smoothing * index.cf[model_ids]
+    normalizer = math.fsum(masses.tolist())
+    return RelevanceModel(dict(zip([index.terms[t] for t in model_ids.tolist()], (masses / normalizer).tolist())))
 
 
 def rm_rerank(
@@ -164,36 +165,45 @@ def rm_rerank(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     total_tokens = index.total_tokens
-    smoothed: dict[str, tuple[float, float]] = {}  # term -> (model weight, mu * p_w)
-    unsmoothed: list[tuple[str, float]] = []
+    weight_of = np.zeros(len(index.terms))  # model weight of each smoothed term id
+    mu_p_of = np.zeros(len(index.terms))  # its mu * p_w; 0 for every other term id
+    unsmoothed: list[tuple[str, int | None, float]] = []  # (term, term id, model weight)
     constant_parts = []
     for term, weight in model.term_weights.items():
-        mu_p = mu * index.collection_freqs.get(term, 0) / total_tokens
+        tid = index.term_id.get(term)
+        mu_p = 0.0 if tid is None else mu * int(index.cf[tid]) / total_tokens
         if mu_p > 0.0:
-            smoothed[term] = (weight, mu_p)
+            weight_of[tid], mu_p_of[tid] = weight, mu_p
             constant_parts.append(weight * math.log(mu_p))
         else:
-            unsmoothed.append((term, weight))
+            unsmoothed.append((term, tid, weight))
     constant = math.fsum(constant_parts)
     weight_sum = math.fsum(model.term_weights.values())
+    head = ranked.entries[:depth]
+    ordinals = [index.ordinal_of.get(doc_id) for doc_id, _ in head]
+    known = ordinals.index(None) if None in ordinals else len(head)
+    term_ids, tfs, bounds = index.rows(ordinals[:known])
+    hit = mu_p_of[term_ids] > 0.0
+    hit_ids = term_ids[hit]
+    logs = map(math.log1p, (tfs[hit] / mu_p_of[hit_ids]).tolist())
+    gains = [weight * log for weight, log in zip(weight_of[hit_ids].tolist(), logs)]
+    gain_bounds = np.zeros(len(hit) + 1, dtype=np.int64)
+    np.cumsum(hit, out=gain_bounds[1:])
+    gain_bounds = gain_bounds[bounds].tolist()
     rescored: list[tuple[str, float]] = []
-    for doc_id, _ in ranked.entries[:depth]:
-        if doc_id not in index.ordinal_of:
-            raise ValueError(f"document {doc_id!r} is not in the index")
-        ordinal = index.ordinal_of[doc_id]
-        counts = index.term_counts[ordinal]
-        parts = [constant]
-        for term, weight in unsmoothed:
-            tf = counts.get(term, 0)
-            if tf == 0:
-                raise ValueError(f"term {term!r} has zero smoothed probability")
-            parts.append(weight * math.log(tf))
-        parts.append(-weight_sum * math.log(index.item_lengths[ordinal] + mu))
-        for term, tf in counts.items():
-            entry = smoothed.get(term)
-            if entry is not None:
-                parts.append(entry[0] * math.log1p(tf / entry[1]))
+    for i, ((doc_id, _), length) in enumerate(zip(head, index.lengths[ordinals[:known]].tolist())):
+        parts = [constant, *gains[gain_bounds[i]:gain_bounds[i + 1]]]
+        if unsmoothed:
+            counts = dict(zip(term_ids[bounds[i]:bounds[i + 1]].tolist(), tfs[bounds[i]:bounds[i + 1]].tolist()))
+            for term, tid, weight in unsmoothed:
+                tf = counts.get(tid, 0)
+                if tf == 0:
+                    raise ValueError(f"term {term!r} has zero smoothed probability")
+                parts.append(weight * math.log(tf))
+        parts.append(-weight_sum * math.log(length + mu))
         rescored.append((doc_id, math.fsum(parts)))
+    if known < len(head):
+        raise ValueError(f"document {head[known][0]!r} is not in the index")
     return RankedList.from_scores(ranked.query_id, rescored)
 
 

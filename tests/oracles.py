@@ -44,6 +44,32 @@ def bm25_rank_all(items, terms, k1=0.9, b=0.4):
     return results
 
 
+def bm25_postings_loop(items, terms, k1=0.9, b=0.4):
+    """BM25 over a postings dict built from raw texts, in the library's arithmetic order.
+
+    Per query term in ``Counter(terms)`` order, each posting adds
+    qtf * idf * tf * (k1 + 1) / (tf + norm) to a running sum from 0.0, so
+    the library must agree bit for bit. Returns [(id, score)] sorted by
+    (score desc, id asc), zero scores dropped.
+    """
+    bags = {item_id: Counter(tokenize(text)) for item_id, text in items}
+    lengths = {item_id: sum(bag.values()) for item_id, bag in bags.items()}
+    avgdl = sum(lengths.values()) / len(bags) if bags else 0.0
+    postings = {}
+    for item_id, bag in bags.items():
+        for term, tf in bag.items():
+            postings.setdefault(term, []).append((item_id, tf))
+    scores = {}
+    for term, query_tf in Counter(terms).items():
+        plist = postings.get(term, [])
+        df = len(plist)
+        idf = math.log(1.0 + (len(bags) - df + 0.5) / (df + 0.5))
+        for item_id, tf in plist:
+            norm = k1 * (1.0 - b + b * lengths[item_id] / avgdl)
+            scores[item_id] = scores.get(item_id, 0.0) + query_tf * idf * tf * (k1 + 1.0) / (tf + norm)
+    return sorted(((i, s) for i, s in scores.items() if s > 0.0), key=lambda e: (-e[1], e[0]))
+
+
 def collection_score_virtual_doc(items, terms, k1=0.9, b=0.4, floor=1e-6):
     """Build the whole-corpus virtual document explicitly, then score it."""
     token_bags = [Counter(tokenize(text)) for _, text in items]
@@ -155,6 +181,53 @@ def relevance_model_dense(items, sample, mu=1000.0):
         )
     normalizer = math.fsum(masses.values())
     return {term: mass / normalizer for term, mass in masses.items()}
+
+
+def relevance_model_sparse_loop(items, sample, doc_weights, mu=1000.0):
+    """RM1 weights by a per-document dict loop, in the library's arithmetic order.
+
+    ``doc_weights`` are the sample's softmax weights. Each term's tf mass is
+    a running sum over the sample in order; the smoothing mass and the
+    normalizer are fsums. The library must agree bit for bit.
+    """
+    bags = {item_id: Counter(tokenize(text)) for item_id, text in items}
+    corpus = Counter()
+    for bag in bags.values():
+        corpus.update(bag)
+    coefs = [w / (sum(bags[doc_id].values()) + mu) for w, (doc_id, _) in zip(doc_weights, sample)]
+    tf_mass = {}
+    for coef, (doc_id, _) in zip(coefs, sample):
+        for term, tf in bags[doc_id].items():
+            tf_mass[term] = tf_mass.get(term, 0.0) + coef * tf
+    smoothing = mu * math.fsum(coefs) / sum(corpus.values())
+    masses = {term: tf_mass[term] + smoothing * corpus[term] for term in sorted(tf_mass)}
+    normalizer = math.fsum(masses.values())
+    return {term: mass / normalizer for term, mass in masses.items()}
+
+
+def rm_rerank_sparse_loop(items, model_weights, doc_ids, mu=1000.0):
+    """rm_rerank's identity C - S ln(|D| + mu) + sum_{w in D} weight ln(1 + tf / (mu p_w)), term by term.
+
+    Every addend is formed as the library forms it and each document's
+    sum is an fsum, so the library must agree bit for bit. Needs mu > 0.
+    Returns [(doc_id, score)] sorted by (score desc, id asc).
+    """
+    bags = {item_id: Counter(tokenize(text)) for item_id, text in items}
+    corpus = Counter()
+    for bag in bags.values():
+        corpus.update(bag)
+    total = sum(corpus.values())
+    mu_p = {term: mu * corpus[term] / total for term in model_weights}
+    constant = math.fsum(weight * math.log(mu_p[term]) for term, weight in model_weights.items())
+    weight_sum = math.fsum(model_weights.values())
+    results = []
+    for doc_id in doc_ids:
+        bag = bags[doc_id]
+        parts = [constant, -weight_sum * math.log(sum(bag.values()) + mu)]
+        parts += [model_weights[t] * math.log1p(tf / mu_p[t]) for t, tf in bag.items() if t in model_weights]
+        results.append((doc_id, math.fsum(parts)))
+    results.sort(key=lambda e: (-e[1], e[0]))
+    return results
 
 
 def rm_rescore(items, model_weights, doc_ids, mu=1000.0):

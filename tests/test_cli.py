@@ -6,6 +6,7 @@ import re
 import pytest
 
 from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
+from qvqpp import cli
 from qvqpp.cli import main
 
 # Outputs of the fixture workspace with its default 2-hop NQC configuration,
@@ -154,6 +155,17 @@ def doubled_overrides(indexed_workspace, tmp_path_factory):
     return overrides
 
 
+class TestIndexCommand:
+    def test_two_runs_write_identical_artifacts(self, indexed_workspace, tmp_path):
+        for name in ("first", "second"):
+            assert run_cli(
+                "index", "--config", indexed_workspace["config"], "--set", f"paths.index_dir={tmp_path / name}",
+            ) == 0
+        for file_name in ("documents.idx", "queries.idx"):
+            assert (tmp_path / "first" / file_name).read_bytes() == (tmp_path / "second" / file_name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "first").iterdir()) == ["documents.idx", "queries.idx"]
+
+
 class TestValidation:
     def test_missing_input_fails_before_work(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -233,6 +245,25 @@ paths:
         assert err.startswith("error: ")
         assert "index is stale; rerun qvqpp index" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path_key, file_name",
+        [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
+    )
+    def test_edited_text_with_same_ids_is_stale(self, indexed_workspace, tmp_path, capsys, path_key, file_name):
+        lines = (indexed_workspace["data"] / file_name).read_text(encoding="utf-8").splitlines(True)
+        item_id = lines[0].split("\t", 1)[0]
+        edited = tmp_path / file_name
+        edited.write_text(f"{item_id}\tedited text\n" + "".join(lines[1:]), encoding="utf-8")
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"],
+            "--set", f"paths.{path_key}={edited}", "--out", tmp_path / "predictions.tsv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "index is stale; rerun qvqpp index" in err
+        assert not (tmp_path / "predictions.tsv").exists()
 
     @pytest.mark.parametrize(
         "config_text, override, message",
@@ -581,6 +612,17 @@ class TestTuneAndSweep:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == TUNE_BASELINE_GOLDEN
+
+    def test_tune_baseline_checks_fisher_size_before_building_variants(self, indexed_workspace, tmp_path, capsys, monkeypatch):
+        # the fixture's folds test 3 and 2 queries, fewer than Fisher's 4
+        calls = []
+        monkeypatch.setattr(cli, "build_qv_set", lambda *args, **kwargs: calls.append(args))
+        baseline = tmp_path / "baseline.tsv"
+        write_score_tsv(BASELINE_SCORES, baseline)
+        code = run_cli("tune", "--config", indexed_workspace["config"], "--baseline", baseline, "--out", tmp_path / "t")
+        assert code == 1
+        assert "fisher z needs n >= 4" in capsys.readouterr().err
+        assert calls == []
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(

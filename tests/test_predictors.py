@@ -260,6 +260,23 @@ class TestRelevanceModelProperties:
         want = oracles.rm_rescore(items, model.term_weights, head.doc_ids(), mu=mu)
         assert_oracle_ranking(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_and_sample())
+    def test_build_and_rerank_match_sparse_loops_exactly(self, case):
+        items, sample, mu = case
+        index = build_index(items)
+        if not any(tokenize(dict(items)[doc_id]) for doc_id in sample.doc_ids()):
+            return
+        scores = np.asarray(sample.scores(), dtype=np.float64)
+        weights = np.exp(scores - scores.max())
+        model = build_relevance_model(index, sample, mu=mu)
+        assert model.term_weights == oracles.relevance_model_sparse_loop(
+            items, sample.entries, (weights / weights.sum()).tolist(), mu=mu
+        )
+        head = ranked("q", [(doc_id, 1.0) for doc_id, _ in items])
+        got = rm_rerank(model, head, index, depth=len(head), mu=mu)
+        assert got.entries == oracles.rm_rerank_sparse_loop(items, model.term_weights, head.doc_ids(), mu=mu)
+
     @settings(max_examples=100, deadline=None)
     @given(corpus_and_sample())
     def test_mu_zero_rejects_exactly_heads_missing_a_model_term(self, case):

@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import pickle
 import random
+import tempfile
+import time
+import zipfile
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qvqpp import (
     Document,
+    RankedList,
     bm25_retrieve,
     build_index,
+    build_relevance_model,
     load_index,
     make_pseudo_query,
+    rm_rerank,
     save_index,
     tokenize,
 )
@@ -45,7 +59,8 @@ class TestTokenize:
 class TestBuildIndex:
     def test_shared_term_has_two_postings(self):
         index = build_index([("a", "apple pie"), ("b", "apple tart")])
-        assert len(index.postings["apple"]) == 2
+        ordinals, tfs = index.postings("apple")
+        assert ordinals.tolist() == [0, 1] and tfs.tolist() == [1, 1]
 
     def test_empty_collection(self):
         index = build_index([])
@@ -54,7 +69,7 @@ class TestBuildIndex:
 
     def test_all_stopword_item_has_length_zero(self):
         index = build_index([("a", "the of and"), ("b", "apple")])
-        assert index.item_lengths[index.ordinal_of["a"]] == 0
+        assert index.lengths[index.ordinal_of["a"]] == 0
 
     def test_duplicate_id(self):
         with pytest.raises(ValueError, match="duplicate item id"):
@@ -62,11 +77,19 @@ class TestBuildIndex:
 
     def test_invariants(self):
         index = build_index(TOY_CORPUS)
-        for term, plist in index.postings.items():
-            ordinals = [o for o, _ in plist]
-            assert ordinals == sorted(ordinals)
-            assert sum(tf for _, tf in plist) == index.collection_freqs[term]
-            assert len(plist) == index.doc_freqs[term]
+        assert index.terms == sorted(set(index.terms))
+        assert index.row_ptr[0] == 0 and np.all(np.diff(index.row_ptr) >= 0)
+        for ordinal, (item_id, text) in enumerate(TOY_CORPUS):
+            lo, hi = index.row_ptr[ordinal], index.row_ptr[ordinal + 1]
+            row = dict(zip([index.terms[t] for t in index.row_terms[lo:hi]], index.row_tfs[lo:hi].tolist()))
+            assert index.row_terms[lo:hi].tolist() == sorted(set(index.row_terms[lo:hi].tolist()))
+            assert row == Counter(tokenize(text))
+            assert index.lengths[ordinal] == len(tokenize(text))
+        for tid, term in enumerate(index.terms):
+            ordinals, tfs = index.postings(term)
+            assert ordinals.tolist() == sorted(ordinals.tolist())
+            assert tfs.sum() == index.cf[tid]
+            assert len(ordinals) == index.df[tid]
         assert index.avgdl == pytest.approx(index.total_tokens / index.size)
 
 
@@ -172,14 +195,15 @@ class TestPersistence:
             assert bm25_retrieve(index, terms, 10).entries == bm25_retrieve(reloaded, terms, 10).entries
 
     def test_totals_computed_on_first_read_after_load(self, tmp_path):
-        # an artifact holds no cached totals, so those written before they were cached load alike
+        # an artifact holds only the term matrix; every derived attribute is computed on first read
         index = build_index(TOY_CORPUS)
         path = tmp_path / "toy.idx"
         save_index(index, path)
         reloaded = load_index(path)
-        assert "total_tokens" not in vars(reloaded) and "avgdl" not in vars(reloaded)
-        assert reloaded.total_tokens == sum(index.item_lengths)
-        assert reloaded.avgdl == sum(index.item_lengths) / index.size
+        derived = ("ordinal_of", "term_id", "lengths", "_columns", "df", "cf", "_id_rank", "total_tokens", "avgdl")
+        assert not set(derived) & set(vars(reloaded))
+        assert reloaded.total_tokens == sum(len(tokenize(text)) for _, text in TOY_CORPUS)
+        assert reloaded.avgdl == reloaded.total_tokens / index.size
         assert vars(reloaded)["avgdl"] == reloaded.avgdl
 
     def test_bad_artifact_rejected(self, tmp_path):
@@ -213,3 +237,192 @@ class TestPersistence:
         path.write_bytes(pickle.dumps({"format": "qvqpp.inverted_index", "version": 1, "index": index}))
         with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
             load_index(path)
+
+
+class _Touch:
+    """Unpickling this object creates ``path``: a stand-in for a payload that runs code."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _json_member(value):
+    return np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
+
+
+def _members(tmp_path):
+    path = tmp_path / "good.idx"
+    save_index(build_index(TOY_CORPUS), path)
+    with np.load(path) as archive:
+        return dict(archive)
+
+
+def _write_members(path, members):
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in members.items():
+            with archive.open(f"{name}.npy", "w") as member:
+                np.lib.format.write_array(member, np.asarray(array), allow_pickle=True)
+
+
+def _swap_first_offsets(row_ptr):
+    row_ptr = row_ptr.copy()
+    row_ptr[1], row_ptr[2] = row_ptr[2], row_ptr[1]
+    return row_ptr
+
+
+def _set_first(array, value):
+    array = array.copy()
+    array[0] = value
+    return array
+
+
+def _header(**changes):
+    header = {"format": "qvqpp.inverted_index", "version": 2, "source_sha256": "0" * 64, "tokenizer_sha256": "0" * 64}
+    header.update(changes)
+    return _json_member({k: v for k, v in header.items() if v is not None})
+
+
+MALFORMED = {
+    "row_ptr-not-monotone": lambda m: {**m, "row_ptr": _swap_first_offsets(m["row_ptr"])},
+    "row_ptr-short": lambda m: {**m, "row_ptr": m["row_ptr"][:-1]},
+    "row_ptr-float": lambda m: {**m, "row_ptr": m["row_ptr"].astype(np.float64)},
+    "row_ptr-2d": lambda m: {**m, "row_ptr": m["row_ptr"].reshape(1, -1)},
+    "row_terms-short": lambda m: {**m, "row_terms": m["row_terms"][:-1]},
+    "row_tfs-short": lambda m: {**m, "row_tfs": m["row_tfs"][:-1]},
+    "term-id-past-vocabulary": lambda m: {**m, "row_terms": _set_first(m["row_terms"], 10_000)},
+    "term-id-negative": lambda m: {**m, "row_terms": _set_first(m["row_terms"], -1)},
+    "tf-zero": lambda m: {**m, "row_tfs": _set_first(m["row_tfs"], 0)},
+    "row_tfs-int64": lambda m: {**m, "row_tfs": m["row_tfs"].astype(np.int64)},
+    "terms-unsorted": lambda m: {**m, "terms": _json_member(sorted(json.loads(m["terms"].tobytes()), reverse=True))},
+    "terms-not-strings": lambda m: {**m, "terms": _json_member(list(range(len(json.loads(m["terms"].tobytes())))))},
+    "item-ids-duplicated": lambda m: {**m, "item_ids": _json_member(["d1"] * len(TOY_CORPUS))},
+    "item-ids-object-array": lambda m: {**m, "item_ids": np.array([d for d, _ in TOY_CORPUS], dtype=object)},
+    "header-foreign": lambda m: {**m, "header": _header(format="something-else")},
+    "header-no-fingerprint": lambda m: {**m, "header": _header(source_sha256=None)},
+    "header-not-json": lambda m: {**m, "header": np.frombuffer(b"{not json", dtype=np.uint8)},
+    "header-int64": lambda m: {**m, "header": m["header"].astype(np.int64)},
+    "member-missing": lambda m: {k: v for k, v in m.items() if k != "row_tfs"},
+}
+
+
+class TestArtifactSafety:
+    def test_round_trip_keeps_the_matrix(self, tmp_path):
+        index = build_index(TOY_CORPUS)
+        save_index(index, tmp_path / "toy.idx")
+        reloaded = load_index(tmp_path / "toy.idx")
+        for field in dataclasses.fields(index):
+            got, want = getattr(reloaded, field.name), getattr(index, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == want
+
+    def test_same_items_write_identical_bytes(self, tmp_path, monkeypatch):
+        save_index(build_index(TOY_CORPUS), tmp_path / "a.idx")
+        monkeypatch.setattr(time, "time", lambda: 1e9)  # a clock years apart must not show in the bytes
+        save_index(build_index(TOY_CORPUS), tmp_path / "b.idx")
+        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.idx", "b.idx"]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pickle_payload_never_runs(self, tmp_path, version):
+        marker = tmp_path / "ran"
+        path = tmp_path / "documents.idx"
+        path.write_bytes(pickle.dumps({"format": "qvqpp.inverted_index", "version": version, "index": _Touch(marker)}))
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact.*rerun qvqpp index"):
+            load_index(path)
+        assert not marker.exists()
+
+    def test_pickled_member_never_runs(self, tmp_path):
+        marker = tmp_path / "ran"
+        members = _members(tmp_path)
+        members["terms"] = np.array([_Touch(marker)], dtype=object)
+        path = tmp_path / "documents.idx"
+        _write_members(path, members)
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
+            load_index(path)
+        assert not marker.exists()
+
+    def test_old_version_header_asks_for_a_rebuild(self, tmp_path):
+        members = _members(tmp_path)
+        members["header"] = _header(version=1)
+        path = tmp_path / "old.idx"
+        _write_members(path, members)
+        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 2; rerun qvqpp index"):
+            load_index(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_members_rejected(self, tmp_path, name):
+        path = tmp_path / "bad.idx"
+        _write_members(path, MALFORMED[name](_members(tmp_path)))
+        with pytest.raises(ValueError, match="not a qvqpp.inverted_index artifact"):
+            load_index(path)
+
+    def test_unmutated_members_load(self, tmp_path):
+        # the writer above is sound: members it writes unchanged make a loadable index
+        path = tmp_path / "good-again.idx"
+        _write_members(path, _members(tmp_path))
+        assert load_index(path).item_ids == [d for d, _ in TOY_CORPUS]
+
+    def test_built_from_names_items_and_tokenizer(self):
+        index = build_index(TOY_CORPUS)
+        assert index.built_from(TOY_CORPUS)
+        edited = [(TOY_CORPUS[0][0], "edited text"), *TOY_CORPUS[1:]]
+        assert not index.built_from(edited)
+        assert not index.built_from(TOY_CORPUS[::-1])
+        assert not index.built_from(TOY_CORPUS[:-1])
+        assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from(TOY_CORPUS)
+
+
+WORDS = ["the", "alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
+random_corpora = st.lists(st.lists(st.sampled_from(WORDS), max_size=10), min_size=1, max_size=12).map(
+    lambda texts: [(f"d{i:02d}", " ".join(words)) for i, words in enumerate(texts)]
+)
+query_bags = st.lists(st.sampled_from(WORDS + ["absent"]), max_size=6)
+bm25_params = st.sampled_from([(0.9, 0.4), (1.2, 0.75), (0.5, 1.0), (2.0, 0.0)])
+
+
+class TestIndexProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(random_corpora, query_bags, bm25_params, st.integers(1, 12))
+    @example(  # beta and gamma have equal df, so d04 and d09 tie exactly and round apart
+        items=[("d00", "alpha beta"), ("d01", "beta"), ("d02", "beta gamma"), ("d03", "beta gamma"),
+               ("d04", "alpha beta gamma"), ("d05", "beta gamma"), ("d06", "gamma"), ("d07", "gamma"),
+               ("d08", "gamma"), ("d09", "alpha beta beta beta beta")],
+        terms=["alpha", "gamma", "alpha", "alpha", "beta"], params=(2.0, 0.0), depth=1,
+    )
+    def test_bm25_matches_oracles(self, items, terms, params, depth):
+        k1, b = params
+        index = build_index(items)
+        got = bm25_retrieve(index, terms, depth, k1=k1, b=b)
+        assert got.entries == oracles.bm25_postings_loop(items, terms, k1=k1, b=b)[:depth]
+        # The brute-force oracle adds a repeated query term once per repeat and the
+        # library multiplies by its count, so an exact tie between items (two terms
+        # with equal df) can round apart: only items within 1e-12 may swap.
+        full = bm25_retrieve(index, terms, len(items), k1=k1, b=b)
+        want = dict(oracles.bm25_rank_all(items, terms, k1=k1, b=b))
+        assert sorted(full.doc_ids()) == sorted(want)
+        for doc_id, score in full.entries:
+            assert score == pytest.approx(want[doc_id], abs=1e-12)
+        for (earlier, _), (later, _) in zip(full.entries, full.entries[1:]):
+            assert want[earlier] >= want[later] - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_corpora, query_bags, st.sampled_from([0.5, 10.0, 1000.0]))
+    def test_round_trip_keeps_retrieval_and_relevance_model(self, items, terms, mu):
+        index = build_index(items)
+        with tempfile.TemporaryDirectory() as scratch:
+            save_index(index, Path(scratch) / "index.idx")
+            reloaded = load_index(Path(scratch) / "index.idx")
+        run = bm25_retrieve(index, terms, len(items), query_id="q")
+        assert bm25_retrieve(reloaded, terms, len(items), query_id="q").entries == run.entries
+        if not run.entries:
+            return
+        model = build_relevance_model(index, run, mu=mu)
+        assert build_relevance_model(reloaded, run, mu=mu).term_weights == model.term_weights
+        head = RankedList("q", [(doc_id, 1.0) for doc_id, _ in items])
+        want = rm_rerank(model, head, index, depth=len(head), mu=mu)
+        assert rm_rerank(model, head, reloaded, depth=len(head), mu=mu).entries == want.entries
