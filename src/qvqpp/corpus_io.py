@@ -9,14 +9,16 @@ Formats:
 - embeddings: header ``count dim``, then ``id`` followed by ``dim`` floats
   (parsed by :mod:`qvqpp.dense_index`)
 
-All parsers are strict: malformed input raises :class:`ValueError` naming
-the offending line instead of being silently repaired. Files are UTF-8.
+All parsers are strict: malformed input, a ``nan`` or infinite number
+included, raises :class:`ValueError` naming the offending line instead of
+being silently repaired. Files are UTF-8.
 Run ranks are ignored on read and recomputed from (score desc, doc_id asc)
 so that downstream rank comparisons are reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -136,6 +138,8 @@ def parse_run(path, depth: int) -> dict[str, RankedList]:
             score = float(score_text)
         except ValueError:
             raise ValueError(f"{path}:{number}: non-numeric score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}:{number}: non-finite score {score_text!r}")
         if (qid, doc_id) in seen:
             raise ValueError(f"{path}:{number}: duplicate entry for query {qid!r}, doc {doc_id!r}")
         seen.add((qid, doc_id))
@@ -189,9 +193,12 @@ def parse_score_tsv(path) -> dict[str, float]:
         if item_id in scores:
             raise ValueError(f"{path}:{number}: duplicate id {item_id!r}")
         try:
-            scores[item_id] = float(value_text)
+            value = float(value_text)
         except ValueError:
             raise ValueError(f"{path}:{number}: non-numeric value {value_text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{number}: non-finite value {value_text!r}")
+        scores[item_id] = value
     return scores
 
 

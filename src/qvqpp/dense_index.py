@@ -42,7 +42,7 @@ def _make_store(dim: int, ids: list[str], matrix: np.ndarray) -> EmbeddingStore:
 
 
 def load_vectors(path) -> EmbeddingStore:
-    """Read an embedding dump, checking the declared count and dimension.
+    """Read an embedding dump, checking the declared count and dimension and that every value is finite.
 
     Zero-norm rows are tolerated at load; they are simply never returned
     by :func:`knn_cosine`.
@@ -81,6 +81,10 @@ def load_vectors(path) -> EmbeddingStore:
     if len(ids) != count:
         raise ValueError(f"{path}: header declares {count} vectors but file has {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))  # row r is on line r + 2: the header, then one line per row
+        raise ValueError(f"{path}:{row + 2}: non-finite value in row {ids[row]!r}")
     return _make_store(dim, ids, matrix)
 
 

@@ -215,6 +215,41 @@ def bm25_idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.size - df + 0.5) / (df + 0.5))
 
 
+# A ranking as item ordinals (int32) and their scores (float64), best first.
+OrdinalRun = tuple[np.ndarray, np.ndarray]
+
+
+def ranked_list(index: InvertedIndex, run: OrdinalRun, query_id: str) -> RankedList:
+    """The ranking ``run`` over ``index`` with item ids and Python float scores."""
+    ordinals, scores = run
+    return RankedList(query_id, list(zip([index.item_ids[o] for o in ordinals.tolist()], scores.tolist())))
+
+
+def bm25_ordinals(
+    index: InvertedIndex,
+    terms: Sequence[str],
+    depth: int,
+    *,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+) -> OrdinalRun:
+    """:func:`bm25_retrieve`'s ranking as the items' ordinals (int32) and their scores (float64)."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    query = [(index.term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in index.term_id]
+    col_ptr, col_ordinals, col_tfs = index._columns
+    positions, bounds = _segments(col_ptr, [tid for tid, _ in query])
+    ordinals, tfs = col_ordinals[positions], col_tfs[positions]
+    # query_tf * idf per term, then the gain of every posting of the query's terms in one pass;
+    # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
+    weights = np.repeat([query_tf * bm25_idf(index, index.terms[tid]) for tid, query_tf in query], np.diff(bounds))
+    norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
+    scores = np.bincount(ordinals, weights=weights * tfs * (k1 + 1.0) / (tfs + norm), minlength=index.size)
+    hits = np.flatnonzero(scores > 0.0)
+    hits = hits[np.lexsort((index._id_rank[hits], -scores[hits]))][:depth]
+    return hits.astype(np.int32), scores[hits]
+
+
 def bm25_retrieve(
     index: InvertedIndex,
     terms: Sequence[str],
@@ -231,20 +266,7 @@ def bm25_retrieve(
     returned. An empty term bag yields an empty list. Each item's score
     adds one gain per query term, in the order of ``Counter(terms)``.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    query = [(index.term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in index.term_id]
-    col_ptr, col_ordinals, col_tfs = index._columns
-    positions, bounds = _segments(col_ptr, [tid for tid, _ in query])
-    ordinals, tfs = col_ordinals[positions], col_tfs[positions]
-    # query_tf * idf per term, then the gain of every posting of the query's terms in one pass;
-    # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
-    weights = np.repeat([query_tf * bm25_idf(index, index.terms[tid]) for tid, query_tf in query], np.diff(bounds))
-    norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
-    scores = np.bincount(ordinals, weights=weights * tfs * (k1 + 1.0) / (tfs + norm), minlength=index.size)
-    hits = np.flatnonzero(scores > 0.0)
-    hits = hits[np.lexsort((index._id_rank[hits], -scores[hits]))][:depth]
-    return RankedList(query_id, list(zip([index.item_ids[o] for o in hits.tolist()], scores[hits].tolist())))
+    return ranked_list(index, bm25_ordinals(index, terms, depth, k1=k1, b=b), query_id)
 
 
 @dataclass(frozen=True)

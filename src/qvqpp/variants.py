@@ -10,7 +10,8 @@ The pipeline for one target query:
    that retrieves further training queries (2-hop);
 3. re-rank the merged pool by the rank-biased overlap between each
    candidate's document ranking and the target's, both produced by the
-   internal BM25 retriever, and keep the best k;
+   internal BM25 retriever and kept as document ordinals, with the whole
+   pool scored in one pass, and keep the best k;
 4. blend the base predictor's estimate for the target run with the
    overlap-weighted average of the candidates' estimates.
 """
@@ -26,8 +27,11 @@ import numpy as np
 from .corpus_io import Document, Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext
-from .rank_sim import RboParams, rbo_ext
-from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_retrieve, make_pseudo_query, tokenize
+from .rank_sim import RboParams, rbo_pool
+from .text_index import (
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, OrdinalRun,
+    bm25_ordinals, bm25_retrieve, make_pseudo_query, ranked_list, tokenize,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -35,20 +39,6 @@ RETRIEVER_BM25 = "bm25"
 RETRIEVER_DENSE = "dense"
 
 BASE_PREDICTORS = ("nqc", "uef")
-
-# A memoized retrieval: ranked ids (the index's own id strings) and a float64
-# array of their scores, about a fifth of the memory of a RankedList.
-CompactRun = tuple[tuple[str, ...], np.ndarray]
-
-
-def _compact(run: RankedList) -> CompactRun:
-    return tuple(run.doc_ids()), np.array(run.scores(), dtype=np.float64)
-
-
-def _entries(run: CompactRun) -> list[tuple[str, float]]:
-    ids, scores = run
-    return list(zip(ids, scores.tolist()))
-
 
 @dataclass
 class QVCandidate:
@@ -171,7 +161,7 @@ def expand_2hop(
     *,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-    cache: Optional[dict[tuple[str, int, int], CompactRun]] = None,
+    cache: Optional[dict[tuple[str, int, int], OrdinalRun]] = None,
 ) -> QVSet:
     """Union the 1-hop set with queries reached through relevant documents.
 
@@ -183,7 +173,8 @@ def expand_2hop(
     skipped with a warning.
 
     A document's retrieval does not depend on the target, so it is kept
-    in ``cache`` under (doc id, pseudo_query_m, n) and reused by later
+    in ``cache`` under (doc id, pseudo_query_m, n), as query-index
+    ordinals and float64 scores, and reused by later
     calls that pass the same dict; such calls must share
     ``query_index``, ``collection``, ``k1`` and ``b``. Without a cache
     each call keeps its own. Target exclusion, de-duplication and hop
@@ -207,13 +198,10 @@ def expand_2hop(
             found = hits.get(key)
             if found is None:
                 pseudo = make_pseudo_query(doc, config.pseudo_query_m)
-                retrieved = RankedList(doc_id, [])
-                if pseudo.terms:
-                    retrieved = bm25_retrieve(
-                        query_index, list(pseudo.terms), depth=config.n, k1=k1, b=b, query_id=doc_id
-                    )
-                found = hits[key] = _compact(retrieved)
-            for qid, score in _entries(found):
+                found = hits[key] = bm25_ordinals(query_index, pseudo.terms, depth=config.n, k1=k1, b=b)
+            ordinals, scores = found
+            for ordinal, score in zip(ordinals.tolist(), scores.tolist()):
+                qid = query_index.item_ids[ordinal]
                 if qid == one_hop.target_query_id or qid in seen:
                     continue
                 seen.add(qid)
@@ -225,21 +213,25 @@ def expand_2hop(
 
 def rerank_by_rbo(
     merged: QVSet,
-    target_run: RankedList,
+    target_run: RankedList | np.ndarray,
     internal_retriever: InvertedIndex,
     config: QppConfig,
     *,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-    cache: Optional[dict[tuple[str, int], CompactRun]] = None,
+    cache: Optional[dict[tuple[str, int], OrdinalRun]] = None,
 ) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
     ``target_run`` must be the target query's list from the internal
-    BM25 retriever at ``internal_depth``. Each candidate retrieves its
-    own internal run; candidates with an empty run get overlap 0. Ties
-    break by (hop ascending, query id ascending). Only the k survivors
-    carry their run as a RankedList.
+    BM25 retriever at ``internal_depth``, as a RankedList or as its
+    ordinals in ``internal_retriever``; a RankedList holding a document
+    that the retriever does not index is a ValueError. Each candidate
+    retrieves its own internal run, as ordinals and scores; one
+    :func:`rbo_pool` pass then scores the whole pool against the target,
+    and candidates with an empty run get overlap 0. Ties break by (hop
+    ascending, query id ascending). Only the k survivors carry their
+    run, as a RankedList.
 
     A candidate's internal run does not depend on the target, so it is
     kept in ``cache`` under (query text, internal_depth) and reused by
@@ -247,25 +239,27 @@ def rerank_by_rbo(
     ``internal_retriever``, ``k1`` and ``b``. Without a cache each call
     keeps its own.
     """
+    if isinstance(target_run, RankedList):
+        try:
+            target_run = np.array([internal_retriever.ordinal_of[i] for i in target_run.doc_ids()], dtype=np.int32)
+        except KeyError as exc:
+            raise ValueError(f"target run document {exc.args[0]!r} is not in the internal retriever") from None
     runs = {} if cache is None else cache
-    target_ids = target_run.doc_ids()
-    scored: list[tuple[float, QVCandidate, CompactRun]] = []
+    pool: list[OrdinalRun] = []
     for candidate in merged.candidates:
         key = (candidate.query.text, config.internal_depth)
         run = runs.get(key)
         if run is None:
-            run = runs[key] = _compact(bm25_retrieve(
-                internal_retriever,
-                tokenize(candidate.query.text),
-                depth=config.internal_depth,
-                k1=k1,
-                b=b,
-                query_id=candidate.query.id,
-            ))
-        scored.append((rbo_ext(target_ids, run[0], config.rbo_params), candidate, run))
-    scored.sort(key=lambda row: (-row[0], row[1].hop, row[1].query.id))
+            run = runs[key] = bm25_ordinals(
+                internal_retriever, tokenize(candidate.query.text), depth=config.internal_depth, k1=k1, b=b
+            )
+        pool.append(run)
+    overlaps = rbo_pool(target_run, [ordinals for ordinals, _ in pool], internal_retriever.size, config.rbo_params)
+    scored = sorted(
+        zip(overlaps, merged.candidates, pool), key=lambda row: (-row[0], row[1].hop, row[1].query.id)
+    )
     kept = [
-        replace(candidate, rbo=overlap, internal_run=RankedList(candidate.query.id, _entries(run)))
+        replace(candidate, rbo=overlap, internal_run=ranked_list(internal_retriever, run, candidate.query.id))
         for overlap, candidate, run in scored[: config.k]
     ]
     return QVSet(merged.target_query_id, kept)
@@ -312,8 +306,8 @@ class PipelineResources:
     (doc id, pseudo_query_m, n) to the training queries that the
     document's pseudo-query retrieves over ``query_index``. Neither
     depends on the target, so :func:`build_qv_set` computes each once
-    and keeps it, as ids plus a float64 array of scores, for the life
-    of this object. Their size is bounded by the training data: one
+    and keeps it, as the index's ordinals (int32) plus a float64 array
+    of scores, for the life of this object. Their size is bounded by the training data: one
     entry per distinct training-query text and depth, one per judged
     document and (m, n). Both fill lazily and are not init fields:
     ``dataclasses.replace`` starts them empty, as it must when it swaps
@@ -328,10 +322,10 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    internal_runs: dict[tuple[str, int], CompactRun] = field(
+    internal_runs: dict[tuple[str, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    pseudo_query_hits: dict[tuple[str, int, int], CompactRun] = field(
+    pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -351,9 +345,8 @@ def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QV
             res.collection, res.training_queries, k1=res.k1, b=res.b,
             cache=res.pseudo_query_hits,
         )
-    target_internal = bm25_retrieve(
-        res.doc_index, tokenize(target.text), depth=config.internal_depth,
-        k1=res.k1, b=res.b, query_id=target.id,
+    target_internal, _ = bm25_ordinals(
+        res.doc_index, tokenize(target.text), depth=config.internal_depth, k1=res.k1, b=res.b
     )
     return rerank_by_rbo(
         merged, target_internal, res.doc_index, config, k1=res.k1, b=res.b, cache=res.internal_runs

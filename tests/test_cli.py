@@ -335,6 +335,45 @@ paths:
         assert "documents.idx: not a qvqpp.inverted_index artifact" in err
         assert "Traceback" not in err
 
+    def test_non_finite_run_score_rejected(self, indexed_workspace, tmp_path, capsys):
+        lines = (indexed_workspace["data"] / "target_run.txt").read_text(encoding="utf-8").splitlines(True)
+        fields = lines[0].split()
+        fields[4] = "nan"
+        run = tmp_path / "target_run.txt"
+        run.write_text(" ".join(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"],
+            "--set", f"paths.target_run={run}", "--out", tmp_path / "predictions.tsv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}:1: non-finite score 'nan'")
+        assert "Traceback" not in err
+        assert not (tmp_path / "predictions.tsv").exists()
+
+    def test_non_finite_prediction_rejected(self, indexed_workspace, tmp_path, capsys):
+        predictions = tmp_path / "predictions.tsv"
+        predictions.write_text("dl01\t0.5\ndl02\tinf\ndl03\t0.1\ndl04\t0.2\ndl05\t0.3\n", encoding="utf-8")
+        code = run_cli("evaluate", "--config", indexed_workspace["config"], "--predictions", predictions)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {predictions}:2: non-finite value 'inf'")
+        assert "Traceback" not in err
+
+    def test_non_finite_embedding_rejected(self, indexed_workspace, tmp_path, capsys):
+        lines = (indexed_workspace["data"] / "query_embeddings.txt").read_text(encoding="utf-8").splitlines(True)
+        row_id, _, values = lines[2].split(" ", 2)
+        embeddings = tmp_path / "query_embeddings.txt"
+        embeddings.write_text("".join(lines[:2]) + f"{row_id} -inf {values}" + "".join(lines[3:]), encoding="utf-8")
+        code = run_cli(
+            "qv", "--config", indexed_workspace["config"], "--set", "qpp.query_retriever=dense",
+            "--set", f"paths.embeddings={embeddings}", "--out", tmp_path / "qv_report.tsv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {embeddings}:3: non-finite value in row {row_id!r}")
+        assert "Traceback" not in err
+
 
 class TestQvCommand:
     def test_report_matches_library_columns(self, indexed_workspace):

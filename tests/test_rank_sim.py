@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qvqpp import RankedList, RboParams, rbo_ext
+from qvqpp.rank_sim import rbo_pool
 
 
 def random_lists(rng, universe_size=40, max_len=25):
@@ -94,3 +98,77 @@ class TestRboExt:
             RboParams(p=1.0)
         with pytest.raises(ValueError, match="eval_depth"):
             RboParams(eval_depth=0)
+
+
+UNIVERSE = 30
+# rankings of distinct ordinals, as long as the universe at most: empty lists included
+rankings = st.lists(st.integers(0, UNIVERSE - 1), unique=True, max_size=UNIVERSE)
+rbo_params = st.builds(
+    RboParams,
+    p=st.sampled_from([0.1, 0.5, 0.8, 0.9, 0.99]) | st.floats(0.01, 0.99),
+    eval_depth=st.integers(1, UNIVERSE + 5),  # often shorter than the rankings
+)
+
+
+def ids(ranking):
+    return [f"d{i}" for i in ranking]
+
+
+class TestRboProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(rankings, rankings, rbo_params)
+    def test_in_unit_interval(self, a, b, params):
+        assert 0.0 <= rbo_ext(ids(a), ids(b), params) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(rankings, rankings, rbo_params)
+    def test_symmetric(self, a, b, params):
+        assert rbo_ext(ids(a), ids(b), params) == rbo_ext(ids(b), ids(a), params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rankings.filter(bool), rbo_params)
+    def test_identical_lists_give_one(self, a, params):
+        assert rbo_ext(ids(a), ids(a), params) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRboPool:
+    @settings(max_examples=400, deadline=None)
+    @given(rankings, st.lists(rankings, max_size=12), rbo_params)
+    def test_equals_rbo_ext(self, target, pool, params):
+        got = rbo_pool(np.array(target, dtype=np.int32), [np.array(c, dtype=np.int32) for c in pool], UNIVERSE, params)
+        assert got == [rbo_ext(ids(target), ids(c), params) for c in pool]
+        assert all(type(value) is float for value in got)
+
+    def test_python_int_exponents(self):
+        # s = 12, l = 23: 0.9 ** 12 and 0.9 ** 23 differ in the last bit from
+        # 0.9 ** np.int64(12) and 0.9 ** np.int64(23); numpy exponents put this
+        # pair 2.8e-17 below rbo_ext
+        target = list(range(23))
+        candidate = [4, 5] + list(range(100, 110))
+        got = rbo_pool(np.array(target), [np.array(candidate)], 110, RboParams(p=0.9))
+        assert got == [rbo_ext(ids(target), ids(candidate), RboParams(p=0.9))]
+
+    def test_empty_pool_and_empty_runs(self):
+        assert rbo_pool(np.array([1, 2]), [], 5) == []
+        assert rbo_pool(np.array([], dtype=np.int32), [np.array([1, 2]), np.array([], dtype=np.int32)], 5) == [0.0, 0.0]
+
+    def test_eval_depth_truncates_first(self):
+        # the duplicate 1 lies beyond the depth, as in rbo_ext
+        params = RboParams(p=0.9, eval_depth=2)
+        assert rbo_pool(np.array([0, 1, 2]), [np.array([0, 1, 1])], 3, params) == [
+            rbo_ext(["0", "1", "2"], ["0", "1", "1"], params)
+        ]
+
+    @pytest.mark.parametrize(
+        "target, pool, message",
+        [
+            ([0, 0], [[1]], "duplicate id within target list"),
+            ([0, 1], [[2, 3], [1, 2, 1]], "duplicate id within a candidate list"),
+            ([], [[3, 3]], "duplicate id within a candidate list"),
+            ([0, 5], [[1]], "ordinal outside"),
+            ([0], [[-1]], "ordinal outside"),
+        ],
+    )
+    def test_rejects_what_rbo_ext_rejects_and_bad_ordinals(self, target, pool, message):
+        with pytest.raises(ValueError, match=message):
+            rbo_pool(np.array(target, dtype=np.int32), [np.array(c, dtype=np.int32) for c in pool], 5)

@@ -28,6 +28,7 @@ from qvqpp import (
     save_index,
     tokenize,
 )
+from qvqpp.text_index import bm25_ordinals, ranked_list
 
 TOY_CORPUS = [
     ("d1", "coffee beans need a medium roast for balanced flavor"),
@@ -105,6 +106,15 @@ class TestBm25Retrieve:
     def test_empty_term_bag(self):
         index = build_index(TOY_CORPUS)
         assert bm25_retrieve(index, [], 5).entries == []
+
+    def test_ordinal_core_matches_ranked_list(self):
+        index = build_index(TOY_CORPUS)
+        terms = ["coffee", "beans", "water", "coffee"]
+        ordinals, scores = bm25_ordinals(index, terms, 4)
+        assert ordinals.dtype == np.int32 and scores.dtype == np.float64
+        run = bm25_retrieve(index, terms, 4, query_id="q")
+        assert ranked_list(index, (ordinals, scores), "q") == run
+        assert [index.item_ids[o] for o in ordinals] == run.doc_ids() and scores.tolist() == run.scores()
 
     def test_toy_corpus_matches_oracle(self):
         index = build_index(TOY_CORPUS)

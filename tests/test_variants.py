@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qvqpp import variants
@@ -231,6 +233,22 @@ class TestRerankByRbo:
         assert [(c.query.id, c.hop) for c in got.candidates] == [(i, h) for i, h, _ in scored[:2]]
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
 
+    def test_target_as_ranked_list_or_ordinals(self, corpus, resources, doc_index):
+        config = QppConfig(k=3, n=100)
+        target = corpus.test_queries[1]
+        one_hop = retrieve_1hop(target, config, resources.query_index, corpus.training_query_map())
+        run = bm25_retrieve(doc_index, tokenize(target.text), 100, query_id=target.id)
+        ordinals = np.array([doc_index.ordinal_of[doc_id] for doc_id in run.doc_ids()], dtype=np.int32)
+        got = rerank_by_rbo(one_hop, run, doc_index, config)
+        assert got.candidates
+        assert qv_snapshot(got) == qv_snapshot(rerank_by_rbo(one_hop, ordinals, doc_index, config))
+
+    def test_target_document_outside_index_rejected(self, corpus, resources, doc_index):
+        config = QppConfig(k=1, n=100)
+        one_hop = retrieve_1hop(corpus.test_queries[0], config, resources.query_index, corpus.training_query_map())
+        with pytest.raises(ValueError, match="'not-a-doc' is not in the internal retriever"):
+            rerank_by_rbo(one_hop, RankedList("T", [("not-a-doc", 1.0)]), doc_index, config)
+
 
 class StubContext:
     """Returns preset predictor values keyed by query id."""
@@ -318,6 +336,26 @@ class TestSmoothQpp:
                     context.evaluate("nqc", cand.internal_run, tokenize(cand.query.text), cand.query.id)
                 )
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(-10.0, 10.0),
+        st.lists(st.tuples(st.sampled_from([0.0, 1e-9, 0.3, 1.0]) | st.floats(0.0, 1.0), st.floats(-10.0, 10.0)),
+                 max_size=6),
+    )
+    def test_between_target_and_weighted_variant_mean(self, lam, phi_target, variants_rbo_phi):
+        cands = [candidate(f"v{i}", rbo) for i, (rbo, _) in enumerate(variants_rbo_phi)]
+        ctx = StubContext({"T": phi_target, **{f"v{i}": phi for i, (_, phi) in enumerate(variants_rbo_phi)}})
+        config = QppConfig(lam=lam, k=max(1, len(cands)), n=max(1, len(cands)) + 1)
+        got = smooth_qpp(RankedList("T", [("d1", 1.0)]), reranked_set("T", *cands), config, ctx, ["x"])
+        weight_sum = sum(rbo for rbo, _ in variants_rbo_phi)
+        if weight_sum <= 0.0:
+            assert got == phi_target
+            return
+        mean = sum(rbo / weight_sum * phi for rbo, phi in variants_rbo_phi)
+        slack = 1e-12 * max(1.0, abs(phi_target), abs(mean))
+        assert min(phi_target, mean) - slack <= got <= max(phi_target, mean) + slack
 
 
 class TestPipelineInvariants:
@@ -445,13 +483,16 @@ class TestRetrievalCache:
                 for doc_id, grade in corpus.train_qrels.get(c.query.id, {}).items() if grade >= 1
             }
         calls = {"doc": 0, "query": 0}
-        real = variants.bm25_retrieve
 
-        def counting(index, *args, **kwargs):
-            calls["doc" if index is resources.doc_index else "query"] += 1
-            return real(index, *args, **kwargs)
+        def counting(real):
+            def count(index, *args, **kwargs):
+                calls["doc" if index is resources.doc_index else "query"] += 1
+                return real(index, *args, **kwargs)
+            return count
 
-        monkeypatch.setattr(variants, "bm25_retrieve", counting)
+        # 1-hop retrieval builds a RankedList; internal runs and pseudo-query hits stay ordinals
+        for name in ("bm25_retrieve", "bm25_ordinals"):
+            monkeypatch.setattr(variants, name, counting(getattr(variants, name)))
         res = replace(resources)
         for target in targets:
             build_qv_set(target, config, res)
@@ -464,8 +505,11 @@ class TestRetrievalCache:
         res = replace(resources)
         qv_set = build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
         assert all(type(score) is float for c in qv_set.candidates for _, score in c.internal_run.entries)
-        for ids, scores in list(res.internal_runs.values()) + list(res.pseudo_query_hits.values()):
-            assert isinstance(ids, tuple) and scores.dtype == np.float64 and len(ids) == len(scores)
+        cached = [(res.doc_index, run) for run in res.internal_runs.values()]
+        cached += [(res.query_index, run) for run in res.pseudo_query_hits.values()]
+        for index, (ordinals, scores) in cached:
+            assert ordinals.dtype == np.int32 and scores.dtype == np.float64 and len(ordinals) == len(scores)
+            assert np.all((0 <= ordinals) & (ordinals < index.size))
 
     def test_replace_starts_with_empty_caches(self, corpus, resources):
         res = replace(resources)
