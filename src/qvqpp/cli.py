@@ -111,7 +111,7 @@ def _yaml(text, where: str):
 
 
 def _section(raw: Mapping, name: str) -> Mapping:
-    section = raw.get(name) or {}
+    section = {} if raw.get(name) is None else raw[name]
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a mapping, got {section!r}")
     return section
@@ -141,7 +141,9 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
         keys = dotted.split(".")
         node = raw
         for key in keys[:-1]:
-            node = node.setdefault(key, {})
+            if node.get(key) is None:  # a missing or null section becomes a new mapping
+                node[key] = {}
+            node = node[key]
             if not isinstance(node, dict):
                 raise ValueError(f"override {dotted!r} does not address a mapping")
         node[keys[-1]] = _yaml(value_text, f"override {dotted!r}")

@@ -11,6 +11,14 @@ Two base predictors are provided:
 Both are pure given their inputs and a seed; parallel callers derive the
 seed from (global seed, query id) via :func:`derive_seed` so scheduling
 cannot change outputs.
+
+UEF's relevance model and re-ranking work on arrays: a model is its
+term ids and weights (``build_relevance_model`` and ``rm_rerank`` wrap
+the same two cores for str-keyed models and ranked lists). What a
+re-ranking needs that no model changes (the head's rows and id ranks,
+one logarithm per head posting and per head document) is computed once
+per head, so each of ``uef``'s subsets costs its model, one gain per
+head posting of a model term and one fsum per head document.
 """
 
 from __future__ import annotations
@@ -19,12 +27,12 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus_io import RankedList
-from .rank_sim import RboParams, rbo_ext
+from .rank_sim import RboParams, rbo_pool
 from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_idf
 
 COLLECTION_SCORE_FLOOR = 1e-6
@@ -99,6 +107,37 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _relevance_model(
+    index: InvertedIndex, doc_ids: Sequence[str], ordinals: np.ndarray, scores: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relevance model of a scored sample as its term ids (ascending) and their weights.
+
+    ``ordinals`` holds each sampled document's index ordinal, -1 where the
+    index lacks it; ``doc_ids`` name the documents in error messages.
+    """
+    known = ordinals >= 0
+    empty = np.zeros(len(ordinals), dtype=bool)
+    empty[known] = index.lengths[ordinals[known]] + mu == 0.0
+    bad = np.flatnonzero(~known | empty)
+    if len(bad):
+        doc_id = doc_ids[bad[0]]
+        if empty[bad[0]]:
+            raise ValueError(f"every term has zero smoothed probability in empty document {doc_id!r}")
+        raise ValueError(f"sampled document {doc_id!r} is not in the index")
+    # omega_D / (|D| + mu) per sampled document
+    coefs = _softmax(scores) / (index.lengths[ordinals] + mu)
+    term_ids, tfs, bounds = index.rows(ordinals)
+    if not len(term_ids):
+        raise ValueError("all sampled documents are empty")
+    # term ids ascending are the terms in sorted order; bincount adds each term's
+    # coef * tf in sample order, as a running sum from 0.0 would
+    model_ids = np.flatnonzero(np.bincount(term_ids, minlength=len(index.terms)))
+    tf_mass = np.bincount(term_ids, weights=np.repeat(coefs, np.diff(bounds)) * tfs, minlength=len(index.terms))[model_ids]
+    smoothing = mu * math.fsum(coefs.tolist()) / index.total_tokens
+    masses = tf_mass + smoothing * index.cf[model_ids]
+    return model_ids, masses / math.fsum(masses.tolist())
+
+
 def build_relevance_model(
     index: InvertedIndex, sample: RankedList, *, mu: float = DEFAULT_MU
 ) -> RelevanceModel:
@@ -116,28 +155,119 @@ def build_relevance_model(
     """
     if not sample.entries:
         raise ValueError("relevance model needs a non-empty sample")
-    ordinals = []
-    for doc_id, _ in sample.entries:
-        ordinal = index.ordinal_of.get(doc_id)
-        if ordinal is None:
-            raise ValueError(f"sampled document {doc_id!r} is not in the index")
-        if index.lengths[ordinal] + mu == 0.0:
-            raise ValueError(f"every term has zero smoothed probability in empty document {doc_id!r}")
-        ordinals.append(ordinal)
-    doc_weights = _softmax(np.asarray(sample.scores(), dtype=np.float64)).tolist()
-    # omega_D / (|D| + mu) per sampled document
-    coefs = [w / (length + mu) for w, length in zip(doc_weights, index.lengths[ordinals].tolist())]
+    doc_ids = sample.doc_ids()
+    ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id in doc_ids), dtype=np.int64, count=len(doc_ids))
+    model_ids, weights = _relevance_model(index, doc_ids, ordinals, np.asarray(sample.scores(), dtype=np.float64), mu)
+    return RelevanceModel(dict(zip([index.terms[t] for t in model_ids.tolist()], weights.tolist())))
+
+
+def _log_mu_p(index: InvertedIndex, term_ids: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether mu * p_w > 0 for each term id (-1: a term the index lacks), and ln(mu * p_w) where it is."""
+    mu_p = np.zeros(len(term_ids))
+    known = term_ids >= 0
+    mu_p[known] = mu * index.cf[term_ids[known]] / index.total_tokens
+    smoothed = mu_p > 0.0
+    logs = np.zeros(len(term_ids))
+    logs[smoothed] = list(map(math.log, mu_p[smoothed].tolist()))
+    return smoothed, logs
+
+
+@dataclass
+class _Head:
+    """What re-ranking a head takes that no relevance model changes, computed once per head.
+
+    The arrays cover the ``known`` documents before the first one the
+    index lacks; the postings are their rows, row after row.
+    """
+
+    query_id: str
+    doc_ids: list[str]
+    vocabulary_size: int
+    known: int
+    ordinals: np.ndarray
+    id_ranks: np.ndarray
+    term_ids: np.ndarray
+    bounds: np.ndarray  # row i's postings are at bounds[i]:bounds[i + 1]
+    smoothed: np.ndarray  # per posting: mu * p_w > 0
+    logs: np.ndarray  # per posting: ln(1 + tf / (mu * p_w)) where smoothed, else ln(tf)
+    length_args: list[float]  # |D| + mu per document
+    length_logs: list[float]  # ln(|D| + mu) per document, up to the first non-positive argument
+    duplicate: str | None  # the first id seen twice
+
+
+def _head(index: InvertedIndex, head: RankedList, mu: float) -> _Head:
+    doc_ids = head.doc_ids()
+    found = [index.ordinal_of.get(doc_id) for doc_id in doc_ids]
+    known = found.index(None) if None in found else len(found)
+    ordinals = np.asarray(found[:known], dtype=np.int64)
     term_ids, tfs, bounds = index.rows(ordinals)
-    if not len(term_ids):
-        raise ValueError("all sampled documents are empty")
-    # sorted term ids are the terms in sorted order; bincount adds each term's
-    # coef * tf in sample order, as a running sum from 0.0 would
-    model_ids, slot = np.unique(term_ids, return_inverse=True)
-    tf_mass = np.bincount(slot, weights=np.repeat(coefs, np.diff(bounds)) * tfs)
-    smoothing = mu * math.fsum(coefs) / index.total_tokens
-    masses = tf_mass + smoothing * index.cf[model_ids]
-    normalizer = math.fsum(masses.tolist())
-    return RelevanceModel(dict(zip([index.terms[t] for t in model_ids.tolist()], (masses / normalizer).tolist())))
+    mu_p = mu * index.cf[term_ids] / index.total_tokens
+    smoothed = mu_p > 0.0
+    logs = np.empty(len(term_ids))
+    logs[smoothed] = list(map(math.log1p, (tfs[smoothed] / mu_p[smoothed]).tolist()))
+    logs[~smoothed] = list(map(math.log, tfs[~smoothed].tolist()))
+    length_args = (index.lengths[ordinals] + mu).tolist()
+    positive = next((i for i, arg in enumerate(length_args) if arg <= 0.0), known)
+    seen: set[str] = set()
+    duplicate = next((doc_id for doc_id in doc_ids if doc_id in seen or seen.add(doc_id)), None)
+    return _Head(
+        head.query_id, doc_ids, len(index.terms), known, ordinals, index._id_rank[ordinals], term_ids, bounds,
+        smoothed, logs, length_args, list(map(math.log, length_args[:positive])), duplicate,
+    )
+
+
+def _rm_rerank(
+    head: _Head,
+    model_ids: np.ndarray,
+    weights: np.ndarray,
+    smoothed: np.ndarray,
+    log_mu_p: np.ndarray,
+    term_name: Callable[[int], str],
+) -> tuple[np.ndarray, list[float]]:
+    """The head's documents re-scored by a relevance model: their order (positions in the head) and scores.
+
+    The model is its term ids (-1 for a term the index lacks, any order),
+    weights, whether mu * p_w > 0 and ln(mu * p_w) where it is;
+    ``term_name`` names the term at a model position. Each document's
+    score is one fsum of C, -S * ln(|D| + mu) and a gain per posting of a
+    model term; the order is score descending, then doc_id ascending.
+    """
+    constant = math.fsum((weights[smoothed] * log_mu_p[smoothed]).tolist())
+    weight_sum = math.fsum(weights.tolist())
+    indexed = model_ids >= 0
+    weight_of = np.zeros(head.vocabulary_size)
+    weight_of[model_ids[indexed]] = weights[indexed]
+    is_model_term = np.zeros(head.vocabulary_size, dtype=bool)
+    is_model_term[model_ids[indexed]] = True
+    in_model = is_model_term[head.term_ids]  # per posting
+    running = np.zeros(len(in_model) + 1, dtype=np.int64)
+
+    # a term with mu * p_w = 0 must occur in every document before the first unindexed one
+    unsmoothed = np.flatnonzero(~smoothed)
+    failing = head.known
+    if len(unsmoothed):
+        np.cumsum(in_model & ~head.smoothed, out=running[1:])
+        short = np.flatnonzero(np.diff(running[head.bounds]) < len(unsmoothed))
+        failing = int(short[0]) if len(short) else head.known
+    if len(head.length_logs) < failing:
+        math.log(head.length_args[len(head.length_logs)])  # raises, as the document's score would
+    if failing < head.known:
+        row = head.term_ids[head.bounds[failing]:head.bounds[failing + 1]]
+        missing = unsmoothed[~np.isin(model_ids[unsmoothed], row)]
+        raise ValueError(f"term {term_name(int(missing[0]))!r} has zero smoothed probability")
+    if head.known < len(head.doc_ids):
+        raise ValueError(f"document {head.doc_ids[head.known]!r} is not in the index")
+    if head.duplicate is not None:
+        raise ValueError(f"duplicate doc_id {head.duplicate!r} in ranked list for {head.query_id!r}")
+
+    gains = (weight_of[head.term_ids[in_model]] * head.logs[in_model]).tolist()
+    np.cumsum(in_model, out=running[1:])
+    gain_bounds = running[head.bounds].tolist()
+    scores = [
+        math.fsum([constant, *gains[start:stop], -weight_sum * length_log])
+        for start, stop, length_log in zip(gain_bounds, gain_bounds[1:], head.length_logs)
+    ]
+    return np.lexsort((head.id_ranks, -np.asarray(scores))), scores
 
 
 def rm_rerank(
@@ -164,47 +294,12 @@ def rm_rerank(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    total_tokens = index.total_tokens
-    weight_of = np.zeros(len(index.terms))  # model weight of each smoothed term id
-    mu_p_of = np.zeros(len(index.terms))  # its mu * p_w; 0 for every other term id
-    unsmoothed: list[tuple[str, int | None, float]] = []  # (term, term id, model weight)
-    constant_parts = []
-    for term, weight in model.term_weights.items():
-        tid = index.term_id.get(term)
-        mu_p = 0.0 if tid is None else mu * int(index.cf[tid]) / total_tokens
-        if mu_p > 0.0:
-            weight_of[tid], mu_p_of[tid] = weight, mu_p
-            constant_parts.append(weight * math.log(mu_p))
-        else:
-            unsmoothed.append((term, tid, weight))
-    constant = math.fsum(constant_parts)
-    weight_sum = math.fsum(model.term_weights.values())
-    head = ranked.entries[:depth]
-    ordinals = [index.ordinal_of.get(doc_id) for doc_id, _ in head]
-    known = ordinals.index(None) if None in ordinals else len(head)
-    term_ids, tfs, bounds = index.rows(ordinals[:known])
-    hit = mu_p_of[term_ids] > 0.0
-    hit_ids = term_ids[hit]
-    logs = map(math.log1p, (tfs[hit] / mu_p_of[hit_ids]).tolist())
-    gains = [weight * log for weight, log in zip(weight_of[hit_ids].tolist(), logs)]
-    gain_bounds = np.zeros(len(hit) + 1, dtype=np.int64)
-    np.cumsum(hit, out=gain_bounds[1:])
-    gain_bounds = gain_bounds[bounds].tolist()
-    rescored: list[tuple[str, float]] = []
-    for i, ((doc_id, _), length) in enumerate(zip(head, index.lengths[ordinals[:known]].tolist())):
-        parts = [constant, *gains[gain_bounds[i]:gain_bounds[i + 1]]]
-        if unsmoothed:
-            counts = dict(zip(term_ids[bounds[i]:bounds[i + 1]].tolist(), tfs[bounds[i]:bounds[i + 1]].tolist()))
-            for term, tid, weight in unsmoothed:
-                tf = counts.get(tid, 0)
-                if tf == 0:
-                    raise ValueError(f"term {term!r} has zero smoothed probability")
-                parts.append(weight * math.log(tf))
-        parts.append(-weight_sum * math.log(length + mu))
-        rescored.append((doc_id, math.fsum(parts)))
-    if known < len(head):
-        raise ValueError(f"document {head[known][0]!r} is not in the index")
-    return RankedList.from_scores(ranked.query_id, rescored)
+    head = _head(index, ranked.top(depth), mu)
+    terms = list(model.term_weights)
+    model_ids = np.fromiter((index.term_id.get(term, -1) for term in terms), dtype=np.int64, count=len(terms))
+    weights = np.fromiter(model.term_weights.values(), dtype=np.float64, count=len(terms))
+    order, scores = _rm_rerank(head, model_ids, weights, *_log_mu_p(index, model_ids, mu), terms.__getitem__)
+    return RankedList(ranked.query_id, [(head.doc_ids[i], scores[i]) for i in order.tolist()])
 
 
 def uef(
@@ -223,6 +318,16 @@ def uef(
     max(top_k, 50) documents; its relevance model re-ranks the original
     top_k head, and the RBO between the original and re-ranked head is
     multiplied by the subset's nqc. Bit-reproducible for a fixed seed.
+
+    Everything that does not depend on the subset is computed once: the
+    head's ordinals, rows and id ranks, ln(1 + tf / (mu * p_w)) for each
+    of its postings, ln(|D| + mu) for each of its documents and
+    ln(mu * p_w) for each term of the pool. A subset then costs its
+    relevance model as term-id and weight arrays, one gain per head
+    posting of a model term, one fsum per head document and a lexsort;
+    the overlaps of all subsets come from one :func:`rbo_pool` pass. The
+    value is ``==`` to composing :func:`build_relevance_model`,
+    :func:`rm_rerank` and :func:`rbo_ext` per subset, errors included.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -233,16 +338,32 @@ def uef(
     if sample_size > len(pool):
         raise ValueError(f"sample_size {sample_size} exceeds the {len(pool)} available documents")
     params = rbo_params if rbo_params is not None else RboParams()
-    head = inp.ranked_list.top(min(inp.top_k, len(entries)))
+    head = _head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
+    pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
+    # mu * p_w > 0 and ln(mu * p_w) for every term a subset's model can hold, by term id
+    vocabulary = np.unique(index.rows(pool_ordinals[pool_ordinals >= 0])[0])
+    smoothed_of = np.zeros(len(index.terms), dtype=bool)
+    log_mu_p_of = np.zeros(len(index.terms))
+    smoothed_of[vocabulary], log_mu_p_of[vocabulary] = _log_mu_p(index, vocabulary, mu)
     rng = np.random.default_rng(rng_seed)
-    total = 0.0
+    subset_nqcs = []
+    reranked = []
     for _ in range(samples):
-        chosen = sorted(rng.choice(len(pool), size=sample_size, replace=False).tolist())
-        subset = RankedList(inp.ranked_list.query_id, [pool[i] for i in chosen])
-        subset_nqc = nqc(PredictorInput(subset, inp.collection_score, top_k=sample_size))
-        model = build_relevance_model(index, subset, mu=mu)
-        reranked = rm_rerank(model, head, index, depth=len(head), mu=mu)
-        total += rbo_ext(head, reranked, params) * subset_nqc
+        chosen = np.sort(rng.choice(len(pool), size=sample_size, replace=False))
+        subset = RankedList(inp.ranked_list.query_id, [pool[i] for i in chosen.tolist()])
+        subset_nqcs.append(nqc(PredictorInput(subset, inp.collection_score, top_k=sample_size)))
+        scores = np.asarray(subset.scores(), dtype=np.float64)
+        model_ids, weights = _relevance_model(index, subset.doc_ids(), pool_ordinals[chosen], scores, mu)
+        if not head.doc_ids:  # rm_rerank's depth check, reached once a model is built
+            raise ValueError("depth must be >= 1, got 0")
+        order, _ = _rm_rerank(
+            head, model_ids, weights, smoothed_of[model_ids], log_mu_p_of[model_ids],
+            lambda position: index.terms[model_ids[position]],
+        )
+        reranked.append(head.ordinals[order])
+    total = 0.0
+    for overlap, subset_nqc in zip(rbo_pool(head.ordinals, reranked, index.size, params), subset_nqcs):
+        total += overlap * subset_nqc
     return total / samples
 
 
@@ -267,8 +388,14 @@ class PredictorParams:
         for name in ("top_k", "uef_samples", "uef_sample_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        for name in ("mu", "k1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
 @dataclass

@@ -28,6 +28,15 @@ GOLDENS = {
     "predictions": "a5e40b72c6f15dd86f114ca4bcbb9986ad25d7b06ad61bd445291ed6d6132bdb",
 }
 
+# SHA-256 of the dense 1-hop UEF outputs (default 20 samples of 25 documents),
+# recorded from the implementation that re-ranked every sample through
+# build_relevance_model, rm_rerank and a scalar rbo_ext call.
+UEF_GOLDENS = {
+    "uef_predictions": "9a9e826a3961ba65e03c466d3625ee1accb7ad229c75bb73a3852d1e348944c8",
+    "uef_sweep": "37a1fa771a4572d30cff6a4803fc6e2d5512adcaa526aa58f518a9fda336049a",
+}
+UEF = ["--set", "qpp.query_retriever=dense", "--set", "qpp.base=uef", "--set", "qpp.use_2hop=false"]
+
 CONFIG = """\
 seed: 1
 paths:
@@ -84,3 +93,19 @@ def test_predictions_golden(bench_workspace):
     predictions = out / "predictions.tsv"
     assert main(["predict", "--config", str(config), "--out", str(predictions)]) == 0
     assert digest(predictions) == GOLDENS["predictions"]
+
+
+def test_uef_predictions_golden(bench_workspace):
+    # top_k 30 under the 50-document sample pool: samples draw documents beyond the re-ranked head
+    config, out = bench_workspace
+    predictions = out / "uef_predictions.tsv"
+    argv = ["predict", "--config", str(config), *UEF, "--set", "predictor.top_k=30", "--out", str(predictions)]
+    assert main(argv) == 0
+    assert digest(predictions) == UEF_GOLDENS["uef_predictions"]
+
+
+def test_uef_sweep_golden(bench_workspace):
+    config, out = bench_workspace
+    sweep = out / "uef_sweep.csv"
+    assert main(["sweep", "--config", str(config), *UEF, "--set", "evaluation.ks=[1,2,3]", "--out", str(sweep)]) == 0
+    assert digest(sweep) == UEF_GOLDENS["uef_sweep"]

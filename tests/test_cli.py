@@ -229,6 +229,44 @@ paths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("bm25.k1=.nan", "k1 must be finite, got nan"),
+            ("bm25.k1=.inf", "k1 must be finite, got inf"),
+            ("bm25.k1=-1", "k1 must be >= 0, got -1.0"),
+            ("bm25.b=-1", "b must be in [0, 1], got -1.0"),
+            ("bm25.b=2", "b must be in [0, 1], got 2.0"),
+            ("predictor.mu=.inf", "mu must be finite, got inf"),
+            ("predictor.mu=.nan", "mu must be finite, got nan"),
+        ],
+    )
+    def test_bad_bm25_or_smoothing_param_rejected(self, indexed_workspace, tmp_path, capsys, override, message):
+        predictions = tmp_path / "predictions.tsv"
+        code = run_cli("predict", "--config", indexed_workspace["config"], "--set", override, "--out", predictions)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not predictions.exists()
+
+    def test_override_fills_a_null_section(self, indexed_workspace, tmp_path, capsys):
+        text = indexed_workspace["config"].read_text(encoding="utf-8")
+        section = text[text.index("predictor:"):text.index("bm25:")]
+        outputs = []
+        for name, replacement, overrides in (
+            ("null", "predictor:\n", ["--set", "predictor.top_k=50"]),
+            ("explicit", "predictor:\n  top_k: 50\n", []),
+        ):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(text.replace(section, replacement), encoding="utf-8")
+            outputs.append(tmp_path / f"{name}.tsv")
+            assert run_cli("predict", "--config", config, *overrides, "--out", outputs[-1]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        config = tmp_path / "scalar.yaml"
+        config.write_text(text.replace(section, "predictor: 5\n"), encoding="utf-8")
+        assert run_cli("predict", "--config", config, "--set", "predictor.top_k=50") == 1
+        assert capsys.readouterr().err == "error: override 'predictor.top_k' does not address a mapping\n"
+
+    @pytest.mark.parametrize(
         "path_key, file_name",
         [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
     )
@@ -272,6 +310,7 @@ paths:
             (None, "qpp.lambda=[0.5, 1", "override 'qpp.lambda': malformed YAML"),
             (None, "qpp=5", "config section 'qpp' must be a mapping, got 5"),
             ("paths: 5\n", None, "config section 'paths' must be a mapping, got 5"),
+            ("paths: []\n", None, "config section 'paths' must be a mapping, got []"),
             (None, "seed=[1]", "seed: expected int, got [1]"),
             (None, "paths.collection=[1,2]", "paths.collection: expected str, got [1, 2]"),
             (None, "evaluation.lambdas=5", "evaluation.lambdas: expected a list of float, got 5"),

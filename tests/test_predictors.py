@@ -27,6 +27,7 @@ from qvqpp import (
     tokenize,
     uef,
 )
+from qvqpp.predictors import UEF_POOL_FLOOR
 
 
 def ranked(query_id, pairs):
@@ -342,7 +343,7 @@ class TestUef:
             model = build_relevance_model(index, subset)
             reranked = rm_rerank(model, head, index, depth=len(head))
             total += rbo_ext(head, reranked, RboParams()) * subset_nqc
-        assert got == pytest.approx(total / 3, abs=1e-12)
+        assert got == total / 3
 
     def test_full_pool_sample_is_seed_independent(self):
         index, inp = uef_fixture_input()
@@ -379,10 +380,92 @@ class TestUef:
             uef(inp, index, rng_seed=1, samples=1, sample_size=len(inp.ranked_list) + 1)
 
 
+def scripted_uef(inp, index, rng_seed, samples, sample_size, rbo_params, mu):
+    """The documented protocol composed step by step from the public functions, one subset at a time."""
+    entries = inp.ranked_list.entries
+    pool = entries[: max(inp.top_k, UEF_POOL_FLOOR)]
+    head = inp.ranked_list.top(min(inp.top_k, len(entries)))
+    rng = np.random.default_rng(rng_seed)
+    total = 0.0
+    for _ in range(samples):
+        chosen = sorted(rng.choice(len(pool), size=sample_size, replace=False).tolist())
+        subset = RankedList(inp.ranked_list.query_id, [pool[i] for i in chosen])
+        subset_nqc = nqc(PredictorInput(subset, inp.collection_score, top_k=sample_size))
+        model = build_relevance_model(index, subset, mu=mu)
+        reranked = rm_rerank(model, head, index, depth=len(head), mu=mu)
+        total += rbo_ext(head, reranked, rbo_params) * subset_nqc
+    return total / samples
+
+
+@st.composite
+def uef_cases(draw):
+    """Corpora of up to 70 short documents and runs over them, long enough for a pool beyond the head.
+
+    Scores come from a few values, so runs tie; a run may hold a document
+    the index lacks, at any rank.
+    """
+    size = draw(st.integers(1, 70))
+    texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=size, max_size=size))
+    items = [(f"d{i:02d}", " ".join(words)) for i, words in enumerate(texts)]
+    run_ids = draw(st.permutations([doc_id for doc_id, _ in items]))[: draw(st.integers(1, size) | st.just(size))]
+    if draw(st.integers(0, 3)) == 0:
+        run_ids.insert(draw(st.integers(0, len(run_ids))), "unindexed")
+    scores = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 4.0]), min_size=len(run_ids), max_size=len(run_ids)))
+    run = RankedList.from_scores("q", zip(run_ids, scores))
+    top_k = draw(st.integers(1, UEF_POOL_FLOOR - 1) | st.integers(UEF_POOL_FLOOR, 80))
+    pool_size = min(len(run), max(top_k, UEF_POOL_FLOOR))
+    return dict(
+        index=build_index(items),
+        inp=PredictorInput(run, draw(st.sampled_from([0.5, 2.0])), top_k=top_k),
+        rng_seed=draw(st.integers(0, 2**32)),
+        samples=draw(st.integers(1, 4)),
+        sample_size=draw(st.integers(1, pool_size)),
+        rbo_params=draw(st.sampled_from([RboParams(), RboParams(p=0.5, eval_depth=3)])),
+        mu=draw(st.sampled_from([0.0, 0.5, 10.0, 1000.0])),
+    )
+
+
+class TestUefProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(uef_cases())
+    def test_equals_scripted_composition(self, case):
+        try:
+            want = scripted_uef(**case)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                uef(**case)
+            assert str(raised.value) == str(exc)
+            return
+        assert uef(**case) == want
+
+    def test_unindexed_document_beyond_the_head(self):
+        # the pool reaches past the 2-document head to a document the index lacks:
+        # uef fails for exactly the seeds whose subsets draw it, and returns a value otherwise
+        index = build_index(UEF_CORPUS)
+        run = ranked("q", [("dA", 5.0), ("dB", 4.0), ("dC", 3.0), ("unindexed", 2.0)])
+        inp = PredictorInput(run, 1.0, top_k=2)
+        outcomes = set()
+        for seed in range(20):
+            try:
+                want = scripted_uef(inp, index, seed, 2, 1, RboParams(), 1000.0)
+            except ValueError:
+                outcomes.add("raised")
+                with pytest.raises(ValueError, match="sampled document 'unindexed' is not in the index"):
+                    uef(inp, index, seed, 2, 1)
+                continue
+            outcomes.add("value")
+            assert uef(inp, index, seed, 2, 1) == want
+        assert outcomes == {"raised", "value"}
+
+
 class TestPredictorParams:
     @pytest.mark.parametrize(
         "name, value",
-        [("top_k", 0), ("top_k", -3), ("uef_samples", 0), ("uef_sample_size", 0), ("mu", -5.0)],
+        [
+            ("top_k", 0), ("top_k", -3), ("uef_samples", 0), ("uef_sample_size", 0), ("mu", -5.0),
+            ("mu", math.inf), ("mu", math.nan), ("k1", -1.0), ("k1", math.inf), ("k1", math.nan),
+            ("b", -0.5), ("b", 1.5), ("b", math.nan),
+        ],
     )
     def test_out_of_range_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be"):
