@@ -50,10 +50,9 @@ def main():
     documents = {doc_id: Document(doc_id, text) for doc_id, text in DOCS}
     training = {qid: Query(qid, text) for qid, text in TRAIN_QUERIES}
     doc_index = build_index(DOCS)
-    query_index = build_index(TRAIN_QUERIES)
     res = PipelineResources(
         doc_index=doc_index,
-        query_index=query_index,
+        query_index=build_index(TRAIN_QUERIES),
         training_queries=training,
         training_qrels=TRAIN_QRELS,
         collection=documents,
@@ -62,13 +61,13 @@ def main():
 
     print(f"target: {TARGET.text!r} -> tokens {tokenize(TARGET.text)}\n")
 
-    one_hop = retrieve_1hop(TARGET, config, query_index, training)
+    one_hop = retrieve_1hop(TARGET, config, res)
     print("1-hop candidates (direct lexical matches):")
     for cand in one_hop.candidates:
         print(f"  {cand.query.id}: {cand.query.text!r}  score {cand.retrieval_score:.3f}")
     print(f"  note: t3 {training['t3'].text!r} shares no token with the target\n")
 
-    merged = expand_2hop(one_hop, TRAIN_QRELS, config, query_index, documents, training)
+    merged = expand_2hop(one_hop, config, res)
     print("after 2-hop expansion through judged relevant documents:")
     for cand in merged.candidates:
         print(f"  hop {cand.hop}  {cand.query.id}: {cand.query.text!r}")

@@ -4,7 +4,9 @@ All commands read one YAML configuration file plus optional
 ``--set dotted.key=value`` overrides. Every run with the same
 configuration and seed produces byte-identical output files. Exit code
 is 0 on success and 1 on any validation or processing error; validation
-runs before any output file is touched.
+runs before any output file is touched. Integer keys take integers (a
+float only when it is whole, as ``3.0``), number keys never take a
+boolean, and boolean keys take ``true``/``false`` only.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -117,13 +119,22 @@ def _section(raw: Mapping, name: str) -> Mapping:
     return section
 
 
+def _as(kind, value):
+    """``kind(value)``, except that a number key refuses a boolean and an int key a fractional float."""
+    if kind in (int, float) and isinstance(value, bool):
+        raise TypeError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
+
+
 def _get(section: Mapping, name: str, default, kind, many: bool = False):
     """The dotted key ``name`` of ``section`` as ``kind``, or as a list of them; null means ``default``."""
     value = section.get(name.rsplit(".", 1)[-1])
     value = default if value is None else value
     try:
-        return [kind(v) for v in value] if many else kind(value)
-    except (TypeError, ValueError):
+        return [_as(kind, v) for v in value] if many else _as(kind, value)
+    except (TypeError, ValueError, OverflowError):
         expected = f"a list of {kind.__name__}" if many else kind.__name__
         raise ValueError(f"{name}: expected {expected}, got {value!r}") from None
 

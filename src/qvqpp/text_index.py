@@ -18,6 +18,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,10 +55,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def _items_sha256(items: Iterable[tuple[str, str]]) -> str:
-    """SHA-256 of (id, text) items in order; each item is hashed as its JSON array, which delimits itself."""
+    """SHA-256 of (id, text) items in order; each item is hashed as its JSON array, which delimits itself.
+
+    The array is written as ``json.dumps([item_id, text])`` writes it, without a JSON encoder call per item.
+    """
     digest = hashlib.sha256()
     for item_id, text in items:
-        digest.update(json.dumps([item_id, text]).encode("ascii"))
+        digest.update(f"[{_json_str(item_id)}, {_json_str(text)}]".encode("ascii"))
     return digest.hexdigest()
 
 

@@ -14,6 +14,11 @@ The pipeline for one target query:
    pool scored in one pass, and keep the best k;
 4. blend the base predictor's estimate for the target run with the
    overlap-weighted average of the candidates' estimates.
+
+Every stage reads its inputs (indexes, training queries and qrels,
+collection, BM25 ``k1``/``b``, embedding store) and both retrieval memos
+from one :class:`PipelineResources`, so a memo can never be read against
+an index other than the one that filled it.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
@@ -103,46 +106,75 @@ class QppConfig:
             raise ValueError(f"internal_depth must be >= 1, got {self.internal_depth}")
 
 
-def retrieve_1hop(
-    target: Query,
-    config: QppConfig,
-    query_index: InvertedIndex | EmbeddingStore,
-    training_queries: Mapping[str, Query],
-    *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> QVSet:
+@dataclass
+class PipelineResources:
+    """The fixed training set that every variant stage reads, plus two retrieval memos.
+
+    :func:`retrieve_1hop`, :func:`expand_2hop` and :func:`rerank_by_rbo`
+    each take their indexes, training queries and qrels, collection,
+    ``k1``/``b``, embedding store and both memos from one of these
+    objects, so a memo is only ever read against the index that filled it.
+
+    ``internal_runs`` maps (query text, internal_depth) to that text's
+    internal BM25 run over ``doc_index``, for targets and candidates
+    alike; ``pseudo_query_hits`` maps (doc id, pseudo_query_m, n) to the
+    training queries that the document's pseudo-query retrieves over
+    ``query_index``. An entry depends only on its key, not on the target
+    being processed, so each is computed once and kept, as the index's
+    ordinals (int32) plus a float64 array of scores, for the life of this
+    object. Their size is bounded by the data: one entry per distinct query text and depth,
+    one per judged document and (m, n). Both fill lazily and are not init
+    fields: ``dataclasses.replace`` starts them empty, as it must when it
+    swaps an index, the collection, ``k1`` or ``b``.
+    """
+
+    doc_index: InvertedIndex
+    query_index: InvertedIndex
+    training_queries: Mapping[str, Query]
+    training_qrels: Qrels
+    collection: Mapping[str, Document]
+    embedding_store: Optional[EmbeddingStore] = None
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
+    internal_runs: dict[tuple[str, int], OrdinalRun] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+
+def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Top-n training queries most similar to the target (hop 1).
 
     Training queries whose tokenization is identical to the target's are
     excluded (a verbatim copy would dominate the overlap re-ranking). In
-    dense mode the store must hold a vector for the target id, and only
-    ids present in ``training_queries`` are eligible.
+    dense mode ``res.embedding_store`` must be loaded and hold a vector
+    for the target id, and only ids present in ``res.training_queries``
+    are eligible.
     """
     target_tokens = tokenize(target.text)
     if config.query_retriever == RETRIEVER_BM25:
-        if not isinstance(query_index, InvertedIndex):
-            raise ValueError("bm25 query retriever needs an InvertedIndex over the training queries")
         retrieved = bm25_retrieve(
-            query_index, target_tokens, depth=max(config.n, query_index.size, 1),
-            k1=k1, b=b, query_id=target.id,
+            res.query_index, target_tokens, depth=max(config.n, res.query_index.size, 1),
+            k1=res.k1, b=res.b, query_id=target.id,
         )
     else:
-        if not isinstance(query_index, EmbeddingStore):
-            raise ValueError("dense query retriever needs an EmbeddingStore")
-        if target.id not in query_index:
+        store = res.embedding_store
+        if store is None:
+            raise ValueError("dense query retriever configured but no embedding store loaded")
+        if target.id not in store:
             raise ValueError(f"no embedding for target query {target.id!r}")
-        exclude = {i for i in query_index.ids if i not in training_queries}
+        exclude = {i for i in store.ids if i not in res.training_queries}
         exclude.add(target.id)
         retrieved = knn_cosine(
-            query_index, query_index.vector(target.id), depth=len(query_index),
-            exclude=exclude, query_id=target.id,
+            store, store.vector(target.id), depth=len(store), exclude=exclude, query_id=target.id,
         )
     candidates: list[QVCandidate] = []
     for qid, score in retrieved.entries:
         if qid == target.id:
             continue
-        training_query = training_queries[qid]
+        training_query = res.training_queries[qid]
         if tokenize(training_query.text) == target_tokens:
             continue
         candidates.append(QVCandidate(query=training_query, hop=1, retrieval_score=score))
@@ -151,43 +183,29 @@ def retrieve_1hop(
     return QVSet(target.id, candidates)
 
 
-def expand_2hop(
-    one_hop: QVSet,
-    qrels: Qrels,
-    config: QppConfig,
-    query_index: InvertedIndex,
-    collection: Mapping[str, Document],
-    training_queries: Mapping[str, Query],
-    *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    cache: Optional[dict[tuple[str, int, int], OrdinalRun]] = None,
-) -> QVSet:
+def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QVSet:
     """Union the 1-hop set with queries reached through relevant documents.
 
-    For every judged-relevant document (grade >= 1) of every 1-hop
-    candidate, a highest-TF pseudo-query retrieves a further top-n
-    training queries over the BM25 query index (the 2-hop path is always
-    lexical: pseudo-queries have no embeddings). Duplicates keep the
-    lowest hop tag; a relevant document missing from the collection is
-    skipped with a warning.
+    For every judged-relevant document (grade >= 1 in
+    ``res.training_qrels``) of every 1-hop candidate, a highest-TF
+    pseudo-query retrieves a further top-n training queries over
+    ``res.query_index`` (the 2-hop path is always lexical:
+    pseudo-queries have no embeddings). Duplicates keep the lowest hop
+    tag; a relevant document missing from the collection is skipped with
+    a warning.
 
-    A document's retrieval does not depend on the target, so it is kept
-    in ``cache`` under (doc id, pseudo_query_m, n), as query-index
-    ordinals and float64 scores, and reused by later
-    calls that pass the same dict; such calls must share
-    ``query_index``, ``collection``, ``k1`` and ``b``. Without a cache
-    each call keeps its own. Target exclusion, de-duplication and hop
-    tags are applied per call, so the result does not depend on reuse.
+    A document's retrieval does not depend on the target, so it is
+    memoized in ``res.pseudo_query_hits``. Target exclusion,
+    de-duplication and hop tags are applied per call, so the result does
+    not depend on reuse.
     """
-    hits = {} if cache is None else cache
     merged = list(one_hop.candidates)
     seen = {c.query.id for c in merged}
     for candidate in one_hop.candidates:
-        judged = qrels.get(candidate.query.id, {})
+        judged = res.training_qrels.get(candidate.query.id, {})
         relevant_ids = sorted(doc_id for doc_id, grade in judged.items() if grade >= 1)
         for doc_id in relevant_ids:
-            doc = collection.get(doc_id)
+            doc = res.collection.get(doc_id)
             if doc is None:
                 logger.warning(
                     "relevant document %r of training query %r missing from collection; skipped",
@@ -195,71 +213,53 @@ def expand_2hop(
                 )
                 continue
             key = (doc_id, config.pseudo_query_m, config.n)
-            found = hits.get(key)
+            found = res.pseudo_query_hits.get(key)
             if found is None:
                 pseudo = make_pseudo_query(doc, config.pseudo_query_m)
-                found = hits[key] = bm25_ordinals(query_index, pseudo.terms, depth=config.n, k1=k1, b=b)
+                found = res.pseudo_query_hits[key] = bm25_ordinals(
+                    res.query_index, pseudo.terms, depth=config.n, k1=res.k1, b=res.b
+                )
             ordinals, scores = found
             for ordinal, score in zip(ordinals.tolist(), scores.tolist()):
-                qid = query_index.item_ids[ordinal]
+                qid = res.query_index.item_ids[ordinal]
                 if qid == one_hop.target_query_id or qid in seen:
                     continue
                 seen.add(qid)
                 merged.append(
-                    QVCandidate(query=training_queries[qid], hop=2, retrieval_score=score)
+                    QVCandidate(query=res.training_queries[qid], hop=2, retrieval_score=score)
                 )
     return QVSet(one_hop.target_query_id, merged)
 
 
-def rerank_by_rbo(
-    merged: QVSet,
-    target_run: RankedList | np.ndarray,
-    internal_retriever: InvertedIndex,
-    config: QppConfig,
-    *,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    cache: Optional[dict[tuple[str, int], OrdinalRun]] = None,
-) -> QVSet:
+def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> OrdinalRun:
+    """The internal BM25 run of a query text over ``res.doc_index``, memoized in ``res.internal_runs``."""
+    key = (text, config.internal_depth)
+    run = res.internal_runs.get(key)
+    if run is None:
+        run = res.internal_runs[key] = bm25_ordinals(
+            res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.k1, b=res.b
+        )
+    return run
+
+
+def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
-    ``target_run`` must be the target query's list from the internal
-    BM25 retriever at ``internal_depth``, as a RankedList or as its
-    ordinals in ``internal_retriever``; a RankedList holding a document
-    that the retriever does not index is a ValueError. Each candidate
-    retrieves its own internal run, as ordinals and scores; one
-    :func:`rbo_pool` pass then scores the whole pool against the target,
-    and candidates with an empty run get overlap 0. Ties break by (hop
-    ascending, query id ascending). Only the k survivors carry their
-    run, as a RankedList.
-
-    A candidate's internal run does not depend on the target, so it is
-    kept in ``cache`` under (query text, internal_depth) and reused by
-    later calls that pass the same dict; such calls must share
-    ``internal_retriever``, ``k1`` and ``b``. Without a cache each call
-    keeps its own.
+    The target and each candidate retrieve their internal run over
+    ``res.doc_index`` at ``internal_depth``, as ordinals and scores
+    memoized by query text; one :func:`rbo_pool` pass then scores the
+    whole pool against the target's run, and candidates with an empty
+    run get overlap 0. Ties break by (hop ascending, query id
+    ascending). Only the k survivors carry their run, as a RankedList.
     """
-    if isinstance(target_run, RankedList):
-        try:
-            target_run = np.array([internal_retriever.ordinal_of[i] for i in target_run.doc_ids()], dtype=np.int32)
-        except KeyError as exc:
-            raise ValueError(f"target run document {exc.args[0]!r} is not in the internal retriever") from None
-    runs = {} if cache is None else cache
-    pool: list[OrdinalRun] = []
-    for candidate in merged.candidates:
-        key = (candidate.query.text, config.internal_depth)
-        run = runs.get(key)
-        if run is None:
-            run = runs[key] = bm25_ordinals(
-                internal_retriever, tokenize(candidate.query.text), depth=config.internal_depth, k1=k1, b=b
-            )
-        pool.append(run)
-    overlaps = rbo_pool(target_run, [ordinals for ordinals, _ in pool], internal_retriever.size, config.rbo_params)
+    target_ordinals, _ = _internal_run(target.text, config, res)
+    pool = [_internal_run(candidate.query.text, config, res) for candidate in merged.candidates]
+    overlaps = rbo_pool(target_ordinals, [ordinals for ordinals, _ in pool], res.doc_index.size, config.rbo_params)
     scored = sorted(
         zip(overlaps, merged.candidates, pool), key=lambda row: (-row[0], row[1].hop, row[1].query.id)
     )
     kept = [
-        replace(candidate, rbo=overlap, internal_run=ranked_list(internal_retriever, run, candidate.query.id))
+        replace(candidate, rbo=overlap, internal_run=ranked_list(res.doc_index, run, candidate.query.id))
         for overlap, candidate, run in scored[: config.k]
     ]
     return QVSet(merged.target_query_id, kept)
@@ -297,60 +297,12 @@ def smooth_qpp(
     return (1.0 - config.lam) * phi_target + config.lam * smoothed
 
 
-@dataclass
-class PipelineResources:
-    """Read-only shared state for per-query prediction, plus two retrieval caches.
-
-    ``internal_runs`` maps (query text, internal_depth) to that text's
-    internal BM25 run over ``doc_index``; ``pseudo_query_hits`` maps
-    (doc id, pseudo_query_m, n) to the training queries that the
-    document's pseudo-query retrieves over ``query_index``. Neither
-    depends on the target, so :func:`build_qv_set` computes each once
-    and keeps it, as the index's ordinals (int32) plus a float64 array
-    of scores, for the life of this object. Their size is bounded by the training data: one
-    entry per distinct training-query text and depth, one per judged
-    document and (m, n). Both fill lazily and are not init fields:
-    ``dataclasses.replace`` starts them empty, as it must when it swaps
-    an index, the collection, ``k1`` or ``b``.
-    """
-
-    doc_index: InvertedIndex
-    query_index: InvertedIndex
-    training_queries: Mapping[str, Query]
-    training_qrels: Qrels
-    collection: Mapping[str, Document]
-    embedding_store: Optional[EmbeddingStore] = None
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    internal_runs: dict[tuple[str, int], OrdinalRun] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-
 def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Run 1-hop retrieval, optional 2-hop expansion and RBO re-ranking."""
-    if config.query_retriever == RETRIEVER_DENSE:
-        if res.embedding_store is None:
-            raise ValueError("dense query retriever configured but no embedding store loaded")
-        hop1_index: InvertedIndex | EmbeddingStore = res.embedding_store
-    else:
-        hop1_index = res.query_index
-    merged = retrieve_1hop(target, config, hop1_index, res.training_queries, k1=res.k1, b=res.b)
+    merged = retrieve_1hop(target, config, res)
     if config.use_2hop:
-        merged = expand_2hop(
-            merged, res.training_qrels, config, res.query_index,
-            res.collection, res.training_queries, k1=res.k1, b=res.b,
-            cache=res.pseudo_query_hits,
-        )
-    target_internal, _ = bm25_ordinals(
-        res.doc_index, tokenize(target.text), depth=config.internal_depth, k1=res.k1, b=res.b
-    )
-    return rerank_by_rbo(
-        merged, target_internal, res.doc_index, config, k1=res.k1, b=res.b, cache=res.internal_runs
-    )
+        merged = expand_2hop(merged, config, res)
+    return rerank_by_rbo(merged, target, config, res)
 
 
 def predict_query(

@@ -116,13 +116,9 @@ def test_c03_smoothing_reductions(corpus, resources, context, target_run):
 
 def test_c04_neighbourhood_containment(corpus, resources, workspace, tmp_path):
     config = QppConfig(k=2, n=100)
-    training = corpus.training_query_map()
     for target in corpus.test_queries:
-        one_hop = retrieve_1hop(target, config, resources.query_index, training)
-        merged = expand_2hop(
-            one_hop, corpus.train_qrels, config, resources.query_index,
-            corpus.collection_map(), training,
-        )
+        one_hop = retrieve_1hop(target, config, resources)
+        merged = expand_2hop(one_hop, config, resources)
         assert set(one_hop.query_ids()) <= set(merged.query_ids())
 
     empty_qrels = tmp_path / "empty_qrels.txt"
@@ -251,11 +247,8 @@ def test_c09_end_to_end_pipeline(corpus, resources, workspace, tmp_path):
     # qrels link the paraphrase cluster: 2-hop strictly extends 1-hop for dl01
     config = QppConfig(k=2, n=100)
     target = corpus.test_queries[0]
-    one_hop = retrieve_1hop(target, config, resources.query_index, corpus.training_query_map())
-    with_2hop = expand_2hop(
-        one_hop, corpus.train_qrels, config, resources.query_index,
-        corpus.collection_map(), corpus.training_query_map(),
-    )
+    one_hop = retrieve_1hop(target, config, resources)
+    with_2hop = expand_2hop(one_hop, config, resources)
     assert set(one_hop.query_ids()) < set(with_2hop.query_ids())
     assert "t03" in set(with_2hop.query_ids()) - set(one_hop.query_ids())
     report(9, "index/qv/predict/evaluate deterministic end-to-end; linked cluster grows E+ strictly")

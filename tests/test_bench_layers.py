@@ -1,24 +1,33 @@
-"""The traced benchmark wraps qvqpp functions by name; every name it lists must exist."""
+"""The traced benchmark wraps qvqpp functions by name and reads their call arguments.
+
+Every name it lists must exist, and a traced CLI run must succeed and
+write the same bytes as a plain one.
+"""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_trace.py"
+from qvqpp.cli import main as cli_main
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_layers() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_trace_under_test", BENCH_TRACE)
+def load_bench_trace():
+    spec = importlib.util.spec_from_file_location("bench_trace_under_test", BENCHMARKS / "bench_trace.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-LAYER_TARGETS = [(name, module, attr) for name, targets in load_layers().items() for module, attr in targets]
+bench_trace = load_bench_trace()
+LAYER_TARGETS = [(name, module, attr) for name, targets in bench_trace.LAYERS.items() for module, attr in targets]
 
 
 @pytest.mark.parametrize("name, module_name, attr", LAYER_TARGETS)
@@ -29,3 +38,24 @@ def test_layer_target_resolves(name, module_name, attr):
         assert hasattr(owner, part), f"{name}: {module_name} has no {attr}"
         owner = getattr(owner, part)
     assert callable(owner), f"{name}: {module_name}.{attr} is not callable"
+
+
+@pytest.mark.parametrize("command, output", [("predict", "predictions.tsv"), ("sweep", "sweep.csv")])
+def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output):
+    # the wrappers read call arguments (TARGET_OF, INSPECT) and PredictorContext._cache
+    config = str(workspace["config"])
+    plain, traced, spans_path = tmp_path / "plain" / output, tmp_path / "traced" / output, tmp_path / "spans.jsonl"
+    assert cli_main([command, "--config", config, "--out", str(plain)]) == 0
+    result = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "traced_cli.py"), str(spans_path), command, "--config", config,
+         "--out", str(traced)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert traced.read_bytes() == plain.read_bytes()
+    spans = bench_trace.load_spans(spans_path)
+    metrics = bench_trace.layer_metrics([], spans, [], 1.0)
+    assert metrics["variants.rerank.calls"] > 0 and metrics["variants.pool_size.mean"] > 0
+    assert metrics["predictors.evaluate.calls"] > 0
+    if command == "predict":
+        assert {s.target for s in spans if s.name == "variants.target"} == {"dl01", "dl02", "dl03", "dl04", "dl05"}

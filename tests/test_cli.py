@@ -315,6 +315,14 @@ paths:
             (None, "paths.collection=[1,2]", "paths.collection: expected str, got [1, 2]"),
             (None, "evaluation.lambdas=5", "evaluation.lambdas: expected a list of float, got 5"),
             (None, "evaluation.fold_a=5", "evaluation.fold_a: expected a list of str, got 5"),
+            (None, "qpp.k=2.7", "qpp.k: expected int, got 2.7"),
+            (None, "qpp.internal_depth=3.9", "qpp.internal_depth: expected int, got 3.9"),
+            (None, "seed=1.5", "seed: expected int, got 1.5"),
+            (None, "seed=.inf", "seed: expected int, got inf"),
+            (None, "evaluation.ks=[1.5,2]", "evaluation.ks: expected a list of int, got [1.5, 2]"),
+            (None, "qpp.lambda=true", "qpp.lambda: expected float, got True"),
+            (None, "predictor.top_k=true", "predictor.top_k: expected int, got True"),
+            (None, "predictor.mu=1" + "0" * 400, "predictor.mu: expected float, got 1000"),
         ],
     )
     def test_malformed_config_rejected(self, indexed_workspace, tmp_path, capsys, config_text, override, message):
@@ -328,6 +336,15 @@ paths:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    def test_whole_numbers_accepted_for_number_keys(self, indexed_workspace):
+        overrides = ["predictor.mu=0", "qpp.k=2.0", "seed=3.0", "evaluation.lambdas=[0, 1]", "evaluation.ks=[1.0, 2]"]
+        cfg = cli.load_config(indexed_workspace["config"], overrides)
+        values = (cfg.predictor.mu, cfg.qpp.k, cfg.seed, cfg.lambdas, cfg.ks)
+        assert values == (0.0, 2, 3, [0.0, 1.0], [1, 2])
+        assert [type(v) for v in (cfg.predictor.mu, cfg.qpp.k, cfg.seed, *cfg.lambdas, *cfg.ks)] == [
+            float, int, int, float, float, int, int
+        ]
 
     @pytest.mark.parametrize("command", ["tune", "sweep"])
     @pytest.mark.parametrize(

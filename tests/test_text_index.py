@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
@@ -28,7 +29,7 @@ from qvqpp import (
     save_index,
     tokenize,
 )
-from qvqpp.text_index import bm25_ordinals, ranked_list
+from qvqpp.text_index import _items_sha256, bm25_ordinals, ranked_list
 
 TOY_CORPUS = [
     ("d1", "coffee beans need a medium roast for balanced flavor"),
@@ -385,6 +386,18 @@ class TestArtifactSafety:
         assert not index.built_from(TOY_CORPUS[::-1])
         assert not index.built_from(TOY_CORPUS[:-1])
         assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from(TOY_CORPUS)
+
+    # every code point, lone surrogates (category Cs) included, weighted towards the characters JSON escapes
+    JSON_HARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é中\ud800\udfff😀') | st.characters(exclude_categories=()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(JSON_HARD, JSON_HARD), max_size=6))
+    @example([("", ""), ("", "x"), ('"', "\\"), ("\ud83d", "\x00 \x1f é")])
+    def test_source_digest_hashes_each_item_as_its_json_array(self, items):
+        digest = hashlib.sha256()
+        for item_id, text in items:
+            digest.update(json.dumps([item_id, text]).encode("ascii"))
+        assert _items_sha256(items) == digest.hexdigest()
 
 
 WORDS = ["the", "alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]

@@ -12,6 +12,7 @@ import oracles
 from qvqpp import variants
 from qvqpp import (
     Document,
+    PipelineResources,
     Query,
     QppConfig,
     QVCandidate,
@@ -50,11 +51,11 @@ class TestQppConfig:
 
 
 class TestRetrieve1Hop:
-    def test_matches_bm25_oracle(self, corpus, query_index):
+    def test_matches_bm25_oracle(self, corpus, resources):
         config = QppConfig(k=2, n=5)
         training = corpus.training_query_map()
         for target in corpus.test_queries:
-            got = retrieve_1hop(target, config, query_index, training)
+            got = retrieve_1hop(target, config, resources)
             items = [(q.id, q.text) for q in corpus.train_queries]
             expected = oracles.bm25_rank_all(items, tokenize(target.text))
             expected = [
@@ -65,26 +66,27 @@ class TestRetrieve1Hop:
             assert [(c.query.id, c.retrieval_score) for c in got.candidates] == pytest.approx(expected)
             assert all(c.hop == 1 for c in got.candidates)
 
-    def test_verbatim_copy_excluded(self, corpus):
+    def test_verbatim_copy_excluded(self, corpus, resources):
         target = corpus.test_queries[0]
         training = dict(corpus.training_query_map())
         copy = Query("copycat", target.text.upper())  # same tokenization
         training[copy.id] = copy
         index = build_index((q.id, q.text) for q in training.values())
-        got = retrieve_1hop(target, QppConfig(k=1, n=3), index, training)
+        res = replace(resources, query_index=index, training_queries=training)
+        got = retrieve_1hop(target, QppConfig(k=1, n=3), res)
         assert "copycat" not in got.query_ids()
         assert "t01" in got.query_ids()
 
-    def test_no_vocabulary_overlap_gives_empty_set(self, query_index, corpus):
+    def test_no_vocabulary_overlap_gives_empty_set(self, resources):
         target = Query("weird", "xylophone zygote")
-        got = retrieve_1hop(target, QppConfig(), query_index, corpus.training_query_map())
+        got = retrieve_1hop(target, QppConfig(), resources)
         assert got.candidates == []
 
-    def test_dense_matches_cosine_oracle(self, corpus, embedding_store):
+    def test_dense_matches_cosine_oracle(self, corpus, resources):
         config = QppConfig(k=2, n=4, query_retriever="dense")
         training = corpus.training_query_map()
         target = corpus.test_queries[1]
-        got = retrieve_1hop(target, config, embedding_store, training)
+        got = retrieve_1hop(target, config, resources)
         vectors = {qid: corpus.embeddings[qid] for qid in training}
         expected = oracles.cosine_rank_all(vectors, corpus.embeddings[target.id])[:4]
         assert [c.query.id for c in got.candidates] == [qid for qid, _ in expected]
@@ -92,67 +94,56 @@ class TestRetrieve1Hop:
             [score for _, score in expected], abs=1e-12
         )
 
-    def test_dense_excludes_non_training_ids(self, corpus, embedding_store):
+    def test_dense_excludes_non_training_ids(self, corpus, resources):
         config = QppConfig(k=2, n=100, query_retriever="dense")
-        got = retrieve_1hop(
-            corpus.test_queries[0], config, embedding_store, corpus.training_query_map()
-        )
+        got = retrieve_1hop(corpus.test_queries[0], config, resources)
         assert not set(got.query_ids()) & {q.id for q in corpus.test_queries}
 
-    def test_dense_missing_target_embedding(self, corpus, embedding_store):
+    def test_dense_missing_target_embedding(self, resources):
         config = QppConfig(query_retriever="dense")
-        with pytest.raises(ValueError, match="no embedding"):
-            retrieve_1hop(Query("ghost", "some text"), config, embedding_store, corpus.training_query_map())
+        with pytest.raises(ValueError, match="no embedding for target query 'ghost'"):
+            retrieve_1hop(Query("ghost", "some text"), config, resources)
+        with pytest.raises(ValueError, match="no embedding store loaded"):
+            retrieve_1hop(Query("ghost", "some text"), config, replace(resources, embedding_store=None))
 
 
 class Test2Hop:
-    def test_empty_qrels_keeps_one_hop_exactly(self, corpus, query_index):
+    def test_empty_qrels_keeps_one_hop_exactly(self, corpus, resources):
         config = QppConfig(k=2, n=10)
         target = corpus.test_queries[1]
-        one_hop = retrieve_1hop(target, config, query_index, corpus.training_query_map())
-        merged = expand_2hop(
-            one_hop, {}, config, query_index, corpus.collection_map(), corpus.training_query_map()
-        )
+        one_hop = retrieve_1hop(target, config, resources)
+        merged = expand_2hop(one_hop, config, replace(resources, training_qrels={}))
         assert [(c.query.id, c.hop) for c in merged.candidates] == [
             (c.query.id, c.hop) for c in one_hop.candidates
         ]
 
-    def test_paraphrase_reached_through_relevant_doc(self, corpus, query_index):
+    def test_paraphrase_reached_through_relevant_doc(self, corpus, resources):
         # t03 shares no tokens with dl01 but is linked through document d003
         config = QppConfig(k=2, n=100)
         target = corpus.test_queries[0]
-        one_hop = retrieve_1hop(target, config, query_index, corpus.training_query_map())
+        one_hop = retrieve_1hop(target, config, resources)
         assert "t03" not in one_hop.query_ids()
-        merged = expand_2hop(
-            one_hop, corpus.train_qrels, config, query_index,
-            corpus.collection_map(), corpus.training_query_map(),
-        )
+        merged = expand_2hop(one_hop, config, resources)
         hops = {c.query.id: c.hop for c in merged.candidates}
         assert hops["t03"] == 2
         assert set(one_hop.query_ids()) < set(merged.query_ids())
 
-    def test_dedupe_keeps_hop_one(self, corpus, query_index):
+    def test_dedupe_keeps_hop_one(self, corpus, resources):
         # pseudo-queries from coffee documents retrieve t01 again; it stays hop 1
         config = QppConfig(k=2, n=100)
         target = corpus.test_queries[0]
-        one_hop = retrieve_1hop(target, config, query_index, corpus.training_query_map())
-        merged = expand_2hop(
-            one_hop, corpus.train_qrels, config, query_index,
-            corpus.collection_map(), corpus.training_query_map(),
-        )
+        one_hop = retrieve_1hop(target, config, resources)
+        merged = expand_2hop(one_hop, config, resources)
         t01 = [c for c in merged.candidates if c.query.id == "t01"]
         assert len(t01) == 1 and t01[0].hop == 1
 
-    def test_missing_relevant_doc_warns_and_continues(self, corpus, query_index, caplog):
+    def test_missing_relevant_doc_warns_and_continues(self, corpus, resources, caplog):
         config = QppConfig(k=2, n=10)
         target = corpus.test_queries[0]
-        one_hop = retrieve_1hop(target, config, query_index, corpus.training_query_map())
-        qrels = {"t01": {"not-a-doc": 1}}
+        one_hop = retrieve_1hop(target, config, resources)
+        res = replace(resources, training_qrels={"t01": {"not-a-doc": 1}})
         with caplog.at_level(logging.WARNING):
-            merged = expand_2hop(
-                one_hop, qrels, config, query_index,
-                corpus.collection_map(), corpus.training_query_map(),
-            )
+            merged = expand_2hop(one_hop, config, res)
         assert "not-a-doc" in caplog.text
         assert merged.query_ids() == one_hop.query_ids()
 
@@ -169,11 +160,11 @@ class Test2Hop:
             "docY": Document("docY", "rho sigma rho sigma"),
         }
         qrels = {"tq1": {"docX": 1}, "tq2": {"docY": 1}}
-        query_index = build_index((q.id, q.text) for q in training.values())
+        res = resources_over(training, qrels, collection)
         config = QppConfig(k=1, n=5, pseudo_query_m=20)
         target = Query("T", "alpha")
-        one_hop = retrieve_1hop(target, config, query_index, training)
-        merged = expand_2hop(one_hop, qrels, config, query_index, collection, training)
+        one_hop = retrieve_1hop(target, config, res)
+        merged = expand_2hop(one_hop, config, res)
 
         # script the same protocol with the brute-force retriever
         query_items = [(q.id, q.text) for q in training.values()]
@@ -198,17 +189,18 @@ class TestRerankByRbo:
         assert qv_set.candidates[0].query.id == "t01"
         assert qv_set.candidates[0].rbo == pytest.approx(1.0, abs=1e-12)
 
-    def test_all_zero_rbo_falls_back_to_hop_then_id(self, query_index, corpus):
+    def test_all_zero_rbo_falls_back_to_hop_then_id(self, resources, corpus):
         candidates = [
             QVCandidate(query=corpus.train_queries[4], hop=2, retrieval_score=1.0),
             QVCandidate(query=corpus.train_queries[3], hop=1, retrieval_score=1.0),
             QVCandidate(query=corpus.train_queries[5], hop=1, retrieval_score=1.0),
         ]
         merged = QVSet("zz", candidates)
-        doc_index = build_index([("lone", "completely unrelated contents")])
-        empty_target_run = RankedList("zz", [])
+        res = replace(resources, doc_index=build_index([("lone", "completely unrelated contents")]))
+        target = Query("zz", "xylophone zygote")  # no indexed term: an empty target run
         config = QppConfig(k=2, n=100)
-        got = rerank_by_rbo(merged, empty_target_run, doc_index, config)
+        got = rerank_by_rbo(merged, target, config, res)
+        assert res.internal_runs[(target.text, config.internal_depth)][0].size == 0
         ids_sorted = sorted([candidates[1], candidates[2]], key=lambda c: c.query.id)
         assert got.query_ids() == [c.query.id for c in ids_sorted]
         assert all(c.rbo == 0.0 for c in got.candidates)
@@ -216,14 +208,9 @@ class TestRerankByRbo:
     def test_matches_brute_force_selection(self, corpus, resources, doc_index):
         config = QppConfig(k=2, n=100)
         target = corpus.test_queries[1]
-        training = corpus.training_query_map()
-        one_hop = retrieve_1hop(target, config, resources.query_index, training)
-        merged = expand_2hop(
-            one_hop, corpus.train_qrels, config, resources.query_index,
-            corpus.collection_map(), training,
-        )
+        merged = expand_2hop(retrieve_1hop(target, config, resources), config, resources)
         target_run = bm25_retrieve(doc_index, tokenize(target.text), 100, query_id=target.id)
-        got = rerank_by_rbo(merged, target_run, doc_index, config)
+        got = rerank_by_rbo(merged, target, config, resources)
 
         scored = []
         for cand in merged.candidates:
@@ -232,22 +219,6 @@ class TestRerankByRbo:
         scored.sort(key=lambda row: (-row[2], row[1], row[0]))
         assert [(c.query.id, c.hop) for c in got.candidates] == [(i, h) for i, h, _ in scored[:2]]
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
-
-    def test_target_as_ranked_list_or_ordinals(self, corpus, resources, doc_index):
-        config = QppConfig(k=3, n=100)
-        target = corpus.test_queries[1]
-        one_hop = retrieve_1hop(target, config, resources.query_index, corpus.training_query_map())
-        run = bm25_retrieve(doc_index, tokenize(target.text), 100, query_id=target.id)
-        ordinals = np.array([doc_index.ordinal_of[doc_id] for doc_id in run.doc_ids()], dtype=np.int32)
-        got = rerank_by_rbo(one_hop, run, doc_index, config)
-        assert got.candidates
-        assert qv_snapshot(got) == qv_snapshot(rerank_by_rbo(one_hop, ordinals, doc_index, config))
-
-    def test_target_document_outside_index_rejected(self, corpus, resources, doc_index):
-        config = QppConfig(k=1, n=100)
-        one_hop = retrieve_1hop(corpus.test_queries[0], config, resources.query_index, corpus.training_query_map())
-        with pytest.raises(ValueError, match="'not-a-doc' is not in the internal retriever"):
-            rerank_by_rbo(one_hop, RankedList("T", [("not-a-doc", 1.0)]), doc_index, config)
 
 
 class StubContext:
@@ -361,23 +332,16 @@ class TestSmoothQpp:
 class TestPipelineInvariants:
     def test_one_hop_contained_in_merged_everywhere(self, corpus, resources):
         config = QppConfig(k=2, n=100)
-        training = corpus.training_query_map()
         for target in corpus.test_queries:
-            one_hop = retrieve_1hop(target, config, resources.query_index, training)
-            merged = expand_2hop(
-                one_hop, corpus.train_qrels, config, resources.query_index,
-                corpus.collection_map(), training,
-            )
+            one_hop = retrieve_1hop(target, config, resources)
+            merged = expand_2hop(one_hop, config, resources)
             assert set(one_hop.query_ids()) <= set(merged.query_ids())
 
     def test_2hop_toggle_identical_without_qrels(self, corpus, resources):
-        training = corpus.training_query_map()
         for target in corpus.test_queries:
             config_on = QppConfig(k=2, n=100, use_2hop=True)
-            one_hop = retrieve_1hop(target, config_on, resources.query_index, training)
-            via_empty_qrels = expand_2hop(
-                one_hop, {}, config_on, resources.query_index, corpus.collection_map(), training
-            )
+            one_hop = retrieve_1hop(target, config_on, resources)
+            via_empty_qrels = expand_2hop(one_hop, config_on, replace(resources, training_qrels={}))
             assert [(c.query.id, c.hop) for c in via_empty_qrels.candidates] == [
                 (c.query.id, c.hop) for c in one_hop.candidates
             ]
@@ -405,6 +369,17 @@ class TestPipelineInvariants:
         assert len(qv.candidates) <= 2
         value = smooth_qpp(target_run[target.id], qv, config, context, tokenize(target.text))
         assert value >= 0.0
+
+
+def resources_over(training, qrels, collection):
+    """PipelineResources over inline training queries, qrels and documents."""
+    return PipelineResources(
+        doc_index=build_index((d.id, d.text) for d in collection.values()),
+        query_index=build_index((q.id, q.text) for q in training.values()),
+        training_queries=training,
+        training_qrels=qrels,
+        collection=collection,
+    )
 
 
 def with_renamed_copies(targets):
@@ -450,33 +425,27 @@ class TestRetrievalCache:
             "tq5": Query("tq5", "epsilon four"),
         }
         collection = {"docX": Document("docX", "delta delta delta epsilon")}
-        qrels = {"tq1": {"docX": 1}}
-        query_index = build_index((q.id, q.text) for q in training.values())
-        cache = {}
+        shared = resources_over(training, {"tq1": {"docX": 1}}, collection)
         pools = []
         for kw in (dict(k=1, n=5), dict(k=1, n=2), dict(k=1, n=5, pseudo_query_m=1)):
             config = QppConfig(**kw)
-            one_hop = retrieve_1hop(Query("T", "alpha"), config, query_index, training)
-            args = (one_hop, qrels, config, query_index, collection, training)
-            got = expand_2hop(*args, cache=cache)
-            want = expand_2hop(*args)
+            one_hop = retrieve_1hop(Query("T", "alpha"), config, shared)
+            got = expand_2hop(one_hop, config, shared)
+            want = expand_2hop(one_hop, config, replace(shared))
             assert [(c.query.id, c.hop, c.retrieval_score) for c in got.candidates] == [
                 (c.query.id, c.hop, c.retrieval_score) for c in want.candidates
             ]
             pools.append(got.query_ids())
         assert pools == [["tq1", "tq5", "tq2", "tq3", "tq4"], ["tq1", "tq5", "tq2"], ["tq1", "tq2", "tq3", "tq4"]]
-        assert sorted(cache) == [("docX", 1, 5), ("docX", 20, 2), ("docX", 20, 5)]
+        assert sorted(shared.pseudo_query_hits) == [("docX", 1, 5), ("docX", 20, 2), ("docX", 20, 5)]
 
     def test_one_internal_run_per_distinct_candidate_text(self, corpus, resources, monkeypatch):
         config = QppConfig(k=2, n=100)
-        training = corpus.training_query_map()
         targets = with_renamed_copies(corpus.test_queries)
-        texts, relevant_docs = set(), set()
+        texts, relevant_docs = {t.text for t in targets}, set()
         for target in targets:
-            one_hop = retrieve_1hop(target, config, resources.query_index, training)
-            merged = expand_2hop(
-                one_hop, corpus.train_qrels, config, resources.query_index, corpus.collection_map(), training
-            )
+            one_hop = retrieve_1hop(target, config, resources)
+            merged = expand_2hop(one_hop, config, resources)
             texts |= {c.query.text for c in merged.candidates}
             relevant_docs |= {
                 doc_id for c in one_hop.candidates
@@ -496,10 +465,12 @@ class TestRetrievalCache:
         res = replace(resources)
         for target in targets:
             build_qv_set(target, config, res)
-        assert calls == {"doc": len(texts) + len(targets), "query": len(relevant_docs) + len(targets)}
+        # one document run per distinct text, the targets' included (each copy shares its original's)
+        assert calls == {"doc": len(texts), "query": len(relevant_docs) + len(targets)}
+        assert (calls["doc"], len(targets)) == (19, 10)
         for target in targets:
             build_qv_set(target, config, res)
-        assert calls == {"doc": len(texts) + 2 * len(targets), "query": len(relevant_docs) + 2 * len(targets)}
+        assert calls == {"doc": len(texts), "query": len(relevant_docs) + 2 * len(targets)}
 
     def test_entries_are_compact(self, corpus, resources):
         res = replace(resources)
@@ -523,7 +494,7 @@ class TestRetrievalCache:
         res = replace(resources, training_qrels=qrels)
         config = QppConfig(k=2, n=100)
         for target in with_renamed_copies(corpus.test_queries):
-            one_hop = retrieve_1hop(target, config, res.query_index, res.training_queries)
+            one_hop = retrieve_1hop(target, config, res)
             assert one_hop.candidates
             caplog.clear()
             with caplog.at_level(logging.WARNING):
