@@ -16,6 +16,7 @@ from qvqpp import (
     PredictorParams,
     QppConfig,
     Query,
+    base_predictions,
     bm25_retrieve,
     build_index,
     build_qv_set,
@@ -81,10 +82,13 @@ def main():
 
     target_run = bm25_retrieve(doc_index, tokenize(TARGET.text), depth=10, query_id=TARGET.id)
     context = PredictorContext(index=doc_index, params=PredictorParams(uef_sample_size=2), seed=7)
+    # the base predictor runs once per query here; each lambda below only re-weights these values
+    widest = QppConfig(lam=1.0, k=2, n=4, use_2hop=True, internal_depth=10)
+    phi = base_predictions(TARGET, target_run, qv_set, widest, context)
     print("\nsmoothed estimates as lambda moves from 'target only' to 'variants only':")
     for lam in (0.0, 0.3, 0.6, 1.0):
         cfg = QppConfig(lam=lam, k=2, n=4, use_2hop=True, internal_depth=10)
-        value = smooth_qpp(target_run, qv_set, cfg, context, tokenize(TARGET.text))
+        value = smooth_qpp(target_run, qv_set, cfg, phi)
         print(f"  lambda={lam:.1f}  estimate {value:.4f}")
 
     print(f"\nwith 2-hop disabled the candidate set is just {one_hop.query_ids()}")

@@ -57,6 +57,7 @@ from .variants import (
     QppConfig,
     QVCandidate,
     QVSet,
+    base_predictions,
     build_qv_set,
     expand_2hop,
     rerank_by_rbo,

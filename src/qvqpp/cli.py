@@ -4,9 +4,11 @@ All commands read one YAML configuration file plus optional
 ``--set dotted.key=value`` overrides. Every run with the same
 configuration and seed produces byte-identical output files. Exit code
 is 0 on success and 1 on any validation or processing error; validation
-runs before any output file is touched. Integer keys take integers (a
-float only when it is whole, as ``3.0``), number keys never take a
-boolean, and boolean keys take ``true``/``false`` only.
+runs before any output file is touched. A key outside the list below is
+an error, so a misspelt key cannot fall back to its default unnoticed.
+Integer keys take integers (a float only when it is whole, as ``3.0``),
+number keys never take a boolean, and boolean keys take
+``true``/``false`` only.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -63,10 +65,11 @@ from .evaluation import (
 )
 from .predictors import PredictorContext, PredictorParams
 from .rank_sim import RboParams
-from .text_index import build_index, load_index, save_index, tokenize
+from .text_index import build_index, load_index, save_index
 from .variants import (
     PipelineResources,
     QppConfig,
+    base_predictions,
     build_qv_set,
     predict_query,
     smooth_qpp,
@@ -82,6 +85,22 @@ QUERY_INDEX_FILE = "queries.idx"
 
 DEFAULT_LAMBDAS = [round(i / 10, 1) for i in range(11)]
 DEFAULT_KS = list(range(1, 11))
+
+# Every key load_config reads: a top-level scalar maps to None, a section to its keys.
+CONFIG_KEYS = {
+    "seed": None,
+    "paths": frozenset({
+        "collection", "train_queries", "train_qrels", "test_queries", "test_qrels",
+        "target_run", "index_dir", "output_dir", "embeddings",
+    }),
+    "qpp": frozenset({
+        "lambda", "k", "n", "query_retriever", "use_2hop", "pseudo_query_m",
+        "rbo_p", "rbo_depth", "base", "internal_depth", "run_depth",
+    }),
+    "predictor": frozenset({"top_k", "uef_samples", "uef_sample_size", "mu"}),
+    "bm25": frozenset({"k1", "b"}),
+    "evaluation": frozenset({"target_metric", "fold_a", "lambdas", "ks"}),
+}
 
 
 @dataclass
@@ -117,6 +136,17 @@ def _section(raw: Mapping, name: str) -> Mapping:
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a mapping, got {section!r}")
     return section
+
+
+def _check_keys(raw: Mapping) -> None:
+    """Reject a key that ``load_config`` would not read, such as a misspelt ``qpp.lamda``."""
+    for name, value in raw.items():
+        if name not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key '{name}'")
+        if CONFIG_KEYS[name] is not None and isinstance(value, dict):
+            for key in value:
+                if key not in CONFIG_KEYS[name]:
+                    raise ValueError(f"unknown config key '{name}.{key}'")
 
 
 def _as(kind, value):
@@ -158,6 +188,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
             if not isinstance(node, dict):
                 raise ValueError(f"override {dotted!r} does not address a mapping")
         node[keys[-1]] = _yaml(value_text, f"override {dotted!r}")
+    _check_keys(raw)
 
     base_dir = Path(path).parent
     paths = _section(raw, "paths")
@@ -421,21 +452,23 @@ def _grid_inputs(cfg: PipelineConfig):
 
 
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
-    """Build each target's variant set once, at the largest grid k; sweeping lambda/k is then cheap."""
+    """Build each target's variant set and phi table once, at the largest grid lambda and k.
+
+    Every (lambda, k) cell is then arithmetic over the first k variants:
+    no cell runs a predictor, so a predictor error ends the command
+    before the grid starts.
+    """
     context = _make_context(cfg, res)
-    qpp_kmax = replace(cfg.qpp, k=max(cfg.ks))
+    widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
     qv_sets = {}
-    terms = {}
+    phis = {}
     for qid in sorted(run_map):
-        qv_sets[qid] = build_qv_set(targets[qid], qpp_kmax, res)
-        terms[qid] = tokenize(targets[qid].text)
+        qv_sets[qid] = build_qv_set(targets[qid], widest, res)
+        phis[qid] = base_predictions(targets[qid], run_map[qid], qv_sets[qid], widest, context)
 
     def predict_fn(lam: float, k: int, ids: Sequence[str]) -> dict[str, float]:
         qpp = replace(cfg.qpp, lam=lam, k=k)
-        return {
-            qid: smooth_qpp(run_map[qid], qv_sets[qid].top(k), qpp, context, terms[qid])
-            for qid in ids
-        }
+        return {qid: smooth_qpp(run_map[qid], qv_sets[qid].top(k), qpp, phis[qid]) for qid in ids}
 
     return predict_fn
 

@@ -169,13 +169,12 @@ class TuneReport:
     mean_test_tau: float
 
 
-def _grid_tau(
+def _grid_pairs(
     lam: float, k: int, query_ids: Iterable[str], predict_fn: PredictFn, actual: Mapping[str, float]
-) -> float:
+) -> list[EvalPair]:
     ids = sorted(query_ids)
     predictions = predict_fn(lam, k, ids)
-    pairs = [EvalPair(qid, predictions[qid], actual[qid]) for qid in ids]
-    return kendall_tau(pairs)
+    return [EvalPair(qid, predictions[qid], actual[qid]) for qid in ids]
 
 
 def tune_2fold(
@@ -188,9 +187,9 @@ def tune_2fold(
     """Select (lambda, k) on each fold's train queries, report test tau.
 
     The train-best cell wins; ties prefer smaller k, then smaller
-    lambda. Cells whose train tau is undefined are never selected. Only
-    train ids flow into selection; test ids are touched once, with the
-    chosen parameters.
+    lambda. Cells whose train tau is undefined are never selected; an
+    error from ``predict_fn`` propagates. Only train ids flow into
+    selection; test ids are touched once, with the chosen parameters.
     """
     if not lambdas or not ks:
         raise ValueError("tuning grid must be non-empty")
@@ -199,15 +198,16 @@ def tune_2fold(
         best: tuple[float, int, float] | None = None  # (lam, k, train_tau)
         for k in sorted(set(ks)):
             for lam in sorted(set(lambdas)):
+                pairs = _grid_pairs(lam, k, fold.train_ids, predict_fn, actual)
                 try:
-                    train_tau = _grid_tau(lam, k, fold.train_ids, predict_fn, actual)
+                    train_tau = kendall_tau(pairs)
                 except ValueError:
                     continue
                 if best is None or train_tau > best[2]:
                     best = (lam, k, train_tau)
         if best is None:
             raise ValueError("no grid cell produced a defined train tau")
-        test_tau = _grid_tau(best[0], best[1], fold.test_ids, predict_fn, actual)
+        test_tau = kendall_tau(_grid_pairs(best[0], best[1], fold.test_ids, predict_fn, actual))
         outcomes.append(FoldOutcome(best[0], best[1], best[2], test_tau))
     mean_test = sum(o.test_tau for o in outcomes) / len(outcomes)
     return TuneReport(tuple(outcomes), mean_test)
@@ -218,19 +218,19 @@ def sweep_grid(
     ks: Sequence[int],
     predict_fn: PredictFn,
     actual: Mapping[str, float],
-    query_ids: Sequence[str] | None = None,
 ) -> list[tuple[float, int, float]]:
-    """Evaluate tau for every (lambda, k) cell over one query set (no folds).
+    """Evaluate tau for every (lambda, k) cell over every query of ``actual`` (no folds).
 
     Rows are ordered by (lambda, k). An undefined tau is reported as nan
-    rather than aborting the sweep.
+    rather than aborting the sweep; an error from ``predict_fn``
+    propagates.
     """
-    ids = sorted(query_ids) if query_ids is not None else sorted(actual)
     rows: list[tuple[float, int, float]] = []
     for lam in sorted(set(lambdas)):
         for k in sorted(set(ks)):
+            pairs = _grid_pairs(lam, k, actual, predict_fn, actual)
             try:
-                tau = _grid_tau(lam, k, ids, predict_fn, actual)
+                tau = kendall_tau(pairs)
             except ValueError:
                 tau = float("nan")
             rows.append((lam, k, tau))

@@ -402,8 +402,9 @@ class PredictorParams:
 class PredictorContext:
     """Binds an index, predictor knobs and a global seed into one evaluator.
 
-    Results are memoized per (base, query, list) so parameter sweeps do
-    not recompute base predictions.
+    Results are memoized per (base, query, list, terms). Each target's
+    phi table evaluates every query at most once, so the memo only
+    answers a training query that two targets both keep as a variant.
     """
 
     index: InvertedIndex

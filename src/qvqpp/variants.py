@@ -12,8 +12,11 @@ The pipeline for one target query:
    candidate's document ranking and the target's, both produced by the
    internal BM25 retriever and kept as document ordinals, with the whole
    pool scored in one pass, and keep the best k;
-4. blend the base predictor's estimate for the target run with the
-   overlap-weighted average of the candidates' estimates.
+4. evaluate the base predictor once on the target run and on each kept
+   candidate's internal run (the phi table of :func:`base_predictions`),
+   then blend the target's estimate with the overlap-weighted average of
+   the candidates' estimates by plain arithmetic over that table, so a
+   (lambda, k) grid re-runs no predictor.
 
 Every stage reads its inputs (indexes, training queries and qrels,
 collection, BM25 ``k1``/``b``, embedding store) and both retrieval memos
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .corpus_io import Document, Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
@@ -265,22 +268,51 @@ def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: Pipeline
     return QVSet(merged.target_query_id, kept)
 
 
-def smooth_qpp(
+def base_predictions(
+    target: Query,
     target_run: RankedList,
     qv_set: QVSet,
     config: QppConfig,
     context: PredictorContext,
-    target_terms: Sequence[str],
+) -> dict[str, float]:
+    """The phi table of one target: base predictions keyed by query id.
+
+    Holds phi(target run) under ``target_run.query_id`` and, only when
+    ``config.lam > 0``, phi of each candidate with a positive overlap
+    under its query id, evaluated in candidate order on its internal run.
+    A zero-weight candidate is never evaluated, so its (possibly empty)
+    run is never read. Computed at the largest lambda and k of a grid,
+    the table serves every smaller (lambda, k) of :func:`smooth_qpp`.
+    """
+    phi = {
+        target_run.query_id: context.evaluate(
+            config.base, target_run, tokenize(target.text), target_run.query_id
+        )
+    }
+    if config.lam > 0.0:
+        for candidate in qv_set.candidates:
+            if candidate.rbo > 0.0:
+                phi[candidate.query.id] = context.evaluate(
+                    config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id
+                )
+    return phi
+
+
+def smooth_qpp(
+    target_run: RankedList,
+    qv_set: QVSet,
+    config: QppConfig,
+    phi: Mapping[str, float],
 ) -> float:
     """(1 - lambda) * phi(target) + lambda * sum_i (rbo_i / sum rbo) * phi(variant_i).
 
     ``qv_set`` comes from :func:`rerank_by_rbo`, so every candidate
-    carries its overlap and internal run. Falls back to the plain base
-    prediction when the variant set is empty or every overlap weight is
-    zero. Zero-weight candidates are skipped, so their (possibly empty)
-    runs are never evaluated.
+    carries its overlap; ``phi`` is a table from :func:`base_predictions`
+    over the same or a longer variant set (built at a lambda > 0 unless
+    this lambda is 0), so smoothing is arithmetic only. Falls back to the plain base prediction when the
+    variant set is empty, every overlap weight is zero or lambda is zero.
     """
-    phi_target = context.evaluate(config.base, target_run, target_terms, target_run.query_id)
+    phi_target = phi[target_run.query_id]
     weight_sum = sum(c.rbo for c in qv_set.candidates)
     if not qv_set.candidates or weight_sum <= 0.0:
         return phi_target
@@ -290,10 +322,7 @@ def smooth_qpp(
     for candidate in qv_set.candidates:
         if candidate.rbo == 0.0:
             continue
-        phi_variant = context.evaluate(
-            config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id
-        )
-        smoothed += candidate.rbo / weight_sum * phi_variant
+        smoothed += candidate.rbo / weight_sum * phi[candidate.query.id]
     return (1.0 - config.lam) * phi_target + config.lam * smoothed
 
 
@@ -314,4 +343,4 @@ def predict_query(
 ) -> float:
     """Full smoothed estimate for one target query and its external run."""
     qv_set = build_qv_set(target, config, res)
-    return smooth_qpp(target_run, qv_set, config, context, tokenize(target.text))
+    return smooth_qpp(target_run, qv_set, config, base_predictions(target, target_run, qv_set, config, context))

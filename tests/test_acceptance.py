@@ -21,6 +21,7 @@ from qvqpp import (
     RankedList,
     RboParams,
     ap_at_k,
+    base_predictions,
     bm25_retrieve,
     build_index,
     build_qv_set,
@@ -91,19 +92,20 @@ def test_c03_smoothing_reductions(corpus, resources, context, target_run):
     qv = build_qv_set(target, QppConfig(lam=0.5, k=3, n=100), resources)
 
     base_value = context.evaluate("nqc", run, terms, target.id)
-    assert smooth_qpp(run, qv, QppConfig(lam=0.0, k=3, n=100), context, terms) == base_value
+    phi = base_predictions(target, run, qv, QppConfig(lam=1.0, k=3, n=100), context)
+    assert smooth_qpp(run, qv, QppConfig(lam=0.0, k=3, n=100), phi) == base_value
 
     empty = qv.top(0)
-    assert smooth_qpp(run, empty, QppConfig(lam=0.8, k=3, n=100), context, terms) == base_value
+    assert smooth_qpp(run, empty, QppConfig(lam=0.8, k=3, n=100), phi) == base_value
     from dataclasses import replace
 
     from qvqpp import QVSet
 
     zero_weights = QVSet(qv.target_query_id, [replace(c, rbo=0.0) for c in qv.candidates])
-    assert smooth_qpp(run, zero_weights, QppConfig(lam=1.0, k=3, n=100), context, terms) == base_value
+    assert smooth_qpp(run, zero_weights, QppConfig(lam=1.0, k=3, n=100), phi) == base_value
 
     values = {
-        lam: smooth_qpp(run, qv, QppConfig(lam=lam, k=3, n=100), context, terms)
+        lam: smooth_qpp(run, qv, QppConfig(lam=lam, k=3, n=100), phi)
         for lam in (0.0, 0.5, 1.0)
     }
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)

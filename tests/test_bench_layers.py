@@ -57,5 +57,8 @@ def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output)
     metrics = bench_trace.layer_metrics([], spans, [], 1.0)
     assert metrics["variants.rerank.calls"] > 0 and metrics["variants.pool_size.mean"] > 0
     assert metrics["predictors.evaluate.calls"] > 0
+    if command == "sweep":
+        # one phi table per target: the target and at most max(ks) = 3 variants, never once per grid cell
+        assert metrics["predictors.evaluate.calls"] <= 5 * (1 + 3)
     if command == "predict":
         assert {s.target for s in spans if s.name == "variants.target"} == {"dl01", "dl02", "dl03", "dl04", "dl05"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -323,6 +324,11 @@ paths:
             (None, "qpp.lambda=true", "qpp.lambda: expected float, got True"),
             (None, "predictor.top_k=true", "predictor.top_k: expected int, got True"),
             (None, "predictor.mu=1" + "0" * 400, "predictor.mu: expected float, got 1000"),
+            (None, "qpp.lamda=0.9", "unknown config key 'qpp.lamda'"),
+            (None, "predictr.top_k=3", "unknown config key 'predictr'"),
+            ("qpp:\n  lamda: 0.9\n", None, "unknown config key 'qpp.lamda'"),
+            ("sed: 1\n", None, "unknown config key 'sed'"),
+            ("bm25:\n  k2: 1.2\n", None, "unknown config key 'bm25.k2'"),
         ],
     )
     def test_malformed_config_rejected(self, indexed_workspace, tmp_path, capsys, config_text, override, message):
@@ -336,6 +342,15 @@ paths:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    def test_unknown_key_in_working_config_writes_nothing(self, indexed_workspace, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        text = indexed_workspace["config"].read_text(encoding="utf-8")
+        config.write_text(text.replace("  top_k: 100\n", "  top_k: 100\n  topk: 3\n"), encoding="utf-8")
+        out = tmp_path / "predictions.tsv"
+        assert run_cli("predict", "--config", config, "--out", out) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'predictor.topk'\n"
+        assert not out.exists()
 
     def test_whole_numbers_accepted_for_number_keys(self, indexed_workspace):
         overrides = ["predictor.mu=0", "qpp.k=2.0", "seed=3.0", "evaluation.lambdas=[0, 1]", "evaluation.ks=[1.0, 2]"]
@@ -718,6 +733,32 @@ class TestTuneAndSweep:
         assert code == 1
         assert "fisher z needs n >= 4" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["predict", "tune", "sweep"])
+    def test_predictor_error_ends_every_command(self, indexed_workspace, tmp_path, capsys, command):
+        # the targets' runs hold enough documents for a UEF sample of 5, the variants' internal runs do not
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--out", out,
+            "--set", "qpp.base=uef", "--set", "predictor.uef_sample_size=5",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sample_size 5 exceeds the \d+ available documents\n", err), err
+        assert not out.exists()
+
+    def test_grid_cells_equal_predict_query(self, indexed_workspace):
+        cfg = cli.load_config(indexed_workspace["config"])
+        res = cli._load_resources(cfg)
+        targets, run_map = cli._load_target_run(cfg)
+        predict_fn = cli._prediction_engine(cfg, res, targets, run_map)
+        context = cli._make_context(cfg, res)
+        ids = sorted(run_map)
+        for lam in cfg.lambdas:
+            for k in cfg.ks:
+                qpp = replace(cfg.qpp, lam=lam, k=k)
+                want = {qid: cli.predict_query(targets[qid], run_map[qid], qpp, res, context) for qid in ids}
+                assert predict_fn(lam, k, ids) == want, (lam, k)
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(

@@ -186,6 +186,17 @@ def synthetic_predict_fn(table):
     return predict
 
 
+def failing_predict_fn(bad_lambda):
+    """predict_fn that ranks ids by name, except that it raises a ValueError at ``bad_lambda``."""
+
+    def predict(lam, k, ids):
+        if lam == bad_lambda:
+            raise ValueError("predictor failed")
+        return {qid: float(rank) for rank, qid in enumerate(ids)}
+
+    return predict
+
+
 class TestTune2Fold:
     def test_single_point_grid(self):
         actual = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
@@ -277,6 +288,15 @@ class TestTune2Fold:
         assert report.folds[0].chosen_lambda == 0.0  # poison in test set: ignored
         assert report.folds[1].chosen_lambda == 1.0  # poison in train set: flips
 
+    def test_predict_fn_error_propagates(self):
+        actual = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
+        folds = (
+            FoldSpec(frozenset({"a", "b"}), frozenset({"c", "d"})),
+            FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
+        )
+        with pytest.raises(ValueError, match="predictor failed"):
+            tune_2fold(folds, [0.0, 0.5], [1], failing_predict_fn(0.5), actual)
+
     def test_empty_grid_rejected(self):
         folds = (
             FoldSpec(frozenset({"a"}), frozenset({"b"})),
@@ -323,6 +343,11 @@ class TestSweepGrid:
                 [table[(lam, k)][q] for q in ids], [actual[q] for q in ids]
             )
             assert tau == pytest.approx(want, abs=1e-12)
+
+    def test_predict_fn_error_propagates(self):
+        actual = {"a": 0.3, "b": 0.1, "c": 0.9}
+        with pytest.raises(ValueError, match="predictor failed"):
+            sweep_grid([0.0, 0.5], [1, 2], failing_predict_fn(0.5), actual)
 
     def test_undefined_cell_reported_as_nan(self):
         actual = {"a": 0.3, "b": 0.1}

@@ -19,6 +19,7 @@ from qvqpp import (
     QVSet,
     RankedList,
     RboParams,
+    base_predictions,
     build_index,
     build_qv_set,
     expand_2hop,
@@ -221,13 +222,15 @@ class TestRerankByRbo:
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
 
 
-class StubContext:
-    """Returns preset predictor values keyed by query id."""
+class CountingContext:
+    """Returns preset predictor values keyed by query id and records every call."""
 
     def __init__(self, values):
         self.values = values
+        self.calls = []
 
     def evaluate(self, base, run, terms, query_id):
+        self.calls.append((base, run.query_id, list(terms), query_id))
         return self.values[query_id]
 
 
@@ -250,40 +253,38 @@ class TestSmoothQpp:
         # 0.5 * 0.4 + 0.5 * (0.5 / 0.5) * 0.8 = 0.6
         target_run = RankedList.from_scores("T", [("d1", 1.0)])
         qv = reranked_set("T", candidate("v1", 0.5))
-        ctx = StubContext({"T": 0.4, "v1": 0.8})
         config = QppConfig(lam=0.5, k=1, n=2)
-        got = smooth_qpp(target_run, qv, config, ctx, ["term"])
+        got = smooth_qpp(target_run, qv, config, {"T": 0.4, "v1": 0.8})
         assert got == pytest.approx(0.6, abs=1e-12)
 
     def test_lambda_zero_is_exactly_base(self, corpus, resources, context, target_run):
         config = QppConfig(lam=0.0, k=2, n=100)
         target = corpus.test_queries[0]
         qv = build_qv_set(target, config, resources)
-        got = smooth_qpp(target_run[target.id], qv, config, context, tokenize(target.text))
+        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        got = smooth_qpp(target_run[target.id], qv, config, phi)
         base = context.evaluate("nqc", target_run[target.id], tokenize(target.text), target.id)
         assert got == base
 
     def test_empty_set_falls_back(self):
-        ctx = StubContext({"T": 0.4})
         target_run = RankedList.from_scores("T", [("d1", 1.0)])
-        got = smooth_qpp(target_run, reranked_set("T"), QppConfig(lam=0.7), ctx, ["x"])
+        got = smooth_qpp(target_run, reranked_set("T"), QppConfig(lam=0.7), {"T": 0.4})
         assert got == 0.4
 
     def test_zero_weight_sum_falls_back(self):
-        ctx = StubContext({"T": 0.4})
         target_run = RankedList.from_scores("T", [("d1", 1.0)])
         qv = reranked_set("T", candidate("v1", 0.0))
-        assert smooth_qpp(target_run, qv, QppConfig(lam=0.7), ctx, ["x"]) == 0.4
+        assert smooth_qpp(target_run, qv, QppConfig(lam=0.7), {"T": 0.4}) == 0.4
 
     def test_affine_in_lambda(self, corpus, resources, context, target_run):
         for target in corpus.test_queries[:3]:
             config = QppConfig(lam=0.0, k=2, n=100)
             qv = build_qv_set(target, config, resources)
-            terms = tokenize(target.text)
+            run = target_run[target.id]
 
             def estimate(lam):
                 cfg = QppConfig(lam=lam, k=2, n=100)
-                return smooth_qpp(target_run[target.id], qv, cfg, context, terms)
+                return smooth_qpp(run, qv, cfg, base_predictions(target, run, qv, cfg, context))
 
             f0, f_half, f1 = estimate(0.0), estimate(0.5), estimate(1.0)
             assert f_half == pytest.approx((f0 + f1) / 2.0, abs=1e-12)
@@ -299,7 +300,8 @@ class TestSmoothQpp:
         target = corpus.test_queries[1]
         qv = build_qv_set(target, config, resources)
         terms = tokenize(target.text)
-        got = smooth_qpp(target_run[target.id], qv, config, context, terms)
+        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        got = smooth_qpp(target_run[target.id], qv, config, phi)
         values = [context.evaluate("nqc", target_run[target.id], terms, target.id)]
         for cand in qv.candidates:
             if cand.rbo > 0:
@@ -317,9 +319,9 @@ class TestSmoothQpp:
     )
     def test_between_target_and_weighted_variant_mean(self, lam, phi_target, variants_rbo_phi):
         cands = [candidate(f"v{i}", rbo) for i, (rbo, _) in enumerate(variants_rbo_phi)]
-        ctx = StubContext({"T": phi_target, **{f"v{i}": phi for i, (_, phi) in enumerate(variants_rbo_phi)}})
+        table = {"T": phi_target, **{f"v{i}": phi for i, (_, phi) in enumerate(variants_rbo_phi)}}
         config = QppConfig(lam=lam, k=max(1, len(cands)), n=max(1, len(cands)) + 1)
-        got = smooth_qpp(RankedList("T", [("d1", 1.0)]), reranked_set("T", *cands), config, ctx, ["x"])
+        got = smooth_qpp(RankedList("T", [("d1", 1.0)]), reranked_set("T", *cands), config, table)
         weight_sum = sum(rbo for rbo, _ in variants_rbo_phi)
         if weight_sum <= 0.0:
             assert got == phi_target
@@ -327,6 +329,34 @@ class TestSmoothQpp:
         mean = sum(rbo / weight_sum * phi for rbo, phi in variants_rbo_phi)
         slack = 1e-12 * max(1.0, abs(phi_target), abs(mean))
         assert min(phi_target, mean) - slack <= got <= max(phi_target, mean) + slack
+
+
+class TestBasePredictions:
+    TARGET = Query("T", "target text")
+    RUN = RankedList.from_scores("T", [("d1", 1.0)])
+    VALUES = {"T": 0.4, "v1": 0.8, "v2": 0.1, "v3": 0.6}
+
+    @pytest.mark.parametrize(
+        "lam, rbos", [(0.0, (0.5, 0.2)), (0.7, (0.0, 0.0)), (1.0, ())], ids=["lambda-0", "zero-rbo", "no-variants"]
+    )
+    def test_only_the_target_evaluated(self, lam, rbos):
+        ctx = CountingContext(self.VALUES)
+        qv = reranked_set("T", *(candidate(f"v{i}", rbo) for i, rbo in enumerate(rbos, start=1)))
+        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=lam, k=2, n=3), ctx)
+        assert phi == {"T": 0.4}
+        assert ctx.calls == [("nqc", "T", tokenize(self.TARGET.text), "T")]
+
+    def test_target_then_positive_candidates_in_order(self):
+        ctx = CountingContext(self.VALUES)
+        qv = reranked_set("T", candidate("v3", 0.5), candidate("v1", 0.0), candidate("v2", 0.2))
+        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=0.3, k=3, n=4, base="uef"), ctx)
+        assert phi == {"T": 0.4, "v3": 0.6, "v2": 0.1}
+        assert ctx.calls == [
+            ("uef", "T", tokenize("target text"), "T"),
+            ("uef", "v3", tokenize("text of v3"), "v3"),
+            ("uef", "v2", tokenize("text of v2"), "v2"),
+        ]
+
 
 
 class TestPipelineInvariants:
@@ -367,7 +397,8 @@ class TestPipelineInvariants:
         target = corpus.test_queries[0]
         qv = build_qv_set(target, config, resources)
         assert len(qv.candidates) <= 2
-        value = smooth_qpp(target_run[target.id], qv, config, context, tokenize(target.text))
+        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        value = smooth_qpp(target_run[target.id], qv, config, phi)
         assert value >= 0.0
 
 
