@@ -8,7 +8,7 @@ runs before any output file is touched. A key outside the list below is
 an error, so a misspelt key cannot fall back to its default unnoticed.
 Integer keys take integers (a float only when it is whole, as ``3.0``),
 number keys never take a boolean, and boolean keys take
-``true``/``false`` only.
+``true``/``false`` only. A null key takes its default.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -16,8 +16,9 @@ working example):
 - ``seed`` (0)
 - ``paths``: ``collection``, ``train_queries``, ``train_qrels``,
   ``test_queries``, ``test_qrels``, ``target_run``, ``index_dir`` and
-  ``output_dir`` are required; ``embeddings`` only for the dense query
-  retriever. Relative paths resolve against the config file's directory.
+  ``output_dir`` are required; ``embeddings`` (null) only for the dense
+  query retriever. Relative paths resolve against the config file's
+  directory.
 - ``qpp``: ``lambda`` (0.5), ``k`` (1), ``n`` (100), ``query_retriever``
   (bm25 | dense), ``use_2hop`` (true), ``pseudo_query_m`` (20), ``rbo_p``
   (0.9), ``rbo_depth`` (100), ``base`` (nqc | uef), ``internal_depth``
@@ -25,9 +26,10 @@ working example):
 - ``predictor``: ``top_k`` (100), ``uef_samples`` (20),
   ``uef_sample_size`` (25), ``mu`` (1000.0)
 - ``bm25``: ``k1`` (0.9), ``b`` (0.4)
-- ``evaluation``: ``target_metric`` (ap@100 | ndcg@10), ``fold_a`` (a list
-  of query ids or the path of a file with one id per line), ``lambdas``
-  (0.0 to 1.0 in steps of 0.1), ``ks`` (1 to 10)
+- ``evaluation``: ``target_metric`` (ap@100 | ndcg@10), ``fold_a`` ([]; a
+  list of query ids or the path of a file with one id per line),
+  ``lambdas`` ([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+  ``ks`` ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 """
 
 from __future__ import annotations
@@ -83,24 +85,8 @@ TARGET_METRICS = ("ap@100", "ndcg@10")
 DOC_INDEX_FILE = "documents.idx"
 QUERY_INDEX_FILE = "queries.idx"
 
-DEFAULT_LAMBDAS = [round(i / 10, 1) for i in range(11)]
-DEFAULT_KS = list(range(1, 11))
-
-# Every key load_config reads: a top-level scalar maps to None, a section to its keys.
-CONFIG_KEYS = {
-    "seed": None,
-    "paths": frozenset({
-        "collection", "train_queries", "train_qrels", "test_queries", "test_qrels",
-        "target_run", "index_dir", "output_dir", "embeddings",
-    }),
-    "qpp": frozenset({
-        "lambda", "k", "n", "query_retriever", "use_2hop", "pseudo_query_m",
-        "rbo_p", "rbo_depth", "base", "internal_depth", "run_depth",
-    }),
-    "predictor": frozenset({"top_k", "uef_samples", "uef_sample_size", "mu"}),
-    "bm25": frozenset({"k1", "b"}),
-    "evaluation": frozenset({"target_metric", "fold_a", "lambdas", "ks"}),
-}
+REQUIRED_PATHS = ("collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run",
+                  "index_dir", "output_dir")
 
 
 @dataclass
@@ -113,15 +99,51 @@ class PipelineConfig:
     target_run: Path
     index_dir: Path
     output_dir: Path
-    embeddings: Path | None
-    seed: int
-    qpp: QppConfig
-    predictor: PredictorParams
-    target_metric: str
-    fold_a: list[str]
-    lambdas: list[float]
-    ks: list[int]
+    embeddings: Path | None = None
+    seed: int = 0
+    qpp: QppConfig = field(default_factory=QppConfig)
+    predictor: PredictorParams = field(default_factory=PredictorParams)
+    target_metric: str = TARGET_METRICS[0]
+    fold_a: list[str] = field(default_factory=list)
+    lambdas: list[float] = field(default_factory=lambda: [round(i / 10, 1) for i in range(11)])
+    ks: list[int] = field(default_factory=lambda: list(range(1, 11)))
     run_depth: int = 100
+
+    def __post_init__(self) -> None:
+        if self.target_metric not in TARGET_METRICS:
+            raise ValueError(f"target_metric must be one of {TARGET_METRICS}, got {self.target_metric!r}")
+        if self.run_depth < 1:
+            raise ValueError(f"qpp.run_depth must be >= 1, got {self.run_depth}")
+
+
+# Every config key, dotted: (owner, field, kind). The owner dataclass holds the key's default;
+# a kind in brackets is a list of that kind, and a Path is a string resolved against the config's directory.
+CONFIG_SCHEMA = {
+    "seed": (PipelineConfig, "seed", int),
+    **{f"paths.{name}": (PipelineConfig, name, Path) for name in (*REQUIRED_PATHS, "embeddings")},
+    "qpp.lambda": (QppConfig, "lam", float),
+    "qpp.k": (QppConfig, "k", int),
+    "qpp.n": (QppConfig, "n", int),
+    "qpp.query_retriever": (QppConfig, "query_retriever", str),
+    "qpp.use_2hop": (QppConfig, "use_2hop", bool),
+    "qpp.pseudo_query_m": (QppConfig, "pseudo_query_m", int),
+    "qpp.rbo_p": (RboParams, "p", float),
+    "qpp.rbo_depth": (RboParams, "eval_depth", int),
+    "qpp.base": (QppConfig, "base", str),
+    "qpp.internal_depth": (QppConfig, "internal_depth", int),
+    "qpp.run_depth": (PipelineConfig, "run_depth", int),
+    "predictor.top_k": (PredictorParams, "top_k", int),
+    "predictor.uef_samples": (PredictorParams, "uef_samples", int),
+    "predictor.uef_sample_size": (PredictorParams, "uef_sample_size", int),
+    "predictor.mu": (PredictorParams, "mu", float),
+    "bm25.k1": (PredictorParams, "k1", float),
+    "bm25.b": (PredictorParams, "b", float),
+    "evaluation.target_metric": (PipelineConfig, "target_metric", str),
+    "evaluation.fold_a": (PipelineConfig, "fold_a", [str]),
+    "evaluation.lambdas": (PipelineConfig, "lambdas", [float]),
+    "evaluation.ks": (PipelineConfig, "ks", [int]),
+}
+SECTIONS = {dotted.split(".")[0] for dotted in CONFIG_SCHEMA if "." in dotted}
 
 
 def _yaml(text, where: str):
@@ -129,24 +151,6 @@ def _yaml(text, where: str):
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValueError(f"{where}: malformed YAML: {' '.join(str(exc).split())}") from None
-
-
-def _section(raw: Mapping, name: str) -> Mapping:
-    section = {} if raw.get(name) is None else raw[name]
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a mapping, got {section!r}")
-    return section
-
-
-def _check_keys(raw: Mapping) -> None:
-    """Reject a key that ``load_config`` would not read, such as a misspelt ``qpp.lamda``."""
-    for name, value in raw.items():
-        if name not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key '{name}'")
-        if CONFIG_KEYS[name] is not None and isinstance(value, dict):
-            for key in value:
-                if key not in CONFIG_KEYS[name]:
-                    raise ValueError(f"unknown config key '{name}.{key}'")
 
 
 def _as(kind, value):
@@ -158,19 +162,35 @@ def _as(kind, value):
     return kind(value)
 
 
-def _get(section: Mapping, name: str, default, kind, many: bool = False):
-    """The dotted key ``name`` of ``section`` as ``kind``, or as a list of them; null means ``default``."""
-    value = section.get(name.rsplit(".", 1)[-1])
-    value = default if value is None else value
+def _coerce(dotted: str, kind, value, base_dir: Path):
+    """The non-null ``value`` of config key ``dotted`` as its ``kind``."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{dotted} must be true or false")
+        return value
+    if kind is Path:
+        if not isinstance(value, str):
+            raise ValueError(f"{dotted}: expected str, got {value!r}")
+        return (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
+    if kind == [str] and isinstance(value, str):  # the path of a file with one item per line
+        list_path = base_dir / value
+        try:
+            if not list_path.exists():
+                raise ValueError(f"{dotted.rsplit('.', 1)[-1]} file {list_path} does not exist")
+            lines = list_path.read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise ValueError(str(exc)) from None
+        return [line.strip() for line in lines if line.strip()]
+    many = isinstance(kind, list)
+    item = kind[0] if many else kind
     try:
-        return [_as(kind, v) for v in value] if many else _as(kind, value)
+        return [_as(item, v) for v in value] if many else _as(item, value)
     except (TypeError, ValueError, OverflowError):
-        expected = f"a list of {kind.__name__}" if many else kind.__name__
-        raise ValueError(f"{name}: expected {expected}, got {value!r}") from None
+        raise ValueError(f"{dotted}: expected {'a list of ' if many else ''}{item.__name__}, got {value!r}") from None
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
-    """Parse the YAML config and apply ``dotted.key=value`` overrides."""
+    """Parse the YAML config and apply ``dotted.key=value`` overrides; a null or absent key takes its default."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = _yaml(handle, str(path)) or {}
     if not isinstance(raw, dict):
@@ -188,79 +208,40 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
             if not isinstance(node, dict):
                 raise ValueError(f"override {dotted!r} does not address a mapping")
         node[keys[-1]] = _yaml(value_text, f"override {dotted!r}")
-    _check_keys(raw)
+
+    given = {}  # dotted key -> value, in file order
+    for name, value in raw.items():
+        if name in SECTIONS:
+            if value is not None and not isinstance(value, dict):
+                raise ValueError(f"config section {name!r} must be a mapping, got {value!r}")
+            given.update((f"{name}.{key}", item) for key, item in (value or {}).items())
+        elif name in CONFIG_SCHEMA and "." not in name:  # a top-level 'qpp.lambda' is no key
+            given[name] = value
+        else:
+            raise ValueError(f"unknown config key '{name}'")
+    for dotted in given:
+        if dotted not in CONFIG_SCHEMA:
+            raise ValueError(f"unknown config key '{dotted}'")
 
     base_dir = Path(path).parent
-    paths = _section(raw, "paths")
-
-    def resolve(key: str, required: bool = True) -> Path | None:
-        value = paths.get(key)
-        if value is None:
-            if required:
-                raise ValueError(f"config is missing paths.{key}")
-            return None
-        if not isinstance(value, str):
-            raise ValueError(f"paths.{key}: expected str, got {value!r}")
-        return (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
-
-    qpp_raw = _section(raw, "qpp")
-    use_2hop = True if qpp_raw.get("use_2hop") is None else qpp_raw["use_2hop"]
-    if not isinstance(use_2hop, bool):
-        raise ValueError("qpp.use_2hop must be true or false")
-    rbo = RboParams(
-        p=_get(qpp_raw, "qpp.rbo_p", 0.9, float),
-        eval_depth=_get(qpp_raw, "qpp.rbo_depth", 100, int),
-    )
-    qpp = QppConfig(
-        lam=_get(qpp_raw, "qpp.lambda", 0.5, float),
-        k=_get(qpp_raw, "qpp.k", 1, int),
-        n=_get(qpp_raw, "qpp.n", 100, int),
-        query_retriever=_get(qpp_raw, "qpp.query_retriever", "bm25", str),
-        use_2hop=use_2hop,
-        pseudo_query_m=_get(qpp_raw, "qpp.pseudo_query_m", 20, int),
-        rbo_params=rbo,
-        base=_get(qpp_raw, "qpp.base", "nqc", str),
-        internal_depth=_get(qpp_raw, "qpp.internal_depth", 100, int),
-    )
-    pred_raw = _section(raw, "predictor")
-    bm25_raw = _section(raw, "bm25")
-    predictor = PredictorParams(
-        top_k=_get(pred_raw, "predictor.top_k", 100, int),
-        uef_samples=_get(pred_raw, "predictor.uef_samples", 20, int),
-        uef_sample_size=_get(pred_raw, "predictor.uef_sample_size", 25, int),
-        mu=_get(pred_raw, "predictor.mu", 1000.0, float),
-        k1=_get(bm25_raw, "bm25.k1", 0.9, float),
-        b=_get(bm25_raw, "bm25.b", 0.4, float),
-    )
-    eval_raw = _section(raw, "evaluation")
-    metric = _get(eval_raw, "evaluation.target_metric", "ap@100", str)
-    if metric not in TARGET_METRICS:
-        raise ValueError(f"target_metric must be one of {TARGET_METRICS}, got {metric!r}")
-    fold_a = _get(eval_raw, "evaluation.fold_a", [], str, many=not isinstance(eval_raw.get("fold_a"), str))
-    if isinstance(fold_a, str):
-        fold_path = (base_dir / fold_a) if not Path(fold_a).is_absolute() else Path(fold_a)
-        if not fold_path.exists():
-            raise ValueError(f"fold_a file {fold_path} does not exist")
-        fold_a = [line.strip() for line in fold_path.read_text(encoding="utf-8").splitlines() if line.strip()]
-
+    values = {owner: {} for owner, _, _ in CONFIG_SCHEMA.values()}  # owner -> {field: value given}
+    for dotted, value in given.items():
+        if value is not None:
+            owner, name, kind = CONFIG_SCHEMA[dotted]
+            values[owner][name] = _coerce(dotted, kind, value, base_dir)
+    for name in REQUIRED_PATHS:
+        if name not in values[PipelineConfig]:
+            raise ValueError(f"config is missing paths.{name}")
+    try:
+        rbo = RboParams(**values[RboParams])
+    except ValueError as exc:  # the message starts with the field name; the user wrote the config key
+        name, rest = str(exc).split(" ", 1)
+        keys = {field_name: dotted for dotted, (owner, field_name, _) in CONFIG_SCHEMA.items() if owner is RboParams}
+        raise ValueError(f"{keys[name]} {rest}") from None
     return PipelineConfig(
-        collection=resolve("collection"),
-        train_queries=resolve("train_queries"),
-        train_qrels=resolve("train_qrels"),
-        test_queries=resolve("test_queries"),
-        test_qrels=resolve("test_qrels"),
-        target_run=resolve("target_run"),
-        index_dir=resolve("index_dir"),
-        output_dir=resolve("output_dir"),
-        embeddings=resolve("embeddings", required=False),
-        seed=_get(raw, "seed", 0, int),
-        qpp=qpp,
-        predictor=predictor,
-        target_metric=metric,
-        fold_a=fold_a,
-        lambdas=_get(eval_raw, "evaluation.lambdas", DEFAULT_LAMBDAS, float, many=True),
-        ks=_get(eval_raw, "evaluation.ks", DEFAULT_KS, int, many=True),
-        run_depth=_get(qpp_raw, "qpp.run_depth", 100, int),
+        qpp=QppConfig(rbo_params=rbo, **values[QppConfig]),
+        predictor=PredictorParams(**values[PredictorParams]),
+        **values[PipelineConfig],
     )
 
 
@@ -316,14 +297,16 @@ def _load_targets(cfg: PipelineConfig) -> dict[str, Query]:
     return {q.id: q for q in parse_queries(cfg.test_queries)}
 
 
-def _load_target_run(cfg: PipelineConfig) -> tuple[dict[str, Query], dict[str, RankedList]]:
-    """The target queries and their external run; every run query must have a text."""
+def _load_target_run(cfg: PipelineConfig, min_queries: int = 0) -> tuple[dict[str, Query], dict[str, RankedList]]:
+    """The target queries and their external run of at least ``min_queries`` queries, each with a text."""
     targets = _load_targets(cfg)
     _require_files(cfg.target_run)
     run_map = parse_run(cfg.target_run, depth=cfg.run_depth)
     unknown = sorted(set(run_map) - set(targets))
     if unknown:
         raise ValueError(f"run file contains queries with no text: {', '.join(unknown)}")
+    if len(run_map) < min_queries:
+        raise ValueError(f"{cfg.target_run}: expected at least {min_queries} run queries, got {len(run_map)}")
     return targets, run_map
 
 
@@ -377,8 +360,8 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
 
 def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write one smoothed prediction per query in the target run file."""
+    targets, run_map = _load_target_run(cfg, min_queries=1)
     res = _load_resources(cfg)
-    targets, run_map = _load_target_run(cfg)
     context = _make_context(cfg, res)
     out = out_path or cfg.output_dir / "predictions.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -435,7 +418,10 @@ def cmd_evaluate(
 
 
 def _grid_inputs(cfg: PipelineConfig):
-    """Check the (lambda, k) grid, then load the resources, targets, run and metric of ``tune``/``sweep``."""
+    """Check the (lambda, k) grid, then load the targets, run and metric of ``tune``/``sweep``, but no index.
+
+    Kendall tau needs two run queries, so a smaller run ends here.
+    """
     if not cfg.lambdas or not cfg.ks:
         raise ValueError("evaluation.lambdas and evaluation.ks must be non-empty")
     bad_lambdas = [lam for lam in cfg.lambdas if not 0.0 <= lam <= 1.0]
@@ -446,9 +432,8 @@ def _grid_inputs(cfg: PipelineConfig):
     if max(cfg.ks) >= cfg.qpp.n:
         raise ValueError(f"largest grid k ({max(cfg.ks)}) must stay below candidate pool n ({cfg.qpp.n})")
     _require_files(cfg.test_qrels, cfg.target_run)
-    res = _load_resources(cfg)
-    targets, run_map = _load_target_run(cfg)
-    return res, targets, run_map, _actual_metric(cfg, run_map)
+    targets, run_map = _load_target_run(cfg, min_queries=2)
+    return targets, run_map, _actual_metric(cfg, run_map)
 
 
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
@@ -475,7 +460,7 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
 
 def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: Path | None = None) -> int:
     """2-fold tuning: fit (lambda, k) on each fold's train split, report test tau."""
-    res, targets, run_map, actual = _grid_inputs(cfg)
+    targets, run_map, actual = _grid_inputs(cfg)
     fold_a = frozenset(cfg.fold_a)
     if not fold_a:
         raise ValueError("evaluation.fold_a must list the query ids of the first fold")
@@ -485,6 +470,9 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
     fold_b = frozenset(set(run_map) - fold_a)
     if not fold_b:
         raise ValueError("fold_a covers every run query; the second fold is empty")
+    if min(len(fold_a), len(fold_b)) < 2:
+        sizes = f"{len(fold_a)} in fold_a and {len(fold_b)} in the other"
+        raise ValueError(f"kendall tau needs 2 queries per fold, got {sizes}")
     folds = (FoldSpec(fold_a, fold_b), FoldSpec(fold_b, fold_a))
     baseline = None
     if baseline_path is not None:
@@ -496,6 +484,7 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
         smallest = min(len(fold.test_ids) for fold in folds)
         if smallest < FISHER_MIN_N:
             raise ValueError(f"fisher z needs n >= {FISHER_MIN_N} test queries per fold, got {smallest}")
+    res = _load_resources(cfg)
     report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     lines = [f"target_metric: {cfg.target_metric}", f"base: {cfg.qpp.base}"]
     for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
@@ -527,7 +516,8 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
 
 def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Evaluate tau for the full (lambda, k) grid on all run queries; emit CSV."""
-    res, targets, run_map, actual = _grid_inputs(cfg)
+    targets, run_map, actual = _grid_inputs(cfg)
+    res = _load_resources(cfg)
     rows = sweep_grid(cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     out = out_path or cfg.output_dir / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -406,6 +406,53 @@ paths:
         assert "documents.idx: not a qvqpp.inverted_index artifact" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["index", "qv", "predict", "evaluate", "tune", "sweep"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("qpp.run_depth=0", "qpp.run_depth must be >= 1, got 0"),
+            ("qpp.rbo_depth=0", "qpp.rbo_depth must be >= 1, got 0"),
+            ("qpp.rbo_p=1", "qpp.rbo_p must be in (0, 1), got 1.0"),
+            ("qpp.rbo_p=0", "qpp.rbo_p must be in (0, 1), got 0.0"),
+        ],
+    )
+    def test_range_error_names_the_config_key(self, indexed_workspace, tmp_path, capsys, command, override, message):
+        extra = ["--predictions", tmp_path / "predictions.tsv"] if command == "evaluate" else []
+        code = run_cli(command, "--config", indexed_workspace["config"], "--set", override, *extra)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, kept, least",
+        [("predict", 0, 1), ("sweep", 0, 2), ("sweep", 1, 2), ("tune", 0, 2), ("tune", 1, 2)],
+    )
+    def test_run_too_small_rejected_before_loading(self, indexed_workspace, tmp_path, capsys, command, kept, least):
+        # the index directory does not exist: only a run check that runs first can name the run
+        lines = (indexed_workspace["data"] / "target_run.txt").read_text(encoding="utf-8").splitlines(True)
+        run = tmp_path / "target_run.txt"
+        run.write_text("".join(line for line in lines if line.split()[0] in ("dl01", "dl02")[:kept]), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--set", f"paths.target_run={run}",
+            "--set", f"paths.index_dir={tmp_path / 'no-index'}", "--set", "evaluation.fold_a=[dl01]", "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {run}: expected at least {least} run queries, got {kept}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fold_a, sizes", [("[dl01]", "1 in fold_a and 4"), ("[dl01, dl02, dl03, dl04]", "4 in fold_a and 1")],
+    )
+    def test_tune_fold_too_small_rejected_before_loading(self, indexed_workspace, tmp_path, capsys, fold_a, sizes):
+        out = tmp_path / "tune.txt"
+        code = run_cli(
+            "tune", "--config", indexed_workspace["config"], "--set", f"evaluation.fold_a={fold_a}",
+            "--set", f"paths.index_dir={tmp_path / 'no-index'}", "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: kendall tau needs 2 queries per fold, got {sizes} in the other\n"
+        assert not out.exists()
+
     def test_non_finite_run_score_rejected(self, indexed_workspace, tmp_path, capsys):
         lines = (indexed_workspace["data"] / "target_run.txt").read_text(encoding="utf-8").splitlines(True)
         fields = lines[0].split()
