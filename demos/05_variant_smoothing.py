@@ -10,7 +10,6 @@ for the target run with the overlap-weighted estimates of the variants.
 """
 
 from qvqpp import (
-    Document,
     PipelineResources,
     PredictorContext,
     PredictorParams,
@@ -48,7 +47,6 @@ TARGET = Query("T", "best water temperature for brewing coffee")
 
 
 def main():
-    documents = {doc_id: Document(doc_id, text) for doc_id, text in DOCS}
     training = {qid: Query(qid, text) for qid, text in TRAIN_QUERIES}
     doc_index = build_index(DOCS)
     res = PipelineResources(
@@ -56,7 +54,6 @@ def main():
         query_index=build_index(TRAIN_QUERIES),
         training_queries=training,
         training_qrels=TRAIN_QRELS,
-        collection=documents,
     )
     config = QppConfig(lam=0.6, k=2, n=4, use_2hop=True, internal_depth=10)
 

@@ -7,8 +7,9 @@ is 0 on success and 1 on any validation or processing error; validation
 runs before any output file is touched. A key outside the list below is
 an error, so a misspelt key cannot fall back to its default unnoticed.
 Integer keys take integers (a float only when it is whole, as ``3.0``),
-number keys never take a boolean, and boolean keys take
-``true``/``false`` only. A null key takes its default.
+number keys never take a boolean or a string (``"3"`` is refused), list
+keys take a YAML list only (``evaluation.fold_a`` also a file path), and
+boolean keys take ``true``/``false`` only. A null key takes its default.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -154,8 +155,8 @@ def _yaml(text, where: str):
 
 
 def _as(kind, value):
-    """``kind(value)``, except that a number key refuses a boolean and an int key a fractional float."""
-    if kind in (int, float) and isinstance(value, bool):
+    """``kind(value)``, except that a number key refuses a boolean or a string and an int key a fractional float."""
+    if kind in (int, float) and isinstance(value, (bool, str)):
         raise TypeError(value)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
@@ -184,6 +185,8 @@ def _coerce(dotted: str, kind, value, base_dir: Path):
     many = isinstance(kind, list)
     item = kind[0] if many else kind
     try:
+        if many and not isinstance(value, list):  # a string or a mapping would iterate as its items
+            raise TypeError(value)
         return [_as(item, v) for v in value] if many else _as(item, value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{dotted}: expected {'a list of ' if many else ''}{item.__name__}, got {value!r}") from None
@@ -261,22 +264,22 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
             raise ValueError("dense query retriever configured but paths.embeddings is not set")
         _require_files(cfg.embeddings)
         store = load_vectors(cfg.embeddings)
-    collection = {d.id: d for d in parse_collection(cfg.collection)}
-    training_queries = {q.id: q for q in parse_queries(cfg.train_queries)}
+    # the collection is parsed only for the staleness digest: no stage reads a document's text
+    documents = parse_collection(cfg.collection)
+    training_queries = parse_queries(cfg.train_queries)
     doc_index = load_index(doc_index_path)
     query_index = load_index(query_index_path)
     for index, index_path, items, source in (
-        (doc_index, doc_index_path, collection, cfg.collection),
+        (doc_index, doc_index_path, documents, cfg.collection),
         (query_index, query_index_path, training_queries, cfg.train_queries),
     ):
-        if not index.built_from((item.id, item.text) for item in items.values()):
+        if not index.built_from((item.id, item.text) for item in items):
             raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (it was not built from {source})")
     return PipelineResources(
         doc_index=doc_index,
         query_index=query_index,
-        training_queries=training_queries,
+        training_queries={q.id: q for q in training_queries},
         training_qrels=parse_qrels(cfg.train_qrels),
-        collection=collection,
         embedding_store=store,
         k1=cfg.predictor.k1,
         b=cfg.predictor.b,

@@ -341,7 +341,8 @@ def uef(
     head = _head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
     pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
     # mu * p_w > 0 and ln(mu * p_w) for every term a subset's model can hold, by term id
-    vocabulary = np.unique(index.rows(pool_ordinals[pool_ordinals >= 0])[0])
+    pool_terms = index.rows(pool_ordinals[pool_ordinals >= 0])[0]
+    vocabulary = np.flatnonzero(np.bincount(pool_terms, minlength=len(index.terms)))
     smoothed_of = np.zeros(len(index.terms), dtype=bool)
     log_mu_p_of = np.zeros(len(index.terms))
     smoothed_of[vocabulary], log_mu_p_of[vocabulary] = _log_mu_p(index, vocabulary, mu)

@@ -146,7 +146,7 @@ def rbo_pool(
     # its loop order (np.sum would add pairwise), so every float matches
     p = params.p
     values = np.zeros(len(runs))
-    for length in np.unique(lengths).tolist():
+    for length in sorted(set(lengths.tolist())):
         s, l = min(length, t), max(length, t)  # Python ints: p ** np.int64(s) rounds differently
         if s == 0:
             continue

@@ -92,8 +92,10 @@ class InvertedIndex:
     ``row_tfs`` holds their frequencies. The two SHA-256 strings name the
     (id, text) items and the tokenizer the index was built from. Nothing
     else is stored: ordinals, term ids, lengths, the postings (column)
-    view, df, cf and the totals are derived on first use and kept, so an
-    index must not be mutated after it is read.
+    view, df, cf, the totals and one BM25 gain table per ``(k1, b)``
+    (each term's idf and each posting's gain, 8 bytes per posting) are
+    derived on first use and kept, so an index must not be mutated after
+    it is read.
     """
 
     item_ids: list[str]
@@ -164,6 +166,28 @@ class InvertedIndex:
         rank = np.empty(self.size, dtype=np.int64)
         rank[sorted(range(self.size), key=self.item_ids.__getitem__)] = np.arange(self.size)
         return rank
+
+    @cached_property
+    def _bm25_tables(self) -> dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]:
+        return {}
+
+    def bm25_table(self, k1: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each term id's idf and each posting's ``idf * tf * (k1 + 1.0) / (tf + norm)``, in postings order.
+
+        Built in one pass on the first call for ``(k1, b)`` and kept. The
+        idf is :func:`bm25_idf`'s ``math.log``, taken once per distinct df.
+        """
+        table = self._bm25_tables.get((k1, b))
+        if table is None:
+            _, ordinals, tfs = self._columns
+            df = self.df
+            distinct = np.flatnonzero(np.bincount(df))
+            idf_of_df = np.zeros(int(df.max(initial=0)) + 1)
+            idf_of_df[distinct] = [math.log(1.0 + (self.size - d + 0.5) / (d + 0.5)) for d in distinct.tolist()]
+            idf = idf_of_df[df]
+            norm = k1 * (1.0 - b + b * self.lengths[ordinals] / self.avgdl)
+            table = self._bm25_tables[(k1, b)] = (idf, np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + norm))
+        return table
 
     @cached_property
     def total_tokens(self) -> int:
@@ -237,19 +261,34 @@ def bm25_ordinals(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> OrdinalRun:
-    """:func:`bm25_retrieve`'s ranking as the items' ordinals (int32) and their scores (float64)."""
+    """:func:`bm25_retrieve`'s ranking as the items' ordinals (int32) and their scores (float64).
+
+    A bag whose every term occurs once gathers its postings' gains from
+    :meth:`InvertedIndex.bm25_table`, as ``1 * idf == idf``; a bag with a
+    repeated term weighs each term's postings by ``query_tf * idf`` as
+    before. Only the hits scoring at least the depth-th score (ties at the
+    cut included, found with ``np.partition``) are sorted.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     query = [(index.term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in index.term_id]
     col_ptr, col_ordinals, col_tfs = index._columns
+    idf, posting_gains = index.bm25_table(k1, b)
     positions, bounds = _segments(col_ptr, [tid for tid, _ in query])
-    ordinals, tfs = col_ordinals[positions], col_tfs[positions]
-    # query_tf * idf per term, then the gain of every posting of the query's terms in one pass;
+    ordinals = col_ordinals[positions]
+    if all(query_tf == 1 for _, query_tf in query):
+        gains = posting_gains[positions]
+    else:  # query_tf * idf per term, then the gain of every posting of the query's terms in one pass
+        tfs = col_tfs[positions]
+        weights = np.repeat([query_tf * idf[tid] for tid, query_tf in query], np.diff(bounds))
+        norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
+        gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
     # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
-    weights = np.repeat([query_tf * bm25_idf(index, index.terms[tid]) for tid, query_tf in query], np.diff(bounds))
-    norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
-    scores = np.bincount(ordinals, weights=weights * tfs * (k1 + 1.0) / (tfs + norm), minlength=index.size)
+    scores = np.bincount(ordinals, weights=gains, minlength=index.size)
     hits = np.flatnonzero(scores > 0.0)
+    if len(hits) > depth:
+        hit_scores = scores[hits]
+        hits = hits[hit_scores >= np.partition(hit_scores, len(hits) - depth)[len(hits) - depth]]
     hits = hits[np.lexsort((index._id_rank[hits], -scores[hits]))][:depth]
     return hits.astype(np.int32), scores[hits]
 
@@ -285,13 +324,29 @@ def make_pseudo_query(doc: Document, m: int) -> PseudoQuery:
     """Take the ``m`` highest-frequency tokens of ``doc``, ties alphabetical.
 
     A document that tokenizes to nothing (all stopwords) yields an empty
-    term tuple.
+    term tuple. The pipeline reads the same terms from the document's
+    index row (:func:`pseudo_query_terms`); this text-side form is their
+    reference.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     counts = Counter(tokenize(doc.text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return PseudoQuery(doc.id, tuple(term for term, _ in ranked[:m]))
+
+
+def pseudo_query_terms(index: InvertedIndex, ordinal: int, m: int) -> tuple[str, ...]:
+    """:func:`make_pseudo_query`'s terms for item ``ordinal``, read from its index row, not its text.
+
+    The row's top ``m`` terms by (tf desc, term id asc): a row lists its
+    term ids in ascending order and the vocabulary is sorted, so a stable
+    sort by tf breaks ties alphabetically, as :func:`make_pseudo_query` does.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    start, end = index.row_ptr[ordinal : ordinal + 2].tolist()
+    top = np.argsort(-index.row_tfs[start:end], kind="stable")[:m]
+    return tuple(index.terms[tid] for tid in index.row_terms[start:end][top].tolist())
 
 
 # The artifact is an .npz archive: one .npy member per name. JSON values

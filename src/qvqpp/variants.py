@@ -6,8 +6,9 @@ The pipeline for one target query:
    (1-hop), via BM25 over the indexed query collection or cosine kNN
    over precomputed query embeddings;
 2. optionally expand the pool through the judged relevant documents of
-   the 1-hop candidates: each relevant document becomes a pseudo-query
-   that retrieves further training queries (2-hop);
+   the 1-hop candidates: each relevant document becomes a pseudo-query,
+   its highest-TF terms read from its document-index row, that retrieves
+   further training queries (2-hop);
 3. re-rank the merged pool by the rank-biased overlap between each
    candidate's document ranking and the target's, both produced by the
    internal BM25 retriever and kept as document ordinals, with the whole
@@ -19,7 +20,7 @@ The pipeline for one target query:
    (lambda, k) grid re-runs no predictor.
 
 Every stage reads its inputs (indexes, training queries and qrels,
-collection, BM25 ``k1``/``b``, embedding store) and both retrieval memos
+BM25 ``k1``/``b``, embedding store) and both retrieval memos
 from one :class:`PipelineResources`, so a memo can never be read against
 an index other than the one that filled it.
 """
@@ -30,13 +31,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from .corpus_io import Document, Qrels, Query, RankedList
+from .corpus_io import Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext
 from .rank_sim import RboParams, rbo_pool
 from .text_index import (
     DEFAULT_B, DEFAULT_K1, InvertedIndex, OrdinalRun,
-    bm25_ordinals, bm25_retrieve, make_pseudo_query, ranked_list, tokenize,
+    bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
 )
 
 logger = logging.getLogger(__name__)
@@ -114,9 +115,11 @@ class PipelineResources:
     """The fixed training set that every variant stage reads, plus two retrieval memos.
 
     :func:`retrieve_1hop`, :func:`expand_2hop` and :func:`rerank_by_rbo`
-    each take their indexes, training queries and qrels, collection,
-    ``k1``/``b``, embedding store and both memos from one of these
-    objects, so a memo is only ever read against the index that filled it.
+    each take their indexes, training queries and qrels, ``k1``/``b``,
+    embedding store and both memos from one of these objects, so a memo
+    is only ever read against the index that filled it. No stage reads a
+    document's text: a pseudo-query comes from the document's row in
+    ``doc_index``.
 
     ``internal_runs`` maps (query text, internal_depth) to that text's
     internal BM25 run over ``doc_index``, for targets and candidates
@@ -128,14 +131,13 @@ class PipelineResources:
     object. Their size is bounded by the data: one entry per distinct query text and depth,
     one per judged document and (m, n). Both fill lazily and are not init
     fields: ``dataclasses.replace`` starts them empty, as it must when it
-    swaps an index, the collection, ``k1`` or ``b``.
+    swaps an index, ``k1`` or ``b``.
     """
 
     doc_index: InvertedIndex
     query_index: InvertedIndex
     training_queries: Mapping[str, Query]
     training_qrels: Qrels
-    collection: Mapping[str, Document]
     embedding_store: Optional[EmbeddingStore] = None
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
@@ -191,11 +193,12 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
 
     For every judged-relevant document (grade >= 1 in
     ``res.training_qrels``) of every 1-hop candidate, a highest-TF
-    pseudo-query retrieves a further top-n training queries over
-    ``res.query_index`` (the 2-hop path is always lexical:
+    pseudo-query, read from the document's row in ``res.doc_index`` by
+    :func:`pseudo_query_terms`, retrieves a further top-n training
+    queries over ``res.query_index`` (the 2-hop path is always lexical:
     pseudo-queries have no embeddings). Duplicates keep the lowest hop
-    tag; a relevant document missing from the collection is skipped with
-    a warning.
+    tag; a relevant document missing from ``res.doc_index`` (which the
+    CLI ties to the collection) is skipped with a warning.
 
     A document's retrieval does not depend on the target, so it is
     memoized in ``res.pseudo_query_hits``. Target exclusion,
@@ -208,8 +211,8 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
         judged = res.training_qrels.get(candidate.query.id, {})
         relevant_ids = sorted(doc_id for doc_id, grade in judged.items() if grade >= 1)
         for doc_id in relevant_ids:
-            doc = res.collection.get(doc_id)
-            if doc is None:
+            doc_ordinal = res.doc_index.ordinal_of.get(doc_id)
+            if doc_ordinal is None:
                 logger.warning(
                     "relevant document %r of training query %r missing from collection; skipped",
                     doc_id, candidate.query.id,
@@ -218,9 +221,9 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
             key = (doc_id, config.pseudo_query_m, config.n)
             found = res.pseudo_query_hits.get(key)
             if found is None:
-                pseudo = make_pseudo_query(doc, config.pseudo_query_m)
+                terms = pseudo_query_terms(res.doc_index, doc_ordinal, config.pseudo_query_m)
                 found = res.pseudo_query_hits[key] = bm25_ordinals(
-                    res.query_index, pseudo.terms, depth=config.n, k1=res.k1, b=res.b
+                    res.query_index, terms, depth=config.n, k1=res.k1, b=res.b
                 )
             ordinals, scores = found
             for ordinal, score in zip(ordinals.tolist(), scores.tolist()):

@@ -44,7 +44,6 @@ def resources(corpus, doc_index, query_index, embedding_store):
         query_index=query_index,
         training_queries=corpus.training_query_map(),
         training_qrels=corpus.train_qrels,
-        collection=corpus.collection_map(),
         embedding_store=embedding_store,
     )
 

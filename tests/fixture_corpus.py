@@ -94,9 +94,6 @@ class FixtureCorpus:
     embeddings: dict[str, list[float]]
     dim: int
 
-    def collection_map(self) -> dict[str, Document]:
-        return {d.id: d for d in self.documents}
-
     def training_query_map(self) -> dict[str, Query]:
         return {q.id: q for q in self.train_queries}
 

@@ -37,6 +37,14 @@ UEF_GOLDENS = {
 }
 UEF = ["--set", "qpp.query_retriever=dense", "--set", "qpp.base=uef", "--set", "qpp.use_2hop=false"]
 
+# SHA-256 of the 2-hop BM25 outputs under non-default BM25 parameters, recorded from the
+# implementation that weighed each posting per call and built pseudo-queries from document texts.
+BM25_GOLDENS = {
+    "qv_2hop": "7949cf4c0546c724fbb1bdf54ff1cb0ff7bb3496ccdf20c7c2786406315d5a66",
+    "predictions": "ea68fb27e92e5ede477bf82691f5d793444f42db467dd903443f9f5cc93e19c6",
+}
+BM25 = ["--set", "bm25.k1=1.2", "--set", "bm25.b=0.75"]
+
 CONFIG = """\
 seed: 1
 paths:
@@ -109,3 +117,11 @@ def test_uef_sweep_golden(bench_workspace):
     sweep = out / "uef_sweep.csv"
     assert main(["sweep", "--config", str(config), *UEF, "--set", "evaluation.ks=[1,2,3]", "--out", str(sweep)]) == 0
     assert digest(sweep) == UEF_GOLDENS["uef_sweep"]
+
+
+@pytest.mark.parametrize("name, command", [("qv_2hop", "qv"), ("predictions", "predict")])
+def test_non_default_bm25_golden(bench_workspace, name, command):
+    config, out = bench_workspace
+    path = out / f"bm25_{name}.tsv"
+    assert main([command, "--config", str(config), *BM25, "--out", str(path)]) == 0
+    assert digest(path) == BM25_GOLDENS[name]

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import pickle
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import qvqpp
 from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
 from qvqpp import cli
 from qvqpp.cli import main
@@ -813,3 +818,27 @@ class TestTuneAndSweep:
         )
         assert code == 1
         assert "stay below" in capsys.readouterr().err
+
+
+# predict then sweep in one process; prints whether numpy.ma was imported
+NUMPY_MA_SCRIPT = """\
+import sys
+from qvqpp.cli import main
+config, out, overrides = sys.argv[1], sys.argv[2], sys.argv[3:]
+for command in ("predict", "sweep"):
+    assert main([command, "--config", config, *overrides, "--out", f"{out}/{command}.out"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "overrides", [[], ["--set", "qpp.query_retriever=dense", "--set", "qpp.base=uef"]], ids=["2hop-nqc", "dense-uef"]
+)
+def test_predict_and_sweep_never_import_numpy_ma(indexed_workspace, tmp_path, overrides):
+    # numpy imports numpy.ma (tens of ms) on the first np.unique call that returns no index arrays
+    src = str(Path(qvqpp.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT, str(indexed_workspace["config"]), str(tmp_path), *overrides],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

@@ -115,6 +115,13 @@ def structure_cases():
     yield "evaluation.fold_a=missing-file", with_value(BASE, "evaluation.fold_a", "nofold.txt"), ()
     yield "evaluation.fold_a=numbers", with_value(BASE, "evaluation.fold_a", [1, 2.5]), ()
     yield "evaluation.lambdas=empty", with_value(BASE, "evaluation.lambdas", []), ()
+    # a number key refuses a string, and a list key anything but a list (fold_a also takes a file path)
+    yield "qpp.k=quoted-number", with_value(BASE, "qpp.k", "3"), ()
+    yield "seed=quoted-number", with_value(BASE, "seed", "1_000"), ()
+    yield "qpp.lambda=quoted-number", with_value(BASE, "qpp.lambda", " 0.25 "), ()
+    yield "evaluation.ks=string", with_value(BASE, "evaluation.ks", "12"), ()
+    yield "evaluation.fold_a=mapping", with_value(BASE, "evaluation.fold_a", {"dl01": 1}), ()
+    yield "evaluation.lambdas=mapping", with_value(BASE, "evaluation.lambdas", {0.1: "x"}), ()
     yield "evaluation.target_metric=unknown", with_value(BASE, "evaluation.target_metric", "map@1000"), ()
     yield "qpp.query_retriever=unknown", with_value(BASE, "qpp.query_retriever", "neural"), ()
     yield "qpp.base=unknown", with_value(BASE, "qpp.base", "clarity"), ()
@@ -198,6 +205,7 @@ GOLDEN = {
     'bm25=null': {},
     'bm25=scalar': "error: config section 'bm25' must be a mapping, got 5",
     'evaluation.fold_a=file': {'fold_a': ['q3', 'q1']},
+    'evaluation.fold_a=mapping': "error: evaluation.fold_a: expected a list of str, got {'dl01': 1}",
     'evaluation.fold_a=missing-file': 'error: fold_a file <dir>/nofold.txt does not exist',
     'evaluation.fold_a=null': {},
     'evaluation.fold_a=numbers': {'fold_a': ['1', '2.5']},
@@ -206,10 +214,12 @@ GOLDEN = {
     'evaluation.ks=bool': 'error: evaluation.ks: expected a list of int, got [1, True]',
     'evaluation.ks=fraction': 'error: evaluation.ks: expected a list of int, got [1, 1.5]',
     'evaluation.ks=null': {},
+    'evaluation.ks=string': "error: evaluation.ks: expected a list of int, got '12'",
     'evaluation.ks=valid': {'ks': [2, 3]},
     'evaluation.ks=wrong-type': "error: evaluation.ks: expected a list of int, got 'ks'",
     'evaluation.lambdas=bool': 'error: evaluation.lambdas: expected a list of float, got [1, True]',
     'evaluation.lambdas=empty': {'lambdas': []},
+    'evaluation.lambdas=mapping': "error: evaluation.lambdas: expected a list of float, got {0.1: 'x'}",
     'evaluation.lambdas=null': {},
     'evaluation.lambdas=valid': {'lambdas': [0.2, 0.4]},
     'evaluation.lambdas=wrong-type': 'error: evaluation.lambdas: expected a list of float, got 5',
@@ -311,12 +321,14 @@ GOLDEN = {
     'qpp.k=fraction': 'error: qpp.k: expected int, got 2.5',
     'qpp.k=n': 'error: candidate pool n (100) must exceed k (100)',
     'qpp.k=null': {},
+    'qpp.k=quoted-number': "error: qpp.k: expected int, got '3'",
     'qpp.k=valid': {'qpp.k': 3},
     'qpp.k=whole-float': {'qpp.k': 4},
     'qpp.k=wrong-type': "error: qpp.k: expected int, got 'three'",
     'qpp.lambda=bool': 'error: qpp.lambda: expected float, got True',
     'qpp.lambda=null': {},
     'qpp.lambda=out-of-range': 'error: lambda must be in [0, 1], got 1.5',
+    'qpp.lambda=quoted-number': "error: qpp.lambda: expected float, got ' 0.25 '",
     'qpp.lambda=valid': {'qpp.lam': 0.3},
     'qpp.lambda=wrong-type': "error: qpp.lambda: expected float, got 'high'",
     'qpp.n=bool': 'error: qpp.n: expected int, got True',
@@ -365,6 +377,7 @@ GOLDEN = {
     'seed=fraction': 'error: seed: expected int, got 2.5',
     'seed=negative': {'seed': -3},
     'seed=null': {},
+    'seed=quoted-number': "error: seed: expected int, got '1_000'",
     'seed=section': "error: seed: expected int, got {'x': 1}",
     'seed=valid': {'seed': 7},
     'seed=whole-float': {'seed': 4},

@@ -25,11 +25,13 @@ from qvqpp import (
     build_relevance_model,
     load_index,
     make_pseudo_query,
+    parse_collection,
     rm_rerank,
     save_index,
     tokenize,
 )
-from qvqpp.text_index import _items_sha256, bm25_ordinals, ranked_list
+from qvqpp.text_index import _items_sha256, bm25_ordinals, pseudo_query_terms, ranked_list
+from test_bench_corpus import load_generator
 
 TOY_CORPUS = [
     ("d1", "coffee beans need a medium roast for balanced flavor"),
@@ -194,6 +196,33 @@ class TestMakePseudoQuery:
     def test_bad_m(self):
         with pytest.raises(ValueError, match="m must be"):
             make_pseudo_query(Document("d", "x"), 0)
+
+
+class TestPseudoQueryTerms:
+    @staticmethod
+    def assert_rows_match_texts(documents):
+        index = build_index((d.id, d.text) for d in documents)
+        longest = int(np.diff(index.row_ptr).max())
+        for m in (1, 3, 20, longest + 1):
+            for ordinal, doc in enumerate(documents):
+                assert pseudo_query_terms(index, ordinal, m) == make_pseudo_query(doc, m).terms
+
+    def test_fixture_corpus_rows_match_texts(self, corpus):
+        self.assert_rows_match_texts(corpus.documents)
+
+    def test_scale_t_corpus_rows_match_texts(self, tmp_path):
+        load_generator()(tmp_path, "T", 1, 10)
+        self.assert_rows_match_texts(parse_collection(tmp_path / "collection.tsv"))
+
+    def test_all_stopword_document_is_empty(self):
+        documents = [Document("a", "the of and is"), Document("b", "apple apple banana")]
+        index = build_index((d.id, d.text) for d in documents)
+        assert pseudo_query_terms(index, 0, 5) == make_pseudo_query(documents[0], 5).terms == ()
+        assert pseudo_query_terms(index, 1, 5) == ("apple", "banana")
+
+    def test_bad_m(self):
+        with pytest.raises(ValueError, match="m must be"):
+            pseudo_query_terms(build_index(TOY_CORPUS), 0, 0)
 
 
 class TestPersistence:
@@ -406,6 +435,8 @@ random_corpora = st.lists(st.lists(st.sampled_from(WORDS), max_size=10), min_siz
 )
 query_bags = st.lists(st.sampled_from(WORDS + ["absent"]), max_size=6)
 bm25_params = st.sampled_from([(0.9, 0.4), (1.2, 0.75), (0.5, 1.0), (2.0, 0.0)])
+# pairs that share a k1 or a b, so a gain table keyed by one of them alone answers wrongly
+shared_bm25_params = st.sampled_from([(0.9, 0.4), (0.9, 0.75), (1.2, 0.4), (1.2, 0.75), (2.0, 0.0)])
 
 
 class TestIndexProperties:
@@ -432,6 +463,19 @@ class TestIndexProperties:
             assert score == pytest.approx(want[doc_id], abs=1e-12)
         for (earlier, _), (later, _) in zip(full.entries, full.entries[1:]):
             assert want[earlier] >= want[later] - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_corpora, query_bags, st.lists(shared_bm25_params, min_size=2, max_size=4), st.integers(1, 12))
+    @example(  # d01, d02 and d03 tie exactly across the depth cut: all three pass the partition, d01 is kept
+        items=[("d00", "alpha beta"), ("d01", "alpha"), ("d02", "alpha"), ("d03", "alpha"), ("d04", "beta")],
+        terms=["alpha", "beta"], params_seq=[(0.9, 0.4), (0.9, 0.75), (0.9, 0.4)], depth=3,
+    )
+    def test_one_index_serves_several_bm25_params(self, items, terms, params_seq, depth):
+        # each (k1, b) in turn is answered from its own gain table, bit for bit
+        index = build_index(items)
+        for k1, b in params_seq:
+            run = ranked_list(index, bm25_ordinals(index, terms, depth, k1=k1, b=b), "")
+            assert run.entries == oracles.bm25_postings_loop(items, terms, k1=k1, b=b)[:depth]
 
     @settings(max_examples=150, deadline=None)
     @given(random_corpora, query_bags, st.sampled_from([0.5, 10.0, 1000.0]))

@@ -145,7 +145,8 @@ class Test2Hop:
         res = replace(resources, training_qrels={"t01": {"not-a-doc": 1}})
         with caplog.at_level(logging.WARNING):
             merged = expand_2hop(one_hop, config, res)
-        assert "not-a-doc" in caplog.text
+        # a judged id the document index lacks keeps the collection-era warning
+        assert "relevant document 'not-a-doc' of training query 't01' missing from collection; skipped" in caplog.text
         assert merged.query_ids() == one_hop.query_ids()
 
     def test_matches_scripted_oracle(self):
@@ -409,7 +410,6 @@ def resources_over(training, qrels, collection):
         query_index=build_index((q.id, q.text) for q in training.values()),
         training_queries=training,
         training_qrels=qrels,
-        collection=collection,
     )
 
 
