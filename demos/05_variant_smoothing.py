@@ -11,7 +11,6 @@ for the target run with the overlap-weighted estimates of the variants.
 
 from qvqpp import (
     PipelineResources,
-    PredictorContext,
     PredictorParams,
     QppConfig,
     Query,
@@ -54,6 +53,8 @@ def main():
         query_index=build_index(TRAIN_QUERIES),
         training_queries=training,
         training_qrels=TRAIN_QRELS,
+        params=PredictorParams(uef_sample_size=2),
+        seed=7,
     )
     config = QppConfig(lam=0.6, k=2, n=4, use_2hop=True, internal_depth=10)
 
@@ -78,10 +79,9 @@ def main():
         print(f"  {cand.query.id}  hop {cand.hop}  rbo {cand.rbo:.4f}  run {cand.internal_run.doc_ids()}")
 
     target_run = bm25_retrieve(doc_index, tokenize(TARGET.text), depth=10, query_id=TARGET.id)
-    context = PredictorContext(index=doc_index, params=PredictorParams(uef_sample_size=2), seed=7)
     # the base predictor runs once per query here; each lambda below only re-weights these values
     widest = QppConfig(lam=1.0, k=2, n=4, use_2hop=True, internal_depth=10)
-    phi = base_predictions(TARGET, target_run, qv_set, widest, context)
+    phi = base_predictions(TARGET, target_run, qv_set, widest, res)
     print("\nsmoothed estimates as lambda moves from 'target only' to 'variants only':")
     for lam in (0.0, 0.3, 0.6, 1.0):
         cfg = QppConfig(lam=lam, k=2, n=4, use_2hop=True, internal_depth=10)

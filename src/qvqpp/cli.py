@@ -47,6 +47,7 @@ import yaml
 from .corpus_io import (
     Query,
     RankedList,
+    open_utf8,
     parse_collection,
     parse_qrels,
     parse_queries,
@@ -66,7 +67,7 @@ from .evaluation import (
     sweep_grid,
     tune_2fold,
 )
-from .predictors import PredictorContext, PredictorParams
+from .predictors import PredictorParams
 from .rank_sim import RboParams
 from .text_index import build_index, load_index, save_index
 from .variants import (
@@ -178,7 +179,8 @@ def _coerce(dotted: str, kind, value, base_dir: Path):
         try:
             if not list_path.exists():
                 raise ValueError(f"{dotted.rsplit('.', 1)[-1]} file {list_path} does not exist")
-            lines = list_path.read_text(encoding="utf-8").splitlines()
+            with open_utf8(list_path) as handle:
+                lines = handle.read().splitlines()
         except OSError as exc:
             raise ValueError(str(exc)) from None
         return [line.strip() for line in lines if line.strip()]
@@ -194,7 +196,7 @@ def _coerce(dotted: str, kind, value, base_dir: Path):
 
 def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
     """Parse the YAML config and apply ``dotted.key=value`` overrides; a null or absent key takes its default."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         raw = _yaml(handle, str(path)) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config root must be a mapping")
@@ -281,16 +283,7 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
         training_queries={q.id: q for q in training_queries},
         training_qrels=parse_qrels(cfg.train_qrels),
         embedding_store=store,
-        k1=cfg.predictor.k1,
-        b=cfg.predictor.b,
-    )
-
-
-def _make_context(cfg: PipelineConfig, res: PipelineResources) -> PredictorContext:
-    return PredictorContext(
-        index=res.doc_index,
         params=cfg.predictor,
-        rbo_params=cfg.qpp.rbo_params,
         seed=cfg.seed,
     )
 
@@ -329,9 +322,11 @@ def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> di
 def cmd_index(cfg: PipelineConfig) -> int:
     """Build and persist the document index and the training-query index."""
     _require_files(cfg.collection, cfg.train_queries)
-    cfg.index_dir.mkdir(parents=True, exist_ok=True)
     documents = parse_collection(cfg.collection)
+    if not documents:
+        raise ValueError(f"{cfg.collection}: the collection holds no documents")
     queries = parse_queries(cfg.train_queries)
+    cfg.index_dir.mkdir(parents=True, exist_ok=True)
     doc_index = build_index((d.id, d.text) for d in documents)
     query_index = build_index((q.id, q.text) for q in queries)
     save_index(doc_index, cfg.index_dir / DOC_INDEX_FILE)
@@ -365,11 +360,10 @@ def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write one smoothed prediction per query in the target run file."""
     targets, run_map = _load_target_run(cfg, min_queries=1)
     res = _load_resources(cfg)
-    context = _make_context(cfg, res)
     out = out_path or cfg.output_dir / "predictions.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
     predictions = {
-        qid: predict_query(targets[qid], run_map[qid], cfg.qpp, res, context)
+        qid: predict_query(targets[qid], run_map[qid], cfg.qpp, res)
         for qid in sorted(run_map)
     }
     write_score_tsv(predictions, out)
@@ -446,13 +440,12 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
     no cell runs a predictor, so a predictor error ends the command
     before the grid starts.
     """
-    context = _make_context(cfg, res)
     widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
     qv_sets = {}
     phis = {}
     for qid in sorted(run_map):
         qv_sets[qid] = build_qv_set(targets[qid], widest, res)
-        phis[qid] = base_predictions(targets[qid], run_map[qid], qv_sets[qid], widest, context)
+        phis[qid] = base_predictions(targets[qid], run_map[qid], qv_sets[qid], widest, res)
 
     def predict_fn(lam: float, k: int, ids: Sequence[str]) -> dict[str, float]:
         qpp = replace(cfg.qpp, lam=lam, k=k)

@@ -9,9 +9,9 @@ Formats:
 - embeddings: header ``count dim``, then ``id`` followed by ``dim`` floats
   (parsed by :mod:`qvqpp.dense_index`)
 
-All parsers are strict: malformed input, a ``nan`` or infinite number
-included, raises :class:`ValueError` naming the offending line instead of
-being silently repaired. Files are UTF-8.
+All parsers are strict: malformed input, a ``nan``, an infinite number or
+a byte that is not UTF-8 included, raises :class:`ValueError` naming the
+offending line instead of being silently repaired. Files are UTF-8.
 Run ranks are ignored on read and recomputed from (score desc, doc_id asc)
 so that downstream rank comparisons are reproducible.
 """
@@ -19,8 +19,10 @@ so that downstream rank comparisons are reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, TextIO
 
 # query_id -> doc_id -> integer grade
 Qrels = dict[str, dict[str, int]]
@@ -85,8 +87,26 @@ class RankedList:
         return len(self.entries)
 
 
-def _iter_lines(path) -> Iterable[tuple[int, str]]:
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 ends in a ValueError naming its line.
+
+    Lines are counted as text mode ends them: at LF, CRLF or CR.
+    """
     with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()  # text mode decodes in chunks, so find the first bad byte here
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{len((data[: exc.start] + b'x').splitlines())}: {exc}") from None
+            raise  # the file changed since: report the error as raised
+
+
+def _iter_lines(path) -> Iterable[tuple[int, str]]:
+    with open_utf8(path) as handle:
         for number, raw in enumerate(handle, start=1):
             yield number, raw.rstrip("\r\n")
 

@@ -12,7 +12,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .corpus_io import RankedList
+from .corpus_io import RankedList, open_utf8
 
 
 @dataclass
@@ -47,7 +47,7 @@ def load_vectors(path) -> EmbeddingStore:
     Zero-norm rows are tolerated at load; they are simply never returned
     by :func:`knn_cosine`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         header = handle.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: header must be 'count dim', got {header!r}")

@@ -309,7 +309,7 @@ def uef(
     samples: int,
     sample_size: int,
     *,
-    rbo_params: RboParams | None = None,
+    rbo_params: RboParams = RboParams(),
     mu: float = DEFAULT_MU,
 ) -> float:
     """Average over seeded subsets of (rank-overlap x subset nqc).
@@ -337,7 +337,6 @@ def uef(
     pool = entries[: max(inp.top_k, UEF_POOL_FLOOR)]
     if sample_size > len(pool):
         raise ValueError(f"sample_size {sample_size} exceeds the {len(pool)} available documents")
-    params = rbo_params if rbo_params is not None else RboParams()
     head = _head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
     pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
     # mu * p_w > 0 and ln(mu * p_w) for every term a subset's model can hold, by term id
@@ -363,7 +362,7 @@ def uef(
         )
         reranked.append(head.ordinals[order])
     total = 0.0
-    for overlap, subset_nqc in zip(rbo_pool(head.ordinals, reranked, index.size, params), subset_nqcs):
+    for overlap, subset_nqc in zip(rbo_pool(head.ordinals, reranked, index.size, rbo_params), subset_nqcs):
         total += overlap * subset_nqc
     return total / samples
 
@@ -403,19 +402,20 @@ class PredictorParams:
 class PredictorContext:
     """Binds an index, predictor knobs and a global seed into one evaluator.
 
-    Results are memoized per (base, query, list, terms). Each target's
-    phi table evaluates every query at most once, so the memo only
-    answers a training query that two targets both keep as a variant.
+    UEF's RBO parameters come with each call, from the caller's QppConfig.
+    Results are memoized per (base, query, list, terms, RBO parameters).
+    Each target's phi table evaluates every query at most once, so the
+    memo only answers a training query that two targets both keep as a
+    variant. The pipeline's one context is ``PipelineResources.predictor``.
     """
 
     index: InvertedIndex
     params: PredictorParams = field(default_factory=PredictorParams)
-    rbo_params: RboParams = field(default_factory=RboParams)
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def evaluate(self, base: str, run: RankedList, terms: Sequence[str], query_id: str) -> float:
-        key = (base, query_id, tuple(run.entries), tuple(terms))
+    def evaluate(self, base: str, run: RankedList, terms: Sequence[str], query_id: str, rbo_params: RboParams) -> float:
+        key = (base, query_id, tuple(run.entries), tuple(terms), rbo_params)
         if key in self._cache:
             return self._cache[key]
         cscore = collection_score(self.index, terms, k1=self.params.k1, b=self.params.b)
@@ -429,7 +429,7 @@ class PredictorContext:
                 derive_seed(self.seed, query_id),
                 self.params.uef_samples,
                 self.params.uef_sample_size,
-                rbo_params=self.rbo_params,
+                rbo_params=rbo_params,
                 mu=self.params.mu,
             )
         else:

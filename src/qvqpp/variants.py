@@ -20,9 +20,10 @@ The pipeline for one target query:
    (lambda, k) grid re-runs no predictor.
 
 Every stage reads its inputs (indexes, training queries and qrels,
-BM25 ``k1``/``b``, embedding store) and both retrieval memos
-from one :class:`PipelineResources`, so a memo can never be read against
-an index other than the one that filled it.
+embedding store, BM25 and predictor knobs, seed), both retrieval memos
+and the base predictor from one :class:`PipelineResources`, which holds
+each once, so no memo is read against an index or ``k1``/``b`` other
+than those that filled it. RBO parameters come from :class:`QppConfig`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from typing import Mapping, Optional
 
 from .corpus_io import Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
-from .predictors import PredictorContext
+from .predictors import PredictorContext, PredictorParams
 from .rank_sim import RboParams, rbo_pool
 from .text_index import (
-    DEFAULT_B, DEFAULT_K1, InvertedIndex, OrdinalRun,
-    bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
+    InvertedIndex, OrdinalRun, bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,14 +112,14 @@ class QppConfig:
 
 @dataclass
 class PipelineResources:
-    """The fixed training set that every variant stage reads, plus two retrieval memos.
+    """The fixed training set that every variant stage reads, its base predictor and two retrieval memos.
 
-    :func:`retrieve_1hop`, :func:`expand_2hop` and :func:`rerank_by_rbo`
-    each take their indexes, training queries and qrels, ``k1``/``b``,
-    embedding store and both memos from one of these objects, so a memo
-    is only ever read against the index that filled it. No stage reads a
-    document's text: a pseudo-query comes from the document's row in
-    ``doc_index``.
+    Every stage takes its indexes, training queries and qrels, embedding
+    store, BM25 ``params.k1``/``params.b`` and both memos from one of these
+    objects, and :func:`base_predictions` its ``predictor``, the one
+    :class:`PredictorContext` over ``doc_index``, ``params`` and ``seed``.
+    No stage reads a document's text: a pseudo-query comes from the
+    document's row in ``doc_index``.
 
     ``internal_runs`` maps (query text, internal_depth) to that text's
     internal BM25 run over ``doc_index``, for targets and candidates
@@ -129,9 +129,9 @@ class PipelineResources:
     being processed, so each is computed once and kept, as the index's
     ordinals (int32) plus a float64 array of scores, for the life of this
     object. Their size is bounded by the data: one entry per distinct query text and depth,
-    one per judged document and (m, n). Both fill lazily and are not init
-    fields: ``dataclasses.replace`` starts them empty, as it must when it
-    swaps an index, ``k1`` or ``b``.
+    one per judged document and (m, n). Both fill lazily and, like
+    ``predictor``, are not init fields: ``dataclasses.replace`` starts all
+    three empty, as it must when it swaps an index or ``params``.
     """
 
     doc_index: InvertedIndex
@@ -139,14 +139,18 @@ class PipelineResources:
     training_queries: Mapping[str, Query]
     training_qrels: Qrels
     embedding_store: Optional[EmbeddingStore] = None
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
+    params: PredictorParams = field(default_factory=PredictorParams)
+    seed: int = 0
     internal_runs: dict[tuple[str, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    predictor: PredictorContext = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.predictor = PredictorContext(self.doc_index, self.params, self.seed)
 
 
 def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
@@ -162,7 +166,7 @@ def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> Q
     if config.query_retriever == RETRIEVER_BM25:
         retrieved = bm25_retrieve(
             res.query_index, target_tokens, depth=max(config.n, res.query_index.size, 1),
-            k1=res.k1, b=res.b, query_id=target.id,
+            k1=res.params.k1, b=res.params.b, query_id=target.id,
         )
     else:
         store = res.embedding_store
@@ -223,7 +227,7 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
             if found is None:
                 terms = pseudo_query_terms(res.doc_index, doc_ordinal, config.pseudo_query_m)
                 found = res.pseudo_query_hits[key] = bm25_ordinals(
-                    res.query_index, terms, depth=config.n, k1=res.k1, b=res.b
+                    res.query_index, terms, depth=config.n, k1=res.params.k1, b=res.params.b
                 )
             ordinals, scores = found
             for ordinal, score in zip(ordinals.tolist(), scores.tolist()):
@@ -243,7 +247,7 @@ def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> Ordin
     run = res.internal_runs.get(key)
     if run is None:
         run = res.internal_runs[key] = bm25_ordinals(
-            res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.k1, b=res.b
+            res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.params.k1, b=res.params.b
         )
     return run
 
@@ -276,7 +280,7 @@ def base_predictions(
     target_run: RankedList,
     qv_set: QVSet,
     config: QppConfig,
-    context: PredictorContext,
+    res: PipelineResources,
 ) -> dict[str, float]:
     """The phi table of one target: base predictions keyed by query id.
 
@@ -288,15 +292,16 @@ def base_predictions(
     the table serves every smaller (lambda, k) of :func:`smooth_qpp`.
     """
     phi = {
-        target_run.query_id: context.evaluate(
-            config.base, target_run, tokenize(target.text), target_run.query_id
+        target_run.query_id: res.predictor.evaluate(
+            config.base, target_run, tokenize(target.text), target_run.query_id, config.rbo_params
         )
     }
     if config.lam > 0.0:
         for candidate in qv_set.candidates:
             if candidate.rbo > 0.0:
-                phi[candidate.query.id] = context.evaluate(
-                    config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id
+                phi[candidate.query.id] = res.predictor.evaluate(
+                    config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id,
+                    config.rbo_params,
                 )
     return phi
 
@@ -342,8 +347,7 @@ def predict_query(
     target_run: RankedList,
     config: QppConfig,
     res: PipelineResources,
-    context: PredictorContext,
 ) -> float:
     """Full smoothed estimate for one target query and its external run."""
     qv_set = build_qv_set(target, config, res)
-    return smooth_qpp(target_run, qv_set, config, base_predictions(target, target_run, qv_set, config, context))
+    return smooth_qpp(target_run, qv_set, config, base_predictions(target, target_run, qv_set, config, res))

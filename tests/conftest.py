@@ -5,7 +5,6 @@ import pytest
 from fixture_corpus import build_corpus
 from qvqpp import (
     PipelineResources,
-    PredictorContext,
     PredictorParams,
     RankedList,
     build_index,
@@ -45,6 +44,8 @@ def resources(corpus, doc_index, query_index, embedding_store):
         training_queries=corpus.training_query_map(),
         training_qrels=corpus.train_qrels,
         embedding_store=embedding_store,
+        params=PredictorParams(top_k=100, uef_samples=5, uef_sample_size=2),
+        seed=42,
     )
 
 
@@ -63,15 +64,6 @@ def target_run(corpus, doc_index):
         ]
         run_map[target.id] = RankedList.from_scores(target.id, rescaled)
     return run_map
-
-
-@pytest.fixture(scope="session")
-def context(doc_index):
-    return PredictorContext(
-        index=doc_index,
-        params=PredictorParams(top_k=100, uef_samples=5, uef_sample_size=2),
-        seed=42,
-    )
 
 
 def write_fixture_files(corpus, target_run, root):

@@ -85,14 +85,14 @@ def test_c02_kendall_tau_against_pair_counting_oracle():
     report(2, f"tau-b equals the O(n^2) oracle on {checked} tied random instances to 1e-12")
 
 
-def test_c03_smoothing_reductions(corpus, resources, context, target_run):
+def test_c03_smoothing_reductions(corpus, resources, target_run):
     target = corpus.test_queries[1]
     terms = tokenize(target.text)
     run = target_run[target.id]
     qv = build_qv_set(target, QppConfig(lam=0.5, k=3, n=100), resources)
 
-    base_value = context.evaluate("nqc", run, terms, target.id)
-    phi = base_predictions(target, run, qv, QppConfig(lam=1.0, k=3, n=100), context)
+    base_value = resources.predictor.evaluate("nqc", run, terms, target.id, RboParams())
+    phi = base_predictions(target, run, qv, QppConfig(lam=1.0, k=3, n=100), resources)
     assert smooth_qpp(run, qv, QppConfig(lam=0.0, k=3, n=100), phi) == base_value
 
     empty = qv.top(0)

@@ -40,15 +40,26 @@ def test_layer_target_resolves(name, module_name, attr):
     assert callable(owner), f"{name}: {module_name}.{attr} is not callable"
 
 
-@pytest.mark.parametrize("command, output", [("predict", "predictions.tsv"), ("sweep", "sweep.csv")])
-def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output):
+DENSE_UEF = ("--set", "qpp.query_retriever=dense", "--set", "qpp.base=uef")
+
+
+@pytest.mark.parametrize(
+    "command, output, overrides",
+    [
+        pytest.param("predict", "predictions.tsv", (), id="predict-predictions.tsv"),
+        pytest.param("sweep", "sweep.csv", (), id="sweep-sweep.csv"),
+        pytest.param("predict", "predictions.tsv", DENSE_UEF, id="predict-predictions.tsv-dense-uef"),
+        pytest.param("sweep", "sweep.csv", DENSE_UEF, id="sweep-sweep.csv-dense-uef"),
+    ],
+)
+def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output, overrides):
     # the wrappers read call arguments (TARGET_OF, INSPECT) and PredictorContext._cache
     config = str(workspace["config"])
     plain, traced, spans_path = tmp_path / "plain" / output, tmp_path / "traced" / output, tmp_path / "spans.jsonl"
-    assert cli_main([command, "--config", config, "--out", str(plain)]) == 0
+    assert cli_main([command, "--config", config, *overrides, "--out", str(plain)]) == 0
     result = subprocess.run(
         [sys.executable, str(BENCHMARKS / "traced_cli.py"), str(spans_path), command, "--config", config,
-         "--out", str(traced)],
+         *overrides, "--out", str(traced)],
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
@@ -57,6 +68,8 @@ def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output)
     metrics = bench_trace.layer_metrics([], spans, [], 1.0)
     assert metrics["variants.rerank.calls"] > 0 and metrics["variants.pool_size.mean"] > 0
     assert metrics["predictors.evaluate.calls"] > 0
+    if overrides:
+        assert metrics["predictors.uef.calls"] > 0 and metrics["dense_index.knn.calls"] > 0
     if command == "sweep":
         # one phi table per target: the target and at most max(ks) = 3 variants, never once per grid cell
         assert metrics["predictors.evaluate.calls"] <= 5 * (1 + 3)

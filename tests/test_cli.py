@@ -171,6 +171,18 @@ class TestIndexCommand:
             assert (tmp_path / "first" / file_name).read_bytes() == (tmp_path / "second" / file_name).read_bytes()
         assert sorted(p.name for p in (tmp_path / "first").iterdir()) == ["documents.idx", "queries.idx"]
 
+    def test_empty_collection_refused_before_any_artifact(self, indexed_workspace, tmp_path, capsys):
+        empty = tmp_path / "collection.tsv"
+        empty.write_text("", encoding="utf-8")
+        index_dir = tmp_path / "index"
+        code = run_cli(
+            "index", "--config", indexed_workspace["config"], "--set", f"paths.collection={empty}",
+            "--set", f"paths.index_dir={index_dir}",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: the collection holds no documents\n"
+        assert not index_dir.exists()
+
 
 class TestValidation:
     def test_missing_input_fails_before_work(self, tmp_path, capsys):
@@ -482,6 +494,39 @@ paths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {predictions}:2: non-finite value 'inf'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path_key",
+        ["collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run", "embeddings",
+         "config", "fold_a"],
+    )
+    def test_bad_utf8_names_file_and_line(self, indexed_workspace, tmp_path, capsys, path_key):
+        # predict reads every input but the test qrels, which sweep reads
+        command = "sweep" if path_key == "test_qrels" else "predict"
+        overrides = ("--set", "qpp.query_retriever=dense") if path_key == "embeddings" else ()
+        config = indexed_workspace["config"]
+        if path_key == "config":
+            source = config
+        elif path_key == "fold_a":
+            source = tmp_path / "fold_a.txt"
+            source.write_text("dl01\ndl02\ndl03\n", encoding="utf-8")
+        else:
+            source = getattr(cli.load_config(config), path_key)
+        lines = source.read_bytes().splitlines(True)
+        lines[2] = lines[2].rstrip(b"\n") + b"\xff\n"
+        bad = tmp_path / f"bad-{source.name}"
+        bad.write_bytes(b"".join(lines))
+        if path_key == "config":
+            config = bad
+        else:
+            key = "evaluation.fold_a" if path_key == "fold_a" else f"paths.{path_key}"
+            overrides = (*overrides, "--set", f"{key}={bad}")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, *overrides, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:3: 'utf-8' codec can't decode byte 0xff in position "), err
+        assert err.endswith(": invalid start byte\n") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_non_finite_embedding_rejected(self, indexed_workspace, tmp_path, capsys):
         lines = (indexed_workspace["data"] / "query_embeddings.txt").read_text(encoding="utf-8").splitlines(True)
@@ -804,12 +849,12 @@ class TestTuneAndSweep:
         res = cli._load_resources(cfg)
         targets, run_map = cli._load_target_run(cfg)
         predict_fn = cli._prediction_engine(cfg, res, targets, run_map)
-        context = cli._make_context(cfg, res)
+        fresh = replace(res)
         ids = sorted(run_map)
         for lam in cfg.lambdas:
             for k in cfg.ks:
                 qpp = replace(cfg.qpp, lam=lam, k=k)
-                want = {qid: cli.predict_query(targets[qid], run_map[qid], qpp, res, context) for qid in ids}
+                want = {qid: cli.predict_query(targets[qid], run_map[qid], qpp, fresh) for qid in ids}
                 assert predict_fn(lam, k, ids) == want, (lam, k)
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):

@@ -193,3 +193,19 @@ class TestScoreTsv:
         path = write(tmp_path / "s.tsv", "q1\tnot_a_number\n")
         with pytest.raises(ValueError, match="non-numeric value"):
             parse_score_tsv(path)
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_of_the_first_bad_byte_past_the_first_chunk(self, tmp_path, newline):
+        # text mode decodes 8 KiB chunks, so the error it raises knows neither line nor file offset
+        rows = [f"q{i}\tsome query text {i}".encode() for i in range(2000)]
+        rows[1500] += b"\xe9"  # Latin-1 e-acute, then a line end: not UTF-8
+        rows[1700] += b"\xff"
+        path = tmp_path / "queries.tsv"
+        path.write_bytes(newline.join(rows) + newline)
+        offset = len(newline.join(rows[:1500])) + len(newline) + len(rows[1500]) - 1
+        message = f"{path}:1501: 'utf-8' codec can't decode byte 0xe9 in position {offset}: invalid continuation byte"
+        with pytest.raises(ValueError) as raised:
+            parse_queries(path)
+        assert str(raised.value) == message

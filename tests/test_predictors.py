@@ -481,8 +481,8 @@ class TestPredictorContext:
         index = build_index(CORPUS_5)
         run = bm25_retrieve(index, ["solar", "panel"], depth=5, query_id="q")
         ctx = PredictorContext(index=index)
-        first = ctx.evaluate("nqc", run, ["solar", "panel"], "q")
-        second = ctx.evaluate("nqc", run, ["solar", "panel"], "q")
+        first = ctx.evaluate("nqc", run, ["solar", "panel"], "q", RboParams())
+        second = ctx.evaluate("nqc", run, ["solar", "panel"], "q", RboParams())
         assert first == second
         expected = nqc(PredictorInput(run, collection_score(index, ["solar", "panel"]), top_k=100))
         assert first == pytest.approx(expected, abs=1e-12)
@@ -493,14 +493,22 @@ class TestPredictorContext:
         ctx_a = PredictorContext(index=index, params=params, seed=5)
         ctx_b = PredictorContext(index=index, params=params, seed=5)
         terms = ["apple", "banana"]
-        assert ctx_a.evaluate("uef", inp.ranked_list, terms, "q1") == ctx_b.evaluate(
-            "uef", inp.ranked_list, terms, "q1"
+        assert ctx_a.evaluate("uef", inp.ranked_list, terms, "q1", RboParams()) == ctx_b.evaluate(
+            "uef", inp.ranked_list, terms, "q1", RboParams()
         )
         assert derive_seed(5, "q1") == derive_seed(5, "q1")
         assert derive_seed(5, "q1") != derive_seed(5, "q2")
+
+    def test_memo_is_keyed_by_rbo_params(self):
+        index, inp = uef_fixture_input()
+        ctx = PredictorContext(index=index, params=PredictorParams(top_k=10, uef_samples=4, uef_sample_size=2), seed=5)
+        rbos = (RboParams(p=0.9), RboParams(p=0.5))
+        values = [ctx.evaluate("uef", inp.ranked_list, ["apple", "banana"], "q1", rbo) for rbo in rbos]
+        assert values == [uef(inp, index, derive_seed(5, "q1"), 4, 2, rbo_params=rbo) for rbo in rbos]
+        assert values[0] != values[1] and len(ctx._cache) == 2
 
     def test_unknown_base_rejected(self):
         index = build_index(CORPUS_5)
         run = bm25_retrieve(index, ["solar"], depth=5, query_id="q")
         with pytest.raises(ValueError, match="unknown base"):
-            PredictorContext(index=index).evaluate("wig", run, ["solar"], "q")
+            PredictorContext(index=index).evaluate("wig", run, ["solar"], "q", RboParams())

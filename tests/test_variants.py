@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qvqpp import variants
 from qvqpp import (
     Document,
     PipelineResources,
+    PredictorInput,
+    PredictorParams,
     Query,
     QppConfig,
     QVCandidate,
@@ -22,7 +25,10 @@ from qvqpp import (
     base_predictions,
     build_index,
     build_qv_set,
+    collection_score,
     expand_2hop,
+    make_pseudo_query,
+    nqc,
     rbo_ext,
     rerank_by_rbo,
     retrieve_1hop,
@@ -224,14 +230,20 @@ class TestRerankByRbo:
 
 
 class CountingContext:
-    """Returns preset predictor values keyed by query id and records every call."""
+    """Returns preset predictor values keyed by query id and records every call.
+
+    ``resources`` stands in for the PipelineResources whose predictor it is.
+    """
 
     def __init__(self, values):
         self.values = values
         self.calls = []
+        self.rbo_params = []
+        self.resources = SimpleNamespace(predictor=self)
 
-    def evaluate(self, base, run, terms, query_id):
+    def evaluate(self, base, run, terms, query_id, rbo_params):
         self.calls.append((base, run.query_id, list(terms), query_id))
+        self.rbo_params.append(rbo_params)
         return self.values[query_id]
 
 
@@ -258,13 +270,15 @@ class TestSmoothQpp:
         got = smooth_qpp(target_run, qv, config, {"T": 0.4, "v1": 0.8})
         assert got == pytest.approx(0.6, abs=1e-12)
 
-    def test_lambda_zero_is_exactly_base(self, corpus, resources, context, target_run):
+    def test_lambda_zero_is_exactly_base(self, corpus, resources, target_run):
         config = QppConfig(lam=0.0, k=2, n=100)
         target = corpus.test_queries[0]
         qv = build_qv_set(target, config, resources)
-        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        phi = base_predictions(target, target_run[target.id], qv, config, resources)
         got = smooth_qpp(target_run[target.id], qv, config, phi)
-        base = context.evaluate("nqc", target_run[target.id], tokenize(target.text), target.id)
+        base = resources.predictor.evaluate(
+            "nqc", target_run[target.id], tokenize(target.text), target.id, config.rbo_params
+        )
         assert got == base
 
     def test_empty_set_falls_back(self):
@@ -277,7 +291,7 @@ class TestSmoothQpp:
         qv = reranked_set("T", candidate("v1", 0.0))
         assert smooth_qpp(target_run, qv, QppConfig(lam=0.7), {"T": 0.4}) == 0.4
 
-    def test_affine_in_lambda(self, corpus, resources, context, target_run):
+    def test_affine_in_lambda(self, corpus, resources, target_run):
         for target in corpus.test_queries[:3]:
             config = QppConfig(lam=0.0, k=2, n=100)
             qv = build_qv_set(target, config, resources)
@@ -285,7 +299,7 @@ class TestSmoothQpp:
 
             def estimate(lam):
                 cfg = QppConfig(lam=lam, k=2, n=100)
-                return smooth_qpp(run, qv, cfg, base_predictions(target, run, qv, cfg, context))
+                return smooth_qpp(run, qv, cfg, base_predictions(target, run, qv, cfg, resources))
 
             f0, f_half, f1 = estimate(0.0), estimate(0.5), estimate(1.0)
             assert f_half == pytest.approx((f0 + f1) / 2.0, abs=1e-12)
@@ -296,19 +310,19 @@ class TestSmoothQpp:
         assert total > 0
         assert sum(c.rbo / total for c in qv.candidates) == pytest.approx(1.0, abs=1e-9)
 
-    def test_convex_combination_bounds(self, corpus, resources, context, target_run):
+    def test_convex_combination_bounds(self, corpus, resources, target_run):
         config = QppConfig(lam=0.5, k=2, n=100)
         target = corpus.test_queries[1]
         qv = build_qv_set(target, config, resources)
         terms = tokenize(target.text)
-        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        phi = base_predictions(target, target_run[target.id], qv, config, resources)
         got = smooth_qpp(target_run[target.id], qv, config, phi)
-        values = [context.evaluate("nqc", target_run[target.id], terms, target.id)]
+        values = [resources.predictor.evaluate("nqc", target_run[target.id], terms, target.id, config.rbo_params)]
         for cand in qv.candidates:
             if cand.rbo > 0:
-                values.append(
-                    context.evaluate("nqc", cand.internal_run, tokenize(cand.query.text), cand.query.id)
-                )
+                values.append(resources.predictor.evaluate(
+                    "nqc", cand.internal_run, tokenize(cand.query.text), cand.query.id, config.rbo_params
+                ))
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
     @settings(max_examples=300, deadline=None)
@@ -343,14 +357,14 @@ class TestBasePredictions:
     def test_only_the_target_evaluated(self, lam, rbos):
         ctx = CountingContext(self.VALUES)
         qv = reranked_set("T", *(candidate(f"v{i}", rbo) for i, rbo in enumerate(rbos, start=1)))
-        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=lam, k=2, n=3), ctx)
+        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=lam, k=2, n=3), ctx.resources)
         assert phi == {"T": 0.4}
         assert ctx.calls == [("nqc", "T", tokenize(self.TARGET.text), "T")]
 
     def test_target_then_positive_candidates_in_order(self):
         ctx = CountingContext(self.VALUES)
         qv = reranked_set("T", candidate("v3", 0.5), candidate("v1", 0.0), candidate("v2", 0.2))
-        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=0.3, k=3, n=4, base="uef"), ctx)
+        phi = base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=0.3, k=3, n=4, base="uef"), ctx.resources)
         assert phi == {"T": 0.4, "v3": 0.6, "v2": 0.1}
         assert ctx.calls == [
             ("uef", "T", tokenize("target text"), "T"),
@@ -358,6 +372,13 @@ class TestBasePredictions:
             ("uef", "v2", tokenize("text of v2"), "v2"),
         ]
 
+    def test_rbo_params_come_from_the_config(self):
+        ctx = CountingContext(self.VALUES)
+        qv = reranked_set("T", candidate("v3", 0.5), candidate("v2", 0.2))
+        rbo = RboParams(p=0.5, eval_depth=3)
+        config = QppConfig(lam=0.3, k=2, n=3, base="uef", rbo_params=rbo)
+        base_predictions(self.TARGET, self.RUN, qv, config, ctx.resources)
+        assert ctx.rbo_params == [rbo, rbo, rbo]
 
 
 class TestPipelineInvariants:
@@ -393,12 +414,12 @@ class TestPipelineInvariants:
         with pytest.raises(ValueError, match="target query"):
             QVSet(q.id, [QVCandidate(q, 1, 1.0)])
 
-    def test_dense_pipeline_runs_end_to_end(self, corpus, resources, context, target_run):
+    def test_dense_pipeline_runs_end_to_end(self, corpus, resources, target_run):
         config = QppConfig(lam=0.4, k=2, n=50, query_retriever="dense", use_2hop=True)
         target = corpus.test_queries[0]
         qv = build_qv_set(target, config, resources)
         assert len(qv.candidates) <= 2
-        phi = base_predictions(target, target_run[target.id], qv, config, context)
+        phi = base_predictions(target, target_run[target.id], qv, config, resources)
         value = smooth_qpp(target_run[target.id], qv, config, phi)
         assert value >= 0.0
 
@@ -531,3 +552,86 @@ class TestRetrievalCache:
             with caplog.at_level(logging.WARNING):
                 build_qv_set(target, config, res)
             assert caplog.text.count("'not-a-doc'") == len(one_hop.candidates)
+
+
+def scripted_prediction(corpus, target, run, config, k1, b):
+    """The merged pool, the kept variants and the smoothed NQC estimate by hand.
+
+    k1/b are passed to every BM25 retrieval and collection score.
+    """
+    training = corpus.training_query_map()
+    documents = {d.id: d for d in corpus.documents}
+    doc_index = build_index((d.id, d.text) for d in corpus.documents)
+    query_index = build_index((q.id, q.text) for q in corpus.train_queries)
+    tokens = tokenize(target.text)
+    one_hop = bm25_retrieve(query_index, tokens, len(training), k1=k1, b=b).entries
+    one_hop = [(qid, score) for qid, score in one_hop if qid != target.id and tokenize(training[qid].text) != tokens]
+    pool = {qid: (1, score) for qid, score in one_hop[: config.n]}
+    if config.use_2hop:
+        for qid in list(pool):
+            for doc_id in sorted(d for d, grade in corpus.train_qrels.get(qid, {}).items() if grade >= 1):
+                terms = make_pseudo_query(documents[doc_id], config.pseudo_query_m).terms
+                for hit, score in bm25_retrieve(query_index, terms, config.n, k1=k1, b=b).entries:
+                    if hit != target.id:
+                        pool.setdefault(hit, (2, score))
+    target_internal = bm25_retrieve(doc_index, tokens, config.internal_depth, k1=k1, b=b)
+    runs = {qid: bm25_retrieve(doc_index, tokenize(training[qid].text), config.internal_depth, k1=k1, b=b,
+                               query_id=qid) for qid in pool}
+    scored = sorted(
+        ((rbo_ext(target_internal, runs[qid], config.rbo_params), hop, qid) for qid, (hop, _) in pool.items()),
+        key=lambda row: (-row[0], row[1], row[2]),
+    )
+    kept = [(qid, hop, rbo) for rbo, hop, qid in scored[: config.k]]
+
+    def phi(ranked, text):
+        return nqc(PredictorInput(ranked, collection_score(doc_index, tokenize(text), k1=k1, b=b), top_k=100))
+
+    merged = [(qid, hop, score) for qid, (hop, score) in pool.items()]
+    weight_sum = sum(rbo for _, _, rbo in kept)
+    if weight_sum <= 0.0 or config.lam == 0.0:
+        return merged, kept, phi(run, target.text)
+    smoothed = 0.0
+    for qid, _, rbo in kept:
+        if rbo > 0.0:
+            smoothed += rbo / weight_sum * phi(runs[qid], training[qid].text)
+    return merged, kept, (1.0 - config.lam) * phi(run, target.text) + config.lam * smoothed
+
+
+class TestOneOwner:
+    """k1/b, the document index and the predictor are read from PipelineResources alone."""
+
+    @pytest.mark.parametrize("use_2hop", [True, False])
+    def test_params_move_every_bm25_reader(self, corpus, resources, target_run, use_2hop):
+        res = replace(resources, params=PredictorParams(k1=1.2, b=0.75))
+        # n below the training-set size, so that the scores decide which queries each hop keeps
+        config = QppConfig(lam=0.5, k=3, n=5, use_2hop=use_2hop)
+        moved, hops = 0, set()
+        for target in corpus.test_queries:
+            run = target_run[target.id]
+            merged, kept, want = scripted_prediction(corpus, target, run, config, k1=1.2, b=0.75)
+            pool = retrieve_1hop(target, config, res)
+            if use_2hop:
+                pool = expand_2hop(pool, config, res)
+            assert [(c.query.id, c.hop, c.retrieval_score) for c in pool.candidates] == merged
+            qv_set = build_qv_set(target, config, res)
+            assert [(c.query.id, c.hop, c.rbo) for c in qv_set.candidates] == kept
+            got = variants.predict_query(target, run, config, res)
+            assert got == want
+            moved += got != variants.predict_query(target, run, config, replace(resources))
+            hops |= {hop for _, hop, _ in kept}
+        assert moved == len(corpus.test_queries)
+        assert hops == ({1, 2} if use_2hop else {1})
+
+    def test_replacing_the_index_replaces_the_predictor(self, corpus, resources, target_run):
+        res = replace(resources)
+        target = corpus.test_queries[0]
+        run, terms = target_run[target.id], tokenize(target.text)
+        variants.predict_query(target, run, QppConfig(k=2, n=100), res)
+        assert res.predictor.index is res.doc_index and res.predictor._cache
+        smaller = build_index((d.id, d.text) for d in corpus.documents[::2])
+        swapped = replace(res, doc_index=smaller)
+        assert swapped.predictor.index is smaller and swapped.predictor._cache == {}
+        assert (swapped.predictor.params, swapped.predictor.seed) == (res.params, res.seed)
+        got = swapped.predictor.evaluate("nqc", run, terms, target.id, RboParams())
+        assert got == nqc(PredictorInput(run, collection_score(smaller, terms), top_k=100))
+        assert got != res.predictor.evaluate("nqc", run, terms, target.id, RboParams())
