@@ -69,7 +69,7 @@ from .evaluation import (
 )
 from .predictors import PredictorParams
 from .rank_sim import RboParams
-from .text_index import build_index, load_index, save_index
+from .text_index import build_index, file_sha256, load_index, save_index
 from .variants import (
     PipelineResources,
     QppConfig,
@@ -266,16 +266,16 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
             raise ValueError("dense query retriever configured but paths.embeddings is not set")
         _require_files(cfg.embeddings)
         store = load_vectors(cfg.embeddings)
-    # the collection is parsed only for the staleness digest: no stage reads a document's text
-    documents = parse_collection(cfg.collection)
     training_queries = parse_queries(cfg.train_queries)
     doc_index = load_index(doc_index_path)
     query_index = load_index(query_index_path)
-    for index, index_path, items, source in (
-        (doc_index, doc_index_path, documents, cfg.collection),
-        (query_index, query_index_path, training_queries, cfg.train_queries),
+    # No stage reads a document's text, so the collection is parsed only when its bytes differ from the
+    # indexed file's; then its items must still be the indexed ones, as for training queries that differ.
+    for index, index_path, source, items in (
+        (doc_index, doc_index_path, cfg.collection, lambda: parse_collection(cfg.collection)),
+        (query_index, query_index_path, cfg.train_queries, lambda: training_queries),
     ):
-        if not index.built_from((item.id, item.text) for item in items):
+        if not index.built_from_file(source) and not index.built_from((item.id, item.text) for item in items()):
             raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (it was not built from {source})")
     return PipelineResources(
         doc_index=doc_index,
@@ -322,13 +322,20 @@ def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> di
 def cmd_index(cfg: PipelineConfig) -> int:
     """Build and persist the document index and the training-query index."""
     _require_files(cfg.collection, cfg.train_queries)
+    sources = (cfg.collection, cfg.train_queries)
+    digests = [file_sha256(path) for path in sources]
     documents = parse_collection(cfg.collection)
     if not documents:
         raise ValueError(f"{cfg.collection}: the collection holds no documents")
     queries = parse_queries(cfg.train_queries)
+    if not queries:
+        raise ValueError(f"{cfg.train_queries}: the training-query file holds no queries")
+    for path, digest in zip(sources, digests):  # a digest must name the bytes that were parsed
+        if file_sha256(path) != digest:
+            raise ValueError(f"{path} changed while it was read; rerun qvqpp index")
     cfg.index_dir.mkdir(parents=True, exist_ok=True)
-    doc_index = build_index((d.id, d.text) for d in documents)
-    query_index = build_index((q.id, q.text) for q in queries)
+    doc_index = build_index(((d.id, d.text) for d in documents), file_sha256=digests[0])
+    query_index = build_index(((q.id, q.text) for q in queries), file_sha256=digests[1])
     save_index(doc_index, cfg.index_dir / DOC_INDEX_FILE)
     save_index(query_index, cfg.index_dir / QUERY_INDEX_FILE)
     logger.info(

@@ -1,13 +1,18 @@
 """Tokenization, the term-matrix index, BM25 retrieval, pseudo-queries.
 
 One tokenizer is used for documents and for queries-as-documents:
-lowercase, split on runs of non-alphanumeric characters, drop words on
-the built-in stopword list, no stemming. The stopword list is part of
-the interface; changing it changes every downstream ranking.
+lowercase, split on every character outside ``[a-z0-9]``, drop words on
+the built-in stopword list, no stemming. The split is one byte-table pass
+over the lowercased text's UTF-8 bytes: every byte outside ``[a-z0-9]``
+becomes a space, and a non-ASCII character encodes to bytes of 0x80 and
+above only, so it separates words as ``[a-z0-9]+`` would. The stopword
+list is part of the interface; changing it changes every downstream
+ranking.
 """
 
 from __future__ import annotations
 
+import array
 import hashlib
 import itertools
 import json
@@ -15,7 +20,7 @@ import math
 import re
 import zipfile
 import zlib
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -29,7 +34,7 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 INDEX_FORMAT = "qvqpp.inverted_index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 # Fixed English stopword list. Deliberately keeps single letters such as
 # "s" (possessive fragments stay searchable) while dropping question
@@ -44,14 +49,30 @@ STOPWORDS = frozenset(
 )
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Maps each byte a word of _TOKEN_RE can hold to itself and every other byte to a space.
+_SPLIT_TABLE = bytes(byte if _TOKEN_RE.fullmatch(chr(byte)) else 0x20 for byte in range(256))
 
 # Digest of the tokenizer's data; an index built under another stopword list or pattern is stale.
 TOKENIZER_SHA256 = hashlib.sha256(json.dumps([_TOKEN_RE.pattern, sorted(STOPWORDS)]).encode("ascii")).hexdigest()
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, remove stopwords."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+    """Lowercase, split on runs of characters outside ``[a-z0-9]``, remove stopwords.
+
+    ``surrogatepass`` encodes a lone surrogate to three bytes of 0x80 and
+    above, so it separates words like any other non-ASCII character.
+    """
+    words = text.lower().encode("utf-8", "surrogatepass").translate(_SPLIT_TABLE).decode("ascii").split()
+    return list(itertools.filterfalse(STOPWORDS.__contains__, words))
+
+
+def file_sha256(path) -> str:
+    """SHA-256 of the bytes of the file at ``path``, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _items_sha256(items: Iterable[tuple[str, str]]) -> str:
@@ -89,13 +110,13 @@ class InvertedIndex:
     Row ``o`` is the item ``item_ids[o]`` (ordinals follow input order).
     Its distinct terms are ``row_terms[row_ptr[o]:row_ptr[o + 1]]``, in
     ascending order, as ids into the sorted vocabulary ``terms``, and
-    ``row_tfs`` holds their frequencies. The two SHA-256 strings name the
-    (id, text) items and the tokenizer the index was built from. Nothing
-    else is stored: ordinals, term ids, lengths, the postings (column)
-    view, df, cf, the totals and one BM25 gain table per ``(k1, b)``
-    (each term's idf and each posting's gain, 8 bytes per posting) are
-    derived on first use and kept, so an index must not be mutated after
-    it is read.
+    ``row_tfs`` holds their frequencies. The SHA-256 strings name the
+    (id, text) items, the tokenizer and the bytes of the file the items
+    were read from (``""`` when they came from no file). Nothing else is
+    stored: ordinals, term ids, lengths, the postings (column) view, df,
+    cf, the totals and one BM25 gain table per ``(k1, b)`` (each term's
+    idf and each posting's gain, 8 bytes per posting) are derived on
+    first use and kept, so an index must not be mutated after it is read.
     """
 
     item_ids: list[str]
@@ -105,6 +126,7 @@ class InvertedIndex:
     row_tfs: np.ndarray
     source_sha256: str
     tokenizer_sha256: str
+    file_sha256: str
 
     @property
     def size(self) -> int:
@@ -113,6 +135,14 @@ class InvertedIndex:
     def built_from(self, items: Iterable[tuple[str, str]]) -> bool:
         """Whether the index was built from exactly these (id, text) items, in order, by this tokenizer."""
         return self.tokenizer_sha256 == TOKENIZER_SHA256 and self.source_sha256 == _items_sha256(items)
+
+    def built_from_file(self, path) -> bool:
+        """Whether the index was built by this tokenizer from the items of a file with the bytes ``path`` now has.
+
+        Equal bytes parse to equal items, so this answers as :meth:`built_from`
+        does on the parsed file when true; false says nothing about the items.
+        """
+        return self.tokenizer_sha256 == TOKENIZER_SHA256 and self.file_sha256 == file_sha256(path)
 
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
@@ -129,8 +159,15 @@ class InvertedIndex:
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The postings view (col_ptr, ordinals, tfs); a stable sort keeps ordinals ascending per term."""
-        order = np.argsort(self.row_terms, kind="stable")
+        """The postings view (col_ptr, ordinals, tfs); a stable sort keeps ordinals ascending per term.
+
+        The sort runs on 16-bit digits of the term ids, which numpy sorts by
+        radix: the low digit first, then, for a vocabulary of more than
+        2**16 terms, stably by the high digit, which gives the same order.
+        """
+        order = np.argsort((self.row_terms & 0xFFFF).astype(np.uint16), kind="stable")
+        if len(self.terms) > 1 << 16:
+            order = order[np.argsort((self.row_terms[order] >> 16).astype(np.uint16), kind="stable")]
         col_ptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.row_terms, minlength=len(self.terms)), out=col_ptr[1:])
         rows = np.repeat(np.arange(self.size), np.diff(self.row_ptr))
@@ -198,41 +235,52 @@ class InvertedIndex:
         return self.total_tokens / self.size if self.size else 0.0
 
 
-def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
-    """Build the term matrix of (id, text) pairs; ids must be unique."""
+def build_index(items: Iterable[tuple[str, str]], *, file_sha256: str = "") -> InvertedIndex:
+    """Build the term matrix of (id, text) pairs; ids must be unique.
+
+    ``file_sha256`` is the digest of the file the items were read from, if any.
+    Each token gets one int64 key, ``row * n_terms + term``; one sort of
+    the keys puts the tokens of each (item, term) pair in one run, in row
+    and then term order, and each run's length is the pair's term frequency.
+    """
     items = list(items)
     item_ids: list[str] = []
     seen: set[str] = set()
-    first_seen: dict[str, int] = {}  # term -> id in order of first occurrence
-    entry_terms: list[int] = []
-    entry_tfs: list[int] = []
-    row_sizes: list[int] = []
+    first_seen = defaultdict(itertools.count().__next__)  # term -> id in order of first occurrence
+    tokens = array.array("i")  # every token's first-seen term id, item after item
+    item_ends: list[int] = []  # each item's end in tokens
     for item_id, text in items:
         if item_id in seen:
             raise ValueError(f"duplicate item id {item_id!r}")
         seen.add(item_id)
         item_ids.append(item_id)
-        counts = Counter(tokenize(text))
-        entry_terms.extend(first_seen.setdefault(term, len(first_seen)) for term in counts)
-        entry_tfs.extend(counts.values())
-        row_sizes.append(len(counts))
+        tokens.extend(map(first_seen.__getitem__, tokenize(text)))
+        item_ends.append(len(tokens))
     terms = sorted(first_seen)
-    sorted_id = np.empty(len(terms), dtype=np.int32)
+    sorted_id = np.empty(len(terms), dtype=np.int64)
     sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
-    row_terms = sorted_id[np.asarray(entry_terms, dtype=np.int64)]
-    sizes = np.asarray(row_sizes, dtype=np.int64)
-    rows = np.repeat(np.arange(len(item_ids)), sizes)
-    order = np.lexsort((row_terms, rows))
-    row_ptr = np.zeros(len(item_ids) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=row_ptr[1:])
+    ends = np.asarray(item_ends, dtype=np.int64)
+    keys = np.repeat(np.arange(len(items), dtype=np.int64) * len(terms), np.diff(ends, prepend=0))
+    keys += sorted_id[np.frombuffer(tokens, dtype=np.intc)]
+    del tokens  # each per-token array is freed once read, so few are held at a time
+    keys.sort()  # the tokens of row r stay at positions ends[r - 1]:ends[r]
+    boundary = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end of the last one
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:-1])
+    bounds = np.flatnonzero(boundary)
+    row_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+    row_ptr[1:] = np.searchsorted(bounds[:-1], ends)
+    pair_terms = keys[bounds[:-1]]
+    del keys
+    np.remainder(pair_terms, len(terms) or 1, out=pair_terms)  # no terms, no keys
     return InvertedIndex(
         item_ids=item_ids,
         terms=terms,
         row_ptr=row_ptr,
-        row_terms=row_terms[order],
-        row_tfs=np.asarray(entry_tfs, dtype=np.int32)[order],
+        row_terms=pair_terms.astype(np.int32),
+        row_tfs=np.diff(bounds).astype(np.int32),
         source_sha256=_items_sha256(items),
         tokenizer_sha256=TOKENIZER_SHA256,
+        file_sha256=file_sha256,
     )
 
 
@@ -272,6 +320,8 @@ def bm25_ordinals(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     query = [(index.term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in index.term_id]
+    if not query:  # bincount of no postings would give int64 scores
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
     col_ptr, col_ordinals, col_tfs = index._columns
     idf, posting_gains = index.bm25_table(k1, b)
     positions, bounds = _segments(col_ptr, [tid for tid, _ in query])
@@ -368,6 +418,10 @@ def _json_array(value) -> np.ndarray:
 def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as an .npz archive of plain arrays with a format/version header.
 
+    The version 3 header holds the format name, the version and three
+    SHA-256 strings: of the (id, text) items, of the tokenizer and of the
+    source file's bytes (``file_sha256``, ``""`` for items read from no
+    file), which lets a command that finds the same bytes skip parsing it.
     The archive is written through an open handle, so it keeps ``path``
     exactly (``np.savez`` would append ``.npz``), and its member times are
     fixed, so two builds from the same items write the same bytes.
@@ -377,6 +431,7 @@ def save_index(index: InvertedIndex, path) -> None:
         "version": INDEX_VERSION,
         "source_sha256": index.source_sha256,
         "tokenizer_sha256": index.tokenizer_sha256,
+        "file_sha256": index.file_sha256,
     }
     members = {
         "header": _json_array(header),
@@ -404,9 +459,9 @@ def _index_from(members: dict[str, np.ndarray]) -> InvertedIndex:
         raise ValueError("no format header")
     if header.get("version") != INDEX_VERSION:
         raise ValueError(f"version {header.get('version')!r}, not {INDEX_VERSION}; rerun qvqpp index")
-    fingerprint = [header.get("source_sha256"), header.get("tokenizer_sha256")]
+    fingerprint = [header.get("source_sha256"), header.get("tokenizer_sha256"), header.get("file_sha256")]
     if not all(isinstance(value, str) for value in fingerprint):
-        raise ValueError("no source and tokenizer fingerprint")
+        raise ValueError("no source, tokenizer and file fingerprint")
     if not isinstance(item_ids, list) or not all(isinstance(i, str) for i in item_ids):
         raise ValueError("item ids are not a list of strings")
     if len(set(item_ids)) != len(item_ids):

@@ -7,10 +7,58 @@ the library is evidence of correctness rather than of shared bugs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import re
 from collections import Counter
 
+import numpy as np
+
 from qvqpp import tokenize
+from qvqpp.text_index import STOPWORDS  # the stopword list is data the tokenizer is defined by, not logic
+
+
+def tokenize_regex(text):
+    """The tokenizer as a pattern: the ``[a-z0-9]+`` runs of the lowercased text, stopwords dropped."""
+    return [t for t in re.findall(r"[a-z0-9]+", text.lower()) if t not in STOPWORDS]
+
+
+def build_index_counter(items):
+    """The term matrix of (id, text) items by a Counter per item and one lexsort of the entries.
+
+    Returns the fields an ``InvertedIndex`` is made of besides the tokenizer
+    digest: item ids, the sorted vocabulary, CSR ``row_ptr`` (int64),
+    ``row_terms`` and ``row_tfs`` (int32), and the items' SHA-256, each item
+    hashed as its JSON array.
+    """
+    items = list(items)
+    first_seen = {}  # term -> id in order of first occurrence
+    entry_terms, entry_tfs, row_sizes = [], [], []
+    for _, text in items:
+        counts = Counter(tokenize_regex(text))
+        entry_terms.extend(first_seen.setdefault(term, len(first_seen)) for term in counts)
+        entry_tfs.extend(counts.values())
+        row_sizes.append(len(counts))
+    terms = sorted(first_seen)
+    sorted_id = np.empty(len(terms), dtype=np.int32)
+    sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    row_terms = sorted_id[np.asarray(entry_terms, dtype=np.int64)]
+    sizes = np.asarray(row_sizes, dtype=np.int64)
+    order = np.lexsort((row_terms, np.repeat(np.arange(len(items)), sizes)))
+    row_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=row_ptr[1:])
+    digest = hashlib.sha256()
+    for item_id, text in items:
+        digest.update(json.dumps([item_id, text]).encode("ascii"))
+    return {
+        "item_ids": [item_id for item_id, _ in items],
+        "terms": terms,
+        "row_ptr": row_ptr,
+        "row_terms": row_terms[order],
+        "row_tfs": np.asarray(entry_tfs, dtype=np.int32)[order],
+        "source_sha256": digest.hexdigest(),
+    }
 
 
 def bm25_rank_all(items, terms, k1=0.9, b=0.4):

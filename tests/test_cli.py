@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import qvqpp
-from qvqpp import ap_at_k, parse_qrels, parse_run, parse_score_tsv, write_score_tsv
+from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, save_index, write_score_tsv
 from qvqpp import cli
 from qvqpp.cli import main
+from qvqpp.text_index import InvertedIndex
 
 # Outputs of the fixture workspace with its default 2-hop NQC configuration,
 # recorded before the internal runs and pseudo-query retrievals were cached
@@ -183,6 +184,40 @@ class TestIndexCommand:
         assert capsys.readouterr().err == f"error: {empty}: the collection holds no documents\n"
         assert not index_dir.exists()
 
+    def test_empty_training_queries_refused_before_any_artifact(self, indexed_workspace, tmp_path, capsys):
+        empty = tmp_path / "train_queries.tsv"
+        empty.write_text("", encoding="utf-8")
+        index_dir = tmp_path / "index"
+        code = run_cli(
+            "index", "--config", indexed_workspace["config"], "--set", f"paths.train_queries={empty}",
+            "--set", f"paths.index_dir={index_dir}",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: the training-query file holds no queries\n"
+        assert not index_dir.exists()
+
+    def test_source_edited_while_read_refused(self, indexed_workspace, tmp_path, capsys, monkeypatch):
+        # the recorded digest would name bytes other than the parsed ones
+        collection = tmp_path / "collection.tsv"
+        collection.write_bytes((indexed_workspace["data"] / "collection.tsv").read_bytes())
+        parse = cli.parse_collection
+
+        def parse_then_edit(path):
+            documents = parse(path)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("late\tappended while indexing\n")
+            return documents
+
+        monkeypatch.setattr(cli, "parse_collection", parse_then_edit)
+        index_dir = tmp_path / "index"
+        code = run_cli(
+            "index", "--config", indexed_workspace["config"], "--set", f"paths.collection={collection}",
+            "--set", f"paths.index_dir={index_dir}",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {collection} changed while it was read; rerun qvqpp index\n"
+        assert not index_dir.exists()
+
 
 class TestValidation:
     def test_missing_input_fails_before_work(self, tmp_path, capsys):
@@ -320,6 +355,44 @@ paths:
         assert err.startswith("error: ")
         assert "index is stale; rerun qvqpp index" in err
         assert not (tmp_path / "predictions.tsv").exists()
+
+    def test_matching_file_digests_skip_parsing_and_item_digests(self, indexed_workspace, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called although the source files have the indexed bytes")
+
+        monkeypatch.setattr(cli, "parse_collection", refuse)
+        monkeypatch.setattr(InvertedIndex, "built_from", refuse)
+        out = tmp_path / "predictions.tsv"
+        assert run_cli("predict", "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
+
+    @pytest.mark.parametrize(
+        "path_key, file_name",
+        [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
+    )
+    def test_other_bytes_with_the_indexed_items_load(self, indexed_workspace, tmp_path, path_key, file_name):
+        text = (indexed_workspace["data"] / file_name).read_text(encoding="utf-8")
+        crlf = tmp_path / file_name
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))  # parses to the same items
+        out = tmp_path / "predictions.tsv"
+        code = run_cli(
+            "predict", "--config", indexed_workspace["config"], "--set", f"paths.{path_key}={crlf}", "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
+
+    @pytest.mark.parametrize("file_name", ["documents.idx", "queries.idx"])
+    def test_wrong_tokenizer_digest_is_stale_with_matching_file(self, indexed_workspace, tmp_path, capsys, file_name):
+        built = indexed_workspace["root"] / "work" / "index"
+        index_dir = tmp_path / "index"
+        index_dir.mkdir()
+        for name in ("documents.idx", "queries.idx"):
+            (index_dir / name).write_bytes((built / name).read_bytes())
+        save_index(replace(load_index(built / file_name), tokenizer_sha256="0" * 64), index_dir / file_name)
+        code = run_cli("predict", "--config", indexed_workspace["config"], "--set", f"paths.index_dir={index_dir}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_dir / file_name}: index is stale; rerun qvqpp index")
 
     @pytest.mark.parametrize(
         "config_text, override, message",

@@ -30,7 +30,14 @@ from qvqpp import (
     save_index,
     tokenize,
 )
-from qvqpp.text_index import _items_sha256, bm25_ordinals, pseudo_query_terms, ranked_list
+from qvqpp.text_index import (
+    TOKENIZER_SHA256,
+    InvertedIndex,
+    _items_sha256,
+    bm25_ordinals,
+    pseudo_query_terms,
+    ranked_list,
+)
 from test_bench_corpus import load_generator
 
 TOY_CORPUS = [
@@ -58,6 +65,18 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("top 100 results") == ["top", "100", "results"]
+
+    def test_every_code_point_splits_as_the_pattern(self):
+        # lone surrogates included; U+212A (Kelvin sign) lowercases to "k" and joins its neighbours
+        texts = [f"x{chr(code)}y" for code in range(0x110000)]
+        assert [text for text in texts if tokenize(text) != oracles.tokenize_regex(text)] == []
+        assert tokenize("x\u212ay") == ["xky"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(" -_'aZ09\u212a\u0130\u00e9\ud800") | st.characters(exclude_categories=())))
+    @example("The İstanbul KELVIN-\u212aelvin ſun \udfff été 42")
+    def test_arbitrary_text_splits_as_the_pattern(self, text):
+        assert tokenize(text) == oracles.tokenize_regex(text)
 
 
 class TestBuildIndex:
@@ -97,7 +116,58 @@ class TestBuildIndex:
         assert index.avgdl == pytest.approx(index.total_tokens / index.size)
 
 
+# ids without repeats, and texts mixing words, stopwords, case, punctuation and non-ASCII, empty ones included
+index_items = st.lists(
+    st.tuples(
+        st.text(max_size=4),
+        st.lists(st.sampled_from(["the", "of", "Alpha", "beta", "x1", "ß", "--", "é", "\u212a", ""]),
+                 max_size=8).map(" ".join),
+    ),
+    max_size=10, unique_by=lambda item: item[0],
+)
+
+
+class TestIndexAgainstCounterBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(index_items)
+    @example([])
+    @example([("a", ""), ("b", "the of"), ("c", "")])
+    def test_arrays_and_artifact_bytes_match(self, items):
+        index = build_index(items)
+        want = oracles.build_index_counter(items)
+        assert index.item_ids == want["item_ids"] and index.terms == want["terms"]
+        for name in ("row_ptr", "row_terms", "row_tfs"):
+            got = getattr(index, name)
+            assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+        assert index.source_sha256 == want["source_sha256"]
+        with tempfile.TemporaryDirectory() as scratch:
+            save_index(index, Path(scratch) / "built.idx")
+            oracle_index = InvertedIndex(**want, tokenizer_sha256=TOKENIZER_SHA256, file_sha256="")
+            save_index(oracle_index, Path(scratch) / "oracle.idx")
+            assert (Path(scratch) / "built.idx").read_bytes() == (Path(scratch) / "oracle.idx").read_bytes()
+
+    def test_postings_order_past_two_byte_term_ids(self):
+        # 70,000 terms: ids past 2**16 need the high-digit pass to sort after the low ones
+        rng = random.Random(7)
+        words = [f"w{i:05d}" for i in range(70_000)]
+        items = [("all", " ".join(words))] + [(f"d{doc}", " ".join(rng.choices(words, k=20_000))) for doc in range(3)]
+        index = build_index(items)
+        assert len(index.terms) > 1 << 16
+        col_ptr, ordinals, tfs = index._columns
+        order = np.argsort(index.row_terms, kind="stable")
+        rows = np.repeat(np.arange(index.size), np.diff(index.row_ptr))
+        assert np.array_equal(ordinals, rows[order]) and np.array_equal(tfs, index.row_tfs[order])
+        assert np.array_equal(np.diff(col_ptr), np.bincount(index.row_terms, minlength=len(index.terms)))
+
+
 class TestBm25Retrieve:
+    @pytest.mark.parametrize("items", [TOY_CORPUS, []], ids=["toy", "empty-index"])
+    @pytest.mark.parametrize("terms", [[], ["zzzz"], ["zzzz", "zzzz"]])
+    def test_empty_run_keeps_its_dtypes(self, items, terms):
+        ordinals, scores = bm25_ordinals(build_index(items), terms, 5)
+        assert len(ordinals) == len(scores) == 0
+        assert ordinals.dtype == np.int32 and scores.dtype == np.float64
+
     def test_single_doc_corpus(self):
         index = build_index([("only", "solar panel wattage")])
         assert bm25_retrieve(index, ["solar"], 3).doc_ids() == ["only"]
@@ -320,7 +390,8 @@ def _set_first(array, value):
 
 
 def _header(**changes):
-    header = {"format": "qvqpp.inverted_index", "version": 2, "source_sha256": "0" * 64, "tokenizer_sha256": "0" * 64}
+    header = {"format": "qvqpp.inverted_index", "version": 3, "source_sha256": "0" * 64, "tokenizer_sha256": "0" * 64,
+              "file_sha256": "0" * 64}
     header.update(changes)
     return _json_member({k: v for k, v in header.items() if v is not None})
 
@@ -342,6 +413,8 @@ MALFORMED = {
     "item-ids-object-array": lambda m: {**m, "item_ids": np.array([d for d, _ in TOY_CORPUS], dtype=object)},
     "header-foreign": lambda m: {**m, "header": _header(format="something-else")},
     "header-no-fingerprint": lambda m: {**m, "header": _header(source_sha256=None)},
+    "header-no-file-digest": lambda m: {**m, "header": _header(file_sha256=None)},
+    "header-file-digest-not-string": lambda m: {**m, "header": _header(file_sha256=0)},
     "header-not-json": lambda m: {**m, "header": np.frombuffer(b"{not json", dtype=np.uint8)},
     "header-int64": lambda m: {**m, "header": m["header"].astype(np.int64)},
     "member-missing": lambda m: {k: v for k, v in m.items() if k != "row_tfs"},
@@ -391,7 +464,18 @@ class TestArtifactSafety:
         members["header"] = _header(version=1)
         path = tmp_path / "old.idx"
         _write_members(path, members)
-        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 2; rerun qvqpp index"):
+        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 3; rerun qvqpp index"):
+            load_index(path)
+
+    def test_version_2_artifact_asks_for_a_rebuild(self, tmp_path):
+        # a version 2 header, as written before the file digest: no second reader is kept for it
+        members = _members(tmp_path)
+        header = json.loads(members["header"].tobytes())
+        del header["file_sha256"]
+        members["header"] = _json_member({**header, "version": 2})
+        path = tmp_path / "v2.idx"
+        _write_members(path, members)
+        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 2, not 3; rerun qvqpp index"):
             load_index(path)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -415,6 +499,19 @@ class TestArtifactSafety:
         assert not index.built_from(TOY_CORPUS[::-1])
         assert not index.built_from(TOY_CORPUS[:-1])
         assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from(TOY_CORPUS)
+
+    def test_built_from_file_names_bytes_and_tokenizer(self, tmp_path):
+        source = tmp_path / "collection.tsv"
+        source.write_bytes(b"d1\tcoffee beans\n")
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        index = build_index([("d1", "coffee beans")], file_sha256=digest)
+        save_index(index, tmp_path / "documents.idx")
+        assert load_index(tmp_path / "documents.idx").file_sha256 == digest
+        assert index.built_from_file(source)
+        assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from_file(source)
+        assert not build_index([("d1", "coffee beans")]).built_from_file(source)  # built from items, not a file
+        source.write_bytes(b"d1\tcoffee beans\r\n")  # other bytes, same items
+        assert not index.built_from_file(source) and index.built_from([("d1", "coffee beans")])
 
     # every code point, lone surrogates (category Cs) included, weighted towards the characters JSON escapes
     JSON_HARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é中\ud800\udfff😀') | st.characters(exclude_categories=()))
