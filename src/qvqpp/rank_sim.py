@@ -6,10 +6,12 @@ lists of unequal length the standard uneven-length extrapolation is
 used. The persistence parameter ``p`` controls top-weighting: weight
 mass on the first d ranks is roughly 1 - p^d.
 
-:func:`rbo_ext` compares two id lists. :func:`rbo_pool` compares one
-target ranking with a whole pool of candidate rankings, all given as
-integer ordinals (such as an index's item ordinals), in one pass of
-array operations; its values are ``==`` to ``rbo_ext``'s.
+:func:`rbo_ext` compares two id lists. :func:`rbo_rows` compares one
+target ranking with every row of a table of rankings padded with -1, all
+given as integer ordinals (such as an index's item ordinals), in one pass
+of array operations; :func:`rbo_pool` does the same for a list of
+rankings by padding it into such a table. Their values are ``==`` to
+``rbo_ext``'s.
 """
 
 from __future__ import annotations
@@ -103,62 +105,91 @@ def rbo_ext(a: ListLike, b: ListLike, params: RboParams = RboParams()) -> float:
     return min(1.0, max(0.0, value))
 
 
+def rbo_rows(
+    target: np.ndarray, rows: np.ndarray, lengths: np.ndarray, size: int, params: RboParams = RboParams()
+) -> np.ndarray:
+    """:func:`rbo_ext` of ``target`` against each row of a padded table, as a float64 array.
+
+    Row ``r`` of the 2-D integer array ``rows`` holds a ranking of
+    ``lengths[r]`` ordinals in [0, ``size``), then -1 up to the table's
+    width; ``target`` is a ranking of such ordinals. Each value is ``==``
+    to ``rbo_ext`` on the same lists. As there, the target and every row
+    are truncated to ``params.eval_depth`` first and an empty list gives
+    0.0. The target's ordinals are checked (an ordinal outside [0,
+    ``size``) or a duplicate is a ValueError); the rows' are trusted.
+    """
+    depth = params.eval_depth
+    target = np.asarray(target, dtype=np.int64)[:depth]
+    t = len(target)
+    if t and (target.min() < 0 or target.max() >= size):
+        raise ValueError(f"ordinal outside [0, {size})")
+    # the extra last slot stays -1, so the rows' -1 padding finds no target rank
+    position = np.full(size + 1, -1, dtype=np.int32)
+    position[target] = np.arange(t)
+    if np.any(position[target] != np.arange(t)):
+        raise ValueError("duplicate id within target list")
+    lengths = np.minimum(lengths, depth)
+    values = np.zeros(len(lengths))
+    live = np.flatnonzero(np.minimum(lengths, t) > 0)
+    if not len(live):
+        return values
+    s, l = np.minimum(lengths[live], t), np.maximum(lengths[live], t)
+    n, at = len(live), np.arange(len(live))
+
+    # a document at row rank i and target rank j joins the overlap at depth max(i, j) + 1;
+    # x[r, d] counts those of row r at depth <= d
+    width = int(l.max()) + 1
+    rows = rows[:, :depth] if n == len(lengths) else rows[live, :depth]  # a view when every row is live
+    at_target = position[rows].ravel()
+    common = np.flatnonzero(at_target >= 0)
+    row = common // rows.shape[1]
+    joined = row * width + np.maximum(common - row * rows.shape[1], at_target[common]) + 1
+    x = np.bincount(joined, minlength=n * width).reshape(n, width).cumsum(axis=1)
+    x_s, x_l = x[at, s], x[at, l]
+
+    # every sum is a prefix of a row-wise cumsum, and every power of p after p**s a prefix of a
+    # row-wise cumprod: both run in rbo_ext's loop order (np.sum would add pairwise), so every float
+    # matches; p**s and p**l take Python int exponents (p ** np.int64(s) rounds differently)
+    p = params.p
+    powers = np.array([p**k for k in range(width)])
+    d = np.arange(1, width)
+    sum1 = np.cumsum(x[:, 1:] / d * np.cumprod(np.full(width - 1, p)), axis=1)[at, l - 1]
+    sum2 = np.zeros(n)  # rbo_ext's 0.0 where s == l
+    uneven = np.flatnonzero(s < l)
+    if len(uneven):  # sum2 runs over d = s + 1 .. l, that is d - s = 1 .. l - s
+        su, gap = s[uneven, None], (l - s)[uneven]
+        steps = np.full((len(uneven), int(gap.max()) + 1), p)
+        steps[:, 0] = powers[su[:, 0]]
+        k = np.arange(1, steps.shape[1])
+        terms = x_s[uneven, None] * k / (su * (su + k)) * np.cumprod(steps, axis=1)[:, 1:]
+        sum2[uneven] = np.cumsum(terms, axis=1)[np.arange(len(uneven)), gap - 1]
+    sum3 = ((x_l - x_s) / l + x_s / s) * powers[l]
+    values[live] = np.minimum(1.0, np.maximum(0.0, (1.0 - p) / p * (sum1 + sum2) + sum3))
+    return values
+
+
 def rbo_pool(
     target: np.ndarray, candidates: Sequence[np.ndarray], size: int, params: RboParams = RboParams()
 ) -> list[float]:
     """:func:`rbo_ext` of ``target`` against each candidate, in one pass over the whole pool.
 
     Rankings are integer ordinals in [0, ``size``) that stand for ids.
-    Each value is ``==`` to ``rbo_ext`` on the same lists: the floats
-    come from the same operations in the same order. As there, every
-    list is truncated to ``params.eval_depth`` first, an empty list
+    Each value is ``==`` to ``rbo_ext`` on the same lists. As there,
+    every list is truncated to ``params.eval_depth`` first, an empty list
     gives 0.0 and a duplicate within a list is a ValueError; so is an
-    ordinal outside [0, ``size``).
+    ordinal outside [0, ``size``). The truncated candidates are padded
+    with -1 into one table that :func:`rbo_rows` scores.
     """
     depth = params.eval_depth
-    target = np.asarray(target, dtype=np.int64)[:depth]
     runs = [run[:depth] for run in candidates]
     lengths = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *runs])
-    for ordinals in (target, flat):
-        if len(ordinals) and (ordinals.min() < 0 or ordinals.max() >= size):
-            raise ValueError(f"ordinal outside [0, {size})")
-    position = np.full(size, -1, dtype=np.int64)
-    position[target] = np.arange(len(target))
-    if np.any(position[target] != np.arange(len(target))):
-        raise ValueError("duplicate id within target list")
+    if len(flat) and (flat.min() < 0 or flat.max() >= size):
+        raise ValueError(f"ordinal outside [0, {size})")
     rows = np.repeat(np.arange(len(runs)), lengths)
     keys = np.sort(rows * size + flat)
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate id within a candidate list")
-
-    # a document at candidate rank i and target rank j joins the overlap at depth max(i, j) + 1;
-    # x[r, d] counts those of row r at depth <= d
-    t = len(target)
-    width = max(t, int(lengths.max(initial=0))) + 1
-    ranks = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    at_target = position[flat]
-    common = np.flatnonzero(at_target >= 0)
-    joined = rows[common] * width + np.maximum(ranks[common], at_target[common]) + 1
-    x = np.bincount(joined, minlength=len(runs) * width).reshape(len(runs), width).cumsum(axis=1)
-
-    # rows of one length share (s, l); cumprod repeats rbo_ext's `p_pow *= p` and cumsum adds in
-    # its loop order (np.sum would add pairwise), so every float matches
-    p = params.p
-    values = np.zeros(len(runs))
-    for length in sorted(set(lengths.tolist())):
-        s, l = min(length, t), max(length, t)  # Python ints: p ** np.int64(s) rounds differently
-        if s == 0:
-            continue
-        group = np.flatnonzero(lengths == length)
-        d = np.arange(1, l + 1)
-        sum1 = np.cumsum(x[group, 1 : l + 1] / d * np.cumprod(np.full(l, p)), axis=1)[:, -1]
-        x_s, x_l = x[group, s], x[group, l]
-        sum2 = 0.0
-        if s < l:
-            d = d[s:]
-            p_pow = np.cumprod(np.concatenate(([p**s], np.full(l - s, p))))[1:]
-            sum2 = np.cumsum(x_s[:, None] * (d - s) / (s * d) * p_pow, axis=1)[:, -1]
-        sum3 = ((x_l - x_s) / l + x_s / s) * p**l
-        values[group] = (1.0 - p) / p * (sum1 + sum2) + sum3
-    return np.minimum(1.0, np.maximum(0.0, values)).tolist()
+    table = np.full((len(runs), int(lengths.max(initial=0))), -1, dtype=np.int64)
+    table[rows, np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = flat
+    return rbo_rows(target, table, lengths, size, params).tolist()

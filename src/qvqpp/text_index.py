@@ -161,6 +161,8 @@ class InvertedIndex:
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The postings view (col_ptr, ordinals, tfs); a stable sort keeps ordinals ascending per term.
 
+        Ordinals and tfs are int32, as in the rows.
+
         The sort runs on 16-bit digits of the term ids, which numpy sorts by
         radix: the low digit first, then, for a vocabulary of more than
         2**16 terms, stably by the high digit, which gives the same order.
@@ -170,7 +172,7 @@ class InvertedIndex:
             order = order[np.argsort((self.row_terms[order] >> 16).astype(np.uint16), kind="stable")]
         col_ptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.row_terms, minlength=len(self.terms)), out=col_ptr[1:])
-        rows = np.repeat(np.arange(self.size), np.diff(self.row_ptr))
+        rows = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(self.row_ptr))
         return col_ptr, rows[order], self.row_tfs[order]
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,11 @@ The pipeline for one target query:
    further training queries (2-hop);
 3. re-rank the merged pool by the rank-biased overlap between each
    candidate's document ranking and the target's, both produced by the
-   internal BM25 retriever and kept as document ordinals, with the whole
-   pool scored in one pass, and keep the best k;
+   internal BM25 retriever and kept as document ordinals, and keep the
+   best k. The candidates' runs live in one :class:`RunTable` per
+   internal depth, a row per query-index ordinal, filled once per
+   training query; a target gathers its pool's rows and
+   :func:`rbo_rows` scores them all in one pass of array operations;
 4. evaluate the base predictor once on the target run and on each kept
    candidate's internal run (the phi table of :func:`base_predictions`),
    then blend the target's estimate with the overlap-weighted average of
@@ -32,10 +35,12 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .corpus_io import Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext, PredictorParams
-from .rank_sim import RboParams, rbo_pool
+from .rank_sim import RboParams, rbo_rows
 from .text_index import (
     InvertedIndex, OrdinalRun, bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
 )
@@ -110,6 +115,37 @@ class QppConfig:
             raise ValueError(f"internal_depth must be >= 1, got {self.internal_depth}")
 
 
+class RunTable:
+    """The internal runs of the training queries at one depth, a row per query-index ordinal.
+
+    Row ``o`` holds the run of query ``query_index.item_ids[o]``: its
+    document ordinals ``ordinals[o, :lengths[o]]`` (int32, best first) and
+    scores ``scores[o, :lengths[o]]`` (float64), then -1 and 0.0 up to the
+    depth. ``lengths[o]`` is -1 while the row is not yet filled. The two
+    run arrays are not initialised: a row, padding included, is written
+    when it is filled.
+    """
+
+    def __init__(self, rows: int, depth: int) -> None:
+        self.ordinals = np.empty((rows, depth), dtype=np.int32)
+        self.scores = np.empty((rows, depth), dtype=np.float64)
+        self.lengths = np.full(rows, -1, dtype=np.int64)
+
+    def fill(self, row: int, run: OrdinalRun) -> OrdinalRun:
+        """Write ``run`` (at most the depth long) and its padding into ``row``; returns the row's views of it."""
+        ordinals, scores = run
+        n = len(ordinals)
+        self.ordinals[row, :n], self.ordinals[row, n:] = ordinals, -1
+        self.scores[row, :n], self.scores[row, n:] = scores, 0.0
+        self.lengths[row] = n
+        return self.run(row)
+
+    def run(self, row: int) -> OrdinalRun:
+        """The filled run of ``row``, as views of the table."""
+        n = int(self.lengths[row])
+        return self.ordinals[row, :n], self.scores[row, :n]
+
+
 @dataclass
 class PipelineResources:
     """The fixed training set that every variant stage reads, its base predictor and two retrieval memos.
@@ -129,9 +165,18 @@ class PipelineResources:
     being processed, so each is computed once and kept, as the index's
     ordinals (int32) plus a float64 array of scores, for the life of this
     object. Their size is bounded by the data: one entry per distinct query text and depth,
-    one per judged document and (m, n). Both fill lazily and, like
-    ``predictor``, are not init fields: ``dataclasses.replace`` starts all
-    three empty, as it must when it swaps an index or ``params``.
+    one per judged document and (m, n).
+
+    ``run_tables`` maps internal_depth to the :class:`RunTable` of the
+    training queries' internal runs, a row per ``query_index`` ordinal,
+    so re-ranking gathers a pool's runs as rows instead of stacking them
+    per target. A row is filled from ``internal_runs`` (one BM25 run per
+    distinct text, still), and the text's entry there then becomes a
+    view of the row, so a training query's run is held once.
+
+    The memos and tables fill lazily and, like ``predictor``, are not init
+    fields: ``dataclasses.replace`` starts them all empty, as it must when
+    it swaps an index or ``params``.
     """
 
     doc_index: InvertedIndex
@@ -147,6 +192,7 @@ class PipelineResources:
     pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
     predictor: PredictorContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -207,10 +253,11 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
     A document's retrieval does not depend on the target, so it is
     memoized in ``res.pseudo_query_hits``. Target exclusion,
     de-duplication and hop tags are applied per call, so the result does
-    not depend on reuse.
+    not depend on reuse: the hit lists are joined in (candidate, document
+    id) order and the first hit of each query that is neither the target
+    nor a 1-hop candidate is kept, with its score.
     """
-    merged = list(one_hop.candidates)
-    seen = {c.query.id for c in merged}
+    hit_ordinals, hit_scores = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
     for candidate in one_hop.candidates:
         judged = res.training_qrels.get(candidate.query.id, {})
         relevant_ids = sorted(doc_id for doc_id, grade in judged.items() if grade >= 1)
@@ -229,16 +276,21 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
                 found = res.pseudo_query_hits[key] = bm25_ordinals(
                     res.query_index, terms, depth=config.n, k1=res.params.k1, b=res.params.b
                 )
-            ordinals, scores = found
-            for ordinal, score in zip(ordinals.tolist(), scores.tolist()):
-                qid = res.query_index.item_ids[ordinal]
-                if qid == one_hop.target_query_id or qid in seen:
-                    continue
-                seen.add(qid)
-                merged.append(
-                    QVCandidate(query=res.training_queries[qid], hop=2, retrieval_score=score)
-                )
-    return QVSet(one_hop.target_query_id, merged)
+            hit_ordinals.append(found[0])
+            hit_scores.append(found[1])
+    ordinals, scores = np.concatenate(hit_ordinals), np.concatenate(hit_scores)
+    excluded = np.zeros(res.query_index.size, dtype=bool)
+    ordinal_of = res.query_index.ordinal_of
+    excluded[[o for o in map(ordinal_of.get, [one_hop.target_query_id, *one_hop.query_ids()]) if o is not None]] = True
+    unseen = np.flatnonzero(~excluded[ordinals])
+    _, first = np.unique(ordinals[unseen], return_index=True)
+    first = unseen[np.sort(first)]
+    item_ids = res.query_index.item_ids
+    reached = [
+        QVCandidate(query=res.training_queries[item_ids[ordinal]], hop=2, retrieval_score=score)
+        for ordinal, score in zip(ordinals[first].tolist(), scores[first].tolist())
+    ]
+    return QVSet(one_hop.target_query_id, one_hop.candidates + reached)
 
 
 def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> OrdinalRun:
@@ -252,25 +304,53 @@ def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> Ordin
     return run
 
 
+def _pool_rows(candidates: list[QVCandidate], config: QppConfig, res: PipelineResources) -> tuple[RunTable, np.ndarray]:
+    """The run table at ``internal_depth`` and the candidates' rows in it, each filled.
+
+    A row is each candidate's ``res.query_index`` ordinal; a candidate
+    the query index lacks is a ValueError. A row not yet filled takes its
+    text's run from :func:`_internal_run`, and that memo entry becomes the
+    row's view.
+    """
+    depth = config.internal_depth
+    table = res.run_tables.get(depth)
+    if table is None:
+        table = res.run_tables[depth] = RunTable(res.query_index.size, depth)
+    ordinals = list(map(res.query_index.ordinal_of.get, (c.query.id for c in candidates)))
+    if None in ordinals:
+        raise ValueError(f"variant candidate {candidates[ordinals.index(None)].query.id!r} is not in the query index")
+    rows = np.array(ordinals, dtype=np.int64)
+    for i in np.flatnonzero(table.lengths[rows] < 0).tolist():
+        text = candidates[i].query.text
+        res.internal_runs[(text, depth)] = table.fill(ordinals[i], _internal_run(text, config, res))
+    return table, rows
+
+
 def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
     The target and each candidate retrieve their internal run over
     ``res.doc_index`` at ``internal_depth``, as ordinals and scores
-    memoized by query text; one :func:`rbo_pool` pass then scores the
-    whole pool against the target's run, and candidates with an empty
-    run get overlap 0. Ties break by (hop ascending, query id
-    ascending). Only the k survivors carry their run, as a RankedList.
+    memoized by query text; the candidates' runs are gathered as rows of
+    the run table, and one :func:`rbo_rows` pass scores them all against
+    the target's run (a candidate with an empty run gets overlap 0).
+    Ties break by (hop ascending, query id ascending). Only the k
+    survivors carry their run, as a RankedList.
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
-    pool = [_internal_run(candidate.query.text, config, res) for candidate in merged.candidates]
-    overlaps = rbo_pool(target_ordinals, [ordinals for ordinals, _ in pool], res.doc_index.size, config.rbo_params)
-    scored = sorted(
-        zip(overlaps, merged.candidates, pool), key=lambda row: (-row[0], row[1].hop, row[1].query.id)
+    candidates = merged.candidates
+    table, rows = _pool_rows(candidates, config, res)
+    overlaps = rbo_rows(
+        target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.rbo_params
     )
+    hops = np.fromiter((c.hop for c in candidates), dtype=np.int64, count=len(candidates))
+    order = np.lexsort((res.query_index._id_rank[rows], hops, -overlaps))[: config.k]
     kept = [
-        replace(candidate, rbo=overlap, internal_run=ranked_list(res.doc_index, run, candidate.query.id))
-        for overlap, candidate, run in scored[: config.k]
+        replace(
+            candidates[i], rbo=overlap,
+            internal_run=ranked_list(res.doc_index, table.run(rows[i]), candidates[i].query.id),
+        )
+        for i, overlap in zip(order.tolist(), overlaps[order].tolist())
     ]
     return QVSet(merged.target_query_id, kept)
 

@@ -174,6 +174,26 @@ def rbo_ext_prefix_sets(a_ids, b_ids, p):
     return (1.0 - p) / p * (sum1 + sum2) + sum3
 
 
+def merge_2hop(target_id, one_hop, hit_lists):
+    """The 2-hop pool by plain loops over ids.
+
+    ``one_hop`` holds the 1-hop (id, hop, score) triples and ``hit_lists``
+    the (id, score) hits of each relevant document, in (1-hop candidate,
+    document id) order. Each hit that is neither the target nor already in
+    the pool joins it as (id, 2, score), so a query keeps its first hit and
+    the lowest hop.
+    """
+    merged = list(one_hop)
+    seen = {qid for qid, _, _ in merged}
+    for hits in hit_lists:
+        for qid, score in hits:
+            if qid == target_id or qid in seen:
+                continue
+            seen.add(qid)
+            merged.append((qid, 2, score))
+    return merged
+
+
 def kendall_tau_pairs(predicted, actual):
     """Tau-b by O(n^2) pair counting; raises when the denominator is zero."""
     n = len(predicted)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qvqpp import RankedList, RboParams, rbo_ext
-from qvqpp.rank_sim import rbo_pool
+from qvqpp.rank_sim import rbo_pool, rbo_rows
 
 
 def random_lists(rng, universe_size=40, max_len=25):
@@ -172,3 +172,49 @@ class TestRboPool:
     def test_rejects_what_rbo_ext_rejects_and_bad_ordinals(self, target, pool, message):
         with pytest.raises(ValueError, match=message):
             rbo_pool(np.array(target, dtype=np.int32), [np.array(c, dtype=np.int32) for c in pool], 5)
+
+
+def padded(pool, extra=0):
+    """The rankings as a table padded with -1, ``extra`` columns wider than the longest, and their lengths."""
+    table = np.full((len(pool), max(map(len, pool), default=0) + extra), -1, dtype=np.int32)
+    for row, ranking in enumerate(pool):
+        table[row, : len(ranking)] = ranking
+    return table, np.array([len(ranking) for ranking in pool], dtype=np.int64)
+
+
+class TestRboRows:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rankings,
+        st.lists(rankings, max_size=12),
+        st.integers(0, 4),
+        st.sampled_from([0.5, 0.9]),
+        st.integers(1, UNIVERSE + 5),  # often shorter than the rows and the target
+    )
+    def test_each_row_equals_rbo_ext(self, target, pool, extra, p, eval_depth):
+        params = RboParams(p=p, eval_depth=eval_depth)
+        table, lengths = padded(pool, extra)
+        got = rbo_rows(np.array(target, dtype=np.int32), table, lengths, UNIVERSE, params)
+        assert got.dtype == np.float64
+        assert got.tolist() == [rbo_ext(ids(target), ids(ranking), params) for ranking in pool]
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    @pytest.mark.parametrize("target_length", [0, 3, 8, 30])
+    def test_empty_long_and_short_rows(self, p, target_length):
+        # an empty row, rows longer than eval_depth and rows shorter and longer than the target
+        target = list(range(0, 2 * target_length, 2))
+        pool = [[], list(range(30)), [4, 1], list(range(29, 9, -1)), [2, 0, 6, 8, 3]]
+        params = RboParams(p=p, eval_depth=12)
+        table, lengths = padded(pool, extra=3)
+        got = rbo_rows(np.array(target), table, lengths, 60, params).tolist()
+        assert got == [rbo_ext(ids(target), ids(ranking), params) for ranking in pool]
+        assert got[0] == 0.0 and (target_length == 0) == (max(got) == 0.0)
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [([0, 0], "duplicate id within target list"), ([0, 5], "ordinal outside"), ([-1], "ordinal outside")],
+    )
+    def test_rejects_a_bad_target(self, target, message):
+        table, lengths = padded([[1, 2]])
+        with pytest.raises(ValueError, match=message):
+            rbo_rows(np.array(target), table, lengths, 5)

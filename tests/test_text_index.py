@@ -157,6 +157,7 @@ class TestIndexAgainstCounterBuilder:
         order = np.argsort(index.row_terms, kind="stable")
         rows = np.repeat(np.arange(index.size), np.diff(index.row_ptr))
         assert np.array_equal(ordinals, rows[order]) and np.array_equal(tfs, index.row_tfs[order])
+        assert ordinals.dtype == tfs.dtype == np.int32
         assert np.array_equal(np.diff(col_ptr), np.bincount(index.row_terms, minlength=len(index.terms)))
 
 

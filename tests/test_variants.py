@@ -36,7 +36,7 @@ from qvqpp import (
     store_from_arrays,
     tokenize,
 )
-from qvqpp.text_index import bm25_retrieve
+from qvqpp.text_index import bm25_ordinals, bm25_retrieve
 
 
 class TestQppConfig:
@@ -186,6 +186,72 @@ class Test2Hop:
                         seen.add(qid)
                         expected.append((qid, 2))
         assert [(c.query.id, c.hop) for c in merged.candidates] == expected
+
+
+MERGE_QUERIES = [f"q{i}" for i in range(10)]
+MERGE_DOCS = [f"d{i}" for i in range(6)]
+
+
+def first(pair):
+    return pair[0]
+
+
+def seeded_merge(target_id, one_hop_ids, judged, hit_lists):
+    """expand_2hop over a pseudo-query memo seeded with ``hit_lists`` per document, and the oracle's merge.
+
+    ``judged`` maps a 1-hop id to its (doc id, grade) pairs; ``hit_lists``
+    maps a doc id to its (query index, score) hits.
+    """
+    training = {qid: Query(qid, f"text of {qid}") for qid in MERGE_QUERIES}
+    res = resources_over(training, {qid: dict(pairs) for qid, pairs in judged.items()},
+                         {d: Document(d, f"body {d}") for d in MERGE_DOCS})
+    config = QppConfig(k=1, n=5)
+    for doc_id, hits in hit_lists.items():
+        res.pseudo_query_hits[(doc_id, config.pseudo_query_m, config.n)] = (
+            np.array([i for i, _ in hits], dtype=np.int32), np.array([score for _, score in hits], dtype=np.float64)
+        )
+    one_hop = QVSet(target_id, [QVCandidate(training[qid], 1, 10.0 - i) for i, qid in enumerate(one_hop_ids)])
+    got = expand_2hop(one_hop, config, res)
+    relevant = [sorted(d for d, grade in judged.get(qid, []) if grade >= 1) for qid in one_hop_ids]
+    want = oracles.merge_2hop(
+        target_id,
+        [(qid, 1, 10.0 - i) for i, qid in enumerate(one_hop_ids)],
+        [[(MERGE_QUERIES[i], score) for i, score in hit_lists[d]] for docs in relevant for d in docs],
+    )
+    return [(c.query.id, c.hop, c.retrieval_score) for c in got.candidates], want
+
+
+class Test2HopMergeOracle:
+    def test_overlapping_hits_with_target_and_one_hop_ids(self):
+        # q0 is the target, q1 and q2 the 1-hop pool; d1 and d3 both reach q4, and d0 is judged non-relevant
+        got, want = seeded_merge(
+            "q0", ["q1", "q2"],
+            {"q1": [("d3", 1), ("d1", 2), ("d0", 0)], "q2": [("d1", 1), ("d2", 1)]},
+            {
+                "d0": [(9, 1.0)],
+                "d1": [(4, 3.0), (0, 2.5), (1, 2.0), (5, 1.5)],
+                "d2": [(5, 4.0), (6, 0.5), (2, 0.25)],
+                "d3": [(7, 2.0), (4, 1.0), (0, 0.5)],
+            },
+        )
+        assert got == want
+        assert want == [
+            ("q1", 1, 10.0), ("q2", 1, 9.0), ("q4", 2, 3.0), ("q5", 2, 1.5), ("q7", 2, 2.0), ("q6", 2, 0.5),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_plain_loop_merge(self, data):
+        target_id = data.draw(st.sampled_from(MERGE_QUERIES + ["T"]))  # a training id or none
+        one_hop_ids = data.draw(st.lists(st.sampled_from([q for q in MERGE_QUERIES if q != target_id]), unique=True))
+        judged = {
+            qid: data.draw(st.lists(st.tuples(st.sampled_from(MERGE_DOCS), st.integers(0, 2)), unique_by=first))
+            for qid in one_hop_ids
+        }
+        hits = st.lists(st.tuples(st.integers(0, len(MERGE_QUERIES) - 1), st.floats(0.1, 9.0)), unique_by=first)
+        hit_lists = {d: data.draw(hits) for d in MERGE_DOCS}
+        got, want = seeded_merge(target_id, one_hop_ids, judged, hit_lists)
+        assert got == want
 
 
 class TestRerankByRbo:
@@ -540,6 +606,66 @@ class TestRetrievalCache:
         assert res.internal_runs and res.pseudo_query_hits
         fresh = replace(res)
         assert fresh.internal_runs == {} and fresh.pseudo_query_hits == {}
+
+    def test_run_table_rows_equal_bm25_ordinals(self, corpus, resources):
+        config = QppConfig(k=2, n=100)
+        res = replace(resources)
+        pool_ids = set()
+        for target in corpus.test_queries:
+            build_qv_set(target, config, res)
+            pool_ids |= set(expand_2hop(retrieve_1hop(target, config, res), config, res).query_ids())
+        assert list(res.run_tables) == [config.internal_depth]
+        table = res.run_tables[config.internal_depth]
+        assert (table.ordinals.dtype, table.scores.dtype) == (np.int32, np.float64)
+        index = res.query_index
+        filled = np.flatnonzero(table.lengths >= 0)
+        # a row per pool member, each filled once; the rest stay unfilled
+        assert sorted(index.item_ids[o] for o in filled.tolist()) == sorted(pool_ids)
+        assert 0 < len(filled) < index.size
+        assert np.all(table.lengths[table.lengths < 0] == -1)
+        for row in filled.tolist():
+            text = res.training_queries[index.item_ids[row]].text
+            ordinals, scores = bm25_ordinals(
+                res.doc_index, tokenize(text), config.internal_depth, k1=res.params.k1, b=res.params.b
+            )
+            n = table.lengths[row]
+            assert n == len(ordinals)
+            assert np.array_equal(table.ordinals[row, :n], ordinals) and np.array_equal(table.scores[row, :n], scores)
+            assert np.all(table.ordinals[row, n:] == -1)
+            # the text's memo entry is the row itself, not a second copy
+            memo_ordinals, memo_scores = res.internal_runs[(text, config.internal_depth)]
+            assert np.shares_memory(memo_ordinals, table.ordinals) and np.shares_memory(memo_scores, table.scores)
+        assert replace(res).run_tables == {}
+
+    def test_one_run_per_distinct_text_fills_every_row(self, monkeypatch):
+        # tq1 and tq2 share a text: one BM25 run over the documents fills both rows
+        training = {
+            "tq1": Query("tq1", "delta epsilon"),
+            "tq2": Query("tq2", "delta epsilon"),
+            "tq3": Query("tq3", "delta rho"),
+        }
+        res = resources_over(training, {}, {"docX": Document("docX", "delta epsilon"), "docY": Document("docY", "rho")})
+        texts = []
+        real = variants.bm25_ordinals
+
+        def counting(index, terms, *args, **kwargs):
+            texts.append(" ".join(terms))
+            return real(index, terms, *args, **kwargs)
+
+        monkeypatch.setattr(variants, "bm25_ordinals", counting)
+        config = QppConfig(k=1, n=5)
+        merged = QVSet("T", [QVCandidate(q, 1, 1.0) for q in training.values()])
+        rerank_by_rbo(merged, Query("T", "delta"), config, res)
+        assert sorted(texts) == ["delta", "delta epsilon", "delta rho"]
+        table = res.run_tables[config.internal_depth]
+        assert table.lengths.tolist() == [1, 1, 2]  # docX, docX, then docX and docY
+        assert np.array_equal(table.ordinals[0], table.ordinals[1]) and np.array_equal(table.scores[0], table.scores[1])
+
+    def test_candidate_missing_from_query_index(self, corpus, resources):
+        ghost = QVCandidate(Query("ghost", "coffee beans"), hop=2, retrieval_score=1.0)
+        merged = QVSet("T", [QVCandidate(corpus.train_queries[0], 1, 1.0), ghost])
+        with pytest.raises(ValueError, match="variant candidate 'ghost' is not in the query index"):
+            rerank_by_rbo(merged, Query("T", "coffee"), QppConfig(k=1, n=100), replace(resources))
 
     def test_missing_relevant_doc_warns_for_every_target(self, corpus, resources, caplog):
         qrels = {q.id: {"not-a-doc": 1} for q in corpus.train_queries}
