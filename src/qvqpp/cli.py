@@ -10,6 +10,9 @@ Integer keys take integers (a float only when it is whole, as ``3.0``),
 number keys never take a boolean or a string (``"3"`` is refused), list
 keys take a YAML list only (``evaluation.fold_a`` also a file path), and
 boolean keys take ``true``/``false`` only. A null key takes its default.
+With ``qpp.base: uef``, ``predictor.uef_sample_size`` may not exceed
+max(``predictor.top_k``, 50), the most documents a UEF subset is drawn
+from; the config is refused before anything is loaded.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -67,7 +70,7 @@ from .evaluation import (
     sweep_grid,
     tune_2fold,
 )
-from .predictors import PredictorParams
+from .predictors import UEF_POOL_FLOOR, PredictorParams
 from .rank_sim import RboParams
 from .text_index import build_index, file_sha256, load_index, save_index
 from .variants import (
@@ -243,11 +246,18 @@ def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
         name, rest = str(exc).split(" ", 1)
         keys = {field_name: dotted for dotted, (owner, field_name, _) in CONFIG_SCHEMA.items() if owner is RboParams}
         raise ValueError(f"{keys[name]} {rest}") from None
-    return PipelineConfig(
+    cfg = PipelineConfig(
         qpp=QppConfig(rbo_params=rbo, **values[QppConfig]),
         predictor=PredictorParams(**values[PredictorParams]),
         **values[PipelineConfig],
     )
+    pool = max(cfg.predictor.top_k, UEF_POOL_FLOOR)
+    if cfg.qpp.base == "uef" and cfg.predictor.uef_sample_size > pool:
+        raise ValueError(
+            f"predictor.uef_sample_size {cfg.predictor.uef_sample_size} exceeds max(predictor.top_k, "
+            f"{UEF_POOL_FLOOR}) = {pool}, the most documents a UEF subset is drawn from"
+        )
+    return cfg
 
 
 def _require_files(*paths: Path | None) -> None:

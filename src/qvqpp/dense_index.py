@@ -8,7 +8,7 @@ and searched by exhaustive scan, so results are exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -35,17 +35,29 @@ class EmbeddingStore:
         return self.matrix[self.index_of[item_id]]
 
 
-def _make_store(dim: int, ids: list[str], matrix: np.ndarray) -> EmbeddingStore:
+def _make_store(dim: int, ids: list[str], matrix: np.ndarray, where: Callable[[int], str]) -> EmbeddingStore:
+    """The store of ``matrix``, refusing a row whose norm is not finite or, for a non-zero row, underflows to 0.
+
+    Such a norm would make every cosine with the row 0 or nan. ``where(r)``
+    locates row r in error messages.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1)))
+    if len(bad):
+        row = int(bad[0])
+        problem = "is not finite" if norms[row] else "underflows to 0 for a non-zero vector"
+        raise ValueError(f"{where(row)}: the norm of row {ids[row]!r} {problem}")
     index_of = {item_id: i for i, item_id in enumerate(ids)}
-    norms = np.linalg.norm(matrix, axis=1)
     return EmbeddingStore(dim=dim, ids=ids, matrix=matrix, index_of=index_of, norms=norms)
 
 
 def load_vectors(path) -> EmbeddingStore:
-    """Read an embedding dump, checking the declared count and dimension and that every value is finite.
+    """Read an embedding dump, checking the declared count and dimension and that every value and norm is finite.
 
-    Zero-norm rows are tolerated at load; they are simply never returned
-    by :func:`knn_cosine`.
+    All-zero rows are tolerated at load; they are simply never returned
+    by :func:`knn_cosine`. A non-zero row whose norm underflows to 0 is
+    refused.
     """
     with open_utf8(path) as handle:
         header = handle.readline().split()
@@ -85,17 +97,17 @@ def load_vectors(path) -> EmbeddingStore:
     if not finite.all():
         row = int(np.argmin(finite))  # row r is on line r + 2: the header, then one line per row
         raise ValueError(f"{path}:{row + 2}: non-finite value in row {ids[row]!r}")
-    return _make_store(dim, ids, matrix)
+    return _make_store(dim, ids, matrix, lambda row: f"{path}:{row + 2}")
 
 
 def store_from_arrays(ids: Sequence[str], matrix: np.ndarray) -> EmbeddingStore:
-    """Build a store directly from in-memory vectors (mainly for tests/demos)."""
+    """Build a store from in-memory vectors (mainly for tests/demos), with :func:`load_vectors`'s norm checks."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise ValueError("matrix must be 2-D with one row per id")
     if len(set(ids)) != len(ids):
         raise ValueError("ids must be unique")
-    return _make_store(matrix.shape[1], list(ids), matrix)
+    return _make_store(matrix.shape[1], list(ids), matrix, lambda row: "store_from_arrays")
 
 
 def knn_cosine(

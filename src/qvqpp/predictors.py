@@ -13,12 +13,17 @@ seed from (global seed, query id) via :func:`derive_seed` so scheduling
 cannot change outputs.
 
 UEF's relevance model and re-ranking work on arrays: a model is its
-term ids and weights (``build_relevance_model`` and ``rm_rerank`` wrap
-the same two cores for str-keyed models and ranked lists). What a
-re-ranking needs that no model changes (the head's rows and id ranks,
-one logarithm per head posting and per head document) is computed once
-per head, so each of ``uef``'s subsets costs its model, one gain per
-head posting of a model term and one fsum per head document.
+columns (term ids) and weights (``build_relevance_model`` and
+``rm_rerank`` wrap the same cores for str-keyed models and ranked
+lists). What a re-ranking needs that no model changes (the head's rows
+and id ranks, one logarithm per head posting and per head document) is
+computed once per head. ``rm_rerank`` scores each head document with one
+fsum. Only the order of a subset's re-ranked head reaches ``uef``'s
+value, so ``uef`` orders it by approximate numpy scores that carry a
+proven error bound and takes the exact fsum path only where two
+documents come within twice that bound (a near or exact tie), where a
+value is not finite, or where the exact path would raise. Each subset
+holds only its own arrays, never a table of samples x postings.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ import numpy as np
 
 from .corpus_io import RankedList
 from .rank_sim import RboParams, rbo_pool
-from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_idf
+from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, _segments, bm25_idf
 
 COLLECTION_SCORE_FLOOR = 1e-6
 DEFAULT_MU = 1000.0
 UEF_POOL_FLOOR = 50
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -49,6 +55,11 @@ class PredictorInput:
     top_k: int = 100
 
 
+def _check_collection_score(value: float) -> None:
+    if value <= 0.0:
+        raise ValueError(f"collection_score must be > 0, got {value}")
+
+
 def nqc(inp: PredictorInput) -> float:
     """Std-dev of the top ``top_k`` scores divided by the collection score.
 
@@ -57,8 +68,7 @@ def nqc(inp: PredictorInput) -> float:
     """
     if not inp.ranked_list.entries:
         raise ValueError("nqc needs a non-empty ranked list")
-    if inp.collection_score <= 0.0:
-        raise ValueError(f"collection_score must be > 0, got {inp.collection_score}")
+    _check_collection_score(inp.collection_score)
     scores = np.asarray(inp.ranked_list.scores()[: inp.top_k], dtype=np.float64)
     return float(np.std(scores) / inp.collection_score)
 
@@ -107,35 +117,50 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _relevance_model(
-    index: InvertedIndex, doc_ids: Sequence[str], ordinals: np.ndarray, scores: np.ndarray, mu: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The relevance model of a scored sample as its term ids (ascending) and their weights.
+def _sample_coefs(
+    index: InvertedIndex, ordinals: np.ndarray, scores: np.ndarray, mu: float, doc_id: Callable[[int], str]
+) -> np.ndarray:
+    """omega_D / (|D| + mu) per sampled document, once each is known to be indexed and to have a non-zero |D| + mu.
 
     ``ordinals`` holds each sampled document's index ordinal, -1 where the
-    index lacks it; ``doc_ids`` name the documents in error messages.
+    index lacks it; ``doc_id(i)`` names the i-th document in error messages.
     """
     known = ordinals >= 0
     empty = np.zeros(len(ordinals), dtype=bool)
     empty[known] = index.lengths[ordinals[known]] + mu == 0.0
     bad = np.flatnonzero(~known | empty)
     if len(bad):
-        doc_id = doc_ids[bad[0]]
         if empty[bad[0]]:
-            raise ValueError(f"every term has zero smoothed probability in empty document {doc_id!r}")
-        raise ValueError(f"sampled document {doc_id!r} is not in the index")
-    # omega_D / (|D| + mu) per sampled document
-    coefs = _softmax(scores) / (index.lengths[ordinals] + mu)
-    term_ids, tfs, bounds = index.rows(ordinals)
-    if not len(term_ids):
+            raise ValueError(f"every term has zero smoothed probability in empty document {doc_id(bad[0])!r}")
+        raise ValueError(f"sampled document {doc_id(bad[0])!r} is not in the index")
+    return _softmax(scores) / (index.lengths[ordinals] + mu)
+
+
+def _relevance_model(
+    coefs: np.ndarray,
+    columns: np.ndarray,
+    tfs: np.ndarray,
+    bounds: np.ndarray,
+    cf: np.ndarray,
+    mu: float,
+    total_tokens: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relevance model of a sample as the columns its postings fill (ascending) and their weights.
+
+    Sampled document i has coefficient ``coefs[i]`` and the postings
+    ``columns``/``tfs`` at bounds[i]:bounds[i + 1]; ``cf`` is each column's
+    collection frequency. Columns are term ids, or positions in any sorted
+    subset of them that holds the sample's terms: the weights are the same
+    floats either way.
+    """
+    if not len(columns):
         raise ValueError("all sampled documents are empty")
-    # term ids ascending are the terms in sorted order; bincount adds each term's
-    # coef * tf in sample order, as a running sum from 0.0 would
-    model_ids = np.flatnonzero(np.bincount(term_ids, minlength=len(index.terms)))
-    tf_mass = np.bincount(term_ids, weights=np.repeat(coefs, np.diff(bounds)) * tfs, minlength=len(index.terms))[model_ids]
-    smoothing = mu * math.fsum(coefs.tolist()) / index.total_tokens
-    masses = tf_mass + smoothing * index.cf[model_ids]
-    return model_ids, masses / math.fsum(masses.tolist())
+    # bincount adds each column's coef * tf in sample order, as a running sum from 0.0 would
+    model = np.flatnonzero(np.bincount(columns, minlength=len(cf)))
+    tf_mass = np.bincount(columns, weights=np.repeat(coefs, np.diff(bounds)) * tfs, minlength=len(cf))[model]
+    smoothing = mu * math.fsum(coefs.tolist()) / total_tokens
+    masses = tf_mass + smoothing * cf[model]
+    return model, masses / math.fsum(masses.tolist())
 
 
 def build_relevance_model(
@@ -157,7 +182,8 @@ def build_relevance_model(
         raise ValueError("relevance model needs a non-empty sample")
     doc_ids = sample.doc_ids()
     ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id in doc_ids), dtype=np.int64, count=len(doc_ids))
-    model_ids, weights = _relevance_model(index, doc_ids, ordinals, np.asarray(sample.scores(), dtype=np.float64), mu)
+    coefs = _sample_coefs(index, ordinals, np.asarray(sample.scores(), dtype=np.float64), mu, doc_ids.__getitem__)
+    model_ids, weights = _relevance_model(coefs, *index.rows(ordinals), index.cf, mu, index.total_tokens)
     return RelevanceModel(dict(zip([index.terms[t] for t in model_ids.tolist()], weights.tolist())))
 
 
@@ -231,6 +257,10 @@ def _rm_rerank(
     ``term_name`` names the term at a model position. Each document's
     score is one fsum of C, -S * ln(|D| + mu) and a gain per posting of a
     model term; the order is score descending, then doc_id ascending.
+    This is the one exact path: ``rm_rerank`` always takes it, and ``uef``
+    takes it for a subset whose approximate order
+    :func:`_certified_order` cannot certify. It raises the re-ranking's
+    errors, so ``uef`` reaches them here too.
     """
     constant = math.fsum((weights[smoothed] * log_mu_p[smoothed]).tolist())
     weight_sum = math.fsum(weights.tolist())
@@ -302,6 +332,35 @@ def rm_rerank(
     return RankedList(ranked.query_id, [(head.doc_ids[i], scores[i]) for i in order.tolist()])
 
 
+def _certified_order(
+    scores: np.ndarray, magnitudes: np.ndarray, addends: int, slack: float, id_ranks: np.ndarray
+) -> np.ndarray | None:
+    """The order of exact scores (descending, then by id rank) read from approximations; None where they cannot tell it.
+
+    Exact score d is the correctly rounded sum of at most ``addends``
+    floats; ``scores[d]`` approximates it in floating point from terms
+    whose absolute values sum to ``magnitudes[d]``, with up to ``slack``
+    more error from approximated shared constants. So each approximation
+    is off the exact sum by at most gamma_n * magnitude + slack, with
+    gamma_n = n u / (1 - n u) and u = 2**-53. E doubles that bound, to
+    cover the rounding of its own arithmetic, and adds 2 ulp of the
+    largest magnitude. If every score and E are finite and every gap
+    between neighbours in the approximate order exceeds 2E, the exact sums
+    fall in that order with gaps above 4 ulp, so their rounded values are
+    still strictly decreasing (rounding is monotone and moves each by at
+    most half an ulp): the order is the exact one. This is the filter of
+    Shewchuk's filter-then-exact scheme; a near or exact tie gives None.
+    """
+    order = np.lexsort((id_ranks, -scores))
+    top = float(magnitudes.max(initial=0.0))
+    gamma = addends * _UNIT_ROUNDOFF / (1.0 - addends * _UNIT_ROUNDOFF)
+    error = 2.0 * (gamma * top + slack) + 2.0 * float(np.spacing(top))
+    ranked = scores[order]
+    if math.isfinite(error) and np.isfinite(ranked).all() and (ranked[:-1] - ranked[1:] > 2.0 * error).all():
+        return order
+    return None
+
+
 def uef(
     inp: PredictorInput,
     index: InvertedIndex,
@@ -320,14 +379,23 @@ def uef(
     multiplied by the subset's nqc. Bit-reproducible for a fixed seed.
 
     Everything that does not depend on the subset is computed once: the
-    head's ordinals, rows and id ranks, ln(1 + tf / (mu * p_w)) for each
-    of its postings, ln(|D| + mu) for each of its documents and
-    ln(mu * p_w) for each term of the pool. A subset then costs its
-    relevance model as term-id and weight arrays, one gain per head
-    posting of a model term, one fsum per head document and a lexsort;
-    the overlaps of all subsets come from one :func:`rbo_pool` pass. The
-    value is ``==`` to composing :func:`build_relevance_model`,
-    :func:`rm_rerank` and :func:`rbo_ext` per subset, errors included.
+    head's rows and logarithms (:func:`_head`), the pool's postings in the
+    columns of the pool's vocabulary, the head postings of that vocabulary
+    (no model holds any other term) and mu * p_w and ln(mu * p_w) per
+    column. A subset then costs its model (two bincounts into those
+    columns, adding each term's mass in the order
+    :func:`build_relevance_model` does, so the weights are the same
+    floats), and one approximate score per head document:
+    C~ + sum of gains - S~ * ln(|D| + mu), from a bincount of the gains and
+    ``np.sum`` for C~ and S~. :func:`_certified_order` takes that order when
+    the bound proves it is the order of the exact fsum scores; on a near
+    tie, a non-finite value, a model term with mu * p_w = 0 or a head that
+    :func:`_rm_rerank` rejects, the subset takes :func:`_rm_rerank`, the one
+    exact path, which raises its errors. Only arrays of one subset are held
+    at a time, none of samples x postings. The overlaps of all subsets come
+    from one :func:`rbo_pool` pass. The value is ``==`` to composing
+    :func:`build_relevance_model`, :func:`rm_rerank` and :func:`rbo_ext`
+    per subset, errors included.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -338,28 +406,72 @@ def uef(
     if sample_size > len(pool):
         raise ValueError(f"sample_size {sample_size} exceeds the {len(pool)} available documents")
     head = _head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
+    pool_scores = np.asarray([score for _, score in pool], dtype=np.float64)
     pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
-    # mu * p_w > 0 and ln(mu * p_w) for every term a subset's model can hold, by term id
-    pool_terms = index.rows(pool_ordinals[pool_ordinals >= 0])[0]
+    known = pool_ordinals >= 0
+    # the pool's postings in the columns of its vocabulary, row by pool position (none for an unindexed document)
+    pool_terms, pool_tfs, known_bounds = index.rows(pool_ordinals[known])
     vocabulary = np.flatnonzero(np.bincount(pool_terms, minlength=len(index.terms)))
-    smoothed_of = np.zeros(len(index.terms), dtype=bool)
-    log_mu_p_of = np.zeros(len(index.terms))
-    smoothed_of[vocabulary], log_mu_p_of[vocabulary] = _log_mu_p(index, vocabulary, mu)
+    column_of = np.full(len(index.terms), -1, dtype=np.int64)
+    column_of[vocabulary] = np.arange(len(vocabulary))
+    pool_columns = column_of[pool_terms]
+    pool_ptr = np.zeros(len(pool) + 1, dtype=np.int64)
+    pool_ptr[1:][known] = np.diff(known_bounds)
+    np.cumsum(pool_ptr, out=pool_ptr)
+    cf = index.cf[vocabulary]
+    smoothed, log_mu_p = _log_mu_p(index, vocabulary, mu)
+    # the approximate scores need every head document indexed, once, with a logarithm of |D| + mu, and mu * p_w > 0
+    certify = (
+        len(head.length_logs) == head.known == len(head.doc_ids) and head.duplicate is None and bool(smoothed.all())
+    )
+    if certify:
+        head_columns = column_of[head.term_ids]
+        in_vocabulary = head_columns >= 0
+        head_columns = head_columns[in_vocabulary]
+        head_logs = head.logs[in_vocabulary]
+        head_rows = np.repeat(np.arange(head.known), np.diff(head.bounds))[in_vocabulary]
+        # per document: C, its gains (at most one per vocabulary posting) and -S * ln(|D| + mu), plus 2 roundings
+        addends = int(np.bincount(head_rows, minlength=1).max()) + 4
+        length_logs = np.asarray(head.length_logs)
+        log_scale = float(np.abs(log_mu_p).max(initial=0.0) + np.abs(length_logs).max(initial=0.0))
+    _check_collection_score(inp.collection_score)  # nqc's check, reached at the first subset
     rng = np.random.default_rng(rng_seed)
     subset_nqcs = []
     reranked = []
     for _ in range(samples):
         chosen = np.sort(rng.choice(len(pool), size=sample_size, replace=False))
-        subset = RankedList(inp.ranked_list.query_id, [pool[i] for i in chosen.tolist()])
-        subset_nqcs.append(nqc(PredictorInput(subset, inp.collection_score, top_k=sample_size)))
-        scores = np.asarray(subset.scores(), dtype=np.float64)
-        model_ids, weights = _relevance_model(index, subset.doc_ids(), pool_ordinals[chosen], scores, mu)
+        scores = pool_scores[chosen]
+        subset_nqcs.append(float(np.std(scores) / inp.collection_score))
+        coefs = _sample_coefs(index, pool_ordinals[chosen], scores, mu, lambda i: pool[chosen[i]][0])
+        positions, bounds = _segments(pool_ptr, chosen)
+        columns, weights = _relevance_model(
+            coefs, pool_columns[positions], pool_tfs[positions], bounds, cf, mu, index.total_tokens
+        )
         if not head.doc_ids:  # rm_rerank's depth check, reached once a model is built
             raise ValueError("depth must be >= 1, got 0")
-        order, _ = _rm_rerank(
-            head, model_ids, weights, smoothed_of[model_ids], log_mu_p_of[model_ids],
-            lambda position: index.terms[model_ids[position]],
-        )
+        order = None
+        if certify:
+            weight_of = np.zeros(len(vocabulary))
+            weight_of[columns] = weights
+            # gains are >= 0 (weights >= 0, ln(1 + tf / (mu * p_w)) > 0), so their sum is its own magnitude
+            gains = np.bincount(head_rows, weights=weight_of[head_columns] * head_logs, minlength=head.known)
+            constant = float(np.sum(weights * log_mu_p[columns]))
+            weight_sum = float(np.sum(weights))
+            # np.sum's C~ and S~ are within gamma_m of C and S, so within gamma_m * S~ * (max |ln mu p_w| + max |L|)
+            m = len(weights) + 1
+            slack = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF) * weight_sum * log_scale
+            order = _certified_order(
+                constant + gains - weight_sum * length_logs,
+                abs(constant) + gains + weight_sum * np.abs(length_logs),
+                addends,
+                slack,
+                head.id_ranks,
+            )
+        if order is None:
+            order, _ = _rm_rerank(
+                head, vocabulary[columns], weights, smoothed[columns], log_mu_p[columns],
+                lambda position: index.terms[vocabulary[columns[position]]],
+            )
         reranked.append(head.ordinals[order])
     total = 0.0
     for overlap, subset_nqc in zip(rbo_pool(head.ordinals, reranked, index.size, rbo_params), subset_nqcs):

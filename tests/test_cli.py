@@ -240,6 +240,39 @@ paths:
         assert "missing input file" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize("command", ["qv", "predict", "sweep"])
+    def test_impossible_uef_sample_refused_before_loading(self, indexed_workspace, monkeypatch, capsys, command):
+        # no subset of 500 can be drawn from the at most max(top_k, 50) = 100 documents of a UEF pool
+        def loaded(*args, **kwargs):
+            raise AssertionError("an input was loaded")
+
+        for name in ("load_index", "load_vectors", "parse_queries", "parse_collection", "parse_run"):
+            monkeypatch.setattr(cli, name, loaded)
+        out = indexed_workspace["root"] / "never-written"
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--out", out,
+            "--set", "qpp.base=uef", "--set", "predictor.uef_sample_size=500",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: predictor.uef_sample_size 500 exceeds max(predictor.top_k, 50) = 100, "
+            "the most documents a UEF subset is drawn from\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["qpp.base=uef", "predictor.uef_sample_size=100"],
+            ["qpp.base=uef", "predictor.top_k=20", "predictor.uef_sample_size=50"],
+            ["qpp.base=uef", "predictor.top_k=500", "predictor.uef_sample_size=500"],
+            ["qpp.base=nqc", "predictor.uef_sample_size=500"],
+        ],
+    )
+    def test_possible_uef_samples_load(self, indexed_workspace, overrides):
+        cfg = cli.load_config(indexed_workspace["config"], overrides)
+        assert cfg.predictor.uef_sample_size == int(overrides[-1].split("=")[1])
+
     def test_bad_metric_rejected(self, indexed_workspace, capsys):
         code = run_cli(
             "predict", "--config", indexed_workspace["config"],

@@ -46,6 +46,42 @@ class TestLoadVectors:
         store = load_vectors(path)
         assert "z" in store
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("a 1e200 1e200", "is not finite"),
+            ("a 1e-200 1e-200", "underflows to 0 for a non-zero vector"),
+        ],
+    )
+    def test_norm_that_cosine_cannot_use_refused(self, tmp_path, row, problem):
+        # 1e200 squared overflows and 1e-200 squared underflows, so the row's cosines would read 0.0 or nan
+        path = tmp_path / "emb.txt"
+        path.write_text(f"3 2\nb 1 0\n{row}\nc 0 1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_vectors(path)
+        assert str(raised.value) == f"{path}:3: the norm of row 'a' {problem}"
+
+    def test_all_zero_row_still_tolerated_beside_tiny_ones(self, tmp_path):
+        path = write_store(tmp_path, {"z": [0, 0], "t": [1e-150, 0], "a": [1e150, 1e150]})
+        store = load_vectors(path)
+        assert list(store.norms[:2]) == [0.0, 1e-150]
+        assert [doc_id for doc_id, _ in knn_cosine(store, [1.0, 0.0], depth=3).entries] == ["t", "a"]
+
+    @pytest.mark.parametrize(
+        "vector, problem",
+        [
+            ([1e200, 1e200], "is not finite"),
+            ([np.inf, 0.0], "is not finite"),
+            ([np.nan, 1.0], "is not finite"),
+            ([1e-200, -1e-200], "underflows to 0 for a non-zero vector"),
+        ],
+    )
+    def test_store_from_arrays_refuses_the_same_norms(self, vector, problem):
+        with pytest.raises(ValueError) as raised:
+            store_from_arrays(["b", "a", "c"], [[1.0, 0.0], vector, [0.0, 1.0]])
+        assert str(raised.value) == f"store_from_arrays: the norm of row 'a' {problem}"
+        assert len(store_from_arrays(["z", "b"], [[0.0, 0.0], [1.0, 0.0]])) == 2
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("not a header\n", encoding="utf-8")

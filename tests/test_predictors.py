@@ -27,7 +27,8 @@ from qvqpp import (
     tokenize,
     uef,
 )
-from qvqpp.predictors import UEF_POOL_FLOOR
+from qvqpp import predictors
+from qvqpp.predictors import DEFAULT_MU, UEF_POOL_FLOOR, _certified_order
 
 
 def ranked(query_id, pairs):
@@ -438,6 +439,29 @@ class TestUefProperties:
             return
         assert uef(**case) == want
 
+    def test_exact_path_runs_and_is_not_the_only_path(self, monkeypatch):
+        # a filter that never fell back, or always did, would pass the property above unseen
+        exact = []
+        rm_rerank_exact = predictors._rm_rerank
+        monkeypatch.setattr(predictors, "_rm_rerank", lambda *args: exact.append(1) or rm_rerank_exact(*args))
+        subsets = []
+        exact_subsets = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(uef_cases())
+        def check(case):
+            try:
+                want = scripted_uef(**case)
+            except ValueError:
+                return
+            before = len(exact)
+            assert uef(**case) == want
+            subsets.append(case["samples"])
+            exact_subsets.append(len(exact) - before)
+
+        check()
+        assert 0 < sum(exact_subsets) < sum(subsets)
+
     def test_unindexed_document_beyond_the_head(self):
         # the pool reaches past the 2-document head to a document the index lacks:
         # uef fails for exactly the seeds whose subsets draw it, and returns a value otherwise
@@ -456,6 +480,106 @@ class TestUefProperties:
             outcomes.add("value")
             assert uef(inp, index, seed, 2, 1) == want
         assert outcomes == {"raised", "value"}
+
+
+def fsum_order(addends, id_ranks):
+    """The exact path's order: fsum per document, score descending, then id rank ascending."""
+    return np.lexsort((id_ranks, -np.asarray([math.fsum(terms) for terms in addends]))).tolist()
+
+
+def certified(addends, id_ranks, slack=0.0):
+    """``_certified_order`` fed as ``uef`` feeds it: a floating-point sum and the sum of magnitudes per document."""
+    scores = np.asarray([np.sum(terms) for terms in addends])
+    magnitudes = np.asarray([np.sum(np.abs(terms)) for terms in addends])
+    return _certified_order(scores, magnitudes, max(map(len, addends)), slack, np.asarray(id_ranks))
+
+
+ONE_ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+class TestCertifiedOrder:
+    @pytest.mark.parametrize(
+        "addends, id_ranks",
+        [
+            # approximate scores 1 ulp apart, in either id order
+            ([[1.0], [ONE_ULP_BELOW_ONE]], [0, 1]),
+            ([[ONE_ULP_BELOW_ONE], [1.0]], [0, 1]),
+            ([[0.5, 0.5], [0.5, ONE_ULP_BELOW_ONE - 0.5]], [1, 0]),
+            # cancellation: the first sums to 0.0 in floating point, exactly to 1.0, a tie broken by id rank
+            ([[1e16, 1.0, -1e16], [1.0]], [0, 1]),
+            ([[1e16, 1.0, -1e16], [1.0]], [1, 0]),
+            ([[1e16, 1.0, -1e16], [0.5]], [1, 0]),
+            # exact ties between identical documents
+            ([[0.5, 0.25], [0.5, 0.25], [2.0]], [1, 0, 2]),
+            ([[-3.0], [-3.0], [-3.0]], [2, 0, 1]),
+            # non-finite scores
+            ([[np.inf], [1.0]], [0, 1]),
+            ([[np.nan], [1.0]], [0, 1]),
+            ([[1.0], [-np.inf]], [1, 0]),
+            ([[1e308, 1e308], [1.0]], [0, 1]),
+        ],
+    )
+    def test_adversarial_inputs_take_the_exact_path(self, addends, id_ranks):
+        # None sends the caller to the exact path, whose order is fsum's
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert certified(addends, id_ranks) is None
+
+    def test_cancellation_misorders_the_approximate_scores(self):
+        # why the cancellation case above must fall back: the floating-point sums give the wrong order
+        addends, id_ranks = [[1e16, 1.0, -1e16], [1.0]], [0, 1]
+        approximate = np.lexsort((id_ranks, -np.asarray([np.sum(terms) for terms in addends]))).tolist()
+        assert approximate == [1, 0] != fsum_order(addends, id_ranks) == [0, 1]
+
+    @pytest.mark.parametrize("slack", [np.inf, np.nan])
+    def test_non_finite_bound_takes_the_exact_path(self, slack):
+        assert certified([[3.0, 0.5], [1.0]], [0, 1], slack=slack) is None
+
+    def test_slack_widens_the_bound(self):
+        # the bound E is about 2 * slack here, and the gap of 0.5 must exceed 2E
+        assert certified([[1.0], [0.5]], [1, 0], slack=0.1).tolist() == [0, 1]
+        assert certified([[1.0], [0.5]], [1, 0], slack=0.13) is None
+
+    def test_separated_scores_keep_their_order(self):
+        addends = [[1e-3, 2.0], [-5.0, 0.25], [3.0], [0.0, -0.0]]
+        assert certified(addends, [3, 2, 1, 0]).tolist() == fsum_order(addends, [3, 2, 1, 0]) == [2, 0, 3, 1]
+
+    def test_single_document(self):
+        assert certified([[2.0, -1.0]], [0]).tolist() == [0]
+        assert certified([[np.nan]], [0]) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.1, 0.2, 0.3, 1e-16, ONE_ULP_BELOW_ONE, 0.0])
+                | st.floats(-1e6, 1e6, allow_nan=False),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_certified_order_is_fsums_order(self, addends, random_):
+        id_ranks = list(range(len(addends)))
+        random_.shuffle(id_ranks)
+        order = certified(addends, id_ranks)
+        if order is not None:
+            assert order.tolist() == fsum_order(addends, id_ranks)
+
+    def test_identical_documents_reach_the_exact_path_in_uef(self, monkeypatch):
+        # dA and dF hold the same text, so every model scores them alike: each subset falls back
+        index = build_index([*UEF_CORPUS, ("dF", UEF_CORPUS[0][1])])
+        run = bm25_retrieve(index, ["apple", "orchard"], depth=10, query_id="q")
+        inp = PredictorInput(run, 1.0, top_k=len(run))
+        exact = []
+        rm_rerank_exact = predictors._rm_rerank
+        monkeypatch.setattr(predictors, "_rm_rerank", lambda *args: exact.append(args) or rm_rerank_exact(*args))
+        got = uef(inp, index, rng_seed=3, samples=4, sample_size=2)
+        assert len(exact) == 4
+        monkeypatch.undo()
+        assert got == scripted_uef(inp, index, 3, 4, 2, RboParams(), DEFAULT_MU)
 
 
 class TestPredictorParams:
