@@ -14,6 +14,9 @@ import numpy as np
 
 from .corpus_io import RankedList, open_utf8
 
+# The square root of the smallest normal float64: a norm below it was summed from subnormal squares and lost digits.
+MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
 
 @dataclass
 class EmbeddingStore:
@@ -36,17 +39,22 @@ class EmbeddingStore:
 
 
 def _make_store(dim: int, ids: list[str], matrix: np.ndarray, where: Callable[[int], str]) -> EmbeddingStore:
-    """The store of ``matrix``, refusing a row whose norm is not finite or, for a non-zero row, underflows to 0.
+    """The store of ``matrix``, refusing a row whose norm is not finite or, for a non-zero row, below :data:`MIN_NORM`.
 
-    Such a norm would make every cosine with the row 0 or nan. ``where(r)``
-    locates row r in error messages.
+    Such a norm would make every cosine with the row 0, nan or inexact
+    (even above 1). ``where(r)`` locates row r in error messages.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
-    bad = np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1)))
+    bad = np.flatnonzero(~np.isfinite(norms) | ((norms < MIN_NORM) & matrix.any(axis=1)))
     if len(bad):
         row = int(bad[0])
-        problem = "is not finite" if norms[row] else "underflows to 0 for a non-zero vector"
+        if not np.isfinite(norms[row]):
+            problem = "is not finite"
+        elif norms[row] == 0.0:
+            problem = "underflows to 0 for a non-zero vector"
+        else:
+            problem = f"is {norms[row]:.6g}, below {MIN_NORM:.3g}"
         raise ValueError(f"{where(row)}: the norm of row {ids[row]!r} {problem}")
     index_of = {item_id: i for i, item_id in enumerate(ids)}
     return EmbeddingStore(dim=dim, ids=ids, matrix=matrix, index_of=index_of, norms=norms)
@@ -56,8 +64,8 @@ def load_vectors(path) -> EmbeddingStore:
     """Read an embedding dump, checking the declared count and dimension and that every value and norm is finite.
 
     All-zero rows are tolerated at load; they are simply never returned
-    by :func:`knn_cosine`. A non-zero row whose norm underflows to 0 is
-    refused.
+    by :func:`knn_cosine`. A non-zero row whose norm underflows to 0 or
+    is below :data:`MIN_NORM` is refused.
     """
     with open_utf8(path) as handle:
         header = handle.readline().split()
@@ -121,7 +129,8 @@ def knn_cosine(
     """Exhaustive-scan top-``depth`` ids by cosine similarity.
 
     Ties are broken by id ascending. Stored zero-norm vectors score
-    -inf and are never returned; a zero-norm query is an error.
+    -inf and are never returned; a query whose norm is 0 or below
+    :data:`MIN_NORM` is an error.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -131,6 +140,8 @@ def knn_cosine(
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ValueError("query vector has zero norm")
+    if qnorm < MIN_NORM:
+        raise ValueError(f"query vector norm {qnorm:.6g} is below {MIN_NORM:.3g}")
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ q) / (store.norms * qnorm)
     sims = np.where(store.norms == 0.0, -np.inf, sims)

@@ -59,17 +59,25 @@ def ap_at_k(run: RankedList, qrels: Qrels, k: int, rel_threshold: int) -> float:
 
 
 def ndcg_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
-    """nDCG at cutoff ``k`` with gain 2^grade - 1 and log2(rank + 1) discount."""
+    """nDCG at cutoff ``k`` with gain 2^grade - 1 and log2(rank + 1) discount.
+
+    An ideal DCG that is not finite (it bounds every gain) is a ValueError naming the query.
+    """
     judged = qrels.get(run.query_id)
     if judged is None:
         logger.warning("query %r has no relevance judgments; ndcg set to 0", run.query_id)
         return 0.0
+    ideal = sorted(judged.values(), reverse=True)[:k]
+    try:
+        idcg = sum((2.0**grade - 1.0) / math.log2(rank + 1) for rank, grade in enumerate(ideal, start=1))
+    except OverflowError:
+        idcg = math.inf
+    if not math.isfinite(idcg):
+        raise ValueError(f"ndcg@{k} of query {run.query_id!r}: the ideal DCG of grades up to {ideal[0]} is not finite")
     dcg = 0.0
     for rank, (doc_id, _) in enumerate(run.entries[:k], start=1):
         grade = judged.get(doc_id, 0)
         dcg += (2.0**grade - 1.0) / math.log2(rank + 1)
-    ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = sum((2.0**grade - 1.0) / math.log2(rank + 1) for rank, grade in enumerate(ideal, start=1))
     return dcg / idcg if idcg > 0.0 else 0.0
 
 

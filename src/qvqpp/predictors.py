@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus_io import RankedList
-from .rank_sim import RboParams, rbo_pool
-from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, _segments, bm25_idf
+from .rank_sim import RboParams, rbo_rows
+from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, _segments
 
 COLLECTION_SCORE_FLOOR = 1e-6
 DEFAULT_MU = 1000.0
@@ -92,13 +92,14 @@ def collection_score(
         raise ValueError("collection_score needs a non-empty index")
     total = index.total_tokens
     avgdl = index.avgdl
+    idfs = index.bm25_table(k1, b)[0]
     score = 0.0
     for term, query_tf in Counter(terms).items():
         tid = index.term_id.get(term)
         if tid is None:
             continue
         cf = int(index.cf[tid])
-        idf = bm25_idf(index, term)
+        idf = float(idfs[tid])
         norm = k1 * (1.0 - b + b * total / avgdl)
         score += query_tf * idf * cf * (k1 + 1.0) / (cf + norm)
     return score if score > 0.0 else floor
@@ -393,7 +394,8 @@ def uef(
     :func:`_rm_rerank` rejects, the subset takes :func:`_rm_rerank`, the one
     exact path, which raises its errors. Only arrays of one subset are held
     at a time, none of samples x postings. The overlaps of all subsets come
-    from one :func:`rbo_pool` pass. The value is ``==`` to composing
+    from one :func:`rbo_rows` pass over the stacked re-ranked heads, each a
+    permutation of the head's ordinals. The value is ``==`` to composing
     :func:`build_relevance_model`, :func:`rm_rerank` and :func:`rbo_ext`
     per subset, errors included.
     """
@@ -474,7 +476,8 @@ def uef(
             )
         reranked.append(head.ordinals[order])
     total = 0.0
-    for overlap, subset_nqc in zip(rbo_pool(head.ordinals, reranked, index.size, rbo_params), subset_nqcs):
+    overlaps = rbo_rows(head.ordinals, np.stack(reranked), np.full(samples, head.known), index.size, rbo_params)
+    for overlap, subset_nqc in zip(overlaps.tolist(), subset_nqcs):
         total += overlap * subset_nqc
     return total / samples
 

@@ -9,8 +9,8 @@ mass on the first d ranks is roughly 1 - p^d.
 :func:`rbo_ext` compares two id lists. :func:`rbo_rows` compares one
 target ranking with every row of a table of rankings padded with -1, all
 given as integer ordinals (such as an index's item ordinals), in one pass
-of array operations; :func:`rbo_pool` does the same for a list of
-rankings by padding it into such a table. Their values are ``==`` to
+of array operations; it serves both the variant re-ranking (rows of a
+run table) and UEF (stacked re-ranked heads). Its values are ``==`` to
 ``rbo_ext``'s.
 """
 
@@ -166,30 +166,3 @@ def rbo_rows(
     sum3 = ((x_l - x_s) / l + x_s / s) * powers[l]
     values[live] = np.minimum(1.0, np.maximum(0.0, (1.0 - p) / p * (sum1 + sum2) + sum3))
     return values
-
-
-def rbo_pool(
-    target: np.ndarray, candidates: Sequence[np.ndarray], size: int, params: RboParams = RboParams()
-) -> list[float]:
-    """:func:`rbo_ext` of ``target`` against each candidate, in one pass over the whole pool.
-
-    Rankings are integer ordinals in [0, ``size``) that stand for ids.
-    Each value is ``==`` to ``rbo_ext`` on the same lists. As there,
-    every list is truncated to ``params.eval_depth`` first, an empty list
-    gives 0.0 and a duplicate within a list is a ValueError; so is an
-    ordinal outside [0, ``size``). The truncated candidates are padded
-    with -1 into one table that :func:`rbo_rows` scores.
-    """
-    depth = params.eval_depth
-    runs = [run[:depth] for run in candidates]
-    lengths = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
-    flat = np.concatenate([np.zeros(0, dtype=np.int64), *runs])
-    if len(flat) and (flat.min() < 0 or flat.max() >= size):
-        raise ValueError(f"ordinal outside [0, {size})")
-    rows = np.repeat(np.arange(len(runs)), lengths)
-    keys = np.sort(rows * size + flat)
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("duplicate id within a candidate list")
-    table = np.full((len(runs), int(lengths.max(initial=0))), -1, dtype=np.int64)
-    table[rows, np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = flat
-    return rbo_rows(target, table, lengths, size, params).tolist()

@@ -213,8 +213,8 @@ class InvertedIndex:
     def bm25_table(self, k1: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Each term id's idf and each posting's ``idf * tf * (k1 + 1.0) / (tf + norm)``, in postings order.
 
-        Built in one pass on the first call for ``(k1, b)`` and kept. The
-        idf is :func:`bm25_idf`'s ``math.log``, taken once per distinct df.
+        Built in one pass on the first call for ``(k1, b)`` and kept. The idf is
+        ``ln(1 + (N - df + 0.5) / (df + 0.5)) >= 0``, one ``math.log`` per distinct df.
         """
         table = self._bm25_tables.get((k1, b))
         if table is None:
@@ -284,13 +284,6 @@ def build_index(items: Iterable[tuple[str, str]], *, file_sha256: str = "") -> I
         tokenizer_sha256=TOKENIZER_SHA256,
         file_sha256=file_sha256,
     )
-
-
-def bm25_idf(index: InvertedIndex, term: str) -> float:
-    """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
-    tid = index.term_id.get(term)
-    df = 0 if tid is None else int(index.df[tid])
-    return math.log(1.0 + (index.size - df + 0.5) / (df + 0.5))
 
 
 # A ranking as item ordinals (int32) and their scores (float64), best first.

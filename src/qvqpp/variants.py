@@ -12,10 +12,10 @@ The pipeline for one target query:
 3. re-rank the merged pool by the rank-biased overlap between each
    candidate's document ranking and the target's, both produced by the
    internal BM25 retriever and kept as document ordinals, and keep the
-   best k. The candidates' runs live in one :class:`RunTable` per
-   internal depth, a row per query-index ordinal, filled once per
-   training query; a target gathers its pool's rows and
-   :func:`rbo_rows` scores them all in one pass of array operations;
+   best k. The candidates' runs live only in one :class:`RunTable` per
+   internal depth, a row per query-index ordinal, filled the first time a
+   pool gathers it; :func:`rbo_rows` scores a pool's rows against the
+   target's run in one pass of array operations;
 4. evaluate the base predictor once on the target run and on each kept
    candidate's internal run (the phi table of :func:`base_predictions`),
    then blend the target's estimate with the overlap-weighted average of
@@ -23,9 +23,9 @@ The pipeline for one target query:
    (lambda, k) grid re-runs no predictor.
 
 Every stage reads its inputs (indexes, training queries and qrels,
-embedding store, BM25 and predictor knobs, seed), both retrieval memos
-and the base predictor from one :class:`PipelineResources`, which holds
-each once, so no memo is read against an index or ``k1``/``b`` other
+embedding store, BM25 and predictor knobs, seed), its memo, run tables
+and base predictor from one :class:`PipelineResources`, which holds each
+once, so no memo or table is read against an index or ``k1``/``b`` other
 than those that filled it. RBO parameters come from :class:`QppConfig`.
 """
 
@@ -121,24 +121,23 @@ class RunTable:
     Row ``o`` holds the run of query ``query_index.item_ids[o]``: its
     document ordinals ``ordinals[o, :lengths[o]]`` (int32, best first) and
     scores ``scores[o, :lengths[o]]`` (float64), then -1 and 0.0 up to the
-    depth. ``lengths[o]`` is -1 while the row is not yet filled. The two
-    run arrays are not initialised: a row, padding included, is written
-    when it is filled.
+    width: the depth, or the document count if smaller, as no run is longer.
+    ``lengths[o]`` is -1 while the row is not yet filled. The two run arrays
+    are not initialised: a row, padding included, is written when filled.
     """
 
-    def __init__(self, rows: int, depth: int) -> None:
-        self.ordinals = np.empty((rows, depth), dtype=np.int32)
-        self.scores = np.empty((rows, depth), dtype=np.float64)
+    def __init__(self, rows: int, width: int) -> None:
+        self.ordinals = np.empty((rows, width), dtype=np.int32)
+        self.scores = np.empty((rows, width), dtype=np.float64)
         self.lengths = np.full(rows, -1, dtype=np.int64)
 
-    def fill(self, row: int, run: OrdinalRun) -> OrdinalRun:
-        """Write ``run`` (at most the depth long) and its padding into ``row``; returns the row's views of it."""
+    def fill(self, row: int, run: OrdinalRun) -> None:
+        """Write ``run`` (at most the width long) and its padding into ``row``."""
         ordinals, scores = run
         n = len(ordinals)
         self.ordinals[row, :n], self.ordinals[row, n:] = ordinals, -1
         self.scores[row, :n], self.scores[row, n:] = scores, 0.0
         self.lengths[row] = n
-        return self.run(row)
 
     def run(self, row: int) -> OrdinalRun:
         """The filled run of ``row``, as views of the table."""
@@ -148,33 +147,25 @@ class RunTable:
 
 @dataclass
 class PipelineResources:
-    """The fixed training set that every variant stage reads, its base predictor and two retrieval memos.
+    """The fixed training set that every variant stage reads, its base predictor, memo and run tables.
 
     Every stage takes its indexes, training queries and qrels, embedding
-    store, BM25 ``params.k1``/``params.b`` and both memos from one of these
-    objects, and :func:`base_predictions` its ``predictor``, the one
+    store, BM25 ``params.k1``/``params.b``, memo and tables from one of
+    these objects, and :func:`base_predictions` its ``predictor``, the one
     :class:`PredictorContext` over ``doc_index``, ``params`` and ``seed``.
     No stage reads a document's text: a pseudo-query comes from the
     document's row in ``doc_index``.
 
-    ``internal_runs`` maps (query text, internal_depth) to that text's
-    internal BM25 run over ``doc_index``, for targets and candidates
-    alike; ``pseudo_query_hits`` maps (doc id, pseudo_query_m, n) to the
-    training queries that the document's pseudo-query retrieves over
-    ``query_index``. An entry depends only on its key, not on the target
-    being processed, so each is computed once and kept, as the index's
-    ordinals (int32) plus a float64 array of scores, for the life of this
-    object. Their size is bounded by the data: one entry per distinct query text and depth,
-    one per judged document and (m, n).
+    ``pseudo_query_hits`` maps (doc id, pseudo_query_m, n) to the training
+    queries that the document's pseudo-query retrieves, as ``query_index``
+    ordinals (int32) and float64 scores. An entry depends only on its key,
+    so it is computed once: one per judged document and (m, n).
 
     ``run_tables`` maps internal_depth to the :class:`RunTable` of the
-    training queries' internal runs, a row per ``query_index`` ordinal,
-    so re-ranking gathers a pool's runs as rows instead of stacking them
-    per target. A row is filled from ``internal_runs`` (one BM25 run per
-    distinct text, still), and the text's entry there then becomes a
-    view of the row, so a training query's run is held once.
+    training queries' internal BM25 runs over ``doc_index``, a row per
+    ``query_index`` ordinal: the one store of those runs.
 
-    The memos and tables fill lazily and, like ``predictor``, are not init
+    The memo and tables fill lazily and, like ``predictor``, are not init
     fields: ``dataclasses.replace`` starts them all empty, as it must when
     it swaps an index or ``params``.
     """
@@ -186,9 +177,6 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     params: PredictorParams = field(default_factory=PredictorParams)
     seed: int = 0
-    internal_runs: dict[tuple[str, int], OrdinalRun] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -294,52 +282,35 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
 
 
 def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> OrdinalRun:
-    """The internal BM25 run of a query text over ``res.doc_index``, memoized in ``res.internal_runs``."""
-    key = (text, config.internal_depth)
-    run = res.internal_runs.get(key)
-    if run is None:
-        run = res.internal_runs[key] = bm25_ordinals(
-            res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.params.k1, b=res.params.b
-        )
-    return run
-
-
-def _pool_rows(candidates: list[QVCandidate], config: QppConfig, res: PipelineResources) -> tuple[RunTable, np.ndarray]:
-    """The run table at ``internal_depth`` and the candidates' rows in it, each filled.
-
-    A row is each candidate's ``res.query_index`` ordinal; a candidate
-    the query index lacks is a ValueError. A row not yet filled takes its
-    text's run from :func:`_internal_run`, and that memo entry becomes the
-    row's view.
-    """
-    depth = config.internal_depth
-    table = res.run_tables.get(depth)
-    if table is None:
-        table = res.run_tables[depth] = RunTable(res.query_index.size, depth)
-    ordinals = list(map(res.query_index.ordinal_of.get, (c.query.id for c in candidates)))
-    if None in ordinals:
-        raise ValueError(f"variant candidate {candidates[ordinals.index(None)].query.id!r} is not in the query index")
-    rows = np.array(ordinals, dtype=np.int64)
-    for i in np.flatnonzero(table.lengths[rows] < 0).tolist():
-        text = candidates[i].query.text
-        res.internal_runs[(text, depth)] = table.fill(ordinals[i], _internal_run(text, config, res))
-    return table, rows
+    """The internal BM25 run of a query text over ``res.doc_index`` at ``internal_depth``."""
+    return bm25_ordinals(res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.params.k1, b=res.params.b)
 
 
 def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
     The target and each candidate retrieve their internal run over
-    ``res.doc_index`` at ``internal_depth``, as ordinals and scores
-    memoized by query text; the candidates' runs are gathered as rows of
-    the run table, and one :func:`rbo_rows` pass scores them all against
-    the target's run (a candidate with an empty run gets overlap 0).
-    Ties break by (hop ascending, query id ascending). Only the k
-    survivors carry their run, as a RankedList.
+    ``res.doc_index`` at ``internal_depth``, as ordinals and scores: the
+    target's per call, a candidate's into its row of the run table (its
+    ``res.query_index`` ordinal; one the query index lacks is a
+    ValueError) the first time a pool gathers it. One :func:`rbo_rows`
+    pass scores the pool's rows against the target's run (a candidate
+    with an empty run gets overlap 0). Ties break by (hop ascending,
+    query id ascending). Only the k survivors carry their run, as a
+    RankedList.
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
     candidates = merged.candidates
-    table, rows = _pool_rows(candidates, config, res)
+    depth = config.internal_depth
+    table = res.run_tables.get(depth)
+    if table is None:
+        table = res.run_tables[depth] = RunTable(res.query_index.size, min(depth, res.doc_index.size))
+    ordinals = list(map(res.query_index.ordinal_of.get, (c.query.id for c in candidates)))
+    if None in ordinals:
+        raise ValueError(f"variant candidate {candidates[ordinals.index(None)].query.id!r} is not in the query index")
+    rows = np.array(ordinals, dtype=np.int64)
+    for i in np.flatnonzero(table.lengths[rows] < 0).tolist():
+        table.fill(ordinals[i], _internal_run(candidates[i].query.text, config, res))
     overlaps = rbo_rows(
         target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.rbo_params
     )

@@ -601,6 +601,25 @@ paths:
         assert err.startswith(f"error: {predictions}:2: non-finite value 'inf'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_ndcg_overflowing_grade_rejected(self, indexed_workspace, tmp_path, capsys, command):
+        # AP binarizes a grade of 1100, but its nDCG gain 2 ** 1100 - 1 is no float
+        lines = (indexed_workspace["data"] / "test_qrels.txt").read_text(encoding="utf-8").splitlines(True)
+        fields = lines[0].split()
+        fields[3] = "1100"
+        qrels = tmp_path / "test_qrels.txt"
+        qrels.write_text(" ".join(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        predictions = tmp_path / "predictions.tsv"
+        predictions.write_text("dl01\t0.5\ndl02\t0.4\ndl03\t0.1\ndl04\t0.2\ndl05\t0.3\n", encoding="utf-8")
+        extra = ["--predictions", predictions] if command == "evaluate" else []
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--out", tmp_path / "out", *extra,
+            "--set", "evaluation.target_metric=ndcg@10", "--set", f"paths.test_qrels={qrels}",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ndcg@10 of query {fields[0]!r}: the ideal DCG of grades up to 1100 is not finite\n"
+
     @pytest.mark.parametrize(
         "path_key",
         ["collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run", "embeddings",
@@ -763,6 +782,17 @@ class TestPredictCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(parse_score_tsv(a)) == 5
+
+    def test_internal_depth_beyond_the_document_count(self, indexed_workspace, corpus, tmp_path):
+        # no internal run is longer than the document count, so neither is a row of the run table
+        at_count, huge = tmp_path / "at_count.tsv", tmp_path / "huge.tsv"
+        for out, depth in ((at_count, len(corpus.documents)), (huge, 1000000000000000000)):
+            code = run_cli(
+                "predict", "--config", indexed_workspace["config"],
+                "--set", f"qpp.internal_depth={depth}", "--out", out,
+            )
+            assert code == 0
+        assert huge.read_bytes() == at_count.read_bytes()
 
     def test_lambda_zero_ignores_variant_machinery(self, indexed_workspace, tmp_path):
         with_2hop = tmp_path / "with.tsv"

@@ -51,6 +51,7 @@ class TestLoadVectors:
         [
             ("a 1e200 1e200", "is not finite"),
             ("a 1e-200 1e-200", "underflows to 0 for a non-zero vector"),
+            ("a 3e-160 4e-160", "is 4.99997e-160, below 1.49e-154"),
         ],
     )
     def test_norm_that_cosine_cannot_use_refused(self, tmp_path, row, problem):
@@ -81,6 +82,13 @@ class TestLoadVectors:
             store_from_arrays(["b", "a", "c"], [[1.0, 0.0], vector, [0.0, 1.0]])
         assert str(raised.value) == f"store_from_arrays: the norm of row 'a' {problem}"
         assert len(store_from_arrays(["z", "b"], [[0.0, 0.0], [1.0, 0.0]])) == 2
+
+    def test_subnormal_squares_refused(self):
+        # the squares of 3e-160 and 4e-160 are subnormal: the norm 4.99997e-160 has lost digits,
+        # and a's cosine with [3, 4] would read 1.0000055664551364
+        with pytest.raises(ValueError) as raised:
+            store_from_arrays(["a", "b", "c"], [[3e-160, 4e-160], [3, 4], [1, 0]])
+        assert str(raised.value) == "store_from_arrays: the norm of row 'a' is 4.99997e-160, below 1.49e-154"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -116,6 +124,8 @@ class TestKnnCosine:
         store = store_from_arrays(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="zero norm"):
             knn_cosine(store, [0.0, 0.0], depth=1)
+        with pytest.raises(ValueError, match="query vector norm 4.99997e-160 is below 1.49e-154"):
+            knn_cosine(store, [3e-160, 4e-160], depth=1)
 
     def test_zero_norm_stored_never_returned(self):
         store = store_from_arrays(["z", "a"], [[0.0, 0.0], [1.0, 1.0]])

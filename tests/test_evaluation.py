@@ -78,6 +78,18 @@ class TestNdcgAtK:
     def test_all_grades_zero(self):
         assert ndcg_at_k(ranked("q", ["a"]), {"q": {"a": 0}}, 10) == 0.0
 
+    @pytest.mark.parametrize(
+        "grades",
+        [
+            {"a": 1100, "b": 1},  # 2.0 ** 1100 overflows
+            {"a": 1023, "b": 1023, "c": 1023},  # each gain is finite, their discounted sum is not
+        ],
+    )
+    def test_non_finite_ideal_dcg_names_the_query(self, grades):
+        message = f"ndcg@10 of query 'q7': the ideal DCG of grades up to {max(grades.values())} is not finite"
+        with pytest.raises(ValueError, match=message):
+            ndcg_at_k(ranked("q7", ["b", "a"]), {"q7": grades}, 10)
+
 
 class TestKendallTau:
     def test_perfect_concordance(self):

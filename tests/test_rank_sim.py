@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qvqpp import RankedList, RboParams, rbo_ext
-from qvqpp.rank_sim import rbo_pool, rbo_rows
+from qvqpp.rank_sim import rbo_rows
 
 
 def random_lists(rng, universe_size=40, max_len=25):
@@ -131,49 +131,6 @@ class TestRboProperties:
         assert rbo_ext(ids(a), ids(a), params) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestRboPool:
-    @settings(max_examples=400, deadline=None)
-    @given(rankings, st.lists(rankings, max_size=12), rbo_params)
-    def test_equals_rbo_ext(self, target, pool, params):
-        got = rbo_pool(np.array(target, dtype=np.int32), [np.array(c, dtype=np.int32) for c in pool], UNIVERSE, params)
-        assert got == [rbo_ext(ids(target), ids(c), params) for c in pool]
-        assert all(type(value) is float for value in got)
-
-    def test_python_int_exponents(self):
-        # s = 12, l = 23: 0.9 ** 12 and 0.9 ** 23 differ in the last bit from
-        # 0.9 ** np.int64(12) and 0.9 ** np.int64(23); numpy exponents put this
-        # pair 2.8e-17 below rbo_ext
-        target = list(range(23))
-        candidate = [4, 5] + list(range(100, 110))
-        got = rbo_pool(np.array(target), [np.array(candidate)], 110, RboParams(p=0.9))
-        assert got == [rbo_ext(ids(target), ids(candidate), RboParams(p=0.9))]
-
-    def test_empty_pool_and_empty_runs(self):
-        assert rbo_pool(np.array([1, 2]), [], 5) == []
-        assert rbo_pool(np.array([], dtype=np.int32), [np.array([1, 2]), np.array([], dtype=np.int32)], 5) == [0.0, 0.0]
-
-    def test_eval_depth_truncates_first(self):
-        # the duplicate 1 lies beyond the depth, as in rbo_ext
-        params = RboParams(p=0.9, eval_depth=2)
-        assert rbo_pool(np.array([0, 1, 2]), [np.array([0, 1, 1])], 3, params) == [
-            rbo_ext(["0", "1", "2"], ["0", "1", "1"], params)
-        ]
-
-    @pytest.mark.parametrize(
-        "target, pool, message",
-        [
-            ([0, 0], [[1]], "duplicate id within target list"),
-            ([0, 1], [[2, 3], [1, 2, 1]], "duplicate id within a candidate list"),
-            ([], [[3, 3]], "duplicate id within a candidate list"),
-            ([0, 5], [[1]], "ordinal outside"),
-            ([0], [[-1]], "ordinal outside"),
-        ],
-    )
-    def test_rejects_what_rbo_ext_rejects_and_bad_ordinals(self, target, pool, message):
-        with pytest.raises(ValueError, match=message):
-            rbo_pool(np.array(target, dtype=np.int32), [np.array(c, dtype=np.int32) for c in pool], 5)
-
-
 def padded(pool, extra=0):
     """The rankings as a table padded with -1, ``extra`` columns wider than the longest, and their lengths."""
     table = np.full((len(pool), max(map(len, pool), default=0) + extra), -1, dtype=np.int32)
@@ -209,6 +166,24 @@ class TestRboRows:
         got = rbo_rows(np.array(target), table, lengths, 60, params).tolist()
         assert got == [rbo_ext(ids(target), ids(ranking), params) for ranking in pool]
         assert got[0] == 0.0 and (target_length == 0) == (max(got) == 0.0)
+
+    def test_python_int_exponents(self):
+        # s = 12, l = 23: 0.9 ** 12 and 0.9 ** 23 differ in the last bit from
+        # 0.9 ** np.int64(12) and 0.9 ** np.int64(23); numpy exponents put this
+        # pair 2.8e-17 below rbo_ext
+        target = list(range(23))
+        candidate = [4, 5] + list(range(100, 110))
+        table, lengths = padded([candidate])
+        got = rbo_rows(np.array(target), table, lengths, 110, RboParams(p=0.9)).tolist()
+        assert got == [rbo_ext(ids(target), ids(candidate), RboParams(p=0.9))]
+
+    def test_eval_depth_truncates_the_target_first(self):
+        # the duplicate 1 lies beyond the depth, as in rbo_ext
+        params = RboParams(p=0.9, eval_depth=2)
+        table, lengths = padded([[0, 1, 2]])
+        assert rbo_rows(np.array([0, 1, 1]), table, lengths, 3, params).tolist() == [
+            rbo_ext(["0", "1", "1"], ["0", "1", "2"], params)
+        ]
 
     @pytest.mark.parametrize(
         "target, message",

@@ -273,8 +273,8 @@ class TestRerankByRbo:
         res = replace(resources, doc_index=build_index([("lone", "completely unrelated contents")]))
         target = Query("zz", "xylophone zygote")  # no indexed term: an empty target run
         config = QppConfig(k=2, n=100)
+        assert bm25_ordinals(res.doc_index, tokenize(target.text), config.internal_depth)[0].size == 0
         got = rerank_by_rbo(merged, target, config, res)
-        assert res.internal_runs[(target.text, config.internal_depth)][0].size == 0
         ids_sorted = sorted([candidates[1], candidates[2]], key=lambda c: c.query.id)
         assert got.query_ids() == [c.query.id for c in ids_sorted]
         assert all(c.rbo == 0.0 for c in got.candidates)
@@ -530,7 +530,7 @@ class TestRetrievalCache:
                 got = build_qv_set(target, config, shared)
                 want = build_qv_set(target, config, replace(resources))
                 assert qv_snapshot(got) == qv_snapshot(want)
-        assert shared.internal_runs
+        assert sorted(shared.run_tables) == sorted({c.internal_depth for c in configs})
         assert bool(shared.pseudo_query_hits) == use_2hop
 
     def test_shared_pseudo_query_cache_matches_none(self):
@@ -557,14 +557,13 @@ class TestRetrievalCache:
         assert pools == [["tq1", "tq5", "tq2", "tq3", "tq4"], ["tq1", "tq5", "tq2"], ["tq1", "tq2", "tq3", "tq4"]]
         assert sorted(shared.pseudo_query_hits) == [("docX", 1, 5), ("docX", 20, 2), ("docX", 20, 5)]
 
-    def test_one_internal_run_per_distinct_candidate_text(self, corpus, resources, monkeypatch):
+    def test_one_document_run_per_row_and_per_target(self, corpus, resources, monkeypatch):
         config = QppConfig(k=2, n=100)
         targets = with_renamed_copies(corpus.test_queries)
-        texts, relevant_docs = {t.text for t in targets}, set()
+        pool_ids, relevant_docs = set(), set()
         for target in targets:
             one_hop = retrieve_1hop(target, config, resources)
-            merged = expand_2hop(one_hop, config, resources)
-            texts |= {c.query.text for c in merged.candidates}
+            pool_ids |= set(expand_2hop(one_hop, config, resources).query_ids())
             relevant_docs |= {
                 doc_id for c in one_hop.candidates
                 for doc_id, grade in corpus.train_qrels.get(c.query.id, {}).items() if grade >= 1
@@ -583,29 +582,32 @@ class TestRetrievalCache:
         res = replace(resources)
         for target in targets:
             build_qv_set(target, config, res)
-        # one document run per distinct text, the targets' included (each copy shares its original's)
-        assert calls == {"doc": len(texts), "query": len(relevant_docs) + len(targets)}
-        assert (calls["doc"], len(targets)) == (19, 10)
+        # one document run per filled row and one per target; each pool member's row is filled once
+        assert calls == {"doc": len(pool_ids) + len(targets), "query": len(relevant_docs) + len(targets)}
+        assert (len(pool_ids), len(targets)) == (14, 10)
         for target in targets:
             build_qv_set(target, config, res)
-        assert calls == {"doc": len(texts), "query": len(relevant_docs) + 2 * len(targets)}
+        assert calls == {"doc": len(pool_ids) + 2 * len(targets), "query": len(relevant_docs) + 2 * len(targets)}
 
     def test_entries_are_compact(self, corpus, resources):
         res = replace(resources)
-        qv_set = build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
+        config = QppConfig(k=2, n=100)
+        qv_set = build_qv_set(corpus.test_queries[0], config, res)
         assert all(type(score) is float for c in qv_set.candidates for _, score in c.internal_run.entries)
-        cached = [(res.doc_index, run) for run in res.internal_runs.values()]
-        cached += [(res.query_index, run) for run in res.pseudo_query_hits.values()]
-        for index, (ordinals, scores) in cached:
+        table = res.run_tables[config.internal_depth]
+        stored = [(res.doc_index, table.run(row)) for row in np.flatnonzero(table.lengths >= 0).tolist()]
+        stored += [(res.query_index, run) for run in res.pseudo_query_hits.values()]
+        assert stored
+        for index, (ordinals, scores) in stored:
             assert ordinals.dtype == np.int32 and scores.dtype == np.float64 and len(ordinals) == len(scores)
             assert np.all((0 <= ordinals) & (ordinals < index.size))
 
     def test_replace_starts_with_empty_caches(self, corpus, resources):
         res = replace(resources)
         build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
-        assert res.internal_runs and res.pseudo_query_hits
+        assert res.run_tables and res.pseudo_query_hits
         fresh = replace(res)
-        assert fresh.internal_runs == {} and fresh.pseudo_query_hits == {}
+        assert fresh.run_tables == {} and fresh.pseudo_query_hits == {}
 
     def test_run_table_rows_equal_bm25_ordinals(self, corpus, resources):
         config = QppConfig(k=2, n=100)
@@ -632,13 +634,10 @@ class TestRetrievalCache:
             assert n == len(ordinals)
             assert np.array_equal(table.ordinals[row, :n], ordinals) and np.array_equal(table.scores[row, :n], scores)
             assert np.all(table.ordinals[row, n:] == -1)
-            # the text's memo entry is the row itself, not a second copy
-            memo_ordinals, memo_scores = res.internal_runs[(text, config.internal_depth)]
-            assert np.shares_memory(memo_ordinals, table.ordinals) and np.shares_memory(memo_scores, table.scores)
         assert replace(res).run_tables == {}
 
-    def test_one_run_per_distinct_text_fills_every_row(self, monkeypatch):
-        # tq1 and tq2 share a text: one BM25 run over the documents fills both rows
+    def test_each_row_filled_once(self, monkeypatch):
+        # tq1 and tq2 share a text, each row takes its own run; a second re-rank fills none
         training = {
             "tq1": Query("tq1", "delta epsilon"),
             "tq2": Query("tq2", "delta epsilon"),
@@ -656,8 +655,11 @@ class TestRetrievalCache:
         config = QppConfig(k=1, n=5)
         merged = QVSet("T", [QVCandidate(q, 1, 1.0) for q in training.values()])
         rerank_by_rbo(merged, Query("T", "delta"), config, res)
-        assert sorted(texts) == ["delta", "delta epsilon", "delta rho"]
+        assert sorted(texts) == ["delta", "delta epsilon", "delta epsilon", "delta rho"]
+        rerank_by_rbo(merged, Query("T", "delta"), config, res)
+        assert sorted(texts) == ["delta", "delta", "delta epsilon", "delta epsilon", "delta rho"]
         table = res.run_tables[config.internal_depth]
+        assert table.ordinals.shape == (3, 2)  # as wide as the two documents, not the depth
         assert table.lengths.tolist() == [1, 1, 2]  # docX, docX, then docX and docY
         assert np.array_equal(table.ordinals[0], table.ordinals[1]) and np.array_equal(table.scores[0], table.scores[1])
 
