@@ -14,6 +14,23 @@ With ``qpp.base: uef``, ``predictor.uef_sample_size`` may not exceed
 max(``predictor.top_k``, 50), the most documents a UEF subset is drawn
 from; the config is refused before anything is loaded.
 
+``paths.index_dir`` holds the two indexes that ``index`` writes
+(``documents.idx`` and ``queries.idx``) and the run stores (``*.runs``).
+A run store keeps BM25 results that depend only on the training set:
+the training queries' internal runs (``internal_runs-*.runs``, keyed by
+``bm25.k1``, ``bm25.b`` and ``qpp.internal_depth``) or, with 2-hop
+expansion on, the training queries that judged documents' pseudo-queries
+retrieve (``pseudo_query_hits-*.runs``, keyed by ``bm25.k1``, ``bm25.b``,
+``qpp.pseudo_query_m`` and ``qpp.n``). Its header also records both
+indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep`` adopt
+each store of their config whose header matches and whose every check
+passes, so later commands skip those BM25 calls; after writing their own
+output they rewrite a store, whole and atomically, when they computed rows
+it lacked. ``index`` writes no store. A stale or malformed store is
+ignored and rewritten, a store that cannot be written is a warning, and
+outputs never depend on a store, so deleting stores is always safe;
+``-v`` logs what became of each.
+
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
 
@@ -42,8 +59,9 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import yaml
 
@@ -72,7 +90,9 @@ from .evaluation import (
 )
 from .predictors import UEF_POOL_FLOOR, PredictorParams
 from .rank_sim import RboParams
-from .text_index import build_index, file_sha256, load_index, save_index
+from .text_index import (
+    StaleArtifactError, StoredRuns, build_index, file_sha256, load_index, load_runs, save_index, save_runs,
+)
 from .variants import (
     PipelineResources,
     QppConfig,
@@ -89,6 +109,7 @@ TARGET_METRICS = ("ap@100", "ndcg@10")
 
 DOC_INDEX_FILE = "documents.idx"
 QUERY_INDEX_FILE = "queries.idx"
+RUN_STORE_SUFFIX = ".runs"
 
 REQUIRED_PATHS = ("collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run",
                   "index_dir", "output_dir")
@@ -266,16 +287,92 @@ def _require_files(*paths: Path | None) -> None:
         raise ValueError("missing input file(s): " + ", ".join(missing))
 
 
-def _load_resources(cfg: PipelineConfig) -> PipelineResources:
+@dataclass
+class _RunStore:
+    """One run store in ``index_dir``: its key, the memo it fills and what became of it in this command."""
+
+    path: Path
+    key: dict
+    rows: int  # the stored keys lie in [0, rows)
+    items: int  # the stored ordinals lie in [0, items)
+    width: int  # the longest run
+    adopt: Callable[[StoredRuns], None]
+    count: Callable[[], int]  # rows in the memo now
+    stored: Callable[[], StoredRuns]
+    adopted: int = 0
+    refused: str = ""  # why the store was not adopted
+
+    def load(self) -> None:
+        """Adopt the store into its memo if its header matches and every check passes; else note why not."""
+        try:
+            runs = load_runs(self.path, self.key, self.rows, self.items, self.width)
+        except FileNotFoundError:
+            self.refused = "absent"
+        except StaleArtifactError as exc:
+            self.refused = f"stale key ({exc})"
+        except ValueError as exc:
+            self.refused = f"malformed ({exc})"
+        except OSError as exc:
+            self.refused = f"unreadable ({exc})"
+        else:
+            self.adopt(runs)
+            self.adopted = len(runs)
+
+    def save(self) -> None:
+        """Rewrite the store whole when its memo gained rows; an OSError is one warning, not a failure."""
+        total = self.count()
+        if total == self.adopted:
+            written = "not written: no new rows"
+        else:
+            try:
+                save_runs(self.stored(), self.path, self.key)
+                written = f"wrote {total} rows"
+            except OSError as exc:
+                logger.warning("could not write run store %s: %s", self.path, exc)
+                written = f"not written: {exc}"
+        adopted = f"not adopted: {self.refused}" if self.refused else f"adopted {self.adopted} rows"
+        logger.info("run store %s: %s, filled %d rows, %s", self.path.name, adopted, total - self.adopted, written)
+
+
+def _run_stores(cfg: PipelineConfig, res: PipelineResources) -> list[_RunStore]:
+    """The run stores of ``cfg``: the internal runs, and the pseudo-query hits when 2-hop expansion is on.
+
+    A store's file name holds its kind and parameters; its key adds the
+    fingerprints of both indexes.
+    """
+    bm25 = {"bm25.k1": res.params.k1, "bm25.b": res.params.b}
+    indexes = {"doc_index": res.doc_index.fingerprint, "query_index": res.query_index.fingerprint}
+
+    def run_store(kind: str, params: dict, *memo) -> _RunStore:
+        name = "-".join([kind, *(f"{key}={value!r}" for key, value in params.items())]) + RUN_STORE_SUFFIX
+        return _RunStore(cfg.index_dir / name, {"kind": kind, **params, **indexes}, *memo)
+
+    depth, m, n = cfg.qpp.internal_depth, cfg.qpp.pseudo_query_m, cfg.qpp.n
+    table = res.run_table(depth)
+    stores = [run_store(
+        "internal_runs", {**bm25, "qpp.internal_depth": depth}, res.query_index.size, res.doc_index.size,
+        table.width, table.adopt, lambda: table.filled, table.stored,
+    )]
+    if cfg.qpp.use_2hop:
+        stores.append(run_store(
+            "pseudo_query_hits", {**bm25, "qpp.pseudo_query_m": m, "qpp.n": n}, res.doc_index.size,
+            res.query_index.size, min(n, res.query_index.size), partial(res.adopt_pseudo_query_hits, m, n),
+            partial(res.pseudo_query_hit_count, m, n), partial(res.stored_pseudo_query_hits, m, n),
+        ))
+    return stores
+
+
+def _load_resources(cfg: PipelineConfig) -> tuple[PipelineResources, list[_RunStore]]:
+    """The pipeline's resources, with every run store of ``cfg`` that passes its checks adopted."""
     doc_index_path = cfg.index_dir / DOC_INDEX_FILE
     query_index_path = cfg.index_dir / QUERY_INDEX_FILE
     _require_files(doc_index_path, query_index_path, cfg.collection, cfg.train_queries, cfg.train_qrels)
-    store = None
+    embeddings = None
     if cfg.qpp.query_retriever == "dense":
         if cfg.embeddings is None:
             raise ValueError("dense query retriever configured but paths.embeddings is not set")
         _require_files(cfg.embeddings)
-        store = load_vectors(cfg.embeddings)
+        embeddings = load_vectors(cfg.embeddings)
     training_queries = parse_queries(cfg.train_queries)
     doc_index = load_index(doc_index_path)
     query_index = load_index(query_index_path)
@@ -287,15 +384,25 @@ def _load_resources(cfg: PipelineConfig) -> PipelineResources:
     ):
         if not index.built_from_file(source) and not index.built_from((item.id, item.text) for item in items()):
             raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (it was not built from {source})")
-    return PipelineResources(
+    res = PipelineResources(
         doc_index=doc_index,
         query_index=query_index,
         training_queries={q.id: q for q in training_queries},
         training_qrels=parse_qrels(cfg.train_qrels),
-        embedding_store=store,
+        embedding_store=embeddings,
         params=cfg.predictor,
         seed=cfg.seed,
     )
+    stores = _run_stores(cfg, res)
+    for run_store in stores:
+        run_store.load()
+    return res, stores
+
+
+def _save_run_stores(stores: Sequence[_RunStore]) -> None:
+    """Write each store whose memo gained rows; called after the command's own outputs are written."""
+    for run_store in stores:
+        run_store.save()
 
 
 def _load_targets(cfg: PipelineConfig) -> dict[str, Query]:
@@ -357,7 +464,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write the re-ranked variant report: qid, variant_qid, hop, rbo, variant_text."""
-    res = _load_resources(cfg)
+    res, stores = _load_resources(cfg)
     targets = _load_targets(cfg)
     out = out_path or cfg.output_dir / "qv_report.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -370,13 +477,14 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
             lines.append(f"{qid}\t{cand.query.id}\t{cand.hop}\t{cand.rbo:.6f}\t{cand.query.text}\n")
     out.write_text("".join(lines), encoding="utf-8")
     logger.info("wrote %s", out)
+    _save_run_stores(stores)
     return 0
 
 
 def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write one smoothed prediction per query in the target run file."""
     targets, run_map = _load_target_run(cfg, min_queries=1)
-    res = _load_resources(cfg)
+    res, stores = _load_resources(cfg)
     out = out_path or cfg.output_dir / "predictions.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
     predictions = {
@@ -385,6 +493,7 @@ def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     }
     write_score_tsv(predictions, out)
     logger.info("wrote %s (%d queries)", out, len(predictions))
+    _save_run_stores(stores)
     return 0
 
 
@@ -497,7 +606,7 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
         smallest = min(len(fold.test_ids) for fold in folds)
         if smallest < FISHER_MIN_N:
             raise ValueError(f"fisher z needs n >= {FISHER_MIN_N} test queries per fold, got {smallest}")
-    res = _load_resources(cfg)
+    res, stores = _load_resources(cfg)
     report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     lines = [f"target_metric: {cfg.target_metric}", f"base: {cfg.qpp.base}"]
     for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
@@ -524,13 +633,14 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
+    _save_run_stores(stores)
     return 0
 
 
 def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Evaluate tau for the full (lambda, k) grid on all run queries; emit CSV."""
     targets, run_map, actual = _grid_inputs(cfg)
-    res = _load_resources(cfg)
+    res, stores = _load_resources(cfg)
     rows = sweep_grid(cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
     out = out_path or cfg.output_dir / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -538,6 +648,7 @@ def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     lines += [f"{lam:g},{k},{tau:.6f}\n" for lam, k, tau in rows]
     out.write_text("".join(lines), encoding="utf-8")
     logger.info("wrote %s (%d cells)", out, len(rows))
+    _save_run_stores(stores)
     return 0
 
 

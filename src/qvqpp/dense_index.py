@@ -7,6 +7,7 @@ and searched by exhaustive scan, so results are exact and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Sequence
 
@@ -129,15 +130,20 @@ def knn_cosine(
     """Exhaustive-scan top-``depth`` ids by cosine similarity.
 
     Ties are broken by id ascending. Stored zero-norm vectors score
-    -inf and are never returned; a query whose norm is 0 or below
-    :data:`MIN_NORM` is an error.
+    -inf and are never returned; a query with a non-finite component, or
+    whose norm is not finite, is 0 or is below :data:`MIN_NORM`, is an error.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query vector has shape {q.shape}, expected ({store.dim},)")
-    qnorm = float(np.linalg.norm(q))
+    if not np.isfinite(q).all():
+        raise ValueError("query vector has a non-finite component")
+    with np.errstate(over="ignore"):
+        qnorm = float(np.linalg.norm(q))
+    if not math.isfinite(qnorm):
+        raise ValueError("query vector norm is not finite")
     if qnorm == 0.0:
         raise ValueError("query vector has zero norm")
     if qnorm < MIN_NORM:

@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import zipfile
 import zlib
@@ -24,7 +25,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,9 @@ DEFAULT_B = 0.4
 
 INDEX_FORMAT = "qvqpp.inverted_index"
 INDEX_VERSION = 3
+# Bumped whenever the arithmetic of a stored run changes, so no store written before is adopted.
+RUNS_FORMAT = "qvqpp.run_store"
+RUNS_VERSION = 1
 
 # Fixed English stopword list. Deliberately keeps single letters such as
 # "s" (possessive fragments stay searchable) while dropping question
@@ -93,6 +98,14 @@ def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return sums[ptr[1:]] - sums[ptr[:-1]]
 
 
+def _segment_pairs(ptr: np.ndarray, count: int) -> np.ndarray:
+    """Whether entries i and i + 1 of a CSR array of ``count`` entries lie in one segment, for every i."""
+    same = np.ones(max(count - 1, 0), dtype=bool)
+    starts = ptr[1:-1]
+    same[starts[(starts > 0) & (starts < count)] - 1] = False
+    return same
+
+
 def _segments(ptr: np.ndarray, keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the entries of CSR segments ``keys``, segment after segment, and each segment's bounds among them."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -143,6 +156,11 @@ class InvertedIndex:
         does on the parsed file when true; false says nothing about the items.
         """
         return self.tokenizer_sha256 == TOKENIZER_SHA256 and self.file_sha256 == file_sha256(path)
+
+    @property
+    def fingerprint(self) -> str:
+        """Names the index's contents: its format version, items and tokenizer, not the bytes of its source file."""
+        return f"{INDEX_FORMAT}/{INDEX_VERSION}/{self.source_sha256}/{self.tokenizer_sha256}"
 
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
@@ -394,32 +412,105 @@ def pseudo_query_terms(index: InvertedIndex, ordinal: int, m: int) -> tuple[str,
     return tuple(index.terms[tid] for tid in index.row_terms[start:end][top].tolist())
 
 
-# The artifact is an .npz archive: one .npy member per name. JSON values
-# (the header and the two string lists) are stored as their ASCII bytes in
-# uint8 arrays, so a string costs its own length, not the longest one's.
-_JSON_MEMBERS = ("header", "item_ids", "terms")
-_ARRAY_DTYPES = {"row_ptr": np.int64, "row_terms": np.int32, "row_tfs": np.int32}
-# Zip member time; a fixed one makes equal indexes give equal bytes.
+# An artifact is an .npz archive: one .npy member per name, the first one "header", a JSON object that
+# names the artifact's format and version. JSON values (the header, and the index's two string lists) are
+# stored as their ASCII bytes in uint8 arrays, so a string costs its own length, not the longest one's.
+# Zip member time; a fixed one makes equal contents give equal bytes.
 _MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
 # What reading a truncated, corrupt or foreign zip or .npy member raises.
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError,
                 NotImplementedError, RuntimeError, MemoryError, RecursionError)
+
+# A member's schema entry: its dtype, its number of dimensions and a check that returns the member's value
+# (or raises ValueError naming the flaw); a check of None keeps the array itself.
+MemberSpec = tuple[type, int, Optional[Callable[[np.ndarray], object]]]
+
+
+class StaleArtifactError(ValueError):
+    """A well-formed artifact whose header names other inputs or parameters than the reader's."""
 
 
 def _json_array(value) -> np.ndarray:
     return np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
 
 
+def _json_value(array: np.ndarray):
+    return json.loads(array.tobytes())
+
+
+def write_artifact(path, header: dict, members: Mapping[str, np.ndarray]) -> None:
+    """Write ``header`` and ``members`` as one archive at ``path``.
+
+    The archive is written through an open handle, so it keeps ``path``
+    exactly (``np.savez`` would append ``.npz``), and its member times are
+    fixed, so equal contents give equal bytes.
+    """
+    with open(path, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+        for name, array in {"header": _json_array(header), **members}.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy", _MEMBER_TIME), "w", force_zip64=True) as member:
+                # np.lib.format.write_array's bytes, without its copy of the array's data
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(np.ascontiguousarray(array).data)
+
+
+def read_artifact(path, fmt: str, version: int, schema: Mapping[str, MemberSpec], assemble,
+                  *, key: Mapping | None = None, hint: str = ""):
+    """Read an archive written by :func:`write_artifact` and return ``assemble(header, values)``.
+
+    The header must name ``fmt`` and ``version`` (``hint`` follows a
+    version mismatch), then hold every field of ``key`` with the same value,
+    or the artifact is stale (:class:`StaleArtifactError`). Each member of
+    ``schema`` must then have its dtype and dimensions and pass its check,
+    in schema order; ``values`` maps each to the check's result.
+    ``assemble`` checks what spans members. Any flaw is a ValueError
+    ``"{path}: not a {fmt} artifact ({flaw})"``. Nothing in the file can
+    run code: numpy's .npy reader refuses object arrays unless told
+    otherwise, and every member is checked before use.
+    """
+    try:
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+            def member(name: str, dtype, ndim: int) -> np.ndarray:
+                array = np.lib.format.read_array(archive.open(f"{name}.npy"))
+                if array.dtype != dtype or array.ndim != ndim:
+                    raise ValueError(f"{name} is not a {ndim}-d {np.dtype(dtype).name} array")
+                return array
+
+            header = _json_value(member("header", np.uint8, 1))
+            if not isinstance(header, dict) or header.get("format") != fmt:
+                raise ValueError("no format header")
+            if header.get("version") != version:
+                raise ValueError(f"version {header.get('version')!r}, not {version}{hint}")
+            for field_name, value in (key or {}).items():
+                if header.get(field_name) != value:
+                    raise StaleArtifactError(f"{field_name} differs")
+            values = {}
+            for name, (dtype, ndim, check) in schema.items():
+                array = member(name, dtype, ndim)
+                values[name] = array if check is None else check(array)
+            return assemble(header, values)
+    except StaleArtifactError:
+        raise
+    except _READ_ERRORS as exc:
+        raise ValueError(f"{path}: not a {fmt} artifact ({exc})") from None
+
+
+_INDEX_SCHEMA: dict[str, MemberSpec] = {
+    "item_ids": (np.uint8, 1, _json_value),
+    "terms": (np.uint8, 1, _json_value),
+    "row_ptr": (np.int64, 1, None),
+    "row_terms": (np.int32, 1, None),
+    "row_tfs": (np.int32, 1, None),
+}
+
+
 def save_index(index: InvertedIndex, path) -> None:
-    """Persist an index as an .npz archive of plain arrays with a format/version header.
+    """Persist an index as an artifact of plain arrays with a format/version header.
 
     The version 3 header holds the format name, the version and three
     SHA-256 strings: of the (id, text) items, of the tokenizer and of the
     source file's bytes (``file_sha256``, ``""`` for items read from no
     file), which lets a command that finds the same bytes skip parsing it.
-    The archive is written through an open handle, so it keeps ``path``
-    exactly (``np.savez`` would append ``.npz``), and its member times are
-    fixed, so two builds from the same items write the same bytes.
+    Two builds from the same items write the same bytes.
     """
     header = {
         "format": INDEX_FORMAT,
@@ -428,35 +519,21 @@ def save_index(index: InvertedIndex, path) -> None:
         "tokenizer_sha256": index.tokenizer_sha256,
         "file_sha256": index.file_sha256,
     }
-    members = {
-        "header": _json_array(header),
+    write_artifact(path, header, {
         "item_ids": _json_array(index.item_ids),
         "terms": _json_array(index.terms),
         "row_ptr": index.row_ptr,
         "row_terms": index.row_terms,
         "row_tfs": index.row_tfs,
-    }
-    with open(path, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
-        for name, array in members.items():
-            with archive.open(zipfile.ZipInfo(f"{name}.npy", _MEMBER_TIME), "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, array)
+    })
 
 
-def _index_from(members: dict[str, np.ndarray]) -> InvertedIndex:
-    """Check the members read from an artifact and assemble the index; a ValueError names the first flaw."""
-    values = {}
-    for name in _JSON_MEMBERS:
-        if members[name].dtype != np.uint8 or members[name].ndim != 1:
-            raise ValueError(f"{name} is not a JSON byte array")
-        values[name] = json.loads(members[name].tobytes())
-    header, item_ids, terms = values["header"], values["item_ids"], values["terms"]
-    if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
-        raise ValueError("no format header")
-    if header.get("version") != INDEX_VERSION:
-        raise ValueError(f"version {header.get('version')!r}, not {INDEX_VERSION}; rerun qvqpp index")
+def _index_from(header: dict, values: dict) -> InvertedIndex:
+    """Check what spans the members read from an index artifact and assemble the index."""
     fingerprint = [header.get("source_sha256"), header.get("tokenizer_sha256"), header.get("file_sha256")]
     if not all(isinstance(value, str) for value in fingerprint):
         raise ValueError("no source, tokenizer and file fingerprint")
+    item_ids, terms, row_ptr, row_terms, row_tfs = (values[name] for name in _INDEX_SCHEMA)
     if not isinstance(item_ids, list) or not all(isinstance(i, str) for i in item_ids):
         raise ValueError("item ids are not a list of strings")
     if len(set(item_ids)) != len(item_ids):
@@ -465,35 +542,117 @@ def _index_from(members: dict[str, np.ndarray]) -> InvertedIndex:
         raise ValueError("terms are not a list of strings")
     if any(a >= b for a, b in itertools.pairwise(terms)):
         raise ValueError("terms are not sorted and distinct")
-    for name, dtype in _ARRAY_DTYPES.items():
-        if members[name].dtype != dtype or members[name].ndim != 1:
-            raise ValueError(f"{name} is not a 1-d {np.dtype(dtype).name} array")
-    row_ptr, row_terms, row_tfs = (members[name] for name in _ARRAY_DTYPES)
     if len(row_ptr) != len(item_ids) + 1 or row_ptr[0] != 0 or np.any(np.diff(row_ptr) < 0):
         raise ValueError("row_ptr is not a monotone offset per item")
     if row_ptr[-1] != len(row_terms) or len(row_tfs) != len(row_terms):
         raise ValueError("row_ptr, row_terms and row_tfs disagree in length")
     if len(row_terms) and (row_terms.min() < 0 or row_terms.max() >= len(terms) or row_tfs.min() < 1):
         raise ValueError("a term id or term frequency is out of range")
+    if np.any((np.diff(row_terms) <= 0) & _segment_pairs(row_ptr, len(row_terms))):
+        raise ValueError("a row's term ids are not ascending and distinct")
     return InvertedIndex(item_ids, terms, row_ptr, row_terms, row_tfs, *fingerprint)
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by :func:`save_index`; any other content is a ValueError.
-
-    Nothing in the file can run code: numpy's .npy reader refuses object
-    arrays unless told otherwise, and every member is checked before use.
-    """
+    """Read an index written by :func:`save_index`; any other content is a ValueError (see :func:`read_artifact`)."""
     with open(path, "rb") as handle:
         if handle.read(1) == b"\x80":  # the first byte of every version 1 artifact
             raise ValueError(f"{path}: not a {INDEX_FORMAT} artifact (version 1 format; rerun qvqpp index)")
-        handle.seek(0)
-        try:
-            with zipfile.ZipFile(handle) as archive:
-                members = {
-                    name: np.lib.format.read_array(archive.open(f"{name}.npy"))
-                    for name in (*_JSON_MEMBERS, *_ARRAY_DTYPES)
-                }
-            return _index_from(members)
-        except _READ_ERRORS as exc:
-            raise ValueError(f"{path}: not a {INDEX_FORMAT} artifact ({exc})") from None
+    return read_artifact(path, INDEX_FORMAT, INDEX_VERSION, _INDEX_SCHEMA, _index_from, hint="; rerun qvqpp index")
+
+
+@dataclass(frozen=True)
+class StoredRuns:
+    """Ordinal runs of some rows, in CSR form: run i, of row ``keys[i]``, is ``ordinals[ptr[i]:ptr[i + 1]]``.
+
+    ``keys`` (int64) ascend; each run's ordinals (int32) come best first
+    with their float64 ``scores``.
+    """
+
+    keys: np.ndarray
+    ptr: np.ndarray
+    ordinals: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def of(cls, keys: Sequence[int], runs: Sequence[OrdinalRun]) -> "StoredRuns":
+        """The runs ``runs`` of the ascending rows ``keys``."""
+        ptr = np.zeros(len(runs) + 1, dtype=np.int64)
+        np.cumsum([len(ordinals) for ordinals, _ in runs], out=ptr[1:])
+        return cls(
+            np.asarray(keys, dtype=np.int64), ptr,
+            np.concatenate([np.zeros(0, dtype=np.int32), *(ordinals for ordinals, _ in runs)]),
+            np.concatenate([np.zeros(0), *(scores for _, scores in runs)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def save_runs(runs: StoredRuns, path, key: Mapping) -> None:
+    """Persist ``runs`` as a run-store artifact whose header holds ``key`` (JSON values) after the format and version.
+
+    The store is written whole and atomically: to a temporary file beside
+    ``path``, which then replaces ``path``, so a failed write leaves
+    ``path`` as it was and no temporary file behind. (An index is written
+    in place: replacing both index files by rename made ``index`` at scale
+    S about 20 ms slower, and ``index`` is rerun by hand when it fails.)
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    header = {"format": RUNS_FORMAT, "version": RUNS_VERSION, **key}
+    try:
+        write_artifact(temporary, header, {
+            "keys": runs.keys, "ptr": runs.ptr, "ordinals": runs.ordinals, "scores": runs.scores,
+        })
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRuns:
+    """Read runs written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
+
+    A header that differs from ``key`` in any field is a
+    :class:`StaleArtifactError`. The keys must be distinct rows in [0,
+    ``rows``) in ascending order, and ``ptr`` a monotone offset per key
+    ending at the member length. Every run is at most ``width`` long and
+    holds distinct ordinals in [0, ``items``) with finite scores above 0
+    that never increase along the run.
+    """
+    def in_range(bound: int, what: str):
+        def check(array: np.ndarray) -> np.ndarray:
+            if len(array) and (array.min() < 0 or array.max() >= bound):
+                raise ValueError(f"a {what} is outside [0, {bound})")
+            return array
+        return check
+
+    def assemble(header: dict, values: dict) -> StoredRuns:
+        runs = StoredRuns(**values)
+        keys, ptr, ordinals, scores = runs.keys, runs.ptr, runs.ordinals, runs.scores
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("keys are not ascending and distinct")
+        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
+            raise ValueError("ptr is not a monotone offset per key")
+        if ptr[-1] != len(ordinals) or len(scores) != len(ordinals):
+            raise ValueError("ptr, ordinals and scores disagree in length")
+        if np.any(np.diff(ptr) > width):
+            raise ValueError(f"a run is longer than {width}")
+        if not np.all(np.isfinite(scores) & (scores > 0.0)):
+            raise ValueError("a score is not finite and above 0")
+        within = _segment_pairs(ptr, len(ordinals))
+        if np.any((np.diff(scores) > 0.0) & within):
+            raise ValueError("a run's scores increase")
+        run_of = np.repeat(np.arange(len(keys), dtype=np.int64), np.diff(ptr))
+        pairs = np.sort(run_of * items + ordinals)
+        if np.any(pairs[1:] == pairs[:-1]):
+            raise ValueError("an ordinal repeats within a run")
+        return runs
+
+    schema = {
+        "keys": (np.int64, 1, in_range(rows, "key")),
+        "ptr": (np.int64, 1, None),
+        "ordinals": (np.int32, 1, in_range(items, "ordinal")),
+        "scores": (np.float64, 1, None),
+    }
+    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)

@@ -27,6 +27,9 @@ embedding store, BM25 and predictor knobs, seed), its memo, run tables
 and base predictor from one :class:`PipelineResources`, which holds each
 once, so no memo or table is read against an index or ``k1``/``b`` other
 than those that filled it. RBO parameters come from :class:`QppConfig`.
+Both target-independent memos, the run tables and the pseudo-query hits,
+also take and give their filled rows as :class:`StoredRuns`, so the CLI
+can keep them in run stores beside the index across commands.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext, PredictorParams
 from .rank_sim import RboParams, rbo_rows
 from .text_index import (
-    InvertedIndex, OrdinalRun, bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
+    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
 )
 
 logger = logging.getLogger(__name__)
@@ -131,6 +134,15 @@ class RunTable:
         self.scores = np.empty((rows, width), dtype=np.float64)
         self.lengths = np.full(rows, -1, dtype=np.int64)
 
+    @property
+    def width(self) -> int:
+        return self.ordinals.shape[1]
+
+    @property
+    def filled(self) -> int:
+        """How many rows are filled."""
+        return int(np.count_nonzero(self.lengths >= 0))
+
     def fill(self, row: int, run: OrdinalRun) -> None:
         """Write ``run`` (at most the width long) and its padding into ``row``."""
         ordinals, scores = run
@@ -138,6 +150,23 @@ class RunTable:
         self.ordinals[row, :n], self.ordinals[row, n:] = ordinals, -1
         self.scores[row, :n], self.scores[row, n:] = scores, 0.0
         self.lengths[row] = n
+
+    def adopt(self, runs: StoredRuns) -> None:
+        """Fill the rows ``runs.keys`` with their stored runs (each at most the width long) and padding."""
+        lengths = np.diff(runs.ptr)
+        self.ordinals[runs.keys] = -1
+        self.scores[runs.keys] = 0.0
+        # each entry's position in the flattened table: its row's start, then its place in the run
+        at = np.repeat(runs.keys * self.width - runs.ptr[:-1], lengths)
+        at += np.arange(len(at))
+        self.ordinals.reshape(-1)[at] = runs.ordinals
+        self.scores.reshape(-1)[at] = runs.scores
+        self.lengths[runs.keys] = lengths
+
+    def stored(self) -> StoredRuns:
+        """The filled rows and their runs, by ascending row."""
+        keys = np.flatnonzero(self.lengths >= 0)
+        return StoredRuns.of(keys, [self.run(row) for row in keys.tolist()])
 
     def run(self, row: int) -> OrdinalRun:
         """The filled run of ``row``, as views of the table."""
@@ -163,11 +192,15 @@ class PipelineResources:
 
     ``run_tables`` maps internal_depth to the :class:`RunTable` of the
     training queries' internal BM25 runs over ``doc_index``, a row per
-    ``query_index`` ordinal: the one store of those runs.
+    ``query_index`` ordinal: the one store of those runs in a process.
 
     The memo and tables fill lazily and, like ``predictor``, are not init
     fields: ``dataclasses.replace`` starts them all empty, as it must when
-    it swaps an index or ``params``.
+    it swaps an index or ``params``. Rows computed earlier over the same
+    indexes and ``params`` can be adopted first (:meth:`RunTable.adopt`,
+    :meth:`adopt_pseudo_query_hits`), and the filled rows read back
+    (:meth:`RunTable.stored`, :meth:`stored_pseudo_query_hits`) to keep
+    for later processes; adopted rows are the bytes a call would compute.
     """
 
     doc_index: InvertedIndex
@@ -185,6 +218,35 @@ class PipelineResources:
 
     def __post_init__(self) -> None:
         self.predictor = PredictorContext(self.doc_index, self.params, self.seed)
+
+    def run_table(self, depth: int) -> RunTable:
+        """The run table of internal depth ``depth``, empty when first asked for."""
+        table = self.run_tables.get(depth)
+        if table is None:
+            table = self.run_tables[depth] = RunTable(self.query_index.size, min(depth, self.doc_index.size))
+        return table
+
+    def pseudo_query_hit_count(self, m: int, n: int) -> int:
+        """How many documents' hit lists of (``m``, ``n``) are memoized."""
+        return sum(1 for _, key_m, key_n in self.pseudo_query_hits if (key_m, key_n) == (m, n))
+
+    def adopt_pseudo_query_hits(self, m: int, n: int, hits: StoredRuns) -> None:
+        """Memoize stored hit lists of (``m``, ``n``), each under the document its ``doc_index`` ordinal names."""
+        item_ids = self.doc_index.item_ids
+        bounds = hits.ptr.tolist()
+        for i, ordinal in enumerate(hits.keys.tolist()):
+            start, end = bounds[i], bounds[i + 1]
+            self.pseudo_query_hits[(item_ids[ordinal], m, n)] = hits.ordinals[start:end], hits.scores[start:end]
+
+    def stored_pseudo_query_hits(self, m: int, n: int) -> StoredRuns:
+        """The memoized hit lists of (``m``, ``n``), keyed by the documents' ``doc_index`` ordinals."""
+        ordinal_of = self.doc_index.ordinal_of
+        found = sorted(
+            ((ordinal_of[doc_id], run) for (doc_id, key_m, key_n), run in self.pseudo_query_hits.items()
+             if (key_m, key_n) == (m, n)),
+            key=lambda entry: entry[0],
+        )
+        return StoredRuns.of([ordinal for ordinal, _ in found], [run for _, run in found])
 
 
 def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
@@ -301,10 +363,7 @@ def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: Pipeline
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
     candidates = merged.candidates
-    depth = config.internal_depth
-    table = res.run_tables.get(depth)
-    if table is None:
-        table = res.run_tables[depth] = RunTable(res.query_index.size, min(depth, res.doc_index.size))
+    table = res.run_table(config.internal_depth)
     ordinals = list(map(res.query_index.ordinal_of.get, (c.query.id for c in candidates)))
     if None in ordinals:
         raise ValueError(f"variant candidate {candidates[ordinals.index(None)].query.id!r} is not in the query index")

@@ -982,7 +982,7 @@ class TestTuneAndSweep:
 
     def test_grid_cells_equal_predict_query(self, indexed_workspace):
         cfg = cli.load_config(indexed_workspace["config"])
-        res = cli._load_resources(cfg)
+        res, _ = cli._load_resources(cfg)
         targets, run_map = cli._load_target_run(cfg)
         predict_fn = cli._prediction_engine(cfg, res, targets, run_map)
         fresh = replace(res)

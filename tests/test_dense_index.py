@@ -127,6 +127,17 @@ class TestKnnCosine:
         with pytest.raises(ValueError, match="query vector norm 4.99997e-160 is below 1.49e-154"):
             knn_cosine(store, [3e-160, 4e-160], depth=1)
 
+    @pytest.mark.parametrize("query, problem", [
+        ([np.inf, 0.0], "non-finite component"),
+        ([-np.inf, 1.0], "non-finite component"),
+        ([np.nan, 0.0], "non-finite component"),
+        ([1e300, 1e300], "norm is not finite"),
+    ])
+    def test_non_finite_query_rejected_without_a_warning(self, query, problem):
+        store = store_from_arrays(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=problem):
+            knn_cosine(store, query, depth=2)
+
     def test_zero_norm_stored_never_returned(self):
         store = store_from_arrays(["z", "a"], [[0.0, 0.0], [1.0, 1.0]])
         result = knn_cosine(store, [1.0, 0.0], depth=5)
