@@ -23,6 +23,7 @@ from qvqpp import (
     smooth_qpp,
     tokenize,
 )
+from qvqpp.text_index import ranked_list
 
 DOCS = [
     ("p1", "brewing coffee with water at the right temperature improves the cup"),
@@ -76,7 +77,8 @@ def main():
     qv_set = build_qv_set(TARGET, config, res)
     print(f"re-ranked by rank overlap with the target's own document ranking (k={config.k}):")
     for cand in qv_set.candidates:
-        print(f"  {cand.query.id}  hop {cand.hop}  rbo {cand.rbo:.4f}  run {cand.internal_run.doc_ids()}")
+        run = ranked_list(doc_index, cand.internal_run, cand.query.id)
+        print(f"  {cand.query.id}  hop {cand.hop}  rbo {cand.rbo:.4f}  run {run.doc_ids()}")
 
     target_run = bm25_retrieve(doc_index, tokenize(TARGET.text), depth=10, query_id=TARGET.id)
     # the base predictor runs once per query here; each lambda below only re-weights these values

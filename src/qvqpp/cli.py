@@ -97,9 +97,10 @@ from .variants import (
     PipelineResources,
     QppConfig,
     base_predictions,
+    blend,
     build_qv_set,
     predict_query,
-    smooth_qpp,
+    variant_mean,
 )
 
 logger = logging.getLogger(__name__)
@@ -562,20 +563,28 @@ def _grid_inputs(cfg: PipelineConfig):
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
     """Build each target's variant set and phi table once, at the largest grid lambda and k.
 
-    Every (lambda, k) cell is then arithmetic over the first k variants:
-    no cell runs a predictor, so a predictor error ends the command
-    before the grid starts.
+    The overlap-weighted mean of the first k variants' phi does not
+    depend on lambda, so each target takes it once per grid k
+    (:func:`variant_mean`, the sums :func:`smooth_qpp` makes), and a
+    (lambda, k) cell is one :func:`blend` of the target's phi with it: no
+    cell runs a predictor or builds a variant set, so a predictor error
+    ends the command before the grid starts. The cells are ``==`` to
+    :func:`smooth_qpp` over the first k variants.
     """
     widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
-    qv_sets = {}
-    phis = {}
+    phi_targets = {}
+    means = {}
     for qid in sorted(run_map):
-        qv_sets[qid] = build_qv_set(targets[qid], widest, res)
-        phis[qid] = base_predictions(targets[qid], run_map[qid], qv_sets[qid], widest, res)
+        qv_set = build_qv_set(targets[qid], widest, res)
+        phi = base_predictions(targets[qid], run_map[qid], qv_set, widest, res)
+        phi_targets[qid] = phi[run_map[qid].query_id]
+        # with every grid lambda 0, phi holds the target only and every cell is phi(target)
+        means[qid] = {
+            k: variant_mean(qv_set.candidates[:k], phi) if widest.lam > 0.0 else None for k in set(cfg.ks)
+        }
 
     def predict_fn(lam: float, k: int, ids: Sequence[str]) -> dict[str, float]:
-        qpp = replace(cfg.qpp, lam=lam, k=k)
-        return {qid: smooth_qpp(run_map[qid], qv_sets[qid].top(k), qpp, phis[qid]) for qid in ids}
+        return {qid: blend(phi_targets[qid], lam, means[qid][k]) for qid in ids}
 
     return predict_fn
 

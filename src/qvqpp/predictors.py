@@ -38,7 +38,7 @@ import numpy as np
 
 from .corpus_io import RankedList
 from .rank_sim import RboParams, rbo_rows
-from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, _segments
+from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, OrdinalRun, _segments, ranked_list
 
 COLLECTION_SCORE_FLOOR = 1e-6
 DEFAULT_MU = 1000.0
@@ -66,11 +66,15 @@ def nqc(inp: PredictorInput) -> float:
     Zero iff the head scores are all equal; invariant under joint
     positive scaling of the scores and the collection score.
     """
-    if not inp.ranked_list.entries:
+    return _nqc_of_scores(np.asarray(inp.ranked_list.scores(), dtype=np.float64), inp.collection_score, inp.top_k)
+
+
+def _nqc_of_scores(scores: np.ndarray, collection_score: float, top_k: int) -> float:
+    """:func:`nqc` of a run given by its scores alone, best first."""
+    if not len(scores):
         raise ValueError("nqc needs a non-empty ranked list")
-    _check_collection_score(inp.collection_score)
-    scores = np.asarray(inp.ranked_list.scores()[: inp.top_k], dtype=np.float64)
-    return float(np.std(scores) / inp.collection_score)
+    _check_collection_score(collection_score)
+    return float(np.std(scores[:top_k]) / collection_score)
 
 
 def collection_score(
@@ -517,8 +521,11 @@ class PredictorParams:
 class PredictorContext:
     """Binds an index, predictor knobs and a global seed into one evaluator.
 
-    UEF's RBO parameters come with each call, from the caller's QppConfig.
-    Results are memoized per (base, query, list, terms, RBO parameters).
+    A run is a ranked list, or a run over ``index`` as int32 ordinals and
+    float64 scores (a variant's run-table row): NQC reads its scores and
+    UEF its ids. UEF's RBO parameters come with each call, from the
+    caller's QppConfig. Results are memoized per (base, query, run, terms,
+    RBO parameters), an ordinal run keyed by its arrays' bytes.
     Each target's phi table evaluates every query at most once, so the
     memo only answers a training query that two targets both keep as a
     variant. The pipeline's one context is ``PipelineResources.predictor``.
@@ -529,17 +536,26 @@ class PredictorContext:
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def evaluate(self, base: str, run: RankedList, terms: Sequence[str], query_id: str, rbo_params: RboParams) -> float:
-        key = (base, query_id, tuple(run.entries), tuple(terms), rbo_params)
+    def evaluate(
+        self, base: str, run: RankedList | OrdinalRun, terms: Sequence[str], query_id: str, rbo_params: RboParams
+    ) -> float:
+        ordinal = not isinstance(run, RankedList)
+        if ordinal:
+            key = (base, query_id, run[0].tobytes(), run[1].tobytes(), tuple(terms), rbo_params)
+        else:
+            key = (base, query_id, tuple(run.entries), tuple(terms), rbo_params)
         if key in self._cache:
             return self._cache[key]
         cscore = collection_score(self.index, terms, k1=self.params.k1, b=self.params.b)
-        inp = PredictorInput(run, cscore, top_k=self.params.top_k)
-        if base == "nqc":
-            value = nqc(inp)
+        if base == "nqc" and ordinal:
+            value = _nqc_of_scores(run[1], cscore, self.params.top_k)
+        elif base == "nqc":
+            value = nqc(PredictorInput(run, cscore, top_k=self.params.top_k))
         elif base == "uef":
+            if ordinal:
+                run = ranked_list(self.index, run, query_id)
             value = uef(
-                inp,
+                PredictorInput(run, cscore, top_k=self.params.top_k),
                 self.index,
                 derive_seed(self.seed, query_id),
                 self.params.uef_samples,

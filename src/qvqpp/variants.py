@@ -17,10 +17,12 @@ The pipeline for one target query:
    pool gathers it; :func:`rbo_rows` scores a pool's rows against the
    target's run in one pass of array operations;
 4. evaluate the base predictor once on the target run and on each kept
-   candidate's internal run (the phi table of :func:`base_predictions`),
-   then blend the target's estimate with the overlap-weighted average of
-   the candidates' estimates by plain arithmetic over that table, so a
-   (lambda, k) grid re-runs no predictor.
+   candidate's internal run, read from its run-table row (the phi table of
+   :func:`base_predictions`), then blend the target's estimate with the
+   overlap-weighted average of the candidates' estimates
+   (:func:`variant_mean`, :func:`blend`) by plain arithmetic over that
+   table. A (lambda, k) grid re-runs no predictor and, as that average
+   does not depend on lambda, takes it once per k.
 
 Every stage reads its inputs (indexes, training queries and qrels,
 embedding store, BM25 and predictor knobs, seed), its memo, run tables
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext, PredictorParams
 from .rank_sim import RboParams, rbo_rows
 from .text_index import (
-    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list, tokenize,
+    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, bm25_retrieve, pseudo_query_terms, tokenize,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,13 +59,19 @@ BASE_PREDICTORS = ("nqc", "uef")
 
 @dataclass
 class QVCandidate:
-    """One retrieved variant of the target query."""
+    """One retrieved variant of the target query.
+
+    ``rbo`` and ``internal_run`` are set on the survivors of
+    :func:`rerank_by_rbo`: the overlap, and the internal run as views of
+    its run-table row (``doc_index`` ordinals and scores; read it as ids
+    with :func:`~qvqpp.text_index.ranked_list`).
+    """
 
     query: Query
     hop: int
     retrieval_score: float
     rbo: Optional[float] = None
-    internal_run: Optional[RankedList] = None
+    internal_run: Optional[OrdinalRun] = None
 
 
 @dataclass
@@ -253,7 +261,9 @@ def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> Q
     """Top-n training queries most similar to the target (hop 1).
 
     Training queries whose tokenization is identical to the target's are
-    excluded (a verbatim copy would dominate the overlap re-ranking). In
+    excluded (a verbatim copy would dominate the overlap re-ranking). Such
+    a copy has the target's token count, and ``res.query_index`` holds the
+    training queries, so only a hit of that length there is tokenized. In
     dense mode ``res.embedding_store`` must be loaded and hold a vector
     for the target id, and only ids present in ``res.training_queries``
     are eligible.
@@ -275,12 +285,15 @@ def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> Q
         retrieved = knn_cosine(
             store, store.vector(target.id), depth=len(store), exclude=exclude, query_id=target.id,
         )
+    ordinal_of, lengths = res.query_index.ordinal_of, res.query_index.lengths
     candidates: list[QVCandidate] = []
     for qid, score in retrieved.entries:
         if qid == target.id:
             continue
         training_query = res.training_queries[qid]
-        if tokenize(training_query.text) == target_tokens:
+        ordinal = ordinal_of.get(qid)
+        copy_length = ordinal is None or lengths[ordinal] == len(target_tokens)
+        if copy_length and tokenize(training_query.text) == target_tokens:
             continue
         candidates.append(QVCandidate(query=training_query, hop=1, retrieval_score=score))
         if len(candidates) == config.n:
@@ -358,8 +371,8 @@ def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: Pipeline
     ValueError) the first time a pool gathers it. One :func:`rbo_rows`
     pass scores the pool's rows against the target's run (a candidate
     with an empty run gets overlap 0). Ties break by (hop ascending,
-    query id ascending). Only the k survivors carry their run, as a
-    RankedList.
+    query id ascending). Only the k survivors carry their run, as views
+    of its row.
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
     candidates = merged.candidates
@@ -376,10 +389,7 @@ def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: Pipeline
     hops = np.fromiter((c.hop for c in candidates), dtype=np.int64, count=len(candidates))
     order = np.lexsort((res.query_index._id_rank[rows], hops, -overlaps))[: config.k]
     kept = [
-        replace(
-            candidates[i], rbo=overlap,
-            internal_run=ranked_list(res.doc_index, table.run(rows[i]), candidates[i].query.id),
-        )
+        replace(candidates[i], rbo=overlap, internal_run=table.run(ordinals[i]))
         for i, overlap in zip(order.tolist(), overlaps[order].tolist())
     ]
     return QVSet(merged.target_query_id, kept)
@@ -396,7 +406,8 @@ def base_predictions(
 
     Holds phi(target run) under ``target_run.query_id`` and, only when
     ``config.lam > 0``, phi of each candidate with a positive overlap
-    under its query id, evaluated in candidate order on its internal run.
+    under its query id, evaluated in candidate order on its internal run
+    (its run-table row, which NQC reads as scores and UEF as ids).
     A zero-weight candidate is never evaluated, so its (possibly empty)
     run is never read. Computed at the largest lambda and k of a grid,
     the table serves every smaller (lambda, k) of :func:`smooth_qpp`.
@@ -416,6 +427,30 @@ def base_predictions(
     return phi
 
 
+def variant_mean(candidates: Sequence[QVCandidate], phi: Mapping[str, float]) -> Optional[float]:
+    """sum_i (rbo_i / sum rbo) * phi(variant_i) over ``candidates``; None when there is none or sum rbo <= 0.
+
+    Both sums run in candidate order, and a zero weight is skipped, so
+    ``phi`` needs only the candidates of positive overlap.
+    """
+    weight_sum = sum(c.rbo for c in candidates)
+    if not candidates or weight_sum <= 0.0:
+        return None
+    smoothed = 0.0
+    for candidate in candidates:
+        if candidate.rbo == 0.0:
+            continue
+        smoothed += candidate.rbo / weight_sum * phi[candidate.query.id]
+    return smoothed
+
+
+def blend(phi_target: float, lam: float, mean: Optional[float]) -> float:
+    """(1 - lam) * phi_target + lam * mean, or ``phi_target`` when lam is 0 or there is no mean."""
+    if lam == 0.0 or mean is None:
+        return phi_target
+    return (1.0 - lam) * phi_target + lam * mean
+
+
 def smooth_qpp(
     target_run: RankedList,
     qv_set: QVSet,
@@ -431,17 +466,9 @@ def smooth_qpp(
     variant set is empty, every overlap weight is zero or lambda is zero.
     """
     phi_target = phi[target_run.query_id]
-    weight_sum = sum(c.rbo for c in qv_set.candidates)
-    if not qv_set.candidates or weight_sum <= 0.0:
-        return phi_target
     if config.lam == 0.0:
         return phi_target
-    smoothed = 0.0
-    for candidate in qv_set.candidates:
-        if candidate.rbo == 0.0:
-            continue
-        smoothed += candidate.rbo / weight_sum * phi[candidate.query.id]
-    return (1.0 - config.lam) * phi_target + config.lam * smoothed
+    return blend(phi_target, config.lam, variant_mean(qv_set.candidates, phi))
 
 
 def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:

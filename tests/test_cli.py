@@ -7,10 +7,15 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvqpp
+from qvqpp import QppConfig, Query, QVCandidate, QVSet, RankedList, base_predictions, smooth_qpp
 from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, save_index, write_score_tsv
 from qvqpp import cli
 from qvqpp.cli import main
@@ -160,6 +165,18 @@ def doubled_overrides(indexed_workspace, tmp_path_factory):
         (out / name).write_text(text + copy, encoding="utf-8")
         overrides += ["--set", f"paths.{key}={out / name}"]
     return overrides
+
+
+def smooth_reference(phi_target, candidates, lam, phi):
+    """The smoothed estimate as one loop: a sequential weight sum, then a sequential weighted sum of phi."""
+    weight_sum = sum(c.rbo for c in candidates)
+    if not candidates or weight_sum <= 0.0 or lam == 0.0:
+        return phi_target
+    smoothed = 0.0
+    for candidate in candidates:
+        if candidate.rbo != 0.0:
+            smoothed += candidate.rbo / weight_sum * phi[candidate.query.id]
+    return (1.0 - lam) * phi_target + lam * smoothed
 
 
 class TestIndexCommand:
@@ -992,6 +1009,35 @@ class TestTuneAndSweep:
                 qpp = replace(cfg.qpp, lam=lam, k=k)
                 want = {qid: cli.predict_query(targets[qid], run_map[qid], qpp, fresh) for qid in ids}
                 assert predict_fn(lam, k, ids) == want, (lam, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 1e-9, 0.3, 1.0]) | st.floats(0.0, 1.0), max_size=6),
+        st.lists(st.floats(-10.0, 10.0), min_size=7, max_size=7),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    )
+    def test_grid_cells_equal_smooth_qpp(self, rbos, phis, lambdas, ks):
+        # zero and all-zero overlaps, an empty set, lambda 0 and k past the set's length all occur
+        target, run = Query("T", "target"), RankedList("T", [("d1", 1.0)])
+        candidates = [QVCandidate(Query(f"v{i}", f"variant {i}"), 1, 1.0, rbo) for i, rbo in enumerate(rbos)]
+        values = {"T": phis[0], **{f"v{i}": phi for i, phi in enumerate(phis[1:])}}
+
+        def evaluate(base, run, terms, query_id, rbo_params):
+            return values[query_id]
+
+        res = SimpleNamespace(predictor=SimpleNamespace(evaluate=evaluate))
+        cfg = SimpleNamespace(qpp=QppConfig(n=100), lambdas=lambdas, ks=ks)
+        widest = replace(cfg.qpp, lam=max(lambdas), k=max(ks))
+        qv_set = QVSet("T", candidates[: widest.k])
+        phi = base_predictions(target, run, qv_set, widest, res)
+        with mock.patch.object(cli, "build_qv_set", lambda *args: qv_set):
+            predict_fn = cli._prediction_engine(cfg, res, {"T": target}, {"T": run})
+        for lam in lambdas:
+            for k in ks:
+                want = smooth_qpp(run, qv_set.top(k), QppConfig(lam=lam, k=k, n=100), phi)
+                assert predict_fn(lam, k, ["T"]) == {"T": want}, (lam, k)
+                assert want == smooth_reference(phi["T"], qv_set.top(k).candidates, lam, phi)
 
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(

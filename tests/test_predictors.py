@@ -29,6 +29,7 @@ from qvqpp import (
 )
 from qvqpp import predictors
 from qvqpp.predictors import DEFAULT_MU, UEF_POOL_FLOOR, _certified_order
+from qvqpp.text_index import ranked_list
 
 
 def ranked(query_id, pairs):
@@ -600,6 +601,32 @@ class TestPredictorParams:
         assert (params.top_k, params.uef_samples, params.uef_sample_size, params.mu) == (1, 1, 1, 0.0)
 
 
+@st.composite
+def row_cases(draw):
+    """A run-table row over a corpus of short documents: views of int32 ordinals and float64 scores, best first."""
+    size = draw(st.integers(1, 70))
+    texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=size, max_size=size))
+    index = build_index([(f"d{i:02d}", " ".join(words)) for i, words in enumerate(texts)])
+    ordinals = draw(st.permutations(range(size)))[: draw(st.integers(0, size))]
+    scores = sorted(draw(st.lists(
+        st.sampled_from([0.5, 1.0, 4.0]) | st.floats(-1e3, 1e3), min_size=len(ordinals), max_size=len(ordinals),
+    )), reverse=True)
+    n, width = len(ordinals), size + draw(st.integers(0, 3))
+    table_ordinals, table_scores = np.full((2, width), -1, dtype=np.int32), np.zeros((2, width))
+    table_ordinals[1, :n], table_scores[1, :n] = ordinals, scores
+    params = PredictorParams(
+        top_k=draw(st.integers(1, 80)), uef_samples=draw(st.integers(1, 3)), uef_sample_size=draw(st.integers(1, 30)),
+    )
+    return index, (table_ordinals[1, :n], table_scores[1, :n]), params
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
 class TestPredictorContext:
     def test_nqc_evaluation_and_cache(self):
         index = build_index(CORPUS_5)
@@ -610,6 +637,20 @@ class TestPredictorContext:
         assert first == second
         expected = nqc(PredictorInput(run, collection_score(index, ["solar", "panel"]), top_k=100))
         assert first == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_cases(), st.sampled_from(["nqc", "uef"]), st.lists(st.sampled_from(WORDS), max_size=3))
+    def test_a_row_evaluates_as_its_ranked_list(self, case, base, terms):
+        index, row, params = case
+        by_row, by_list = PredictorContext(index, params, seed=3), PredictorContext(index, params, seed=3)
+        want = outcome(lambda: by_list.evaluate(base, ranked_list(index, row, "v"), terms, "v", RboParams()))
+        assert outcome(lambda: by_row.evaluate(base, row, terms, "v", RboParams())) == want
+        if not isinstance(want, str):  # a second evaluation of an equal row is a memo hit, of other scores a miss
+            copy = row[0].copy(), row[1].copy()
+            assert by_row.evaluate(base, copy, terms, "v", RboParams()) == want and len(by_row._cache) == 1
+            scaled = row[0], row[1] * 2.0 + 1.0
+            want = by_list.evaluate(base, ranked_list(index, scaled, "v"), terms, "v", RboParams())
+            assert by_row.evaluate(base, scaled, terms, "v", RboParams()) == want and len(by_row._cache) == 2
 
     def test_uef_seed_derivation_is_stable(self):
         index, inp = uef_fixture_input()

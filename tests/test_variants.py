@@ -36,7 +36,7 @@ from qvqpp import (
     store_from_arrays,
     tokenize,
 )
-from qvqpp.text_index import bm25_ordinals, bm25_retrieve
+from qvqpp.text_index import bm25_ordinals, bm25_retrieve, ranked_list
 
 
 class TestQppConfig:
@@ -83,6 +83,32 @@ class TestRetrieve1Hop:
         got = retrieve_1hop(target, QppConfig(k=1, n=3), res)
         assert "copycat" not in got.query_ids()
         assert "t01" in got.query_ids()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_length_prefilter_keeps_the_unfiltered_pool(self, data):
+        words = ["alpha", "beta", "gamma", "delta"]
+        target_words = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+        copies = [
+            " ".join(target_words),  # verbatim
+            " ".join(target_words).upper(),  # case only
+            ", ".join(target_words) + "!",  # punctuation only
+            "the " + " and ".join(target_words),  # stopwords only
+            " ".join(reversed(target_words)),  # equal length, a copy only when a palindrome
+            " ".join(words[(words.index(w) + 1) % 4] for w in target_words),  # equal length, never a copy
+        ]
+        others = data.draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=5), max_size=6))
+        texts = data.draw(st.permutations(copies + [" ".join(o) for o in others]))
+        training = {f"tq{i:02d}": Query(f"tq{i:02d}", text) for i, text in enumerate(texts)}
+        res = resources_over(training, {}, {"d1": Document("d1", "alpha beta")})
+        target = Query("T", " ".join(target_words))
+        config = QppConfig(k=1, n=data.draw(st.integers(2, len(texts) + 1)))
+        hits = bm25_retrieve(res.query_index, tokenize(target.text), depth=len(training), query_id=target.id)
+        want = [
+            (qid, score) for qid, score in hits.entries if tokenize(training[qid].text) != tokenize(target.text)
+        ][: config.n]
+        got = retrieve_1hop(target, config, res)
+        assert [(c.query.id, c.retrieval_score, c.hop) for c in got.candidates] == [(i, s, 1) for i, s in want]
 
     def test_no_vocabulary_overlap_gives_empty_set(self, resources):
         target = Query("weird", "xylophone zygote")
@@ -308,7 +334,9 @@ class CountingContext:
         self.resources = SimpleNamespace(predictor=self)
 
     def evaluate(self, base, run, terms, query_id, rbo_params):
-        self.calls.append((base, run.query_id, list(terms), query_id))
+        # a variant's run is its run-table row, whose ordinals spell its query id (see candidate)
+        run_id = run.query_id if isinstance(run, RankedList) else bytes(run[0].astype(np.uint8)).decode()
+        self.calls.append((base, run_id, list(terms), query_id))
         self.rbo_params.append(rbo_params)
         return self.values[query_id]
 
@@ -317,13 +345,14 @@ def reranked_set(target_id, *cands):
     return QVSet(target_id, list(cands))
 
 
-def candidate(qid, rbo, run_docs=("d1",)):
+def candidate(qid, rbo):
+    ordinals = np.frombuffer(qid.encode(), dtype=np.uint8).astype(np.int32)  # a row of its own per query id
     return QVCandidate(
         query=Query(qid, f"text of {qid}"),
         hop=1,
         retrieval_score=1.0,
         rbo=rbo,
-        internal_run=RankedList.from_scores(qid, [(d, 1.0) for d in run_docs]),
+        internal_run=(ordinals, np.ones(len(ordinals))),
     )
 
 
@@ -387,7 +416,8 @@ class TestSmoothQpp:
         for cand in qv.candidates:
             if cand.rbo > 0:
                 values.append(resources.predictor.evaluate(
-                    "nqc", cand.internal_run, tokenize(cand.query.text), cand.query.id, config.rbo_params
+                    "nqc", ranked_list(resources.doc_index, cand.internal_run, cand.query.id),
+                    tokenize(cand.query.text), cand.query.id, config.rbo_params,
                 ))
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
@@ -507,7 +537,7 @@ def with_renamed_copies(targets):
 
 def qv_snapshot(qv_set):
     return [
-        (c.query.id, c.hop, c.retrieval_score, c.rbo, c.internal_run.query_id, c.internal_run.entries)
+        (c.query.id, c.hop, c.retrieval_score, c.rbo, c.internal_run[0].tolist(), c.internal_run[1].tolist())
         for c in qv_set.candidates
     ]
 
@@ -593,7 +623,10 @@ class TestRetrievalCache:
         res = replace(resources)
         config = QppConfig(k=2, n=100)
         qv_set = build_qv_set(corpus.test_queries[0], config, res)
-        assert all(type(score) is float for c in qv_set.candidates for _, score in c.internal_run.entries)
+        assert all(
+            type(score) is float
+            for c in qv_set.candidates for _, score in ranked_list(res.doc_index, c.internal_run, c.query.id).entries
+        )
         table = res.run_tables[config.internal_depth]
         stored = [(res.doc_index, table.run(row)) for row in np.flatnonzero(table.lengths >= 0).tolist()]
         stored += [(res.query_index, run) for run in res.pseudo_query_hits.values()]
