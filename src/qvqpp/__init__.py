@@ -5,64 +5,48 @@ index, BM25), exact dense kNN over precomputed embeddings, rank-biased
 overlap, the NQC/UEF post-retrieval predictors, the variant-retrieval
 smoothing pipeline, and a TREC-style evaluation harness with 2-fold
 tuning and grid sweeps.
+
+Every name below is re-exported from its submodule, which is imported on
+the first access (PEP 562), so ``import qvqpp.cli`` loads no module a
+command does not use.
 """
 
-from .corpus_io import (
-    Document,
-    Qrels,
-    Query,
-    RankedList,
-    parse_collection,
-    parse_qrels,
-    parse_queries,
-    parse_run,
-    parse_score_tsv,
-    write_run,
-    write_score_tsv,
-)
-from .dense_index import knn_cosine, load_vectors, store_from_arrays
-from .evaluation import (
-    EvalPair,
-    FoldSpec,
-    ap_at_k,
-    fisher_z_compare,
-    kendall_tau,
-    ndcg_at_k,
-    sweep_grid,
-    tune_2fold,
-)
-from .predictors import (
-    PredictorContext,
-    PredictorInput,
-    PredictorParams,
-    RelevanceModel,
-    build_relevance_model,
-    collection_score,
-    derive_seed,
-    nqc,
-    rm_rerank,
-    uef,
-)
-from .rank_sim import RboParams, rbo_ext
-from .text_index import (
-    bm25_retrieve,
-    build_index,
-    load_index,
-    make_pseudo_query,
-    save_index,
-    tokenize,
-)
-from .variants import (
-    PipelineResources,
-    QppConfig,
-    QVCandidate,
-    QVSet,
-    base_predictions,
-    build_qv_set,
-    expand_2hop,
-    rerank_by_rbo,
-    retrieve_1hop,
-    smooth_qpp,
-)
+import importlib
 
+_EXPORTS = {
+    "corpus_io": (
+        "Document", "Qrels", "Query", "RankedList", "parse_collection", "parse_qrels", "parse_queries",
+        "parse_run", "parse_score_tsv", "write_run", "write_score_tsv",
+    ),
+    "dense_index": ("knn_cosine", "load_vectors", "store_from_arrays"),
+    "evaluation": (
+        "EvalPair", "FoldSpec", "ap_at_k", "fisher_z_compare", "kendall_tau", "ndcg_at_k", "sweep_grid", "tune_2fold",
+    ),
+    "predictors": (
+        "PredictorContext", "PredictorInput", "PredictorParams", "RelevanceModel", "build_relevance_model",
+        "collection_score", "derive_seed", "nqc", "rm_rerank", "uef",
+    ),
+    "rank_sim": ("RboParams", "rbo_ext"),
+    "text_index": ("bm25_retrieve", "build_index", "load_index", "make_pseudo_query", "save_index", "tokenize"),
+    "variants": (
+        "PipelineResources", "QppConfig", "QVCandidate", "QVSet", "VariantPool", "base_predictions", "build_qv_set",
+        "expand_2hop", "rerank_by_rbo", "retrieve_1hop", "smooth_qpp",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -31,6 +31,9 @@ ignored and rewritten, a store that cannot be written is a warning, and
 outputs never depend on a store, so deleting stores is always safe;
 ``-v`` logs what became of each.
 
+Only ``evaluate``, ``tune`` and ``sweep`` load the evaluation layer
+(``qvqpp.evaluation``); ``index``, ``qv`` and ``predict`` never import it.
+
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
 
@@ -77,17 +80,6 @@ from .corpus_io import (
     write_score_tsv,
 )
 from .dense_index import load_vectors
-from .evaluation import (
-    FISHER_MIN_N,
-    EvalPair,
-    FoldSpec,
-    ap_at_k,
-    fisher_z_compare,
-    kendall_tau,
-    ndcg_at_k,
-    sweep_grid,
-    tune_2fold,
-)
 from .predictors import UEF_POOL_FLOOR, PredictorParams
 from .rank_sim import RboParams
 from .text_index import (
@@ -426,6 +418,8 @@ def _load_target_run(cfg: PipelineConfig, min_queries: int = 0) -> tuple[dict[st
 
 def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> dict[str, float]:
     """The target metric of each run query against the test qrels."""
+    from .evaluation import ap_at_k, ndcg_at_k
+
     _require_files(cfg.test_qrels)
     qrels = parse_qrels(cfg.test_qrels)
     values = {}
@@ -506,6 +500,8 @@ def cmd_evaluate(
     metrics_out: Path | None = None,
 ) -> int:
     """Correlate a predictions file with the target metric; optional baseline comparison."""
+    from .evaluation import EvalPair, fisher_z_compare, kendall_tau
+
     _require_files(predictions_path, cfg.test_qrels, cfg.target_run, baseline_path)
     _, run_map = _load_target_run(cfg)
     actual = _actual_metric(cfg, run_map)
@@ -591,6 +587,8 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
 
 def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: Path | None = None) -> int:
     """2-fold tuning: fit (lambda, k) on each fold's train split, report test tau."""
+    from .evaluation import FISHER_MIN_N, EvalPair, FoldSpec, fisher_z_compare, kendall_tau, tune_2fold
+
     targets, run_map, actual = _grid_inputs(cfg)
     fold_a = frozenset(cfg.fold_a)
     if not fold_a:
@@ -648,6 +646,8 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
 
 def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Evaluate tau for the full (lambda, k) grid on all run queries; emit CSV."""
+    from .evaluation import sweep_grid
+
     targets, run_map, actual = _grid_inputs(cfg)
     res, stores = _load_resources(cfg)
     rows = sweep_grid(cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)

@@ -16,7 +16,6 @@ from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from statistics import NormalDist
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import Qrels, RankedList
@@ -141,6 +140,8 @@ def fisher_z_compare(tau_a: float, tau_b: float, n: int, confidence: float = 0.9
     Uses the independent-samples approximation
     z = (atanh(tau_a) - atanh(tau_b)) / sqrt(2 / (n - 3)).
     """
+    from statistics import NormalDist  # imported on first use: nothing else in the package needs it
+
     if n < FISHER_MIN_N:
         raise ValueError(f"fisher z needs n >= {FISHER_MIN_N}, got {n}")
     if not 0.0 < confidence < 1.0:

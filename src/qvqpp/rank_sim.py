@@ -117,6 +117,8 @@ def rbo_rows(
     are truncated to ``params.eval_depth`` first and an empty list gives
     0.0. The target's ordinals are checked (an ordinal outside [0,
     ``size``) or a duplicate is a ValueError); the rows' are trusted.
+    A row that shares no document with the target gets 0.0 after one
+    lookup pass, so the arithmetic grows with the rows that share one.
     """
     depth = params.eval_depth
     target = np.asarray(target, dtype=np.int64)[:depth]
@@ -130,20 +132,24 @@ def rbo_rows(
         raise ValueError("duplicate id within target list")
     lengths = np.minimum(lengths, depth)
     values = np.zeros(len(lengths))
-    live = np.flatnonzero(np.minimum(lengths, t) > 0)
-    if not len(live):
+    # a row sharing no document with the target (an empty one included) has overlap 0.0, as in rbo_ext,
+    # so only the rows with a common document are scored: live[r] is the table row of scored row r
+    at_target = np.take(position, rows[:, :depth])  # faster than fancy indexing; -1 reads the last slot too
+    common = np.flatnonzero(at_target >= 0)
+    if not len(common):
         return values
+    common_row = common // at_target.shape[1]
+    first = np.empty(len(common), dtype=bool)  # common_row ascends: each live row starts where it changes
+    first[0] = True
+    np.not_equal(common_row[1:], common_row[:-1], out=first[1:])
+    live, row = common_row[first], np.cumsum(first) - 1
     s, l = np.minimum(lengths[live], t), np.maximum(lengths[live], t)
     n, at = len(live), np.arange(len(live))
 
     # a document at row rank i and target rank j joins the overlap at depth max(i, j) + 1;
     # x[r, d] counts those of row r at depth <= d
     width = int(l.max()) + 1
-    rows = rows[:, :depth] if n == len(lengths) else rows[live, :depth]  # a view when every row is live
-    at_target = position[rows].ravel()
-    common = np.flatnonzero(at_target >= 0)
-    row = common // rows.shape[1]
-    joined = row * width + np.maximum(common - row * rows.shape[1], at_target[common]) + 1
+    joined = row * width + np.maximum(common - common_row * at_target.shape[1], at_target.ravel()[common]) + 1
     x = np.bincount(joined, minlength=n * width).reshape(n, width).cumsum(axis=1)
     x_s, x_l = x[at, s], x[at, l]
 

@@ -4,7 +4,9 @@ The pipeline for one target query:
 
 1. retrieve a candidate pool of similar training queries directly
    (1-hop), via BM25 over the indexed query collection or cosine kNN
-   over precomputed query embeddings;
+   over precomputed query embeddings. The retriever is asked for n plus
+   :data:`ONE_HOP_MARGIN` hits, and for its whole ranking only when the
+   target and its verbatim copies leave fewer than n;
 2. optionally expand the pool through the judged relevant documents of
    the 1-hop candidates: each relevant document becomes a pseudo-query,
    its highest-TF terms read from its document-index row, that retrieves
@@ -24,6 +26,11 @@ The pipeline for one target query:
    table. A (lambda, k) grid re-runs no predictor and, as that average
    does not depend on lambda, takes it once per k.
 
+Steps 1 to 3 pass the pool as one :class:`VariantPool` of arrays
+(query-index ordinals, hops, retrieval scores): target exclusion,
+de-duplication and the verbatim-copy filter are masks over it, and a
+:class:`QVCandidate` is built only for each of the k survivors of step 3.
+
 Every stage reads its inputs (indexes, training queries and qrels,
 embedding store, BM25 and predictor knobs, seed), its memo, run tables
 and base predictor from one :class:`PipelineResources`, which holds each
@@ -37,7 +44,8 @@ can keep them in run stores beside the index across commands.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,9 +54,8 @@ from .corpus_io import Qrels, Query, RankedList
 from .dense_index import EmbeddingStore, knn_cosine
 from .predictors import PredictorContext, PredictorParams
 from .rank_sim import RboParams, rbo_rows
-from .text_index import (
-    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, bm25_retrieve, pseudo_query_terms, tokenize,
-)
+from .text_index import InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, pseudo_query_terms, tokenize
+from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +64,20 @@ RETRIEVER_DENSE = "dense"
 
 BASE_PREDICTORS = ("nqc", "uef")
 
+# 1-hop retrieval asks for this many hits beyond n, so that the target and a few verbatim copies of it
+# can be dropped without asking for the whole ranking.
+ONE_HOP_MARGIN = 8
+
 @dataclass
 class QVCandidate:
-    """One retrieved variant of the target query.
+    """One kept variant of the target query: a survivor of :func:`rerank_by_rbo`.
 
-    ``rbo`` and ``internal_run`` are set on the survivors of
-    :func:`rerank_by_rbo`: the overlap, and the internal run as views of
-    its run-table row (``doc_index`` ordinals and scores; read it as ids
-    with :func:`~qvqpp.text_index.ranked_list`).
+    Only the k survivors are built as objects (a pool entry is a row of
+    :class:`VariantPool`'s arrays), each with its overlap ``rbo`` and its
+    internal run as views of its run-table row (``doc_index`` ordinals and
+    scores; read it as ids with :func:`~qvqpp.text_index.ranked_list`).
+    :attr:`VariantPool.candidates` also builds them, without ``rbo`` and
+    run, for inspection.
     """
 
     query: Query
@@ -76,7 +89,12 @@ class QVCandidate:
 
 @dataclass
 class QVSet:
-    """The variant candidates of one target query, in pipeline order."""
+    """The kept variants of one target query, best first: the output of :func:`rerank_by_rbo`.
+
+    It holds at most k candidates; the pool they were chosen from is a
+    :class:`VariantPool`. A duplicate id or the target among its own
+    variants is a ValueError, as in a pool.
+    """
 
     target_query_id: str
     candidates: list[QVCandidate]
@@ -202,7 +220,10 @@ class PipelineResources:
     training queries' internal BM25 runs over ``doc_index``, a row per
     ``query_index`` ordinal: the one store of those runs in a process.
 
-    The memo and tables fill lazily and, like ``predictor``, are not init
+    ``missing_documents`` holds the judged documents that 2-hop expansion
+    found missing from ``doc_index``, so each is warned about once.
+
+    The memo, tables and that set fill lazily and, like ``predictor``, are not init
     fields: ``dataclasses.replace`` starts them all empty, as it must when
     it swaps an index or ``params``. Rows computed earlier over the same
     indexes and ``params`` can be adopted first (:meth:`RunTable.adopt`,
@@ -222,6 +243,7 @@ class PipelineResources:
         default_factory=dict, init=False, repr=False, compare=False
     )
     run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
+    missing_documents: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     predictor: PredictorContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -257,52 +279,123 @@ class PipelineResources:
         return StoredRuns.of([ordinal for ordinal, _ in found], [run for _, run in found])
 
 
-def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
+@dataclass(eq=False)
+class VariantPool:
+    """The variant candidates of one target before re-ranking: parallel arrays in pipeline order.
+
+    Entry i is the training query of ``res.query_index`` ordinal
+    ``ordinals[i]`` (int64), reached at hop ``hops[i]`` (int64, 1 or 2)
+    with retrieval score ``scores[i]`` (float64). The ordinals are distinct
+    and never the target's: both are checked as array operations, and
+    either fault is a ValueError, as in a :class:`QVSet`. No object exists
+    per entry; :attr:`candidates` builds them all on first read, for
+    inspection only.
+    """
+
+    target_query_id: str
+    ordinals: np.ndarray
+    hops: np.ndarray
+    scores: np.ndarray
+    res: PipelineResources = field(repr=False)
+
+    def __post_init__(self) -> None:
+        ordered = np.sort(self.ordinals)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("duplicate variant ids in QV set")
+        target = self.res.query_index.ordinal_of.get(self.target_query_id)
+        if target is not None and np.any(self.ordinals == target):
+            raise ValueError("target query must never appear among its own variants")
+
+    def query_ids(self) -> list[str]:
+        item_ids = self.res.query_index.item_ids
+        return [item_ids[ordinal] for ordinal in self.ordinals.tolist()]
+
+    @cached_property
+    def candidates(self) -> list[QVCandidate]:
+        """The entries as :class:`QVCandidate` objects (no overlap or run), in pool order."""
+        queries = self.res.training_queries
+        return [
+            QVCandidate(queries[qid], hop, score)
+            for qid, hop, score in zip(self.query_ids(), self.hops.tolist(), self.scores.tolist())
+        ]
+
+
+def _ranking(target: Query, tokens: list[str], depth: int, config: QppConfig, res: PipelineResources):
+    """The first ``depth`` hits of the target's 1-hop ranking as ``res.query_index`` ordinals and scores.
+
+    A dense hit outside ``res.training_queries`` gets ordinal -1; one in
+    them that the query index lacks is a ValueError.
+    """
+    if config.query_retriever == RETRIEVER_BM25:
+        ordinals, scores = bm25_ordinals(res.query_index, tokens, depth=depth, k1=res.params.k1, b=res.params.b)
+        return ordinals.astype(np.int64), scores
+    ranked = knn_cosine(
+        res.embedding_store, res.embedding_store.vector(target.id), depth=depth, exclude=(target.id,),
+        query_id=target.id,
+    )
+    ordinal_of = res.query_index.ordinal_of
+    ordinals = []
+    for qid, _ in ranked.entries:
+        if qid not in res.training_queries:
+            ordinals.append(-1)
+        elif qid not in ordinal_of:
+            raise ValueError(f"variant candidate {qid!r} is not in the query index")
+        else:
+            ordinals.append(ordinal_of[qid])
+    return np.array(ordinals, dtype=np.int64), np.array(ranked.scores(), dtype=np.float64)
+
+
+def _variant_positions(ordinals: np.ndarray, target: Query, tokens: list[str], res: PipelineResources) -> np.ndarray:
+    """Positions of the hits that may be variants: training queries, neither the target nor a verbatim copy.
+
+    A copy has the target's token count, so only a hit of that length is
+    tokenized.
+    """
+    index = res.query_index
+    keep = ordinals >= 0
+    target_ordinal = index.ordinal_of.get(target.id)
+    if target_ordinal is not None:
+        keep &= ordinals != target_ordinal
+    item_ids, queries = index.item_ids, res.training_queries
+    for i in np.flatnonzero(keep & (index.lengths[ordinals] == len(tokens))).tolist():
+        keep[i] = tokenize(queries[item_ids[ordinals[i]]].text) != tokens
+    return np.flatnonzero(keep)
+
+
+def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> VariantPool:
     """Top-n training queries most similar to the target (hop 1).
 
     Training queries whose tokenization is identical to the target's are
-    excluded (a verbatim copy would dominate the overlap re-ranking). Such
-    a copy has the target's token count, and ``res.query_index`` holds the
-    training queries, so only a hit of that length there is tokenized. In
+    excluded (a verbatim copy would dominate the overlap re-ranking), as
+    is the target itself. The retriever is asked for n +
+    :data:`ONE_HOP_MARGIN` hits, and for its whole ranking only when those
+    exclusions leave fewer than n; a ranking's first d hits are the same
+    at every depth, so the pool is the one the whole ranking gives. In
     dense mode ``res.embedding_store`` must be loaded and hold a vector
     for the target id, and only ids present in ``res.training_queries``
     are eligible.
     """
-    target_tokens = tokenize(target.text)
     if config.query_retriever == RETRIEVER_BM25:
-        retrieved = bm25_retrieve(
-            res.query_index, target_tokens, depth=max(config.n, res.query_index.size, 1),
-            k1=res.params.k1, b=res.params.b, query_id=target.id,
-        )
+        whole = res.query_index.size
     else:
         store = res.embedding_store
         if store is None:
             raise ValueError("dense query retriever configured but no embedding store loaded")
         if target.id not in store:
             raise ValueError(f"no embedding for target query {target.id!r}")
-        exclude = {i for i in store.ids if i not in res.training_queries}
-        exclude.add(target.id)
-        retrieved = knn_cosine(
-            store, store.vector(target.id), depth=len(store), exclude=exclude, query_id=target.id,
-        )
-    ordinal_of, lengths = res.query_index.ordinal_of, res.query_index.lengths
-    candidates: list[QVCandidate] = []
-    for qid, score in retrieved.entries:
-        if qid == target.id:
-            continue
-        training_query = res.training_queries[qid]
-        ordinal = ordinal_of.get(qid)
-        copy_length = ordinal is None or lengths[ordinal] == len(target_tokens)
-        if copy_length and tokenize(training_query.text) == target_tokens:
-            continue
-        candidates.append(QVCandidate(query=training_query, hop=1, retrieval_score=score))
-        if len(candidates) == config.n:
-            break
-    return QVSet(target.id, candidates)
+        whole = len(store)
+    tokens = tokenize(target.text)
+    depth = config.n + ONE_HOP_MARGIN
+    ordinals, scores = _ranking(target, tokens, depth, config, res)
+    kept = _variant_positions(ordinals, target, tokens, res)[: config.n]
+    if len(kept) < config.n and len(ordinals) == depth < whole:
+        ordinals, scores = _ranking(target, tokens, whole, config, res)
+        kept = _variant_positions(ordinals, target, tokens, res)[: config.n]
+    return VariantPool(target.id, ordinals[kept], np.ones(len(kept), dtype=np.int64), scores[kept], res)
 
 
-def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QVSet:
-    """Union the 1-hop set with queries reached through relevant documents.
+def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources) -> VariantPool:
+    """Union the 1-hop pool with queries reached through relevant documents.
 
     For every judged-relevant document (grade >= 1 in
     ``res.training_qrels``) of every 1-hop candidate, a highest-TF
@@ -311,26 +404,28 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
     queries over ``res.query_index`` (the 2-hop path is always lexical:
     pseudo-queries have no embeddings). Duplicates keep the lowest hop
     tag; a relevant document missing from ``res.doc_index`` (which the
-    CLI ties to the collection) is skipped with a warning.
+    CLI ties to the collection) is skipped, with a warning the first time
+    ``res`` meets it.
 
     A document's retrieval does not depend on the target, so it is
     memoized in ``res.pseudo_query_hits``. Target exclusion,
-    de-duplication and hop tags are applied per call, so the result does
-    not depend on reuse: the hit lists are joined in (candidate, document
-    id) order and the first hit of each query that is neither the target
-    nor a 1-hop candidate is kept, with its score.
+    de-duplication and hop tags are applied per call, as masks over the
+    joined hit arrays, so the result does not depend on reuse: the hit
+    lists are joined in (candidate, document id) order and the first hit
+    of each query that is neither the target nor a 1-hop candidate is
+    kept, with its score.
     """
     hit_ordinals, hit_scores = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-    for candidate in one_hop.candidates:
-        judged = res.training_qrels.get(candidate.query.id, {})
-        relevant_ids = sorted(doc_id for doc_id, grade in judged.items() if grade >= 1)
-        for doc_id in relevant_ids:
+    for qid in one_hop.query_ids():
+        judged = res.training_qrels.get(qid, {})
+        for doc_id in sorted(doc_id for doc_id, grade in judged.items() if grade >= 1):
             doc_ordinal = res.doc_index.ordinal_of.get(doc_id)
             if doc_ordinal is None:
-                logger.warning(
-                    "relevant document %r of training query %r missing from collection; skipped",
-                    doc_id, candidate.query.id,
-                )
+                if doc_id not in res.missing_documents:
+                    res.missing_documents.add(doc_id)
+                    logger.warning(
+                        "relevant document %r of training query %r missing from collection; skipped", doc_id, qid
+                    )
                 continue
             key = (doc_id, config.pseudo_query_m, config.n)
             found = res.pseudo_query_hits.get(key)
@@ -343,17 +438,20 @@ def expand_2hop(one_hop: QVSet, config: QppConfig, res: PipelineResources) -> QV
             hit_scores.append(found[1])
     ordinals, scores = np.concatenate(hit_ordinals), np.concatenate(hit_scores)
     excluded = np.zeros(res.query_index.size, dtype=bool)
-    ordinal_of = res.query_index.ordinal_of
-    excluded[[o for o in map(ordinal_of.get, [one_hop.target_query_id, *one_hop.query_ids()]) if o is not None]] = True
+    excluded[one_hop.ordinals] = True
+    target_ordinal = res.query_index.ordinal_of.get(one_hop.target_query_id)
+    if target_ordinal is not None:
+        excluded[target_ordinal] = True
     unseen = np.flatnonzero(~excluded[ordinals])
     _, first = np.unique(ordinals[unseen], return_index=True)
     first = unseen[np.sort(first)]
-    item_ids = res.query_index.item_ids
-    reached = [
-        QVCandidate(query=res.training_queries[item_ids[ordinal]], hop=2, retrieval_score=score)
-        for ordinal, score in zip(ordinals[first].tolist(), scores[first].tolist())
-    ]
-    return QVSet(one_hop.target_query_id, one_hop.candidates + reached)
+    return VariantPool(
+        one_hop.target_query_id,
+        np.concatenate((one_hop.ordinals, ordinals[first])),
+        np.concatenate((one_hop.hops, np.full(len(first), 2, dtype=np.int64))),
+        np.concatenate((one_hop.scores, scores[first])),
+        res,
+    )
 
 
 def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> OrdinalRun:
@@ -361,38 +459,35 @@ def _internal_run(text: str, config: QppConfig, res: PipelineResources) -> Ordin
     return bm25_ordinals(res.doc_index, tokenize(text), depth=config.internal_depth, k1=res.params.k1, b=res.params.b)
 
 
-def rerank_by_rbo(merged: QVSet, target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
+def rerank_by_rbo(pool: VariantPool, target: Query, config: QppConfig, res: PipelineResources) -> QVSet:
     """Keep the k candidates whose internal document rankings best overlap the target's.
 
     The target and each candidate retrieve their internal run over
     ``res.doc_index`` at ``internal_depth``, as ordinals and scores: the
     target's per call, a candidate's into its row of the run table (its
-    ``res.query_index`` ordinal; one the query index lacks is a
-    ValueError) the first time a pool gathers it. One :func:`rbo_rows`
-    pass scores the pool's rows against the target's run (a candidate
-    with an empty run gets overlap 0). Ties break by (hop ascending,
-    query id ascending). Only the k survivors carry their run, as views
-    of its row.
+    ``res.query_index`` ordinal) the first time a pool gathers it. One
+    :func:`rbo_rows` pass scores the pool's rows against the target's run
+    (a candidate with an empty run gets overlap 0). Ties break by (hop
+    ascending, query id ascending). Only the k survivors become
+    :class:`QVCandidate` objects, each carrying its run as views of its row.
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
-    candidates = merged.candidates
     table = res.run_table(config.internal_depth)
-    ordinals = list(map(res.query_index.ordinal_of.get, (c.query.id for c in candidates)))
-    if None in ordinals:
-        raise ValueError(f"variant candidate {candidates[ordinals.index(None)].query.id!r} is not in the query index")
-    rows = np.array(ordinals, dtype=np.int64)
-    for i in np.flatnonzero(table.lengths[rows] < 0).tolist():
-        table.fill(ordinals[i], _internal_run(candidates[i].query.text, config, res))
+    rows = pool.ordinals
+    item_ids, queries = res.query_index.item_ids, res.training_queries
+    for row in rows[table.lengths[rows] < 0].tolist():
+        table.fill(row, _internal_run(queries[item_ids[row]].text, config, res))
     overlaps = rbo_rows(
         target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.rbo_params
     )
-    hops = np.fromiter((c.hop for c in candidates), dtype=np.int64, count=len(candidates))
-    order = np.lexsort((res.query_index._id_rank[rows], hops, -overlaps))[: config.k]
+    order = np.lexsort((res.query_index._id_rank[rows], pool.hops, -overlaps))[: config.k]
     kept = [
-        replace(candidates[i], rbo=overlap, internal_run=table.run(ordinals[i]))
-        for i, overlap in zip(order.tolist(), overlaps[order].tolist())
+        QVCandidate(queries[item_ids[row]], hop, score, overlap, table.run(row))
+        for row, hop, score, overlap in zip(
+            rows[order].tolist(), pool.hops[order].tolist(), pool.scores[order].tolist(), overlaps[order].tolist()
+        )
     ]
-    return QVSet(merged.target_query_id, kept)
+    return QVSet(pool.target_query_id, kept)
 
 
 def base_predictions(

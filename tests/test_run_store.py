@@ -131,8 +131,9 @@ class TestReuse:
         assert cold["documents"] > targets and cold["queries"] > 0
         calls.update(documents=0, queries=0)
         assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
-        # only each target's own internal run is computed; every pool row and pseudo-query hit list is stored
-        assert calls == {"documents": targets, "queries": 0}
+        # only each target's own 1-hop ranking and internal run are computed; every pool row and pseudo-query
+        # hit list is stored
+        assert calls == {"documents": targets, "queries": targets}
 
     def test_index_writes_no_store(self, ws):
         assert sorted(path.name for path in ws["index"].iterdir()) == ["documents.idx", "queries.idx"]

@@ -37,6 +37,7 @@ from qvqpp import (
     tokenize,
 )
 from qvqpp.text_index import bm25_ordinals, bm25_retrieve, ranked_list
+from qvqpp.variants import VariantPool
 
 
 class TestQppConfig:
@@ -236,7 +237,7 @@ def seeded_merge(target_id, one_hop_ids, judged, hit_lists):
         res.pseudo_query_hits[(doc_id, config.pseudo_query_m, config.n)] = (
             np.array([i for i, _ in hits], dtype=np.int32), np.array([score for _, score in hits], dtype=np.float64)
         )
-    one_hop = QVSet(target_id, [QVCandidate(training[qid], 1, 10.0 - i) for i, qid in enumerate(one_hop_ids)])
+    one_hop = pool_of(target_id, [(qid, 1, 10.0 - i) for i, qid in enumerate(one_hop_ids)], res)
     got = expand_2hop(one_hop, config, res)
     relevant = [sorted(d for d, grade in judged.get(qid, []) if grade >= 1) for qid in one_hop_ids]
     want = oracles.merge_2hop(
@@ -295,8 +296,8 @@ class TestRerankByRbo:
             QVCandidate(query=corpus.train_queries[3], hop=1, retrieval_score=1.0),
             QVCandidate(query=corpus.train_queries[5], hop=1, retrieval_score=1.0),
         ]
-        merged = QVSet("zz", candidates)
         res = replace(resources, doc_index=build_index([("lone", "completely unrelated contents")]))
+        merged = pool_of("zz", [(c.query.id, c.hop, c.retrieval_score) for c in candidates], res)
         target = Query("zz", "xylophone zygote")  # no indexed term: an empty target run
         config = QppConfig(k=2, n=100)
         assert bm25_ordinals(res.doc_index, tokenize(target.text), config.internal_depth)[0].size == 0
@@ -520,6 +521,18 @@ class TestPipelineInvariants:
         assert value >= 0.0
 
 
+def pool_of(target_id, entries, res):
+    """The variant pool of (query id, hop, retrieval score) entries over ``res``'s query index."""
+    ordinal_of = res.query_index.ordinal_of
+    return VariantPool(
+        target_id,
+        np.array([ordinal_of[qid] for qid, _, _ in entries], dtype=np.int64),
+        np.array([hop for _, hop, _ in entries], dtype=np.int64),
+        np.array([score for _, _, score in entries], dtype=np.float64),
+        res,
+    )
+
+
 def resources_over(training, qrels, collection):
     """PipelineResources over inline training queries, qrels and documents."""
     return PipelineResources(
@@ -686,7 +699,7 @@ class TestRetrievalCache:
 
         monkeypatch.setattr(variants, "bm25_ordinals", counting)
         config = QppConfig(k=1, n=5)
-        merged = QVSet("T", [QVCandidate(q, 1, 1.0) for q in training.values()])
+        merged = pool_of("T", [(qid, 1, 1.0) for qid in training], res)
         rerank_by_rbo(merged, Query("T", "delta"), config, res)
         assert sorted(texts) == ["delta", "delta epsilon", "delta epsilon", "delta rho"]
         rerank_by_rbo(merged, Query("T", "delta"), config, res)
@@ -697,22 +710,31 @@ class TestRetrievalCache:
         assert np.array_equal(table.ordinals[0], table.ordinals[1]) and np.array_equal(table.scores[0], table.scores[1])
 
     def test_candidate_missing_from_query_index(self, corpus, resources):
-        ghost = QVCandidate(Query("ghost", "coffee beans"), hop=2, retrieval_score=1.0)
-        merged = QVSet("T", [QVCandidate(corpus.train_queries[0], 1, 1.0), ghost])
+        # a dense hit that is a training query the query index lacks
+        ghost = Query("ghost", "coffee beans")
+        training = {**corpus.training_query_map(), ghost.id: ghost}
+        ids = [*resources.embedding_store.ids, ghost.id]
+        vectors = [*resources.embedding_store.matrix, corpus.embeddings[corpus.test_queries[0].id]]
+        res = replace(resources, training_queries=training, embedding_store=store_from_arrays(ids, vectors))
+        config = QppConfig(k=1, n=100, query_retriever="dense")
         with pytest.raises(ValueError, match="variant candidate 'ghost' is not in the query index"):
-            rerank_by_rbo(merged, Query("T", "coffee"), QppConfig(k=1, n=100), replace(resources))
+            retrieve_1hop(corpus.test_queries[0], config, res)
 
-    def test_missing_relevant_doc_warns_for_every_target(self, corpus, resources, caplog):
+    def test_missing_relevant_doc_warns_once_per_command(self, corpus, resources, caplog):
+        # every training query judges the same missing document, so every target's pool reaches it
         qrels = {q.id: {"not-a-doc": 1} for q in corpus.train_queries}
         res = replace(resources, training_qrels=qrels)
         config = QppConfig(k=2, n=100)
-        for target in with_renamed_copies(corpus.test_queries):
-            one_hop = retrieve_1hop(target, config, res)
-            assert one_hop.candidates
-            caplog.clear()
-            with caplog.at_level(logging.WARNING):
+        targets = with_renamed_copies(corpus.test_queries)
+        assert all(retrieve_1hop(target, config, res).candidates for target in targets)
+        with caplog.at_level(logging.WARNING):
+            for target in targets:
                 build_qv_set(target, config, res)
-            assert caplog.text.count("'not-a-doc'") == len(one_hop.candidates)
+        assert caplog.text.count("'not-a-doc'") == 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            build_qv_set(targets[0], config, replace(res))  # a new command's resources warn again
+        assert caplog.text.count("'not-a-doc'") == 1
 
 
 def scripted_prediction(corpus, target, run, config, k1, b):
