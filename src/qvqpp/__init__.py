@@ -7,13 +7,18 @@ smoothing pipeline, and a TREC-style evaluation harness with 2-fold
 tuning and grid sweeps.
 
 Every name below is re-exported from its submodule, which is imported on
-the first access (PEP 562), so ``import qvqpp.cli`` loads no module a
-command does not use.
+the first access (PEP 562), so importing the package loads no submodule.
+The parameter objects (``QppConfig``, ``PredictorParams``, ``RboParams``)
+live in ``qvqpp.config``, which imports no pipeline layer. ``import
+qvqpp.cli`` loads only ``config``, ``corpus_io`` and ``text_index``; each
+command imports the other layers it runs when it starts (see
+:mod:`qvqpp.cli`).
 """
 
 import importlib
 
 _EXPORTS = {
+    "config": ("PredictorParams", "QppConfig", "RboParams"),
     "corpus_io": (
         "Document", "Qrels", "Query", "RankedList", "parse_collection", "parse_qrels", "parse_queries",
         "parse_run", "parse_score_tsv", "write_run", "write_score_tsv",
@@ -23,13 +28,13 @@ _EXPORTS = {
         "EvalPair", "FoldSpec", "ap_at_k", "fisher_z_compare", "kendall_tau", "ndcg_at_k", "sweep_grid", "tune_2fold",
     ),
     "predictors": (
-        "PredictorContext", "PredictorInput", "PredictorParams", "RelevanceModel", "build_relevance_model",
+        "PredictorContext", "PredictorInput", "RelevanceModel", "build_relevance_model",
         "collection_score", "derive_seed", "nqc", "rm_rerank", "uef",
     ),
-    "rank_sim": ("RboParams", "rbo_ext"),
+    "rank_sim": ("rbo_ext",),
     "text_index": ("bm25_retrieve", "build_index", "load_index", "make_pseudo_query", "save_index", "tokenize"),
     "variants": (
-        "PipelineResources", "QppConfig", "QVCandidate", "QVSet", "VariantPool", "base_predictions", "build_qv_set",
+        "PipelineResources", "QVCandidate", "QVSet", "VariantPool", "base_predictions", "build_qv_set",
         "expand_2hop", "rerank_by_rbo", "retrieve_1hop", "smooth_qpp",
     ),
 }

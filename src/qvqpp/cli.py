@@ -26,13 +26,21 @@ indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep`` adopt
 each store of their config whose header matches and whose every check
 passes, so later commands skip those BM25 calls; after writing their own
 output they rewrite a store, whole and atomically, when they computed rows
-it lacked. ``index`` writes no store. A stale or malformed store is
-ignored and rewritten, a store that cannot be written is a warning, and
-outputs never depend on a store, so deleting stores is always safe;
-``-v`` logs what became of each.
+it lacked. ``index`` writes no store; after writing the indexes it
+deletes every store whose header names other index fingerprints or cannot
+be read, reading only the headers, and every temporary file a killed store
+write left. A stale or malformed store is ignored and rewritten, a store
+that cannot be written is a warning, and outputs never depend on a store,
+so deleting stores is always safe; ``-v`` logs what became of each.
 
-Only ``evaluate``, ``tune`` and ``sweep`` load the evaluation layer
-(``qvqpp.evaluation``); ``index``, ``qv`` and ``predict`` never import it.
+Each command loads only the layers it runs. Importing this module loads
+``qvqpp.config``, ``corpus_io`` and ``text_index``; beyond those,
+
+- ``index`` loads nothing more;
+- ``evaluate`` loads ``evaluation``;
+- ``qv`` and ``predict`` load ``variants``, ``predictors`` and ``rank_sim``;
+- ``tune`` and ``sweep`` load those three and ``evaluation``;
+- ``dense_index`` is loaded only with ``qpp.query_retriever: dense``.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -64,7 +72,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import yaml
 
@@ -79,21 +87,14 @@ from .corpus_io import (
     parse_score_tsv,
     write_score_tsv,
 )
-from .dense_index import load_vectors
-from .predictors import UEF_POOL_FLOOR, PredictorParams
-from .rank_sim import RboParams
+from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
 from .text_index import (
-    StaleArtifactError, StoredRuns, build_index, file_sha256, load_index, load_runs, save_index, save_runs,
+    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, file_sha256, load_index, load_runs,
+    save_index, save_runs,
 )
-from .variants import (
-    PipelineResources,
-    QppConfig,
-    base_predictions,
-    blend,
-    build_qv_set,
-    predict_query,
-    variant_mean,
-)
+
+if TYPE_CHECKING:
+    from .variants import PipelineResources
 
 logger = logging.getLogger(__name__)
 
@@ -327,6 +328,36 @@ class _RunStore:
         logger.info("run store %s: %s, filled %d rows, %s", self.path.name, adopted, total - self.adopted, written)
 
 
+def _index_key(doc_index: InvertedIndex, query_index: InvertedIndex) -> dict:
+    """The part of every run store's key that names both indexes."""
+    return {"doc_index": doc_index.fingerprint, "query_index": query_index.fingerprint}
+
+
+def _prune_run_stores(index_dir: Path, key: dict) -> None:
+    """Delete the run stores in ``index_dir`` not keyed to the indexes that ``key`` names, and stray temporary files.
+
+    A store whose header names other fingerprints, or cannot be read, is
+    deleted, as is every temporary file a killed store write left. Only
+    each store's header is read.
+    """
+    doomed = []
+    for path in sorted(index_dir.glob(f"*{RUN_STORE_SUFFIX}")):
+        try:
+            check_runs_header(path, key)
+        except StaleArtifactError as exc:
+            doomed.append((path, f"stale key ({exc})"))
+        except (ValueError, OSError) as exc:
+            doomed.append((path, f"malformed ({exc})"))
+    doomed += [(path, "temporary file") for path in sorted(index_dir.glob(f".*{RUN_STORE_SUFFIX}.*.tmp"))]
+    for path, why in doomed:
+        try:
+            path.unlink()
+        except OSError as exc:
+            logger.warning("could not remove %s: %s", path, exc)
+        else:
+            logger.info("removed %s: %s", path.name, why)
+
+
 def _run_stores(cfg: PipelineConfig, res: PipelineResources) -> list[_RunStore]:
     """The run stores of ``cfg``: the internal runs, and the pseudo-query hits when 2-hop expansion is on.
 
@@ -334,7 +365,7 @@ def _run_stores(cfg: PipelineConfig, res: PipelineResources) -> list[_RunStore]:
     fingerprints of both indexes.
     """
     bm25 = {"bm25.k1": res.params.k1, "bm25.b": res.params.b}
-    indexes = {"doc_index": res.doc_index.fingerprint, "query_index": res.query_index.fingerprint}
+    indexes = _index_key(res.doc_index, res.query_index)
 
     def run_store(kind: str, params: dict, *memo) -> _RunStore:
         name = "-".join([kind, *(f"{key}={value!r}" for key, value in params.items())]) + RUN_STORE_SUFFIX
@@ -357,6 +388,8 @@ def _run_stores(cfg: PipelineConfig, res: PipelineResources) -> list[_RunStore]:
 
 def _load_resources(cfg: PipelineConfig) -> tuple[PipelineResources, list[_RunStore]]:
     """The pipeline's resources, with every run store of ``cfg`` that passes its checks adopted."""
+    from .variants import PipelineResources
+
     doc_index_path = cfg.index_dir / DOC_INDEX_FILE
     query_index_path = cfg.index_dir / QUERY_INDEX_FILE
     _require_files(doc_index_path, query_index_path, cfg.collection, cfg.train_queries, cfg.train_qrels)
@@ -365,6 +398,8 @@ def _load_resources(cfg: PipelineConfig) -> tuple[PipelineResources, list[_RunSt
         if cfg.embeddings is None:
             raise ValueError("dense query retriever configured but paths.embeddings is not set")
         _require_files(cfg.embeddings)
+        from .dense_index import load_vectors
+
         embeddings = load_vectors(cfg.embeddings)
     training_queries = parse_queries(cfg.train_queries)
     doc_index = load_index(doc_index_path)
@@ -432,7 +467,7 @@ def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> di
 
 
 def cmd_index(cfg: PipelineConfig) -> int:
-    """Build and persist the document index and the training-query index."""
+    """Build and persist the document index and the training-query index, then prune the run stores beside them."""
     _require_files(cfg.collection, cfg.train_queries)
     sources = (cfg.collection, cfg.train_queries)
     digests = [file_sha256(path) for path in sources]
@@ -450,6 +485,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
     query_index = build_index(((q.id, q.text) for q in queries), file_sha256=digests[1])
     save_index(doc_index, cfg.index_dir / DOC_INDEX_FILE)
     save_index(query_index, cfg.index_dir / QUERY_INDEX_FILE)
+    _prune_run_stores(cfg.index_dir, _index_key(doc_index, query_index))
     logger.info(
         "indexed %d documents (%d terms) and %d queries (%d terms)",
         doc_index.size, len(doc_index.terms), query_index.size, len(query_index.terms),
@@ -459,6 +495,8 @@ def cmd_index(cfg: PipelineConfig) -> int:
 
 def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write the re-ranked variant report: qid, variant_qid, hop, rbo, variant_text."""
+    from .variants import build_qv_set
+
     res, stores = _load_resources(cfg)
     targets = _load_targets(cfg)
     out = out_path or cfg.output_dir / "qv_report.tsv"
@@ -478,6 +516,8 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
 
 def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write one smoothed prediction per query in the target run file."""
+    from .variants import predict_query
+
     targets, run_map = _load_target_run(cfg, min_queries=1)
     res, stores = _load_resources(cfg)
     out = out_path or cfg.output_dir / "predictions.tsv"
@@ -567,6 +607,8 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
     ends the command before the grid starts. The cells are ``==`` to
     :func:`smooth_qpp` over the first k variants.
     """
+    from .variants import base_predictions, blend, build_qv_set, variant_mean
+
     widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
     phi_targets = {}
     means = {}
@@ -728,6 +770,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+def __getattr__(name: str):
+    """``predict_query``, the function ``predict`` runs per target, for callers that read it from this module.
+
+    It is looked up in :mod:`qvqpp.variants` on each read, so importing
+    this module loads no pipeline layer.
+    """
+    if name == "predict_query":
+        from .variants import predict_query
+
+        return predict_query
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

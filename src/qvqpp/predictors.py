@@ -36,13 +36,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_B, DEFAULT_K1, DEFAULT_MU, UEF_POOL_FLOOR, PredictorParams, RboParams
 from .corpus_io import RankedList
-from .rank_sim import RboParams, rbo_rows
-from .text_index import DEFAULT_B, DEFAULT_K1, InvertedIndex, OrdinalRun, _segments, ranked_list
+from .rank_sim import rbo_rows
+from .text_index import InvertedIndex, OrdinalRun, _segments, ranked_list
 
 COLLECTION_SCORE_FLOOR = 1e-6
-DEFAULT_MU = 1000.0
-UEF_POOL_FLOOR = 50
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -490,31 +489,6 @@ def derive_seed(global_seed: int, query_id: str) -> int:
     """Stable per-query seed so parallel scheduling cannot change outputs."""
     digest = hashlib.sha256(f"{global_seed}:{query_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass
-class PredictorParams:
-    """Knobs shared by the base predictors."""
-
-    top_k: int = 100
-    uef_samples: int = 20
-    uef_sample_size: int = 25
-    mu: float = DEFAULT_MU
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-
-    def __post_init__(self) -> None:
-        for name in ("top_k", "uef_samples", "uef_sample_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("mu", "k1"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
 @dataclass

@@ -16,26 +16,14 @@ run table) and UEF (stacked re-ranked heads). Its values are ``==`` to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
+from .config import RboParams
 from .corpus_io import RankedList
 
 ListLike = Union[RankedList, Sequence[str]]
-
-
-@dataclass(frozen=True)
-class RboParams:
-    p: float = 0.9
-    eval_depth: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if self.eval_depth < 1:
-            raise ValueError(f"eval_depth must be >= 1, got {self.eval_depth}")
 
 
 def _ids(ranking: ListLike) -> list[str]:

@@ -30,10 +30,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_B, DEFAULT_K1
 from .corpus_io import Document, RankedList
-
-DEFAULT_K1 = 0.9
-DEFAULT_B = 0.4
 
 INDEX_FORMAT = "qvqpp.inverted_index"
 INDEX_VERSION = 3
@@ -608,6 +606,16 @@ def save_runs(runs: StoredRuns, path, key: Mapping) -> None:
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
+
+
+def check_runs_header(path, key: Mapping) -> None:
+    """Read only the header of the run store at ``path``, never its rows.
+
+    A header that differs from ``key`` in any field is a
+    :class:`StaleArtifactError`; a file that is not a run store of this
+    version is a ValueError, as in :func:`load_runs`.
+    """
+    read_artifact(path, RUNS_FORMAT, RUNS_VERSION, {}, lambda header, values: None, key=key)
 
 
 def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRuns:

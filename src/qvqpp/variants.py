@@ -46,23 +46,22 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import RETRIEVER_BM25, PredictorParams, QppConfig
+from .config import BASE_PREDICTORS, RETRIEVER_DENSE  # noqa: F401  re-exported under their old names
 from .corpus_io import Qrels, Query, RankedList
-from .dense_index import EmbeddingStore, knn_cosine
-from .predictors import PredictorContext, PredictorParams
-from .rank_sim import RboParams, rbo_rows
+from .predictors import PredictorContext
+from .rank_sim import rbo_rows
 from .text_index import InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, pseudo_query_terms, tokenize
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
+if TYPE_CHECKING:  # the dense layer loads only on the dense path
+    from .dense_index import EmbeddingStore
+
 logger = logging.getLogger(__name__)
-
-RETRIEVER_BM25 = "bm25"
-RETRIEVER_DENSE = "dense"
-
-BASE_PREDICTORS = ("nqc", "uef")
 
 # 1-hop retrieval asks for this many hits beyond n, so that the target and a few verbatim copies of it
 # can be dropped without asking for the whole ranking.
@@ -111,37 +110,6 @@ class QVSet:
 
     def top(self, k: int) -> "QVSet":
         return QVSet(self.target_query_id, list(self.candidates[:k]))
-
-
-@dataclass
-class QppConfig:
-    """All tunables of the smoothing estimator and the variant retrieval."""
-
-    lam: float = 0.5
-    k: int = 1
-    n: int = 100
-    query_retriever: str = RETRIEVER_BM25
-    use_2hop: bool = True
-    pseudo_query_m: int = 20
-    rbo_params: RboParams = field(default_factory=RboParams)
-    base: str = "nqc"
-    internal_depth: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.n <= self.k:
-            raise ValueError(f"candidate pool n ({self.n}) must exceed k ({self.k})")
-        if self.query_retriever not in (RETRIEVER_BM25, RETRIEVER_DENSE):
-            raise ValueError(f"unknown query retriever {self.query_retriever!r}")
-        if self.base not in BASE_PREDICTORS:
-            raise ValueError(f"unknown base predictor {self.base!r}")
-        if self.pseudo_query_m < 1:
-            raise ValueError(f"pseudo_query_m must be >= 1, got {self.pseudo_query_m}")
-        if self.internal_depth < 1:
-            raise ValueError(f"internal_depth must be >= 1, got {self.internal_depth}")
 
 
 class RunTable:
@@ -329,6 +297,8 @@ def _ranking(target: Query, tokens: list[str], depth: int, config: QppConfig, re
     if config.query_retriever == RETRIEVER_BM25:
         ordinals, scores = bm25_ordinals(res.query_index, tokens, depth=depth, k1=res.params.k1, b=res.params.b)
         return ordinals.astype(np.int64), scores
+    from .dense_index import knn_cosine
+
     ranked = knn_cosine(
         res.embedding_store, res.embedding_store.vector(target.id), depth=depth, exclude=(target.id,),
         query_id=target.id,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import qvqpp
 from qvqpp import QppConfig, Query, QVCandidate, QVSet, RankedList, base_predictions, smooth_qpp
 from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, save_index, write_score_tsv
-from qvqpp import cli
+from qvqpp import cli, dense_index, variants
 from qvqpp.cli import main
 from qvqpp.text_index import InvertedIndex
 
@@ -263,18 +263,21 @@ paths:
         def loaded(*args, **kwargs):
             raise AssertionError("an input was loaded")
 
-        for name in ("load_index", "load_vectors", "parse_queries", "parse_collection", "parse_run"):
+        for name in ("load_index", "parse_queries", "parse_collection", "parse_run"):
             monkeypatch.setattr(cli, name, loaded)
+        monkeypatch.setattr(dense_index, "load_vectors", loaded)  # the dense path imports it when it runs
         out = indexed_workspace["root"] / "never-written"
-        code = run_cli(
-            command, "--config", indexed_workspace["config"], "--out", out,
-            "--set", "qpp.base=uef", "--set", "predictor.uef_sample_size=500",
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: predictor.uef_sample_size 500 exceeds max(predictor.top_k, 50) = 100, "
-            "the most documents a UEF subset is drawn from\n"
-        )
+        for retriever in ("bm25", "dense"):
+            code = run_cli(
+                command, "--config", indexed_workspace["config"], "--out", out,
+                "--set", f"qpp.query_retriever={retriever}", "--set", "qpp.base=uef",
+                "--set", "predictor.uef_sample_size=500",
+            )
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: predictor.uef_sample_size 500 exceeds max(predictor.top_k, 50) = 100, "
+                "the most documents a UEF subset is drawn from\n"
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -976,7 +979,7 @@ class TestTuneAndSweep:
     def test_tune_baseline_checks_fisher_size_before_building_variants(self, indexed_workspace, tmp_path, capsys, monkeypatch):
         # the fixture's folds test 3 and 2 queries, fewer than Fisher's 4
         calls = []
-        monkeypatch.setattr(cli, "build_qv_set", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(variants, "build_qv_set", lambda *args, **kwargs: calls.append(args))
         baseline = tmp_path / "baseline.tsv"
         write_score_tsv(BASELINE_SCORES, baseline)
         code = run_cli("tune", "--config", indexed_workspace["config"], "--baseline", baseline, "--out", tmp_path / "t")
@@ -1031,7 +1034,7 @@ class TestTuneAndSweep:
         widest = replace(cfg.qpp, lam=max(lambdas), k=max(ks))
         qv_set = QVSet("T", candidates[: widest.k])
         phi = base_predictions(target, run, qv_set, widest, res)
-        with mock.patch.object(cli, "build_qv_set", lambda *args: qv_set):
+        with mock.patch.object(variants, "build_qv_set", lambda *args: qv_set):
             predict_fn = cli._prediction_engine(cfg, res, {"T": target}, {"T": run})
         for lam in lambdas:
             for k in ks:

@@ -180,11 +180,19 @@ class TestStaleStores:
 
     def test_store_of_an_edited_collection_not_adopted(self, ws, caplog):
         run(ws, "predict")
+        kept = ws["root"] / "kept"
+        kept.mkdir()
+        stores = sorted(ws["index"].glob("*.runs"))
+        for path in stores:
+            shutil.copy(path, kept / path.name)
         collection = ws["data"] / "collection.tsv"
         lines = collection.read_text(encoding="utf-8").splitlines()
         doc_id, text = lines[0].split("\t")
         collection.write_text("\n".join([f"{doc_id}\t{text} coffee crema", *lines[1:]]) + "\n", encoding="utf-8")
         assert main(["index", "--config", str(ws["config"])]) == 0
+        assert not list(ws["index"].glob("*.runs"))  # index deletes the stores of the old collection
+        for path in stores:  # put back, they are still refused
+            shutil.copy(kept / path.name, path)
         caplog.clear()
         edited = run(ws, "predict")
         assert all("not adopted: stale key (doc_index differs)" in line for line in store_lines(caplog).values())
@@ -196,6 +204,44 @@ def _cli(ws: dict, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "qvqpp", *argv, "--config", str(ws["config"])],
                           env=env, capture_output=True, text=True)
+
+
+class TestIndexPrunesStores:
+    def test_index_keeps_only_the_stores_of_its_indexes(self, ws, caplog):
+        run(ws, "predict")
+        keyed = store_paths(ws)["internal_runs"]
+        planted = {
+            "stale": ws["index"] / "internal_runs-stale.runs",
+            "malformed": ws["index"] / "pseudo_query_hits-malformed.runs",
+            "temporary": ws["index"] / f".{keyed.name}.4242.tmp",
+            "rows-unread": ws["index"] / "internal_runs-rows-unread.runs",
+        }
+        for path in planted.values():
+            shutil.copyfile(keyed, path)
+        _member_fault(lambda header, members: header.update(doc_index="another collection"))(planted["stale"])
+        STORE_FAULTS["truncated"](planted["malformed"])
+        STORE_FAULTS["ordinals-missing"](planted["rows-unread"])  # a header keyed to the new indexes
+        before = {path.name for path in ws["index"].iterdir()}
+        caplog.clear()
+
+        assert main(["-v", "index", "--config", str(ws["config"])]) == 0
+        gone = {planted[name].name for name in ("stale", "malformed", "temporary")}
+        assert {path.name for path in ws["index"].iterdir()} == before - gone
+        removed = sorted(record.getMessage() for record in caplog.records if record.getMessage().startswith("removed "))
+        assert [line.split(":")[0] for line in removed] == sorted(f"removed {name}" for name in gone)
+        assert f"removed {planted['stale'].name}: stale key (doc_index differs)" in removed
+        assert f"removed {planted['temporary'].name}: temporary file" in removed
+        caplog.clear()
+        assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
+        assert f"run store {keyed.name}: adopted " in store_lines(caplog)["internal_runs"]
+
+    def test_a_store_that_cannot_be_removed_is_a_warning(self, ws):
+        blocked = ws["index"] / "internal_runs-blocked.runs"
+        blocked.mkdir()  # unreadable as a store, and unlink refuses a directory
+        done = _cli(ws, "index")
+        assert done.returncode == 0
+        assert done.stderr.startswith(f"WARNING qvqpp.cli: could not remove {blocked}: ")
+        assert blocked.is_dir()
 
 
 class TestWritesAndLogs:

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import qvqpp
+from test_cli import NQC_PREDICTIONS_GOLDEN
 
 SRC = str(Path(qvqpp.__file__).resolve().parents[1])
+PIPELINE_LAYERS = ("qvqpp.variants", "qvqpp.predictors", "qvqpp.rank_sim", "qvqpp.dense_index", "qvqpp.evaluation")
 
 # index then predict in one process, into a fresh index and output directory; prints the loaded modules asked about
 COMMANDS_SCRIPT = """\
@@ -33,6 +35,64 @@ def test_index_and_predict_never_load_the_evaluation_layer(workspace, tmp_path):
     )
     assert (result.returncode, result.stdout) == (0, "False False False\n"), result.stderr
     assert (tmp_path / "out" / "predictions.tsv").exists()
+
+
+# one command in a fresh process; prints the pipeline layers it loaded
+LAYERS_SCRIPT = f"""\
+import sys
+from qvqpp.cli import main
+assert main(sys.argv[1:]) == 0
+print(*sorted(name for name in sys.modules if name in {PIPELINE_LAYERS}))
+"""
+
+
+def _python(*argv: str) -> str:
+    """The standard output of ``python argv`` run with the package on the path; it must exit 0."""
+    result = subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": SRC},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _layers(command: str, config, work: Path, *overrides: str) -> list[str]:
+    """The pipeline layers ``command`` loads over the index and outputs in ``work``, from its last output line."""
+    paths = ["--set", f"paths.index_dir={work}/index", "--set", f"paths.output_dir={work}/out"]
+    return _python("-c", LAYERS_SCRIPT, command, "--config", str(config), *paths, *overrides).split("\n")[-2].split()
+
+
+def test_index_and_evaluate_load_no_pipeline_layer_but_their_own(workspace, tmp_path):
+    predictions = tmp_path / "predictions.tsv"
+    predictions.write_text(NQC_PREDICTIONS_GOLDEN, encoding="utf-8")
+    assert _layers("index", workspace["config"], tmp_path) == []
+    assert _layers("evaluate", workspace["config"], tmp_path, "--predictions", str(predictions)) == [
+        "qvqpp.evaluation"
+    ]
+
+
+def test_only_the_dense_path_loads_the_dense_layer(workspace, tmp_path):
+    _layers("index", workspace["config"], tmp_path)
+    bm25, dense = (
+        _layers("predict", workspace["config"], tmp_path, "--set", f"qpp.query_retriever={retriever}")
+        for retriever in ("bm25", "dense")
+    )
+    assert ("qvqpp.dense_index" in bm25, "qvqpp.dense_index" in dense) == (False, True)
+    assert {*bm25, "qvqpp.dense_index"} == {*dense} == {*PIPELINE_LAYERS} - {"qvqpp.evaluation"}
+
+
+def test_the_cli_reads_predict_query_from_the_variant_layer_when_asked():
+    code = (
+        "import sys, qvqpp.cli; loaded = 'qvqpp.variants' in sys.modules; import qvqpp.variants; "
+        "print(loaded, qvqpp.cli.predict_query is qvqpp.variants.predict_query)"
+    )
+    assert _python("-c", code) == "False True\n"
+
+
+def test_the_parameter_objects_load_no_pipeline_layer():
+    code = (
+        "import sys; from qvqpp import PredictorParams, QppConfig, RboParams; "
+        "print(*sorted(name for name in sys.modules if name.startswith('qvqpp')))"
+    )
+    assert _python("-c", code) == "qvqpp qvqpp.config\n"
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -32,7 +32,7 @@ from qvqpp import (
     store_from_arrays,
     tokenize,
 )
-from qvqpp import variants
+from qvqpp import dense_index, variants
 from qvqpp.dense_index import knn_cosine
 from qvqpp.text_index import bm25_ordinals, bm25_retrieve, pseudo_query_terms, ranked_list
 
@@ -178,14 +178,15 @@ class TestArrayPoolMatchesObjectStages:
         res = resources_over(training, {}, [Document("d1", "alpha beta gamma")], embeddings)
         config = QppConfig(k=1, n=3, query_retriever=retriever, use_2hop=False)
         depths = []
-        for name in ("bm25_ordinals", "knn_cosine"):
-            real = getattr(variants, name)
+        # the dense branch imports knn_cosine from its own module when it runs
+        for module, name in ((variants, "bm25_ordinals"), (dense_index, "knn_cosine")):
+            real = getattr(module, name)
 
             def counting(index, terms, depth, *args, real=real, **kwargs):
                 depths.append(depth)
                 return real(index, terms, depth, *args, **kwargs)
 
-            monkeypatch.setattr(variants, name, counting)
+            monkeypatch.setattr(module, name, counting)
         pool = retrieve_1hop(target, config, res)
         whole = res.query_index.size if retriever == "bm25" else len(res.embedding_store)
         assert depths == [config.n + variants.ONE_HOP_MARGIN, whole]
