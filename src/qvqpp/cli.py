@@ -16,22 +16,35 @@ from; the config is refused before anything is loaded.
 
 ``paths.index_dir`` holds the two indexes that ``index`` writes
 (``documents.idx`` and ``queries.idx``) and the run stores (``*.runs``).
-A run store keeps BM25 results that depend only on the training set:
-the training queries' internal runs (``internal_runs-*.runs``, keyed by
-``bm25.k1``, ``bm25.b`` and ``qpp.internal_depth``) or, with 2-hop
-expansion on, the training queries that judged documents' pseudo-queries
-retrieve (``pseudo_query_hits-*.runs``, keyed by ``bm25.k1``, ``bm25.b``,
-``qpp.pseudo_query_m`` and ``qpp.n``). Its header also records both
-indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep`` adopt
-each store of their config whose header matches and whose every check
-passes, so later commands skip those BM25 calls; after writing their own
-output they rewrite a store, whole and atomically, when they computed rows
-it lacked. ``index`` writes no store; after writing the indexes it
+A run store keeps results that depend only on the training set, one kind
+per file:
+
+- ``internal_runs-*.runs``: the training queries' internal BM25 runs,
+  keyed by ``bm25.k1``, ``bm25.b`` and ``qpp.internal_depth``;
+- ``pseudo_query_hits-*.runs``, with 2-hop expansion on: the training
+  queries that judged documents' pseudo-queries retrieve, keyed by
+  ``bm25.k1``, ``bm25.b``, ``qpp.pseudo_query_m`` and ``qpp.n``;
+- ``variant_phi-*.runs``: the base prediction of each training query
+  kept as a variant, over its internal run, keyed by ``qpp.base``,
+  ``qpp.internal_depth``, every ``predictor.*`` and ``bm25.*`` value,
+  ``seed``, ``qpp.rbo_p`` and ``qpp.rbo_depth``, and by the predictors'
+  version, which changes whenever their arithmetic does.
+
+A store's file name holds its kind and key (or, were that name too long
+for a file system, the kind and a digest of the key); its header also
+records both indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep`` adopt
+each store of their config (``qv`` has no base predictions) whose header
+matches and whose every check passes, so later commands skip that BM25
+and predictor work; after writing their own output they rewrite a store,
+whole and atomically, when they computed rows it lacked. A target's own
+run is never stored. ``index`` writes no store; after writing the indexes it
 deletes every store whose header names other index fingerprints or cannot
 be read, reading only the headers, and every temporary file a killed store
 write left. A stale or malformed store is ignored and rewritten, a store
 that cannot be written is a warning, and outputs never depend on a store,
-so deleting stores is always safe; ``-v`` logs what became of each.
+so deleting stores is always safe; ``-v`` logs what became of each, and
+how many base predictions were evaluated and how many read from a store's
+table.
 
 Each command loads only the layers it runs. Importing this module loads
 ``qvqpp.config``, ``corpus_io`` and ``text_index``; beyond those,
@@ -67,6 +80,7 @@ working example):
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import sys
 from dataclasses import dataclass, field, replace
@@ -89,8 +103,8 @@ from .corpus_io import (
 )
 from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
 from .text_index import (
-    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, file_sha256, load_index, load_runs,
-    save_index, save_runs,
+    InvertedIndex, StaleArtifactError, StoredRuns, StoredValues, build_index, check_runs_header, file_sha256,
+    load_index, load_runs, load_values, save_index, save_runs,
 )
 
 if TYPE_CHECKING:
@@ -104,6 +118,9 @@ TARGET_METRICS = ("ap@100", "ndcg@10")
 DOC_INDEX_FILE = "documents.idx"
 QUERY_INDEX_FILE = "queries.idx"
 RUN_STORE_SUFFIX = ".runs"
+# The longest store name whose temporary file (".NAME.PID.tmp", a pid of up to 7 digits) still fits the 255-byte
+# file-name limit of common file systems; a store whose spelled-out key is longer is named by the key's digest.
+RUN_STORE_NAME_LIMIT = 242
 
 REQUIRED_PATHS = ("collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run",
                   "index_dir", "output_dir")
@@ -287,19 +304,17 @@ class _RunStore:
 
     path: Path
     key: dict
-    rows: int  # the stored keys lie in [0, rows)
-    items: int  # the stored ordinals lie in [0, items)
-    width: int  # the longest run
-    adopt: Callable[[StoredRuns], None]
+    read: Callable[[Path, dict], StoredRuns | StoredValues]  # load_runs or load_values, with the memo's bounds
+    adopt: Callable[[StoredRuns | StoredValues], None]
     count: Callable[[], int]  # rows in the memo now
-    stored: Callable[[], StoredRuns]
+    stored: Callable[[], StoredRuns | StoredValues]
     adopted: int = 0
     refused: str = ""  # why the store was not adopted
 
     def load(self) -> None:
         """Adopt the store into its memo if its header matches and every check passes; else note why not."""
         try:
-            runs = load_runs(self.path, self.key, self.rows, self.items, self.width)
+            runs = self.read(self.path, self.key)
         except FileNotFoundError:
             self.refused = "absent"
         except StaleArtifactError as exc:
@@ -358,36 +373,63 @@ def _prune_run_stores(index_dir: Path, key: dict) -> None:
             logger.info("removed %s: %s", path.name, why)
 
 
-def _run_stores(cfg: PipelineConfig, res: PipelineResources) -> list[_RunStore]:
-    """The run stores of ``cfg``: the internal runs, and the pseudo-query hits when 2-hop expansion is on.
+def _config_values(owner: type, obj) -> dict:
+    """The config keys that ``owner`` holds, each with its value in ``obj``, in schema order."""
+    return {dotted: getattr(obj, name) for dotted, (key_owner, name, _) in CONFIG_SCHEMA.items() if key_owner is owner}
 
-    A store's file name holds its kind and parameters; its key adds the
-    fingerprints of both indexes.
+
+def _run_stores(cfg: PipelineConfig, res: PipelineResources, phi: bool) -> list[_RunStore]:
+    """The run stores of ``cfg``: the internal runs, the pseudo-query hits when 2-hop expansion is on, and
+    the variants' base predictions when ``phi``.
+
+    A store's file name holds its kind and parameters (a digest of them
+    when spelled out they would make too long a file name); its key adds
+    the fingerprints of both indexes, and the phi store's the predictors'
+    version.
     """
+    from .predictors import PREDICTOR_VERSION
+
     bm25 = {"bm25.k1": res.params.k1, "bm25.b": res.params.b}
     indexes = _index_key(res.doc_index, res.query_index)
 
-    def run_store(kind: str, params: dict, *memo) -> _RunStore:
+    def run_store(kind: str, params: dict, *memo, **fixed) -> _RunStore:
         name = "-".join([kind, *(f"{key}={value!r}" for key, value in params.items())]) + RUN_STORE_SUFFIX
-        return _RunStore(cfg.index_dir / name, {"kind": kind, **params, **indexes}, *memo)
+        if len(name.encode()) > RUN_STORE_NAME_LIMIT:
+            name = f"{kind}-{hashlib.sha256(name.encode()).hexdigest()[:16]}{RUN_STORE_SUFFIX}"
+        return _RunStore(cfg.index_dir / name, {"kind": kind, **params, **fixed, **indexes}, *memo)
 
     depth, m, n = cfg.qpp.internal_depth, cfg.qpp.pseudo_query_m, cfg.qpp.n
     table = res.run_table(depth)
     stores = [run_store(
-        "internal_runs", {**bm25, "qpp.internal_depth": depth}, res.query_index.size, res.doc_index.size,
-        table.width, table.adopt, lambda: table.filled, table.stored,
+        "internal_runs", {**bm25, "qpp.internal_depth": depth},
+        partial(load_runs, rows=res.query_index.size, items=res.doc_index.size, width=table.width),
+        table.adopt, lambda: table.filled, table.stored,
     )]
     if cfg.qpp.use_2hop:
         stores.append(run_store(
-            "pseudo_query_hits", {**bm25, "qpp.pseudo_query_m": m, "qpp.n": n}, res.doc_index.size,
-            res.query_index.size, min(n, res.query_index.size), partial(res.adopt_pseudo_query_hits, m, n),
-            partial(res.pseudo_query_hit_count, m, n), partial(res.stored_pseudo_query_hits, m, n),
+            "pseudo_query_hits", {**bm25, "qpp.pseudo_query_m": m, "qpp.n": n},
+            partial(load_runs, rows=res.doc_index.size, items=res.query_index.size, width=min(n, res.query_index.size)),
+            partial(res.adopt_pseudo_query_hits, m, n), partial(res.pseudo_query_hit_count, m, n),
+            partial(res.stored_pseudo_query_hits, m, n),
+        ))
+    if phi:
+        phi_table = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
+        params = {
+            "qpp.base": cfg.qpp.base, "qpp.internal_depth": depth, **_config_values(PredictorParams, res.params),
+            "seed": res.seed, **_config_values(RboParams, cfg.qpp.rbo_params),
+        }
+        stores.append(run_store(
+            "variant_phi", params, partial(load_values, rows=res.query_index.size), phi_table.adopt,
+            lambda: phi_table.filled, phi_table.stored, predictor_version=PREDICTOR_VERSION,
         ))
     return stores
 
 
-def _load_resources(cfg: PipelineConfig) -> tuple[PipelineResources, list[_RunStore]]:
-    """The pipeline's resources, with every run store of ``cfg`` that passes its checks adopted."""
+def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineResources, list[_RunStore]]:
+    """The pipeline's resources, with every run store of ``cfg`` that passes its checks adopted.
+
+    Without ``phi`` (``qv``, which evaluates no predictor) the variants' base predictions are not loaded.
+    """
     from .variants import PipelineResources
 
     doc_index_path = cfg.index_dir / DOC_INDEX_FILE
@@ -421,14 +463,20 @@ def _load_resources(cfg: PipelineConfig) -> tuple[PipelineResources, list[_RunSt
         params=cfg.predictor,
         seed=cfg.seed,
     )
-    stores = _run_stores(cfg, res)
+    stores = _run_stores(cfg, res, phi)
     for run_store in stores:
         run_store.load()
     return res, stores
 
 
-def _save_run_stores(stores: Sequence[_RunStore]) -> None:
-    """Write each store whose memo gained rows; called after the command's own outputs are written."""
+def _save_run_stores(res: PipelineResources, stores: Sequence[_RunStore]) -> None:
+    """Log the command's base-predictor work, then write each store whose memo gained rows.
+
+    Called after the command's own outputs are written.
+    """
+    logger.info(
+        "base predictor: %d evaluations, %d values read from a phi table", res.predictor.evaluations, res.phi_reads
+    )
     for run_store in stores:
         run_store.save()
 
@@ -497,7 +545,7 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Write the re-ranked variant report: qid, variant_qid, hop, rbo, variant_text."""
     from .variants import build_qv_set
 
-    res, stores = _load_resources(cfg)
+    res, stores = _load_resources(cfg, phi=False)
     targets = _load_targets(cfg)
     out = out_path or cfg.output_dir / "qv_report.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -510,7 +558,7 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
             lines.append(f"{qid}\t{cand.query.id}\t{cand.hop}\t{cand.rbo:.6f}\t{cand.query.text}\n")
     out.write_text("".join(lines), encoding="utf-8")
     logger.info("wrote %s", out)
-    _save_run_stores(stores)
+    _save_run_stores(res, stores)
     return 0
 
 
@@ -528,7 +576,7 @@ def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     }
     write_score_tsv(predictions, out)
     logger.info("wrote %s (%d queries)", out, len(predictions))
-    _save_run_stores(stores)
+    _save_run_stores(res, stores)
     return 0
 
 
@@ -682,7 +730,7 @@ def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: P
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
-    _save_run_stores(stores)
+    _save_run_stores(res, stores)
     return 0
 
 
@@ -699,7 +747,7 @@ def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     lines += [f"{lam:g},{k},{tau:.6f}\n" for lam, k, tau in rows]
     out.write_text("".join(lines), encoding="utf-8")
     logger.info("wrote %s (%d cells)", out, len(rows))
-    _save_run_stores(stores)
+    _save_run_stores(res, stores)
     return 0
 
 

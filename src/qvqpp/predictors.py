@@ -43,6 +43,8 @@ from .text_index import InvertedIndex, OrdinalRun, _segments, ranked_list
 
 COLLECTION_SCORE_FLOOR = 1e-6
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Bumped whenever a predictor's arithmetic changes, so no stored base prediction written before is adopted.
+PREDICTOR_VERSION = 1
 
 
 @dataclass
@@ -498,17 +500,20 @@ class PredictorContext:
     A run is a ranked list, or a run over ``index`` as int32 ordinals and
     float64 scores (a variant's run-table row): NQC reads its scores and
     UEF its ids. UEF's RBO parameters come with each call, from the
-    caller's QppConfig. Results are memoized per (base, query, run, terms,
-    RBO parameters), an ordinal run keyed by its arrays' bytes.
-    Each target's phi table evaluates every query at most once, so the
-    memo only answers a training query that two targets both keep as a
-    variant. The pipeline's one context is ``PipelineResources.predictor``.
+    caller's QppConfig. Results are memoized in ``_cache`` per (base,
+    query, run, terms, RBO parameters), an ordinal run keyed by its arrays'
+    bytes, and ``evaluations`` counts the values computed. A variant's
+    value is read from ``PipelineResources``' phi table before this is
+    called, so the memo answers only a repeated target call; it stays
+    because the benchmark's tracer reads it to tell a hit. The pipeline's
+    one context is ``PipelineResources.predictor``.
     """
 
     index: InvertedIndex
     params: PredictorParams = field(default_factory=PredictorParams)
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
+    evaluations: int = field(default=0, init=False, repr=False, compare=False)
 
     def evaluate(
         self, base: str, run: RankedList | OrdinalRun, terms: Sequence[str], query_id: str, rbo_params: RboParams
@@ -539,5 +544,6 @@ class PredictorContext:
             )
         else:
             raise ValueError(f"unknown base predictor {base!r}")
+        self.evaluations += 1
         self._cache[key] = value
         return value

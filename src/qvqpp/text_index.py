@@ -587,8 +587,21 @@ class StoredRuns:
         return len(self.keys)
 
 
-def save_runs(runs: StoredRuns, path, key: Mapping) -> None:
+@dataclass(frozen=True)
+class StoredValues:
+    """One float64 value per row of some rows: row ``keys[i]`` (int64, ascending) has ``values[i]``."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def save_runs(runs: StoredRuns | StoredValues, path, key: Mapping) -> None:
     """Persist ``runs`` as a run-store artifact whose header holds ``key`` (JSON values) after the format and version.
+
+    Each array of ``runs`` is a member of its name.
 
     The store is written whole and atomically: to a temporary file beside
     ``path``, which then replaces ``path``, so a failed write leaves
@@ -600,9 +613,7 @@ def save_runs(runs: StoredRuns, path, key: Mapping) -> None:
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     header = {"format": RUNS_FORMAT, "version": RUNS_VERSION, **key}
     try:
-        write_artifact(temporary, header, {
-            "keys": runs.keys, "ptr": runs.ptr, "ordinals": runs.ordinals, "scores": runs.scores,
-        })
+        write_artifact(temporary, header, vars(runs))
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
@@ -618,6 +629,20 @@ def check_runs_header(path, key: Mapping) -> None:
     read_artifact(path, RUNS_FORMAT, RUNS_VERSION, {}, lambda header, values: None, key=key)
 
 
+def _in_range(bound: int, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A member check: every entry lies in [0, ``bound``)."""
+    def check(array: np.ndarray) -> np.ndarray:
+        if len(array) and (array.min() < 0 or array.max() >= bound):
+            raise ValueError(f"a {what} is outside [0, {bound})")
+        return array
+    return check
+
+
+def _check_ascending(keys: np.ndarray) -> None:
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError("keys are not ascending and distinct")
+
+
 def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRuns:
     """Read runs written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
 
@@ -628,18 +653,10 @@ def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRu
     holds distinct ordinals in [0, ``items``) with finite scores above 0
     that never increase along the run.
     """
-    def in_range(bound: int, what: str):
-        def check(array: np.ndarray) -> np.ndarray:
-            if len(array) and (array.min() < 0 or array.max() >= bound):
-                raise ValueError(f"a {what} is outside [0, {bound})")
-            return array
-        return check
-
     def assemble(header: dict, values: dict) -> StoredRuns:
         runs = StoredRuns(**values)
         keys, ptr, ordinals, scores = runs.keys, runs.ptr, runs.ordinals, runs.scores
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("keys are not ascending and distinct")
+        _check_ascending(keys)
         if len(ptr) != len(keys) + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
             raise ValueError("ptr is not a monotone offset per key")
         if ptr[-1] != len(ordinals) or len(scores) != len(ordinals):
@@ -658,9 +675,29 @@ def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRu
         return runs
 
     schema = {
-        "keys": (np.int64, 1, in_range(rows, "key")),
+        "keys": (np.int64, 1, _in_range(rows, "key")),
         "ptr": (np.int64, 1, None),
-        "ordinals": (np.int32, 1, in_range(items, "ordinal")),
+        "ordinals": (np.int32, 1, _in_range(items, "ordinal")),
         "scores": (np.float64, 1, None),
     }
+    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)
+
+
+def load_values(path, key: Mapping, rows: int) -> StoredValues:
+    """Read values written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
+
+    A header that differs from ``key`` in any field is a
+    :class:`StaleArtifactError`. The keys must be distinct rows in [0,
+    ``rows``) in ascending order, each with one finite value.
+    """
+    def assemble(header: dict, values: dict) -> StoredValues:
+        stored = StoredValues(**values)
+        _check_ascending(stored.keys)
+        if len(stored.values) != len(stored.keys):
+            raise ValueError("keys and values disagree in length")
+        if not np.all(np.isfinite(stored.values)):
+            raise ValueError("a value is not finite")
+        return stored
+
+    schema = {"keys": (np.int64, 1, _in_range(rows, "key")), "values": (np.float64, 1, None)}
     return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)

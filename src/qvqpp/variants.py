@@ -18,13 +18,15 @@ The pipeline for one target query:
    internal depth, a row per query-index ordinal, filled the first time a
    pool gathers it; :func:`rbo_rows` scores a pool's rows against the
    target's run in one pass of array operations;
-4. evaluate the base predictor once on the target run and on each kept
-   candidate's internal run, read from its run-table row (the phi table of
-   :func:`base_predictions`), then blend the target's estimate with the
-   overlap-weighted average of the candidates' estimates
-   (:func:`variant_mean`, :func:`blend`) by plain arithmetic over that
-   table. A (lambda, k) grid re-runs no predictor and, as that average
-   does not depend on lambda, takes it once per k.
+4. evaluate the base predictor on the target run, and take each kept
+   candidate's phi, the base prediction of its internal run (its run-table
+   row), from the :class:`PhiTable` of the base, internal depth and RBO
+   parameters, evaluating it only the first time any target keeps that
+   candidate (the phi table of :func:`base_predictions`); then blend the
+   target's estimate with the overlap-weighted average of the candidates'
+   estimates (:func:`variant_mean`, :func:`blend`) by plain arithmetic
+   over that table. A (lambda, k) grid re-runs no predictor and, as that
+   average does not depend on lambda, takes it once per k.
 
 Steps 1 to 3 pass the pool as one :class:`VariantPool` of arrays
 (query-index ordinals, hops, retrieval scores): target exclusion,
@@ -36,26 +38,30 @@ embedding store, BM25 and predictor knobs, seed), its memo, run tables
 and base predictor from one :class:`PipelineResources`, which holds each
 once, so no memo or table is read against an index or ``k1``/``b`` other
 than those that filled it. RBO parameters come from :class:`QppConfig`.
-Both target-independent memos, the run tables and the pseudo-query hits,
-also take and give their filled rows as :class:`StoredRuns`, so the CLI
+The target-independent memos, the run tables, the pseudo-query hits and
+the phi tables, also take and give their filled rows as
+:class:`StoredRuns` (a phi table as :class:`StoredValues`), so the CLI
 can keep them in run stores beside the index across commands.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import RETRIEVER_BM25, PredictorParams, QppConfig
+from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
 from .config import BASE_PREDICTORS, RETRIEVER_DENSE  # noqa: F401  re-exported under their old names
 from .corpus_io import Qrels, Query, RankedList
 from .predictors import PredictorContext
 from .rank_sim import rbo_rows
-from .text_index import InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, pseudo_query_terms, tokenize
+from .text_index import (
+    InvertedIndex, OrdinalRun, StoredRuns, StoredValues, bm25_ordinals, pseudo_query_terms, tokenize,
+)
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
 if TYPE_CHECKING:  # the dense layer loads only on the dense path
@@ -168,6 +174,32 @@ class RunTable:
         return self.ordinals[row, :n], self.scores[row, :n]
 
 
+class PhiTable:
+    """The base predictions of the training queries' internal runs under one (base, internal depth, RBO parameters).
+
+    ``values[o]`` is phi of the internal run of query-index ordinal ``o``
+    (float64), NaN while unknown. A value depends only on its query and
+    those settings, never on a target, so it is evaluated once; only a
+    finite value is kept, as only that can be stored.
+    """
+
+    def __init__(self, rows: int) -> None:
+        self.values = np.full(rows, np.nan)
+
+    @property
+    def filled(self) -> int:
+        """How many values are known."""
+        return int(np.count_nonzero(~np.isnan(self.values)))
+
+    def adopt(self, stored: StoredValues) -> None:
+        self.values[stored.keys] = stored.values
+
+    def stored(self) -> StoredValues:
+        """The known values, by ascending ordinal."""
+        keys = np.flatnonzero(~np.isnan(self.values))
+        return StoredValues(keys, self.values[keys])
+
+
 @dataclass
 class PipelineResources:
     """The fixed training set that every variant stage reads, its base predictor, memo and run tables.
@@ -188,16 +220,23 @@ class PipelineResources:
     training queries' internal BM25 runs over ``doc_index``, a row per
     ``query_index`` ordinal: the one store of those runs in a process.
 
+    ``phi_tables`` maps (base, internal_depth, RBO parameters) to the
+    :class:`PhiTable` that :func:`base_predictions` reads each kept
+    variant's phi from, a value per ``query_index`` ordinal, over
+    ``predictor``; ``phi_reads`` counts the values read from them.
+
     ``missing_documents`` holds the judged documents that 2-hop expansion
     found missing from ``doc_index``, so each is warned about once.
 
-    The memo, tables and that set fill lazily and, like ``predictor``, are not init
-    fields: ``dataclasses.replace`` starts them all empty, as it must when
-    it swaps an index or ``params``. Rows computed earlier over the same
-    indexes and ``params`` can be adopted first (:meth:`RunTable.adopt`,
-    :meth:`adopt_pseudo_query_hits`), and the filled rows read back
-    (:meth:`RunTable.stored`, :meth:`stored_pseudo_query_hits`) to keep
-    for later processes; adopted rows are the bytes a call would compute.
+    The memo, tables, count and that set fill lazily and, like
+    ``predictor``, are not init fields: ``dataclasses.replace`` starts them
+    all empty, as it must when it swaps an index, ``params`` or ``seed``.
+    Rows computed earlier over the same indexes, ``params`` and ``seed``
+    can be adopted first (:meth:`RunTable.adopt`,
+    :meth:`adopt_pseudo_query_hits`, :meth:`PhiTable.adopt`), and the
+    filled rows read back (:meth:`RunTable.stored`,
+    :meth:`stored_pseudo_query_hits`, :meth:`PhiTable.stored`) to keep for
+    later processes; adopted rows are the bytes a call would compute.
     """
 
     doc_index: InvertedIndex
@@ -211,6 +250,10 @@ class PipelineResources:
         default_factory=dict, init=False, repr=False, compare=False
     )
     run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
+    phi_tables: dict[tuple[str, int, RboParams], PhiTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    phi_reads: int = field(default=0, init=False, repr=False, compare=False)
     missing_documents: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     predictor: PredictorContext = field(init=False, repr=False, compare=False)
 
@@ -222,6 +265,14 @@ class PipelineResources:
         table = self.run_tables.get(depth)
         if table is None:
             table = self.run_tables[depth] = RunTable(self.query_index.size, min(depth, self.doc_index.size))
+        return table
+
+    def phi_table(self, base: str, depth: int, rbo_params: RboParams) -> PhiTable:
+        """The phi table of ``base`` over internal runs of depth ``depth``, empty when first asked for."""
+        key = (base, depth, rbo_params)
+        table = self.phi_tables.get(key)
+        if table is None:
+            table = self.phi_tables[key] = PhiTable(self.query_index.size)
         return table
 
     def pseudo_query_hit_count(self, m: int, n: int) -> int:
@@ -469,13 +520,17 @@ def base_predictions(
 ) -> dict[str, float]:
     """The phi table of one target: base predictions keyed by query id.
 
-    Holds phi(target run) under ``target_run.query_id`` and, only when
-    ``config.lam > 0``, phi of each candidate with a positive overlap
-    under its query id, evaluated in candidate order on its internal run
-    (its run-table row, which NQC reads as scores and UEF as ids).
-    A zero-weight candidate is never evaluated, so its (possibly empty)
-    run is never read. Computed at the largest lambda and k of a grid,
-    the table serves every smaller (lambda, k) of :func:`smooth_qpp`.
+    Holds phi(target run) under ``target_run.query_id``, evaluated on every
+    call, and, only when ``config.lam > 0``, phi of each candidate with a
+    positive overlap under its query id, taken in candidate order. A
+    candidate's phi is read from ``res``' :class:`PhiTable` of the config's
+    base, internal depth and RBO parameters, and evaluated on its internal
+    run (its run-table row, which NQC reads as scores and UEF as ids) only
+    when the table lacks it, so the first error raised is the one
+    evaluating every candidate would raise. A zero-weight candidate is
+    never evaluated, so its (possibly empty) run is never read. Computed at
+    the largest lambda and k of a grid, the table serves every smaller
+    (lambda, k) of :func:`smooth_qpp`.
     """
     phi = {
         target_run.query_id: res.predictor.evaluate(
@@ -483,12 +538,22 @@ def base_predictions(
         )
     }
     if config.lam > 0.0:
+        known = res.phi_table(config.base, config.internal_depth, config.rbo_params).values
+        ordinal_of = res.query_index.ordinal_of
         for candidate in qv_set.candidates:
             if candidate.rbo > 0.0:
-                phi[candidate.query.id] = res.predictor.evaluate(
-                    config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id,
-                    config.rbo_params,
-                )
+                row = ordinal_of[candidate.query.id]
+                value = float(known[row])
+                if math.isnan(value):
+                    value = res.predictor.evaluate(
+                        config.base, candidate.internal_run, tokenize(candidate.query.text), candidate.query.id,
+                        config.rbo_params,
+                    )
+                    if math.isfinite(value):
+                        known[row] = value
+                else:
+                    res.phi_reads += 1
+                phi[candidate.query.id] = value
     return phi
 
 

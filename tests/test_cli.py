@@ -20,6 +20,7 @@ from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, 
 from qvqpp import cli, dense_index, variants
 from qvqpp.cli import main
 from qvqpp.text_index import InvertedIndex
+from test_variants import predicting_resources
 
 # Outputs of the fixture workspace with its default 2-hop NQC configuration,
 # recorded before the internal runs and pseudo-query retrievals were cached
@@ -1029,7 +1030,7 @@ class TestTuneAndSweep:
         def evaluate(base, run, terms, query_id, rbo_params):
             return values[query_id]
 
-        res = SimpleNamespace(predictor=SimpleNamespace(evaluate=evaluate))
+        res = predicting_resources([c.query.id for c in candidates], SimpleNamespace(evaluate=evaluate))
         cfg = SimpleNamespace(qpp=QppConfig(n=100), lambdas=lambdas, ks=ks)
         widest = replace(cfg.qpp, lam=max(lambdas), k=max(ks))
         qv_set = QVSet("T", candidates[: widest.k])

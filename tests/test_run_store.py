@@ -8,6 +8,7 @@ a command with no store writes.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -21,12 +22,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qvqpp.predictors
 import qvqpp.variants
 from conftest import CONFIG_TEMPLATE, write_fixture_files
 from qvqpp import cli
 from qvqpp.cli import main
-from qvqpp.text_index import load_runs, write_artifact
-from test_cli import NQC_PREDICTIONS_GOLDEN, NQC_QV_GOLDEN, NQC_SWEEP_GOLDEN, TUNE_GOLDEN
+from qvqpp.text_index import StoredRuns, write_artifact
+from test_cli import (
+    NQC_PREDICTIONS_GOLDEN, NQC_QV_GOLDEN, NQC_SWEEP_GOLDEN, TUNE_GOLDEN, UEF_PREDICTIONS_GOLDEN, UEF_SWEEP_GOLDEN,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,6 +41,9 @@ OUTPUTS = {
     "tune": ("tune_report.txt", TUNE_GOLDEN),
     "sweep": ("sweep.csv", NQC_SWEEP_GOLDEN),
 }
+# The store kinds of the fixture config (2-hop expansion on); qv evaluates no predictor, so it reads no phi store.
+KINDS = ["internal_runs", "pseudo_query_hits", "variant_phi"]
+KINDS_OF = {command: KINDS[:2] if command == "qv" else KINDS for command in OUTPUTS}
 
 
 def make_workspace(root: Path, corpus, target_run) -> dict:
@@ -85,6 +92,12 @@ def remove_stores(ws: dict) -> None:
         path.unlink()
 
 
+def targets_of(ws: dict) -> list[str]:
+    """The query ids of the target run, in file order."""
+    lines = (ws["data"] / "target_run.txt").read_text().splitlines()
+    return list(dict.fromkeys(line.split()[0] for line in lines))
+
+
 @pytest.fixture(autouse=True)
 def info_logs(caplog):
     caplog.set_level(logging.INFO, logger="qvqpp.cli")
@@ -93,30 +106,36 @@ def info_logs(caplog):
 class TestReuse:
     @pytest.mark.parametrize("command", sorted(OUTPUTS))
     def test_cold_partial_and_warm_runs_write_the_same_bytes(self, ws, caplog, command):
-        golden = OUTPUTS[command][1]
-        assert run(ws, command) == golden
-        cold = store_lines(caplog)
-        assert sorted(cold) == ["internal_runs", "pseudo_query_hits"]
-        assert all(": not adopted: absent, filled " in line and ", wrote " in line for line in cold.values())
+        _check_reuse(ws, caplog, command, OUTPUTS[command][1])
 
-        # qv over one target leaves stores that hold part of the rows the full command needs
-        remove_stores(ws)
-        one_target = ws["root"] / "one_target.tsv"
-        one_target.write_text((ws["data"] / "test_queries.tsv").read_text().splitlines()[0] + "\n")
-        run(ws, "qv", f"paths.test_queries={one_target}", out=ws["root"] / "one_qv.tsv")
-        caplog.clear()
-        assert run(ws, command) == golden
-        for line in store_lines(caplog).values():
-            adopted, filled = (int(line.split(word)[1].split()[0]) for word in ("adopted ", "filled "))
-            assert adopted > 0 and filled > 0 and f"wrote {adopted + filled} rows" in line, line
+    @pytest.mark.parametrize("command, golden", [
+        ("predict", UEF_PREDICTIONS_GOLDEN), ("sweep", UEF_SWEEP_GOLDEN), ("tune", None),
+    ], ids=["predict", "sweep", "tune"])
+    def test_cold_partial_and_warm_uef_runs_write_the_same_bytes(self, ws, caplog, command, golden):
+        _check_reuse(ws, caplog, command, golden, "qpp.base=uef")
 
-        assert run(ws, command) == golden
-        warm = store_lines(caplog)
-        assert sorted(warm) == ["internal_runs", "pseudo_query_hits"]
-        assert all("filled 0 rows, not written: no new rows" in line for line in warm.values())
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_warm_command_evaluates_the_targets_only(self, ws, monkeypatch, command):
+        calls = {"uef": 0, "evaluate": 0}
+        uef, evaluate = qvqpp.predictors.uef, qvqpp.predictors.PredictorContext.evaluate
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qvqpp.predictors, "uef", counted("uef", uef))
+        monkeypatch.setattr(qvqpp.predictors.PredictorContext, "evaluate", counted("evaluate", evaluate))
+        cold_output = run(ws, command, "qpp.base=uef")
+        assert calls["uef"] > len(targets_of(ws))
+        calls.update(uef=0, evaluate=0)
+        # every kept variant's phi is stored: only each target's own run is evaluated
+        assert run(ws, command, "qpp.base=uef") == cold_output
+        assert calls == {"uef": len(targets_of(ws)), "evaluate": len(targets_of(ws))}
 
     def test_warm_predict_makes_no_bm25_call_for_a_stored_row(self, ws, monkeypatch):
-        targets = len({line.split()[0] for line in (ws["data"] / "target_run.txt").read_text().splitlines()})
+        targets = len(targets_of(ws))
         doc_ids = {line.split("\t")[0] for line in (ws["data"] / "collection.tsv").read_text().splitlines()}
         calls = {"documents": 0, "queries": 0}
         original = qvqpp.variants.bm25_ordinals
@@ -143,19 +162,73 @@ class TestReuse:
         run(ws, "predict", "qpp.internal_depth=50", out=ws["root"] / "depth50.tsv")
         assert len(list(ws["index"].glob("internal_runs-*.runs"))) == 2
         assert len(list(ws["index"].glob("pseudo_query_hits-*.runs"))) == 1
+        assert len(list(ws["index"].glob("variant_phi-*.runs"))) == 2
 
     def test_one_hop_config_reads_no_pseudo_query_store(self, ws, caplog):
         run(ws, "predict", "qpp.use_2hop=false")
-        assert sorted(store_lines(caplog)) == ["internal_runs"]
+        assert sorted(store_lines(caplog)) == ["internal_runs", "variant_phi"]
         assert not list(ws["index"].glob("pseudo_query_hits-*"))
+
+    def test_store_names_and_bytes_do_not_depend_on_the_string_hash_seed(self, ws):
+        written = {}
+        for hashseed in ("0", "1"):
+            remove_stores(ws)
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hashseed)
+            for command in ("predict", "sweep"):
+                subprocess.run([sys.executable, "-m", "qvqpp", command, "--config", str(ws["config"])],
+                               env=env, check=True, capture_output=True)
+            written[hashseed] = {path.name: path.read_bytes() for path in ws["index"].glob("*.runs")}
+        assert sorted(name.split("-")[0] for name in written["0"]) == KINDS
+        assert sorted(written["0"]) == sorted(written["1"])
+        for name, data in written["0"].items():
+            assert _header_bytes(data) == _header_bytes(written["1"][name]), name
+            assert data == written["1"][name], name
+
+
+def _check_reuse(ws: dict, caplog, command: str, golden: str | None, *overrides: str) -> None:
+    """A cold ``command``, one after a partial predict and a warm one write ``golden`` (the cold bytes if None)."""
+    output = run(ws, command, *overrides)
+    golden = golden or output
+    assert output == golden
+    cold = store_lines(caplog)
+    assert sorted(cold) == KINDS_OF[command]
+    assert all(": not adopted: absent, filled " in line and ", wrote " in line for line in cold.values())
+
+    # predict over one target leaves stores that hold part of the rows the full command needs
+    remove_stores(ws)
+    first = targets_of(ws)[0]
+    one_target = ws["root"] / "one_target.txt"
+    lines = (ws["data"] / "target_run.txt").read_text().splitlines()
+    one_target.write_text("".join(f"{line}\n" for line in lines if line.split()[0] == first))
+    run(ws, "predict", f"paths.target_run={one_target}", *overrides, out=ws["root"] / "one_predict.tsv")
+    caplog.clear()
+    assert run(ws, command, *overrides) == golden
+    for line in store_lines(caplog).values():
+        adopted, filled = (int(line.split(word)[1].split()[0]) for word in ("adopted ", "filled "))
+        assert adopted > 0 and filled > 0 and f"wrote {adopted + filled} rows" in line, line
+
+    assert run(ws, command, *overrides) == golden
+    warm = store_lines(caplog)
+    assert sorted(warm) == KINDS_OF[command]
+    assert all("filled 0 rows, not written: no new rows" in line for line in warm.values())
 
 
 class TestStaleStores:
+    # one override per key field: each names another store of every kind whose key holds that field
     @pytest.mark.parametrize("override, stale", [
-        ("bm25.k1=1.2", {"internal_runs", "pseudo_query_hits"}),
-        ("qpp.internal_depth=50", {"internal_runs"}),
+        ("bm25.k1=1.2", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
+        ("bm25.b=0.5", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
+        ("qpp.internal_depth=50", {"internal_runs", "variant_phi"}),
         ("qpp.pseudo_query_m=10", {"pseudo_query_hits"}),
         ("qpp.n=50", {"pseudo_query_hits"}),
+        ("qpp.base=uef", {"variant_phi"}),
+        ("predictor.top_k=50", {"variant_phi"}),
+        ("predictor.uef_samples=3", {"variant_phi"}),
+        ("predictor.uef_sample_size=3", {"variant_phi"}),
+        ("predictor.mu=500.0", {"variant_phi"}),
+        ("seed=7", {"variant_phi"}),
+        ("qpp.rbo_p=0.8", {"variant_phi"}),
+        ("qpp.rbo_depth=50", {"variant_phi"}),
     ])
     def test_store_of_other_parameters_not_adopted(self, ws, caplog, override, stale):
         expected = run(ws, "predict", override)  # cold, with this config's own stores written
@@ -177,6 +250,17 @@ class TestStaleStores:
         # the rewritten stores hold this config's rows only: a warm run adopts them all
         assert run(ws, "predict", override) == expected
         assert all("filled 0 rows" in line for line in store_lines(caplog).values())
+
+    def test_phi_store_of_another_predictor_version_not_adopted(self, ws, caplog):
+        run(ws, "predict")
+        path = store_paths(ws)["variant_phi"]
+        written = path.read_bytes()
+        _member_fault(lambda header, members: header.update(predictor_version=header["predictor_version"] + 1))(path)
+        caplog.clear()
+        assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
+        line = store_lines(caplog)["variant_phi"]
+        assert "not adopted: stale key (predictor_version differs)" in line and ", wrote " in line, line
+        assert path.read_bytes() == written
 
     def test_store_of_an_edited_collection_not_adopted(self, ws, caplog):
         run(ws, "predict")
@@ -210,30 +294,36 @@ class TestIndexPrunesStores:
     def test_index_keeps_only_the_stores_of_its_indexes(self, ws, caplog):
         run(ws, "predict")
         keyed = store_paths(ws)["internal_runs"]
+        phi = store_paths(ws)["variant_phi"]
         planted = {
             "stale": ws["index"] / "internal_runs-stale.runs",
+            "phi-stale": ws["index"] / "variant_phi-stale.runs",
             "malformed": ws["index"] / "pseudo_query_hits-malformed.runs",
             "temporary": ws["index"] / f".{keyed.name}.4242.tmp",
             "rows-unread": ws["index"] / "internal_runs-rows-unread.runs",
         }
-        for path in planted.values():
-            shutil.copyfile(keyed, path)
-        _member_fault(lambda header, members: header.update(doc_index="another collection"))(planted["stale"])
+        for name, path in planted.items():
+            shutil.copyfile(phi if name == "phi-stale" else keyed, path)
+        for name in ("stale", "phi-stale"):
+            _member_fault(lambda header, members: header.update(doc_index="another collection"))(planted[name])
         STORE_FAULTS["truncated"](planted["malformed"])
         STORE_FAULTS["ordinals-missing"](planted["rows-unread"])  # a header keyed to the new indexes
         before = {path.name for path in ws["index"].iterdir()}
         caplog.clear()
 
         assert main(["-v", "index", "--config", str(ws["config"])]) == 0
-        gone = {planted[name].name for name in ("stale", "malformed", "temporary")}
+        gone = {planted[name].name for name in ("stale", "phi-stale", "malformed", "temporary")}
         assert {path.name for path in ws["index"].iterdir()} == before - gone
         removed = sorted(record.getMessage() for record in caplog.records if record.getMessage().startswith("removed "))
         assert [line.split(":")[0] for line in removed] == sorted(f"removed {name}" for name in gone)
         assert f"removed {planted['stale'].name}: stale key (doc_index differs)" in removed
+        assert f"removed {planted['phi-stale'].name}: stale key (doc_index differs)" in removed
         assert f"removed {planted['temporary'].name}: temporary file" in removed
         caplog.clear()
         assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
-        assert f"run store {keyed.name}: adopted " in store_lines(caplog)["internal_runs"]
+        lines = store_lines(caplog)
+        assert f"run store {keyed.name}: adopted " in lines["internal_runs"]
+        assert f"run store {phi.name}: adopted " in lines["variant_phi"]
 
     def test_a_store_that_cannot_be_removed_is_a_warning(self, ws):
         blocked = ws["index"] / "internal_runs-blocked.runs"
@@ -256,20 +346,48 @@ class TestWritesAndLogs:
         assert blocked.is_dir() and not list(ws["index"].glob(".*.tmp"))
         assert len(list(ws["index"].glob("pseudo_query_hits-*.runs"))) == 1
 
-    def test_verbose_logs_every_store_and_changes_no_output(self, ws):
-        out = ws["root"] / "work" / "out" / "predictions.tsv"
-        quiet = _cli(ws, "predict")
+    def test_a_key_too_long_to_spell_out_names_its_store_by_a_digest(self, ws):
+        # a seed of 200 digits makes the spelled-out phi key longer than a file name may be
+        seed = f"seed={'7' * 200}"
+        first = _cli(ws, "predict", "--set", seed)
+        assert first.returncode == 0 and first.stderr == "", first.stderr
+        path = store_paths(ws, seed)["variant_phi"]
+        assert path.exists() and len(f".{path.name}.4194304.tmp".encode()) <= 255  # the longest temporary name
+        assert path.name.startswith("variant_phi-") and path.name != store_paths(ws)["variant_phi"].name
+        assert sorted(p.name for p in ws["index"].glob("*.runs")) == sorted(p.name for p in store_paths(ws, seed).values())
+        again = _cli(ws, "-v", "predict", "--set", seed)
+        assert again.returncode == 0
+        line = next(line for line in again.stderr.splitlines() if f"run store {path.name}: " in line)
+        assert ": adopted " in line and "filled 0 rows" in line, line
+
+    @pytest.mark.parametrize("command, output", [("predict", "predictions.tsv"), ("sweep", "sweep.csv")])
+    def test_verbose_logs_every_store_and_changes_no_output(self, ws, command, output):
+        out = ws["root"] / "work" / "out" / output
+        quiet = _cli(ws, command)
         assert quiet.returncode == 0 and quiet.stderr == ""
         written = out.read_bytes()
         remove_stores(ws)
-        loud = _cli(ws, "-v", "predict")
+        loud = _cli(ws, "-v", command)
         assert out.read_bytes() == written
         lines = [line for line in loud.stderr.splitlines() if "run store" in line]
-        assert len(lines) == 2 and all(": not adopted: absent, filled " in line for line in lines)
-        again = _cli(ws, "-v", "predict")
+        assert len(lines) == 3 and all(": not adopted: absent, filled " in line for line in lines)
+        cold = _predictor_counts(loud.stderr)
+        assert cold[0] > len(targets_of(ws)) and cold[1] >= 0
+        again = _cli(ws, "-v", command)
         assert out.read_bytes() == written
         lines = [line for line in again.stderr.splitlines() if "run store" in line]
-        assert len(lines) == 2 and all("filled 0 rows, not written: no new rows" in line for line in lines)
+        assert len(lines) == 3 and all("filled 0 rows, not written: no new rows" in line for line in lines)
+        # the warm command evaluates each target and reads every kept variant's phi from the table
+        evaluations, reads = _predictor_counts(again.stderr)
+        assert evaluations == len(targets_of(ws)) and reads == cold[0] - evaluations + cold[1]
+
+
+def _predictor_counts(stderr: str) -> tuple[int, int]:
+    """The base-predictor evaluations and phi-table reads of a -v command's one count line."""
+    lines = [line for line in stderr.splitlines() if "base predictor: " in line]
+    assert len(lines) == 1, stderr
+    words = lines[0].split("base predictor: ")[1].split()
+    return int(words[0]), int(words[2])
 
 
 # ---- malformed artifacts: one generator of faults for the index and the run store ----
@@ -302,6 +420,12 @@ def _first_run_of_two(ptr: np.ndarray) -> int:
     return int(ptr[np.flatnonzero(np.diff(ptr) >= 2)[0]])
 
 
+def _header_bytes(data: bytes) -> bytes:
+    """The raw bytes of a store's header member."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return archive.read("header.npy")
+
+
 def _set(name: str, at, value):
     def change(header, members):
         members[name] = members[name].copy()
@@ -309,15 +433,20 @@ def _set(name: str, at, value):
     return change
 
 
-def artifact_faults(ptr: str, ordinals: str, scores: str | None = None, keys: str | None = None):
-    """(name, fault) pairs for an artifact whose CSR parts are the members named; a fault edits the file."""
+def _file_faults():
+    """(name, fault) pairs that break any artifact whatever its members."""
     yield "truncated", lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     yield "flipped-byte", _flip_last_data_byte
+    yield "format-foreign", _member_fault(lambda h, m: h.update(format="something-else"))
+    yield "version-next", _member_fault(lambda h, m: h.update(version=h["version"] + 1))
+
+
+def artifact_faults(ptr: str, ordinals: str, scores: str | None = None, keys: str | None = None):
+    """(name, fault) pairs for an artifact whose CSR parts are the members named; a fault edits the file."""
+    yield from _file_faults()
     yield f"{ptr}-float", _member_fault(lambda h, m: m.update({ptr: m[ptr].astype(np.float64)}))
     yield f"{ordinals}-2d", _member_fault(lambda h, m: m.update({ordinals: m[ordinals].reshape(1, -1)}))
     yield f"{ordinals}-missing", _member_fault(lambda h, m: m.pop(ordinals))
-    yield "format-foreign", _member_fault(lambda h, m: h.update(format="something-else"))
-    yield "version-next", _member_fault(lambda h, m: h.update(version=h["version"] + 1))
     yield f"{ordinals}-past-range", _member_fault(_set(ordinals, 0, 2**30))
     yield f"{ordinals}-negative", _member_fault(_set(ordinals, 0, -1))
     yield f"{ordinals}-repeated-in-a-run", _member_fault(
@@ -334,8 +463,22 @@ def artifact_faults(ptr: str, ordinals: str, scores: str | None = None, keys: st
         yield f"{keys}-unsorted", _member_fault(lambda h, m: _set(keys, 0, m[keys][1])(h, m))
 
 
+def value_faults(keys: str, values: str):
+    """(name, fault) pairs for an artifact of one value per key, the members named; a fault edits the file."""
+    yield from _file_faults()
+    yield f"{values}-nan", _member_fault(_set(values, 0, np.nan))
+    yield f"{values}-infinite", _member_fault(_set(values, -1, -np.inf))
+    yield f"{values}-short", _member_fault(lambda h, m: m.update({values: m[values][:-1]}))
+    yield f"{values}-float32", _member_fault(lambda h, m: m.update({values: m[values].astype(np.float32)}))
+    yield f"{values}-missing", _member_fault(lambda h, m: m.pop(values))
+    yield f"{keys}-past-range", _member_fault(_set(keys, -1, 2**40))
+    yield f"{keys}-negative", _member_fault(_set(keys, 0, -1))
+    yield f"{keys}-unsorted", _member_fault(lambda h, m: _set(keys, 0, m[keys][1])(h, m))
+
+
 INDEX_FAULTS = dict(artifact_faults("row_ptr", "row_terms"))
 STORE_FAULTS = dict(artifact_faults("ptr", "ordinals", "scores", "keys"))
+PHI_FAULTS = dict(value_faults("keys", "values"))
 
 
 def _never_unpickle(*args, **kwargs):
@@ -369,17 +512,11 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("kind", ["internal_runs", "pseudo_query_hits"])
     @pytest.mark.parametrize("name", sorted(STORE_FAULTS))
     def test_faulty_store_is_rewritten(self, pristine, caplog, monkeypatch, kind, name):
-        path = store_paths(pristine)[kind]
-        path.write_bytes(pristine["bytes"][path])
-        monkeypatch.setattr(pickle, "load", _never_unpickle)
-        monkeypatch.setattr(pickle, "loads", _never_unpickle)
-        STORE_FAULTS[name](path)
-        assert path.read_bytes() != pristine["bytes"][path]
-        caplog.clear()
-        assert run(pristine, "predict") == NQC_PREDICTIONS_GOLDEN
-        line = store_lines(caplog)[kind]
-        assert ": not adopted: malformed (" in line and ", wrote " in line, line
-        assert path.read_bytes() == pristine["bytes"][path]
+        _check_rewritten(pristine, caplog, monkeypatch, kind, STORE_FAULTS[name])
+
+    @pytest.mark.parametrize("name", sorted(PHI_FAULTS))
+    def test_faulty_phi_store_is_rewritten(self, pristine, caplog, monkeypatch, name):
+        _check_rewritten(pristine, caplog, monkeypatch, "variant_phi", PHI_FAULTS[name])
 
     def test_pickled_store_member_never_runs(self, pristine, caplog):
         path = store_paths(pristine)["internal_runs"]
@@ -397,12 +534,32 @@ class TestMalformedArtifacts:
         assert path.read_bytes() == pristine["bytes"][path]
 
     def test_unfaulted_store_loads(self, pristine):
-        path = store_paths(pristine)["internal_runs"]
         _, stores = cli._load_resources(cli.load_config(pristine["config"]))
-        store = next(s for s in stores if s.path == path)
-        assert store.adopted > 0 and not store.refused
-        runs = load_runs(path, store.key, store.rows, store.items, store.width)
-        assert len(runs) == store.adopted and runs.ptr[-1] == len(runs.ordinals)
+        assert [store.key["kind"] for store in stores] == KINDS
+        for store in stores:
+            assert store.adopted > 0 and not store.refused
+            stored = store.read(store.path, store.key)
+            assert len(stored) == store.adopted
+            if isinstance(stored, StoredRuns):
+                assert stored.ptr[-1] == len(stored.ordinals)
+            else:
+                assert np.isfinite(stored.values).all() and len(stored.values) == len(stored.keys)
+
+
+def _check_rewritten(ws: dict, caplog, monkeypatch, kind: str, fault) -> None:
+    """A store of ``kind`` that ``fault`` broke is refused as malformed, never unpickled, and rewritten to its bytes
+    by a predict that writes the golden output."""
+    path = store_paths(ws)[kind]
+    path.write_bytes(ws["bytes"][path])
+    monkeypatch.setattr(pickle, "load", _never_unpickle)
+    monkeypatch.setattr(pickle, "loads", _never_unpickle)
+    fault(path)
+    assert path.read_bytes() != ws["bytes"][path]
+    caplog.clear()
+    assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
+    line = store_lines(caplog)[kind]
+    assert ": not adopted: malformed (" in line and ", wrote " in line, line
+    assert path.read_bytes() == ws["bytes"][path]
 
 
 class _Touch:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,17 +321,26 @@ class TestRerankByRbo:
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
 
 
+def predicting_resources(query_ids, predictor) -> PipelineResources:
+    """PipelineResources over the training queries ``query_ids`` (q's text is "text of q") whose predictor is
+    ``predictor``."""
+    res = resources_over({qid: Query(qid, f"text of {qid}") for qid in query_ids}, {},
+                         {"d1": Document("d1", "target text")})
+    res.predictor = predictor
+    return res
+
+
 class CountingContext:
     """Returns preset predictor values keyed by query id and records every call.
 
-    ``resources`` stands in for the PipelineResources whose predictor it is.
+    ``resources`` is a PipelineResources over the variants of ``values`` whose predictor it is.
     """
 
     def __init__(self, values):
         self.values = values
         self.calls = []
         self.rbo_params = []
-        self.resources = SimpleNamespace(predictor=self)
+        self.resources = predicting_resources([qid for qid in values if qid != "T"], self)
 
     def evaluate(self, base, run, terms, query_id, rbo_params):
         # a variant's run is its run-table row, whose ordinals spell its query id (see candidate)
@@ -476,6 +484,34 @@ class TestBasePredictions:
         config = QppConfig(lam=0.3, k=2, n=3, base="uef", rbo_params=rbo)
         base_predictions(self.TARGET, self.RUN, qv, config, ctx.resources)
         assert ctx.rbo_params == [rbo, rbo, rbo]
+
+    def test_a_kept_variant_is_evaluated_once_per_table(self):
+        ctx = CountingContext(self.VALUES)
+        qv = reranked_set("T", candidate("v3", 0.5), candidate("v1", 0.0), candidate("v2", 0.2))
+        config = QppConfig(lam=0.3, k=3, n=4, base="uef")
+        first = base_predictions(self.TARGET, self.RUN, qv, config, ctx.resources)
+        ctx.calls.clear()
+        # a second target keeping v2 and v1: v2 is read from the table, v1 evaluated once it has weight
+        again = reranked_set("T", candidate("v2", 0.4), candidate("v1", 0.1))
+        assert base_predictions(self.TARGET, self.RUN, again, config, ctx.resources) == {"T": 0.4, "v2": 0.1, "v1": 0.8}
+        assert ctx.calls == [("uef", "T", tokenize("target text"), "T"), ("uef", "v1", tokenize("text of v1"), "v1")]
+        assert ctx.resources.phi_reads == 1 and ctx.resources.predictor is ctx
+        assert base_predictions(self.TARGET, self.RUN, qv, config, ctx.resources) == first
+        # another base, internal depth or RBO parameters is another table
+        for other in (replace(config, base="nqc"), replace(config, internal_depth=50),
+                      replace(config, rbo_params=RboParams(p=0.5))):
+            ctx.calls.clear()
+            base_predictions(self.TARGET, self.RUN, qv, other, ctx.resources)
+            assert [call[1] for call in ctx.calls] == ["T", "v3", "v2"]
+        assert len(ctx.resources.phi_tables) == 4
+
+    def test_a_value_that_is_not_finite_is_never_kept(self):
+        ctx = CountingContext({**self.VALUES, "v3": float("inf")})
+        qv = reranked_set("T", candidate("v3", 0.5))
+        for _ in range(2):
+            assert base_predictions(self.TARGET, self.RUN, qv, QppConfig(lam=0.3, k=1), ctx.resources)["v3"] == float("inf")
+        assert [call[1] for call in ctx.calls] == ["T", "v3", "T", "v3"]
+        assert ctx.resources.phi_reads == 0
 
 
 class TestPipelineInvariants:
@@ -648,12 +684,15 @@ class TestRetrievalCache:
             assert ordinals.dtype == np.int32 and scores.dtype == np.float64 and len(ordinals) == len(scores)
             assert np.all((0 <= ordinals) & (ordinals < index.size))
 
-    def test_replace_starts_with_empty_caches(self, corpus, resources):
+    def test_replace_starts_with_empty_caches(self, corpus, resources, target_run):
         res = replace(resources)
-        build_qv_set(corpus.test_queries[0], QppConfig(k=2, n=100), res)
+        for target in corpus.test_queries * 2:  # the second pass reads its variants' phi from the table
+            variants.predict_query(target, target_run[target.id], QppConfig(k=2, n=100), res)
         assert res.run_tables and res.pseudo_query_hits
+        assert res.phi_tables and next(iter(res.phi_tables.values())).filled and res.phi_reads
         fresh = replace(res)
         assert fresh.run_tables == {} and fresh.pseudo_query_hits == {}
+        assert fresh.phi_tables == {} and fresh.phi_reads == 0
 
     def test_run_table_rows_equal_bm25_ordinals(self, corpus, resources):
         config = QppConfig(k=2, n=100)
