@@ -24,8 +24,9 @@ per file:
 - ``pseudo_query_hits-*.runs``, with 2-hop expansion on: the training
   queries that judged documents' pseudo-queries retrieve, keyed by
   ``bm25.k1``, ``bm25.b``, ``qpp.pseudo_query_m`` and ``qpp.n``;
-- ``variant_phi-*.runs``: the base prediction of each training query
-  kept as a variant, over its internal run, keyed by ``qpp.base``,
+- ``variant_phi-*.runs``: one float64 per training query, its base
+  prediction over its internal run once it has been kept as a variant,
+  NaN where not yet known, keyed by ``qpp.base``,
   ``qpp.internal_depth``, every ``predictor.*`` and ``bm25.*`` value,
   ``seed``, ``qpp.rbo_p`` and ``qpp.rbo_depth``, and by the predictors'
   version, which changes whenever their arithmetic does.
@@ -103,8 +104,8 @@ from .corpus_io import (
 )
 from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
 from .text_index import (
-    InvertedIndex, StaleArtifactError, StoredRuns, StoredValues, build_index, check_runs_header, file_sha256,
-    load_index, load_runs, load_values, save_index, save_runs,
+    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, file_sha256, load_index,
+    load_phi, load_runs, save_index, save_runs,
 )
 
 if TYPE_CHECKING:
@@ -304,17 +305,17 @@ class _RunStore:
 
     path: Path
     key: dict
-    read: Callable[[Path, dict], StoredRuns | StoredValues]  # load_runs or load_values, with the memo's bounds
-    adopt: Callable[[StoredRuns | StoredValues], None]
+    read: Callable[[Path, dict], object]  # load_runs or load_phi, with the memo's bounds
+    adopt: Callable[[object], None]
     count: Callable[[], int]  # rows in the memo now
-    stored: Callable[[], StoredRuns | StoredValues]
+    members: Callable[[], Mapping]  # the memo as the store's members
     adopted: int = 0
     refused: str = ""  # why the store was not adopted
 
     def load(self) -> None:
         """Adopt the store into its memo if its header matches and every check passes; else note why not."""
         try:
-            runs = self.read(self.path, self.key)
+            stored = self.read(self.path, self.key)
         except FileNotFoundError:
             self.refused = "absent"
         except StaleArtifactError as exc:
@@ -324,8 +325,8 @@ class _RunStore:
         except OSError as exc:
             self.refused = f"unreadable ({exc})"
         else:
-            self.adopt(runs)
-            self.adopted = len(runs)
+            self.adopt(stored)
+            self.adopted = self.count()
 
     def save(self) -> None:
         """Rewrite the store whole when its memo gained rows; an OSError is one warning, not a failure."""
@@ -334,7 +335,7 @@ class _RunStore:
             written = "not written: no new rows"
         else:
             try:
-                save_runs(self.stored(), self.path, self.key)
+                save_runs(self.members(), self.path, self.key)
                 written = f"wrote {total} rows"
             except OSError as exc:
                 logger.warning("could not write run store %s: %s", self.path, exc)
@@ -403,14 +404,14 @@ def _run_stores(cfg: PipelineConfig, res: PipelineResources, phi: bool) -> list[
     stores = [run_store(
         "internal_runs", {**bm25, "qpp.internal_depth": depth},
         partial(load_runs, rows=res.query_index.size, items=res.doc_index.size, width=table.width),
-        table.adopt, lambda: table.filled, table.stored,
+        table.adopt, lambda: table.filled, lambda: vars(table.stored()),
     )]
     if cfg.qpp.use_2hop:
+        hits = res.pseudo_query_hits.setdefault((m, n), {})
         stores.append(run_store(
             "pseudo_query_hits", {**bm25, "qpp.pseudo_query_m": m, "qpp.n": n},
             partial(load_runs, rows=res.doc_index.size, items=res.query_index.size, width=min(n, res.query_index.size)),
-            partial(res.adopt_pseudo_query_hits, m, n), partial(res.pseudo_query_hit_count, m, n),
-            partial(res.stored_pseudo_query_hits, m, n),
+            lambda runs: hits.update(runs.by_row()), partial(len, hits), lambda: vars(StoredRuns.of(hits)),
         ))
     if phi:
         phi_table = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
@@ -419,8 +420,8 @@ def _run_stores(cfg: PipelineConfig, res: PipelineResources, phi: bool) -> list[
             "seed": res.seed, **_config_values(RboParams, cfg.qpp.rbo_params),
         }
         stores.append(run_store(
-            "variant_phi", params, partial(load_values, rows=res.query_index.size), phi_table.adopt,
-            lambda: phi_table.filled, phi_table.stored, predictor_version=PREDICTOR_VERSION,
+            "variant_phi", params, partial(load_phi, rows=res.query_index.size), phi_table.adopt,
+            lambda: phi_table.filled, lambda: {"phi": phi_table.values}, predictor_version=PREDICTOR_VERSION,
         ))
     return stores
 

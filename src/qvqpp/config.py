@@ -4,8 +4,7 @@
 every tunable of the RBO re-ranking, the base predictors and the variant
 pipeline. This module imports no pipeline layer, so a command reads and
 checks its configuration without loading the variant, predictor, RBO or
-dense layers. ``rank_sim``, ``predictors``, ``variants`` and
-``text_index`` re-export these names where they were first defined.
+dense layers. Each layer imports from here the names it uses.
 """
 
 from __future__ import annotations

@@ -84,14 +84,13 @@ def collection_score(
     *,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-    floor: float = COLLECTION_SCORE_FLOOR,
 ) -> float:
     """BM25 score of the corpus treated as one virtual document.
 
     The virtual document's term frequencies are the corpus totals and
     its length is the total corpus token count; N, df and avgdl are
-    those of the real corpus. Queries with no indexed term get the
-    configured floor so downstream division stays defined.
+    those of the real corpus. Queries with no indexed term get
+    :data:`COLLECTION_SCORE_FLOOR` so downstream division stays defined.
     """
     if index.size == 0:
         raise ValueError("collection_score needs a non-empty index")
@@ -107,7 +106,7 @@ def collection_score(
         idf = float(idfs[tid])
         norm = k1 * (1.0 - b + b * total / avgdl)
         score += query_tf * idf * cf * (k1 + 1.0) / (cf + norm)
-    return score if score > 0.0 else floor
+    return score if score > 0.0 else COLLECTION_SCORE_FLOOR
 
 
 @dataclass

@@ -573,35 +573,31 @@ class StoredRuns:
     scores: np.ndarray
 
     @classmethod
-    def of(cls, keys: Sequence[int], runs: Sequence[OrdinalRun]) -> "StoredRuns":
-        """The runs ``runs`` of the ascending rows ``keys``."""
-        ptr = np.zeros(len(runs) + 1, dtype=np.int64)
-        np.cumsum([len(ordinals) for ordinals, _ in runs], out=ptr[1:])
+    def of(cls, runs: Mapping[int, OrdinalRun]) -> "StoredRuns":
+        """The runs that ``runs`` maps rows to, by ascending row."""
+        keys = sorted(runs)
+        ptr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([len(runs[key][0]) for key in keys], out=ptr[1:])
         return cls(
             np.asarray(keys, dtype=np.int64), ptr,
-            np.concatenate([np.zeros(0, dtype=np.int32), *(ordinals for ordinals, _ in runs)]),
-            np.concatenate([np.zeros(0), *(scores for _, scores in runs)]),
+            np.concatenate([np.zeros(0, dtype=np.int32), *(runs[key][0] for key in keys)]),
+            np.concatenate([np.zeros(0), *(runs[key][1] for key in keys)]),
         )
 
-    def __len__(self) -> int:
-        return len(self.keys)
+    def by_row(self) -> dict[int, OrdinalRun]:
+        """Each row's run, as views of the members."""
+        bounds = self.ptr.tolist()
+        return {
+            key: (self.ordinals[bounds[i]:bounds[i + 1]], self.scores[bounds[i]:bounds[i + 1]])
+            for i, key in enumerate(self.keys.tolist())
+        }
 
 
-@dataclass(frozen=True)
-class StoredValues:
-    """One float64 value per row of some rows: row ``keys[i]`` (int64, ascending) has ``values[i]``."""
+def save_runs(members: Mapping[str, np.ndarray], path, key: Mapping) -> None:
+    """Persist ``members`` as a run-store artifact whose header holds ``key`` (JSON values) after the format and version.
 
-    keys: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def save_runs(runs: StoredRuns | StoredValues, path, key: Mapping) -> None:
-    """Persist ``runs`` as a run-store artifact whose header holds ``key`` (JSON values) after the format and version.
-
-    Each array of ``runs`` is a member of its name.
+    Each array of ``members`` is a member of its name: the fields of a
+    :class:`StoredRuns`, or the one ``phi`` array that :func:`load_phi` reads.
 
     The store is written whole and atomically: to a temporary file beside
     ``path``, which then replaces ``path``, so a failed write leaves
@@ -613,7 +609,7 @@ def save_runs(runs: StoredRuns | StoredValues, path, key: Mapping) -> None:
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     header = {"format": RUNS_FORMAT, "version": RUNS_VERSION, **key}
     try:
-        write_artifact(temporary, header, vars(runs))
+        write_artifact(temporary, header, members)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
@@ -638,11 +634,6 @@ def _in_range(bound: int, what: str) -> Callable[[np.ndarray], np.ndarray]:
     return check
 
 
-def _check_ascending(keys: np.ndarray) -> None:
-    if np.any(np.diff(keys) <= 0):
-        raise ValueError("keys are not ascending and distinct")
-
-
 def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRuns:
     """Read runs written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
 
@@ -656,7 +647,8 @@ def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRu
     def assemble(header: dict, values: dict) -> StoredRuns:
         runs = StoredRuns(**values)
         keys, ptr, ordinals, scores = runs.keys, runs.ptr, runs.ordinals, runs.scores
-        _check_ascending(keys)
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("keys are not ascending and distinct")
         if len(ptr) != len(keys) + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
             raise ValueError("ptr is not a monotone offset per key")
         if ptr[-1] != len(ordinals) or len(scores) != len(ordinals):
@@ -683,21 +675,19 @@ def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRu
     return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)
 
 
-def load_values(path, key: Mapping, rows: int) -> StoredValues:
-    """Read values written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
+def load_phi(path, key: Mapping, rows: int) -> np.ndarray:
+    """Read the ``phi`` array written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
 
     A header that differs from ``key`` in any field is a
-    :class:`StaleArtifactError`. The keys must be distinct rows in [0,
-    ``rows``) in ascending order, each with one finite value.
+    :class:`StaleArtifactError`. The array holds one float64 per row,
+    ``rows`` of them, each finite or NaN (not yet known).
     """
-    def assemble(header: dict, values: dict) -> StoredValues:
-        stored = StoredValues(**values)
-        _check_ascending(stored.keys)
-        if len(stored.values) != len(stored.keys):
-            raise ValueError("keys and values disagree in length")
-        if not np.all(np.isfinite(stored.values)):
-            raise ValueError("a value is not finite")
-        return stored
+    def check(phi: np.ndarray) -> np.ndarray:
+        if len(phi) != rows:
+            raise ValueError(f"phi holds {len(phi)} values, not {rows}")
+        if np.any(np.isinf(phi)):
+            raise ValueError("a value is infinite")
+        return phi
 
-    schema = {"keys": (np.int64, 1, _in_range(rows, "key")), "values": (np.float64, 1, None)}
-    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)
+    schema = {"phi": (np.float64, 1, check)}
+    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, lambda header, values: values["phi"], key=key)

@@ -39,9 +39,9 @@ and base predictor from one :class:`PipelineResources`, which holds each
 once, so no memo or table is read against an index or ``k1``/``b`` other
 than those that filled it. RBO parameters come from :class:`QppConfig`.
 The target-independent memos, the run tables, the pseudo-query hits and
-the phi tables, also take and give their filled rows as
-:class:`StoredRuns` (a phi table as :class:`StoredValues`), so the CLI
-can keep them in run stores beside the index across commands.
+the phi tables, are keyed by index ordinal, as their run stores beside
+the index are, so the CLI adopts and writes them across commands with no
+translation of ids.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
-from .config import BASE_PREDICTORS, RETRIEVER_DENSE  # noqa: F401  re-exported under their old names
 from .corpus_io import Qrels, Query, RankedList
 from .predictors import PredictorContext
 from .rank_sim import rbo_rows
 from .text_index import (
-    InvertedIndex, OrdinalRun, StoredRuns, StoredValues, bm25_ordinals, pseudo_query_terms, tokenize,
+    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, pseudo_query_terms, tokenize,
 )
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
@@ -165,8 +164,7 @@ class RunTable:
 
     def stored(self) -> StoredRuns:
         """The filled rows and their runs, by ascending row."""
-        keys = np.flatnonzero(self.lengths >= 0)
-        return StoredRuns.of(keys, [self.run(row) for row in keys.tolist()])
+        return StoredRuns.of({row: self.run(row) for row in np.flatnonzero(self.lengths >= 0).tolist()})
 
     def run(self, row: int) -> OrdinalRun:
         """The filled run of ``row``, as views of the table."""
@@ -178,9 +176,10 @@ class PhiTable:
     """The base predictions of the training queries' internal runs under one (base, internal depth, RBO parameters).
 
     ``values[o]`` is phi of the internal run of query-index ordinal ``o``
-    (float64), NaN while unknown. A value depends only on its query and
-    those settings, never on a target, so it is evaluated once; only a
-    finite value is kept, as only that can be stored.
+    (float64), NaN while unknown: the array a ``variant_phi`` run store
+    holds. A value depends only on its query and those settings, never on
+    a target, so it is evaluated once; only a finite value is kept, as NaN
+    marks an unknown one and a store refuses an infinite one.
     """
 
     def __init__(self, rows: int) -> None:
@@ -191,13 +190,9 @@ class PhiTable:
         """How many values are known."""
         return int(np.count_nonzero(~np.isnan(self.values)))
 
-    def adopt(self, stored: StoredValues) -> None:
-        self.values[stored.keys] = stored.values
-
-    def stored(self) -> StoredValues:
-        """The known values, by ascending ordinal."""
-        keys = np.flatnonzero(~np.isnan(self.values))
-        return StoredValues(keys, self.values[keys])
+    def adopt(self, values: np.ndarray) -> None:
+        """Take ``values`` (a stored array of the same length) as the table, without a copy."""
+        self.values = values
 
 
 @dataclass
@@ -211,10 +206,11 @@ class PipelineResources:
     No stage reads a document's text: a pseudo-query comes from the
     document's row in ``doc_index``.
 
-    ``pseudo_query_hits`` maps (doc id, pseudo_query_m, n) to the training
-    queries that the document's pseudo-query retrieves, as ``query_index``
-    ordinals (int32) and float64 scores. An entry depends only on its key,
-    so it is computed once: one per judged document and (m, n).
+    ``pseudo_query_hits[(pseudo_query_m, n)]`` maps a judged document's
+    ``doc_index`` ordinal to the training queries that its pseudo-query
+    retrieves, as ``query_index`` ordinals (int32) and float64 scores. An
+    entry depends only on its keys, so it is computed once: one per judged
+    document and (m, n).
 
     ``run_tables`` maps internal_depth to the :class:`RunTable` of the
     training queries' internal BM25 runs over ``doc_index``, a row per
@@ -232,11 +228,10 @@ class PipelineResources:
     ``predictor``, are not init fields: ``dataclasses.replace`` starts them
     all empty, as it must when it swaps an index, ``params`` or ``seed``.
     Rows computed earlier over the same indexes, ``params`` and ``seed``
-    can be adopted first (:meth:`RunTable.adopt`,
-    :meth:`adopt_pseudo_query_hits`, :meth:`PhiTable.adopt`), and the
-    filled rows read back (:meth:`RunTable.stored`,
-    :meth:`stored_pseudo_query_hits`, :meth:`PhiTable.stored`) to keep for
-    later processes; adopted rows are the bytes a call would compute.
+    can be adopted first (:meth:`RunTable.adopt`, :meth:`PhiTable.adopt`,
+    or into a hit map), and the filled rows read back to keep for later
+    processes (:meth:`RunTable.stored`, a hit map's entries,
+    ``PhiTable.values``); adopted rows are the bytes a call would compute.
     """
 
     doc_index: InvertedIndex
@@ -246,7 +241,7 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     params: PredictorParams = field(default_factory=PredictorParams)
     seed: int = 0
-    pseudo_query_hits: dict[tuple[str, int, int], OrdinalRun] = field(
+    pseudo_query_hits: dict[tuple[int, int], dict[int, OrdinalRun]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -274,28 +269,6 @@ class PipelineResources:
         if table is None:
             table = self.phi_tables[key] = PhiTable(self.query_index.size)
         return table
-
-    def pseudo_query_hit_count(self, m: int, n: int) -> int:
-        """How many documents' hit lists of (``m``, ``n``) are memoized."""
-        return sum(1 for _, key_m, key_n in self.pseudo_query_hits if (key_m, key_n) == (m, n))
-
-    def adopt_pseudo_query_hits(self, m: int, n: int, hits: StoredRuns) -> None:
-        """Memoize stored hit lists of (``m``, ``n``), each under the document its ``doc_index`` ordinal names."""
-        item_ids = self.doc_index.item_ids
-        bounds = hits.ptr.tolist()
-        for i, ordinal in enumerate(hits.keys.tolist()):
-            start, end = bounds[i], bounds[i + 1]
-            self.pseudo_query_hits[(item_ids[ordinal], m, n)] = hits.ordinals[start:end], hits.scores[start:end]
-
-    def stored_pseudo_query_hits(self, m: int, n: int) -> StoredRuns:
-        """The memoized hit lists of (``m``, ``n``), keyed by the documents' ``doc_index`` ordinals."""
-        ordinal_of = self.doc_index.ordinal_of
-        found = sorted(
-            ((ordinal_of[doc_id], run) for (doc_id, key_m, key_n), run in self.pseudo_query_hits.items()
-             if (key_m, key_n) == (m, n)),
-            key=lambda entry: entry[0],
-        )
-        return StoredRuns.of([ordinal for ordinal, _ in found], [run for _, run in found])
 
 
 @dataclass(eq=False)
@@ -429,7 +402,8 @@ def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources)
     ``res`` meets it.
 
     A document's retrieval does not depend on the target, so it is
-    memoized in ``res.pseudo_query_hits``. Target exclusion,
+    memoized in ``res.pseudo_query_hits[(pseudo_query_m, n)]`` under the
+    document's ``doc_index`` ordinal. Target exclusion,
     de-duplication and hop tags are applied per call, as masks over the
     joined hit arrays, so the result does not depend on reuse: the hit
     lists are joined in (candidate, document id) order and the first hit
@@ -437,6 +411,7 @@ def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources)
     kept, with its score.
     """
     hit_ordinals, hit_scores = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    memo = res.pseudo_query_hits.setdefault((config.pseudo_query_m, config.n), {})
     for qid in one_hop.query_ids():
         judged = res.training_qrels.get(qid, {})
         for doc_id in sorted(doc_id for doc_id, grade in judged.items() if grade >= 1):
@@ -448,11 +423,10 @@ def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources)
                         "relevant document %r of training query %r missing from collection; skipped", doc_id, qid
                     )
                 continue
-            key = (doc_id, config.pseudo_query_m, config.n)
-            found = res.pseudo_query_hits.get(key)
+            found = memo.get(doc_ordinal)
             if found is None:
                 terms = pseudo_query_terms(res.doc_index, doc_ordinal, config.pseudo_query_m)
-                found = res.pseudo_query_hits[key] = bm25_ordinals(
+                found = memo[doc_ordinal] = bm25_ordinals(
                     res.query_index, terms, depth=config.n, k1=res.params.k1, b=res.params.b
                 )
             hit_ordinals.append(found[0])

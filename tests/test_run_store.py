@@ -284,6 +284,25 @@ class TestStaleStores:
         assert run(ws, "predict") == edited
 
 
+class TestStoresOfAnEarlierLayout:
+    def test_sparse_phi_store_is_rewritten_and_the_run_stores_adopted(self, ws, caplog):
+        cold = run(ws, "predict")
+        written = {path: path.read_bytes() for path in ws["index"].glob("*.runs")}
+        # the phi store as the sparse layout held it: the known values' ordinals as keys, and their values
+        path = store_paths(ws)["variant_phi"]
+        header, members = read_members(path)
+        known = np.flatnonzero(~np.isnan(members["phi"]))
+        write_artifact(path, header, {"keys": known, "values": members["phi"][known]})
+        caplog.clear()
+        assert run(ws, "predict") == cold
+        lines = store_lines(caplog)
+        assert "not adopted: malformed (" in lines["variant_phi"] and "phi.npy" in lines["variant_phi"]
+        assert f"filled {len(known)} rows, wrote {len(known)} rows" in lines["variant_phi"], lines["variant_phi"]
+        for kind in ("internal_runs", "pseudo_query_hits"):
+            assert ": adopted " in lines[kind] and "filled 0 rows, not written: no new rows" in lines[kind]
+        assert {path: path.read_bytes() for path in ws["index"].glob("*.runs")} == written
+
+
 def _cli(ws: dict, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "qvqpp", *argv, "--config", str(ws["config"])],
@@ -463,22 +482,21 @@ def artifact_faults(ptr: str, ordinals: str, scores: str | None = None, keys: st
         yield f"{keys}-unsorted", _member_fault(lambda h, m: _set(keys, 0, m[keys][1])(h, m))
 
 
-def value_faults(keys: str, values: str):
-    """(name, fault) pairs for an artifact of one value per key, the members named; a fault edits the file."""
+def value_faults(values: str):
+    """(name, fault) pairs for an artifact of one float64 per row, the member named; a fault edits the file."""
     yield from _file_faults()
-    yield f"{values}-nan", _member_fault(_set(values, 0, np.nan))
-    yield f"{values}-infinite", _member_fault(_set(values, -1, -np.inf))
     yield f"{values}-short", _member_fault(lambda h, m: m.update({values: m[values][:-1]}))
+    yield f"{values}-long", _member_fault(lambda h, m: m.update({values: np.append(m[values], 1.0)}))
+    yield f"{values}-infinite", _member_fault(_set(values, 0, np.inf))
+    yield f"{values}-negative-infinite", _member_fault(_set(values, -1, -np.inf))
     yield f"{values}-float32", _member_fault(lambda h, m: m.update({values: m[values].astype(np.float32)}))
+    yield f"{values}-2d", _member_fault(lambda h, m: m.update({values: m[values].reshape(1, -1)}))
     yield f"{values}-missing", _member_fault(lambda h, m: m.pop(values))
-    yield f"{keys}-past-range", _member_fault(_set(keys, -1, 2**40))
-    yield f"{keys}-negative", _member_fault(_set(keys, 0, -1))
-    yield f"{keys}-unsorted", _member_fault(lambda h, m: _set(keys, 0, m[keys][1])(h, m))
 
 
 INDEX_FAULTS = dict(artifact_faults("row_ptr", "row_terms"))
 STORE_FAULTS = dict(artifact_faults("ptr", "ordinals", "scores", "keys"))
-PHI_FAULTS = dict(value_faults("keys", "values"))
+PHI_FAULTS = dict(value_faults("phi"))
 
 
 def _never_unpickle(*args, **kwargs):
@@ -533,17 +551,29 @@ class TestMalformedArtifacts:
         assert not marker.exists()
         assert path.read_bytes() == pristine["bytes"][path]
 
+    def test_forgotten_phi_value_is_evaluated_again(self, pristine, caplog):
+        # NaN marks a value not yet known: the store is adopted, the value evaluated again and the store rewritten
+        path = store_paths(pristine)["variant_phi"]
+        path.write_bytes(pristine["bytes"][path])
+        _member_fault(_set("phi", lambda m: np.flatnonzero(~np.isnan(m["phi"]))[0], np.nan))(path)
+        caplog.clear()
+        assert run(pristine, "predict") == NQC_PREDICTIONS_GOLDEN
+        line = store_lines(caplog)["variant_phi"]
+        adopted = int(line.split("adopted ")[1].split()[0])
+        assert f"filled 1 rows, wrote {adopted + 1} rows" in line, line
+        assert path.read_bytes() == pristine["bytes"][path]
+
     def test_unfaulted_store_loads(self, pristine):
-        _, stores = cli._load_resources(cli.load_config(pristine["config"]))
+        res, stores = cli._load_resources(cli.load_config(pristine["config"]))
         assert [store.key["kind"] for store in stores] == KINDS
         for store in stores:
             assert store.adopted > 0 and not store.refused
             stored = store.read(store.path, store.key)
-            assert len(stored) == store.adopted
             if isinstance(stored, StoredRuns):
-                assert stored.ptr[-1] == len(stored.ordinals)
+                assert len(stored.keys) == store.adopted and stored.ptr[-1] == len(stored.ordinals)
             else:
-                assert np.isfinite(stored.values).all() and len(stored.values) == len(stored.keys)
+                assert np.count_nonzero(~np.isnan(stored)) == store.adopted and not np.isinf(stored).any()
+                assert stored.shape == (res.query_index.size,)
 
 
 def _check_rewritten(ws: dict, caplog, monkeypatch, kind: str, fault) -> None:

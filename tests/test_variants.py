@@ -232,8 +232,9 @@ def seeded_merge(target_id, one_hop_ids, judged, hit_lists):
     res = resources_over(training, {qid: dict(pairs) for qid, pairs in judged.items()},
                          {d: Document(d, f"body {d}") for d in MERGE_DOCS})
     config = QppConfig(k=1, n=5)
+    memo = res.pseudo_query_hits.setdefault((config.pseudo_query_m, config.n), {})
     for doc_id, hits in hit_lists.items():
-        res.pseudo_query_hits[(doc_id, config.pseudo_query_m, config.n)] = (
+        memo[res.doc_index.ordinal_of[doc_id]] = (
             np.array([i for i, _ in hits], dtype=np.int32), np.array([score for _, score in hits], dtype=np.float64)
         )
     one_hop = pool_of(target_id, [(qid, 1, 10.0 - i) for i, qid in enumerate(one_hop_ids)], res)
@@ -634,7 +635,10 @@ class TestRetrievalCache:
             ]
             pools.append(got.query_ids())
         assert pools == [["tq1", "tq5", "tq2", "tq3", "tq4"], ["tq1", "tq5", "tq2"], ["tq1", "tq2", "tq3", "tq4"]]
-        assert sorted(shared.pseudo_query_hits) == [("docX", 1, 5), ("docX", 20, 2), ("docX", 20, 5)]
+        docx = shared.doc_index.ordinal_of["docX"]
+        assert {key: sorted(hits) for key, hits in shared.pseudo_query_hits.items()} == {
+            (1, 5): [docx], (20, 2): [docx], (20, 5): [docx],
+        }
 
     def test_one_document_run_per_row_and_per_target(self, corpus, resources, monkeypatch):
         config = QppConfig(k=2, n=100)
@@ -678,7 +682,7 @@ class TestRetrievalCache:
         )
         table = res.run_tables[config.internal_depth]
         stored = [(res.doc_index, table.run(row)) for row in np.flatnonzero(table.lengths >= 0).tolist()]
-        stored += [(res.query_index, run) for run in res.pseudo_query_hits.values()]
+        stored += [(res.query_index, run) for hits in res.pseudo_query_hits.values() for run in hits.values()]
         assert stored
         for index, (ordinals, scores) in stored:
             assert ordinals.dtype == np.int32 and scores.dtype == np.float64 and len(ordinals) == len(scores)
