@@ -197,7 +197,7 @@ def _as(kind, value):
         raise TypeError(value)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
-    return kind(value)
+    return kind(value) + 0.0 if kind is float else kind(value)  # -0.0 reads as 0.0: no output spells "-0"
 
 
 def _coerce(dotted: str, kind, value, base_dir: Path):
@@ -459,7 +459,7 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
         doc_index=doc_index,
         query_index=query_index,
         training_queries={q.id: q for q in training_queries},
-        training_qrels=parse_qrels(cfg.train_qrels),
+        training_qrels=parse_qrels(cfg.train_qrels) if cfg.qpp.use_2hop else {},  # read by 2-hop expansion only
         embedding_store=embeddings,
         params=cfg.predictor,
         seed=cfg.seed,

@@ -1043,6 +1043,30 @@ class TestTuneAndSweep:
                 assert predict_fn(lam, k, ["T"]) == {"T": want}, (lam, k)
                 assert want == smooth_reference(phi["T"], qv_set.top(k).candidates, lam, phi)
 
+    @pytest.mark.parametrize("use_2hop", ["false", "true"])
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_training_qrels_parsed_only_for_2hop(self, indexed_workspace, tmp_path, monkeypatch, command, use_2hop):
+        train_qrels = cli.load_config(indexed_workspace["config"]).train_qrels
+        parsed = []
+        parse = cli.parse_qrels
+        monkeypatch.setattr(cli, "parse_qrels", lambda path: parsed.append(path) or parse(path))
+        code = run_cli(
+            command, "--config", indexed_workspace["config"], "--set", f"qpp.use_2hop={use_2hop}",
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        assert parsed.count(train_qrels) == (use_2hop == "true")
+
+    def test_negative_zero_lambda_is_written_as_zero(self, indexed_workspace, tmp_path):
+        sweep, tune = tmp_path / "sweep.csv", tmp_path / "tune.txt"
+        grid = ["--set", "evaluation.lambdas=[-0.0, 0.0]", "--set", "evaluation.ks=[1, 2]"]
+        assert run_cli("sweep", "--config", indexed_workspace["config"], *grid, "--out", sweep) == 0
+        assert run_cli("tune", "--config", indexed_workspace["config"], *grid, "--out", tune) == 0
+        rows = sweep.read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["lambda", "k"], ["0", "1"], ["0", "2"]]
+        report = tune.read_text(encoding="utf-8")
+        assert "fold_1_chosen_lambda: 0\n" in report and "fold_2_chosen_lambda: 0\n" in report
+
     def test_tune_grid_k_must_stay_under_n(self, indexed_workspace, capsys):
         code = run_cli(
             "tune", "--config", indexed_workspace["config"], "--set", "evaluation.ks=[150]",

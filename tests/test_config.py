@@ -115,6 +115,9 @@ def structure_cases():
     yield "evaluation.fold_a=missing-file", with_value(BASE, "evaluation.fold_a", "nofold.txt"), ()
     yield "evaluation.fold_a=numbers", with_value(BASE, "evaluation.fold_a", [1, 2.5]), ()
     yield "evaluation.lambdas=empty", with_value(BASE, "evaluation.lambdas", []), ()
+    # -0.0 reads as 0.0, so a grid of 0.0 and -0.0 is one lambda and no output spells it "-0"
+    yield "evaluation.lambdas=negative-zero", with_value(BASE, "evaluation.lambdas", [-0.0, 0.5, 0.0]), ()
+    yield "qpp.lambda=negative-zero", with_value(BASE, "qpp.lambda", -0.0), ()
     # a number key refuses a string, and a list key anything but a list (fold_a also takes a file path)
     yield "qpp.k=quoted-number", with_value(BASE, "qpp.k", "3"), ()
     yield "seed=quoted-number", with_value(BASE, "seed", "1_000"), ()
@@ -219,6 +222,7 @@ GOLDEN = {
     'evaluation.ks=wrong-type': "error: evaluation.ks: expected a list of int, got 'ks'",
     'evaluation.lambdas=bool': 'error: evaluation.lambdas: expected a list of float, got [1, True]',
     'evaluation.lambdas=empty': {'lambdas': []},
+    'evaluation.lambdas=negative-zero': {'lambdas': [0.0, 0.5, 0.0]},
     'evaluation.lambdas=mapping': "error: evaluation.lambdas: expected a list of float, got {0.1: 'x'}",
     'evaluation.lambdas=null': {},
     'evaluation.lambdas=valid': {'lambdas': [0.2, 0.4]},
@@ -327,6 +331,7 @@ GOLDEN = {
     'qpp.k=wrong-type': "error: qpp.k: expected int, got 'three'",
     'qpp.lambda=bool': 'error: qpp.lambda: expected float, got True',
     'qpp.lambda=null': {},
+    'qpp.lambda=negative-zero': {'qpp.lam': 0.0},
     'qpp.lambda=out-of-range': 'error: lambda must be in [0, 1], got 1.5',
     'qpp.lambda=quoted-number': "error: qpp.lambda: expected float, got ' 0.25 '",
     'qpp.lambda=valid': {'qpp.lam': 0.3},

@@ -4,9 +4,13 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import tau_reference
 from qvqpp import (
     EvalPair,
     FoldSpec,
@@ -18,6 +22,7 @@ from qvqpp import (
     sweep_grid,
     tune_2fold,
 )
+from qvqpp.evaluation import kendall_tau_rows
 
 
 def ranked(query_id, doc_ids):
@@ -153,6 +158,101 @@ class TestKendallTau:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError, match=">= 2"):
             kendall_tau(pairs_from([1], [1]))
+
+
+# few distinct values, so both sides tie heavily; infinities and both zeros, which tie with each other
+TAU_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, math.inf, -math.inf]) | st.floats(-3.0, 3.0)
+
+
+def tau_rows(n):
+    """Rows of n values, drawn one by one or all tied."""
+    return st.lists(TAU_VALUES, min_size=n, max_size=n) | TAU_VALUES.map(lambda value: [value] * n)
+
+
+@st.composite
+def tau_grids(draw, min_n=0):
+    """(actual, rows): an actual vector and up to five prediction rows of its length, some all tied or with a nan."""
+    n = draw(st.integers(min_n, 12))
+    with_nan = st.tuples(tau_rows(n), st.integers(0, max(n - 1, 0))).map(
+        lambda drawn: [math.nan if i == drawn[1] else v for i, v in enumerate(drawn[0])]
+    )
+    actual = draw(tau_rows(n) | with_nan) if n else []
+    return actual, draw(st.lists(tau_rows(n) | with_nan, max_size=5))
+
+
+def reference_tau(predicted, actual):
+    """The scalar reference's tau, or nan where it raises."""
+    try:
+        return tau_reference.kendall_tau(pairs_from(predicted, actual))
+    except ValueError:
+        return math.nan
+
+
+class TestKendallTauRows:
+    @settings(max_examples=500, deadline=None)
+    @given(tau_grids())
+    @example(([1.0, 2.0], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]))  # n = 2: +1, -1 and an all-tied row
+    @example(([0.0, -0.0, 1.0], [[-0.0, 0.0, 1.0], [1.0, 2.0, 3.0]]))  # zeros tie on both sides
+    @example(([math.inf, -math.inf, math.inf, 0.0], [[math.inf, math.inf, -math.inf, 0.0]]))
+    @example(([0.5, 0.5, 0.5], [[1.0, 2.0, 3.0]]))  # actual side all tied
+    @example(([1.0, math.nan, 2.0], [[1.0, 2.0, 3.0]]))  # nan on the actual side
+    def test_rows_equal_the_scalar_reference(self, grid):
+        actual, rows = grid
+        taus = kendall_tau_rows(np.array(rows, dtype=np.float64).reshape(len(rows), len(actual)), np.array(actual))
+        assert taus.shape == (len(rows),)
+        for row, tau in zip(rows, taus.tolist()):
+            pairs = pairs_from(row, actual)
+            try:
+                want = tau_reference.kendall_tau(pairs)
+            except ValueError as exc:
+                assert math.isnan(tau), (row, actual)
+                with pytest.raises(ValueError) as raised:
+                    kendall_tau(pairs)
+                assert str(raised.value) == str(exc)
+                continue
+            assert tau == want and kendall_tau(pairs) == want, (row, actual)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tau_grids(min_n=4), st.data())
+    def test_grid_functions_equal_a_loop_over_the_reference(self, grid, data):
+        actual_values, _ = grid
+        n = len(actual_values)
+        ids = [f"q{i}" for i in range(n)]
+        actual = dict(zip(ids, actual_values))
+        lambdas, ks = [0.0, 0.5, 1.0], [1, 2]
+        cells = {(lam, k): dict(zip(ids, data.draw(tau_rows(n)))) for lam in lambdas for k in ks}
+        split = data.draw(st.integers(2, n - 2))
+        folds = (FoldSpec(frozenset(ids[:split]), frozenset(ids[split:])),
+                 FoldSpec(frozenset(ids[split:]), frozenset(ids[:split])))
+        predict_fn = synthetic_predict_fn(cells)
+
+        def reference(cell, query_ids):
+            query_ids = sorted(query_ids)
+            return reference_tau([cell[q] for q in query_ids], [actual[q] for q in query_ids])
+
+        rows = sweep_grid(lambdas, ks, predict_fn, actual)
+        assert [(lam, k) for lam, k, _ in rows] == sorted(cells)
+        assert [repr(tau) for _, _, tau in rows] == [repr(reference(cells[cell], ids)) for cell in sorted(cells)]
+
+        want = []
+        for fold in folds:
+            best = None
+            for k in ks:
+                for lam in lambdas:
+                    tau = reference(cells[(lam, k)], fold.train_ids)
+                    if not math.isnan(tau) and (best is None or tau > best[2]):
+                        best = (lam, k, tau)
+            want.append(best and (*best, reference(cells[best[:2]], fold.test_ids)))
+        if None in want or any(math.isnan(outcome[3]) for outcome in want if outcome):
+            with pytest.raises(ValueError):
+                tune_2fold(folds, lambdas, ks, predict_fn, actual)
+            return
+        report = tune_2fold(folds, lambdas, ks, predict_fn, actual)
+        assert [(o.chosen_lambda, o.chosen_k, o.train_tau, o.test_tau) for o in report.folds] == want
+
+    def test_no_rows_and_short_rows(self):
+        assert kendall_tau_rows(np.empty((0, 5)), np.arange(5.0)).shape == (0,)
+        assert np.isnan(kendall_tau_rows(np.ones((3, 1)), np.ones(1))).all()
 
 
 class TestFisherZ:
