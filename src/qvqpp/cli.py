@@ -47,6 +47,10 @@ so deleting stores is always safe; ``-v`` logs what became of each, and
 how many base predictions were evaluated and how many read from a store's
 table.
 
+``main`` leaves Python's cyclic garbage collector as the caller set it;
+the ``qvqpp`` command turns it off around ``main`` (see
+:mod:`qvqpp.__main__`).
+
 Each command loads only the layers it runs. Importing this module loads
 ``qvqpp.config``, ``corpus_io`` and ``text_index``; beyond those,
 
@@ -817,10 +821,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 def __getattr__(name: str):
     """``predict_query``, the function ``predict`` runs per target, for callers that read it from this module.
 
@@ -832,7 +832,3 @@ def __getattr__(name: str):
 
         return predict_query
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-if __name__ == "__main__":
-    entrypoint()
