@@ -16,6 +16,12 @@ from; the config is refused before anything is loaded.
 
 ``paths.index_dir`` holds the two indexes that ``index`` writes
 (``documents.idx`` and ``queries.idx``) and the run stores (``*.runs``).
+``index`` reads the collection and the training queries once each and
+records in each index the SHA-256 of the bytes it parsed. Every other
+command refuses an index whose source file now holds other bytes, even
+bytes that parse to the same items (CRLF line ends, say), with "rerun qvqpp
+index"; staleness has this one rule, and no command but ``index`` parses
+the collection.
 A run store keeps results that depend only on the training set, one kind
 per file:
 
@@ -98,8 +104,8 @@ import yaml
 from .corpus_io import (
     Query,
     RankedList,
+    iter_tsv,
     open_utf8,
-    parse_collection,
     parse_qrels,
     parse_queries,
     parse_run,
@@ -108,8 +114,8 @@ from .corpus_io import (
 )
 from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
 from .text_index import (
-    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, file_sha256, load_index,
-    load_phi, load_runs, save_index, save_runs,
+    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, load_index, load_phi, load_runs,
+    save_index, save_runs,
 )
 
 if TYPE_CHECKING:
@@ -451,13 +457,10 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
     training_queries = parse_queries(cfg.train_queries)
     doc_index = load_index(doc_index_path)
     query_index = load_index(query_index_path)
-    # No stage reads a document's text, so the collection is parsed only when its bytes differ from the
-    # indexed file's; then its items must still be the indexed ones, as for training queries that differ.
-    for index, index_path, source, items in (
-        (doc_index, doc_index_path, cfg.collection, lambda: parse_collection(cfg.collection)),
-        (query_index, query_index_path, cfg.train_queries, lambda: training_queries),
+    for index, index_path, source in (
+        (doc_index, doc_index_path, cfg.collection), (query_index, query_index_path, cfg.train_queries),
     ):
-        if not index.built_from_file(source) and not index.built_from((item.id, item.text) for item in items()):
+        if not index.built_from_file(source):
             raise ValueError(f"{index_path}: index is stale; rerun qvqpp index (it was not built from {source})")
     res = PipelineResources(
         doc_index=doc_index,
@@ -519,23 +522,26 @@ def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> di
     return values
 
 
+def _index_file(path: Path, empty: str, *, require_text: bool) -> InvertedIndex:
+    """The index of the ``id<TAB>text`` file at ``path``, read once, named by the SHA-256 of the bytes it was built from.
+
+    The records are indexed as they are parsed, and the digest is fed the
+    same bytes as the decoder, so it names the parsed bytes even if the
+    file changes meanwhile; a later command then finds the index stale.
+    """
+    digest = hashlib.sha256()
+    index = build_index(iter_tsv(path, require_text, digest))
+    if not index.size:
+        raise ValueError(f"{path}: {empty}")
+    return replace(index, file_sha256=digest.hexdigest())
+
+
 def cmd_index(cfg: PipelineConfig) -> int:
     """Build and persist the document index and the training-query index, then prune the run stores beside them."""
     _require_files(cfg.collection, cfg.train_queries)
-    sources = (cfg.collection, cfg.train_queries)
-    digests = [file_sha256(path) for path in sources]
-    documents = parse_collection(cfg.collection)
-    if not documents:
-        raise ValueError(f"{cfg.collection}: the collection holds no documents")
-    queries = parse_queries(cfg.train_queries)
-    if not queries:
-        raise ValueError(f"{cfg.train_queries}: the training-query file holds no queries")
-    for path, digest in zip(sources, digests):  # a digest must name the bytes that were parsed
-        if file_sha256(path) != digest:
-            raise ValueError(f"{path} changed while it was read; rerun qvqpp index")
+    doc_index = _index_file(cfg.collection, "the collection holds no documents", require_text=False)
+    query_index = _index_file(cfg.train_queries, "the training-query file holds no queries", require_text=True)
     cfg.index_dir.mkdir(parents=True, exist_ok=True)
-    doc_index = build_index(((d.id, d.text) for d in documents), file_sha256=digests[0])
-    query_index = build_index(((q.id, q.text) for q in queries), file_sha256=digests[1])
     save_index(doc_index, cfg.index_dir / DOC_INDEX_FILE)
     save_index(query_index, cfg.index_dir / QUERY_INDEX_FILE)
     _prune_run_stores(cfg.index_dir, _index_key(doc_index, query_index))

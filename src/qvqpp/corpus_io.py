@@ -18,6 +18,7 @@ so that downstream rank comparisons are reproducible.
 
 from __future__ import annotations
 
+import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -87,13 +88,40 @@ class RankedList:
         return len(self.entries)
 
 
+class _Digesting(io.RawIOBase):
+    """A binary file read through ``raw`` that feeds every byte it returns to ``digest`` first."""
+
+    def __init__(self, raw, digest) -> None:
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
 @contextmanager
-def open_utf8(path) -> Iterator[TextIO]:
+def open_utf8(path, digest=None) -> Iterator[TextIO]:
     """``path`` opened as UTF-8 text; a byte that is not UTF-8 ends in a ValueError naming its line.
 
-    Lines are counted as text mode ends them: at LF, CRLF or CR.
+    Lines are counted as text mode ends them: at LF, CRLF or CR. With
+    ``digest`` (a :mod:`hashlib` object), each block of bytes is fed to it as
+    the decoder gets it, so once the file is read to its end the digest
+    names exactly the bytes that were decoded, whatever happens to the file
+    afterwards.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    if digest is None:
+        handle = open(path, "r", encoding="utf-8")
+    else:
+        handle = io.TextIOWrapper(io.BufferedReader(_Digesting(open(path, "rb", buffering=0), digest)), "utf-8")
+    with handle:
         try:
             yield handle
         except UnicodeDecodeError:
@@ -105,16 +133,20 @@ def open_utf8(path) -> Iterator[TextIO]:
             raise  # the file changed since: report the error as raised
 
 
-def _iter_lines(path) -> Iterable[tuple[int, str]]:
-    with open_utf8(path) as handle:
+def _iter_lines(path, digest=None) -> Iterable[tuple[int, str]]:
+    with open_utf8(path, digest) as handle:
         for number, raw in enumerate(handle, start=1):
             yield number, raw.rstrip("\r\n")
 
 
-def _parse_tsv(path, require_text: bool) -> list[tuple[str, str]]:
-    records: list[tuple[str, str]] = []
+def iter_tsv(path, require_text: bool, digest=None) -> Iterator[tuple[str, str]]:
+    """The (id, text) records of an ``id<TAB>text`` file, read as they are yielded.
+
+    Duplicate ids, and with ``require_text`` empty texts, are rejected.
+    ``digest`` is fed the file's bytes as :func:`open_utf8` describes.
+    """
     seen: set[str] = set()
-    for number, line in _iter_lines(path):
+    for number, line in _iter_lines(path, digest):
         if "\t" not in line:
             raise ValueError(f"{path}:{number}: expected id<TAB>text, got {line!r}")
         item_id, text = line.split("\t", 1)
@@ -125,18 +157,17 @@ def _parse_tsv(path, require_text: bool) -> list[tuple[str, str]]:
         if require_text and not text.strip():
             raise ValueError(f"{path}:{number}: empty text for id {item_id!r}")
         seen.add(item_id)
-        records.append((item_id, text))
-    return records
+        yield item_id, text
 
 
 def parse_queries(path) -> list[Query]:
     """Read a ``id<TAB>text`` query file; duplicate ids and empty texts are rejected."""
-    return [Query(i, t) for i, t in _parse_tsv(path, require_text=True)]
+    return [Query(i, t) for i, t in iter_tsv(path, require_text=True)]
 
 
 def parse_collection(path) -> list[Document]:
     """Read a ``id<TAB>text`` document file; duplicate ids are rejected."""
-    return [Document(i, t) for i, t in _parse_tsv(path, require_text=False)]
+    return [Document(i, t) for i, t in iter_tsv(path, require_text=False)]
 
 
 def parse_run(path, depth: int) -> dict[str, RankedList]:

@@ -8,11 +8,18 @@ becomes a space, and a non-ASCII character encodes to bytes of 0x80 and
 above only, so it separates words as ``[a-z0-9]+`` would. The stopword
 list is part of the interface; changing it changes every downstream
 ranking.
+
+:func:`build_index` reads its items in one pass and calls no
+:func:`tokenize` per item: it splits a batch of texts of a few thousand
+characters as one string and maps its words to ids in one ``map`` pass,
+with the stopwords seeded as the lowest ids so that an id mask drops them;
+:func:`tokenize` stays the reference its rows are held to. An index names
+the SHA-256 of the bytes of the file it was built from (format version 4),
+and an index whose source file now holds other bytes is stale.
 """
 
 from __future__ import annotations
 
-import array
 import hashlib
 import itertools
 import json
@@ -24,7 +31,6 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -34,7 +40,7 @@ from .config import DEFAULT_B, DEFAULT_K1
 from .corpus_io import Document, RankedList
 
 INDEX_FORMAT = "qvqpp.inverted_index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 # Bumped whenever the arithmetic of a stored run changes, so no store written before is adopted.
 RUNS_FORMAT = "qvqpp.run_store"
 RUNS_VERSION = 1
@@ -59,6 +65,19 @@ _SPLIT_TABLE = bytes(byte if _TOKEN_RE.fullmatch(chr(byte)) else 0x20 for byte i
 TOKENIZER_SHA256 = hashlib.sha256(json.dumps([_TOKEN_RE.pattern, sorted(STOPWORDS)]).encode("ascii")).hexdigest()
 
 
+# build_index splits and maps the texts of an item batch as one string: each text is followed by _TEXT_END,
+# whose "\n" _BATCH_TABLE turns into the word "|". The stopwords, then "|", take the lowest ids of the
+# mapping, so one id comparison drops the stopwords and finds where each text ends.
+_TEXT_END = " \n "
+_BATCH_TABLE = _SPLIT_TABLE[:0x0A] + b"|" + _SPLIT_TABLE[0x0B:]
+_SEEDED = (*sorted(STOPWORDS), "|")
+_END_ID = len(STOPWORDS)
+# A batch closes once its texts hold this many characters, about 650 words (40 KB of word objects): small
+# enough that a batch costs less memory than the index arrays, even at scale T; building the scale-S
+# documents took no measurably different time with batches from 2 to 128 KiB.
+_BATCH_CHARS = 1 << 12
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on runs of characters outside ``[a-z0-9]``, remove stopwords.
 
@@ -75,17 +94,6 @@ def file_sha256(path) -> str:
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
-    return digest.hexdigest()
-
-
-def _items_sha256(items: Iterable[tuple[str, str]]) -> str:
-    """SHA-256 of (id, text) items in order; each item is hashed as its JSON array, which delimits itself.
-
-    The array is written as ``json.dumps([item_id, text])`` writes it, without a JSON encoder call per item.
-    """
-    digest = hashlib.sha256()
-    for item_id, text in items:
-        digest.update(f"[{_json_str(item_id)}, {_json_str(text)}]".encode("ascii"))
     return digest.hexdigest()
 
 
@@ -121,13 +129,13 @@ class InvertedIndex:
     Row ``o`` is the item ``item_ids[o]`` (ordinals follow input order).
     Its distinct terms are ``row_terms[row_ptr[o]:row_ptr[o + 1]]``, in
     ascending order, as ids into the sorted vocabulary ``terms``, and
-    ``row_tfs`` holds their frequencies. The SHA-256 strings name the
-    (id, text) items, the tokenizer and the bytes of the file the items
-    were read from (``""`` when they came from no file). Nothing else is
-    stored: ordinals, term ids, lengths, the postings (column) view, df,
-    cf, the totals and one BM25 gain table per ``(k1, b)`` (each term's
-    idf and each posting's gain, 8 bytes per posting) are derived on
-    first use and kept, so an index must not be mutated after it is read.
+    ``row_tfs`` holds their frequencies. The two SHA-256 strings name the
+    tokenizer and the bytes of the file the items were read from (``""``
+    when they came from no file). Nothing else is stored: ordinals, term
+    ids, lengths, the postings (column) view, df, cf, the totals and one
+    BM25 gain table per ``(k1, b)`` (each term's idf and each posting's
+    gain, 8 bytes per posting) are derived on first use and kept, so an
+    index must not be mutated after it is read.
     """
 
     item_ids: list[str]
@@ -135,7 +143,6 @@ class InvertedIndex:
     row_ptr: np.ndarray
     row_terms: np.ndarray
     row_tfs: np.ndarray
-    source_sha256: str
     tokenizer_sha256: str
     file_sha256: str
 
@@ -143,22 +150,22 @@ class InvertedIndex:
     def size(self) -> int:
         return len(self.item_ids)
 
-    def built_from(self, items: Iterable[tuple[str, str]]) -> bool:
-        """Whether the index was built from exactly these (id, text) items, in order, by this tokenizer."""
-        return self.tokenizer_sha256 == TOKENIZER_SHA256 and self.source_sha256 == _items_sha256(items)
-
     def built_from_file(self, path) -> bool:
-        """Whether the index was built by this tokenizer from the items of a file with the bytes ``path`` now has.
+        """Whether the index was built by this tokenizer from a file with the bytes ``path`` now has.
 
-        Equal bytes parse to equal items, so this answers as :meth:`built_from`
-        does on the parsed file when true; false says nothing about the items.
+        This is the one staleness rule: other bytes are another source, even
+        when they would parse to the same items.
         """
         return self.tokenizer_sha256 == TOKENIZER_SHA256 and self.file_sha256 == file_sha256(path)
 
     @property
     def fingerprint(self) -> str:
-        """Names the index's contents: its format version, items and tokenizer, not the bytes of its source file."""
-        return f"{INDEX_FORMAT}/{INDEX_VERSION}/{self.source_sha256}/{self.tokenizer_sha256}"
+        """Names the index's contents: its format version, the bytes of its source file and its tokenizer.
+
+        An index built from no file has ``""`` for the file digest, so its
+        fingerprint does not name its items.
+        """
+        return f"{INDEX_FORMAT}/{INDEX_VERSION}/{self.file_sha256}/{self.tokenizer_sha256}"
 
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
@@ -253,39 +260,82 @@ class InvertedIndex:
         return self.total_tokens / self.size if self.size else 0.0
 
 
-def build_index(items: Iterable[tuple[str, str]], *, file_sha256: str = "") -> InvertedIndex:
+def _map_batch(texts: list[str], first_seen: defaultdict[str, int]) -> np.ndarray:
+    """The kept first-seen term ids (int32) of ``texts``, text after text, each text's followed by _END_ID.
+
+    The texts are joined, each followed by _TEXT_END, then lowercased,
+    encoded, translated and split as one string, which gives each text the
+    words :func:`tokenize` gives it: the spaces keep texts apart, and
+    lowercasing depends on context only for the Greek capital sigma, which
+    becomes a non-ASCII letter either way. A text's own ``"\\n"`` separates
+    words as a space does, so it is replaced by one first; then each
+    ``"\\n"`` left becomes the word ``"|"``, whose id marks a text's end.
+    """
+    joined = _TEXT_END.join([*texts, ""])
+    if joined.count("\n") != len(texts):
+        joined = _TEXT_END.join([text.replace("\n", " ") for text in texts] + [""])
+    words = joined.lower().encode("utf-8", "surrogatepass").translate(_BATCH_TABLE).decode("ascii").split()
+    del joined
+    ids = np.fromiter(map(first_seen.__getitem__, words), dtype=np.int32, count=len(words))
+    return ids[ids >= _END_ID]
+
+
+def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     """Build the term matrix of (id, text) pairs; ids must be unique.
 
-    ``file_sha256`` is the digest of the file the items were read from, if any.
-    Each token gets one int64 key, ``row * n_terms + term``; one sort of
-    the keys puts the tokens of each (item, term) pair in one run, in row
-    and then term order, and each run's length is the pair's term frequency.
+    The index names no source file (``file_sha256`` is ``""``); a caller
+    that read the items from a file sets the file's digest.
+
+    The items are read once, in batches that close when their texts hold
+    _BATCH_CHARS characters, so only one batch's words are ever held as
+    objects. Each batch is split as one string and its words mapped to
+    first-seen ids in one ``map`` pass (:func:`_map_batch`); the stopwords
+    are seeded as the lowest ids, so an id mask drops them, and the kept ids
+    are stored as int32. No :func:`tokenize` call runs, yet each row holds
+    exactly ``Counter(tokenize(text))``.
+
+    Each kept token then gets one int64 key, ``row * n_terms + term``; one
+    sort of the keys puts the tokens of each (item, term) pair in one run, in
+    row and then term order, and each run's length is the pair's term
+    frequency.
     """
-    items = list(items)
     item_ids: list[str] = []
     seen: set[str] = set()
-    first_seen = defaultdict(itertools.count().__next__)  # term -> id in order of first occurrence
-    tokens = array.array("i")  # every token's first-seen term id, item after item
-    item_ends: list[int] = []  # each item's end in tokens
+    counter = itertools.count()
+    # word -> id in order of first occurrence, the seeded words first: zip takes ids 0.. for them from counter
+    first_seen = defaultdict(counter.__next__, zip(_SEEDED, counter))
+    batches = []  # each batch's kept ids, each text's followed by _END_ID
+    texts: list[str] = []
+    size = 0
     for item_id, text in items:
         if item_id in seen:
             raise ValueError(f"duplicate item id {item_id!r}")
         seen.add(item_id)
         item_ids.append(item_id)
-        tokens.extend(map(first_seen.__getitem__, tokenize(text)))
-        item_ends.append(len(tokens))
-    terms = sorted(first_seen)
-    sorted_id = np.empty(len(terms), dtype=np.int64)
+        texts.append(text)
+        size += len(text)
+        if size >= _BATCH_CHARS:
+            batches.append(_map_batch(texts, first_seen))
+            texts, size = [], 0
+    batches.append(_map_batch(texts, first_seen))
+    terms = sorted(itertools.islice(first_seen, len(_SEEDED), None))
+    sorted_id = np.zeros(len(first_seen), dtype=np.int64)  # first-seen id -> id in the sorted vocabulary
     sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
-    ends = np.asarray(item_ends, dtype=np.int64)
-    keys = np.repeat(np.arange(len(items), dtype=np.int64) * len(terms), np.diff(ends, prepend=0))
-    keys += sorted_id[np.frombuffer(tokens, dtype=np.intc)]
+    del first_seen
+    marked = np.concatenate(batches)
+    del batches
+    at_end = marked == _END_ID
+    ends = np.flatnonzero(at_end) - np.arange(len(item_ids))  # each item's end in tokens
+    tokens = marked[~at_end]
+    del marked, at_end
+    keys = np.repeat(np.arange(len(item_ids), dtype=np.int64) * len(terms), np.diff(ends, prepend=0))
+    keys += sorted_id[tokens]
     del tokens  # each per-token array is freed once read, so few are held at a time
     keys.sort()  # the tokens of row r stay at positions ends[r - 1]:ends[r]
     boundary = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end of the last one
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:-1])
     bounds = np.flatnonzero(boundary)
-    row_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+    row_ptr = np.zeros(len(item_ids) + 1, dtype=np.int64)
     row_ptr[1:] = np.searchsorted(bounds[:-1], ends)
     pair_terms = keys[bounds[:-1]]
     del keys
@@ -296,9 +346,8 @@ def build_index(items: Iterable[tuple[str, str]], *, file_sha256: str = "") -> I
         row_ptr=row_ptr,
         row_terms=pair_terms.astype(np.int32),
         row_tfs=np.diff(bounds).astype(np.int32),
-        source_sha256=_items_sha256(items),
         tokenizer_sha256=TOKENIZER_SHA256,
-        file_sha256=file_sha256,
+        file_sha256="",
     )
 
 
@@ -504,16 +553,15 @@ _INDEX_SCHEMA: dict[str, MemberSpec] = {
 def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as an artifact of plain arrays with a format/version header.
 
-    The version 3 header holds the format name, the version and three
-    SHA-256 strings: of the (id, text) items, of the tokenizer and of the
-    source file's bytes (``file_sha256``, ``""`` for items read from no
-    file), which lets a command that finds the same bytes skip parsing it.
-    Two builds from the same items write the same bytes.
+    The version 4 header holds the format name, the version and two SHA-256
+    strings: of the tokenizer and of the source file's bytes
+    (``file_sha256``, ``""`` for items read from no file), by which a
+    command tells whether the index is stale. Two builds from the same
+    items write the same bytes.
     """
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "source_sha256": index.source_sha256,
         "tokenizer_sha256": index.tokenizer_sha256,
         "file_sha256": index.file_sha256,
     }
@@ -528,9 +576,9 @@ def save_index(index: InvertedIndex, path) -> None:
 
 def _index_from(header: dict, values: dict) -> InvertedIndex:
     """Check what spans the members read from an index artifact and assemble the index."""
-    fingerprint = [header.get("source_sha256"), header.get("tokenizer_sha256"), header.get("file_sha256")]
+    fingerprint = [header.get("tokenizer_sha256"), header.get("file_sha256")]
     if not all(isinstance(value, str) for value in fingerprint):
-        raise ValueError("no source, tokenizer and file fingerprint")
+        raise ValueError("no tokenizer and file fingerprint")
     item_ids, terms, row_ptr, row_terms, row_tfs = (values[name] for name in _INDEX_SCHEMA)
     if not isinstance(item_ids, list) or not all(isinstance(i, str) for i in item_ids):
         raise ValueError("item ids are not a list of strings")

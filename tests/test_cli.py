@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import re
@@ -17,9 +18,8 @@ from hypothesis import strategies as st
 import qvqpp
 from qvqpp import QppConfig, Query, QVCandidate, QVSet, RankedList, base_predictions, smooth_qpp
 from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, save_index, write_score_tsv
-from qvqpp import cli, dense_index, variants
+from qvqpp import cli, corpus_io, dense_index, variants
 from qvqpp.cli import main
-from qvqpp.text_index import InvertedIndex
 from test_variants import predicting_resources
 
 # Outputs of the fixture workspace with its default 2-hop NQC configuration,
@@ -214,27 +214,49 @@ class TestIndexCommand:
         assert capsys.readouterr().err == f"error: {empty}: the training-query file holds no queries\n"
         assert not index_dir.exists()
 
-    def test_source_edited_while_read_refused(self, indexed_workspace, tmp_path, capsys, monkeypatch):
-        # the recorded digest would name bytes other than the parsed ones
-        collection = tmp_path / "collection.tsv"
-        collection.write_bytes((indexed_workspace["data"] / "collection.tsv").read_bytes())
-        parse = cli.parse_collection
+    @pytest.mark.parametrize("appended", ["after-the-end", "after-the-first-record"])
+    def test_index_names_the_bytes_it_parsed_while_the_source_grows(
+        self, indexed_workspace, tmp_path, capsys, monkeypatch, appended
+    ):
+        # A line appended once the reader has passed the end of the file is not parsed, so the index names the
+        # bytes before it and the next predict refuses the index as stale; one appended before that is parsed
+        # and hashed with the rest, so the index names the whole file and loads.
+        source = tmp_path / "collection.tsv"
+        before = (indexed_workspace["data"] / "collection.tsv").read_bytes()
+        source.write_bytes(before)
+        read = cli.iter_tsv
 
-        def parse_then_edit(path):
-            documents = parse(path)
-            with open(path, "a", encoding="utf-8") as handle:
+        def append():
+            with open(source, "a", encoding="utf-8") as handle:
                 handle.write("late\tappended while indexing\n")
-            return documents
 
-        monkeypatch.setattr(cli, "parse_collection", parse_then_edit)
-        index_dir = tmp_path / "index"
-        code = run_cli(
-            "index", "--config", indexed_workspace["config"], "--set", f"paths.collection={collection}",
-            "--set", f"paths.index_dir={index_dir}",
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {collection} changed while it was read; rerun qvqpp index\n"
-        assert not index_dir.exists()
+        def read_and_append(path, *args):
+            records = read(path, *args)
+            if path == source and appended == "after-the-first-record":
+                yield next(records)
+                append()
+            yield from records
+            if path == source and appended == "after-the-end":
+                append()
+
+        monkeypatch.setattr(cli, "iter_tsv", read_and_append)
+        paths = ["--set", f"paths.collection={source}", "--set", f"paths.index_dir={tmp_path / 'index'}"]
+        assert run_cli("index", "--config", indexed_workspace["config"], *paths) == 0
+        parsed = source.read_bytes() if appended == "after-the-first-record" else before
+        index = load_index(tmp_path / "index" / "documents.idx")
+        assert index.file_sha256 == hashlib.sha256(parsed).hexdigest()
+        assert ("late" in index.item_ids) == (appended == "after-the-first-record")
+        out = tmp_path / "predictions.tsv"
+        code = run_cli("predict", "--config", indexed_workspace["config"], *paths, "--out", out)
+        if appended == "after-the-end":
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {tmp_path / 'index' / 'documents.idx'}: index is stale; rerun qvqpp index "
+                f"(it was not built from {source})\n"
+            )
+            assert not out.exists()
+        else:
+            assert code == 0 and out.exists()
 
 
 class TestValidation:
@@ -264,7 +286,7 @@ paths:
         def loaded(*args, **kwargs):
             raise AssertionError("an input was loaded")
 
-        for name in ("load_index", "parse_queries", "parse_collection", "parse_run"):
+        for name in ("load_index", "parse_queries", "parse_run"):
             monkeypatch.setattr(cli, name, loaded)
         monkeypatch.setattr(dense_index, "load_vectors", loaded)  # the dense path imports it when it runs
         out = indexed_workspace["root"] / "never-written"
@@ -410,12 +432,12 @@ paths:
         assert "index is stale; rerun qvqpp index" in err
         assert not (tmp_path / "predictions.tsv").exists()
 
-    def test_matching_file_digests_skip_parsing_and_item_digests(self, indexed_workspace, tmp_path, monkeypatch):
+    def test_no_command_but_index_parses_the_collection(self, indexed_workspace, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("called although the source files have the indexed bytes")
+            raise AssertionError("the collection was parsed")
 
-        monkeypatch.setattr(cli, "parse_collection", refuse)
-        monkeypatch.setattr(InvertedIndex, "built_from", refuse)
+        monkeypatch.setattr(corpus_io, "parse_collection", refuse)
+        monkeypatch.setattr(cli, "iter_tsv", refuse)
         out = tmp_path / "predictions.tsv"
         assert run_cli("predict", "--config", indexed_workspace["config"], "--out", out) == 0
         assert out.read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
@@ -424,16 +446,20 @@ paths:
         "path_key, file_name",
         [("train_queries", "train_queries.tsv"), ("collection", "collection.tsv")],
     )
-    def test_other_bytes_with_the_indexed_items_load(self, indexed_workspace, tmp_path, path_key, file_name):
+    def test_other_bytes_with_the_indexed_items_are_stale(self, indexed_workspace, tmp_path, capsys, path_key, file_name):
+        # staleness has one rule, by file bytes: a CRLF copy parses to the indexed items, yet needs a new index
         text = (indexed_workspace["data"] / file_name).read_text(encoding="utf-8")
         crlf = tmp_path / file_name
-        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))  # parses to the same items
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
         out = tmp_path / "predictions.tsv"
         code = run_cli(
             "predict", "--config", indexed_workspace["config"], "--set", f"paths.{path_key}={crlf}", "--out", out,
         )
-        assert code == 0
-        assert out.read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"index is stale; rerun qvqpp index (it was not built from {crlf})" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("file_name", ["documents.idx", "queries.idx"])
     def test_wrong_tokenizer_digest_is_stale_with_matching_file(self, indexed_workspace, tmp_path, capsys, file_name):
@@ -647,8 +673,8 @@ paths:
          "config", "fold_a"],
     )
     def test_bad_utf8_names_file_and_line(self, indexed_workspace, tmp_path, capsys, path_key):
-        # predict reads every input but the test qrels, which sweep reads
-        command = "sweep" if path_key == "test_qrels" else "predict"
+        # predict reads every input but the collection, which index reads, and the test qrels, which sweep reads
+        command = {"collection": "index", "test_qrels": "sweep"}.get(path_key, "predict")
         overrides = ("--set", "qpp.query_retriever=dense") if path_key == "embeddings" else ()
         config = indexed_workspace["config"]
         if path_key == "config":
@@ -668,7 +694,8 @@ paths:
             key = "evaluation.fold_a" if path_key == "fold_a" else f"paths.{path_key}"
             overrides = (*overrides, "--set", f"{key}={bad}")
         out = tmp_path / "out"
-        assert run_cli(command, "--config", config, *overrides, "--out", out) == 1
+        written = ("--set", f"paths.index_dir={out}") if command == "index" else ("--out", out)
+        assert run_cli(command, "--config", config, *overrides, *written) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:3: 'utf-8' codec can't decode byte 0xff in position "), err
         assert err.endswith(": invalid start byte\n") and err.count("\n") == 1, err

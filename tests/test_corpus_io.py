@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from qvqpp import (
     write_run,
     write_score_tsv,
 )
+from qvqpp.corpus_io import iter_tsv
 
 
 def write(path, text):
@@ -195,9 +197,23 @@ class TestScoreTsv:
             parse_score_tsv(path)
 
 
-class TestUndecodableBytes:
+class TestDigestingReader:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_line_of_the_first_bad_byte_past_the_first_chunk(self, tmp_path, newline):
+    def test_digest_names_the_bytes_read(self, tmp_path, newline):
+        # many read blocks, line ends that text mode translates, and a last line without one
+        data = newline.join(f"d{i}\tword {i} é".encode() for i in range(5000))
+        path = tmp_path / "collection.tsv"
+        path.write_bytes(data)
+        digest = hashlib.sha256()
+        records = list(iter_tsv(path, True, digest))
+        assert records == [(f"d{i}", f"word {i} é") for i in range(5000)]
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("digest", [None, hashlib.sha256], ids=["plain", "digesting"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_of_the_first_bad_byte_past_the_first_chunk(self, tmp_path, newline, digest):
         # text mode decodes 8 KiB chunks, so the error it raises knows neither line nor file offset
         rows = [f"q{i}\tsome query text {i}".encode() for i in range(2000)]
         rows[1500] += b"\xe9"  # Latin-1 e-acute, then a line end: not UTF-8
@@ -207,5 +223,5 @@ class TestUndecodableBytes:
         offset = len(newline.join(rows[:1500])) + len(newline) + len(rows[1500]) - 1
         message = f"{path}:1501: 'utf-8' codec can't decode byte 0xe9 in position {offset}: invalid continuation byte"
         with pytest.raises(ValueError) as raised:
-            parse_queries(path)
+            list(iter_tsv(path, True, digest())) if digest else parse_queries(path)
         assert str(raised.value) == message

@@ -1,9 +1,10 @@
-"""The ``qvqpp`` command's entry point, ``qvqpp.__main__.entrypoint``, and its garbage-collector policy.
+"""The ``qvqpp`` command's entry point, ``qvqpp.__main__.entrypoint``, its garbage-collector policy and its exit.
 
 The command turns the cyclic collector off before the layers load and
-freezes the heap before it exits; importing the package or calling
-``qvqpp.cli.main`` leaves the collector alone. Every test here runs the
-command, or the policy, in a fresh interpreter, so this process keeps its own.
+leaves by ``os._exit`` once logging is shut down and the standard streams
+are flushed; importing the package or calling ``qvqpp.cli.main`` leaves
+the collector alone. Every test here runs the command, or the policy, in a
+fresh interpreter, so this process keeps its own.
 """
 
 from __future__ import annotations
@@ -61,6 +62,41 @@ def test_evaluate_prints_all_of_the_report_it_writes(workspace, tmp_path):
                    "--predictions", str(predictions), "--out", str(report))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == report.read_text(encoding="utf-8") != ""
+
+
+def _evaluate_argv(workspace, tmp_path) -> list[str]:
+    predictions = tmp_path / "predictions.tsv"
+    predictions.write_text(NQC_PREDICTIONS_GOLDEN, encoding="utf-8")
+    return ["-m", "qvqpp", "evaluate", "--config", str(workspace["config"]), "--predictions", str(predictions),
+            "--out", str(tmp_path / "eval.txt")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_device_is_one_error_line_and_exit_1(workspace, tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, *_evaluate_argv(workspace, tmp_path)], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_output_to_a_closed_pipe_is_one_error_line_and_exit_1(workspace, tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, *_evaluate_argv(workspace, tmp_path)], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        child.stdout.close()  # long before the command writes its report
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+    assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, code, stream", [([], 2, "stderr"), (["--help"], 0, "stdout")], ids=["usage", "help"])
+def test_argparse_exits_keep_the_normal_exit(argv, code, stream):
+    done = _python("-m", "qvqpp", *argv)
+    assert done.returncode == code
+    assert getattr(done, stream).startswith("usage: qvqpp ") and "Traceback" not in done.stderr
 
 
 def test_a_missing_config_is_one_error_line_and_exit_1(tmp_path):

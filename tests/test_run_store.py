@@ -458,6 +458,7 @@ def _file_faults():
     yield "flipped-byte", _flip_last_data_byte
     yield "format-foreign", _member_fault(lambda h, m: h.update(format="something-else"))
     yield "version-next", _member_fault(lambda h, m: h.update(version=h["version"] + 1))
+    yield "version-previous", _member_fault(lambda h, m: h.update(version=h["version"] - 1))
 
 
 def artifact_faults(ptr: str, ordinals: str, scores: str | None = None, keys: str | None = None):

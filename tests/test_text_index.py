@@ -7,9 +7,12 @@ import pickle
 import random
 import tempfile
 import time
+import tracemalloc
 import zipfile
 from collections import Counter
 from pathlib import Path
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from index_reference import build_index_arrays
 from qvqpp import (
     Document,
     RankedList,
@@ -30,10 +34,11 @@ from qvqpp import (
     save_index,
     tokenize,
 )
+from qvqpp import text_index
+from qvqpp.corpus_io import iter_tsv
 from qvqpp.text_index import (
     TOKENIZER_SHA256,
     InvertedIndex,
-    _items_sha256,
     bm25_ordinals,
     pseudo_query_terms,
     ranked_list,
@@ -116,15 +121,17 @@ class TestBuildIndex:
         assert index.avgdl == pytest.approx(index.total_tokens / index.size)
 
 
+# Texts that stress build_index's one-string pass over a batch: the word "|" and the "\n" that end each
+# text there, other line breaks (\r, \x85, \u2028), 0x7F, U+212A (Kelvin sign, lowercases to "k"), "İ"
+# (lowercases to "i" and a combining dot), lone surrogates, "Σ" (lowercased by context), digits,
+# mixed-case stopwords, and empty or all-stopword texts.
+BATCH_WORDS = ["the", "The", "OF", "and", "Alpha", "beta", "x1", "42", "ß", "--", "é", "|", "a|b", "\n", "x\ny",
+               "\r", "\x7f", "\x85", "\u2028", "\u212a", "\u212aelvin", "İ", "İx", "\ud800", "a\udfffb", "ΑΣ", ""]
+batch_texts = st.lists(st.sampled_from(BATCH_WORDS), max_size=8).map(" ".join) | st.lists(
+    st.sampled_from(BATCH_WORDS), max_size=4).map("".join)
+
 # ids without repeats, and texts mixing words, stopwords, case, punctuation and non-ASCII, empty ones included
-index_items = st.lists(
-    st.tuples(
-        st.text(max_size=4),
-        st.lists(st.sampled_from(["the", "of", "Alpha", "beta", "x1", "ß", "--", "é", "\u212a", ""]),
-                 max_size=8).map(" ".join),
-    ),
-    max_size=10, unique_by=lambda item: item[0],
-)
+index_items = st.lists(st.tuples(st.text(max_size=4), batch_texts), max_size=10, unique_by=lambda item: item[0])
 
 
 class TestIndexAgainstCounterBuilder:
@@ -135,11 +142,11 @@ class TestIndexAgainstCounterBuilder:
     def test_arrays_and_artifact_bytes_match(self, items):
         index = build_index(items)
         want = oracles.build_index_counter(items)
+        del want["source_sha256"]  # the oracle also hashes the items, which an index no longer records
         assert index.item_ids == want["item_ids"] and index.terms == want["terms"]
         for name in ("row_ptr", "row_terms", "row_tfs"):
             got = getattr(index, name)
             assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
-        assert index.source_sha256 == want["source_sha256"]
         with tempfile.TemporaryDirectory() as scratch:
             save_index(index, Path(scratch) / "built.idx")
             oracle_index = InvertedIndex(**want, tokenizer_sha256=TOKENIZER_SHA256, file_sha256="")
@@ -159,6 +166,52 @@ class TestIndexAgainstCounterBuilder:
         assert np.array_equal(ordinals, rows[order]) and np.array_equal(tfs, index.row_tfs[order])
         assert ordinals.dtype == tfs.dtype == np.int32
         assert np.array_equal(np.diff(col_ptr), np.bincount(index.row_terms, minlength=len(index.terms)))
+
+
+def _assert_members_equal_the_reference(items):
+    index = build_index(items)
+    for name, want in build_index_arrays(items).items():
+        got = getattr(index, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+class TestIndexAgainstReferenceBuilder:
+    """build_index against the per-item builder it replaced (``tests/index_reference.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(batch_texts, max_size=40), st.sampled_from([1, 2, 5, 16, 64, 4096]))
+    @example(["x\ny", "|", "", "the Of", "\u212a\u0130\ud800"], 1)
+    def test_members_equal_the_reference(self, texts, batch_chars):
+        # a small bound closes a batch after every item or few, so each batch boundary is crossed
+        with mock.patch.object(text_index, "_BATCH_CHARS", batch_chars):
+            _assert_members_equal_the_reference([(f"i{n}", text) for n, text in enumerate(texts)])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_item_counts_around_the_batch_bound(self, batches, extra):
+        # texts of 64 characters: a batch closes after exactly _BATCH_CHARS // 64 of them
+        rng = random.Random(10 * batches + extra)
+        words = ["the", "Alpha", "beta", "x1", "é", "|", "\u212a", "OF"]
+        count = batches * (text_index._BATCH_CHARS // 64) + extra
+        texts = [(" ".join(rng.choices(words, k=30)) + " " * 64)[:64] for _ in range(count)]
+        _assert_members_equal_the_reference([(f"i{n}", text) for n, text in enumerate(texts)])
+
+    @pytest.mark.parametrize("file_name", ["collection.tsv", "train_queries.tsv"])
+    def test_peak_memory_is_not_above_the_reference(self, tmp_path, file_name):
+        load_generator()(tmp_path, "T", 1, 10)
+        items = list(iter_tsv(tmp_path / file_name, require_text=False))
+        peaks = {}
+        for build in (build_index_arrays, build_index):
+            tracemalloc.start()
+            try:
+                build(items)
+                peaks[build] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[build_index] <= peaks[build_index_arrays], peaks
 
 
 class TestBm25Retrieve:
@@ -391,8 +444,7 @@ def _set_first(array, value):
 
 
 def _header(**changes):
-    header = {"format": "qvqpp.inverted_index", "version": 3, "source_sha256": "0" * 64, "tokenizer_sha256": "0" * 64,
-              "file_sha256": "0" * 64}
+    header = {"format": "qvqpp.inverted_index", "version": 4, "tokenizer_sha256": "0" * 64, "file_sha256": "0" * 64}
     header.update(changes)
     return _json_member({k: v for k, v in header.items() if v is not None})
 
@@ -413,7 +465,7 @@ MALFORMED = {
     "item-ids-duplicated": lambda m: {**m, "item_ids": _json_member(["d1"] * len(TOY_CORPUS))},
     "item-ids-object-array": lambda m: {**m, "item_ids": np.array([d for d, _ in TOY_CORPUS], dtype=object)},
     "header-foreign": lambda m: {**m, "header": _header(format="something-else")},
-    "header-no-fingerprint": lambda m: {**m, "header": _header(source_sha256=None)},
+    "header-no-tokenizer-digest": lambda m: {**m, "header": _header(tokenizer_sha256=None)},
     "header-no-file-digest": lambda m: {**m, "header": _header(file_sha256=None)},
     "header-file-digest-not-string": lambda m: {**m, "header": _header(file_sha256=0)},
     "header-not-json": lambda m: {**m, "header": np.frombuffer(b"{not json", dtype=np.uint8)},
@@ -465,18 +517,21 @@ class TestArtifactSafety:
         members["header"] = _header(version=1)
         path = tmp_path / "old.idx"
         _write_members(path, members)
-        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 3; rerun qvqpp index"):
+        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 4; rerun qvqpp index"):
             load_index(path)
 
-    def test_version_2_artifact_asks_for_a_rebuild(self, tmp_path):
-        # a version 2 header, as written before the file digest: no second reader is kept for it
+    @pytest.mark.parametrize("version, fields", [(2, ["source_sha256", "tokenizer_sha256"]),
+                                                 (3, ["source_sha256", "tokenizer_sha256", "file_sha256"])])
+    def test_older_artifacts_ask_for_a_rebuild(self, tmp_path, version, fields):
+        # a version 2 header, as written before the file digest, and a version 3 one, as written with the item
+        # digest: no second reader is kept for either
         members = _members(tmp_path)
-        header = json.loads(members["header"].tobytes())
-        del header["file_sha256"]
-        members["header"] = _json_member({**header, "version": 2})
-        path = tmp_path / "v2.idx"
+        members["header"] = _json_member({"format": "qvqpp.inverted_index", "version": version,
+                                          **{field: "0" * 64 for field in fields}})
+        path = tmp_path / f"v{version}.idx"
         _write_members(path, members)
-        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 2, not 3; rerun qvqpp index"):
+        with pytest.raises(ValueError, match=rf"not a qvqpp.inverted_index artifact \(version {version}, not 4; "
+                                             r"rerun qvqpp index\)$"):
             load_index(path)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -492,39 +547,19 @@ class TestArtifactSafety:
         _write_members(path, _members(tmp_path))
         assert load_index(path).item_ids == [d for d, _ in TOY_CORPUS]
 
-    def test_built_from_names_items_and_tokenizer(self):
-        index = build_index(TOY_CORPUS)
-        assert index.built_from(TOY_CORPUS)
-        edited = [(TOY_CORPUS[0][0], "edited text"), *TOY_CORPUS[1:]]
-        assert not index.built_from(edited)
-        assert not index.built_from(TOY_CORPUS[::-1])
-        assert not index.built_from(TOY_CORPUS[:-1])
-        assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from(TOY_CORPUS)
-
     def test_built_from_file_names_bytes_and_tokenizer(self, tmp_path):
         source = tmp_path / "collection.tsv"
         source.write_bytes(b"d1\tcoffee beans\n")
         digest = hashlib.sha256(source.read_bytes()).hexdigest()
-        index = build_index([("d1", "coffee beans")], file_sha256=digest)
+        index = dataclasses.replace(build_index([("d1", "coffee beans")]), file_sha256=digest)
         save_index(index, tmp_path / "documents.idx")
         assert load_index(tmp_path / "documents.idx").file_sha256 == digest
         assert index.built_from_file(source)
+        assert index.fingerprint == f"qvqpp.inverted_index/4/{digest}/{TOKENIZER_SHA256}"
         assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from_file(source)
         assert not build_index([("d1", "coffee beans")]).built_from_file(source)  # built from items, not a file
-        source.write_bytes(b"d1\tcoffee beans\r\n")  # other bytes, same items
-        assert not index.built_from_file(source) and index.built_from([("d1", "coffee beans")])
-
-    # every code point, lone surrogates (category Cs) included, weighted towards the characters JSON escapes
-    JSON_HARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é中\ud800\udfff😀') | st.characters(exclude_categories=()))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(JSON_HARD, JSON_HARD), max_size=6))
-    @example([("", ""), ("", "x"), ('"', "\\"), ("\ud83d", "\x00 \x1f é")])
-    def test_source_digest_hashes_each_item_as_its_json_array(self, items):
-        digest = hashlib.sha256()
-        for item_id, text in items:
-            digest.update(json.dumps([item_id, text]).encode("ascii"))
-        assert _items_sha256(items) == digest.hexdigest()
+        source.write_bytes(b"d1\tcoffee beans\r\n")  # other bytes, even though they parse to the same items
+        assert not index.built_from_file(source)
 
 
 WORDS = ["the", "alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
