@@ -10,9 +10,9 @@ Every name below is re-exported from its submodule, which is imported on
 the first access (PEP 562), so importing the package loads no submodule.
 The parameter objects (``QppConfig``, ``PredictorParams``, ``RboParams``)
 live in ``qvqpp.config``, which imports no pipeline layer. ``import
-qvqpp.cli`` loads only ``config``, ``corpus_io`` and ``text_index``; each
-command imports the other layers it runs when it starts (see
-:mod:`qvqpp.cli`).
+qvqpp.cli`` loads only ``config``, ``corpus_io``, ``text_index`` and
+``artifacts``; each command imports the other layers it runs when it
+starts (see :mod:`qvqpp.cli`).
 """
 
 import importlib

@@ -22,43 +22,17 @@ command refuses an index whose source file now holds other bytes, even
 bytes that parse to the same items (CRLF line ends, say), with "rerun qvqpp
 index"; staleness has this one rule, and no command but ``index`` parses
 the collection.
-A run store keeps results that depend only on the training set, one kind
-per file:
-
-- ``internal_runs-*.runs``: the training queries' internal BM25 runs,
-  keyed by ``bm25.k1``, ``bm25.b`` and ``qpp.internal_depth``;
-- ``pseudo_query_hits-*.runs``, with 2-hop expansion on: the training
-  queries that judged documents' pseudo-queries retrieve, keyed by
-  ``bm25.k1``, ``bm25.b``, ``qpp.pseudo_query_m`` and ``qpp.n``;
-- ``variant_phi-*.runs``: one float64 per training query, its base
-  prediction over its internal run once it has been kept as a variant,
-  NaN where not yet known, keyed by ``qpp.base``,
-  ``qpp.internal_depth``, every ``predictor.*`` and ``bm25.*`` value,
-  ``seed``, ``qpp.rbo_p`` and ``qpp.rbo_depth``, and by the predictors'
-  version, which changes whenever their arithmetic does.
-
-A store's file name holds its kind and key (or, were that name too long
-for a file system, the kind and a digest of the key); its header also
-records both indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep`` adopt
-each store of their config (``qv`` has no base predictions) whose header
-matches and whose every check passes, so later commands skip that BM25
-and predictor work; after writing their own output they rewrite a store,
-whole and atomically, when they computed rows it lacked. A target's own
-run is never stored. ``index`` writes no store; after writing the indexes it
-deletes every store whose header names other index fingerprints or cannot
-be read, reading only the headers, and every temporary file a killed store
-write left. A stale or malformed store is ignored and rewritten, a store
-that cannot be written is a warning, and outputs never depend on a store,
-so deleting stores is always safe; ``-v`` logs what became of each, and
-how many base predictions were evaluated and how many read from a store's
-table.
+:mod:`qvqpp.artifacts` says what the run stores hold and when each is read,
+rewritten and deleted; ``-v`` logs what became of each, and how many base
+predictions were evaluated and how many read from a store's table.
 
 ``main`` leaves Python's cyclic garbage collector as the caller set it;
 the ``qvqpp`` command turns it off around ``main`` (see
 :mod:`qvqpp.__main__`).
 
 Each command loads only the layers it runs. Importing this module loads
-``qvqpp.config``, ``corpus_io`` and ``text_index``; beyond those,
+``qvqpp.config``, ``corpus_io``, ``text_index`` and ``artifacts``; beyond
+those,
 
 - ``index`` loads nothing more;
 - ``evaluate`` loads ``evaluation``;
@@ -95,9 +69,8 @@ import hashlib
 import logging
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import yaml
 
@@ -113,10 +86,9 @@ from .corpus_io import (
     write_score_tsv,
 )
 from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
-from .text_index import (
-    InvertedIndex, StaleArtifactError, StoredRuns, build_index, check_runs_header, load_index, load_phi, load_runs,
-    save_index, save_runs,
-)
+from .text_index import InvertedIndex, build_index, load_index, save_index
+# after text_index: with no bytecode cache, a module compiled once numpy is resident raised peak RSS by about 1 MB
+from .artifacts import INTERNAL_RUNS, PSEUDO_QUERY_HITS, VARIANT_PHI, RunStore, prune_run_stores
 
 if TYPE_CHECKING:
     from .variants import PipelineResources
@@ -128,10 +100,6 @@ TARGET_METRICS = ("ap@100", "ndcg@10")
 
 DOC_INDEX_FILE = "documents.idx"
 QUERY_INDEX_FILE = "queries.idx"
-RUN_STORE_SUFFIX = ".runs"
-# The longest store name whose temporary file (".NAME.PID.tmp", a pid of up to 7 digits) still fits the 255-byte
-# file-name limit of common file systems; a store whose spelled-out key is longer is named by the key's digest.
-RUN_STORE_NAME_LIMIT = 242
 
 REQUIRED_PATHS = ("collection", "train_queries", "train_qrels", "test_queries", "test_qrels", "target_run",
                   "index_dir", "output_dir")
@@ -309,138 +277,13 @@ def _require_files(*paths: Path | None) -> None:
         raise ValueError("missing input file(s): " + ", ".join(missing))
 
 
-@dataclass
-class _RunStore:
-    """One run store in ``index_dir``: its key, the memo it fills and what became of it in this command."""
+def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineResources, list[RunStore]]:
+    """The pipeline's resources and the run stores of ``cfg``, each that passes its checks adopted into its memo.
 
-    path: Path
-    key: dict
-    read: Callable[[Path, dict], object]  # load_runs or load_phi, with the memo's bounds
-    adopt: Callable[[object], None]
-    count: Callable[[], int]  # rows in the memo now
-    members: Callable[[], Mapping]  # the memo as the store's members
-    adopted: int = 0
-    refused: str = ""  # why the store was not adopted
-
-    def load(self) -> None:
-        """Adopt the store into its memo if its header matches and every check passes; else note why not."""
-        try:
-            stored = self.read(self.path, self.key)
-        except FileNotFoundError:
-            self.refused = "absent"
-        except StaleArtifactError as exc:
-            self.refused = f"stale key ({exc})"
-        except ValueError as exc:
-            self.refused = f"malformed ({exc})"
-        except OSError as exc:
-            self.refused = f"unreadable ({exc})"
-        else:
-            self.adopt(stored)
-            self.adopted = self.count()
-
-    def save(self) -> None:
-        """Rewrite the store whole when its memo gained rows; an OSError is one warning, not a failure."""
-        total = self.count()
-        if total == self.adopted:
-            written = "not written: no new rows"
-        else:
-            try:
-                save_runs(self.members(), self.path, self.key)
-                written = f"wrote {total} rows"
-            except OSError as exc:
-                logger.warning("could not write run store %s: %s", self.path, exc)
-                written = f"not written: {exc}"
-        adopted = f"not adopted: {self.refused}" if self.refused else f"adopted {self.adopted} rows"
-        logger.info("run store %s: %s, filled %d rows, %s", self.path.name, adopted, total - self.adopted, written)
-
-
-def _index_key(doc_index: InvertedIndex, query_index: InvertedIndex) -> dict:
-    """The part of every run store's key that names both indexes."""
-    return {"doc_index": doc_index.fingerprint, "query_index": query_index.fingerprint}
-
-
-def _prune_run_stores(index_dir: Path, key: dict) -> None:
-    """Delete the run stores in ``index_dir`` not keyed to the indexes that ``key`` names, and stray temporary files.
-
-    A store whose header names other fingerprints, or cannot be read, is
-    deleted, as is every temporary file a killed store write left. Only
-    each store's header is read.
-    """
-    doomed = []
-    for path in sorted(index_dir.glob(f"*{RUN_STORE_SUFFIX}")):
-        try:
-            check_runs_header(path, key)
-        except StaleArtifactError as exc:
-            doomed.append((path, f"stale key ({exc})"))
-        except (ValueError, OSError) as exc:
-            doomed.append((path, f"malformed ({exc})"))
-    doomed += [(path, "temporary file") for path in sorted(index_dir.glob(f".*{RUN_STORE_SUFFIX}.*.tmp"))]
-    for path, why in doomed:
-        try:
-            path.unlink()
-        except OSError as exc:
-            logger.warning("could not remove %s: %s", path, exc)
-        else:
-            logger.info("removed %s: %s", path.name, why)
-
-
-def _config_values(owner: type, obj) -> dict:
-    """The config keys that ``owner`` holds, each with its value in ``obj``, in schema order."""
-    return {dotted: getattr(obj, name) for dotted, (key_owner, name, _) in CONFIG_SCHEMA.items() if key_owner is owner}
-
-
-def _run_stores(cfg: PipelineConfig, res: PipelineResources, phi: bool) -> list[_RunStore]:
-    """The run stores of ``cfg``: the internal runs, the pseudo-query hits when 2-hop expansion is on, and
-    the variants' base predictions when ``phi``.
-
-    A store's file name holds its kind and parameters (a digest of them
-    when spelled out they would make too long a file name); its key adds
-    the fingerprints of both indexes, and the phi store's the predictors'
-    version.
+    The stores are the internal runs, the pseudo-query hits when 2-hop expansion is on, and, with ``phi`` (not
+    ``qv``, which evaluates no predictor), the variants' base predictions.
     """
     from .predictors import PREDICTOR_VERSION
-
-    bm25 = {"bm25.k1": res.params.k1, "bm25.b": res.params.b}
-    indexes = _index_key(res.doc_index, res.query_index)
-
-    def run_store(kind: str, params: dict, *memo, **fixed) -> _RunStore:
-        name = "-".join([kind, *(f"{key}={value!r}" for key, value in params.items())]) + RUN_STORE_SUFFIX
-        if len(name.encode()) > RUN_STORE_NAME_LIMIT:
-            name = f"{kind}-{hashlib.sha256(name.encode()).hexdigest()[:16]}{RUN_STORE_SUFFIX}"
-        return _RunStore(cfg.index_dir / name, {"kind": kind, **params, **fixed, **indexes}, *memo)
-
-    depth, m, n = cfg.qpp.internal_depth, cfg.qpp.pseudo_query_m, cfg.qpp.n
-    table = res.run_table(depth)
-    stores = [run_store(
-        "internal_runs", {**bm25, "qpp.internal_depth": depth},
-        partial(load_runs, rows=res.query_index.size, items=res.doc_index.size, width=table.width),
-        table.adopt, lambda: table.filled, lambda: vars(table.stored()),
-    )]
-    if cfg.qpp.use_2hop:
-        hits = res.pseudo_query_hits.setdefault((m, n), {})
-        stores.append(run_store(
-            "pseudo_query_hits", {**bm25, "qpp.pseudo_query_m": m, "qpp.n": n},
-            partial(load_runs, rows=res.doc_index.size, items=res.query_index.size, width=min(n, res.query_index.size)),
-            lambda runs: hits.update(runs.by_row()), partial(len, hits), lambda: vars(StoredRuns.of(hits)),
-        ))
-    if phi:
-        phi_table = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
-        params = {
-            "qpp.base": cfg.qpp.base, "qpp.internal_depth": depth, **_config_values(PredictorParams, res.params),
-            "seed": res.seed, **_config_values(RboParams, cfg.qpp.rbo_params),
-        }
-        stores.append(run_store(
-            "variant_phi", params, partial(load_phi, rows=res.query_index.size), phi_table.adopt,
-            lambda: phi_table.filled, lambda: {"phi": phi_table.values}, predictor_version=PREDICTOR_VERSION,
-        ))
-    return stores
-
-
-def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineResources, list[_RunStore]]:
-    """The pipeline's resources, with every run store of ``cfg`` that passes its checks adopted.
-
-    Without ``phi`` (``qv``, which evaluates no predictor) the variants' base predictions are not loaded.
-    """
     from .variants import PipelineResources
 
     doc_index_path = cfg.index_dir / DOC_INDEX_FILE
@@ -471,13 +314,21 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
         params=cfg.predictor,
         seed=cfg.seed,
     )
-    stores = _run_stores(cfg, res, phi)
-    for run_store in stores:
-        run_store.load()
+    depth = cfg.qpp.internal_depth
+    memos = {INTERNAL_RUNS: res.run_table(depth)}
+    if cfg.qpp.use_2hop:
+        memos[PSEUDO_QUERY_HITS] = res.hit_map(cfg.qpp.pseudo_query_m, cfg.qpp.n)
+    if phi:
+        memos[VARIANT_PHI] = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
+    # every config key, dotted, with its value in cfg, in schema order; the phi store's key adds the predictors' version
+    holders = {PipelineConfig: cfg, QppConfig: cfg.qpp, RboParams: cfg.qpp.rbo_params, PredictorParams: cfg.predictor}
+    values = {dotted: getattr(holders[owner], name) for dotted, (owner, name, _) in CONFIG_SCHEMA.items()}
+    values["predictor_version"] = PREDICTOR_VERSION
+    stores = [RunStore.open(kind, memo, cfg.index_dir, values, doc_index, query_index) for kind, memo in memos.items()]
     return res, stores
 
 
-def _save_run_stores(res: PipelineResources, stores: Sequence[_RunStore]) -> None:
+def _save_run_stores(res: PipelineResources, stores: Sequence[RunStore]) -> None:
     """Log the command's base-predictor work, then write each store whose memo gained rows.
 
     Called after the command's own outputs are written.
@@ -544,7 +395,7 @@ def cmd_index(cfg: PipelineConfig) -> int:
     cfg.index_dir.mkdir(parents=True, exist_ok=True)
     save_index(doc_index, cfg.index_dir / DOC_INDEX_FILE)
     save_index(query_index, cfg.index_dir / QUERY_INDEX_FILE)
-    _prune_run_stores(cfg.index_dir, _index_key(doc_index, query_index))
+    prune_run_stores(cfg.index_dir, doc_index, query_index)
     logger.info(
         "indexed %d documents (%d terms) and %d queries (%d terms)",
         doc_index.size, len(doc_index.terms), query_index.size, len(query_index.terms),

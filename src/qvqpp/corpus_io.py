@@ -9,9 +9,10 @@ Formats:
 - embeddings: header ``count dim``, then ``id`` followed by ``dim`` floats
   (parsed by :mod:`qvqpp.dense_index`)
 
-All parsers are strict: malformed input, a ``nan``, an infinite number or
-a byte that is not UTF-8 included, raises :class:`ValueError` naming the
-offending line instead of being silently repaired. Files are UTF-8.
+All parsers are strict: malformed input, a ``nan``, an infinite number, a
+number with a ``_`` or a non-ASCII character or a byte that is not UTF-8
+included, raises :class:`ValueError` naming the offending line instead of
+being silently repaired. Files are UTF-8.
 Run ranks are ignored on read and recomputed from (score desc, doc_id asc)
 so that downstream rank comparisons are reproducible.
 """
@@ -133,6 +134,13 @@ def open_utf8(path, digest=None) -> Iterator[TextIO]:
             raise  # the file changed since: report the error as raised
 
 
+def parse_number(kind, text: str):
+    """``kind(text)`` (int or float), refusing the ``_`` separators and non-ASCII digits that both also read."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return kind(text)
+
+
 def _iter_lines(path, digest=None) -> Iterable[tuple[int, str]]:
     with open_utf8(path, digest) as handle:
         for number, raw in enumerate(handle, start=1):
@@ -186,7 +194,7 @@ def parse_run(path, depth: int) -> dict[str, RankedList]:
             raise ValueError(f"{path}:{number}: expected 6 whitespace-separated fields, got {len(fields)}")
         qid, _, doc_id, _, score_text, _ = fields
         try:
-            score = float(score_text)
+            score = parse_number(float, score_text)
         except ValueError:
             raise ValueError(f"{path}:{number}: non-numeric score {score_text!r}") from None
         if not math.isfinite(score):
@@ -222,7 +230,7 @@ def parse_qrels(path) -> Qrels:
             raise ValueError(f"{path}:{number}: expected 4 whitespace-separated fields, got {len(fields)}")
         qid, _, doc_id, grade_text = fields
         try:
-            grade = int(grade_text)
+            grade = parse_number(int, grade_text)
         except ValueError:
             raise ValueError(f"{path}:{number}: non-integer grade {grade_text!r}") from None
         if grade < 0:
@@ -244,7 +252,7 @@ def parse_score_tsv(path) -> dict[str, float]:
         if item_id in scores:
             raise ValueError(f"{path}:{number}: duplicate id {item_id!r}")
         try:
-            value = float(value_text)
+            value = parse_number(float, value_text)
         except ValueError:
             raise ValueError(f"{path}:{number}: non-numeric value {value_text!r}") from None
         if not math.isfinite(value):

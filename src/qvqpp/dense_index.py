@@ -13,7 +13,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .corpus_io import RankedList, open_utf8
+from .corpus_io import RankedList, open_utf8, parse_number
 
 # The square root of the smallest normal float64: a norm below it was summed from subnormal squares and lost digits.
 MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -73,9 +73,9 @@ def load_vectors(path) -> EmbeddingStore:
         if len(header) != 2:
             raise ValueError(f"{path}: header must be 'count dim', got {header!r}")
         try:
-            count, dim = int(header[0]), int(header[1])
+            count, dim = parse_number(int, header[0]), parse_number(int, header[1])
         except ValueError:
-            raise ValueError(f"{path}: non-integer header fields {header!r}") from None
+            raise ValueError(f"{path}:1: non-integer header fields {header!r}") from None
         if count < 0 or dim < 1:
             raise ValueError(f"{path}: invalid header count={count} dim={dim}")
         ids: list[str] = []
@@ -93,6 +93,9 @@ def load_vectors(path) -> EmbeddingStore:
                     f"{path}:{number}: row {row_id!r} has {len(fields) - 1} values, expected {dim}"
                 )
             try:
+                values_text = raw[raw.index(row_id) + len(row_id):]  # checked once per row; an id may hold any text
+                if "_" in values_text or not values_text.isascii():  # as parse_number refuses
+                    raise ValueError(row_id)
                 values = [float(v) for v in fields[1:]]
             except ValueError:
                 raise ValueError(f"{path}:{number}: non-numeric value in row {row_id!r}") from None

@@ -15,7 +15,8 @@ characters as one string and maps its words to ids in one ``map`` pass,
 with the stopwords seeded as the lowest ids so that an id mask drops them;
 :func:`tokenize` stays the reference its rows are held to. An index names
 the SHA-256 of the bytes of the file it was built from (format version 4),
-and an index whose source file now holds other bytes is stale.
+and an index whose source file now holds other bytes is stale. It is saved
+as an artifact of :mod:`qvqpp.artifacts`.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import re
-import zipfile
-import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
+# before numpy, so that every module that importing qvqpp.cli loads compiles before numpy is resident (see cli)
+from .artifacts import MemberSpec, _json_array, _json_value, _segment_pairs, read_artifact, write_artifact
 import numpy as np
 
 from .config import DEFAULT_B, DEFAULT_K1
@@ -41,9 +40,6 @@ from .corpus_io import Document, RankedList
 
 INDEX_FORMAT = "qvqpp.inverted_index"
 INDEX_VERSION = 4
-# Bumped whenever the arithmetic of a stored run changes, so no store written before is adopted.
-RUNS_FORMAT = "qvqpp.run_store"
-RUNS_VERSION = 1
 
 # Fixed English stopword list. Deliberately keeps single letters such as
 # "s" (possessive fragments stay searchable) while dropping question
@@ -102,14 +98,6 @@ def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     sums = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=sums[1:])
     return sums[ptr[1:]] - sums[ptr[:-1]]
-
-
-def _segment_pairs(ptr: np.ndarray, count: int) -> np.ndarray:
-    """Whether entries i and i + 1 of a CSR array of ``count`` entries lie in one segment, for every i."""
-    same = np.ones(max(count - 1, 0), dtype=bool)
-    starts = ptr[1:-1]
-    same[starts[(starts > 0) & (starts < count)] - 1] = False
-    return same
 
 
 def _segments(ptr: np.ndarray, keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -459,88 +447,6 @@ def pseudo_query_terms(index: InvertedIndex, ordinal: int, m: int) -> tuple[str,
     return tuple(index.terms[tid] for tid in index.row_terms[start:end][top].tolist())
 
 
-# An artifact is an .npz archive: one .npy member per name, the first one "header", a JSON object that
-# names the artifact's format and version. JSON values (the header, and the index's two string lists) are
-# stored as their ASCII bytes in uint8 arrays, so a string costs its own length, not the longest one's.
-# Zip member time; a fixed one makes equal contents give equal bytes.
-_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
-# What reading a truncated, corrupt or foreign zip or .npy member raises.
-_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError,
-                NotImplementedError, RuntimeError, MemoryError, RecursionError)
-
-# A member's schema entry: its dtype, its number of dimensions and a check that returns the member's value
-# (or raises ValueError naming the flaw); a check of None keeps the array itself.
-MemberSpec = tuple[type, int, Optional[Callable[[np.ndarray], object]]]
-
-
-class StaleArtifactError(ValueError):
-    """A well-formed artifact whose header names other inputs or parameters than the reader's."""
-
-
-def _json_array(value) -> np.ndarray:
-    return np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
-
-
-def _json_value(array: np.ndarray):
-    return json.loads(array.tobytes())
-
-
-def write_artifact(path, header: dict, members: Mapping[str, np.ndarray]) -> None:
-    """Write ``header`` and ``members`` as one archive at ``path``.
-
-    The archive is written through an open handle, so it keeps ``path``
-    exactly (``np.savez`` would append ``.npz``), and its member times are
-    fixed, so equal contents give equal bytes.
-    """
-    with open(path, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
-        for name, array in {"header": _json_array(header), **members}.items():
-            with archive.open(zipfile.ZipInfo(f"{name}.npy", _MEMBER_TIME), "w", force_zip64=True) as member:
-                # np.lib.format.write_array's bytes, without its copy of the array's data
-                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
-                member.write(np.ascontiguousarray(array).data)
-
-
-def read_artifact(path, fmt: str, version: int, schema: Mapping[str, MemberSpec], assemble,
-                  *, key: Mapping | None = None, hint: str = ""):
-    """Read an archive written by :func:`write_artifact` and return ``assemble(header, values)``.
-
-    The header must name ``fmt`` and ``version`` (``hint`` follows a
-    version mismatch), then hold every field of ``key`` with the same value,
-    or the artifact is stale (:class:`StaleArtifactError`). Each member of
-    ``schema`` must then have its dtype and dimensions and pass its check,
-    in schema order; ``values`` maps each to the check's result.
-    ``assemble`` checks what spans members. Any flaw is a ValueError
-    ``"{path}: not a {fmt} artifact ({flaw})"``. Nothing in the file can
-    run code: numpy's .npy reader refuses object arrays unless told
-    otherwise, and every member is checked before use.
-    """
-    try:
-        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
-            def member(name: str, dtype, ndim: int) -> np.ndarray:
-                array = np.lib.format.read_array(archive.open(f"{name}.npy"))
-                if array.dtype != dtype or array.ndim != ndim:
-                    raise ValueError(f"{name} is not a {ndim}-d {np.dtype(dtype).name} array")
-                return array
-
-            header = _json_value(member("header", np.uint8, 1))
-            if not isinstance(header, dict) or header.get("format") != fmt:
-                raise ValueError("no format header")
-            if header.get("version") != version:
-                raise ValueError(f"version {header.get('version')!r}, not {version}{hint}")
-            for field_name, value in (key or {}).items():
-                if header.get(field_name) != value:
-                    raise StaleArtifactError(f"{field_name} differs")
-            values = {}
-            for name, (dtype, ndim, check) in schema.items():
-                array = member(name, dtype, ndim)
-                values[name] = array if check is None else check(array)
-            return assemble(header, values)
-    except StaleArtifactError:
-        raise
-    except _READ_ERRORS as exc:
-        raise ValueError(f"{path}: not a {fmt} artifact ({exc})") from None
-
-
 _INDEX_SCHEMA: dict[str, MemberSpec] = {
     "item_ids": (np.uint8, 1, _json_value),
     "terms": (np.uint8, 1, _json_value),
@@ -605,137 +511,3 @@ def load_index(path) -> InvertedIndex:
         if handle.read(1) == b"\x80":  # the first byte of every version 1 artifact
             raise ValueError(f"{path}: not a {INDEX_FORMAT} artifact (version 1 format; rerun qvqpp index)")
     return read_artifact(path, INDEX_FORMAT, INDEX_VERSION, _INDEX_SCHEMA, _index_from, hint="; rerun qvqpp index")
-
-
-@dataclass(frozen=True)
-class StoredRuns:
-    """Ordinal runs of some rows, in CSR form: run i, of row ``keys[i]``, is ``ordinals[ptr[i]:ptr[i + 1]]``.
-
-    ``keys`` (int64) ascend; each run's ordinals (int32) come best first
-    with their float64 ``scores``.
-    """
-
-    keys: np.ndarray
-    ptr: np.ndarray
-    ordinals: np.ndarray
-    scores: np.ndarray
-
-    @classmethod
-    def of(cls, runs: Mapping[int, OrdinalRun]) -> "StoredRuns":
-        """The runs that ``runs`` maps rows to, by ascending row."""
-        keys = sorted(runs)
-        ptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum([len(runs[key][0]) for key in keys], out=ptr[1:])
-        return cls(
-            np.asarray(keys, dtype=np.int64), ptr,
-            np.concatenate([np.zeros(0, dtype=np.int32), *(runs[key][0] for key in keys)]),
-            np.concatenate([np.zeros(0), *(runs[key][1] for key in keys)]),
-        )
-
-    def by_row(self) -> dict[int, OrdinalRun]:
-        """Each row's run, as views of the members."""
-        bounds = self.ptr.tolist()
-        return {
-            key: (self.ordinals[bounds[i]:bounds[i + 1]], self.scores[bounds[i]:bounds[i + 1]])
-            for i, key in enumerate(self.keys.tolist())
-        }
-
-
-def save_runs(members: Mapping[str, np.ndarray], path, key: Mapping) -> None:
-    """Persist ``members`` as a run-store artifact whose header holds ``key`` (JSON values) after the format and version.
-
-    Each array of ``members`` is a member of its name: the fields of a
-    :class:`StoredRuns`, or the one ``phi`` array that :func:`load_phi` reads.
-
-    The store is written whole and atomically: to a temporary file beside
-    ``path``, which then replaces ``path``, so a failed write leaves
-    ``path`` as it was and no temporary file behind. (An index is written
-    in place: replacing both index files by rename made ``index`` at scale
-    S about 20 ms slower, and ``index`` is rerun by hand when it fails.)
-    """
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    header = {"format": RUNS_FORMAT, "version": RUNS_VERSION, **key}
-    try:
-        write_artifact(temporary, header, members)
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-
-
-def check_runs_header(path, key: Mapping) -> None:
-    """Read only the header of the run store at ``path``, never its rows.
-
-    A header that differs from ``key`` in any field is a
-    :class:`StaleArtifactError`; a file that is not a run store of this
-    version is a ValueError, as in :func:`load_runs`.
-    """
-    read_artifact(path, RUNS_FORMAT, RUNS_VERSION, {}, lambda header, values: None, key=key)
-
-
-def _in_range(bound: int, what: str) -> Callable[[np.ndarray], np.ndarray]:
-    """A member check: every entry lies in [0, ``bound``)."""
-    def check(array: np.ndarray) -> np.ndarray:
-        if len(array) and (array.min() < 0 or array.max() >= bound):
-            raise ValueError(f"a {what} is outside [0, {bound})")
-        return array
-    return check
-
-
-def load_runs(path, key: Mapping, rows: int, items: int, width: int) -> StoredRuns:
-    """Read runs written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
-
-    A header that differs from ``key`` in any field is a
-    :class:`StaleArtifactError`. The keys must be distinct rows in [0,
-    ``rows``) in ascending order, and ``ptr`` a monotone offset per key
-    ending at the member length. Every run is at most ``width`` long and
-    holds distinct ordinals in [0, ``items``) with finite scores above 0
-    that never increase along the run.
-    """
-    def assemble(header: dict, values: dict) -> StoredRuns:
-        runs = StoredRuns(**values)
-        keys, ptr, ordinals, scores = runs.keys, runs.ptr, runs.ordinals, runs.scores
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("keys are not ascending and distinct")
-        if len(ptr) != len(keys) + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
-            raise ValueError("ptr is not a monotone offset per key")
-        if ptr[-1] != len(ordinals) or len(scores) != len(ordinals):
-            raise ValueError("ptr, ordinals and scores disagree in length")
-        if np.any(np.diff(ptr) > width):
-            raise ValueError(f"a run is longer than {width}")
-        if not np.all(np.isfinite(scores) & (scores > 0.0)):
-            raise ValueError("a score is not finite and above 0")
-        within = _segment_pairs(ptr, len(ordinals))
-        if np.any((np.diff(scores) > 0.0) & within):
-            raise ValueError("a run's scores increase")
-        run_of = np.repeat(np.arange(len(keys), dtype=np.int64), np.diff(ptr))
-        pairs = np.sort(run_of * items + ordinals)
-        if np.any(pairs[1:] == pairs[:-1]):
-            raise ValueError("an ordinal repeats within a run")
-        return runs
-
-    schema = {
-        "keys": (np.int64, 1, _in_range(rows, "key")),
-        "ptr": (np.int64, 1, None),
-        "ordinals": (np.int32, 1, _in_range(items, "ordinal")),
-        "scores": (np.float64, 1, None),
-    }
-    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)
-
-
-def load_phi(path, key: Mapping, rows: int) -> np.ndarray:
-    """Read the ``phi`` array written by :func:`save_runs` under ``key``; a ValueError names the first failed check.
-
-    A header that differs from ``key`` in any field is a
-    :class:`StaleArtifactError`. The array holds one float64 per row,
-    ``rows`` of them, each finite or NaN (not yet known).
-    """
-    def check(phi: np.ndarray) -> np.ndarray:
-        if len(phi) != rows:
-            raise ValueError(f"phi holds {len(phi)} values, not {rows}")
-        if np.any(np.isinf(phi)):
-            raise ValueError("a value is infinite")
-        return phi
-
-    schema = {"phi": (np.float64, 1, check)}
-    return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, lambda header, values: values["phi"], key=key)

@@ -54,13 +54,12 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import StoredRuns
 from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
 from .corpus_io import Qrels, Query, RankedList
 from .predictors import PredictorContext
 from .rank_sim import rbo_rows
-from .text_index import (
-    InvertedIndex, OrdinalRun, StoredRuns, bm25_ordinals, pseudo_query_terms, tokenize,
-)
+from .text_index import InvertedIndex, OrdinalRun, bm25_ordinals, pseudo_query_terms, tokenize
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
 if TYPE_CHECKING:  # the dense layer loads only on the dense path
@@ -162,9 +161,9 @@ class RunTable:
         self.scores.reshape(-1)[at] = runs.scores
         self.lengths[runs.keys] = lengths
 
-    def stored(self) -> StoredRuns:
-        """The filled rows and their runs, by ascending row."""
-        return StoredRuns.of({row: self.run(row) for row in np.flatnonzero(self.lengths >= 0).tolist()})
+    def members(self) -> dict[str, np.ndarray]:
+        """The filled rows and their runs, by ascending row, as the members of a :class:`StoredRuns`."""
+        return vars(StoredRuns.of({row: self.run(row) for row in np.flatnonzero(self.lengths >= 0).tolist()}))
 
     def run(self, row: int) -> OrdinalRun:
         """The filled run of ``row``, as views of the table."""
@@ -176,10 +175,11 @@ class PhiTable:
     """The base predictions of the training queries' internal runs under one (base, internal depth, RBO parameters).
 
     ``values[o]`` is phi of the internal run of query-index ordinal ``o``
-    (float64), NaN while unknown: the array a ``variant_phi`` run store
-    holds. A value depends only on its query and those settings, never on
-    a target, so it is evaluated once; only a finite value is kept, as NaN
-    marks an unknown one and a store refuses an infinite one.
+    (float64), NaN while unknown: the array of a
+    :data:`~qvqpp.artifacts.VARIANT_PHI` store. A value depends only on its
+    query and those settings, never on a target, so it is evaluated once;
+    only a finite value is kept, as NaN marks an unknown one and a store
+    refuses an infinite one.
     """
 
     def __init__(self, rows: int) -> None:
@@ -194,6 +194,25 @@ class PhiTable:
         """Take ``values`` (a stored array of the same length) as the table, without a copy."""
         self.values = values
 
+    def members(self) -> dict[str, np.ndarray]:
+        return {"phi": self.values}
+
+
+class HitMap(dict):
+    """A judged document's ``doc_index`` ordinal -> the training queries its pseudo-query retrieves under one
+    (pseudo_query_m, n), as ``query_index`` ordinals (int32) and float64 scores."""
+
+    @property
+    def filled(self) -> int:
+        return len(self)
+
+    def adopt(self, runs: StoredRuns) -> None:
+        """Take the stored hits of the documents ``runs.keys``, as views of the stored arrays."""
+        self.update(runs.by_row())
+
+    def members(self) -> dict[str, np.ndarray]:
+        return vars(StoredRuns.of(self))
+
 
 @dataclass
 class PipelineResources:
@@ -206,11 +225,9 @@ class PipelineResources:
     No stage reads a document's text: a pseudo-query comes from the
     document's row in ``doc_index``.
 
-    ``pseudo_query_hits[(pseudo_query_m, n)]`` maps a judged document's
-    ``doc_index`` ordinal to the training queries that its pseudo-query
-    retrieves, as ``query_index`` ordinals (int32) and float64 scores. An
-    entry depends only on its keys, so it is computed once: one per judged
-    document and (m, n).
+    ``pseudo_query_hits[(pseudo_query_m, n)]`` is the :class:`HitMap` of
+    the judged documents' pseudo-queries under (m, n). An entry depends only
+    on its keys, so it is computed once: one per judged document and (m, n).
 
     ``run_tables`` maps internal_depth to the :class:`RunTable` of the
     training queries' internal BM25 runs over ``doc_index``, a row per
@@ -227,11 +244,9 @@ class PipelineResources:
     The memo, tables, count and that set fill lazily and, like
     ``predictor``, are not init fields: ``dataclasses.replace`` starts them
     all empty, as it must when it swaps an index, ``params`` or ``seed``.
-    Rows computed earlier over the same indexes, ``params`` and ``seed``
-    can be adopted first (:meth:`RunTable.adopt`, :meth:`PhiTable.adopt`,
-    or into a hit map), and the filled rows read back to keep for later
-    processes (:meth:`RunTable.stored`, a hit map's entries,
-    ``PhiTable.values``); adopted rows are the bytes a call would compute.
+    A hit map or table adopts rows computed earlier over the same indexes,
+    ``params`` and ``seed``, the bytes a call would compute, and gives its
+    rows back as ``members()`` for a :class:`~qvqpp.artifacts.RunStore`.
     """
 
     doc_index: InvertedIndex
@@ -241,7 +256,7 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     params: PredictorParams = field(default_factory=PredictorParams)
     seed: int = 0
-    pseudo_query_hits: dict[tuple[int, int], dict[int, OrdinalRun]] = field(
+    pseudo_query_hits: dict[tuple[int, int], HitMap] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -261,6 +276,10 @@ class PipelineResources:
         if table is None:
             table = self.run_tables[depth] = RunTable(self.query_index.size, min(depth, self.doc_index.size))
         return table
+
+    def hit_map(self, m: int, n: int) -> HitMap:
+        """The hit map of pseudo-queries of ``m`` terms and ``n`` hits, empty when first asked for."""
+        return self.pseudo_query_hits.setdefault((m, n), HitMap())
 
     def phi_table(self, base: str, depth: int, rbo_params: RboParams) -> PhiTable:
         """The phi table of ``base`` over internal runs of depth ``depth``, empty when first asked for."""
@@ -402,7 +421,7 @@ def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources)
     ``res`` meets it.
 
     A document's retrieval does not depend on the target, so it is
-    memoized in ``res.pseudo_query_hits[(pseudo_query_m, n)]`` under the
+    memoized in ``res.hit_map(pseudo_query_m, n)`` under the
     document's ``doc_index`` ordinal. Target exclusion,
     de-duplication and hop tags are applied per call, as masks over the
     joined hit arrays, so the result does not depend on reuse: the hit
@@ -411,7 +430,7 @@ def expand_2hop(one_hop: VariantPool, config: QppConfig, res: PipelineResources)
     kept, with its score.
     """
     hit_ordinals, hit_scores = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-    memo = res.pseudo_query_hits.setdefault((config.pseudo_query_m, config.n), {})
+    memo = res.hit_map(config.pseudo_query_m, config.n)
     for qid in one_hop.query_ids():
         judged = res.training_qrels.get(qid, {})
         for doc_id in sorted(doc_id for doc_id, grade in judged.items() if grade >= 1):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from qvqpp.cli import main as cli_main
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def load_bench_trace():
@@ -75,3 +77,32 @@ def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output,
         assert metrics["predictors.evaluate.calls"] <= 5 * (1 + 3)
     if command == "predict":
         assert {s.target for s in spans if s.name == "variants.target"} == {"dl01", "dl02", "dl03", "dl04", "dl05"}
+
+
+# Imports every qvqpp module, installs the tracer and prints each module binding that still holds an unwrapped
+# function named in LAYERS; run in a fresh interpreter that writes no bytecode beside the benchmark files.
+INSTALL_SCRIPT = """\
+import importlib, pkgutil, sys
+import qvqpp
+for info in pkgutil.iter_modules(qvqpp.__path__):
+    importlib.import_module(f"qvqpp.{info.name}")
+sys.path.insert(0, sys.argv[1])
+import bench_trace
+named = {}
+for name, targets in bench_trace.LAYERS.items():
+    for module_name, attr in targets:
+        if "." not in attr:  # a method is wrapped on its class, which every module shares
+            function = getattr(sys.modules[module_name], attr)
+            named[id(function)] = (function, name)
+bench_trace.install(bench_trace.Tracer())
+print(sorted(f"{module}.{key} ({named[id(value)][1]})" for module, namespace in list(sys.modules.items())
+             if module.split(".")[0] == "qvqpp" for key, value in vars(namespace).items() if id(value) in named))
+"""
+
+
+def test_install_leaves_no_layer_function_unwrapped_in_any_module():
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", INSTALL_SCRIPT, str(BENCHMARKS)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr + result.stdout

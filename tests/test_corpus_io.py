@@ -87,6 +87,17 @@ class TestParseRun:
         with pytest.raises(ValueError, match="non-numeric score"):
             parse_run(path, depth=10)
 
+    # float() reads "\u0661.\u0665" (Arabic-Indic digits) as 1.5 and "1_0" as 10.0
+    @pytest.mark.parametrize("score", ["\u0661.\u0665", "1_0", "\uff11.5"])
+    def test_score_that_is_not_plain_ascii_rejected(self, tmp_path, score):
+        path = write(tmp_path / "r.txt", f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(ValueError, match=r"r\.txt:2: non-numeric score"):
+            parse_run(path, depth=10)
+
+    def test_ids_with_underscores_and_non_ascii_characters_kept(self, tmp_path):
+        path = write(tmp_path / "r.txt", "q_\u0661 Q0 d_\u00e9 1 2.5 t_x\n")
+        assert parse_run(path, depth=10)["q_\u0661"].entries == [("d_\u00e9", 2.5)]
+
     def test_duplicate_doc_rejected(self, tmp_path):
         path = write(tmp_path / "r.txt", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n")
         with pytest.raises(ValueError, match="duplicate"):
@@ -161,6 +172,13 @@ class TestParseQrels:
         with pytest.raises(ValueError, match="negative grade"):
             parse_qrels(write(tmp_path / "q.txt", "q1 0 d1 -1\n"))
 
+    # int() reads "1_0" as 10 and "\u0662" (an Arabic-Indic digit) as 2
+    @pytest.mark.parametrize("grade", ["1_0", "\u0662", "\uff12"])
+    def test_grade_that_is_not_plain_ascii_rejected(self, tmp_path, grade):
+        path = write(tmp_path / "q.txt", f"q_\u00e9 0 d_1 1\nq1 0 d1 {grade}\n")
+        with pytest.raises(ValueError, match=r"q\.txt:2: non-integer grade"):
+            parse_qrels(path)
+
     def test_malformed_line_number(self, tmp_path):
         path = write(tmp_path / "q.txt", "q1 0 d1 3\nq1 0 d2\n")
         with pytest.raises(ValueError, match=":2"):
@@ -194,6 +212,13 @@ class TestScoreTsv:
     def test_bad_value(self, tmp_path):
         path = write(tmp_path / "s.tsv", "q1\tnot_a_number\n")
         with pytest.raises(ValueError, match="non-numeric value"):
+            parse_score_tsv(path)
+
+    # float() reads "\u0662_0" as 20.0, and strips a non-ASCII space
+    @pytest.mark.parametrize("value", ["\u0662_0", "0.5_5", "0.5\u2003"])
+    def test_value_that_is_not_plain_ascii_rejected(self, tmp_path, value):
+        path = write(tmp_path / "s.tsv", f"q_\u00e9\t0.5\nq2\t{value}\n")
+        with pytest.raises(ValueError, match=r"s\.tsv:2: non-numeric value"):
             parse_score_tsv(path)
 
 

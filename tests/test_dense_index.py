@@ -96,6 +96,24 @@ class TestLoadVectors:
         with pytest.raises(ValueError, match="header"):
             load_vectors(path)
 
+    # int() reads "0_2" as 2 and "\u0662" (an Arabic-Indic digit) as 2
+    @pytest.mark.parametrize("header", ["0_2 2", "2 \u0662", "\uff12 2"])
+    def test_header_that_is_not_plain_ascii_rejected(self, tmp_path, header):
+        path = write_store(tmp_path, {"a": [1, 0], "b": [0, 1]}, header=header)
+        with pytest.raises(ValueError, match=r"emb\.txt:1: non-integer header fields"):
+            load_vectors(path)
+
+    # float() reads "1_0" as 10.0 and "\u0661.\u0665" as 1.5
+    @pytest.mark.parametrize("value", ["1_0", "\u0661.\u0665", "\uff11"])
+    def test_value_that_is_not_plain_ascii_rejected(self, tmp_path, value):
+        path = write_store(tmp_path, {"a_\u00e9": [1, 0], "b": [0, value]})
+        with pytest.raises(ValueError, match=r"emb\.txt:3: non-numeric value in row 'b'"):
+            load_vectors(path)
+
+    def test_ids_with_underscores_and_non_ascii_characters_kept(self, tmp_path):
+        store = load_vectors(write_store(tmp_path, {"q_\u0661": [1, 0], "1_0": [0, 2]}))
+        assert store.ids == ["q_\u0661", "1_0"] and store.vector("1_0").tolist() == [0.0, 2.0]
+
 
 class TestKnnCosine:
     def test_self_similarity_first(self):

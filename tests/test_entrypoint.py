@@ -52,7 +52,8 @@ def test_verbose_predict_writes_the_golden_and_ends_with_every_store_line(worksp
     assert (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8") == NQC_PREDICTIONS_GOLDEN
     tail = done.stderr.splitlines()[-len(STORE_KINDS):]
     assert [line.split()[4].split("-")[0] for line in tail] == STORE_KINDS, done.stderr
-    assert all(line.startswith("INFO qvqpp.cli: run store ") and ", wrote " in line for line in tail), done.stderr
+    assert all(line.startswith("INFO qvqpp.artifacts: run store ") and ", wrote " in line for line in tail), \
+        done.stderr
 
 
 def test_evaluate_prints_all_of_the_report_it_writes(workspace, tmp_path):

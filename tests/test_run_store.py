@@ -26,8 +26,8 @@ import qvqpp.predictors
 import qvqpp.variants
 from conftest import CONFIG_TEMPLATE, write_fixture_files
 from qvqpp import cli
+from qvqpp.artifacts import StoredRuns, read_store, write_artifact
 from qvqpp.cli import main
-from qvqpp.text_index import StoredRuns, write_artifact
 from test_cli import (
     NQC_PREDICTIONS_GOLDEN, NQC_QV_GOLDEN, NQC_SWEEP_GOLDEN, TUNE_GOLDEN, UEF_PREDICTIONS_GOLDEN, UEF_SWEEP_GOLDEN,
 )
@@ -100,7 +100,7 @@ def targets_of(ws: dict) -> list[str]:
 
 @pytest.fixture(autouse=True)
 def info_logs(caplog):
-    caplog.set_level(logging.INFO, logger="qvqpp.cli")
+    caplog.set_level(logging.INFO, logger="qvqpp.artifacts")
 
 
 class TestReuse:
@@ -349,7 +349,7 @@ class TestIndexPrunesStores:
         blocked.mkdir()  # unreadable as a store, and unlink refuses a directory
         done = _cli(ws, "index")
         assert done.returncode == 0
-        assert done.stderr.startswith(f"WARNING qvqpp.cli: could not remove {blocked}: ")
+        assert done.stderr.startswith(f"WARNING qvqpp.artifacts: could not remove {blocked}: ")
         assert blocked.is_dir()
 
 
@@ -361,7 +361,8 @@ class TestWritesAndLogs:
         assert done.returncode == 0
         assert (ws["root"] / "work" / "out" / "predictions.tsv").read_text() == NQC_PREDICTIONS_GOLDEN
         warnings = done.stderr.splitlines()
-        assert len(warnings) == 1 and warnings[0].startswith(f"WARNING qvqpp.cli: could not write run store {blocked}")
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"WARNING qvqpp.artifacts: could not write run store {blocked}")
         assert blocked.is_dir() and not list(ws["index"].glob(".*.tmp"))
         assert len(list(ws["index"].glob("pseudo_query_hits-*.runs"))) == 1
 
@@ -569,7 +570,7 @@ class TestMalformedArtifacts:
         assert [store.key["kind"] for store in stores] == KINDS
         for store in stores:
             assert store.adopted > 0 and not store.refused
-            stored = store.read(store.path, store.key)
+            stored = read_store(store.path, store.key, store.kind.layout, *store.bounds)
             if isinstance(stored, StoredRuns):
                 assert len(stored.keys) == store.adopted and stored.ptr[-1] == len(stored.ordinals)
             else:

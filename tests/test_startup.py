@@ -14,7 +14,17 @@ import qvqpp
 from test_cli import NQC_PREDICTIONS_GOLDEN
 
 SRC = str(Path(qvqpp.__file__).resolve().parents[1])
-PIPELINE_LAYERS = ("qvqpp.variants", "qvqpp.predictors", "qvqpp.rank_sim", "qvqpp.dense_index", "qvqpp.evaluation")
+# The modules every command loads, and those each command adds, but for qvqpp.dense_index on the dense path.
+CORE = ["qvqpp", "qvqpp.artifacts", "qvqpp.cli", "qvqpp.config", "qvqpp.corpus_io", "qvqpp.text_index"]
+VARIANT_LAYERS = ["qvqpp.predictors", "qvqpp.rank_sim", "qvqpp.variants"]
+MODULES_OF = {
+    "index": CORE,
+    "evaluate": sorted([*CORE, "qvqpp.evaluation"]),
+    "qv": sorted([*CORE, *VARIANT_LAYERS]),
+    "predict": sorted([*CORE, *VARIANT_LAYERS]),
+    "tune": sorted([*CORE, *VARIANT_LAYERS, "qvqpp.evaluation"]),
+    "sweep": sorted([*CORE, *VARIANT_LAYERS, "qvqpp.evaluation"]),
+}
 
 # index then predict in one process, into a fresh index and output directory; prints the loaded modules asked about
 COMMANDS_SCRIPT = """\
@@ -37,12 +47,12 @@ def test_index_and_predict_never_load_the_evaluation_layer(workspace, tmp_path):
     assert (tmp_path / "out" / "predictions.tsv").exists()
 
 
-# one command in a fresh process; prints the pipeline layers it loaded
-LAYERS_SCRIPT = f"""\
+# one command in a fresh process; prints the qvqpp modules it loaded
+MODULES_SCRIPT = """\
 import sys
 from qvqpp.cli import main
 assert main(sys.argv[1:]) == 0
-print(*sorted(name for name in sys.modules if name in {PIPELINE_LAYERS}))
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "qvqpp"))
 """
 
 
@@ -54,29 +64,34 @@ def _python(*argv: str) -> str:
     return result.stdout
 
 
-def _layers(command: str, config, work: Path, *overrides: str) -> list[str]:
-    """The pipeline layers ``command`` loads over the index and outputs in ``work``, from its last output line."""
+def _modules(command: str, config, work: Path, *overrides: str) -> list[str]:
+    """The qvqpp modules ``command`` loads over the index and outputs in ``work``, from its last output line."""
     paths = ["--set", f"paths.index_dir={work}/index", "--set", f"paths.output_dir={work}/out"]
-    return _python("-c", LAYERS_SCRIPT, command, "--config", str(config), *paths, *overrides).split("\n")[-2].split()
+    return _python("-c", MODULES_SCRIPT, command, "--config", str(config), *paths, *overrides).split("\n")[-2].split()
 
 
 def test_index_and_evaluate_load_no_pipeline_layer_but_their_own(workspace, tmp_path):
     predictions = tmp_path / "predictions.tsv"
     predictions.write_text(NQC_PREDICTIONS_GOLDEN, encoding="utf-8")
-    assert _layers("index", workspace["config"], tmp_path) == []
-    assert _layers("evaluate", workspace["config"], tmp_path, "--predictions", str(predictions)) == [
-        "qvqpp.evaluation"
-    ]
+    assert _modules("index", workspace["config"], tmp_path) == MODULES_OF["index"]
+    evaluate = _modules("evaluate", workspace["config"], tmp_path, "--predictions", str(predictions))
+    assert evaluate == MODULES_OF["evaluate"]
 
 
 def test_only_the_dense_path_loads_the_dense_layer(workspace, tmp_path):
-    _layers("index", workspace["config"], tmp_path)
+    _modules("index", workspace["config"], tmp_path)
     bm25, dense = (
-        _layers("predict", workspace["config"], tmp_path, "--set", f"qpp.query_retriever={retriever}")
+        _modules("predict", workspace["config"], tmp_path, "--set", f"qpp.query_retriever={retriever}")
         for retriever in ("bm25", "dense")
     )
-    assert ("qvqpp.dense_index" in bm25, "qvqpp.dense_index" in dense) == (False, True)
-    assert {*bm25, "qvqpp.dense_index"} == {*dense} == {*PIPELINE_LAYERS} - {"qvqpp.evaluation"}
+    assert bm25 == MODULES_OF["predict"]
+    assert dense == sorted([*MODULES_OF["predict"], "qvqpp.dense_index"])
+
+
+@pytest.mark.parametrize("command", ["qv", "tune", "sweep"])
+def test_every_other_command_loads_exactly_its_modules(workspace, tmp_path, command):
+    _modules("index", workspace["config"], tmp_path)
+    assert _modules(command, workspace["config"], tmp_path) == MODULES_OF[command]
 
 
 def test_the_cli_reads_predict_query_from_the_variant_layer_when_asked():
