@@ -71,13 +71,13 @@ def load_vectors(path) -> EmbeddingStore:
     with open_utf8(path) as handle:
         header = handle.readline().split()
         if len(header) != 2:
-            raise ValueError(f"{path}: header must be 'count dim', got {header!r}")
+            raise ValueError(f"{path}:1: header must be 'count dim', got {header!r}")
         try:
             count, dim = parse_number(int, header[0]), parse_number(int, header[1])
         except ValueError:
             raise ValueError(f"{path}:1: non-integer header fields {header!r}") from None
         if count < 0 or dim < 1:
-            raise ValueError(f"{path}: invalid header count={count} dim={dim}")
+            raise ValueError(f"{path}:1: invalid header count={count} dim={dim}")
         ids: list[str] = []
         rows: list[list[float]] = []
         seen: set[str] = set()

@@ -38,11 +38,10 @@ import numpy as np
 
 from .config import DEFAULT_B, DEFAULT_K1, DEFAULT_MU, UEF_POOL_FLOOR, PredictorParams, RboParams
 from .corpus_io import RankedList
-from .rank_sim import rbo_rows
+from .rank_sim import _UNIT_ROUNDOFF, rbo_rows
 from .text_index import InvertedIndex, OrdinalRun, _segments, ranked_list
 
 COLLECTION_SCORE_FLOOR = 1e-6
-_UNIT_ROUNDOFF = 2.0 ** -53
 # Bumped whenever a predictor's arithmetic changes, so no stored base prediction written before is adopted.
 PREDICTOR_VERSION = 1
 

@@ -16,8 +16,12 @@ The pipeline for one target query:
    internal BM25 retriever and kept as document ordinals, and keep the
    best k. The candidates' runs live only in one :class:`RunTable` per
    internal depth, a row per query-index ordinal, filled the first time a
-   pool gathers it; :func:`rbo_rows` scores a pool's rows against the
-   target's run in one pass of array operations;
+   pool gathers it. :func:`~qvqpp.rank_sim.rbo_top_k` gives every row of
+   the pool a closed-form approximation of its overlap with a derived
+   error bound E, keeps the rows within 2E of the k-th largest (those
+   that can reach the top k) and scores only them exactly, with the
+   kernel of :func:`~qvqpp.rank_sim.rbo_rows`, so the k kept and their
+   overlaps are those of scoring the whole pool;
 4. evaluate the base predictor on the target run, and take each kept
    candidate's phi, the base prediction of its internal run (its run-table
    row), from the :class:`PhiTable` of the base, internal depth and RBO
@@ -58,7 +62,7 @@ from .artifacts import StoredRuns
 from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
 from .corpus_io import Qrels, Query, RankedList
 from .predictors import PredictorContext
-from .rank_sim import rbo_rows
+from .rank_sim import rbo_top_k
 from .text_index import InvertedIndex, OrdinalRun, bm25_ordinals, pseudo_query_terms, tokenize
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
@@ -479,11 +483,17 @@ def rerank_by_rbo(pool: VariantPool, target: Query, config: QppConfig, res: Pipe
     The target and each candidate retrieve their internal run over
     ``res.doc_index`` at ``internal_depth``, as ordinals and scores: the
     target's per call, a candidate's into its row of the run table (its
-    ``res.query_index`` ordinal) the first time a pool gathers it. One
-    :func:`rbo_rows` pass scores the pool's rows against the target's run
-    (a candidate with an empty run gets overlap 0). Ties break by (hop
-    ascending, query id ascending). Only the k survivors become
-    :class:`QVCandidate` objects, each carrying its run as views of its row.
+    ``res.query_index`` ordinal) the first time a pool gathers it.
+    :func:`~qvqpp.rank_sim.rbo_top_k` ranks the pool's rows against the
+    target's run (a candidate with an empty run gets overlap 0): each row
+    gets a closed-form approximation whose distance from its exact overlap
+    is at most a derived bound E, only the rows whose approximation is at
+    least the k-th largest minus 2E are scored exactly, and a row left out
+    has k rows strictly above it. So the survivors, their order and their
+    overlaps are ``==`` to one :func:`~qvqpp.rank_sim.rbo_rows` pass over
+    the whole pool. Ties break by (hop ascending, query id ascending). Only
+    the k survivors become :class:`QVCandidate` objects, each carrying its
+    run as views of its row.
     """
     target_ordinals, _ = _internal_run(target.text, config, res)
     table = res.run_table(config.internal_depth)
@@ -491,14 +501,14 @@ def rerank_by_rbo(pool: VariantPool, target: Query, config: QppConfig, res: Pipe
     item_ids, queries = res.query_index.item_ids, res.training_queries
     for row in rows[table.lengths[rows] < 0].tolist():
         table.fill(row, _internal_run(queries[item_ids[row]].text, config, res))
-    overlaps = rbo_rows(
-        target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.rbo_params
+    order, overlaps = rbo_top_k(
+        target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.k,
+        (res.query_index._id_rank[rows], pool.hops), config.rbo_params,
     )
-    order = np.lexsort((res.query_index._id_rank[rows], pool.hops, -overlaps))[: config.k]
     kept = [
         QVCandidate(queries[item_ids[row]], hop, score, overlap, table.run(row))
         for row, hop, score, overlap in zip(
-            rows[order].tolist(), pool.hops[order].tolist(), pool.scores[order].tolist(), overlaps[order].tolist()
+            rows[order].tolist(), pool.hops[order].tolist(), pool.scores[order].tolist(), overlaps.tolist()
         )
     ]
     return QVSet(pool.target_query_id, kept)

@@ -4,6 +4,7 @@ import hashlib
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -975,6 +976,20 @@ class TestTuneAndSweep:
         out = tmp_path / "nqc.csv"
         assert run_cli("sweep", "--config", indexed_workspace["config"], "--out", out) == 0
         assert out.read_text(encoding="utf-8") == NQC_SWEEP_GOLDEN
+
+    def test_rbo_depth_beyond_every_run_changes_no_byte(self, indexed_workspace, tmp_path):
+        # no internal run is longer than qpp.internal_depth (100), so a depth of 10**9 truncates nothing;
+        # the closed-form RBO tables follow the longest row, never the depth
+        outputs = []
+        for depth in (100, 1000000000):
+            index_dir = tmp_path / f"index-{depth}"
+            shutil.copytree(indexed_workspace["root"] / "work" / "index", index_dir)
+            overrides = ["--set", f"qpp.rbo_depth={depth}", "--set", f"paths.index_dir={index_dir}"]
+            predictions, sweep = tmp_path / f"predictions-{depth}.tsv", tmp_path / f"sweep-{depth}.csv"
+            assert run_cli("predict", "--config", indexed_workspace["config"], *overrides, "--out", predictions) == 0
+            assert run_cli("sweep", "--config", indexed_workspace["config"], *overrides, "--out", sweep) == 0
+            outputs.append((predictions.read_bytes(), sweep.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_uef_sweep_golden(self, indexed_workspace, tmp_path):
         out = tmp_path / "uef.csv"

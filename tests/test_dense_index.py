@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ class TestLoadVectors:
         path = tmp_path / "emb.txt"
         path.write_text("not a header\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            load_vectors(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("-1 2", "invalid header count=-1 dim=2"), ("1", "header must be 'count dim', got ['1']")],
+    )
+    def test_header_faults_name_line_one(self, tmp_path, header, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:1: " + re.escape(message)):
             load_vectors(path)
 
     # int() reads "0_2" as 2 and "\u0662" (an Arabic-Indic digit) as 2

@@ -648,7 +648,7 @@ class TestPredictorContext:
         if not isinstance(want, str):  # a second evaluation of an equal row is a memo hit, of other scores a miss
             copy = row[0].copy(), row[1].copy()
             assert by_row.evaluate(base, copy, terms, "v", RboParams()) == want and len(by_row._cache) == 1
-            scaled = row[0], row[1] * 2.0 + 1.0
+            scaled = row[0], row[1] * 2.0 - 5e3  # no drawn score (within 1e3) maps to itself
             want = by_list.evaluate(base, ranked_list(index, scaled, "v"), terms, "v", RboParams())
             assert by_row.evaluate(base, scaled, terms, "v", RboParams()) == want and len(by_row._cache) == 2
 

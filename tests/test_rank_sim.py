@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from qvqpp import RankedList, RboParams, rbo_ext
-from qvqpp.rank_sim import rbo_rows
+from qvqpp import rank_sim
+from qvqpp.rank_sim import _estimates, _exact as exact, _shared, rbo_rows, rbo_top_k
 
 
 def random_lists(rng, universe_size=40, max_len=25):
@@ -193,3 +195,117 @@ class TestRboRows:
         table, lengths = padded([[1, 2]])
         with pytest.raises(ValueError, match=message):
             rbo_rows(np.array(target), table, lengths, 5)
+
+
+def full_top_k(target, table, lengths, size, k, keys, params):
+    """The top k of rbo_rows over the whole table under the full lexsort: positions and overlaps."""
+    overlaps = rbo_rows(target, table, lengths, size, params)
+    order = np.lexsort((*keys, -overlaps))[:k]
+    return order.tolist(), overlaps[order].tolist()
+
+
+@st.composite
+def top_k_cases(draw):
+    """A target, a padded pool with forced ties, k, tie-break keys and RBO parameters around the row width.
+
+    Ties come as copies of a row and as reorderings of a row of the target's deep documents: each such
+    document joins the overlap at its target rank whatever its row rank, so every reordering has the
+    same exact overlap, while the closed form adds its terms in another order.
+    """
+    target = draw(rankings)
+    pool = draw(st.lists(rankings, max_size=8))
+    pool += draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+    if len(target) > 9:
+        deep = draw(st.lists(st.sampled_from(target[6:]), unique=True, min_size=3, max_size=6))
+        pool += [draw(st.permutations(deep)) for _ in range(draw(st.integers(2, 5)))]
+    pool = draw(st.permutations(pool))
+    table, lengths = padded(pool, draw(st.integers(0, 3)))
+    width = table.shape[1]
+    eval_depth = max(1, width + draw(st.sampled_from([-3, -1, 0, 1, 5])))  # below, at and above the row width
+    params = RboParams(p=draw(st.sampled_from([0.01, 0.5, 0.9, 0.999])), eval_depth=eval_depth)
+    n = len(pool)
+    keys = (np.array(draw(st.permutations(range(n))), dtype=np.int64),
+            np.array(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)), dtype=np.int64))
+    return np.array(target, dtype=np.int64), table, lengths, draw(st.integers(1, 6)), keys, params
+
+
+class TestRboTopK:
+    @settings(max_examples=600, deadline=None)
+    @given(top_k_cases())
+    def test_equals_rbo_rows_then_the_full_sort(self, case):
+        target, table, lengths, k, keys, params = case
+        order, overlaps = rbo_top_k(target, table, lengths, UNIVERSE, k, keys, params)
+        assert (order.tolist(), overlaps.tolist()) == full_top_k(target, table, lengths, UNIVERSE, k, keys, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rankings, st.lists(rankings, min_size=1, max_size=12), st.sampled_from([0.01, 0.5, 0.9, 0.999]),
+           st.integers(1, UNIVERSE + 5))
+    def test_estimates_within_their_bound(self, target, pool, p, eval_depth):
+        table, lengths = padded(pool)
+        live, s, l, row, join = _shared(np.array(target), table, lengths, UNIVERSE, eval_depth)
+        if len(live):
+            estimates, error = _estimates(s, l, row, join, p)
+            assert math.isfinite(error)
+            exact = rbo_rows(np.array(target), table, lengths, UNIVERSE, RboParams(p=p, eval_depth=eval_depth))
+            assert np.all(np.abs(estimates - exact[live]) <= error)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_empty_target_all_zero_overlaps_and_small_pools(self, k):
+        pool = [[], [1, 2, 3], [4], [3, 1], [7, 8, 9, 10]]
+        keys = (np.array([4, 3, 2, 1, 0]), np.array([2, 1, 2, 1, 1]))
+        for target in ([], [20, 21, 22], [1, 2, 3, 4]):
+            for rows in (pool, pool[:k]):
+                table, lengths = padded(rows)
+                args = (np.array(target, dtype=np.int64), table, lengths, 30, k, tuple(key[: len(rows)] for key in keys))
+                order, overlaps = rbo_top_k(*args)
+                assert (order.tolist(), overlaps.tolist()) == full_top_k(*args, RboParams())
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [([0, 0], "duplicate id within target list"), ([0, 5], "ordinal outside"), ([-1], "ordinal outside")],
+    )
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_rejects_a_bad_target_as_rbo_rows_does(self, target, message, rows):
+        table, lengths = padded([[1, 2]] * rows)
+        keys = (np.arange(rows),)
+        with pytest.raises(ValueError, match=message) as want:
+            rbo_rows(np.array(target), table, lengths, 5)
+        with pytest.raises(ValueError) as got:
+            rbo_top_k(np.array(target), table, lengths, 5, 2, keys)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("case", ["underflow", "operation count"])
+    def test_an_unproved_bound_scores_every_row(self, case, monkeypatch):
+        # p**(W - 1) underflows for p = 0.01 and rows of 200; a unit roundoff of 1/8 makes N u >= 1
+        size = 400
+        target = np.arange(0, 400, 2)
+        pool = [list(range(shift, shift + 200)) for shift in range(0, 60, 6)]
+        p = 0.01 if case == "underflow" else 0.9
+        if case == "operation count":
+            monkeypatch.setattr(rank_sim, "_UNIT_ROUNDOFF", 0.125)
+        table, lengths = padded(pool)
+        params = RboParams(p=p, eval_depth=200)
+        live, s, l, row, join = _shared(target, table, lengths, size, params.eval_depth)
+        assert _estimates(s, l, row, join, p)[1] == math.inf
+        scored = []
+        monkeypatch.setattr(rank_sim, "_exact", lambda s, *rest: scored.append(len(s)) or exact(s, *rest))
+        keys = (np.arange(len(pool)),)
+        order, overlaps = rbo_top_k(target, table, lengths, size, 2, keys, params)
+        assert scored == [len(pool)]
+        assert (order.tolist(), overlaps.tolist()) == full_top_k(target, table, lengths, size, 2, keys, params)
+
+
+class TestRboRowsRowIndependence:
+    @settings(max_examples=300, deadline=None)
+    @given(rankings, st.lists(rankings, min_size=1, max_size=10), st.sampled_from([0.01, 0.5, 0.9, 0.999]),
+           st.integers(1, UNIVERSE + 5), st.data())
+    def test_a_row_scores_the_same_alone_in_a_subset_and_in_the_whole_table(self, target, pool, p, eval_depth, data):
+        params = RboParams(p=p, eval_depth=eval_depth)
+        table, lengths = padded(pool, extra=2)
+        target = np.array(target, dtype=np.int64)
+        whole = rbo_rows(target, table, lengths, UNIVERSE, params).tolist()
+        subset = data.draw(st.lists(st.integers(0, len(pool) - 1), unique=True))  # any subset, in any order
+        narrow = table[subset][:, : max(lengths[subset], default=0)]  # as wide as its own longest row
+        assert rbo_rows(target, narrow, lengths[subset], UNIVERSE, params).tolist() == [whole[r] for r in subset]
+        for r in range(len(pool)):
+            assert rbo_rows(target, table[r : r + 1], lengths[r : r + 1], UNIVERSE, params).tolist() == [whole[r]]

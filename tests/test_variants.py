@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qvqpp import variants
+from qvqpp import rank_sim, variants
 from qvqpp import (
     Document,
     PipelineResources,
@@ -35,6 +35,7 @@ from qvqpp import (
     store_from_arrays,
     tokenize,
 )
+from qvqpp.rank_sim import rbo_rows
 from qvqpp.text_index import bm25_ordinals, bm25_retrieve, ranked_list
 from qvqpp.variants import VariantPool
 
@@ -320,6 +321,35 @@ class TestRerankByRbo:
         scored.sort(key=lambda row: (-row[2], row[1], row[0]))
         assert [(c.query.id, c.hop) for c in got.candidates] == [(i, h) for i, h, _ in scored[:2]]
         assert [c.rbo for c in got.candidates] == pytest.approx([s for _, _, s in scored[:2]])
+
+    def test_only_rows_that_can_reach_the_top_k_are_scored_exactly(self, monkeypatch):
+        # 600 variants whose runs (written straight into the run table) have distinct overlaps with the
+        # target's: the exact kernel sees the k best rows only, as no row ties with the k-th
+        rng = np.random.default_rng(7)
+        collection = {f"d{i:03d}": Document(f"d{i:03d}", "common " * (1 + i % 7) + f"w{i}") for i in range(300)}
+        res = resources_over({f"q{i:03d}": Query(f"q{i:03d}", f"text {i}") for i in range(600)}, {}, collection)
+        config, target = QppConfig(k=5, n=100), Query("T", "common")
+        table = res.run_table(config.internal_depth)
+        for row in range(600):
+            ordinals = rng.permutation(300)[: rng.integers(20, 101)].astype(np.int32)
+            table.fill(row, (ordinals, np.arange(len(ordinals), 0, -1, dtype=np.float64)))
+        pool = VariantPool(
+            "T", rng.permutation(600).astype(np.int64), rng.integers(1, 3, 600).astype(np.int64), np.ones(600), res
+        )
+        scored = []
+        kernel = rank_sim._exact
+        monkeypatch.setattr(rank_sim, "_exact", lambda s, *rest: scored.append(len(s)) or kernel(s, *rest))
+        got = rerank_by_rbo(pool, target, config, res)
+        assert scored == [config.k]
+
+        target_run, _ = bm25_ordinals(res.doc_index, ["common"], config.internal_depth)
+        rows = pool.ordinals
+        overlaps = rbo_rows(target_run, table.ordinals[rows], table.lengths[rows], res.doc_index.size)
+        assert len(np.unique(overlaps)) == len(rows)
+        order = np.lexsort((res.query_index._id_rank[rows], pool.hops, -overlaps))[: config.k]
+        assert [(c.query.id, c.hop, c.rbo) for c in got.candidates] == [
+            (f"q{rows[i]:03d}", pool.hops[i], overlaps[i]) for i in order.tolist()
+        ]
 
 
 def predicting_resources(query_ids, predictor) -> PipelineResources:
