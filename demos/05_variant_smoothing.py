@@ -47,12 +47,11 @@ TARGET = Query("T", "best water temperature for brewing coffee")
 
 
 def main():
-    training = {qid: Query(qid, text) for qid, text in TRAIN_QUERIES}
     doc_index = build_index(DOCS)
     res = PipelineResources(
         doc_index=doc_index,
         query_index=build_index(TRAIN_QUERIES),
-        training_queries=training,
+        training_texts=[text for _, text in TRAIN_QUERIES],
         training_qrels=TRAIN_QRELS,
         params=PredictorParams(uef_sample_size=2),
         seed=7,
@@ -65,7 +64,7 @@ def main():
     print("1-hop candidates (direct lexical matches):")
     for cand in one_hop.candidates:
         print(f"  {cand.query.id}: {cand.query.text!r}  score {cand.retrieval_score:.3f}")
-    print(f"  note: t3 {training['t3'].text!r} shares no token with the target\n")
+    print(f"  note: t3 {dict(TRAIN_QUERIES)['t3']!r} shares no token with the target\n")
 
     merged = expand_2hop(one_hop, config, res)
     print("after 2-hop expansion through judged relevant documents:")

@@ -4,8 +4,11 @@
 Shows AP@k with binarized grades, graded nDCG@k, tie-aware Kendall tau
 against a brute-force intuition, the Fisher z comparison of two
 correlations, and how the 2-fold tuner picks (lambda, k) on train
-queries only.
+queries only. Both read every (lambda, k) cell's predictions from one
+array.
 """
+
+import numpy as np
 
 from qvqpp import (
     EvalPair,
@@ -36,26 +39,29 @@ def main():
     print(f"fisher z comparing tau 0.42 vs 0.17 over 97 queries: "
           f"z={result.z:.3f}, significant at 99%: {result.significant}\n")
 
-    # a synthetic prediction engine: lambda=1.0 is genuinely better
+    # a synthetic prediction grid: lambda=1.0 is genuinely better
     actual = {f"q{i}": i / 10 for i in range(8)}
     concordant = {f"q{i}": float(i) for i in range(8)}
     noisy = {"q0": 1.0, "q1": 0.0, "q2": 3.0, "q3": 2.0, "q4": 5.0, "q5": 4.0, "q6": 7.0, "q7": 6.0}
 
-    def predict_fn(lam, k, ids):
-        source = concordant if lam == 1.0 else noisy
-        return {qid: source[qid] for qid in ids}
+    ids = sorted(actual)
+
+    def grid(lambdas, ks):
+        """Every cell's predictions: sorted lambdas x sorted ks x queries in sorted id order."""
+        return np.array([[[(concordant if lam == 1.0 else noisy)[q] for q in ids] for _ in sorted(set(ks))]
+                         for lam in sorted(set(lambdas))])
 
     folds = (
         FoldSpec(frozenset({"q0", "q1", "q2", "q3"}), frozenset({"q4", "q5", "q6", "q7"})),
         FoldSpec(frozenset({"q4", "q5", "q6", "q7"}), frozenset({"q0", "q1", "q2", "q3"})),
     )
-    report = tune_2fold(folds, [0.0, 1.0], [1], predict_fn, actual)
+    report = tune_2fold(folds, [0.0, 1.0], [1], grid([0.0, 1.0], [1]), actual)
     for number, outcome in enumerate(report.folds, start=1):
         print(f"fold {number}: chose lambda={outcome.chosen_lambda}, k={outcome.chosen_k}, "
               f"train tau {outcome.train_tau:.3f}, test tau {outcome.test_tau:.3f}")
     print(f"mean test tau: {report.mean_test_tau:.3f}\n")
 
-    rows = sweep_grid([0.0, 1.0], [1, 2], predict_fn, actual)
+    rows = sweep_grid([0.0, 1.0], [1, 2], grid([0.0, 1.0], [1, 2]), actual)
     print("sweep grid (lambda, k, tau):")
     for lam, k, tau in rows:
         print(f"  {lam:3.1f}  {k}  {tau:+.3f}")

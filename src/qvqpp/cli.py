@@ -297,7 +297,7 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
         from .dense_index import load_vectors
 
         embeddings = load_vectors(cfg.embeddings)
-    training_queries = parse_queries(cfg.train_queries)
+    training = parse_queries(cfg.train_queries)  # in query-index order once the index is found fresh
     doc_index = load_index(doc_index_path)
     query_index = load_index(query_index_path)
     for index, index_path, source in (
@@ -308,7 +308,7 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
     res = PipelineResources(
         doc_index=doc_index,
         query_index=query_index,
-        training_queries={q.id: q for q in training_queries},
+        training_texts=[q.text for q in training],
         training_qrels=parse_qrels(cfg.train_qrels) if cfg.qpp.use_2hop else {},  # read by 2-hop expansion only
         embedding_store=embeddings,
         params=cfg.predictor,
@@ -455,9 +455,6 @@ def cmd_evaluate(
     _require_files(predictions_path, cfg.test_qrels, cfg.target_run, baseline_path)
     _, run_map = _load_target_run(cfg)
     actual = _actual_metric(cfg, run_map)
-    if metrics_out is not None:
-        metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        write_score_tsv(actual, metrics_out)
     predictions = parse_score_tsv(predictions_path)
     if set(predictions) != set(run_map):
         raise ValueError("prediction file and run file must cover the same query ids")
@@ -480,6 +477,9 @@ def cmd_evaluate(
             f"fisher_z: {fisher.z:.6f}",
             f"significant_at_0.99: {str(fisher.significant).lower()}",
         ]
+    if metrics_out is not None:
+        metrics_out.parent.mkdir(parents=True, exist_ok=True)
+        write_score_tsv(actual, metrics_out)
     out = out_path or cfg.output_dir / "eval_report.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(report) + "\n", encoding="utf-8")
@@ -507,34 +507,37 @@ def _grid_inputs(cfg: PipelineConfig):
 
 
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
-    """Build each target's variant set and phi table once, at the largest grid lambda and k.
+    """Every grid cell's prediction of every run query: the float64 array :mod:`qvqpp.evaluation` reads.
 
-    The overlap-weighted mean of the first k variants' phi does not
-    depend on lambda, so each target takes it once per grid k
-    (:func:`variant_mean`, the sums :func:`smooth_qpp` makes), and a
-    (lambda, k) cell is one :func:`blend` of the target's phi with it: no
-    cell runs a predictor or builds a variant set, so a predictor error
-    ends the command before the grid starts. The cells are ``==`` to
-    :func:`smooth_qpp` over the first k variants.
+    Each target's variant set and phi table are built once, at the largest
+    grid lambda and k, so a predictor error ends the command before any
+    cell is formed. The overlap-weighted mean of the first k variants' phi
+    does not depend on lambda, so each target takes it once per grid k
+    (:func:`variant_mean`), and one broadcast of the blend of
+    :func:`smooth_qpp` forms every cell: the same bytes as it.
     """
-    from .variants import base_predictions, blend, build_qv_set, variant_mean
+    import numpy as np
+
+    from .variants import base_predictions, build_qv_set, variant_mean
 
     widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
-    phi_targets = {}
-    means = {}
-    for qid in sorted(run_map):
+    ks = sorted(set(cfg.ks))
+    ids = sorted(run_map)
+    phi_targets = np.empty(len(ids))
+    means = np.zeros((len(ks), len(ids)))
+    has_mean = np.zeros(means.shape, dtype=bool)
+    for column, qid in enumerate(ids):
         qv_set = build_qv_set(targets[qid], widest, res)
         phi = base_predictions(targets[qid], run_map[qid], qv_set, widest, res)
-        phi_targets[qid] = phi[run_map[qid].query_id]
-        # with every grid lambda 0, phi holds the target only and every cell is phi(target)
-        means[qid] = {
-            k: variant_mean(qv_set.candidates[:k], phi) if widest.lam > 0.0 else None for k in set(cfg.ks)
-        }
-
-    def predict_fn(lam: float, k: int, ids: Sequence[str]) -> dict[str, float]:
-        return {qid: blend(phi_targets[qid], lam, means[qid][k]) for qid in ids}
-
-    return predict_fn
+        phi_targets[column] = phi[run_map[qid].query_id]
+        if widest.lam > 0.0:  # with every grid lambda 0, phi holds the target only and every cell is phi(target)
+            for row, k in enumerate(ks):
+                mean = variant_mean(qv_set.candidates[:k], phi)
+                if mean is not None:
+                    means[row, column], has_mean[row, column] = mean, True
+    lams = np.array(sorted(set(cfg.lambdas)))[:, None, None]
+    with np.errstate(all="ignore"):  # Python float arithmetic: an infinite phi makes nan, silently
+        return np.where((lams != 0.0) & has_mean, (1.0 - lams) * phi_targets + lams * means, phi_targets)
 
 
 def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: Path | None = None) -> int:

@@ -5,9 +5,12 @@ labels) is correlated with predictor output via tie-aware Kendall tau.
 Two correlations are compared with the Fisher r-to-z approximation
 applied to tau, treating the samples as independent. Hyper-parameters
 are tuned on a 2-fold split; sweeps evaluate a full (lambda, k) grid
-without a split. Every tau comes from one array kernel,
-:func:`kendall_tau_rows`, which scores a whole grid's prediction matrix
-in one pass of exact integer pair counts (Knight's merge count).
+without a split. Both read every cell's predictions from one float64
+array: axis 0 the sorted distinct lambdas, axis 1 the sorted distinct ks,
+axis 2 the queries of ``actual`` in sorted id order. Every tau comes from
+one array kernel, :func:`kendall_tau_rows`, which scores a whole grid's
+prediction matrix in one pass of exact integer pair counts (Knight's
+merge count).
 """
 
 from __future__ import annotations
@@ -15,16 +18,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus_io import Qrels, RankedList
 
 logger = logging.getLogger(__name__)
-
-# predict_fn(lambda, k, query_ids) -> {query_id: predicted score}
-PredictFn = Callable[[float, int, Sequence[str]], Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -223,47 +223,48 @@ class TuneReport:
     mean_test_tau: float
 
 
-def _grid_taus(
-    cells: Sequence[tuple[float, int]], ids: list[str], predict_fn: PredictFn, actual: Mapping[str, float]
-) -> list[float]:
-    """Each (lambda, k) cell's tau over ``ids``, nan where undefined; ``predict_fn`` runs once per cell, in order."""
-    values = np.empty((len(cells), len(ids)))
-    for row, (lam, k) in zip(values, cells):
-        predictions = predict_fn(lam, k, ids)
-        row[:] = [predictions[qid] for qid in ids]
-    return kendall_tau_rows(values, np.array([actual[qid] for qid in ids], dtype=np.float64)).tolist()
+def _grid_axes(grid: np.ndarray, lambdas: Sequence[float], ks: Sequence[int], actual: Mapping[str, float]):
+    """The grid's axes: sorted distinct lambdas and ks, sorted ids; then the ids' actual values. Checks the shape."""
+    lams, k_values, ids = sorted(set(lambdas)), sorted(set(ks)), sorted(actual)
+    if grid.shape != (len(lams), len(k_values), len(ids)):
+        raise ValueError(f"prediction grid must have shape {(len(lams), len(k_values), len(ids))}, got {grid.shape}")
+    return lams, k_values, ids, np.array([actual[qid] for qid in ids], dtype=np.float64)
 
 
 def tune_2fold(
     folds: tuple[FoldSpec, FoldSpec],
     lambdas: Sequence[float],
     ks: Sequence[int],
-    predict_fn: PredictFn,
+    grid: np.ndarray,
     actual: Mapping[str, float],
 ) -> TuneReport:
     """Select (lambda, k) on each fold's train queries, report test tau.
 
-    The train-best cell wins; ties prefer smaller k, then smaller
-    lambda. Cells whose train tau is undefined are never selected; an
-    error from ``predict_fn`` propagates. Only train ids flow into
-    selection: a fold's train taus are one :func:`kendall_tau_rows` call
-    over every cell. Test ids are touched once, with the chosen parameters.
+    ``grid`` holds every cell's predictions of the queries of ``actual``
+    (see the module docstring). The train-best cell wins; ties prefer
+    smaller k, then smaller lambda. Cells whose train tau is undefined are
+    never selected. Only train columns flow into selection: a fold's train
+    taus are one :func:`kendall_tau_rows` call over every cell. Test
+    columns are read once, for the chosen cell.
     """
     if not lambdas or not ks:
         raise ValueError("tuning grid must be non-empty")
-    cells = [(lam, k) for k in sorted(set(ks)) for lam in sorted(set(lambdas))]
+    lams, k_values, ids, values = _grid_axes(grid, lambdas, ks, actual)
+    column = {qid: c for c, qid in enumerate(ids)}
+    cells = [(lam, k) for k in k_values for lam in lams]
+    by_k = grid.transpose(1, 0, 2).reshape(len(cells), len(ids))
     outcomes = []
     for fold in folds:
-        best: tuple[float, int, float] | None = None  # (lam, k, train_tau)
-        for (lam, k), train_tau in zip(cells, _grid_taus(cells, sorted(fold.train_ids), predict_fn, actual)):
-            if not math.isnan(train_tau) and (best is None or train_tau > best[2]):
-                best = (lam, k, train_tau)
+        train = [column[qid] for qid in sorted(fold.train_ids)]
+        best: tuple[int, float] | None = None  # (cell, train_tau)
+        for cell, train_tau in enumerate(kendall_tau_rows(by_k[:, train], values[train]).tolist()):
+            if not math.isnan(train_tau) and (best is None or train_tau > best[1]):
+                best = (cell, train_tau)
         if best is None:
             raise ValueError("no grid cell produced a defined train tau")
-        test_ids = sorted(fold.test_ids)
-        predictions = predict_fn(best[0], best[1], test_ids)
-        test_tau = kendall_tau([EvalPair(qid, predictions[qid], actual[qid]) for qid in test_ids])
-        outcomes.append(FoldOutcome(best[0], best[1], best[2], test_tau))
+        chosen = by_k[best[0]].tolist()
+        test_tau = kendall_tau([EvalPair(qid, chosen[column[qid]], actual[qid]) for qid in sorted(fold.test_ids)])
+        outcomes.append(FoldOutcome(*cells[best[0]], best[1], test_tau))
     mean_test = sum(o.test_tau for o in outcomes) / len(outcomes)
     return TuneReport(tuple(outcomes), mean_test)
 
@@ -271,15 +272,17 @@ def tune_2fold(
 def sweep_grid(
     lambdas: Sequence[float],
     ks: Sequence[int],
-    predict_fn: PredictFn,
+    grid: np.ndarray,
     actual: Mapping[str, float],
 ) -> list[tuple[float, int, float]]:
-    """Evaluate tau for every (lambda, k) cell over every query of ``actual`` (no folds).
+    """Evaluate tau for every (lambda, k) cell of ``grid`` over every query of ``actual`` (no folds).
 
-    Rows are ordered by (lambda, k). An undefined tau is reported as nan
-    rather than aborting the sweep; an error from ``predict_fn``
-    propagates. The cells' predictions are stacked into one matrix and
-    scored by one :func:`kendall_tau_rows` call, O(n log^2 n) per cell.
+    Rows are ordered by (lambda, k), the order of ``grid``'s cells (see
+    the module docstring). An undefined tau is reported as nan rather than
+    aborting the sweep. The cells are scored by one
+    :func:`kendall_tau_rows` call, O(n log^2 n) per cell.
     """
-    cells = [(lam, k) for lam in sorted(set(lambdas)) for k in sorted(set(ks))]
-    return [(lam, k, tau) for (lam, k), tau in zip(cells, _grid_taus(cells, sorted(actual), predict_fn, actual))]
+    lams, k_values, ids, values = _grid_axes(grid, lambdas, ks, actual)
+    cells = [(lam, k) for lam in lams for k in k_values]
+    taus = kendall_tau_rows(grid.reshape(len(cells), len(ids)), values)
+    return [(lam, k, tau) for (lam, k), tau in zip(cells, taus.tolist())]

@@ -28,16 +28,18 @@ The pipeline for one target query:
    parameters, evaluating it only the first time any target keeps that
    candidate (the phi table of :func:`base_predictions`); then blend the
    target's estimate with the overlap-weighted average of the candidates'
-   estimates (:func:`variant_mean`, :func:`blend`) by plain arithmetic
+   estimates (:func:`variant_mean`, :func:`smooth_qpp`) by plain arithmetic
    over that table. A (lambda, k) grid re-runs no predictor and, as that
    average does not depend on lambda, takes it once per k.
 
 Steps 1 to 3 pass the pool as one :class:`VariantPool` of arrays
 (query-index ordinals, hops, retrieval scores): target exclusion,
-de-duplication and the verbatim-copy filter are masks over it, and a
-:class:`QVCandidate` is built only for each of the k survivors of step 3.
+de-duplication and the verbatim-copy filter are masks over it, a
+training query's text is read by its ordinal, and a :class:`QVCandidate`
+(with its :class:`Query`) is built only for each of the k survivors of
+step 3.
 
-Every stage reads its inputs (indexes, training queries and qrels,
+Every stage reads its inputs (indexes, training texts and qrels,
 embedding store, BM25 and predictor knobs, seed), its memo, run tables
 and base predictor from one :class:`PipelineResources`, which holds each
 once, so no memo or table is read against an index or ``k1``/``b`` other
@@ -222,12 +224,15 @@ class HitMap(dict):
 class PipelineResources:
     """The fixed training set that every variant stage reads, its base predictor, memo and run tables.
 
-    Every stage takes its indexes, training queries and qrels, embedding
+    Every stage takes its indexes, training texts and qrels, embedding
     store, BM25 ``params.k1``/``params.b``, memo and tables from one of
     these objects, and :func:`base_predictions` its ``predictor``, the one
     :class:`PredictorContext` over ``doc_index``, ``params`` and ``seed``.
-    No stage reads a document's text: a pseudo-query comes from the
-    document's row in ``doc_index``.
+    ``training_texts[o]`` is the text of training query
+    ``query_index.item_ids[o]``: the query index names the training
+    queries, so a length other than its size is a ValueError. No stage
+    reads a document's text: a pseudo-query comes from the document's row
+    in ``doc_index``.
 
     ``pseudo_query_hits[(pseudo_query_m, n)]`` is the :class:`HitMap` of
     the judged documents' pseudo-queries under (m, n). An entry depends only
@@ -255,7 +260,7 @@ class PipelineResources:
 
     doc_index: InvertedIndex
     query_index: InvertedIndex
-    training_queries: Mapping[str, Query]
+    training_texts: Sequence[str]
     training_qrels: Qrels
     embedding_store: Optional[EmbeddingStore] = None
     params: PredictorParams = field(default_factory=PredictorParams)
@@ -272,6 +277,10 @@ class PipelineResources:
     predictor: PredictorContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.training_texts) != self.query_index.size:
+            raise ValueError(
+                f"{len(self.training_texts)} training texts for the {self.query_index.size} queries of the query index"
+            )
         self.predictor = PredictorContext(self.doc_index, self.params, self.seed)
 
     def run_table(self, depth: int) -> RunTable:
@@ -328,18 +337,17 @@ class VariantPool:
     @cached_property
     def candidates(self) -> list[QVCandidate]:
         """The entries as :class:`QVCandidate` objects (no overlap or run), in pool order."""
-        queries = self.res.training_queries
+        item_ids, texts = self.res.query_index.item_ids, self.res.training_texts
         return [
-            QVCandidate(queries[qid], hop, score)
-            for qid, hop, score in zip(self.query_ids(), self.hops.tolist(), self.scores.tolist())
+            QVCandidate(Query(item_ids[row], texts[row]), hop, score)
+            for row, hop, score in zip(self.ordinals.tolist(), self.hops.tolist(), self.scores.tolist())
         ]
 
 
 def _ranking(target: Query, tokens: list[str], depth: int, config: QppConfig, res: PipelineResources):
     """The first ``depth`` hits of the target's 1-hop ranking as ``res.query_index`` ordinals and scores.
 
-    A dense hit outside ``res.training_queries`` gets ordinal -1; one in
-    them that the query index lacks is a ValueError.
+    A dense hit that is no training query (not in the query index) gets ordinal -1.
     """
     if config.query_retriever == RETRIEVER_BM25:
         ordinals, scores = bm25_ordinals(res.query_index, tokens, depth=depth, k1=res.params.k1, b=res.params.b)
@@ -351,14 +359,7 @@ def _ranking(target: Query, tokens: list[str], depth: int, config: QppConfig, re
         query_id=target.id,
     )
     ordinal_of = res.query_index.ordinal_of
-    ordinals = []
-    for qid, _ in ranked.entries:
-        if qid not in res.training_queries:
-            ordinals.append(-1)
-        elif qid not in ordinal_of:
-            raise ValueError(f"variant candidate {qid!r} is not in the query index")
-        else:
-            ordinals.append(ordinal_of[qid])
+    ordinals = [ordinal_of.get(qid, -1) for qid, _ in ranked.entries]
     return np.array(ordinals, dtype=np.int64), np.array(ranked.scores(), dtype=np.float64)
 
 
@@ -373,9 +374,8 @@ def _variant_positions(ordinals: np.ndarray, target: Query, tokens: list[str], r
     target_ordinal = index.ordinal_of.get(target.id)
     if target_ordinal is not None:
         keep &= ordinals != target_ordinal
-    item_ids, queries = index.item_ids, res.training_queries
     for i in np.flatnonzero(keep & (index.lengths[ordinals] == len(tokens))).tolist():
-        keep[i] = tokenize(queries[item_ids[ordinals[i]]].text) != tokens
+        keep[i] = tokenize(res.training_texts[ordinals[i]]) != tokens
     return np.flatnonzero(keep)
 
 
@@ -389,8 +389,7 @@ def retrieve_1hop(target: Query, config: QppConfig, res: PipelineResources) -> V
     exclusions leave fewer than n; a ranking's first d hits are the same
     at every depth, so the pool is the one the whole ranking gives. In
     dense mode ``res.embedding_store`` must be loaded and hold a vector
-    for the target id, and only ids present in ``res.training_queries``
-    are eligible.
+    for the target id, and only ids of the query index are eligible.
     """
     if config.query_retriever == RETRIEVER_BM25:
         whole = res.query_index.size
@@ -498,15 +497,15 @@ def rerank_by_rbo(pool: VariantPool, target: Query, config: QppConfig, res: Pipe
     target_ordinals, _ = _internal_run(target.text, config, res)
     table = res.run_table(config.internal_depth)
     rows = pool.ordinals
-    item_ids, queries = res.query_index.item_ids, res.training_queries
+    item_ids, texts = res.query_index.item_ids, res.training_texts
     for row in rows[table.lengths[rows] < 0].tolist():
-        table.fill(row, _internal_run(queries[item_ids[row]].text, config, res))
+        table.fill(row, _internal_run(texts[row], config, res))
     order, overlaps = rbo_top_k(
         target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.k,
         (res.query_index._id_rank[rows], pool.hops), config.rbo_params,
     )
     kept = [
-        QVCandidate(queries[item_ids[row]], hop, score, overlap, table.run(row))
+        QVCandidate(Query(item_ids[row], texts[row]), hop, score, overlap, table.run(row))
         for row, hop, score, overlap in zip(
             rows[order].tolist(), pool.hops[order].tolist(), pool.scores[order].tolist(), overlaps.tolist()
         )
@@ -577,13 +576,6 @@ def variant_mean(candidates: Sequence[QVCandidate], phi: Mapping[str, float]) ->
     return smoothed
 
 
-def blend(phi_target: float, lam: float, mean: Optional[float]) -> float:
-    """(1 - lam) * phi_target + lam * mean, or ``phi_target`` when lam is 0 or there is no mean."""
-    if lam == 0.0 or mean is None:
-        return phi_target
-    return (1.0 - lam) * phi_target + lam * mean
-
-
 def smooth_qpp(
     target_run: RankedList,
     qv_set: QVSet,
@@ -599,9 +591,8 @@ def smooth_qpp(
     variant set is empty, every overlap weight is zero or lambda is zero.
     """
     phi_target = phi[target_run.query_id]
-    if config.lam == 0.0:
-        return phi_target
-    return blend(phi_target, config.lam, variant_mean(qv_set.candidates, phi))
+    mean = None if config.lam == 0.0 else variant_mean(qv_set.candidates, phi)
+    return phi_target if mean is None else (1.0 - config.lam) * phi_target + config.lam * mean
 
 
 def build_qv_set(target: Query, config: QppConfig, res: PipelineResources) -> QVSet:

@@ -41,7 +41,7 @@ def resources(corpus, doc_index, query_index, embedding_store):
     return PipelineResources(
         doc_index=doc_index,
         query_index=query_index,
-        training_queries=corpus.training_query_map(),
+        training_texts=[q.text for q in corpus.train_queries],
         training_qrels=corpus.train_qrels,
         embedding_store=embedding_store,
         params=PredictorParams(top_k=100, uef_samples=5, uef_sample_size=2),

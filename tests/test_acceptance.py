@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -260,14 +261,12 @@ def test_c10_tuning_ignores_test_fold():
     actual = {"q1": 1, "q2": 2, "q3": 3, "q4": 4, "p": 0, "q5": 1, "q6": 2}
     lam0 = {"q1": 1, "q2": 2, "q3": 3, "q4": 4, "p": 100, "q5": 5, "q6": 6}
     lam1 = {"q1": 1, "q2": 3, "q3": 2, "q4": 4, "p": -5, "q5": 5, "q6": 6}
-    table = {(0.0, 1): lam0, (1.0, 1): lam1}
-
-    def predict_fn(lam, k, ids):
-        return {qid: table[(lam, k)][qid] for qid in ids}
+    ids = sorted(actual)
+    grid = np.array([[[lam0[q] for q in ids]], [[lam1[q] for q in ids]]], dtype=np.float64)  # lambda x k x query
 
     poisoned_test = FoldSpec(frozenset({"q1", "q2", "q3", "q4"}), frozenset({"p", "q5", "q6"}))
     poisoned_train = FoldSpec(frozenset({"q1", "q2", "q3", "q4", "p"}), frozenset({"q5", "q6"}))
-    result = tune_2fold((poisoned_test, poisoned_train), [0.0, 1.0], [1], predict_fn, actual)
+    result = tune_2fold((poisoned_test, poisoned_train), [0.0, 1.0], [1], grid, actual)
     assert result.folds[0].chosen_lambda == 0.0
     assert result.folds[1].chosen_lambda == 1.0
 

@@ -4,13 +4,15 @@ After ``index`` and a cold ``predict`` the fixture workspace's index
 directory holds exactly the files of :data:`ARTIFACT_GOLDENS`, byte for
 byte. A cold ``predict`` fills each store with rows counted from the
 variant pools, and a warm one adopts those rows and computes only each
-target's own retrievals and base prediction.
+target's own retrievals and base prediction; ``sweep`` and ``tune`` do
+the same work for the pools of their widest (lambda, k) cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -70,25 +72,26 @@ def test_index_and_cold_predict_write_the_golden_artifacts(workspace, tmp_path, 
     assert digests == ARTIFACT_GOLDENS[setting]
 
 
-def _expected_work(cfg) -> dict:
-    """The distinct rows each store fills, and the work of each target, counted over the variant pools of ``cfg``.
+def _expected_work(cfg, qpp) -> dict:
+    """The distinct rows each store fills, and the work of each target, counted over the variant pools of ``qpp``.
 
     ``rows``: the pool rows of every target; ``documents``: the judged
     (grade >= 1) documents of the 1-hop candidates that the collection
-    holds; ``phi``: the kept variants of positive overlap; ``kept``: the
-    number of those per target, summed.
+    holds; ``phi``: the kept variants of positive overlap, none at lambda
+    0; ``kept``: the number of those per target, summed.
     """
     res, _ = cli._load_resources(cfg)
     targets, run_map = cli._load_target_run(cfg, min_queries=1)
     rows, documents, phi, kept = set(), set(), set(), 0
     for qid in sorted(run_map):
-        one_hop = retrieve_1hop(targets[qid], cfg.qpp, res)
-        pool = expand_2hop(one_hop, cfg.qpp, res)
+        one_hop = retrieve_1hop(targets[qid], qpp, res)
+        pool = expand_2hop(one_hop, qpp, res)
         rows |= set(pool.ordinals.tolist())
         for candidate in one_hop.candidates:
             judged = res.training_qrels.get(candidate.query.id, {})
             documents |= {doc for doc, grade in judged.items() if grade >= 1 and doc in res.doc_index.ordinal_of}
-        positive = [c.query.id for c in rerank_by_rbo(pool, targets[qid], cfg.qpp, res).candidates if c.rbo > 0.0]
+        survivors = rerank_by_rbo(pool, targets[qid], qpp, res).candidates if qpp.lam > 0.0 else []
+        positive = [c.query.id for c in survivors if c.rbo > 0.0]
         phi |= set(positive)
         kept += len(positive)
     return {"targets": len(run_map), "rows": len(rows), "documents": len(documents), "phi": len(phi), "kept": kept}
@@ -109,19 +112,23 @@ def _store_work(caplog) -> tuple[dict, tuple[int, int]]:
     return stores, predictor
 
 
-@pytest.mark.parametrize("overrides", [(), ("qpp.k=5", "qpp.internal_depth=2"), DENSE_UEF],
-                         ids=["nqc-2hop", "zero-overlap-kept", "dense-uef"])
-def test_cold_and_warm_predict_do_exactly_the_store_work_of_their_pools(workspace, tmp_path, monkeypatch, caplog,
-                                                                         overrides):
-    """A cold predict fills each store's distinct rows once; a warm one adopts them all and fills none.
+SETTINGS = pytest.mark.parametrize("overrides", [(), ("qpp.k=5", "qpp.internal_depth=2"), DENSE_UEF],
+                                   ids=["nqc-2hop", "zero-overlap-kept", "dense-uef"])
 
-    The second setting keeps variants of zero overlap, whose phi is never
-    evaluated; the dense one retrieves 1-hop candidates without BM25.
+
+def _check_cold_and_warm(workspace, tmp_path, monkeypatch, caplog, command, overrides, widest) -> None:
+    """``command`` run cold then warm does exactly the store and predictor work of the pools of its widest cell.
+
+    ``widest(cfg)`` is the QppConfig whose pools the command builds. Each
+    count is a formula of those pools: rows filled, then adopted, per
+    store; ``bm25_ordinals`` calls per index; base-predictor evaluations
+    and phi-table reads.
     """
     caplog.set_level(logging.INFO, logger="qvqpp.artifacts")
     caplog.set_level(logging.INFO, logger="qvqpp.cli")
     assert main(_argv(workspace, tmp_path, "index", overrides)) == 0
-    want = _expected_work(cli.load_config(workspace["config"], _overrides(tmp_path, overrides)))
+    cfg = cli.load_config(workspace["config"], _overrides(tmp_path, overrides))
+    want = _expected_work(cfg, widest(cfg))
     doc_ids = {line.split("\t")[0] for line in (workspace["data"] / "collection.tsv").read_text().splitlines()}
     calls = {"documents": 0, "queries": 0}
     original = qvqpp.variants.bm25_ordinals
@@ -135,15 +142,42 @@ def test_cold_and_warm_predict_do_exactly_the_store_work_of_their_pools(workspac
     filled = {"internal_runs": want["rows"], "pseudo_query_hits": want["documents"], "variant_phi": want["phi"]}
     caplog.clear()
 
-    assert main(["-v", *_argv(workspace, tmp_path, "predict", overrides)]) == 0
+    assert main(["-v", *_argv(workspace, tmp_path, command, overrides)]) == 0
     stores, predictor = _store_work(caplog)
     assert stores == {kind: (0, rows) for kind, rows in filled.items()}
     assert calls == {"documents": want["targets"] + want["rows"], "queries": one_hop_bm25 + want["documents"]}
     assert predictor == (want["targets"] + want["phi"], want["kept"] - want["phi"])
 
     calls.update(documents=0, queries=0)
-    assert main(["-v", *_argv(workspace, tmp_path, "predict", overrides)]) == 0
+    assert main(["-v", *_argv(workspace, tmp_path, command, overrides)]) == 0
     stores, predictor = _store_work(caplog)
     assert stores == {kind: (rows, 0) for kind, rows in filled.items()}
     assert calls == {"documents": want["targets"], "queries": one_hop_bm25}
     assert predictor == (want["targets"], want["kept"])
+
+
+@SETTINGS
+def test_cold_and_warm_predict_do_exactly_the_store_work_of_their_pools(workspace, tmp_path, monkeypatch, caplog,
+                                                                         overrides):
+    """A cold predict fills each store's distinct rows once; a warm one adopts them all and fills none.
+
+    The second setting keeps variants of zero overlap, whose phi is never
+    evaluated; the dense one retrieves 1-hop candidates without BM25.
+    """
+    _check_cold_and_warm(workspace, tmp_path, monkeypatch, caplog, "predict", overrides, lambda cfg: cfg.qpp)
+
+
+@SETTINGS
+@pytest.mark.parametrize("command", ["sweep", "tune"])
+def test_cold_and_warm_grid_commands_do_exactly_the_store_work_of_the_widest_cell(workspace, tmp_path, monkeypatch,
+                                                                                  caplog, command, overrides):
+    """``sweep`` and ``tune`` build each target's pools once, at the largest grid lambda and k, for every cell.
+
+    So their counts are those of a predict at that cell: a grid that built
+    a variant set or evaluated a predictor per cell would read more phi
+    values, or evaluate more, than the pools of that one cell hold.
+    """
+    _check_cold_and_warm(
+        workspace, tmp_path, monkeypatch, caplog, command, overrides,
+        lambda cfg: replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks)),
+    )

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qvqpp
@@ -935,6 +938,30 @@ class TestEvaluateCommand:
         written = parse_score_tsv(metrics_out)
         assert written == {qid: pytest.approx(value, abs=1e-6) for qid, value in actual.items()}
 
+    @pytest.mark.parametrize("fault", ["prediction-missing", "fisher-size"])
+    def test_a_failing_run_writes_no_metrics_file(self, indexed_workspace, tmp_path, capsys, fault):
+        # every check, the Fisher size included, runs before --metrics-out is written
+        predictions, metrics_out, out = tmp_path / "pred.tsv", tmp_path / "m.tsv", tmp_path / "report.txt"
+        if fault == "prediction-missing":
+            write_score_tsv({qid: v for qid, v in BASELINE_SCORES.items() if qid != "dl05"}, predictions)
+            extra, message = [], "prediction file and run file must cover the same query ids"
+        else:
+            three = ("dl01", "dl02", "dl03")
+            lines = (indexed_workspace["data"] / "target_run.txt").read_text(encoding="utf-8").splitlines()
+            run = tmp_path / "run.txt"
+            run.write_text("".join(f"{line}\n" for line in lines if line.split()[0] in three), encoding="utf-8")
+            write_score_tsv({qid: BASELINE_SCORES[qid] for qid in three}, predictions)
+            write_score_tsv({qid: -BASELINE_SCORES[qid] for qid in three}, tmp_path / "base.tsv")
+            extra = ["--set", f"paths.target_run={run}", "--baseline", tmp_path / "base.tsv"]
+            message = "fisher z needs n >= 4, got 3"
+        code = run_cli(
+            "evaluate", "--config", indexed_workspace["config"], "--predictions", predictions, *extra,
+            "--out", out, "--metrics-out", metrics_out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not metrics_out.exists() and not out.exists()
+
     def test_mismatched_query_ids_rejected(self, indexed_workspace, tmp_path, capsys):
         predictions = tmp_path / "partial.tsv"
         write_score_tsv({"dl01": 1.0}, predictions)
@@ -1047,24 +1074,29 @@ class TestTuneAndSweep:
         cfg = cli.load_config(indexed_workspace["config"])
         res, _ = cli._load_resources(cfg)
         targets, run_map = cli._load_target_run(cfg)
-        predict_fn = cli._prediction_engine(cfg, res, targets, run_map)
+        grid = cli._prediction_engine(cfg, res, targets, run_map)
         fresh = replace(res)
         ids = sorted(run_map)
-        for lam in cfg.lambdas:
-            for k in cfg.ks:
+        lambdas, ks = sorted(set(cfg.lambdas)), sorted(set(cfg.ks))
+        assert grid.dtype == np.float64 and grid.shape == (len(lambdas), len(ks), len(ids))
+        for row, lam in enumerate(lambdas):
+            for column, k in enumerate(ks):
                 qpp = replace(cfg.qpp, lam=lam, k=k)
-                want = {qid: cli.predict_query(targets[qid], run_map[qid], qpp, fresh) for qid in ids}
-                assert predict_fn(lam, k, ids) == want, (lam, k)
+                want = [cli.predict_query(targets[qid], run_map[qid], qpp, fresh) for qid in ids]
+                assert grid[row, column].tobytes() == np.array(want).tobytes(), (lam, k)
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from([0.0, 1e-9, 0.3, 1.0]) | st.floats(0.0, 1.0), max_size=6),
-        st.lists(st.floats(-10.0, 10.0), min_size=7, max_size=7),
+        st.lists(st.sampled_from([-0.0, math.inf, -math.inf]) | st.floats(-10.0, 10.0), min_size=7, max_size=7),
         st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4),
         st.lists(st.integers(1, 8), min_size=1, max_size=4),
     )
+    @example([0.5, 0.0], [math.inf, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 1.0], [1, 2])
+    @example([0.5], [-0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.5], [1])
     def test_grid_cells_equal_smooth_qpp(self, rbos, phis, lambdas, ks):
-        # zero and all-zero overlaps, an empty set, lambda 0 and k past the set's length all occur
+        # zero and all-zero overlaps, an empty set, lambda 0, k past the set's length, -0.0 and infinite phis all occur;
+        # cells are compared as bytes, so -0.0 and nan count
         target, run = Query("T", "target"), RankedList("T", [("d1", 1.0)])
         candidates = [QVCandidate(Query(f"v{i}", f"variant {i}"), 1, 1.0, rbo) for i, rbo in enumerate(rbos)]
         values = {"T": phis[0], **{f"v{i}": phi for i, phi in enumerate(phis[1:])}}
@@ -1077,13 +1109,18 @@ class TestTuneAndSweep:
         widest = replace(cfg.qpp, lam=max(lambdas), k=max(ks))
         qv_set = QVSet("T", candidates[: widest.k])
         phi = base_predictions(target, run, qv_set, widest, res)
-        with mock.patch.object(variants, "build_qv_set", lambda *args: qv_set):
-            predict_fn = cli._prediction_engine(cfg, res, {"T": target}, {"T": run})
-        for lam in lambdas:
-            for k in ks:
+        with mock.patch.object(variants, "build_qv_set", lambda *args: qv_set), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = cli._prediction_engine(cfg, res, {"T": target}, {"T": run})
+        assert grid.shape == (len(set(lambdas)), len(set(ks)), 1)
+        for row, lam in enumerate(sorted(set(lambdas))):
+            for column, k in enumerate(sorted(set(ks))):
                 want = smooth_qpp(run, qv_set.top(k), QppConfig(lam=lam, k=k, n=100), phi)
-                assert predict_fn(lam, k, ["T"]) == {"T": want}, (lam, k)
-                assert want == smooth_reference(phi["T"], qv_set.top(k).candidates, lam, phi)
+                assert grid[row, column].tobytes() == np.float64(want).tobytes(), (lam, k)
+                reference = smooth_reference(phi["T"], qv_set.top(k).candidates, lam, phi)
+                assert np.float64(want).tobytes() == np.float64(reference).tobytes()
+                if math.isinf(phi["T"]) and lam == 1.0 and sum(c.rbo for c in qv_set.top(k).candidates) > 0.0:
+                    assert math.isnan(want)  # 0 * inf, as (1 - lambda) * phi gives in Python
 
     @pytest.mark.parametrize("use_2hop", ["false", "true"])
     @pytest.mark.parametrize("command", ["predict", "sweep"])

@@ -224,13 +224,13 @@ class TestKendallTauRows:
         split = data.draw(st.integers(2, n - 2))
         folds = (FoldSpec(frozenset(ids[:split]), frozenset(ids[split:])),
                  FoldSpec(frozenset(ids[split:]), frozenset(ids[:split])))
-        predict_fn = synthetic_predict_fn(cells)
+        predictions = grid_of(cells, ids)
 
         def reference(cell, query_ids):
             query_ids = sorted(query_ids)
             return reference_tau([cell[q] for q in query_ids], [actual[q] for q in query_ids])
 
-        rows = sweep_grid(lambdas, ks, predict_fn, actual)
+        rows = sweep_grid(lambdas, ks, predictions, actual)
         assert [(lam, k) for lam, k, _ in rows] == sorted(cells)
         assert [repr(tau) for _, _, tau in rows] == [repr(reference(cells[cell], ids)) for cell in sorted(cells)]
 
@@ -245,9 +245,9 @@ class TestKendallTauRows:
             want.append(best and (*best, reference(cells[best[:2]], fold.test_ids)))
         if None in want or any(math.isnan(outcome[3]) for outcome in want if outcome):
             with pytest.raises(ValueError):
-                tune_2fold(folds, lambdas, ks, predict_fn, actual)
+                tune_2fold(folds, lambdas, ks, predictions, actual)
             return
-        report = tune_2fold(folds, lambdas, ks, predict_fn, actual)
+        report = tune_2fold(folds, lambdas, ks, predictions, actual)
         assert [(o.chosen_lambda, o.chosen_k, o.train_tau, o.test_tau) for o in report.folds] == want
 
     def test_no_rows_and_short_rows(self):
@@ -288,25 +288,21 @@ class TestFisherZ:
         assert not fisher_z_compare(tau_a, 0.0, 50, confidence=0.99).significant
 
 
-def synthetic_predict_fn(table):
-    """predict_fn backed by a {(lam, k): {qid: value}} table."""
-
-    def predict(lam, k, ids):
-        cell = table[(lam, k)]
-        return {qid: cell[qid] for qid in ids}
-
-    return predict
+def grid_of(table, ids):
+    """The prediction grid of a {(lam, k): {qid: value}} table: sorted lambdas x sorted ks x sorted ``ids``."""
+    lambdas, ks = sorted({lam for lam, _ in table}), sorted({k for _, k in table})
+    return np.array([[[table[(lam, k)][q] for q in sorted(ids)] for k in ks] for lam in lambdas], dtype=np.float64)
 
 
-def failing_predict_fn(bad_lambda):
-    """predict_fn that ranks ids by name, except that it raises a ValueError at ``bad_lambda``."""
-
-    def predict(lam, k, ids):
-        if lam == bad_lambda:
-            raise ValueError("predictor failed")
-        return {qid: float(rank) for rank, qid in enumerate(ids)}
-
-    return predict
+def wrong_shapes(grid):
+    """(lambdas, ks, grid) triples that do not fit the (1 lambda, 2 ks, n queries) ``grid``: an axis off in size."""
+    return [
+        ([0.0, 0.5], [1, 2], grid),
+        ([0.0], [1], grid),
+        ([0.0], [1, 2], grid[:, :, 1:]),
+        ([0.0], [1, 2], grid[0]),
+        ([0.0], [1, 2], grid.transpose(1, 0, 2)),
+    ]
 
 
 class TestTune2Fold:
@@ -317,7 +313,7 @@ class TestTune2Fold:
             FoldSpec(frozenset({"a", "b"}), frozenset({"c", "d"})),
             FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
         )
-        report = tune_2fold(folds, [0.5], [1], synthetic_predict_fn(table), actual)
+        report = tune_2fold(folds, [0.5], [1], grid_of(table, actual), actual)
         assert all(o.chosen_lambda == 0.5 and o.chosen_k == 1 for o in report.folds)
         assert report.mean_test_tau == pytest.approx(
             (report.folds[0].test_tau + report.folds[1].test_tau) / 2
@@ -334,7 +330,7 @@ class TestTune2Fold:
             FoldSpec(frozenset({"a", "b"}), frozenset({"c", "d"})),
             FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
         )
-        report = tune_2fold(folds, [0.0, 1.0], [1], synthetic_predict_fn(table), actual)
+        report = tune_2fold(folds, [0.0, 1.0], [1], grid_of(table, actual), actual)
         assert report.folds[0].chosen_lambda == report.folds[1].chosen_lambda == 1.0
         assert report.folds[0].train_tau == report.folds[1].test_tau
 
@@ -349,8 +345,8 @@ class TestTune2Fold:
         fold_a = frozenset(ids[:4])
         fold_b = frozenset(ids[4:])
         folds = (FoldSpec(fold_a, fold_b), FoldSpec(fold_b, fold_a))
-        predict_fn = synthetic_predict_fn(table)
-        report = tune_2fold(folds, lambdas, ks, predict_fn, actual)
+        grid = grid_of(table, actual)
+        report = tune_2fold(folds, lambdas, ks, grid, actual)
 
         for fold, outcome in zip(folds, report.folds):
             best = None
@@ -374,7 +370,7 @@ class TestTune2Fold:
             FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
         )
         # every cell ties at train tau = 1
-        report = tune_2fold(folds, [0.5, 0.0], [2, 1], synthetic_predict_fn(table), actual)
+        report = tune_2fold(folds, [0.5, 0.0], [2, 1], grid_of(table, actual), actual)
         for outcome in report.folds:
             assert outcome.chosen_k == 1
             assert outcome.chosen_lambda == 0.0
@@ -386,7 +382,7 @@ class TestTune2Fold:
         lam0 = {"q1": 1, "q2": 2, "q3": 3, "q4": 4, "p": 100, "q5": 5, "q6": 6}
         lam1 = {"q1": 1, "q2": 3, "q3": 2, "q4": 4, "p": -5, "q5": 5, "q6": 6}
         table = {(0.0, 1): lam0, (1.0, 1): lam1}
-        predict_fn = synthetic_predict_fn(table)
+        grid = grid_of(table, actual)
 
         clean_train = frozenset({"q1", "q2", "q3", "q4"})
         fold_with_poisoned_test = FoldSpec(clean_train, frozenset({"p", "q5", "q6"}))
@@ -395,19 +391,10 @@ class TestTune2Fold:
         )
         report = tune_2fold(
             (fold_with_poisoned_test, fold_with_poisoned_train),
-            [0.0, 1.0], [1], predict_fn, actual,
+            [0.0, 1.0], [1], grid, actual,
         )
         assert report.folds[0].chosen_lambda == 0.0  # poison in test set: ignored
         assert report.folds[1].chosen_lambda == 1.0  # poison in train set: flips
-
-    def test_predict_fn_error_propagates(self):
-        actual = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
-        folds = (
-            FoldSpec(frozenset({"a", "b"}), frozenset({"c", "d"})),
-            FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
-        )
-        with pytest.raises(ValueError, match="predictor failed"):
-            tune_2fold(folds, [0.0, 0.5], [1], failing_predict_fn(0.5), actual)
 
     def test_empty_grid_rejected(self):
         folds = (
@@ -415,7 +402,19 @@ class TestTune2Fold:
             FoldSpec(frozenset({"b"}), frozenset({"a"})),
         )
         with pytest.raises(ValueError, match="non-empty"):
-            tune_2fold(folds, [], [1], synthetic_predict_fn({}), {})
+            tune_2fold(folds, [], [1], np.empty((0, 1, 0)), {})
+
+    def test_grid_of_the_wrong_shape_refused(self):
+        actual = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
+        folds = (
+            FoldSpec(frozenset({"a", "b"}), frozenset({"c", "d"})),
+            FoldSpec(frozenset({"c", "d"}), frozenset({"a", "b"})),
+        )
+        grid = grid_of({(0.0, 1): actual, (0.0, 2): actual}, actual)
+        assert tune_2fold(folds, [0.0, 0.0], [2, 1, 2], grid, actual).folds[0].chosen_k == 1
+        for lambdas, ks, wrong in wrong_shapes(grid):
+            with pytest.raises(ValueError, match=r"prediction grid must have shape \(\d+, \d+, 4\), got"):
+                tune_2fold(folds, lambdas, ks, wrong, actual)
 
     def test_overlapping_folds_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
@@ -431,14 +430,14 @@ class TestSweepGrid:
         for k in (1, 2, 3):
             table[(0.0, k)] = base  # lambda 0: k must not matter
             table[(0.5, k)] = {q: rng.random() for q in actual}
-        rows = sweep_grid([0.0, 0.5], [1, 2, 3], synthetic_predict_fn(table), actual)
+        rows = sweep_grid([0.0, 0.5], [1, 2, 3], grid_of(table, actual), actual)
         zero_taus = {tau for lam, k, tau in rows if lam == 0.0}
         assert len(zero_taus) == 1
 
     def test_single_cell_equals_direct_composition(self):
         actual = {"a": 0.3, "b": 0.1, "c": 0.9}
         cell = {"a": 0.5, "b": 0.2, "c": 0.7}
-        rows = sweep_grid([0.3], [2], synthetic_predict_fn({(0.3, 2): cell}), actual)
+        rows = sweep_grid([0.3], [2], grid_of({(0.3, 2): cell}, actual), actual)
         want = kendall_tau([EvalPair(q, cell[q], actual[q]) for q in sorted(actual)])
         assert rows == [(0.3, 2, pytest.approx(want))]
 
@@ -447,7 +446,7 @@ class TestSweepGrid:
         actual = {f"q{i}": rng.random() for i in range(6)}
         lambdas, ks = [0.0, 0.5, 1.0], [1, 2, 3]
         table = {(lam, k): {q: rng.random() for q in actual} for lam in lambdas for k in ks}
-        rows = sweep_grid(lambdas, ks, synthetic_predict_fn(table), actual)
+        rows = sweep_grid(lambdas, ks, grid_of(table, actual), actual)
         assert len(rows) == 9
         for lam, k, tau in rows:
             ids = sorted(actual)
@@ -456,13 +455,16 @@ class TestSweepGrid:
             )
             assert tau == pytest.approx(want, abs=1e-12)
 
-    def test_predict_fn_error_propagates(self):
+    def test_grid_of_the_wrong_shape_refused(self):
         actual = {"a": 0.3, "b": 0.1, "c": 0.9}
-        with pytest.raises(ValueError, match="predictor failed"):
-            sweep_grid([0.0, 0.5], [1, 2], failing_predict_fn(0.5), actual)
+        grid = grid_of({(0.0, 1): actual, (0.0, 2): actual}, actual)
+        assert [tau for _, _, tau in sweep_grid([0.0, 0.0], [2, 1, 2], grid, actual)] == [1.0, 1.0]
+        for lambdas, ks, wrong in wrong_shapes(grid):
+            with pytest.raises(ValueError, match=r"prediction grid must have shape \(\d+, \d+, 3\), got"):
+                sweep_grid(lambdas, ks, wrong, actual)
 
     def test_undefined_cell_reported_as_nan(self):
         actual = {"a": 0.3, "b": 0.1}
         cell = {"a": 1.0, "b": 1.0}  # constant predictions
-        rows = sweep_grid([0.0], [1], synthetic_predict_fn({(0.0, 1): cell}), actual)
+        rows = sweep_grid([0.0], [1], grid_of({(0.0, 1): cell}, actual), actual)
         assert math.isnan(rows[0][2])

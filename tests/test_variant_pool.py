@@ -43,17 +43,18 @@ def reference_pool(target, config, res):
     """The merged pool as (query, hop, score) triples, by the object stages' loops."""
     tokens = tokenize(target.text)
     k1, b = res.params.k1, res.params.b
+    training = dict(zip(res.query_index.item_ids, res.training_texts))
     if config.query_retriever == "bm25":
         ranked = bm25_retrieve(res.query_index, tokens, depth=max(config.n, res.query_index.size, 1), k1=k1, b=b)
     else:
         store = res.embedding_store
-        exclude = {i for i in store.ids if i not in res.training_queries} | {target.id}
+        exclude = {i for i in store.ids if i not in training} | {target.id}
         ranked = knn_cosine(store, store.vector(target.id), depth=len(store), exclude=exclude)
     pool = []
     for qid, score in ranked.entries:
-        if qid == target.id or tokenize(res.training_queries[qid].text) == tokens:
+        if qid == target.id or tokenize(training[qid]) == tokens:
             continue
-        pool.append(QVCandidate(res.training_queries[qid], 1, score))
+        pool.append(QVCandidate(Query(qid, training[qid]), 1, score))
         if len(pool) == config.n:
             break
     if config.use_2hop:
@@ -68,7 +69,7 @@ def reference_pool(target, config, res):
                 for qid, score in bm25_retrieve(res.query_index, terms, config.n, k1=k1, b=b).entries:
                     if qid not in seen:
                         seen.add(qid)
-                        pool.append(QVCandidate(res.training_queries[qid], 2, score))
+                        pool.append(QVCandidate(Query(qid, training[qid]), 2, score))
     return pool
 
 
@@ -107,7 +108,7 @@ def resources_over(training, qrels, documents, embeddings=None):
     return PipelineResources(
         doc_index=build_index((d.id, d.text) for d in documents),
         query_index=build_index((q.id, q.text) for q in training.values()),
-        training_queries=training,
+        training_texts=[q.text for q in training.values()],
         training_qrels=qrels,
         embedding_store=store,
     )
@@ -224,6 +225,13 @@ class TestPoolChecks:
             QVSet("T", [QVCandidate(training["a"], 1, 1.0), QVCandidate(training["a"], 2, 0.5)])
         with pytest.raises(ValueError, match="target query must never appear"):
             QVSet("a", [QVCandidate(training["a"], 1, 1.0)])
+
+    def test_training_texts_must_match_the_query_index(self):
+        training = {qid: Query(qid, f"text {qid}") for qid in ("a", "b")}
+        res = resources_over(training, {}, [Document("d1", "text")])
+        assert [c.query for c in self.pool("T", ["b", "a"], res).candidates] == [training["b"], training["a"]]
+        with pytest.raises(ValueError, match="^1 training texts for the 2 queries of the query index$"):
+            replace(res, training_texts=["text a"])
 
     def test_candidates_are_built_only_when_read(self, corpus, resources):
         config = QppConfig(k=2, n=100)

@@ -32,7 +32,6 @@ from qvqpp import (
     rerank_by_rbo,
     retrieve_1hop,
     smooth_qpp,
-    store_from_arrays,
     tokenize,
 )
 from qvqpp.rank_sim import rbo_rows
@@ -80,7 +79,7 @@ class TestRetrieve1Hop:
         copy = Query("copycat", target.text.upper())  # same tokenization
         training[copy.id] = copy
         index = build_index((q.id, q.text) for q in training.values())
-        res = replace(resources, query_index=index, training_queries=training)
+        res = replace(resources, query_index=index, training_texts=[q.text for q in training.values()])
         got = retrieve_1hop(target, QppConfig(k=1, n=3), res)
         assert "copycat" not in got.query_ids()
         assert "t01" in got.query_ids()
@@ -605,7 +604,7 @@ def resources_over(training, qrels, collection):
     return PipelineResources(
         doc_index=build_index((d.id, d.text) for d in collection.values()),
         query_index=build_index((q.id, q.text) for q in training.values()),
-        training_queries=training,
+        training_texts=[q.text for q in training.values()],
         training_qrels=qrels,
     )
 
@@ -745,7 +744,7 @@ class TestRetrievalCache:
         assert 0 < len(filled) < index.size
         assert np.all(table.lengths[table.lengths < 0] == -1)
         for row in filled.tolist():
-            text = res.training_queries[index.item_ids[row]].text
+            text = res.training_texts[row]
             ordinals, scores = bm25_ordinals(
                 res.doc_index, tokenize(text), config.internal_depth, k1=res.params.k1, b=res.params.b
             )
@@ -781,17 +780,6 @@ class TestRetrievalCache:
         assert table.ordinals.shape == (3, 2)  # as wide as the two documents, not the depth
         assert table.lengths.tolist() == [1, 1, 2]  # docX, docX, then docX and docY
         assert np.array_equal(table.ordinals[0], table.ordinals[1]) and np.array_equal(table.scores[0], table.scores[1])
-
-    def test_candidate_missing_from_query_index(self, corpus, resources):
-        # a dense hit that is a training query the query index lacks
-        ghost = Query("ghost", "coffee beans")
-        training = {**corpus.training_query_map(), ghost.id: ghost}
-        ids = [*resources.embedding_store.ids, ghost.id]
-        vectors = [*resources.embedding_store.matrix, corpus.embeddings[corpus.test_queries[0].id]]
-        res = replace(resources, training_queries=training, embedding_store=store_from_arrays(ids, vectors))
-        config = QppConfig(k=1, n=100, query_retriever="dense")
-        with pytest.raises(ValueError, match="variant candidate 'ghost' is not in the query index"):
-            retrieve_1hop(corpus.test_queries[0], config, res)
 
     def test_missing_relevant_doc_warns_once_per_command(self, corpus, resources, caplog):
         # every training query judges the same missing document, so every target's pool reaches it
