@@ -12,7 +12,12 @@ The parameter objects (``QppConfig``, ``PredictorParams``, ``RboParams``)
 live in ``qvqpp.config``, which imports no pipeline layer. ``import
 qvqpp.cli`` loads only ``config``, ``corpus_io``, ``text_index`` and
 ``artifacts``; each command imports the other layers it runs when it
-starts (see :mod:`qvqpp.cli`).
+starts: ``qv`` and ``predict`` load ``variants``, ``predictors`` and
+``rank_sim``; ``evaluate`` loads ``cli_eval`` and ``evaluation``; ``tune``
+and ``sweep`` load all five; ``dense_index`` loads only on the dense path.
+``cli_eval`` holds the bodies of ``evaluate``, ``tune`` and ``sweep``, and
+their ``cmd_*`` stubs stay in :mod:`qvqpp.cli`, where callers (the
+benchmark's tracer among them) find every command by name.
 """
 
 import importlib

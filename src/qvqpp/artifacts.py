@@ -12,7 +12,8 @@ A run store keeps results that depend only on the training set, one
 training queries that judged documents' pseudo-queries retrieve (with 2-hop
 expansion on), and each training query's base prediction over its internal
 run once it has been kept as a variant (NaN where not yet known; the key
-names the predictors' version, which changes with their arithmetic). A
+names the base, the config keys that base reads and the predictors'
+version, which changes with their arithmetic). A
 store's file name holds its kind and key (or, were that name too long for a
 file system, the kind and a digest of the key); its header also records
 both indexes' fingerprints. ``qv``, ``predict``, ``tune`` and ``sweep``
@@ -36,7 +37,6 @@ import logging
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -139,18 +139,15 @@ def read_artifact(path, fmt: str, version: int, schema: Mapping[str, MemberSpec]
         raise ValueError(f"{path}: not a {fmt} artifact ({exc})") from None
 
 
-@dataclass(frozen=True)
 class StoredRuns:
     """Ordinal runs of some rows, in CSR form: run i, of row ``keys[i]``, is ``ordinals[ptr[i]:ptr[i + 1]]``.
 
     ``keys`` (int64) ascend; each run's ordinals (int32) come best first
-    with their float64 ``scores``.
+    with their float64 ``scores``. ``vars()`` gives the four, in that order.
     """
 
-    keys: np.ndarray
-    ptr: np.ndarray
-    ordinals: np.ndarray
-    scores: np.ndarray
+    def __init__(self, keys: np.ndarray, ptr: np.ndarray, ordinals: np.ndarray, scores: np.ndarray) -> None:
+        self.keys, self.ptr, self.ordinals, self.scores = keys, ptr, ordinals, scores
 
     @classmethod
     def of(cls, runs: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> "StoredRuns":
@@ -243,44 +240,40 @@ def read_store(path, key: Mapping, layout=None, rows: int = 0, items: int = 0, w
     return read_artifact(path, RUNS_FORMAT, RUNS_VERSION, schema, assemble, key=key)
 
 
-@dataclass(frozen=True)
 class StoreKind:
     """One kind of run store: its name, the config keys its name and key spell out, in order (one ending in ``.``
     stands for every key of that section), the fields its key adds, its layout and its bounds: its rows are the
     ordinals of index ``rows``, and a run holds ordinals of index ``items`` and is at most config key ``width`` long.
     """
 
-    name: str
-    params: tuple[str, ...]
-    layout: Callable
-    rows: str
-    items: str = ""
-    width: str = ""
-    extra: tuple[str, ...] = ()
+    def __init__(self, name: str, params: tuple[str, ...], layout: Callable, rows: str, items: str = "",
+                 width: str = "", extra: tuple[str, ...] = ()) -> None:
+        self.name, self.params, self.layout, self.rows = name, params, layout, rows
+        self.items, self.width, self.extra = items, width, extra
 
 
 INTERNAL_RUNS = StoreKind("internal_runs", ("bm25.", "qpp.internal_depth"), runs_layout,
                           "query_index", "doc_index", "qpp.internal_depth")
 PSEUDO_QUERY_HITS = StoreKind("pseudo_query_hits", ("bm25.", "qpp.pseudo_query_m", "qpp.n"), runs_layout,
                               "doc_index", "query_index", "qpp.n")
-VARIANT_PHI = StoreKind("variant_phi", ("qpp.base", "qpp.internal_depth", "predictor.", "bm25.", "seed", "qpp.rbo_p",
-                                        "qpp.rbo_depth"), phi_layout, "query_index", extra=("predictor_version",))
 
 
-@dataclass
+def variant_phi(base_inputs: tuple[str, ...]) -> StoreKind:
+    """The kind of the store of one base predictor's values, keyed by the config keys it reads (``base_inputs``)."""
+    return StoreKind("variant_phi", ("qpp.base", *base_inputs), phi_layout, "query_index", extra=("predictor_version",))
+
+
 class RunStore:
     """One run store in an index directory: its path, key and bounds, the memo it fills and what became of it.
 
     The memo (a run table, hit map or phi table) adopts what the store reads, and has ``filled`` and ``members()``.
+    ``bounds`` are (rows, items, width); ``refused`` says why the store was not adopted.
     """
 
-    kind: StoreKind
-    path: Path
-    key: dict
-    bounds: tuple[int, int, int]  # rows, items, width
-    memo: object
-    adopted: int = 0
-    refused: str = ""  # why the store was not adopted
+    def __init__(self, kind: StoreKind, path: Path, key: dict, bounds: tuple[int, int, int], memo) -> None:
+        self.kind, self.path, self.key, self.bounds, self.memo = kind, path, key, bounds, memo
+        self.adopted = 0
+        self.refused = ""
 
     @classmethod
     def open(cls, kind: StoreKind, memo, index_dir: Path, values: Mapping, doc_index, query_index) -> RunStore:

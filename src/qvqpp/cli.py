@@ -35,10 +35,20 @@ Each command loads only the layers it runs. Importing this module loads
 those,
 
 - ``index`` loads nothing more;
-- ``evaluate`` loads ``evaluation``;
 - ``qv`` and ``predict`` load ``variants``, ``predictors`` and ``rank_sim``;
-- ``tune`` and ``sweep`` load those three and ``evaluation``;
+- ``evaluate`` loads ``cli_eval``, which holds the bodies of ``evaluate``,
+  ``tune`` and ``sweep``, and ``evaluation``;
+- ``tune`` and ``sweep`` load all five;
 - ``dense_index`` is loaded only with ``qpp.query_retriever: dense``.
+
+``cmd_evaluate``, ``cmd_tune`` and ``cmd_sweep`` stay here as stubs that
+import :mod:`qvqpp.cli_eval` when they run: callers find every command in
+this module by name (the benchmark's tracer wraps ``cmd_*`` here), and the
+other commands never compile those bodies.
+
+The config is parsed as ``yaml.safe_load`` parses it, but a mapping that
+names a key twice is malformed YAML, and a root that is neither a mapping
+nor empty (or null) is refused.
 
 Configuration keys, with defaults (``demos/07_cli_workflow.py`` writes a
 working example):
@@ -70,32 +80,21 @@ import logging
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import yaml
 
-from .corpus_io import (
-    Query,
-    RankedList,
-    iter_tsv,
-    open_utf8,
-    parse_qrels,
-    parse_queries,
-    parse_run,
-    parse_score_tsv,
-    write_score_tsv,
-)
+from .corpus_io import Query, RankedList, iter_tsv, open_utf8, parse_qrels, parse_queries, parse_run, write_score_tsv
 from .config import UEF_POOL_FLOOR, PredictorParams, QppConfig, RboParams
 from .text_index import InvertedIndex, build_index, load_index, save_index
 # after text_index: with no bytecode cache, a module compiled once numpy is resident raised peak RSS by about 1 MB
-from .artifacts import INTERNAL_RUNS, PSEUDO_QUERY_HITS, VARIANT_PHI, RunStore, prune_run_stores
+from .artifacts import INTERNAL_RUNS, PSEUDO_QUERY_HITS, RunStore, prune_run_stores, variant_phi
 
 if TYPE_CHECKING:
     from .variants import PipelineResources
 
 logger = logging.getLogger(__name__)
 
-AP_REL_THRESHOLD = 2
 TARGET_METRICS = ("ap@100", "ndcg@10")
 
 DOC_INDEX_FILE = "documents.idx"
@@ -105,8 +104,10 @@ REQUIRED_PATHS = ("collection", "train_queries", "train_qrels", "test_queries", 
                   "index_dir", "output_dir")
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class PipelineConfig:
+    """A loaded config: its paths, seed, parameter objects and evaluation grid (``CONFIG_SCHEMA`` maps each key)."""
+
     collection: Path
     train_queries: Path
     train_qrels: Path
@@ -162,9 +163,59 @@ CONFIG_SCHEMA = {
 SECTIONS = {dotted.split(".")[0] for dotted in CONFIG_SCHEMA if "." in dotted}
 
 
-def _yaml(text, where: str):
+class _UniqueKeys:
+    """A constructor check shared by both loaders: a mapping that names a key twice is an error, not its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = node.value if isinstance(node, yaml.MappingNode) else []
+        explicit = [key for key, _ in pairs if key.tag != "tag:yaml.org,2002:merge"]  # a merged key may be overridden
+        mapping = super().construct_mapping(node, deep)  # every key is now constructed, and hashable
+        seen = set()
+        for key_node in explicit:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
+
+
+class _SafeLoader(_UniqueKeys, yaml.SafeLoader):
+    pass
+
+
+if yaml.__with_libyaml__:
+    class _CSafeLoader(_UniqueKeys, yaml.CSafeLoader):
+        pass
+else:
+    _CSafeLoader = None
+
+# A text that holds one of these is left to PyYAML, as libyaml reads it otherwise: it accepts a tab where PyYAML
+# refuses one (``seed:\t1``, ``seed: 1\t# c``, ``ks: [1,\t2]``), skips byte-order marks that PyYAML reads as text,
+# and accepts a comment right after a block scalar's header (``key: |#``). A config seldom holds a block scalar.
+_LIBYAML_DIFFERS = frozenset("\t\ufeff|>")
+
+
+def _yaml(source, where: str):
+    """``source``, a str or a seekable text file, parsed as ``yaml.safe_load`` would, but refusing a repeated key.
+
+    libyaml (``CSafeLoader``), several times faster, parses a text that
+    holds none of :data:`_LIBYAML_DIFFERS`. PyYAML's own parser parses the
+    others, and re-parses a text that libyaml fails on, as libyaml words
+    its errors otherwise; so every object and message is SafeLoader's.
+    """
     try:
-        return yaml.safe_load(text)
+        if _CSafeLoader is not None:
+            try:
+                text = source if isinstance(source, str) else source.read()
+                if _LIBYAML_DIFFERS.isdisjoint(text):
+                    return yaml.load(text, _CSafeLoader)
+            except Exception:  # SafeLoader reports it, and a file's first error as before: it reads the file lazily
+                pass
+            if not isinstance(source, str):
+                source.seek(0)
+        return yaml.load(source, _SafeLoader)
     except yaml.YAMLError as exc:
         raise ValueError(f"{where}: malformed YAML: {' '.join(str(exc).split())}") from None
 
@@ -211,7 +262,9 @@ def _coerce(dotted: str, kind, value, base_dir: Path):
 def load_config(path, overrides: Sequence[str] = ()) -> PipelineConfig:
     """Parse the YAML config and apply ``dotted.key=value`` overrides; a null or absent key takes its default."""
     with open_utf8(path) as handle:
-        raw = _yaml(handle, str(path)) or {}
+        raw = _yaml(handle, str(path))
+    if raw is None:  # an empty file, or null: no keys
+        raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config root must be a mapping")
     for override in overrides:
@@ -283,7 +336,7 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
     The stores are the internal runs, the pseudo-query hits when 2-hop expansion is on, and, with ``phi`` (not
     ``qv``, which evaluates no predictor), the variants' base predictions.
     """
-    from .predictors import PREDICTOR_VERSION
+    from .predictors import BASE_INPUTS, PREDICTOR_VERSION
     from .variants import PipelineResources
 
     doc_index_path = cfg.index_dir / DOC_INDEX_FILE
@@ -319,7 +372,7 @@ def _load_resources(cfg: PipelineConfig, phi: bool = True) -> tuple[PipelineReso
     if cfg.qpp.use_2hop:
         memos[PSEUDO_QUERY_HITS] = res.hit_map(cfg.qpp.pseudo_query_m, cfg.qpp.n)
     if phi:
-        memos[VARIANT_PHI] = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
+        memos[variant_phi(BASE_INPUTS[cfg.qpp.base])] = res.phi_table(cfg.qpp.base, depth, cfg.qpp.rbo_params)
     # every config key, dotted, with its value in cfg, in schema order; the phi store's key adds the predictors' version
     holders = {PipelineConfig: cfg, QppConfig: cfg.qpp, RboParams: cfg.qpp.rbo_params, PredictorParams: cfg.predictor}
     values = {dotted: getattr(holders[owner], name) for dotted, (owner, name, _) in CONFIG_SCHEMA.items()}
@@ -356,21 +409,6 @@ def _load_target_run(cfg: PipelineConfig, min_queries: int = 0) -> tuple[dict[st
     if len(run_map) < min_queries:
         raise ValueError(f"{cfg.target_run}: expected at least {min_queries} run queries, got {len(run_map)}")
     return targets, run_map
-
-
-def _actual_metric(cfg: PipelineConfig, run_map: Mapping[str, RankedList]) -> dict[str, float]:
-    """The target metric of each run query against the test qrels."""
-    from .evaluation import ap_at_k, ndcg_at_k
-
-    _require_files(cfg.test_qrels)
-    qrels = parse_qrels(cfg.test_qrels)
-    values = {}
-    for qid in sorted(run_map):
-        if cfg.target_metric == "ap@100":
-            values[qid] = ap_at_k(run_map[qid], qrels, 100, AP_REL_THRESHOLD)
-        else:
-            values[qid] = ndcg_at_k(run_map[qid], qrels, 10)
-    return values
 
 
 def _index_file(path: Path, empty: str, *, require_text: bool) -> InvertedIndex:
@@ -442,70 +480,6 @@ def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     return 0
 
 
-def cmd_evaluate(
-    cfg: PipelineConfig,
-    predictions_path: Path,
-    baseline_path: Path | None = None,
-    out_path: Path | None = None,
-    metrics_out: Path | None = None,
-) -> int:
-    """Correlate a predictions file with the target metric; optional baseline comparison."""
-    from .evaluation import EvalPair, fisher_z_compare, kendall_tau
-
-    _require_files(predictions_path, cfg.test_qrels, cfg.target_run, baseline_path)
-    _, run_map = _load_target_run(cfg)
-    actual = _actual_metric(cfg, run_map)
-    predictions = parse_score_tsv(predictions_path)
-    if set(predictions) != set(run_map):
-        raise ValueError("prediction file and run file must cover the same query ids")
-    ids = sorted(run_map)
-    pairs = [EvalPair(qid, predictions[qid], actual[qid]) for qid in ids]
-    tau = kendall_tau(pairs)
-    report = [
-        f"target_metric: {cfg.target_metric}",
-        f"n_queries: {len(ids)}",
-        f"tau: {tau:.6f}",
-    ]
-    if baseline_path is not None:
-        baseline = parse_score_tsv(baseline_path)
-        if set(baseline) != set(run_map):
-            raise ValueError("baseline file and run file must cover the same query ids")
-        baseline_tau = kendall_tau([EvalPair(qid, baseline[qid], actual[qid]) for qid in ids])
-        fisher = fisher_z_compare(tau, baseline_tau, len(ids))
-        report += [
-            f"baseline_tau: {baseline_tau:.6f}",
-            f"fisher_z: {fisher.z:.6f}",
-            f"significant_at_0.99: {str(fisher.significant).lower()}",
-        ]
-    if metrics_out is not None:
-        metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        write_score_tsv(actual, metrics_out)
-    out = out_path or cfg.output_dir / "eval_report.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(report) + "\n", encoding="utf-8")
-    print("\n".join(report))
-    return 0
-
-
-def _grid_inputs(cfg: PipelineConfig):
-    """Check the (lambda, k) grid, then load the targets, run and metric of ``tune``/``sweep``, but no index.
-
-    Kendall tau needs two run queries, so a smaller run ends here.
-    """
-    if not cfg.lambdas or not cfg.ks:
-        raise ValueError("evaluation.lambdas and evaluation.ks must be non-empty")
-    bad_lambdas = [lam for lam in cfg.lambdas if not 0.0 <= lam <= 1.0]
-    if bad_lambdas:
-        raise ValueError(f"evaluation.lambdas must lie in [0, 1], got {bad_lambdas[0]:g}")
-    if min(cfg.ks) < 1:
-        raise ValueError(f"evaluation.ks must be >= 1, got {min(cfg.ks)}")
-    if max(cfg.ks) >= cfg.qpp.n:
-        raise ValueError(f"largest grid k ({max(cfg.ks)}) must stay below candidate pool n ({cfg.qpp.n})")
-    _require_files(cfg.test_qrels, cfg.target_run)
-    targets, run_map = _load_target_run(cfg, min_queries=2)
-    return targets, run_map, _actual_metric(cfg, run_map)
-
-
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
     """Every grid cell's prediction of every run query: the float64 array :mod:`qvqpp.evaluation` reads.
 
@@ -540,80 +514,31 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
         return np.where((lams != 0.0) & has_mean, (1.0 - lams) * phi_targets + lams * means, phi_targets)
 
 
+def cmd_evaluate(
+    cfg: PipelineConfig,
+    predictions_path: Path,
+    baseline_path: Path | None = None,
+    out_path: Path | None = None,
+    metrics_out: Path | None = None,
+) -> int:
+    """Correlate a predictions file with the target metric; optional baseline comparison."""
+    from .cli_eval import evaluate
+
+    return evaluate(cfg, predictions_path, baseline_path, out_path, metrics_out)
+
+
 def cmd_tune(cfg: PipelineConfig, baseline_path: Path | None = None, out_path: Path | None = None) -> int:
     """2-fold tuning: fit (lambda, k) on each fold's train split, report test tau."""
-    from .evaluation import FISHER_MIN_N, EvalPair, FoldSpec, fisher_z_compare, kendall_tau, tune_2fold
+    from .cli_eval import tune
 
-    targets, run_map, actual = _grid_inputs(cfg)
-    fold_a = frozenset(cfg.fold_a)
-    if not fold_a:
-        raise ValueError("evaluation.fold_a must list the query ids of the first fold")
-    unknown = sorted(fold_a - set(run_map))
-    if unknown:
-        raise ValueError(f"fold_a contains queries absent from the run: {', '.join(unknown)}")
-    fold_b = frozenset(set(run_map) - fold_a)
-    if not fold_b:
-        raise ValueError("fold_a covers every run query; the second fold is empty")
-    if min(len(fold_a), len(fold_b)) < 2:
-        sizes = f"{len(fold_a)} in fold_a and {len(fold_b)} in the other"
-        raise ValueError(f"kendall tau needs 2 queries per fold, got {sizes}")
-    folds = (FoldSpec(fold_a, fold_b), FoldSpec(fold_b, fold_a))
-    baseline = None
-    if baseline_path is not None:
-        _require_files(baseline_path)
-        baseline = parse_score_tsv(baseline_path)
-        missing = sorted(set(run_map) - set(baseline))
-        if missing:
-            raise ValueError(f"baseline predictions missing queries: {', '.join(missing)}")
-        smallest = min(len(fold.test_ids) for fold in folds)
-        if smallest < FISHER_MIN_N:
-            raise ValueError(f"fisher z needs n >= {FISHER_MIN_N} test queries per fold, got {smallest}")
-    res, stores = _load_resources(cfg)
-    report_data = tune_2fold(folds, cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
-    lines = [f"target_metric: {cfg.target_metric}", f"base: {cfg.qpp.base}"]
-    for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
-        lines += [
-            f"fold_{number}_train_size: {len(fold.train_ids)}",
-            f"fold_{number}_test_size: {len(fold.test_ids)}",
-            f"fold_{number}_chosen_lambda: {outcome.chosen_lambda:g}",
-            f"fold_{number}_chosen_k: {outcome.chosen_k}",
-            f"fold_{number}_train_tau: {outcome.train_tau:.6f}",
-            f"fold_{number}_test_tau: {outcome.test_tau:.6f}",
-        ]
-    lines.append(f"mean_test_tau: {report_data.mean_test_tau:.6f}")
-    if baseline is not None:
-        for number, (fold, outcome) in enumerate(zip(folds, report_data.folds), start=1):
-            ids = sorted(fold.test_ids)
-            base_tau = kendall_tau([EvalPair(q, baseline[q], actual[q]) for q in ids])
-            fisher = fisher_z_compare(outcome.test_tau, base_tau, len(ids))
-            lines += [
-                f"fold_{number}_baseline_test_tau: {base_tau:.6f}",
-                f"fold_{number}_fisher_z: {fisher.z:.6f}",
-                f"fold_{number}_significant_at_0.99: {str(fisher.significant).lower()}",
-            ]
-    out = out_path or cfg.output_dir / "tune_report.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    _save_run_stores(res, stores)
-    return 0
+    return tune(cfg, baseline_path, out_path)
 
 
 def cmd_sweep(cfg: PipelineConfig, out_path: Path | None = None) -> int:
     """Evaluate tau for the full (lambda, k) grid on all run queries; emit CSV."""
-    from .evaluation import sweep_grid
+    from .cli_eval import sweep
 
-    targets, run_map, actual = _grid_inputs(cfg)
-    res, stores = _load_resources(cfg)
-    rows = sweep_grid(cfg.lambdas, cfg.ks, _prediction_engine(cfg, res, targets, run_map), actual)
-    out = out_path or cfg.output_dir / "sweep.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["lambda,k,tau\n"]
-    lines += [f"{lam:g},{k},{tau:.6f}\n" for lam, k, tau in rows]
-    out.write_text("".join(lines), encoding="utf-8")
-    logger.info("wrote %s (%d cells)", out, len(rows))
-    _save_run_stores(res, stores)
-    return 0
+    return sweep(cfg, out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:

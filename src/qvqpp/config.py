@@ -24,8 +24,10 @@ RETRIEVER_DENSE = "dense"
 BASE_PREDICTORS = ("nqc", "uef")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RboParams:
+    """Rank-biased overlap's persistence ``p`` and evaluation depth; hashed as part of the phi-table keys."""
+
     p: float = 0.9
     eval_depth: int = 100
 
@@ -36,7 +38,7 @@ class RboParams:
             raise ValueError(f"eval_depth must be >= 1, got {self.eval_depth}")
 
 
-@dataclass
+@dataclass(repr=False)
 class PredictorParams:
     """Knobs shared by the base predictors."""
 
@@ -61,7 +63,7 @@ class PredictorParams:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-@dataclass
+@dataclass(repr=False)
 class QppConfig:
     """All tunables of the smoothing estimator and the variant retrieval."""
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -32,19 +31,39 @@ Qrels = dict[str, dict[str, int]]
 SCORE_DECIMALS = 6
 
 
-@dataclass(frozen=True)
-class Query:
-    id: str
-    text: str
+class _Record:
+    """An ``id`` and a ``text``, equal and hashed by value and shown as ``Query(id='q1', text='...')``.
+
+    Built once per line of a file, so a plain class with slots rather than
+    a dataclass; treat it as immutable, as it hashes by value.
+    """
+
+    __slots__ = ("id", "text")
+
+    def __init__(self, id: str, text: str) -> None:
+        self.id = id
+        self.text = text
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.text) == (other.id, other.text)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.text))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(id={self.id!r}, text={self.text!r})"
 
 
-@dataclass(frozen=True)
-class Document:
-    id: str
-    text: str
+class Query(_Record):
+    __slots__ = ()
 
 
-@dataclass
+class Document(_Record):
+    __slots__ = ()
+
+
 class RankedList:
     """An ordered retrieval result: (doc_id, score) pairs.
 
@@ -53,8 +72,14 @@ class RankedList:
     to build a list in canonical order from unordered pairs.
     """
 
-    query_id: str
-    entries: list[tuple[str, float]]
+    def __init__(self, query_id: str, entries: list[tuple[str, float]]) -> None:
+        self.query_id = query_id
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.query_id, self.entries) == (other.query_id, other.entries)
+        return NotImplemented
 
     @classmethod
     def from_scores(

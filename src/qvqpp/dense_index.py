@@ -8,7 +8,7 @@ and searched by exhaustive scan, so results are exact and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 import numpy as np
@@ -19,15 +19,15 @@ from .corpus_io import RankedList, open_utf8, parse_number
 MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class EmbeddingStore:
     """Immutable id -> vector store with precomputed norms."""
 
     dim: int
     ids: list[str]
     matrix: np.ndarray  # shape (len(ids), dim), float64
-    index_of: dict[str, int] = field(repr=False)
-    norms: np.ndarray = field(repr=False)
+    index_of: dict[str, int]
+    norms: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)

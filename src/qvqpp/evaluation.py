@@ -27,8 +27,10 @@ from .corpus_io import Qrels, RankedList
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class EvalPair:
+    """One query's predicted value and its actual target metric."""
+
     query_id: str
     predicted: float
     actual: float
@@ -199,8 +201,10 @@ def fisher_z_compare(tau_a: float, tau_b: float, n: int, confidence: float = 0.9
     return FisherResult(significant=abs(z) > critical, z=z)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class FoldSpec:
+    """One tuning fold: the query ids (lambda, k) is fitted on and those it is tested on."""
+
     train_ids: frozenset[str]
     test_ids: frozenset[str]
 
@@ -209,16 +213,20 @@ class FoldSpec:
             raise ValueError("train and test query sets must be disjoint")
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class FoldOutcome:
+    """The (lambda, k) a fold chose and its train and test tau."""
+
     chosen_lambda: float
     chosen_k: int
     train_tau: float
     test_tau: float
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class TuneReport:
+    """Both folds' outcomes and their mean test tau."""
+
     folds: tuple[FoldOutcome, ...]
     mean_test_tau: float
 

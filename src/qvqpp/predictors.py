@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,15 +43,19 @@ from .text_index import InvertedIndex, OrdinalRun, _segments, ranked_list
 COLLECTION_SCORE_FLOOR = 1e-6
 # Bumped whenever a predictor's arithmetic changes, so no stored base prediction written before is adopted.
 PREDICTOR_VERSION = 1
+# The config keys that a base's value of a variant's internal run reads, dotted (one ending in "." stands for every
+# key of that section). Its phi tables and their run stores are keyed by these and PREDICTOR_VERSION alone.
+BASE_INPUTS = {
+    "nqc": ("qpp.internal_depth", "predictor.top_k", "bm25."),
+    "uef": ("qpp.internal_depth", "predictor.", "bm25.", "seed", "qpp.rbo_p", "qpp.rbo_depth"),
+}
 
 
-@dataclass
 class PredictorInput:
     """A ranked list plus the per-query normalizer and head size."""
 
-    ranked_list: RankedList
-    collection_score: float
-    top_k: int = 100
+    def __init__(self, ranked_list: RankedList, collection_score: float, top_k: int = 100) -> None:
+        self.ranked_list, self.collection_score, self.top_k = ranked_list, collection_score, top_k
 
 
 def _check_collection_score(value: float) -> None:
@@ -108,11 +111,11 @@ def collection_score(
     return score if score > 0.0 else COLLECTION_SCORE_FLOOR
 
 
-@dataclass
 class RelevanceModel:
     """Term distribution induced from a scored document sample; weights sum to 1."""
 
-    term_weights: dict[str, float]
+    def __init__(self, term_weights: dict[str, float]) -> None:
+        self.term_weights = term_weights
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -202,7 +205,6 @@ def _log_mu_p(index: InvertedIndex, term_ids: np.ndarray, mu: float) -> tuple[np
     return smoothed, logs
 
 
-@dataclass
 class _Head:
     """What re-ranking a head takes that no relevance model changes, computed once per head.
 
@@ -210,40 +212,26 @@ class _Head:
     index lacks; the postings are their rows, row after row.
     """
 
-    query_id: str
-    doc_ids: list[str]
-    vocabulary_size: int
-    known: int
-    ordinals: np.ndarray
-    id_ranks: np.ndarray
-    term_ids: np.ndarray
-    bounds: np.ndarray  # row i's postings are at bounds[i]:bounds[i + 1]
-    smoothed: np.ndarray  # per posting: mu * p_w > 0
-    logs: np.ndarray  # per posting: ln(1 + tf / (mu * p_w)) where smoothed, else ln(tf)
-    length_args: list[float]  # |D| + mu per document
-    length_logs: list[float]  # ln(|D| + mu) per document, up to the first non-positive argument
-    duplicate: str | None  # the first id seen twice
-
-
-def _head(index: InvertedIndex, head: RankedList, mu: float) -> _Head:
-    doc_ids = head.doc_ids()
-    found = [index.ordinal_of.get(doc_id) for doc_id in doc_ids]
-    known = found.index(None) if None in found else len(found)
-    ordinals = np.asarray(found[:known], dtype=np.int64)
-    term_ids, tfs, bounds = index.rows(ordinals)
-    mu_p = mu * index.cf[term_ids] / index.total_tokens
-    smoothed = mu_p > 0.0
-    logs = np.empty(len(term_ids))
-    logs[smoothed] = list(map(math.log1p, (tfs[smoothed] / mu_p[smoothed]).tolist()))
-    logs[~smoothed] = list(map(math.log, tfs[~smoothed].tolist()))
-    length_args = (index.lengths[ordinals] + mu).tolist()
-    positive = next((i for i, arg in enumerate(length_args) if arg <= 0.0), known)
-    seen: set[str] = set()
-    duplicate = next((doc_id for doc_id in doc_ids if doc_id in seen or seen.add(doc_id)), None)
-    return _Head(
-        head.query_id, doc_ids, len(index.terms), known, ordinals, index._id_rank[ordinals], term_ids, bounds,
-        smoothed, logs, length_args, list(map(math.log, length_args[:positive])), duplicate,
-    )
+    def __init__(self, index: InvertedIndex, head: RankedList, mu: float) -> None:
+        self.query_id = head.query_id
+        self.doc_ids = doc_ids = head.doc_ids()
+        self.vocabulary_size = len(index.terms)
+        found = [index.ordinal_of.get(doc_id) for doc_id in doc_ids]
+        self.known = known = found.index(None) if None in found else len(found)
+        self.ordinals = ordinals = np.asarray(found[:known], dtype=np.int64)
+        self.id_ranks = index._id_rank[ordinals]
+        term_ids, tfs, self.bounds = index.rows(ordinals)  # row i's postings are at bounds[i]:bounds[i + 1]
+        self.term_ids = term_ids
+        mu_p = mu * index.cf[term_ids] / index.total_tokens
+        self.smoothed = smoothed = mu_p > 0.0  # per posting: mu * p_w > 0
+        self.logs = logs = np.empty(len(term_ids))  # per posting: ln(1 + tf / (mu * p_w)) where smoothed, else ln(tf)
+        logs[smoothed] = list(map(math.log1p, (tfs[smoothed] / mu_p[smoothed]).tolist()))
+        logs[~smoothed] = list(map(math.log, tfs[~smoothed].tolist()))
+        self.length_args = length_args = (index.lengths[ordinals] + mu).tolist()  # |D| + mu per document
+        positive = next((i for i, arg in enumerate(length_args) if arg <= 0.0), known)
+        self.length_logs = list(map(math.log, length_args[:positive]))  # ln(|D| + mu), up to the first arg <= 0
+        seen: set[str] = set()
+        self.duplicate = next((doc_id for doc_id in doc_ids if doc_id in seen or seen.add(doc_id)), None)  # seen twice
 
 
 def _rm_rerank(
@@ -328,7 +316,7 @@ def rm_rerank(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    head = _head(index, ranked.top(depth), mu)
+    head = _Head(index, ranked.top(depth), mu)
     terms = list(model.term_weights)
     model_ids = np.fromiter((index.term_id.get(term, -1) for term in terms), dtype=np.int64, count=len(terms))
     weights = np.fromiter(model.term_weights.values(), dtype=np.float64, count=len(terms))
@@ -410,7 +398,7 @@ def uef(
     pool = entries[: max(inp.top_k, UEF_POOL_FLOOR)]
     if sample_size > len(pool):
         raise ValueError(f"sample_size {sample_size} exceeds the {len(pool)} available documents")
-    head = _head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
+    head = _Head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
     pool_scores = np.asarray([score for _, score in pool], dtype=np.float64)
     pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
     known = pool_ordinals >= 0
@@ -491,7 +479,6 @@ def derive_seed(global_seed: int, query_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
 class PredictorContext:
     """Binds an index, predictor knobs and a global seed into one evaluator.
 
@@ -507,11 +494,10 @@ class PredictorContext:
     one context is ``PipelineResources.predictor``.
     """
 
-    index: InvertedIndex
-    params: PredictorParams = field(default_factory=PredictorParams)
-    seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
-    evaluations: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(self, index: InvertedIndex, params: PredictorParams | None = None, seed: int = 0) -> None:
+        self.index, self.params, self.seed = index, PredictorParams() if params is None else params, seed
+        self._cache: dict = {}
+        self.evaluations = 0
 
     def evaluate(
         self, base: str, run: RankedList | OrdinalRun, terms: Sequence[str], query_id: str, rbo_params: RboParams

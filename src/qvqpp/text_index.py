@@ -110,7 +110,7 @@ def _segments(ptr: np.ndarray, keys: Sequence[int]) -> tuple[np.ndarray, np.ndar
     return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], counts), bounds
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class InvertedIndex:
     """A term-frequency matrix over a fixed item collection, kept in CSR form.
 
@@ -410,12 +410,11 @@ def bm25_retrieve(
     return ranked_list(index, bm25_ordinals(index, terms, depth, k1=k1, b=b), query_id)
 
 
-@dataclass(frozen=True)
 class PseudoQuery:
     """A term-bag query distilled from one document (highest-TF terms)."""
 
-    source_doc_id: str
-    terms: tuple[str, ...]
+    def __init__(self, source_doc_id: str, terms: tuple[str, ...]) -> None:
+        self.source_doc_id, self.terms = source_doc_id, terms
 
 
 def make_pseudo_query(doc: Document, m: int) -> PseudoQuery:

@@ -24,9 +24,10 @@ The pipeline for one target query:
    overlaps are those of scoring the whole pool;
 4. evaluate the base predictor on the target run, and take each kept
    candidate's phi, the base prediction of its internal run (its run-table
-   row), from the :class:`PhiTable` of the base, internal depth and RBO
-   parameters, evaluating it only the first time any target keeps that
-   candidate (the phi table of :func:`base_predictions`); then blend the
+   row), from the :class:`PhiTable` of the base and the settings it reads
+   (:data:`~qvqpp.predictors.BASE_INPUTS`), evaluating it only the first
+   time any target keeps that candidate (the phi table of
+   :func:`base_predictions`); then blend the
    target's estimate with the overlap-weighted average of the candidates'
    estimates (:func:`variant_mean`, :func:`smooth_qpp`) by plain arithmetic
    over that table. A (lambda, k) grid re-runs no predictor and, as that
@@ -63,7 +64,7 @@ import numpy as np
 from .artifacts import StoredRuns
 from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
 from .corpus_io import Qrels, Query, RankedList
-from .predictors import PredictorContext
+from .predictors import BASE_INPUTS, PredictorContext
 from .rank_sim import rbo_top_k
 from .text_index import InvertedIndex, OrdinalRun, bm25_ordinals, pseudo_query_terms, tokenize
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
@@ -77,7 +78,7 @@ logger = logging.getLogger(__name__)
 # can be dropped without asking for the whole ranking.
 ONE_HOP_MARGIN = 8
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class QVCandidate:
     """One kept variant of the target query: a survivor of :func:`rerank_by_rbo`.
 
@@ -96,7 +97,6 @@ class QVCandidate:
     internal_run: Optional[OrdinalRun] = None
 
 
-@dataclass
 class QVSet:
     """The kept variants of one target query, best first: the output of :func:`rerank_by_rbo`.
 
@@ -105,14 +105,12 @@ class QVSet:
     variants is a ValueError, as in a pool.
     """
 
-    target_query_id: str
-    candidates: list[QVCandidate]
-
-    def __post_init__(self) -> None:
-        ids = [c.query.id for c in self.candidates]
+    def __init__(self, target_query_id: str, candidates: list[QVCandidate]) -> None:
+        self.target_query_id, self.candidates = target_query_id, candidates
+        ids = [c.query.id for c in candidates]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate variant ids in QV set")
-        if self.target_query_id in ids:
+        if target_query_id in ids:
             raise ValueError("target query must never appear among its own variants")
 
     def query_ids(self) -> list[str]:
@@ -178,11 +176,11 @@ class RunTable:
 
 
 class PhiTable:
-    """The base predictions of the training queries' internal runs under one (base, internal depth, RBO parameters).
+    """The base predictions of the training queries' internal runs under one base and the settings it reads.
 
     ``values[o]`` is phi of the internal run of query-index ordinal ``o``
     (float64), NaN while unknown: the array of a
-    :data:`~qvqpp.artifacts.VARIANT_PHI` store. A value depends only on its
+    :func:`~qvqpp.artifacts.variant_phi` store. A value depends only on its
     query and those settings, never on a target, so it is evaluated once;
     only a finite value is kept, as NaN marks an unknown one and a store
     refuses an infinite one.
@@ -220,7 +218,7 @@ class HitMap(dict):
         return vars(StoredRuns.of(self))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class PipelineResources:
     """The fixed training set that every variant stage reads, its base predictor, memo and run tables.
 
@@ -242,10 +240,11 @@ class PipelineResources:
     training queries' internal BM25 runs over ``doc_index``, a row per
     ``query_index`` ordinal: the one store of those runs in a process.
 
-    ``phi_tables`` maps (base, internal_depth, RBO parameters) to the
-    :class:`PhiTable` that :func:`base_predictions` reads each kept
-    variant's phi from, a value per ``query_index`` ordinal, over
-    ``predictor``; ``phi_reads`` counts the values read from them.
+    ``phi_tables`` maps (base, internal_depth, RBO parameters or None when
+    the base reads none) to the :class:`PhiTable` that
+    :func:`base_predictions` reads each kept variant's phi from, a value
+    per ``query_index`` ordinal, over ``predictor``; ``phi_reads`` counts
+    the values read from them.
 
     ``missing_documents`` holds the judged documents that 2-hop expansion
     found missing from ``doc_index``, so each is warned about once.
@@ -265,16 +264,12 @@ class PipelineResources:
     embedding_store: Optional[EmbeddingStore] = None
     params: PredictorParams = field(default_factory=PredictorParams)
     seed: int = 0
-    pseudo_query_hits: dict[tuple[int, int], HitMap] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    run_tables: dict[int, RunTable] = field(default_factory=dict, init=False, repr=False, compare=False)
-    phi_tables: dict[tuple[str, int, RboParams], PhiTable] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    phi_reads: int = field(default=0, init=False, repr=False, compare=False)
-    missing_documents: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
-    predictor: PredictorContext = field(init=False, repr=False, compare=False)
+    pseudo_query_hits: dict[tuple[int, int], HitMap] = field(default_factory=dict, init=False)
+    run_tables: dict[int, RunTable] = field(default_factory=dict, init=False)
+    phi_tables: dict[tuple[str, int, RboParams | None], PhiTable] = field(default_factory=dict, init=False)
+    phi_reads: int = field(default=0, init=False)
+    missing_documents: set[str] = field(default_factory=set, init=False)
+    predictor: PredictorContext = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.training_texts) != self.query_index.size:
@@ -295,15 +290,18 @@ class PipelineResources:
         return self.pseudo_query_hits.setdefault((m, n), HitMap())
 
     def phi_table(self, base: str, depth: int, rbo_params: RboParams) -> PhiTable:
-        """The phi table of ``base`` over internal runs of depth ``depth``, empty when first asked for."""
-        key = (base, depth, rbo_params)
+        """The phi table of ``base`` over internal runs of depth ``depth``, empty when first asked for.
+
+        ``params`` and ``seed`` are fixed here, so of its inputs (:data:`~qvqpp.predictors.BASE_INPUTS`) a base's
+        table is keyed by the depth and, only if the base reads them, the RBO parameters.
+        """
+        key = (base, depth, rbo_params if "qpp.rbo_p" in BASE_INPUTS[base] else None)
         table = self.phi_tables.get(key)
         if table is None:
             table = self.phi_tables[key] = PhiTable(self.query_index.size)
         return table
 
 
-@dataclass(eq=False)
 class VariantPool:
     """The variant candidates of one target before re-ranking: parallel arrays in pipeline order.
 
@@ -316,18 +314,16 @@ class VariantPool:
     inspection only.
     """
 
-    target_query_id: str
-    ordinals: np.ndarray
-    hops: np.ndarray
-    scores: np.ndarray
-    res: PipelineResources = field(repr=False)
-
-    def __post_init__(self) -> None:
-        ordered = np.sort(self.ordinals)
+    def __init__(
+        self, target_query_id: str, ordinals: np.ndarray, hops: np.ndarray, scores: np.ndarray, res: PipelineResources
+    ) -> None:
+        self.target_query_id, self.res = target_query_id, res
+        self.ordinals, self.hops, self.scores = ordinals, hops, scores
+        ordered = np.sort(ordinals)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate variant ids in QV set")
-        target = self.res.query_index.ordinal_of.get(self.target_query_id)
-        if target is not None and np.any(self.ordinals == target):
+        target = res.query_index.ordinal_of.get(target_query_id)
+        if target is not None and np.any(ordinals == target):
             raise ValueError("target query must never appear among its own variants")
 
     def query_ids(self) -> list[str]:
@@ -526,8 +522,8 @@ def base_predictions(
     call, and, only when ``config.lam > 0``, phi of each candidate with a
     positive overlap under its query id, taken in candidate order. A
     candidate's phi is read from ``res``' :class:`PhiTable` of the config's
-    base, internal depth and RBO parameters, and evaluated on its internal
-    run (its run-table row, which NQC reads as scores and UEF as ids) only
+    base, internal depth and (for UEF) RBO parameters, and evaluated on its
+    internal run (its run-table row, which NQC reads as scores and UEF as ids) only
     when the table lacks it, so the first error raised is the one
     evaluating every candidate would raise. A zero-weight candidate is
     never evaluated, so its (possibly empty) run is never read. Computed at

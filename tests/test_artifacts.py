@@ -33,9 +33,8 @@ ARTIFACT_GOLDENS = {
         "pseudo_query_hits-bm25.k1=0.9-bm25.b=0.4-qpp.pseudo_query_m=20-qpp.n=100.runs":
             "80c60e26806e0e1936f8952b963da7283a0831c7018fbb5676d0f8fcb744c0ab",
         "queries.idx": "930f3163277df5867b7a00d858d6a50249d487ccf999124f55f90918828e03f9",
-        "variant_phi-qpp.base='nqc'-qpp.internal_depth=100-predictor.top_k=100-predictor.uef_samples=5-"
-        "predictor.uef_sample_size=2-predictor.mu=1000.0-bm25.k1=0.9-bm25.b=0.4-seed=42-qpp.rbo_p=0.9-"
-        "qpp.rbo_depth=100.runs": "77fa51cf3acb22c42790a836789f9d5684d1752dfd64f9d418707583c474a06a",
+        "variant_phi-qpp.base='nqc'-qpp.internal_depth=100-predictor.top_k=100-bm25.k1=0.9-bm25.b=0.4.runs":
+            "b4336cf1b07f1616a5cca471b9b9910834102a53ef3d22f56156c1301ed94042",
     },
     "dense-uef": {
         "documents.idx": "0bc8b965dfe0bd91bb1fe99c3c03759fcc63d2633a501f7f6249f7bdcec80e11",

@@ -11,6 +11,7 @@ table-driven and gate it byte for byte.
 from __future__ import annotations
 
 import copy
+import io
 import dataclasses
 import os
 import re
@@ -484,3 +485,130 @@ def test_two_fault_error_is_the_same_under_both_hash_seeds(tmp_path):
         )
         errors.append((result.returncode, result.stderr))
     assert errors == [(1, "error: unknown config key 'predictor.topk'\n")] * 2
+
+
+PATHS_TEXT = "paths:\n" + "".join(f"  {name}: data/{name}\n" for name in REQUIRED_PATHS)
+
+
+def text_outcome(directory: Path, text: str, overrides=(), libyaml: bool = True):
+    """:func:`outcome` of a config written as ``text``, parsed with or without libyaml."""
+    config = directory / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        if not libyaml:
+            patch.setattr(cli, "_CSafeLoader", None)
+        try:
+            cfg = cli.load_config(config, list(overrides))
+        except ValueError as exc:
+            return f"error: {exc}".replace(str(directory), "<dir>")
+    return {name: value for name, value in flat(cfg).items() if not isinstance(value, Path)}
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+@pytest.mark.parametrize("text, overrides, error", [
+    ("seed: 1\n" + PATHS_TEXT + "seed: 7\n", (), (
+        'error: <dir>/config.yaml: malformed YAML: while constructing a mapping in "<dir>/config.yaml", line 1, '
+        'column 1 found duplicate key \'seed\' in "<dir>/config.yaml", line 11, column 1'
+    )),
+    (PATHS_TEXT + "qpp:\n  k: 2\n  lambda: 0.3\n  k: 3\n", (), (
+        'error: <dir>/config.yaml: malformed YAML: while constructing a mapping in "<dir>/config.yaml", line 11, '
+        'column 3 found duplicate key \'k\' in "<dir>/config.yaml", line 13, column 3'
+    )),
+    (PATHS_TEXT, ("qpp={k: 2, k: 3}",), (
+        "error: override 'qpp': malformed YAML: while constructing a mapping in \"<unicode string>\", line 1, "
+        "column 1: {k: 2, k: 3} ^ found duplicate key 'k' in \"<unicode string>\", line 1, column 8: {k: 2, k: 3} ^"
+    )),
+], ids=["top-level", "in-a-section", "in-an-override"])
+def test_a_key_named_twice_in_a_mapping_is_refused(tmp_path, libyaml, text, overrides, error):
+    assert text_outcome(tmp_path, text, overrides, libyaml) == error
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+@pytest.mark.parametrize("root", ["false", "0", "[]", "''", "[1]", "text"])
+def test_a_root_that_is_no_mapping_is_refused_even_when_falsy(tmp_path, libyaml, root):
+    got = text_outcome(tmp_path, f"{root}\n", libyaml=libyaml)
+    assert got == "error: <dir>/config.yaml: config root must be a mapping"
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+@pytest.mark.parametrize("root", ["", "null\n", "~\n", "# nothing\n"])
+def test_an_empty_or_null_root_holds_no_keys(tmp_path, libyaml, root):
+    assert text_outcome(tmp_path, root, libyaml=libyaml) == "error: config is missing paths.collection"
+    paths = [f"paths.{name}=data/{name}" for name in REQUIRED_PATHS]
+    got = text_outcome(tmp_path, root, (*paths, "seed=7"), libyaml)
+    assert got["seed"] == 7 and got["qpp.k"] == 1
+
+
+def test_an_override_replaces_a_key_and_a_merged_key_may_be_overridden(tmp_path):
+    assert text_outcome(tmp_path, PATHS_TEXT + "seed: 1\n", ("seed=7",))["seed"] == 7
+    got = text_outcome(tmp_path, PATHS_TEXT + "qpp:\n  <<: {k: 2, n: 50}\n  k: 3\n")
+    assert (got["qpp.k"], got["qpp.n"]) == (3, 50)
+
+
+# Config-like YAML texts: lines of an indent, a key, a separator, a value and a suffix, with characters that
+# libyaml and PyYAML may read differently put anywhere.
+_KEYS = st.sampled_from(["seed", "qpp", "k", "ks", "'q k'", '"d"', "? x", "<<", "1", "null", "[a]", "{a: 1}", "-"])
+_VALUES = st.sampled_from([
+    "", "1", "0.5", "-0.0", ".nan", "1e3", "0x1F", "0o7", "1_000", "true", "No", "null", "~", "[1, 2]", "[1,\t2]",
+    "{a: 1, a: 2}", "{a: 1, b: [x, y]}", "[a:b]", "{? a}", "'s''q'", '"\\ud800"', '"\\x85\\t"', '"\\U0001F600"',
+    '"\\/"', "&a 1", "*a", "!!float 1", "!!str 3", "!!set {a}", "2001-01-01", "- 1", "|\n  x", ">-\n  y", "|#",
+    ">+2 #c", "=", "a: b", "'open", "x #c", "x#c", "@", "`", "\u00e9", "\U0001F600", "\xa0",
+])
+_ODD = st.sampled_from([
+    "\t", "\r", "\r\n", "\x85", "\u2028", "\u2029", "\ufeff", "\x01", "\x7f", "\x00", "\ud800", " #c", "#", "|",
+])
+_LINES = st.lists(
+    st.tuples(st.sampled_from(["", "", "  ", "    ", "- ", "  - ", "\t"]), _KEYS,
+              st.sampled_from([":", ": ", ": ", " : ", ":\t"]), _VALUES,
+              st.sampled_from(["", "", "", " # c", "\t# c", " "])).map("".join),
+    max_size=6,
+).map("\n".join)
+
+
+@st.composite
+def config_texts(draw):
+    text = draw(_LINES)
+    for position, odd in draw(st.lists(st.tuples(st.integers(0, 200), _ODD), max_size=2)):
+        position %= len(text) + 1
+        text = text[:position] + odd + text[position:]
+    return text
+
+
+def _safe_loader_outcome(source):
+    """What SafeLoader (with the key check) makes of ``source``: ('ok', repr of the object) or ('error', message)."""
+    try:
+        return "ok", repr(yaml.load(source, cli._SafeLoader))
+    except yaml.YAMLError as exc:
+        return "error", " ".join(str(exc).split())
+
+
+def _named_stream(text: str):
+    stream = io.StringIO(text)
+    stream.name = "config.yaml"
+    return stream
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+@settings(max_examples=400, deadline=None)
+@given(text=config_texts())
+@example(text="seed:\t1")
+@example(text="seed: 1\t# c")
+@example(text="ks: [1,\t2]")
+@example(text="a: '\ufeffx'\r\nb: \x85")
+@example(text="a: 1\n\ufeff")
+@example(text="\ufeff\ufeffa: 1")
+@example(text="k: >#")
+def test_yaml_returns_what_safeloader_returns_or_raises_its_message(libyaml, text):
+    with pytest.MonkeyPatch.context() as patch:
+        if not libyaml:
+            patch.setattr(cli, "_CSafeLoader", None)
+        for source, reference in ((text, text), (_named_stream(text), _named_stream(text))):
+            want = _safe_loader_outcome(reference)
+            try:
+                got = "ok", repr(cli._yaml(source, "where"))
+            except ValueError as exc:
+                assert str(exc).startswith("where: malformed YAML: ")
+                got = "error", str(exc).removeprefix("where: malformed YAML: ")
+            assert got == want
+    if want[0] == "ok":  # the key check aside, SafeLoader is PyYAML's own
+        assert want[1] == repr(yaml.safe_load(text))

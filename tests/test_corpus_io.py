@@ -6,6 +6,8 @@ import random
 import pytest
 
 from qvqpp import (
+    Document,
+    Query,
     RankedList,
     parse_collection,
     parse_qrels,
@@ -21,6 +23,20 @@ from qvqpp.corpus_io import iter_tsv
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("record", [Query, Document])
+def test_records_behave_as_frozen_dataclasses_did(record):
+    # keyword and positional construction, value equality and hashing, and the repr text
+    item = record(id="q1", text="it's \"here\"")
+    assert (item.id, item.text) == ("q1", "it's \"here\"")
+    assert item == record("q1", "it's \"here\"") and hash(item) == hash(record("q1", "it's \"here\""))
+    assert item != record("q1", "other") and item != record("q2", item.text)
+    assert len({item, record("q1", item.text), record("q2", "x")}) == 2
+    assert item != (item.id, item.text) and item != "q1"
+    assert Query("q1", "t") != Document("q1", "t")
+    assert repr(item) == f"{record.__name__}(id='q1', text='it\\'s \"here\"')"
+    assert not hasattr(item, "__dict__")  # slots: no per-record dict
 
 
 class TestParseQueries:

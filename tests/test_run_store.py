@@ -44,6 +44,9 @@ OUTPUTS = {
 # The store kinds of the fixture config (2-hop expansion on); qv evaluates no predictor, so it reads no phi store.
 KINDS = ["internal_runs", "pseudo_query_hits", "variant_phi"]
 KINDS_OF = {command: KINDS[:2] if command == "qv" else KINDS for command in OUTPUTS}
+# Settings that UEF reads and NQC does not: each keys UEF's phi store, never NQC's.
+UEF_ONLY = ["predictor.uef_samples=3", "predictor.uef_sample_size=1", "predictor.mu=500.0", "seed=7", "qpp.rbo_p=0.8",
+            "qpp.rbo_depth=50"]
 
 
 def make_workspace(root: Path, corpus, target_run) -> dict:
@@ -214,32 +217,28 @@ def _check_reuse(ws: dict, caplog, command: str, golden: str | None, *overrides:
 
 
 class TestStaleStores:
-    # one override per key field: each names another store of every kind whose key holds that field
-    @pytest.mark.parametrize("override, stale", [
-        ("bm25.k1=1.2", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
-        ("bm25.b=0.5", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
-        ("qpp.internal_depth=50", {"internal_runs", "variant_phi"}),
-        ("qpp.pseudo_query_m=10", {"pseudo_query_hits"}),
-        ("qpp.n=50", {"pseudo_query_hits"}),
-        ("qpp.base=uef", {"variant_phi"}),
-        ("predictor.top_k=50", {"variant_phi"}),
-        ("predictor.uef_samples=3", {"variant_phi"}),
-        ("predictor.uef_sample_size=3", {"variant_phi"}),
-        ("predictor.mu=500.0", {"variant_phi"}),
-        ("seed=7", {"variant_phi"}),
-        ("qpp.rbo_p=0.8", {"variant_phi"}),
-        ("qpp.rbo_depth=50", {"variant_phi"}),
+    # one override per key field, over a base: each names another store of every kind whose key holds that field
+    @pytest.mark.parametrize("base, override, stale", [
+        ("nqc", "bm25.k1=1.2", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
+        ("nqc", "bm25.b=0.5", {"internal_runs", "pseudo_query_hits", "variant_phi"}),
+        ("nqc", "qpp.internal_depth=50", {"internal_runs", "variant_phi"}),
+        ("nqc", "qpp.pseudo_query_m=10", {"pseudo_query_hits"}),
+        ("nqc", "qpp.n=50", {"pseudo_query_hits"}),
+        ("nqc", "qpp.base=uef", {"variant_phi"}),
+        ("nqc", "predictor.top_k=50", {"variant_phi"}),
+        *(("uef", override, {"variant_phi"}) for override in UEF_ONLY),
     ])
-    def test_store_of_other_parameters_not_adopted(self, ws, caplog, override, stale):
-        expected = run(ws, "predict", override)  # cold, with this config's own stores written
+    def test_store_of_other_parameters_not_adopted(self, ws, caplog, base, override, stale):
+        base = f"qpp.base={base}"
+        expected = run(ws, "predict", base, override)  # cold, with this config's own stores written
         remove_stores(ws)
-        run(ws, "predict")
-        default_paths, paths = store_paths(ws), store_paths(ws, override)
+        run(ws, "predict", base)
+        default_paths, paths = store_paths(ws, base), store_paths(ws, base, override)
         assert {kind for kind in paths if paths[kind] != default_paths[kind]} == stale
         for kind in stale:  # the default config's store, under the name this config reads
             shutil.copyfile(default_paths[kind], paths[kind])
         caplog.clear()
-        assert run(ws, "predict", override) == expected
+        assert run(ws, "predict", base, override) == expected
         lines = store_lines(caplog)
         field = override.split("=")[0]
         for kind, line in lines.items():
@@ -248,8 +247,33 @@ class TestStaleStores:
             else:
                 assert "filled 0 rows" in line, line
         # the rewritten stores hold this config's rows only: a warm run adopts them all
-        assert run(ws, "predict", override) == expected
+        assert run(ws, "predict", base, override) == expected
         assert all("filled 0 rows" in line for line in store_lines(caplog).values())
+
+    @pytest.mark.parametrize("override", UEF_ONLY)
+    def test_nqc_store_is_keyed_by_what_nqc_reads_alone(self, ws, caplog, monkeypatch, override):
+        expected = run(ws, "predict", override)  # cold
+        remove_stores(ws)
+        evaluated = []
+        evaluate = qvqpp.predictors.PredictorContext.evaluate
+
+        def counted(context, base, ranking, terms, query_id, rbo_params):
+            evaluated.append(query_id)
+            return evaluate(context, base, ranking, terms, query_id, rbo_params)
+
+        monkeypatch.setattr(qvqpp.predictors.PredictorContext, "evaluate", counted)
+        assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN
+        stored, stores = set(evaluated) - set(targets_of(ws)), sorted(ws["index"].glob("*.runs"))
+        assert stored
+        evaluated.clear()
+        caplog.clear()
+        assert run(ws, "predict", override) == expected
+        # the same stores, adopted: no stored variant is evaluated again
+        assert sorted(ws["index"].glob("*.runs")) == stores
+        assert ": adopted " in store_lines(caplog)["variant_phi"]
+        assert not stored & set(evaluated)
+        if not override.startswith("qpp.rbo_"):  # the same variants survive re-ranking: only the targets run
+            assert (expected, sorted(evaluated)) == (NQC_PREDICTIONS_GOLDEN, sorted(targets_of(ws)))
 
     def test_phi_store_of_another_predictor_version_not_adopted(self, ws, caplog):
         run(ws, "predict")
@@ -367,15 +391,17 @@ class TestWritesAndLogs:
         assert len(list(ws["index"].glob("pseudo_query_hits-*.runs"))) == 1
 
     def test_a_key_too_long_to_spell_out_names_its_store_by_a_digest(self, ws):
-        # a seed of 200 digits makes the spelled-out phi key longer than a file name may be
-        seed = f"seed={'7' * 200}"
-        first = _cli(ws, "predict", "--set", seed)
+        # a seed of 200 digits makes the spelled-out key of UEF's phi store longer than a file name may be
+        uef, seed = "qpp.base=uef", f"seed={'7' * 200}"
+        first = _cli(ws, "predict", "--set", uef, "--set", seed)
         assert first.returncode == 0 and first.stderr == "", first.stderr
-        path = store_paths(ws, seed)["variant_phi"]
+        path = store_paths(ws, uef, seed)["variant_phi"]
         assert path.exists() and len(f".{path.name}.4194304.tmp".encode()) <= 255  # the longest temporary name
-        assert path.name.startswith("variant_phi-") and path.name != store_paths(ws)["variant_phi"].name
-        assert sorted(p.name for p in ws["index"].glob("*.runs")) == sorted(p.name for p in store_paths(ws, seed).values())
-        again = _cli(ws, "-v", "predict", "--set", seed)
+        assert path.name.startswith("variant_phi-") and path.name != store_paths(ws, uef)["variant_phi"].name
+        assert "seed" not in path.name and "seed" in store_paths(ws, uef)["variant_phi"].name
+        written = sorted(p.name for p in ws["index"].glob("*.runs"))
+        assert written == sorted(p.name for p in store_paths(ws, uef, seed).values())
+        again = _cli(ws, "-v", "predict", "--set", uef, "--set", seed)
         assert again.returncode == 0
         line = next(line for line in again.stderr.splitlines() if f"run store {path.name}: " in line)
         assert ": adopted " in line and "filled 0 rows" in line, line

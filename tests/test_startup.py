@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -17,13 +18,14 @@ SRC = str(Path(qvqpp.__file__).resolve().parents[1])
 # The modules every command loads, and those each command adds, but for qvqpp.dense_index on the dense path.
 CORE = ["qvqpp", "qvqpp.artifacts", "qvqpp.cli", "qvqpp.config", "qvqpp.corpus_io", "qvqpp.text_index"]
 VARIANT_LAYERS = ["qvqpp.predictors", "qvqpp.rank_sim", "qvqpp.variants"]
+EVALUATION_LAYERS = ["qvqpp.cli_eval", "qvqpp.evaluation"]
 MODULES_OF = {
     "index": CORE,
-    "evaluate": sorted([*CORE, "qvqpp.evaluation"]),
+    "evaluate": sorted([*CORE, *EVALUATION_LAYERS]),
     "qv": sorted([*CORE, *VARIANT_LAYERS]),
     "predict": sorted([*CORE, *VARIANT_LAYERS]),
-    "tune": sorted([*CORE, *VARIANT_LAYERS, "qvqpp.evaluation"]),
-    "sweep": sorted([*CORE, *VARIANT_LAYERS, "qvqpp.evaluation"]),
+    "tune": sorted([*CORE, *VARIANT_LAYERS, *EVALUATION_LAYERS]),
+    "sweep": sorted([*CORE, *VARIANT_LAYERS, *EVALUATION_LAYERS]),
 }
 
 # index then predict in one process, into a fresh index and output directory; prints the loaded modules asked about
@@ -94,6 +96,36 @@ def test_every_other_command_loads_exactly_its_modules(workspace, tmp_path, comm
     assert _modules(command, workspace["config"], tmp_path) == MODULES_OF[command]
 
 
+# Imports the named modules with dataclasses' class processing and method generation counted; prints both counts.
+DECORATIONS_SCRIPT = """\
+import dataclasses, importlib, sys
+counts = [0, 0]
+def counted(index, function):
+    def wrapper(*args, **kwargs):
+        counts[index] += 1
+        return function(*args, **kwargs)
+    return wrapper
+dataclasses._process_class = counted(0, dataclasses._process_class)
+dataclasses._create_fn = counted(1, dataclasses._create_fn)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(*counts)
+"""
+
+
+# (dataclasses, generated methods) of each command's modules: a dataclass keeps only the generated methods that
+# something reads, so most generate __init__ alone, and most record classes on predict's path are plain classes
+@pytest.mark.skipif(not hasattr(dataclasses, "_create_fn"), reason="counts dataclasses' Python 3.10-3.11 internals")
+@pytest.mark.parametrize("modules, counts", [
+    (MODULES_OF["index"], "5 11"),
+    (MODULES_OF["predict"], "7 13"),
+    (MODULES_OF["evaluate"], "9 15"),
+    (sorted({*MODULES_OF["sweep"], "qvqpp.dense_index"}), "12 18"),
+], ids=["index", "qv-and-predict", "evaluate", "every-module"])
+def test_each_command_decorates_few_classes_and_generates_few_methods(modules, counts):
+    assert _python("-c", DECORATIONS_SCRIPT, *modules) == counts + "\n"
+
+
 def test_the_cli_reads_predict_query_from_the_variant_layer_when_asked():
     code = (
         "import sys, qvqpp.cli; loaded = 'qvqpp.variants' in sys.modules; import qvqpp.variants; "
@@ -131,3 +163,8 @@ def test_an_unknown_name_is_an_attribute_error():
         qvqpp.no_such_name
     with pytest.raises(ImportError):
         exec("from qvqpp import no_such_name", {})
+
+
+if __name__ == "__main__":  # each command's modules, then their (dataclasses, generated methods)
+    for command, modules in MODULES_OF.items():
+        print(f"{command}: {' '.join(modules)}\n  {_python('-c', DECORATIONS_SCRIPT, *modules)}", end="")
