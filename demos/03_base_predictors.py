@@ -6,18 +6,13 @@ by the score a whole-corpus pseudo-document would get. UEF instead asks
 how stable the ranking is: it samples subsets of the top documents,
 re-ranks the head with a relevance model built from each subset, and
 weights each subset's NQC by the rank overlap with the original head.
+Both read a run as the index ordinals of its documents and their scores.
 """
 
-from qvqpp import (
-    PredictorInput,
-    RankedList,
-    bm25_retrieve,
-    build_index,
-    collection_score,
-    nqc,
-    tokenize,
-    uef,
-)
+import numpy as np
+
+from qvqpp import bm25_retrieve, build_index, collection_score, nqc, tokenize, uef
+from qvqpp.text_index import ordinal_run
 
 DOCS = [
     ("d1", "glacier ice flows slowly toward the terminus"),
@@ -39,18 +34,16 @@ def main():
     print(f"run: {[(d, round(s, 3)) for d, s in run.entries]}")
     print(f"collection pseudo-document score: {cscore:.4f}\n")
 
-    inp = PredictorInput(run, cscore, top_k=10)
-    print(f"nqc  = {nqc(inp):.4f}   (std of top scores / collection score)")
+    ordinals, scores = ordinal_run(index, run)
+    print(f"nqc  = {nqc(scores, cscore, top_k=10):.4f}   (std of top scores / collection score)")
 
-    flat = RankedList.from_scores("q", [(d, 2.0) for d, _ in run.entries])
-    print(f"nqc on a zero-variance run = {nqc(PredictorInput(flat, cscore)):.4f}")
+    print(f"nqc on a zero-variance run = {nqc(np.full_like(scores, 2.0), cscore):.4f}")
 
-    scaled = RankedList.from_scores("q", [(d, 10 * s) for d, s in run.entries])
     print(f"nqc after scaling scores and normalizer by 10: "
-          f"{nqc(PredictorInput(scaled, 10 * cscore)):.4f} (unchanged)\n")
+          f"{nqc(10 * scores, 10 * cscore):.4f} (unchanged)\n")
 
     for seed in (7, 7, 8):
-        value = uef(inp, index, rng_seed=seed, samples=10, sample_size=3)
+        value = uef((ordinals, scores), cscore, index, rng_seed=seed, samples=10, sample_size=3, top_k=10)
         print(f"uef(seed={seed}, samples=10, sample_size=3) = {value:.6f}")
     print("same seed, same value; a different seed samples different subsets")
 

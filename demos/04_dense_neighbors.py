@@ -3,7 +3,8 @@
 
 Embeddings are computed elsewhere and ingested from a plain-text file:
 a ``count dim`` header, then one ``id f1 .. fdim`` row per vector. The
-search is an exhaustive scan, so results are exact and deterministic.
+search is an exhaustive scan, so results are exact and deterministic. It
+returns store rows; ``store.ids`` names them.
 """
 
 import tempfile
@@ -40,10 +41,10 @@ def main():
         print(f"loaded {len(store)} vectors of dim {store.dim} from {path.name}\n")
 
         for probe in ("q_brew", "q_migration"):
-            result = knn_cosine(store, store.vector(probe), depth=4, exclude={probe})
+            rows, sims = knn_cosine(store, store.vector(probe), depth=4, exclude={store.index_of[probe]})
             print(f"nearest neighbours of {probe} (excluding itself):")
-            for rank, (vec_id, sim) in enumerate(result.entries, start=1):
-                print(f"  {rank}. {vec_id:12} cosine {sim:.4f}")
+            for rank, (row, sim) in enumerate(zip(rows.tolist(), sims.tolist()), start=1):
+                print(f"  {rank}. {store.ids[row]:12} cosine {sim:.4f}")
             print()
 
     print("group members cluster together; cross-topic similarities drop sharply")

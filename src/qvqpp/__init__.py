@@ -33,7 +33,7 @@ _EXPORTS = {
         "EvalPair", "FoldSpec", "ap_at_k", "fisher_z_compare", "kendall_tau", "ndcg_at_k", "sweep_grid", "tune_2fold",
     ),
     "predictors": (
-        "PredictorContext", "PredictorInput", "RelevanceModel", "build_relevance_model",
+        "PredictorContext", "RelevanceModel", "build_relevance_model",
         "collection_score", "derive_seed", "nqc", "rm_rerank", "uef",
     ),
     "rank_sim": ("rbo_ext",),

@@ -164,20 +164,37 @@ SECTIONS = {dotted.split(".")[0] for dotted in CONFIG_SCHEMA if "." in dotted}
 
 
 class _UniqueKeys:
-    """A constructor check shared by both loaders: a mapping that names a key twice is an error, not its last value."""
+    """A constructor check shared by both loaders: a mapping that names a key twice is an error, not its last value.
+
+    So is a mapping merged in with ``<<``, though a mapping's own key may override a merged one.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.own_pairs = {}  # mapping node -> its pairs before flattening moved the pairs merged into it there
+
+    def flatten_mapping(self, node):
+        self.own_pairs.setdefault(node, list(node.value))
+        super().flatten_mapping(node)
 
     def construct_mapping(self, node, deep=False):
-        pairs = node.value if isinstance(node, yaml.MappingNode) else []
-        explicit = [key for key, _ in pairs if key.tag != "tag:yaml.org,2002:merge"]  # a merged key may be overridden
         mapping = super().construct_mapping(node, deep)  # every key is now constructed, and hashable
-        seen = set()
-        for key_node in explicit:
-            key = self.construct_object(key_node, deep)
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
-                )
-            seen.add(key)
+        pending, checked = [node], {node}  # the mapping, then each mapping merged into it, at any depth, once
+        while pending:
+            own = pending.pop(0)
+            seen = set()
+            for key_node, value_node in self.own_pairs[own]:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    merged = value_node.value if isinstance(value_node, yaml.SequenceNode) else [value_node]
+                    pending += [sub for sub in merged if sub not in checked]
+                    checked.update(merged)
+                elif (key := self.construct_object(key_node, deep)) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", own.start_mark, f"found duplicate key {key!r}",
+                        key_node.start_mark,
+                    )
+                else:
+                    seen.add(key)
         return mapping
 
 

@@ -3,6 +3,8 @@
 No embedding model runs in-process: vectors are ingested from a text
 dump (header ``count dim``, then one ``id f1 .. fdim`` row per vector)
 and searched by exhaustive scan, so results are exact and deterministic.
+A search returns store rows, not ids: the caller maps a row to whatever
+it indexes by (``store.ids[row]`` is its id).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .corpus_io import RankedList, open_utf8, parse_number
+from .corpus_io import open_utf8, parse_number
 
 # The square root of the smallest normal float64: a norm below it was summed from subnormal squares and lost digits.
 MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -123,18 +125,14 @@ def store_from_arrays(ids: Sequence[str], matrix: np.ndarray) -> EmbeddingStore:
 
 
 def knn_cosine(
-    store: EmbeddingStore,
-    query_vec: Sequence[float],
-    depth: int,
-    exclude: Collection[str] = (),
-    *,
-    query_id: str = "",
-) -> RankedList:
-    """Exhaustive-scan top-``depth`` ids by cosine similarity.
+    store: EmbeddingStore, query_vec: Sequence[float], depth: int, exclude: Collection[int] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive-scan top-``depth`` store rows by cosine similarity: the rows (int64) and similarities (float64).
 
-    Ties are broken by id ascending. Stored zero-norm vectors score
-    -inf and are never returned; a query with a non-finite component, or
-    whose norm is not finite, is 0 or is below :data:`MIN_NORM`, is an error.
+    Rows in ``exclude`` are skipped. Ties are broken by id ascending.
+    Stored zero-norm vectors score -inf and are never returned; a query
+    with a non-finite component, or whose norm is not finite, is 0 or is
+    below :data:`MIN_NORM`, is an error.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -156,16 +154,7 @@ def knn_cosine(
     sims = np.where(store.norms == 0.0, -np.inf, sims)
     # primary key: similarity desc; secondary: id asc
     order = np.lexsort((np.asarray(store.ids), -sims))
-    excluded = set(exclude)
-    entries: list[tuple[str, float]] = []
-    for i in order:
-        sim = float(sims[i])
-        if sim == -np.inf:
-            break  # -inf rows sort last
-        item_id = store.ids[i]
-        if item_id in excluded:
-            continue
-        entries.append((item_id, sim))
-        if len(entries) == depth:
-            break
-    return RankedList(query_id, entries)
+    stop = np.flatnonzero(sims[order] == -np.inf)  # -inf rows sort last, and the first of them ends the ranking
+    order = order[: stop[0] if len(stop) else len(order)]
+    order = order[~np.isin(order, np.fromiter(exclude, np.int64))][:depth]
+    return order, sims[order]

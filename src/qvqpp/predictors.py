@@ -12,18 +12,23 @@ Both are pure given their inputs and a seed; parallel callers derive the
 seed from (global seed, query id) via :func:`derive_seed` so scheduling
 cannot change outputs.
 
+Both read a run as an :data:`~qvqpp.text_index.OrdinalRun` (index
+ordinals, -1 for a document the index lacks, and float64 scores); UEF
+names a document in an error by the caller's ``doc_id(i)``.
+
 UEF's relevance model and re-ranking work on arrays: a model is its
 columns (term ids) and weights (``build_relevance_model`` and
-``rm_rerank`` wrap the same cores for str-keyed models and ranked
-lists). What a re-ranking needs that no model changes (the head's rows
-and id ranks, one logarithm per head posting and per head document) is
-computed once per head. ``rm_rerank`` scores each head document with one
-fsum. Only the order of a subset's re-ranked head reaches ``uef``'s
-value, so ``uef`` orders it by approximate numpy scores that carry a
-proven error bound and takes the exact fsum path only where two
-documents come within twice that bound (a near or exact tie), where a
-value is not finite, or where the exact path would raise. Each subset
-holds only its own arrays, never a table of samples x postings.
+``rm_rerank`` map a ranked list's ids at their entry and call the same
+cores for str-keyed models). What a re-ranking needs that no model
+changes (the head's rows and id ranks, one logarithm per head posting
+and per head document) is computed once per head. ``rm_rerank`` scores
+each head document with one fsum. Only the order of a subset's re-ranked
+head reaches ``uef``'s value, so ``uef`` orders it by approximate numpy
+scores that carry a proven error bound and takes the exact fsum path
+only where two documents come within twice that bound (a near or exact
+tie), where a value is not finite, or where the exact path would raise.
+Each subset holds only its own arrays, never a table of samples x
+postings.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from .config import DEFAULT_B, DEFAULT_K1, DEFAULT_MU, UEF_POOL_FLOOR, PredictorParams, RboParams
 from .corpus_io import RankedList
 from .rank_sim import _UNIT_ROUNDOFF, rbo_rows
-from .text_index import InvertedIndex, OrdinalRun, _segments, ranked_list
+from .text_index import InvertedIndex, OrdinalRun, _segments, ordinal_run
 
 COLLECTION_SCORE_FLOOR = 1e-6
 # Bumped whenever a predictor's arithmetic changes, so no stored base prediction written before is adopted.
@@ -51,29 +56,17 @@ BASE_INPUTS = {
 }
 
 
-class PredictorInput:
-    """A ranked list plus the per-query normalizer and head size."""
-
-    def __init__(self, ranked_list: RankedList, collection_score: float, top_k: int = 100) -> None:
-        self.ranked_list, self.collection_score, self.top_k = ranked_list, collection_score, top_k
-
-
 def _check_collection_score(value: float) -> None:
     if value <= 0.0:
         raise ValueError(f"collection_score must be > 0, got {value}")
 
 
-def nqc(inp: PredictorInput) -> float:
-    """Std-dev of the top ``top_k`` scores divided by the collection score.
+def nqc(scores: np.ndarray, collection_score: float, top_k: int = 100) -> float:
+    """Std-dev of the first ``top_k`` of a run's scores (float64, best first) divided by the collection score.
 
     Zero iff the head scores are all equal; invariant under joint
     positive scaling of the scores and the collection score.
     """
-    return _nqc_of_scores(np.asarray(inp.ranked_list.scores(), dtype=np.float64), inp.collection_score, inp.top_k)
-
-
-def _nqc_of_scores(scores: np.ndarray, collection_score: float, top_k: int) -> float:
-    """:func:`nqc` of a run given by its scores alone, best first."""
     if not len(scores):
         raise ValueError("nqc needs a non-empty ranked list")
     _check_collection_score(collection_score)
@@ -187,9 +180,8 @@ def build_relevance_model(
     """
     if not sample.entries:
         raise ValueError("relevance model needs a non-empty sample")
-    doc_ids = sample.doc_ids()
-    ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id in doc_ids), dtype=np.int64, count=len(doc_ids))
-    coefs = _sample_coefs(index, ordinals, np.asarray(sample.scores(), dtype=np.float64), mu, doc_ids.__getitem__)
+    ordinals, scores = ordinal_run(index, sample)
+    coefs = _sample_coefs(index, ordinals, scores, mu, sample.doc_ids().__getitem__)
     model_ids, weights = _relevance_model(coefs, *index.rows(ordinals), index.cf, mu, index.total_tokens)
     return RelevanceModel(dict(zip([index.terms[t] for t in model_ids.tolist()], weights.tolist())))
 
@@ -208,17 +200,20 @@ def _log_mu_p(index: InvertedIndex, term_ids: np.ndarray, mu: float) -> tuple[np
 class _Head:
     """What re-ranking a head takes that no relevance model changes, computed once per head.
 
-    The arrays cover the ``known`` documents before the first one the
-    index lacks; the postings are their rows, row after row.
+    The head is ``size`` index ordinals, -1 where the index lacks a
+    document, named in error messages by ``query_id`` and ``doc_id(i)``.
+    The arrays cover the ``known`` documents before the first one the index
+    lacks; the postings are their rows, row after row.
     """
 
-    def __init__(self, index: InvertedIndex, head: RankedList, mu: float) -> None:
-        self.query_id = head.query_id
-        self.doc_ids = doc_ids = head.doc_ids()
+    def __init__(
+        self, index: InvertedIndex, ordinals: np.ndarray, mu: float, doc_id: Callable[[int], str], query_id: str
+    ) -> None:
+        self.query_id, self.doc_id, self.size = query_id, doc_id, len(ordinals)
         self.vocabulary_size = len(index.terms)
-        found = [index.ordinal_of.get(doc_id) for doc_id in doc_ids]
-        self.known = known = found.index(None) if None in found else len(found)
-        self.ordinals = ordinals = np.asarray(found[:known], dtype=np.int64)
+        unknown = np.flatnonzero(ordinals < 0)
+        self.known = known = int(unknown[0]) if len(unknown) else len(ordinals)
+        self.ordinals = ordinals = np.asarray(ordinals[:known], dtype=np.int64)
         self.id_ranks = index._id_rank[ordinals]
         term_ids, tfs, self.bounds = index.rows(ordinals)  # row i's postings are at bounds[i]:bounds[i + 1]
         self.term_ids = term_ids
@@ -230,8 +225,9 @@ class _Head:
         self.length_args = length_args = (index.lengths[ordinals] + mu).tolist()  # |D| + mu per document
         positive = next((i for i, arg in enumerate(length_args) if arg <= 0.0), known)
         self.length_logs = list(map(math.log, length_args[:positive]))  # ln(|D| + mu), up to the first arg <= 0
-        seen: set[str] = set()
-        self.duplicate = next((doc_id for doc_id in doc_ids if doc_id in seen or seen.add(doc_id)), None)  # seen twice
+        seen: set[int] = set()
+        twice = next((i for i, o in enumerate(ordinals.tolist()) if o in seen or seen.add(o)), None)
+        self.duplicate = None if twice is None else doc_id(twice)  # the first known document seen twice
 
 
 def _rm_rerank(
@@ -277,8 +273,8 @@ def _rm_rerank(
         row = head.term_ids[head.bounds[failing]:head.bounds[failing + 1]]
         missing = unsmoothed[~np.isin(model_ids[unsmoothed], row)]
         raise ValueError(f"term {term_name(int(missing[0]))!r} has zero smoothed probability")
-    if head.known < len(head.doc_ids):
-        raise ValueError(f"document {head.doc_ids[head.known]!r} is not in the index")
+    if head.known < head.size:
+        raise ValueError(f"document {head.doc_id(head.known)!r} is not in the index")
     if head.duplicate is not None:
         raise ValueError(f"duplicate doc_id {head.duplicate!r} in ranked list for {head.query_id!r}")
 
@@ -316,12 +312,14 @@ def rm_rerank(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    head = _Head(index, ranked.top(depth), mu)
+    top = ranked.top(depth)
+    doc_ids = top.doc_ids()
+    head = _Head(index, ordinal_run(index, top)[0], mu, doc_ids.__getitem__, ranked.query_id)
     terms = list(model.term_weights)
     model_ids = np.fromiter((index.term_id.get(term, -1) for term in terms), dtype=np.int64, count=len(terms))
     weights = np.fromiter(model.term_weights.values(), dtype=np.float64, count=len(terms))
     order, scores = _rm_rerank(head, model_ids, weights, *_log_mu_p(index, model_ids, mu), terms.__getitem__)
-    return RankedList(ranked.query_id, [(head.doc_ids[i], scores[i]) for i in order.tolist()])
+    return RankedList(ranked.query_id, [(doc_ids[i], scores[i]) for i in order.tolist()])
 
 
 def _certified_order(
@@ -354,21 +352,18 @@ def _certified_order(
 
 
 def uef(
-    inp: PredictorInput,
-    index: InvertedIndex,
-    rng_seed: int,
-    samples: int,
-    sample_size: int,
-    *,
-    rbo_params: RboParams = RboParams(),
-    mu: float = DEFAULT_MU,
+    run: OrdinalRun, collection_score: float, index: InvertedIndex, rng_seed: int, samples: int, sample_size: int, *,
+    top_k: int = 100, rbo_params: RboParams = RboParams(), mu: float = DEFAULT_MU,
+    doc_id: Callable[[int], str] | None = None, query_id: str = "",
 ) -> float:
     """Average over seeded subsets of (rank-overlap x subset nqc).
 
     Each subset is drawn uniformly without replacement from the top
-    max(top_k, 50) documents; its relevance model re-ranks the original
-    top_k head, and the RBO between the original and re-ranked head is
-    multiplied by the subset's nqc. Bit-reproducible for a fixed seed.
+    max(top_k, 50) documents of ``run``; its relevance model re-ranks the
+    original top_k head, and the RBO between the original and re-ranked
+    head is multiplied by the subset's nqc. Bit-reproducible for a fixed
+    seed. Errors name the run ``query_id`` and its i-th document
+    ``doc_id(i)``, by default its id in ``index`` (a run holding -1 passes its own).
 
     Everything that does not depend on the subset is computed once: the
     head's rows and logarithms (:func:`_head`), the pool's postings in the
@@ -394,13 +389,14 @@ def uef(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    entries = inp.ranked_list.entries
-    pool = entries[: max(inp.top_k, UEF_POOL_FLOOR)]
-    if sample_size > len(pool):
-        raise ValueError(f"sample_size {sample_size} exceeds the {len(pool)} available documents")
-    head = _Head(index, inp.ranked_list.top(min(inp.top_k, len(entries))), mu)
-    pool_scores = np.asarray([score for _, score in pool], dtype=np.float64)
-    pool_ordinals = np.fromiter((index.ordinal_of.get(doc_id, -1) for doc_id, _ in pool), dtype=np.int64, count=len(pool))
+    ordinals, run_scores = run
+    doc_id = doc_id or (lambda i: index.item_ids[ordinals[i]])
+    pool_ordinals = np.asarray(ordinals[: max(top_k, UEF_POOL_FLOOR)], dtype=np.int64)
+    pool = len(pool_ordinals)
+    if sample_size > pool:
+        raise ValueError(f"sample_size {sample_size} exceeds the {pool} available documents")
+    head = _Head(index, ordinals[:top_k], mu, doc_id, query_id)
+    pool_scores = np.asarray(run_scores[:pool], dtype=np.float64)
     known = pool_ordinals >= 0
     # the pool's postings in the columns of its vocabulary, row by pool position (none for an unindexed document)
     pool_terms, pool_tfs, known_bounds = index.rows(pool_ordinals[known])
@@ -408,14 +404,14 @@ def uef(
     column_of = np.full(len(index.terms), -1, dtype=np.int64)
     column_of[vocabulary] = np.arange(len(vocabulary))
     pool_columns = column_of[pool_terms]
-    pool_ptr = np.zeros(len(pool) + 1, dtype=np.int64)
+    pool_ptr = np.zeros(pool + 1, dtype=np.int64)
     pool_ptr[1:][known] = np.diff(known_bounds)
     np.cumsum(pool_ptr, out=pool_ptr)
     cf = index.cf[vocabulary]
     smoothed, log_mu_p = _log_mu_p(index, vocabulary, mu)
     # the approximate scores need every head document indexed, once, with a logarithm of |D| + mu, and mu * p_w > 0
     certify = (
-        len(head.length_logs) == head.known == len(head.doc_ids) and head.duplicate is None and bool(smoothed.all())
+        len(head.length_logs) == head.known == head.size and head.duplicate is None and bool(smoothed.all())
     )
     if certify:
         head_columns = column_of[head.term_ids]
@@ -427,20 +423,20 @@ def uef(
         addends = int(np.bincount(head_rows, minlength=1).max()) + 4
         length_logs = np.asarray(head.length_logs)
         log_scale = float(np.abs(log_mu_p).max(initial=0.0) + np.abs(length_logs).max(initial=0.0))
-    _check_collection_score(inp.collection_score)  # nqc's check, reached at the first subset
+    _check_collection_score(collection_score)  # nqc's check, reached at the first subset
     rng = np.random.default_rng(rng_seed)
     subset_nqcs = []
     reranked = []
     for _ in range(samples):
-        chosen = np.sort(rng.choice(len(pool), size=sample_size, replace=False))
+        chosen = np.sort(rng.choice(pool, size=sample_size, replace=False))
         scores = pool_scores[chosen]
-        subset_nqcs.append(float(np.std(scores) / inp.collection_score))
-        coefs = _sample_coefs(index, pool_ordinals[chosen], scores, mu, lambda i: pool[chosen[i]][0])
+        subset_nqcs.append(float(np.std(scores) / collection_score))
+        coefs = _sample_coefs(index, pool_ordinals[chosen], scores, mu, lambda i: doc_id(int(chosen[i])))
         positions, bounds = _segments(pool_ptr, chosen)
         columns, weights = _relevance_model(
             coefs, pool_columns[positions], pool_tfs[positions], bounds, cf, mu, index.total_tokens
         )
-        if not head.doc_ids:  # rm_rerank's depth check, reached once a model is built
+        if not head.size:  # rm_rerank's depth check, reached once a model is built
             raise ValueError("depth must be >= 1, got 0")
         order = None
         if certify:
@@ -482,12 +478,13 @@ def derive_seed(global_seed: int, query_id: str) -> int:
 class PredictorContext:
     """Binds an index, predictor knobs and a global seed into one evaluator.
 
-    A run is a ranked list, or a run over ``index`` as int32 ordinals and
-    float64 scores (a variant's run-table row): NQC reads its scores and
-    UEF its ids. UEF's RBO parameters come with each call, from the
+    A run is an :data:`~qvqpp.text_index.OrdinalRun` over ``index``: a
+    variant's run-table row, or a target's run as
+    :func:`~qvqpp.variants.base_predictions` maps it, with ``doc_id`` for
+    :func:`uef`. UEF's RBO parameters come with each call, from the
     caller's QppConfig. Results are memoized in ``_cache`` per (base,
-    query, run, terms, RBO parameters), an ordinal run keyed by its arrays'
-    bytes, and ``evaluations`` counts the values computed. A variant's
+    query, run, terms, RBO parameters), a run keyed by its arrays' bytes,
+    and ``evaluations`` counts the values computed. A variant's
     value is read from ``PipelineResources``' phi table before this is
     called, so the memo answers only a repeated target call; it stays
     because the benchmark's tracer reads it to tell a hit. The pipeline's
@@ -500,31 +497,20 @@ class PredictorContext:
         self.evaluations = 0
 
     def evaluate(
-        self, base: str, run: RankedList | OrdinalRun, terms: Sequence[str], query_id: str, rbo_params: RboParams
+        self, base: str, run: OrdinalRun, terms: Sequence[str], query_id: str, rbo_params: RboParams,
+        doc_id: Callable[[int], str] | None = None,
     ) -> float:
-        ordinal = not isinstance(run, RankedList)
-        if ordinal:
-            key = (base, query_id, run[0].tobytes(), run[1].tobytes(), tuple(terms), rbo_params)
-        else:
-            key = (base, query_id, tuple(run.entries), tuple(terms), rbo_params)
+        key = (base, query_id, run[0].tobytes(), run[1].tobytes(), tuple(terms), rbo_params)
         if key in self._cache:
             return self._cache[key]
         cscore = collection_score(self.index, terms, k1=self.params.k1, b=self.params.b)
-        if base == "nqc" and ordinal:
-            value = _nqc_of_scores(run[1], cscore, self.params.top_k)
-        elif base == "nqc":
-            value = nqc(PredictorInput(run, cscore, top_k=self.params.top_k))
+        if base == "nqc":
+            value = nqc(run[1], cscore, self.params.top_k)
         elif base == "uef":
-            if ordinal:
-                run = ranked_list(self.index, run, query_id)
             value = uef(
-                PredictorInput(run, cscore, top_k=self.params.top_k),
-                self.index,
-                derive_seed(self.seed, query_id),
-                self.params.uef_samples,
-                self.params.uef_sample_size,
-                rbo_params=rbo_params,
-                mu=self.params.mu,
+                run, cscore, self.index, derive_seed(self.seed, query_id), self.params.uef_samples,
+                self.params.uef_sample_size, top_k=self.params.top_k, rbo_params=rbo_params, mu=self.params.mu,
+                doc_id=doc_id, query_id=query_id,
             )
         else:
             raise ValueError(f"unknown base predictor {base!r}")

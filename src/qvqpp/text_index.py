@@ -349,6 +349,12 @@ def ranked_list(index: InvertedIndex, run: OrdinalRun, query_id: str) -> RankedL
     return RankedList(query_id, list(zip([index.item_ids[o] for o in ordinals.tolist()], scores.tolist())))
 
 
+def ordinal_run(index: InvertedIndex, ranked: RankedList) -> OrdinalRun:
+    """``ranked`` as an :data:`OrdinalRun` over ``index``: an id the index lacks gets ordinal -1."""
+    ordinals = [index.ordinal_of.get(doc_id, -1) for doc_id in ranked.doc_ids()]
+    return np.array(ordinals, dtype=np.int32), np.array(ranked.scores(), dtype=np.float64)
+
+
 def bm25_ordinals(
     index: InvertedIndex,
     terms: Sequence[str],

@@ -22,15 +22,16 @@ The pipeline for one target query:
    that can reach the top k) and scores only them exactly, with the
    kernel of :func:`~qvqpp.rank_sim.rbo_rows`, so the k kept and their
    overlaps are those of scoring the whole pool;
-4. evaluate the base predictor on the target run, and take each kept
-   candidate's phi, the base prediction of its internal run (its run-table
-   row), from the :class:`PhiTable` of the base and the settings it reads
-   (:data:`~qvqpp.predictors.BASE_INPUTS`), evaluating it only the first
-   time any target keeps that candidate (the phi table of
-   :func:`base_predictions`); then blend the
-   target's estimate with the overlap-weighted average of the candidates'
-   estimates (:func:`variant_mean`, :func:`smooth_qpp`) by plain arithmetic
-   over that table. A (lambda, k) grid re-runs no predictor and, as that
+4. evaluate the base predictor on the target run, mapped once to
+   ``doc_index`` ordinals (-1 for a document the collection lacks), and
+   take each kept candidate's phi, the base prediction of its internal run
+   (its run-table row), from the :class:`PhiTable` of the base and the
+   settings it reads (:data:`~qvqpp.predictors.BASE_INPUTS`), evaluating
+   it only the first time any target keeps that candidate (the phi table
+   of :func:`base_predictions`); then blend the target's estimate with the
+   overlap-weighted average of the candidates' estimates
+   (:func:`variant_mean`, :func:`smooth_qpp`) by plain arithmetic over
+   that table. A (lambda, k) grid re-runs no predictor and, as that
    average does not depend on lambda, takes it once per k.
 
 Steps 1 to 3 pass the pool as one :class:`VariantPool` of arrays
@@ -66,7 +67,7 @@ from .config import RETRIEVER_BM25, PredictorParams, QppConfig, RboParams
 from .corpus_io import Qrels, Query, RankedList
 from .predictors import BASE_INPUTS, PredictorContext
 from .rank_sim import rbo_top_k
-from .text_index import InvertedIndex, OrdinalRun, bm25_ordinals, pseudo_query_terms, tokenize
+from .text_index import InvertedIndex, OrdinalRun, bm25_ordinals, ordinal_run, pseudo_query_terms, tokenize
 from .text_index import bm25_retrieve  # noqa: F401  bound here for callers that read it from this module
 
 if TYPE_CHECKING:  # the dense layer loads only on the dense path
@@ -343,20 +344,18 @@ class VariantPool:
 def _ranking(target: Query, tokens: list[str], depth: int, config: QppConfig, res: PipelineResources):
     """The first ``depth`` hits of the target's 1-hop ranking as ``res.query_index`` ordinals and scores.
 
-    A dense hit that is no training query (not in the query index) gets ordinal -1.
+    A dense hit, a row of the embedding store, is mapped here to its query-index ordinal, -1 for no training query.
     """
     if config.query_retriever == RETRIEVER_BM25:
         ordinals, scores = bm25_ordinals(res.query_index, tokens, depth=depth, k1=res.params.k1, b=res.params.b)
         return ordinals.astype(np.int64), scores
     from .dense_index import knn_cosine
 
-    ranked = knn_cosine(
-        res.embedding_store, res.embedding_store.vector(target.id), depth=depth, exclude=(target.id,),
-        query_id=target.id,
-    )
+    store = res.embedding_store
+    target_row = store.index_of[target.id]
+    rows, scores = knn_cosine(store, store.matrix[target_row], depth=depth, exclude=(target_row,))
     ordinal_of = res.query_index.ordinal_of
-    ordinals = [ordinal_of.get(qid, -1) for qid, _ in ranked.entries]
-    return np.array(ordinals, dtype=np.int64), np.array(ranked.scores(), dtype=np.float64)
+    return np.array([ordinal_of.get(store.ids[row], -1) for row in rows.tolist()], dtype=np.int64), scores
 
 
 def _variant_positions(ordinals: np.ndarray, target: Query, tokens: list[str], res: PipelineResources) -> np.ndarray:
@@ -519,20 +518,22 @@ def base_predictions(
     """The phi table of one target: base predictions keyed by query id.
 
     Holds phi(target run) under ``target_run.query_id``, evaluated on every
-    call, and, only when ``config.lam > 0``, phi of each candidate with a
-    positive overlap under its query id, taken in candidate order. A
-    candidate's phi is read from ``res``' :class:`PhiTable` of the config's
-    base, internal depth and (for UEF) RBO parameters, and evaluated on its
-    internal run (its run-table row, which NQC reads as scores and UEF as ids) only
-    when the table lacks it, so the first error raised is the one
-    evaluating every candidate would raise. A zero-weight candidate is
-    never evaluated, so its (possibly empty) run is never read. Computed at
-    the largest lambda and k of a grid, the table serves every smaller
-    (lambda, k) of :func:`smooth_qpp`.
+    call on the run mapped to ``res.doc_index`` ordinals (a document the
+    index lacks gets -1, and UEF names it by its run-file id), and, only
+    when ``config.lam > 0``, phi of each candidate with a positive overlap
+    under its query id, taken in candidate order. A candidate's phi is read
+    from ``res``' :class:`PhiTable` of the config's base, internal depth
+    and (for UEF) RBO parameters, and evaluated on its internal run (its
+    run-table row) only when the table lacks it, so the first error raised
+    is the one evaluating every candidate would raise. A zero-weight
+    candidate is never evaluated, so its (possibly empty) run is never
+    read. Computed at the largest lambda and k of a grid, the table serves
+    every smaller (lambda, k) of :func:`smooth_qpp`.
     """
     phi = {
         target_run.query_id: res.predictor.evaluate(
-            config.base, target_run, tokenize(target.text), target_run.query_id, config.rbo_params
+            config.base, ordinal_run(res.doc_index, target_run), tokenize(target.text), target_run.query_id,
+            config.rbo_params, target_run.doc_ids().__getitem__,
         )
     }
     if config.lam > 0.0:

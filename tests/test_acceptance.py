@@ -17,7 +17,6 @@ from fixture_corpus import build_corpus
 from qvqpp import (
     EvalPair,
     FoldSpec,
-    PredictorInput,
     QppConfig,
     RankedList,
     RboParams,
@@ -40,6 +39,7 @@ from qvqpp import (
 )
 from qvqpp.cli import main as cli_main
 from qvqpp.predictors import collection_score
+from qvqpp.text_index import ordinal_run
 
 
 def report(criterion: int, summary: str) -> None:
@@ -92,7 +92,8 @@ def test_c03_smoothing_reductions(corpus, resources, target_run):
     run = target_run[target.id]
     qv = build_qv_set(target, QppConfig(lam=0.5, k=3, n=100), resources)
 
-    base_value = resources.predictor.evaluate("nqc", run, terms, target.id, RboParams())
+    mapped = ordinal_run(resources.doc_index, run)
+    base_value = resources.predictor.evaluate("nqc", mapped, terms, target.id, RboParams())
     phi = base_predictions(target, run, qv, QppConfig(lam=1.0, k=3, n=100), resources)
     assert smooth_qpp(run, qv, QppConfig(lam=0.0, k=3, n=100), phi) == base_value
 
@@ -168,17 +169,17 @@ def test_c05_bm25_matches_exhaustive_oracle(corpus):
 
 def test_c06_nqc_values_and_invariance():
     flat = RankedList.from_scores("q", [("a", 5.0), ("b", 5.0), ("c", 5.0)])
-    assert nqc(PredictorInput(flat, 3.0)) == 0.0
+    assert nqc(np.asarray(flat.scores()), 3.0) == 0.0
     hand = RankedList.from_scores("q", [("a", 4.0), ("b", 2.0), ("c", 0.0)])
-    assert nqc(PredictorInput(hand, 2.0)) == pytest.approx(0.81650, abs=1e-5)
+    assert nqc(np.asarray(hand.scores()), 2.0) == pytest.approx(0.81650, abs=1e-5)
     rng = random.Random(404)
     for _ in range(100):
         entries = [(f"d{i}", rng.uniform(0, 9)) for i in range(rng.randint(2, 30))]
         cscore = rng.uniform(0.05, 4.0)
         scale = rng.uniform(1e-3, 1e3)
-        base = nqc(PredictorInput(RankedList.from_scores("q", entries), cscore))
+        base = nqc(np.asarray(RankedList.from_scores("q", entries).scores()), cscore)
         scaled_entries = [(d, s * scale) for d, s in entries]
-        scaled = nqc(PredictorInput(RankedList.from_scores("q", scaled_entries), cscore * scale))
+        scaled = nqc(np.asarray(RankedList.from_scores("q", scaled_entries).scores()), cscore * scale)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-15)
     report(6, "nqc zero-variance, hand value 0.81650, scale invariance to 1e-12")
 
@@ -194,13 +195,15 @@ def test_c07_uef_reproducibility(workspace, tmp_path):
         ]
     )
     run = bm25_retrieve(index, ["apple", "cider"], depth=10, query_id="q")
-    inp = PredictorInput(run, collection_score(index, ["apple", "cider"]), top_k=10)
-    values = [uef(inp, index, rng_seed=42, samples=4, sample_size=2) for _ in range(3)]
+    cscore = collection_score(index, ["apple", "cider"])
+    values = [
+        uef(ordinal_run(index, run), cscore, index, rng_seed=42, samples=4, sample_size=2, top_k=10) for _ in range(3)
+    ]
     assert values[0] == values[1] == values[2]
 
     flat = RankedList.from_scores("q", [(d, 1.5) for d, _ in run.entries])
     for seed in (0, 42, 12345):
-        assert uef(PredictorInput(flat, 1.0, top_k=10), index, seed, 4, 2) == 0.0
+        assert uef(ordinal_run(index, flat), 1.0, index, seed, 4, 2, top_k=10) == 0.0
 
     outputs = []
     for attempt in range(2):

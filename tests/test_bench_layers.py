@@ -79,6 +79,22 @@ def test_traced_run_writes_the_plain_bytes(workspace, tmp_path, command, output,
         assert {s.target for s in spans if s.name == "variants.target"} == {"dl01", "dl02", "dl03", "dl04", "dl05"}
 
 
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+def test_traced_nqc_counts_every_evaluation_on_a_cold_index(workspace, corpus, tmp_path, command):
+    # a new index directory holds no phi store, so each kept variant's phi is evaluated, through nqc as a target's is
+    config, cold = str(workspace["config"]), ("--set", f"paths.index_dir={tmp_path / 'index'}")
+    assert cli_main(["index", "--config", config, *cold]) == 0
+    spans_path = tmp_path / "spans.jsonl"
+    result = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "traced_cli.py"), str(spans_path), command, "--config", config, *cold,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    metrics = bench_trace.layer_metrics([], bench_trace.load_spans(spans_path), [], 1.0)
+    assert metrics["predictors.nqc.calls"] == metrics["predictors.evaluate.calls"] > len(corpus.test_queries)
+
+
 # Imports every qvqpp module, installs the tracer and prints each module binding that still holds an unwrapped
 # function named in LAYERS; run in a fresh interpreter that writes no bytecode beside the benchmark files.
 INSTALL_SCRIPT = """\

@@ -643,6 +643,28 @@ paths:
         assert "Traceback" not in err
         assert not (tmp_path / "predictions.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["head", "sampled"])
+    def test_uef_target_document_missing_from_the_collection(
+        self, indexed_workspace, tmp_path, capsys, command, sampled
+    ):
+        # the first target's best document is renamed to an id the collection lacks: UEF names it by that id, as
+        # the head's document or, when every subset draws the target's whole run, as a sampled one
+        lines = (indexed_workspace["data"] / "target_run.txt").read_text(encoding="utf-8").splitlines(True)
+        fields = lines[0].split()
+        fields[2] = "ghost"
+        run = tmp_path / "target_run.txt"
+        run.write_text(" ".join(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        overrides = ["qpp.base=uef", f"paths.target_run={run}"]
+        if sampled:
+            run_length = sum(line.split()[0] == fields[0] for line in lines)
+            overrides += ["predictor.top_k=1", f"predictor.uef_sample_size={run_length}"]
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = run_cli(command, "--config", indexed_workspace["config"], *sets, "--out", tmp_path / "out")
+        message = "sampled document 'ghost' is not in the index" if sampled else "document 'ghost' is not in the index"
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_prediction_rejected(self, indexed_workspace, tmp_path, capsys):
         predictions = tmp_path / "predictions.tsv"
         predictions.write_text("dl01\t0.5\ndl02\tinf\ndl03\t0.1\ndl04\t0.2\ndl05\t0.3\n", encoding="utf-8")
@@ -1101,7 +1123,7 @@ class TestTuneAndSweep:
         candidates = [QVCandidate(Query(f"v{i}", f"variant {i}"), 1, 1.0, rbo) for i, rbo in enumerate(rbos)]
         values = {"T": phis[0], **{f"v{i}": phi for i, phi in enumerate(phis[1:])}}
 
-        def evaluate(base, run, terms, query_id, rbo_params):
+        def evaluate(base, run, terms, query_id, rbo_params, doc_id=None):
             return values[query_id]
 
         res = predicting_resources([c.query.id for c in candidates], SimpleNamespace(evaluate=evaluate))

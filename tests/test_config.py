@@ -518,7 +518,15 @@ def text_outcome(directory: Path, text: str, overrides=(), libyaml: bool = True)
         "error: override 'qpp': malformed YAML: while constructing a mapping in \"<unicode string>\", line 1, "
         "column 1: {k: 2, k: 3} ^ found duplicate key 'k' in \"<unicode string>\", line 1, column 8: {k: 2, k: 3} ^"
     )),
-], ids=["top-level", "in-a-section", "in-an-override"])
+    (PATHS_TEXT + "qpp:\n  <<: {k: 2, k: 3}\n", (), (
+        'error: <dir>/config.yaml: malformed YAML: while constructing a mapping in "<dir>/config.yaml", line 11, '
+        'column 7 found duplicate key \'k\' in "<dir>/config.yaml", line 11, column 14'
+    )),
+    (PATHS_TEXT + "qpp:\n  <<: [{n: 50}, {k: 2, k: 3}]\n", (), (
+        'error: <dir>/config.yaml: malformed YAML: while constructing a mapping in "<dir>/config.yaml", line 11, '
+        'column 17 found duplicate key \'k\' in "<dir>/config.yaml", line 11, column 24'
+    )),
+], ids=["top-level", "in-a-section", "in-an-override", "in-a-merged-mapping", "in-a-merged-list"])
 def test_a_key_named_twice_in_a_mapping_is_refused(tmp_path, libyaml, text, overrides, error):
     assert text_outcome(tmp_path, text, overrides, libyaml) == error
 
@@ -543,6 +551,14 @@ def test_an_override_replaces_a_key_and_a_merged_key_may_be_overridden(tmp_path)
     assert text_outcome(tmp_path, PATHS_TEXT + "seed: 1\n", ("seed=7",))["seed"] == 7
     got = text_outcome(tmp_path, PATHS_TEXT + "qpp:\n  <<: {k: 2, n: 50}\n  k: 3\n")
     assert (got["qpp.k"], got["qpp.n"]) == (3, 50)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+def test_a_mapping_read_again_after_a_merge_keeps_its_own_keys(monkeypatch, libyaml):
+    # merging {x: 1} into b moves its pair into b's node; b, read again through its alias, still names x once
+    if not libyaml:
+        monkeypatch.setattr(cli, "_CSafeLoader", None)
+    assert cli._yaml("a: {<<: &b {<<: {x: 1}, x: 2}}\nc: *b\n", "x") == {"a": {"x": 2}, "c": {"x": 2}}
 
 
 # Config-like YAML texts: lines of an indent, a key, a separator, a value and a suffix, with characters that

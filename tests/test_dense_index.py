@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from qvqpp import knn_cosine, load_vectors, store_from_arrays
+from qvqpp import RankedList, knn_cosine, load_vectors, store_from_arrays
+
+
+def knn_ranked(store, query, depth, exclude=()):
+    """``knn_cosine``'s rows as a ranked list of their ids, excluding the rows of the ids in ``exclude``."""
+    rows, sims = knn_cosine(store, query, depth, [store.index_of[item_id] for item_id in exclude])
+    return RankedList("", [(store.ids[row], sim) for row, sim in zip(rows.tolist(), sims.tolist())])
 
 
 def write_store(tmp_path, rows, header=None):
@@ -67,7 +73,7 @@ class TestLoadVectors:
         path = write_store(tmp_path, {"z": [0, 0], "t": [1e-150, 0], "a": [1e150, 1e150]})
         store = load_vectors(path)
         assert list(store.norms[:2]) == [0.0, 1e-150]
-        assert [doc_id for doc_id, _ in knn_cosine(store, [1.0, 0.0], depth=3).entries] == ["t", "a"]
+        assert [doc_id for doc_id, _ in knn_ranked(store, [1.0, 0.0], depth=3).entries] == ["t", "a"]
 
     @pytest.mark.parametrize(
         "vector, problem",
@@ -129,13 +135,13 @@ class TestLoadVectors:
 class TestKnnCosine:
     def test_self_similarity_first(self):
         store = store_from_arrays(["x", "y"], [[0.5, 0.5], [1.0, 0.0]])
-        result = knn_cosine(store, [0.5, 0.5], depth=2)
+        result = knn_ranked(store, [0.5, 0.5], depth=2)
         assert result.doc_ids()[0] == "x"
         assert result.entries[0][1] == pytest.approx(1.0)
 
     def test_orthogonal_zero_included(self):
         store = store_from_arrays(["a"], [[0.0, 1.0]])
-        result = knn_cosine(store, [1.0, 0.0], depth=1)
+        result = knn_ranked(store, [1.0, 0.0], depth=1)
         assert result.entries == [("a", pytest.approx(0.0))]
 
     def test_matches_exhaustive_oracle(self):
@@ -143,7 +149,7 @@ class TestKnnCosine:
         vectors = {f"v{i}": [rng.uniform(-1, 1) for _ in range(4)] for i in range(10)}
         store = store_from_arrays(sorted(vectors), [vectors[k] for k in sorted(vectors)])
         query = [rng.uniform(-1, 1) for _ in range(4)]
-        got = knn_cosine(store, query, depth=3)
+        got = knn_ranked(store, query, depth=3)
         want = oracles.cosine_rank_all(vectors, query)[:3]
         assert got.doc_ids() == [vec_id for vec_id, _ in want]
         for (_, g), (_, w) in zip(got.entries, want):
@@ -152,9 +158,9 @@ class TestKnnCosine:
     def test_zero_norm_query_rejected(self):
         store = store_from_arrays(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="zero norm"):
-            knn_cosine(store, [0.0, 0.0], depth=1)
+            knn_ranked(store, [0.0, 0.0], depth=1)
         with pytest.raises(ValueError, match="query vector norm 4.99997e-160 is below 1.49e-154"):
-            knn_cosine(store, [3e-160, 4e-160], depth=1)
+            knn_ranked(store, [3e-160, 4e-160], depth=1)
 
     @pytest.mark.parametrize("query, problem", [
         ([np.inf, 0.0], "non-finite component"),
@@ -165,16 +171,16 @@ class TestKnnCosine:
     def test_non_finite_query_rejected_without_a_warning(self, query, problem):
         store = store_from_arrays(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         with np.errstate(all="raise"), pytest.raises(ValueError, match=problem):
-            knn_cosine(store, query, depth=2)
+            knn_ranked(store, query, depth=2)
 
     def test_zero_norm_stored_never_returned(self):
         store = store_from_arrays(["z", "a"], [[0.0, 0.0], [1.0, 1.0]])
-        result = knn_cosine(store, [1.0, 0.0], depth=5)
+        result = knn_ranked(store, [1.0, 0.0], depth=5)
         assert result.doc_ids() == ["a"]
 
     def test_exclude(self):
         store = store_from_arrays(["a", "b"], [[1.0, 0.0], [0.9, 0.1]])
-        result = knn_cosine(store, [1.0, 0.0], depth=5, exclude={"a"})
+        result = knn_ranked(store, [1.0, 0.0], depth=5, exclude={"a"})
         assert result.doc_ids() == ["b"]
 
     def test_scaling_invariance(self):
@@ -182,23 +188,29 @@ class TestKnnCosine:
         matrix = rng.normal(size=(20, 6))
         store = store_from_arrays([f"v{i}" for i in range(20)], matrix)
         query = rng.normal(size=6)
-        base = knn_cosine(store, query, depth=20)
-        scaled = knn_cosine(store, query * 1234.5, depth=20)
+        base = knn_ranked(store, query, depth=20)
+        scaled = knn_ranked(store, query * 1234.5, depth=20)
         assert base.doc_ids() == scaled.doc_ids()
         for (_, s1), (_, s2) in zip(base.entries, scaled.entries):
             assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_depth_beyond_size_returns_all_finite(self):
         store = store_from_arrays(["z", "a", "b"], [[0, 0], [1, 0], [0, 1]])
-        result = knn_cosine(store, [1.0, 1.0], depth=50)
+        result = knn_ranked(store, [1.0, 1.0], depth=50)
         assert sorted(result.doc_ids()) == ["a", "b"]
 
     def test_tie_breaks_by_id(self):
         store = store_from_arrays(["b", "a"], [[2.0, 0.0], [1.0, 0.0]])
-        result = knn_cosine(store, [1.0, 0.0], depth=2)
+        result = knn_ranked(store, [1.0, 0.0], depth=2)
         assert result.doc_ids() == ["a", "b"]
+
+    def test_returns_store_rows_and_similarities_and_excludes_by_row(self):
+        store = store_from_arrays(["b", "a", "c"], [[2.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        rows, sims = knn_cosine(store, [1.0, 0.0], depth=3, exclude=(1,))
+        assert (rows.dtype, sims.dtype) == (np.int64, np.float64)
+        assert rows.tolist() == [0, 2] and sims.tolist() == [1.0, 0.0]
 
     def test_dim_mismatch(self):
         store = store_from_arrays(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="shape"):
-            knn_cosine(store, [1.0, 0.0, 0.0], depth=1)
+            knn_ranked(store, [1.0, 0.0, 0.0], depth=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import oracles
 from qvqpp import (
     PredictorContext,
-    PredictorInput,
     PredictorParams,
     RankedList,
     RboParams,
@@ -29,34 +29,54 @@ from qvqpp import (
 )
 from qvqpp import predictors
 from qvqpp.predictors import DEFAULT_MU, UEF_POOL_FLOOR, _certified_order
-from qvqpp.text_index import ranked_list
+from qvqpp.text_index import ordinal_run
 
 
 def ranked(query_id, pairs):
     return RankedList.from_scores(query_id, pairs)
 
 
+def scores_of(run):
+    return np.asarray(run.scores(), dtype=np.float64)
+
+
+class ListInput(NamedTuple):
+    """A ranked list with the collection score and head size that NQC and UEF read it under."""
+
+    ranked_list: RankedList
+    collection_score: float
+    top_k: int = 100
+
+
+def uef_list(inp, index, rng_seed, samples, sample_size, *, rbo_params=RboParams(), mu=DEFAULT_MU):
+    """``uef`` of a ranked list mapped to ``index`` ordinals as a target run is, its ids naming its documents."""
+    run = inp.ranked_list
+    return uef(
+        ordinal_run(index, run), inp.collection_score, index, rng_seed, samples, sample_size, top_k=inp.top_k,
+        rbo_params=rbo_params, mu=mu, doc_id=run.doc_ids().__getitem__, query_id=run.query_id,
+    )
+
+
 class TestNqc:
     def test_zero_variance(self):
-        inp = PredictorInput(ranked("q", [("a", 5.0), ("b", 5.0), ("c", 5.0)]), 3.7)
-        assert nqc(inp) == 0.0
+        assert nqc(scores_of(ranked("q", [("a", 5.0), ("b", 5.0), ("c", 5.0)])), 3.7) == 0.0
 
     def test_hand_value(self):
         # sqrt(((4-2)^2 + 0 + (0-2)^2) / 3) / 2 = sqrt(8/3) / 2
-        inp = PredictorInput(ranked("q", [("a", 4.0), ("b", 2.0), ("c", 0.0)]), 2.0)
-        assert nqc(inp) == pytest.approx(math.sqrt(8.0 / 3.0) / 2.0, abs=1e-12)
-        assert nqc(inp) == pytest.approx(0.81650, abs=1e-5)
+        value = nqc(scores_of(ranked("q", [("a", 4.0), ("b", 2.0), ("c", 0.0)])), 2.0)
+        assert value == pytest.approx(math.sqrt(8.0 / 3.0) / 2.0, abs=1e-12)
+        assert value == pytest.approx(0.81650, abs=1e-5)
 
     def test_single_score(self):
-        assert nqc(PredictorInput(ranked("q", [("a", 3.2)]), 1.0)) == 0.0
+        assert nqc(scores_of(ranked("q", [("a", 3.2)])), 1.0) == 0.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            nqc(PredictorInput(RankedList("q", []), 1.0))
+            nqc(scores_of(RankedList("q", [])), 1.0)
 
     def test_nonpositive_collection_score_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
-            nqc(PredictorInput(ranked("q", [("a", 1.0)]), 0.0))
+            nqc(scores_of(ranked("q", [("a", 1.0)])), 0.0)
 
     def test_scale_invariance(self):
         rng = random.Random(31)
@@ -64,14 +84,14 @@ class TestNqc:
             scores = [(f"d{i}", rng.uniform(0, 10)) for i in range(rng.randint(2, 20))]
             cscore = rng.uniform(0.1, 5.0)
             c = rng.uniform(0.01, 100.0)
-            base = nqc(PredictorInput(ranked("q", scores), cscore))
-            scaled = nqc(PredictorInput(ranked("q", [(d, c * s) for d, s in scores]), c * cscore))
+            base = nqc(scores_of(ranked("q", scores)), cscore)
+            scaled = nqc(scores_of(ranked("q", [(d, c * s) for d, s in scores])), c * cscore)
             assert scaled == pytest.approx(base, rel=1e-12, abs=1e-15)
 
     def test_top_k_truncation(self):
         entries = [("a", 9.0), ("b", 8.0), ("c", 0.0)]
-        full = nqc(PredictorInput(ranked("q", entries), 1.0, top_k=3))
-        head = nqc(PredictorInput(ranked("q", entries), 1.0, top_k=2))
+        full = nqc(scores_of(ranked("q", entries)), 1.0, top_k=3)
+        head = nqc(scores_of(ranked("q", entries)), 1.0, top_k=2)
         assert head == pytest.approx(0.5)  # std of [9, 8]
         assert full != head
 
@@ -312,26 +332,26 @@ def uef_fixture_input(top_k=10):
     index = build_index(UEF_CORPUS)
     run = bm25_retrieve(index, ["apple", "banana"], depth=10, query_id="q")
     cscore = collection_score(index, ["apple", "banana"])
-    return index, PredictorInput(run, cscore, top_k=top_k)
+    return index, ListInput(run, cscore, top_k=top_k)
 
 
 class TestUef:
     def test_fixed_seed_reproducible(self):
         index, inp = uef_fixture_input()
-        a = uef(inp, index, rng_seed=42, samples=3, sample_size=2)
-        b = uef(inp, index, rng_seed=42, samples=3, sample_size=2)
+        a = uef_list(inp, index, rng_seed=42, samples=3, sample_size=2)
+        b = uef_list(inp, index, rng_seed=42, samples=3, sample_size=2)
         assert a == b
 
     def test_zero_variance_list_gives_zero(self):
         index = build_index(UEF_CORPUS)
         run = ranked("q", [("dA", 2.0), ("dB", 2.0), ("dC", 2.0)])
-        inp = PredictorInput(run, 1.0, top_k=3)
+        inp = ListInput(run, 1.0, top_k=3)
         for seed in (1, 42, 999):
-            assert uef(inp, index, rng_seed=seed, samples=4, sample_size=2) == 0.0
+            assert uef_list(inp, index, rng_seed=seed, samples=4, sample_size=2) == 0.0
 
     def test_seed_42_matches_scripted_oracle(self):
         index, inp = uef_fixture_input()
-        got = uef(inp, index, rng_seed=42, samples=3, sample_size=2)
+        got = uef_list(inp, index, rng_seed=42, samples=3, sample_size=2)
 
         # script the documented protocol step by step
         pool = inp.ranked_list.entries[: max(inp.top_k, 50)]
@@ -341,7 +361,7 @@ class TestUef:
         for _ in range(3):
             chosen = sorted(rng.choice(len(pool), size=2, replace=False).tolist())
             subset = RankedList("q", [pool[i] for i in chosen])
-            subset_nqc = nqc(PredictorInput(subset, inp.collection_score, top_k=2))
+            subset_nqc = nqc(scores_of(subset), inp.collection_score, top_k=2)
             model = build_relevance_model(index, subset)
             reranked = rm_rerank(model, head, index, depth=len(head))
             total += rbo_ext(head, reranked, RboParams()) * subset_nqc
@@ -350,12 +370,14 @@ class TestUef:
     def test_full_pool_sample_is_seed_independent(self):
         index, inp = uef_fixture_input()
         pool_size = len(inp.ranked_list)
-        values = {uef(inp, index, rng_seed=s, samples=1, sample_size=pool_size) for s in (1, 2, 99)}
+        values = {uef_list(inp, index, rng_seed=s, samples=1, sample_size=pool_size) for s in (1, 2, 99)}
         assert len(values) == 1
         # composed directly: subset == full list, so uef = rbo(head, rerank(head)) * nqc(list)
         model = build_relevance_model(index, inp.ranked_list)
         reranked = rm_rerank(model, inp.ranked_list, index, depth=len(inp.ranked_list))
-        expected = rbo_ext(inp.ranked_list, reranked, RboParams()) * nqc(inp)
+        expected = rbo_ext(inp.ranked_list, reranked, RboParams()) * nqc(
+            scores_of(inp.ranked_list), inp.collection_score, inp.top_k
+        )
         assert values.pop() == pytest.approx(expected, abs=1e-12)
 
     def test_identity_rerank_boundary_equals_nqc(self):
@@ -370,16 +392,16 @@ class TestUef:
         )
         run = bm25_retrieve(index, ["apple"], depth=10, query_id="q")
         cscore = collection_score(index, ["apple"])
-        inp = PredictorInput(run, cscore, top_k=len(run))
+        inp = ListInput(run, cscore, top_k=len(run))
         model = build_relevance_model(index, run, mu=100.0)
         assert rm_rerank(model, run, index, depth=len(run), mu=100.0).doc_ids() == run.doc_ids()
-        got = uef(inp, index, rng_seed=7, samples=1, sample_size=len(run), mu=100.0)
-        assert got == pytest.approx(nqc(inp), abs=1e-12)
+        got = uef_list(inp, index, rng_seed=7, samples=1, sample_size=len(run), mu=100.0)
+        assert got == pytest.approx(nqc(scores_of(run), cscore, top_k=len(run)), abs=1e-12)
 
     def test_sample_size_too_large_rejected(self):
         index, inp = uef_fixture_input()
         with pytest.raises(ValueError, match="exceeds"):
-            uef(inp, index, rng_seed=1, samples=1, sample_size=len(inp.ranked_list) + 1)
+            uef_list(inp, index, rng_seed=1, samples=1, sample_size=len(inp.ranked_list) + 1)
 
 
 def scripted_uef(inp, index, rng_seed, samples, sample_size, rbo_params, mu):
@@ -392,7 +414,7 @@ def scripted_uef(inp, index, rng_seed, samples, sample_size, rbo_params, mu):
     for _ in range(samples):
         chosen = sorted(rng.choice(len(pool), size=sample_size, replace=False).tolist())
         subset = RankedList(inp.ranked_list.query_id, [pool[i] for i in chosen])
-        subset_nqc = nqc(PredictorInput(subset, inp.collection_score, top_k=sample_size))
+        subset_nqc = nqc(scores_of(subset), inp.collection_score, top_k=sample_size)
         model = build_relevance_model(index, subset, mu=mu)
         reranked = rm_rerank(model, head, index, depth=len(head), mu=mu)
         total += rbo_ext(head, reranked, rbo_params) * subset_nqc
@@ -418,7 +440,7 @@ def uef_cases(draw):
     pool_size = min(len(run), max(top_k, UEF_POOL_FLOOR))
     return dict(
         index=build_index(items),
-        inp=PredictorInput(run, draw(st.sampled_from([0.5, 2.0])), top_k=top_k),
+        inp=ListInput(run, draw(st.sampled_from([0.5, 2.0])), top_k=top_k),
         rng_seed=draw(st.integers(0, 2**32)),
         samples=draw(st.integers(1, 4)),
         sample_size=draw(st.integers(1, pool_size)),
@@ -435,10 +457,10 @@ class TestUefProperties:
             want = scripted_uef(**case)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                uef(**case)
+                uef_list(**case)
             assert str(raised.value) == str(exc)
             return
-        assert uef(**case) == want
+        assert uef_list(**case) == want
 
     def test_exact_path_runs_and_is_not_the_only_path(self, monkeypatch):
         # a filter that never fell back, or always did, would pass the property above unseen
@@ -456,7 +478,7 @@ class TestUefProperties:
             except ValueError:
                 return
             before = len(exact)
-            assert uef(**case) == want
+            assert uef_list(**case) == want
             subsets.append(case["samples"])
             exact_subsets.append(len(exact) - before)
 
@@ -468,7 +490,7 @@ class TestUefProperties:
         # uef fails for exactly the seeds whose subsets draw it, and returns a value otherwise
         index = build_index(UEF_CORPUS)
         run = ranked("q", [("dA", 5.0), ("dB", 4.0), ("dC", 3.0), ("unindexed", 2.0)])
-        inp = PredictorInput(run, 1.0, top_k=2)
+        inp = ListInput(run, 1.0, top_k=2)
         outcomes = set()
         for seed in range(20):
             try:
@@ -476,10 +498,10 @@ class TestUefProperties:
             except ValueError:
                 outcomes.add("raised")
                 with pytest.raises(ValueError, match="sampled document 'unindexed' is not in the index"):
-                    uef(inp, index, seed, 2, 1)
+                    uef_list(inp, index, seed, 2, 1)
                 continue
             outcomes.add("value")
-            assert uef(inp, index, seed, 2, 1) == want
+            assert uef_list(inp, index, seed, 2, 1) == want
         assert outcomes == {"raised", "value"}
 
 
@@ -573,11 +595,11 @@ class TestCertifiedOrder:
         # dA and dF hold the same text, so every model scores them alike: each subset falls back
         index = build_index([*UEF_CORPUS, ("dF", UEF_CORPUS[0][1])])
         run = bm25_retrieve(index, ["apple", "orchard"], depth=10, query_id="q")
-        inp = PredictorInput(run, 1.0, top_k=len(run))
+        inp = ListInput(run, 1.0, top_k=len(run))
         exact = []
         rm_rerank_exact = predictors._rm_rerank
         monkeypatch.setattr(predictors, "_rm_rerank", lambda *args: exact.append(args) or rm_rerank_exact(*args))
-        got = uef(inp, index, rng_seed=3, samples=4, sample_size=2)
+        got = uef_list(inp, index, rng_seed=3, samples=4, sample_size=2)
         assert len(exact) == 4
         monkeypatch.undo()
         assert got == scripted_uef(inp, index, 3, 4, 2, RboParams(), DEFAULT_MU)
@@ -602,22 +624,26 @@ class TestPredictorParams:
 
 
 @st.composite
-def row_cases(draw):
-    """A run-table row over a corpus of short documents: views of int32 ordinals and float64 scores, best first."""
+def target_cases(draw):
+    """A target's external run over a corpus of short documents, some of them empty, and predictor knobs.
+
+    The run may hold ids the corpus lacks and ids it repeats, at any rank,
+    and its scores tie.
+    """
     size = draw(st.integers(1, 70))
     texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=size, max_size=size))
     index = build_index([(f"d{i:02d}", " ".join(words)) for i, words in enumerate(texts)])
-    ordinals = draw(st.permutations(range(size)))[: draw(st.integers(0, size))]
+    ids = draw(st.permutations(index.item_ids))[: draw(st.integers(0, size))]
+    for _ in range(draw(st.integers(0, 2))):
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(["unindexed", *ids[:3]])))
     scores = sorted(draw(st.lists(
-        st.sampled_from([0.5, 1.0, 4.0]) | st.floats(-1e3, 1e3), min_size=len(ordinals), max_size=len(ordinals),
+        st.sampled_from([0.5, 1.0, 4.0]) | st.floats(-1e3, 1e3), min_size=len(ids), max_size=len(ids),
     )), reverse=True)
-    n, width = len(ordinals), size + draw(st.integers(0, 3))
-    table_ordinals, table_scores = np.full((2, width), -1, dtype=np.int32), np.zeros((2, width))
-    table_ordinals[1, :n], table_scores[1, :n] = ordinals, scores
     params = PredictorParams(
         top_k=draw(st.integers(1, 80)), uef_samples=draw(st.integers(1, 3)), uef_sample_size=draw(st.integers(1, 30)),
+        mu=draw(st.sampled_from([0.0, 10.0, DEFAULT_MU])),
     )
-    return index, (table_ordinals[1, :n], table_scores[1, :n]), params
+    return index, RankedList("t", list(zip(ids, scores))), params
 
 
 def outcome(evaluate):
@@ -632,25 +658,42 @@ class TestPredictorContext:
         index = build_index(CORPUS_5)
         run = bm25_retrieve(index, ["solar", "panel"], depth=5, query_id="q")
         ctx = PredictorContext(index=index)
-        first = ctx.evaluate("nqc", run, ["solar", "panel"], "q", RboParams())
-        second = ctx.evaluate("nqc", run, ["solar", "panel"], "q", RboParams())
+        first = ctx.evaluate("nqc", ordinal_run(index, run), ["solar", "panel"], "q", RboParams())
+        second = ctx.evaluate("nqc", ordinal_run(index, run), ["solar", "panel"], "q", RboParams())
         assert first == second
-        expected = nqc(PredictorInput(run, collection_score(index, ["solar", "panel"]), top_k=100))
+        expected = nqc(scores_of(run), collection_score(index, ["solar", "panel"]), top_k=100)
         assert first == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(row_cases(), st.sampled_from(["nqc", "uef"]), st.lists(st.sampled_from(WORDS), max_size=3))
-    def test_a_row_evaluates_as_its_ranked_list(self, case, base, terms):
-        index, row, params = case
-        by_row, by_list = PredictorContext(index, params, seed=3), PredictorContext(index, params, seed=3)
-        want = outcome(lambda: by_list.evaluate(base, ranked_list(index, row, "v"), terms, "v", RboParams()))
-        assert outcome(lambda: by_row.evaluate(base, row, terms, "v", RboParams())) == want
-        if not isinstance(want, str):  # a second evaluation of an equal row is a memo hit, of other scores a miss
-            copy = row[0].copy(), row[1].copy()
-            assert by_row.evaluate(base, copy, terms, "v", RboParams()) == want and len(by_row._cache) == 1
-            scaled = row[0], row[1] * 2.0 - 5e3  # no drawn score (within 1e3) maps to itself
-            want = by_list.evaluate(base, ranked_list(index, scaled, "v"), terms, "v", RboParams())
-            assert by_row.evaluate(base, scaled, terms, "v", RboParams()) == want and len(by_row._cache) == 2
+    @given(target_cases(), st.sampled_from(["nqc", "uef"]), st.lists(st.sampled_from(WORDS), max_size=3), st.booleans())
+    def test_a_target_run_evaluates_as_its_scores_and_its_ranked_list(self, case, base, terms, named):
+        index, run, params = case
+        ordinals, _ = ordinal_run(index, run)
+        # the index names a document it holds by the same id, so only a run that holds -1 must name its own
+        doc_id = run.doc_ids().__getitem__ if named or (ordinals < 0).any() else None
+        ctx = PredictorContext(index, params, seed=3)
+
+        def reference(ranked):
+            cscore = collection_score(index, terms)
+            pool = min(len(ranked), max(params.top_k, UEF_POOL_FLOOR))
+            if base == "nqc":
+                return outcome(lambda: nqc(scores_of(ranked), cscore, params.top_k))
+            if params.uef_sample_size > pool:  # the scripted protocol cannot draw the sample at all
+                return f"error: sample_size {params.uef_sample_size} exceeds the {pool} available documents"
+            return outcome(lambda: scripted_uef(
+                ListInput(ranked, cscore, params.top_k), index, derive_seed(3, "t"), params.uef_samples,
+                params.uef_sample_size, RboParams(), params.mu,
+            ))
+
+        want = reference(run)
+        assert outcome(lambda: ctx.evaluate(base, ordinal_run(index, run), terms, "t", RboParams(), doc_id)) == want
+        if not isinstance(want, str):  # a second evaluation of an equal run is a memo hit, of other scores a miss
+            assert ctx.evaluate(base, ordinal_run(index, run), terms, "t", RboParams(), doc_id) == want
+            assert len(ctx._cache) == 1
+            # no drawn score (within 1e3) maps to itself
+            scaled = RankedList("t", [(doc, score * 2.0 - 5e3) for doc, score in run.entries])
+            got = outcome(lambda: ctx.evaluate(base, ordinal_run(index, scaled), terms, "t", RboParams(), doc_id))
+            assert got == reference(scaled) and len(ctx._cache) == 2
 
     def test_uef_seed_derivation_is_stable(self):
         index, inp = uef_fixture_input()
@@ -658,8 +701,9 @@ class TestPredictorContext:
         ctx_a = PredictorContext(index=index, params=params, seed=5)
         ctx_b = PredictorContext(index=index, params=params, seed=5)
         terms = ["apple", "banana"]
-        assert ctx_a.evaluate("uef", inp.ranked_list, terms, "q1", RboParams()) == ctx_b.evaluate(
-            "uef", inp.ranked_list, terms, "q1", RboParams()
+        run = ordinal_run(index, inp.ranked_list)
+        assert ctx_a.evaluate("uef", run, terms, "q1", RboParams()) == ctx_b.evaluate(
+            "uef", run, terms, "q1", RboParams()
         )
         assert derive_seed(5, "q1") == derive_seed(5, "q1")
         assert derive_seed(5, "q1") != derive_seed(5, "q2")
@@ -668,12 +712,13 @@ class TestPredictorContext:
         index, inp = uef_fixture_input()
         ctx = PredictorContext(index=index, params=PredictorParams(top_k=10, uef_samples=4, uef_sample_size=2), seed=5)
         rbos = (RboParams(p=0.9), RboParams(p=0.5))
-        values = [ctx.evaluate("uef", inp.ranked_list, ["apple", "banana"], "q1", rbo) for rbo in rbos]
-        assert values == [uef(inp, index, derive_seed(5, "q1"), 4, 2, rbo_params=rbo) for rbo in rbos]
+        run = ordinal_run(index, inp.ranked_list)
+        values = [ctx.evaluate("uef", run, ["apple", "banana"], "q1", rbo) for rbo in rbos]
+        assert values == [uef_list(inp, index, derive_seed(5, "q1"), 4, 2, rbo_params=rbo) for rbo in rbos]
         assert values[0] != values[1] and len(ctx._cache) == 2
 
     def test_unknown_base_rejected(self):
         index = build_index(CORPUS_5)
         run = bm25_retrieve(index, ["solar"], depth=5, query_id="q")
         with pytest.raises(ValueError, match="unknown base"):
-            PredictorContext(index=index).evaluate("wig", run, ["solar"], "q", RboParams())
+            PredictorContext(index=index).evaluate("wig", ordinal_run(index, run), ["solar"], "q", RboParams())

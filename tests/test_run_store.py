@@ -257,9 +257,9 @@ class TestStaleStores:
         evaluated = []
         evaluate = qvqpp.predictors.PredictorContext.evaluate
 
-        def counted(context, base, ranking, terms, query_id, rbo_params):
+        def counted(context, base, ranking, terms, query_id, rbo_params, doc_id=None):
             evaluated.append(query_id)
-            return evaluate(context, base, ranking, terms, query_id, rbo_params)
+            return evaluate(context, base, ranking, terms, query_id, rbo_params, doc_id)
 
         monkeypatch.setattr(qvqpp.predictors.PredictorContext, "evaluate", counted)
         assert run(ws, "predict") == NQC_PREDICTIONS_GOLDEN

@@ -23,6 +23,7 @@ from qvqpp import (
     Query,
     QVCandidate,
     QVSet,
+    RankedList,
     VariantPool,
     build_index,
     build_qv_set,
@@ -49,7 +50,10 @@ def reference_pool(target, config, res):
     else:
         store = res.embedding_store
         exclude = {i for i in store.ids if i not in training} | {target.id}
-        ranked = knn_cosine(store, store.vector(target.id), depth=len(store), exclude=exclude)
+        rows, sims = knn_cosine(
+            store, store.vector(target.id), depth=len(store), exclude=[store.index_of[i] for i in exclude]
+        )
+        ranked = RankedList("", [(store.ids[row], sim) for row, sim in zip(rows.tolist(), sims.tolist())])
     pool = []
     for qid, score in ranked.entries:
         if qid == target.id or tokenize(training[qid]) == tokens:

@@ -13,7 +13,6 @@ from qvqpp import rank_sim, variants
 from qvqpp import (
     Document,
     PipelineResources,
-    PredictorInput,
     PredictorParams,
     Query,
     QppConfig,
@@ -35,7 +34,7 @@ from qvqpp import (
     tokenize,
 )
 from qvqpp.rank_sim import rbo_rows
-from qvqpp.text_index import bm25_ordinals, bm25_retrieve, ranked_list
+from qvqpp.text_index import bm25_ordinals, bm25_retrieve, ordinal_run, ranked_list
 from qvqpp.variants import VariantPool
 
 
@@ -372,9 +371,14 @@ class CountingContext:
         self.rbo_params = []
         self.resources = predicting_resources([qid for qid in values if qid != "T"], self)
 
-    def evaluate(self, base, run, terms, query_id, rbo_params):
-        # a variant's run is its run-table row, whose ordinals spell its query id (see candidate)
-        run_id = run.query_id if isinstance(run, RankedList) else bytes(run[0].astype(np.uint8)).decode()
+    def evaluate(self, base, run, terms, query_id, rbo_params, doc_id=None):
+        # a variant's run is its run-table row, whose ordinals spell its query id (see candidate); a target's names
+        # its documents by their run-file ids, and is identified by the ranked list they spell
+        if doc_id is None:
+            run_id = bytes(run[0].astype(np.uint8)).decode()
+        else:
+            run_id = RankedList(query_id, [(doc_id(i), score) for i, score in enumerate(run[1].tolist())])
+            run_id = run_id.query_id if run_id == TestBasePredictions.RUN else run_id
         self.calls.append((base, run_id, list(terms), query_id))
         self.rbo_params.append(rbo_params)
         return self.values[query_id]
@@ -411,7 +415,8 @@ class TestSmoothQpp:
         phi = base_predictions(target, target_run[target.id], qv, config, resources)
         got = smooth_qpp(target_run[target.id], qv, config, phi)
         base = resources.predictor.evaluate(
-            "nqc", target_run[target.id], tokenize(target.text), target.id, config.rbo_params
+            "nqc", ordinal_run(resources.doc_index, target_run[target.id]), tokenize(target.text), target.id,
+            config.rbo_params,
         )
         assert got == base
 
@@ -451,12 +456,12 @@ class TestSmoothQpp:
         terms = tokenize(target.text)
         phi = base_predictions(target, target_run[target.id], qv, config, resources)
         got = smooth_qpp(target_run[target.id], qv, config, phi)
-        values = [resources.predictor.evaluate("nqc", target_run[target.id], terms, target.id, config.rbo_params)]
+        run = ordinal_run(resources.doc_index, target_run[target.id])
+        values = [resources.predictor.evaluate("nqc", run, terms, target.id, config.rbo_params)]
         for cand in qv.candidates:
             if cand.rbo > 0:
                 values.append(resources.predictor.evaluate(
-                    "nqc", ranked_list(resources.doc_index, cand.internal_run, cand.query.id),
-                    tokenize(cand.query.text), cand.query.id, config.rbo_params,
+                    "nqc", cand.internal_run, tokenize(cand.query.text), cand.query.id, config.rbo_params,
                 ))
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
@@ -828,7 +833,8 @@ def scripted_prediction(corpus, target, run, config, k1, b):
     kept = [(qid, hop, rbo) for rbo, hop, qid in scored[: config.k]]
 
     def phi(ranked, text):
-        return nqc(PredictorInput(ranked, collection_score(doc_index, tokenize(text), k1=k1, b=b), top_k=100))
+        scores = np.asarray(ranked.scores(), dtype=np.float64)
+        return nqc(scores, collection_score(doc_index, tokenize(text), k1=k1, b=b), top_k=100)
 
     merged = [(qid, hop, score) for qid, (hop, score) in pool.items()]
     weight_sum = sum(rbo for _, _, rbo in kept)
@@ -876,6 +882,6 @@ class TestOneOwner:
         swapped = replace(res, doc_index=smaller)
         assert swapped.predictor.index is smaller and swapped.predictor._cache == {}
         assert (swapped.predictor.params, swapped.predictor.seed) == (res.params, res.seed)
-        got = swapped.predictor.evaluate("nqc", run, terms, target.id, RboParams())
-        assert got == nqc(PredictorInput(run, collection_score(smaller, terms), top_k=100))
-        assert got != res.predictor.evaluate("nqc", run, terms, target.id, RboParams())
+        got = swapped.predictor.evaluate("nqc", ordinal_run(smaller, run), terms, target.id, RboParams())
+        assert got == nqc(np.asarray(run.scores(), dtype=np.float64), collection_score(smaller, terms), top_k=100)
+        assert got != res.predictor.evaluate("nqc", ordinal_run(res.doc_index, run), terms, target.id, RboParams())
