@@ -164,14 +164,24 @@ SECTIONS = {dotted.split(".")[0] for dotted in CONFIG_SCHEMA if "." in dotted}
 
 
 class _UniqueKeys:
-    """A constructor check shared by both loaders: a mapping that names a key twice is an error, not its last value.
+    """Constructor checks shared by both loaders: a mapping that names a key twice is an error, not its last value.
 
-    So is a mapping merged in with ``<<``, though a mapping's own key may override a merged one.
+    So is a mapping merged in with ``<<``, though a mapping's own key may override a merged one. A tagged
+    value that its tag's constructor cannot read (``!!bool maybe``, ``!!int 1.5``) is a ConstructorError at
+    the value, where PyYAML's constructors raise IndexError, KeyError, AttributeError or ValueError.
     """
 
     def __init__(self, stream):
         super().__init__(stream)
         self.own_pairs = {}  # mapping node -> its pairs before flattening moved the pairs merged into it there
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (IndexError, KeyError, AttributeError, ValueError):
+            value = f" from {node.value!r}" if isinstance(node, yaml.ScalarNode) else ""
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot construct {node.tag}{value}", node.start_mark) from None
 
     def flatten_mapping(self, node):
         self.own_pairs.setdefault(node, list(node.value))

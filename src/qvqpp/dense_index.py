@@ -23,13 +23,14 @@ MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 @dataclass(repr=False, eq=False)
 class EmbeddingStore:
-    """Immutable id -> vector store with precomputed norms."""
+    """Immutable id -> vector store with precomputed norms and id ranks (each row's position in ascending id order)."""
 
     dim: int
     ids: list[str]
     matrix: np.ndarray  # shape (len(ids), dim), float64
     index_of: dict[str, int]
     norms: np.ndarray
+    id_rank: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -60,7 +61,9 @@ def _make_store(dim: int, ids: list[str], matrix: np.ndarray, where: Callable[[i
             problem = f"is {norms[row]:.6g}, below {MIN_NORM:.3g}"
         raise ValueError(f"{where(row)}: the norm of row {ids[row]!r} {problem}")
     index_of = {item_id: i for i, item_id in enumerate(ids)}
-    return EmbeddingStore(dim=dim, ids=ids, matrix=matrix, index_of=index_of, norms=norms)
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return EmbeddingStore(dim=dim, ids=ids, matrix=matrix, index_of=index_of, norms=norms, id_rank=id_rank)
 
 
 def load_vectors(path) -> EmbeddingStore:
@@ -132,7 +135,9 @@ def knn_cosine(
     Rows in ``exclude`` are skipped. Ties are broken by id ascending.
     Stored zero-norm vectors score -inf and are never returned; a query
     with a non-finite component, or whose norm is not finite, is 0 or is
-    below :data:`MIN_NORM`, is an error.
+    below :data:`MIN_NORM`, is an error. Only the rows scoring at least the
+    depth-th similarity (ties at the cut included, found with
+    ``np.partition``) are sorted.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -151,10 +156,11 @@ def knn_cosine(
         raise ValueError(f"query vector norm {qnorm:.6g} is below {MIN_NORM:.3g}")
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ q) / (store.norms * qnorm)
-    sims = np.where(store.norms == 0.0, -np.inf, sims)
+    rows = np.flatnonzero(store.norms != 0.0)
+    rows = rows[~np.isin(rows, np.fromiter(exclude, np.int64))]
+    if len(rows) > depth:
+        row_sims = sims[rows]
+        rows = rows[row_sims >= np.partition(row_sims, len(rows) - depth)[len(rows) - depth]]
     # primary key: similarity desc; secondary: id asc
-    order = np.lexsort((np.asarray(store.ids), -sims))
-    stop = np.flatnonzero(sims[order] == -np.inf)  # -inf rows sort last, and the first of them ends the ranking
-    order = order[: stop[0] if len(stop) else len(order)]
-    order = order[~np.isin(order, np.fromiter(exclude, np.int64))][:depth]
-    return order, sims[order]
+    rows = rows[np.lexsort((store.id_rank[rows], -sims[rows]))][:depth]
+    return rows, sims[rows]

@@ -91,14 +91,13 @@ def collection_score(
         raise ValueError("collection_score needs a non-empty index")
     total = index.total_tokens
     avgdl = index.avgdl
-    idfs = index.bm25_table(k1, b)[0]
     score = 0.0
     for term, query_tf in Counter(terms).items():
-        tid = index.term_id.get(term)
-        if tid is None:
+        tid = index.term_id(term)
+        if tid < 0:
             continue
         cf = int(index.cf[tid])
-        idf = float(idfs[tid])
+        idf = index.idf(tid)
         norm = k1 * (1.0 - b + b * total / avgdl)
         score += query_tf * idf * cf * (k1 + 1.0) / (cf + norm)
     return score if score > 0.0 else COLLECTION_SCORE_FLOOR
@@ -214,7 +213,7 @@ class _Head:
         unknown = np.flatnonzero(ordinals < 0)
         self.known = known = int(unknown[0]) if len(unknown) else len(ordinals)
         self.ordinals = ordinals = np.asarray(ordinals[:known], dtype=np.int64)
-        self.id_ranks = index._id_rank[ordinals]
+        self.id_ranks = index.id_rank[ordinals]
         term_ids, tfs, self.bounds = index.rows(ordinals)  # row i's postings are at bounds[i]:bounds[i + 1]
         self.term_ids = term_ids
         mu_p = mu * index.cf[term_ids] / index.total_tokens
@@ -316,7 +315,7 @@ def rm_rerank(
     doc_ids = top.doc_ids()
     head = _Head(index, ordinal_run(index, top)[0], mu, doc_ids.__getitem__, ranked.query_id)
     terms = list(model.term_weights)
-    model_ids = np.fromiter((index.term_id.get(term, -1) for term in terms), dtype=np.int64, count=len(terms))
+    model_ids = np.fromiter(map(index.term_id, terms), dtype=np.int64, count=len(terms))
     weights = np.fromiter(model.term_weights.values(), dtype=np.float64, count=len(terms))
     order, scores = _rm_rerank(head, model_ids, weights, *_log_mu_p(index, model_ids, mu), terms.__getitem__)
     return RankedList(ranked.query_id, [(doc_ids[i], scores[i]) for i in order.tolist()])

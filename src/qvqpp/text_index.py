@@ -14,17 +14,23 @@ ranking.
 characters as one string and maps its words to ids in one ``map`` pass,
 with the stopwords seeded as the lowest ids so that an id mask drops them;
 :func:`tokenize` stays the reference its rows are held to. An index names
-the SHA-256 of the bytes of the file it was built from (format version 4),
+the SHA-256 of the bytes of the file it was built from (format version 5),
 and an index whose source file now holds other bytes is stale. It is saved
-as an artifact of :mod:`qvqpp.artifacts`.
+as an artifact of :mod:`qvqpp.artifacts` that stores what query evaluation
+reads: the term-major postings, each item's length, each term's collection
+frequency and the id ranks. A command reading it derives nothing from the
+whole collection: BM25 gains are computed per query term on first use, and
+the row view only when a row is read (relevance models, pseudo-queries).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
 import math
+import operator
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from .config import DEFAULT_B, DEFAULT_K1
 from .corpus_io import Document, RankedList
 
 INDEX_FORMAT = "qvqpp.inverted_index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 # Fixed English stopword list. Deliberately keeps single letters such as
 # "s" (possessive fragments stay searchable) while dropping question
@@ -93,13 +99,6 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Integer sums of ``values[ptr[i]:ptr[i + 1]]`` for every i."""
-    sums = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=sums[1:])
-    return sums[ptr[1:]] - sums[ptr[:-1]]
-
-
 def _segments(ptr: np.ndarray, keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the entries of CSR segments ``keys``, segment after segment, and each segment's bounds among them."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -112,25 +111,31 @@ def _segments(ptr: np.ndarray, keys: Sequence[int]) -> tuple[np.ndarray, np.ndar
 
 @dataclass(repr=False, eq=False)
 class InvertedIndex:
-    """A term-frequency matrix over a fixed item collection, kept in CSR form.
+    """A term-frequency matrix over a fixed item collection, stored term-major as postings.
 
-    Row ``o`` is the item ``item_ids[o]`` (ordinals follow input order).
-    Its distinct terms are ``row_terms[row_ptr[o]:row_ptr[o + 1]]``, in
-    ascending order, as ids into the sorted vocabulary ``terms``, and
-    ``row_tfs`` holds their frequencies. The two SHA-256 strings name the
-    tokenizer and the bytes of the file the items were read from (``""``
-    when they came from no file). Nothing else is stored: ordinals, term
-    ids, lengths, the postings (column) view, df, cf, the totals and one
-    BM25 gain table per ``(k1, b)`` (each term's idf and each posting's
-    gain, 8 bytes per posting) are derived on first use and kept, so an
-    index must not be mutated after it is read.
+    Item ``o`` is ``item_ids[o]`` (ordinals follow input order). Term ``t``
+    is ``terms[t]`` of the sorted vocabulary; the items holding it are
+    ``col_ordinals[col_ptr[t]:col_ptr[t + 1]]``, ascending, with its
+    frequencies in ``col_tfs`` at the same positions. ``lengths`` holds each
+    item's token count, ``cf`` each term's count in the collection, and
+    ``id_rank`` each ordinal's position in ascending id order (the ranking
+    tie-break). The two SHA-256 strings name the tokenizer and the bytes of
+    the file the items were read from (``""`` when they came from no file).
+    All of these are stored, so a command reads them and sorts nothing. The
+    row view (:meth:`rows`, ``row_ptr``, ``row_terms``, ``row_tfs``), the
+    ordinal of each id and each term's BM25 gains per ``(k1, b)`` are
+    derived on first use and kept, so an index must not be mutated after it
+    is read.
     """
 
     item_ids: list[str]
     terms: list[str]
-    row_ptr: np.ndarray
-    row_terms: np.ndarray
-    row_tfs: np.ndarray
+    col_ptr: np.ndarray
+    col_ordinals: np.ndarray
+    col_tfs: np.ndarray
+    lengths: np.ndarray
+    cf: np.ndarray
+    id_rank: np.ndarray
     tokenizer_sha256: str
     file_sha256: str
 
@@ -159,89 +164,71 @@ class InvertedIndex:
     def ordinal_of(self) -> dict[str, int]:
         return {item_id: ordinal for ordinal, item_id in enumerate(self.item_ids)}
 
-    @cached_property
-    def term_id(self) -> dict[str, int]:
-        return {term: tid for tid, term in enumerate(self.terms)}
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """Token count of each item."""
-        return _segment_sums(self.row_tfs, self.row_ptr)
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The postings view (col_ptr, ordinals, tfs); a stable sort keeps ordinals ascending per term.
-
-        Ordinals and tfs are int32, as in the rows.
-
-        The sort runs on 16-bit digits of the term ids, which numpy sorts by
-        radix: the low digit first, then, for a vocabulary of more than
-        2**16 terms, stably by the high digit, which gives the same order.
-        """
-        order = np.argsort((self.row_terms & 0xFFFF).astype(np.uint16), kind="stable")
-        if len(self.terms) > 1 << 16:
-            order = order[np.argsort((self.row_terms[order] >> 16).astype(np.uint16), kind="stable")]
-        col_ptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.row_terms, minlength=len(self.terms)), out=col_ptr[1:])
-        rows = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(self.row_ptr))
-        return col_ptr, rows[order], self.row_tfs[order]
+    def term_id(self, term: str) -> int:
+        """The id of ``term`` in the sorted vocabulary, or -1 when the index lacks it."""
+        tid = bisect.bisect_left(self.terms, term)
+        return tid if tid < len(self.terms) and self.terms[tid] == term else -1
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Ordinals (ascending) and term frequencies of the items containing ``term``."""
-        col_ptr, ordinals, tfs = self._columns
-        tid = self.term_id.get(term)
-        if tid is None:
-            return ordinals[:0], tfs[:0]
-        return ordinals[col_ptr[tid]:col_ptr[tid + 1]], tfs[col_ptr[tid]:col_ptr[tid + 1]]
+        tid = self.term_id(term)
+        lo, hi = (self.col_ptr[tid], self.col_ptr[tid + 1]) if tid >= 0 else (0, 0)
+        return self.col_ordinals[lo:hi], self.col_tfs[lo:hi]
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row view (row_ptr, term ids, tfs); a stable sort by ordinal keeps each row's term ids ascending.
+
+        Term ids and tfs are int32, as in the postings.
+
+        The sort runs on 16-bit digits of the ordinals, which numpy sorts by
+        radix: the low digit first, then, for more than 2**16 items, stably
+        by the high digit, which gives the same order.
+        """
+        order = np.argsort((self.col_ordinals & 0xFFFF).astype(np.uint16), kind="stable")
+        if self.size > 1 << 16:
+            order = order[np.argsort((self.col_ordinals[order] >> 16).astype(np.uint16), kind="stable")]
+        row_ptr = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.col_ordinals, minlength=self.size), out=row_ptr[1:])
+        term_ids = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.col_ptr))
+        return row_ptr, term_ids[order], self.col_tfs[order]
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        """Row ``o``'s entries of ``row_terms`` and ``row_tfs`` are at ``row_ptr[o]:row_ptr[o + 1]``."""
+        return self._rows[0]
+
+    @property
+    def row_terms(self) -> np.ndarray:
+        """Each row's term ids, ascending within the row."""
+        return self._rows[1]
+
+    @property
+    def row_tfs(self) -> np.ndarray:
+        return self._rows[2]
 
     def rows(self, ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Term ids and tfs of the given rows, row after row; row i's entries are at bounds[i]:bounds[i + 1]."""
-        positions, bounds = _segments(self.row_ptr, ordinals)
-        return self.row_terms[positions], self.row_tfs[positions], bounds
+        row_ptr, row_terms, row_tfs = self._rows
+        positions, bounds = _segments(row_ptr, ordinals)
+        return row_terms[positions], row_tfs[positions], bounds
+
+    def idf(self, tid: int) -> float:
+        """BM25's ``ln(1 + (N - df + 0.5) / (df + 0.5)) >= 0`` of term id ``tid``."""
+        df = int(self.col_ptr[tid + 1] - self.col_ptr[tid])
+        return math.log(1.0 + (self.size - df + 0.5) / (df + 0.5))
 
     @cached_property
-    def df(self) -> np.ndarray:
-        """Number of items containing each term id."""
-        return np.diff(self._columns[0])
+    def _gains(self) -> dict[tuple[float, float, int], np.ndarray]:
+        """Each term's ``idf * tf * (k1 + 1.0) / (tf + norm)`` per posting, in postings order, by (k1, b, term id).
 
-    @cached_property
-    def cf(self) -> np.ndarray:
-        """Number of occurrences of each term id in the collection."""
-        col_ptr, _, tfs = self._columns
-        return _segment_sums(tfs, col_ptr)
-
-    @cached_property
-    def _id_rank(self) -> np.ndarray:
-        """Position of each ordinal's id in ascending id order (the ranking tie-break)."""
-        rank = np.empty(self.size, dtype=np.int64)
-        rank[sorted(range(self.size), key=self.item_ids.__getitem__)] = np.arange(self.size)
-        return rank
-
-    @cached_property
-    def _bm25_tables(self) -> dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]:
-        return {}
-
-    def bm25_table(self, k1: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each term id's idf and each posting's ``idf * tf * (k1 + 1.0) / (tf + norm)``, in postings order.
-
-        Built in one pass on the first call for ``(k1, b)`` and kept. The idf is
-        ``ln(1 + (N - df + 0.5) / (df + 0.5)) >= 0``, one ``math.log`` per distinct df.
+        Filled by :func:`bm25_ordinals` with the terms it scores.
         """
-        table = self._bm25_tables.get((k1, b))
-        if table is None:
-            _, ordinals, tfs = self._columns
-            df = self.df
-            distinct = np.flatnonzero(np.bincount(df))
-            idf_of_df = np.zeros(int(df.max(initial=0)) + 1)
-            idf_of_df[distinct] = [math.log(1.0 + (self.size - d + 0.5) / (d + 0.5)) for d in distinct.tolist()]
-            idf = idf_of_df[df]
-            norm = k1 * (1.0 - b + b * self.lengths[ordinals] / self.avgdl)
-            table = self._bm25_tables[(k1, b)] = (idf, np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + norm))
-        return table
+        return {}
 
     @cached_property
     def total_tokens(self) -> int:
-        return int(self.row_tfs.sum())
+        return int(self.lengths.sum())
 
     @cached_property
     def avgdl(self) -> float:
@@ -282,10 +269,11 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     are stored as int32. No :func:`tokenize` call runs, yet each row holds
     exactly ``Counter(tokenize(text))``.
 
-    Each kept token then gets one int64 key, ``row * n_terms + term``; one
-    sort of the keys puts the tokens of each (item, term) pair in one run, in
-    row and then term order, and each run's length is the pair's term
-    frequency.
+    Each kept token then gets one int64 key, ``term * n_items + row``; one
+    sort of the keys puts the tokens of each (term, item) pair in one run, in
+    term and then row order, so the runs are the postings and each run's
+    length is the pair's term frequency. An item's length and a term's cf
+    are their counts of kept tokens.
     """
     item_ids: list[str] = []
     seen: set[str] = set()
@@ -316,24 +304,38 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     ends = np.flatnonzero(at_end) - np.arange(len(item_ids))  # each item's end in tokens
     tokens = marked[~at_end]
     del marked, at_end
-    keys = np.repeat(np.arange(len(item_ids), dtype=np.int64) * len(terms), np.diff(ends, prepend=0))
-    keys += sorted_id[tokens]
+    lengths = np.diff(ends, prepend=0)
+    keys = sorted_id[tokens]
     del tokens  # each per-token array is freed once read, so few are held at a time
-    keys.sort()  # the tokens of row r stay at positions ends[r - 1]:ends[r]
+    cf = np.bincount(keys, minlength=len(terms))
+    keys *= len(item_ids)
+    keys += np.repeat(np.arange(len(item_ids), dtype=np.int64), lengths)
+    keys.sort()
     boundary = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end of the last one
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:-1])
     bounds = np.flatnonzero(boundary)
-    row_ptr = np.zeros(len(item_ids) + 1, dtype=np.int64)
-    row_ptr[1:] = np.searchsorted(bounds[:-1], ends)
-    pair_terms = keys[bounds[:-1]]
+    del boundary
+    pair_keys = keys[bounds[:-1]]
     del keys
-    np.remainder(pair_terms, len(terms) or 1, out=pair_terms)  # no terms, no keys
+    col_tfs = np.diff(bounds).astype(np.int32)
+    del bounds
+    # the pairs of term t have keys in [t * n_items, (t + 1) * n_items)
+    term_keys = np.arange(len(terms) + 1, dtype=np.int64) * len(item_ids)
+    col_ptr = np.searchsorted(pair_keys, term_keys)
+    pair_keys -= np.repeat(term_keys[:-1], np.diff(col_ptr))  # each pair's row
+    col_ordinals = pair_keys.astype(np.int32)
+    del pair_keys
+    id_rank = np.empty(len(item_ids), dtype=np.int32)
+    id_rank[sorted(range(len(item_ids)), key=item_ids.__getitem__)] = np.arange(len(item_ids), dtype=np.int32)
     return InvertedIndex(
         item_ids=item_ids,
         terms=terms,
-        row_ptr=row_ptr,
-        row_terms=pair_terms.astype(np.int32),
-        row_tfs=np.diff(bounds).astype(np.int32),
+        col_ptr=col_ptr,
+        col_ordinals=col_ordinals,
+        col_tfs=col_tfs,
+        lengths=lengths,
+        cf=cf,
+        id_rank=id_rank,
         tokenizer_sha256=TOKENIZER_SHA256,
         file_sha256="",
     )
@@ -365,35 +367,40 @@ def bm25_ordinals(
 ) -> OrdinalRun:
     """:func:`bm25_retrieve`'s ranking as the items' ordinals (int32) and their scores (float64).
 
-    A bag whose every term occurs once gathers its postings' gains from
-    :meth:`InvertedIndex.bm25_table`, as ``1 * idf == idf``; a bag with a
-    repeated term weighs each term's postings by ``query_tf * idf`` as
-    before. Only the hits scoring at least the depth-th score (ties at the
-    cut included, found with ``np.partition``) are sorted.
+    Each posting of a query term gains ``query_tf * idf * tf * (k1 + 1.0) /
+    (tf + norm)``, computed for all of the query's postings in one pass. The
+    gains of a term that occurs once in its bag are kept per ``(k1, b)``
+    (``1 * idf == idf``), so a later bag whose every term is kept gathers
+    them instead. Only the hits scoring at least the depth-th score (ties at
+    the cut included, found with ``np.partition``) are sorted.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    query = [(index.term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in index.term_id]
+    bag = Counter(terms)
+    query = [(tid, query_tf) for tid, query_tf in zip(map(index.term_id, bag), bag.values()) if tid >= 0]
     if not query:  # bincount of no postings would give int64 scores
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-    col_ptr, col_ordinals, col_tfs = index._columns
-    idf, posting_gains = index.bm25_table(k1, b)
-    positions, bounds = _segments(col_ptr, [tid for tid, _ in query])
-    ordinals = col_ordinals[positions]
-    if all(query_tf == 1 for _, query_tf in query):
-        gains = posting_gains[positions]
+    tids = [tid for tid, _ in query]
+    positions, bounds = _segments(index.col_ptr, tids)
+    ordinals = index.col_ordinals[positions]
+    kept = [index._gains.get((k1, b, tid)) if query_tf == 1 else None for tid, query_tf in query]
+    if all(term_gains is not None for term_gains in kept):
+        gains = np.concatenate(kept)
     else:  # query_tf * idf per term, then the gain of every posting of the query's terms in one pass
-        tfs = col_tfs[positions]
-        weights = np.repeat([query_tf * idf[tid] for tid, query_tf in query], np.diff(bounds))
+        tfs = index.col_tfs[positions]
+        weights = np.repeat([query_tf * index.idf(tid) for tid, query_tf in query], np.diff(bounds))
         norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
         gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
+        for (tid, query_tf), lo, hi in zip(query, bounds[:-1].tolist(), bounds[1:].tolist()):
+            if query_tf == 1:
+                index._gains.setdefault((k1, b, tid), gains[lo:hi])
     # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
     scores = np.bincount(ordinals, weights=gains, minlength=index.size)
     hits = np.flatnonzero(scores > 0.0)
     if len(hits) > depth:
         hit_scores = scores[hits]
         hits = hits[hit_scores >= np.partition(hit_scores, len(hits) - depth)[len(hits) - depth]]
-    hits = hits[np.lexsort((index._id_rank[hits], -scores[hits]))][:depth]
+    hits = hits[np.lexsort((index.id_rank[hits], -scores[hits]))][:depth]
     return hits.astype(np.int32), scores[hits]
 
 
@@ -455,20 +462,24 @@ def pseudo_query_terms(index: InvertedIndex, ordinal: int, m: int) -> tuple[str,
 _INDEX_SCHEMA: dict[str, MemberSpec] = {
     "item_ids": (np.uint8, 1, _json_value),
     "terms": (np.uint8, 1, _json_value),
-    "row_ptr": (np.int64, 1, None),
-    "row_terms": (np.int32, 1, None),
-    "row_tfs": (np.int32, 1, None),
+    "col_ptr": (np.int64, 1, None),
+    "col_ordinals": (np.int32, 1, None),
+    "col_tfs": (np.int32, 1, None),
+    "lengths": (np.int64, 1, None),
+    "cf": (np.int64, 1, None),
+    "id_rank": (np.int32, 1, None),
 }
 
 
 def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as an artifact of plain arrays with a format/version header.
 
-    The version 4 header holds the format name, the version and two SHA-256
+    The version 5 header holds the format name, the version and two SHA-256
     strings: of the tokenizer and of the source file's bytes
     (``file_sha256``, ``""`` for items read from no file), by which a
-    command tells whether the index is stale. Two builds from the same
-    items write the same bytes.
+    command tells whether the index is stale. The members are the ids, the
+    vocabulary, the postings, the lengths, cf and the id ranks. Two builds
+    from the same items write the same bytes.
     """
     header = {
         "format": INDEX_FORMAT,
@@ -479,35 +490,51 @@ def save_index(index: InvertedIndex, path) -> None:
     write_artifact(path, header, {
         "item_ids": _json_array(index.item_ids),
         "terms": _json_array(index.terms),
-        "row_ptr": index.row_ptr,
-        "row_terms": index.row_terms,
-        "row_tfs": index.row_tfs,
+        **{name: getattr(index, name) for name in ("col_ptr", "col_ordinals", "col_tfs", "lengths", "cf", "id_rank")},
     })
 
 
 def _index_from(header: dict, values: dict) -> InvertedIndex:
-    """Check what spans the members read from an index artifact and assemble the index."""
+    """Check what spans the members read from an index artifact and assemble the index.
+
+    Beyond bounds, the checks cost a pass over each member and none
+    recomputes one: ``lengths`` and ``cf`` must sum to the postings'
+    total, and the ids must ascend strictly in the order of ``id_rank``
+    (which makes them distinct).
+    """
     fingerprint = [header.get("tokenizer_sha256"), header.get("file_sha256")]
     if not all(isinstance(value, str) for value in fingerprint):
         raise ValueError("no tokenizer and file fingerprint")
-    item_ids, terms, row_ptr, row_terms, row_tfs = (values[name] for name in _INDEX_SCHEMA)
-    if not isinstance(item_ids, list) or not all(isinstance(i, str) for i in item_ids):
+    item_ids, terms, col_ptr, col_ordinals, col_tfs, lengths, cf, id_rank = (values[name] for name in _INDEX_SCHEMA)
+    if not isinstance(item_ids, list) or not set(map(type, item_ids)) <= {str}:
         raise ValueError("item ids are not a list of strings")
-    if len(set(item_ids)) != len(item_ids):
-        raise ValueError("duplicate item ids")
-    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+    if not isinstance(terms, list) or not set(map(type, terms)) <= {str}:
         raise ValueError("terms are not a list of strings")
-    if any(a >= b for a, b in itertools.pairwise(terms)):
+    if not all(map(operator.lt, terms, terms[1:])):
         raise ValueError("terms are not sorted and distinct")
-    if len(row_ptr) != len(item_ids) + 1 or row_ptr[0] != 0 or np.any(np.diff(row_ptr) < 0):
-        raise ValueError("row_ptr is not a monotone offset per item")
-    if row_ptr[-1] != len(row_terms) or len(row_tfs) != len(row_terms):
-        raise ValueError("row_ptr, row_terms and row_tfs disagree in length")
-    if len(row_terms) and (row_terms.min() < 0 or row_terms.max() >= len(terms) or row_tfs.min() < 1):
-        raise ValueError("a term id or term frequency is out of range")
-    if np.any((np.diff(row_terms) <= 0) & _segment_pairs(row_ptr, len(row_terms))):
-        raise ValueError("a row's term ids are not ascending and distinct")
-    return InvertedIndex(item_ids, terms, row_ptr, row_terms, row_tfs, *fingerprint)
+    size = len(item_ids)
+    if len(col_ptr) != len(terms) + 1 or col_ptr[0] != 0 or np.any(np.diff(col_ptr) < 0):
+        raise ValueError("col_ptr is not a monotone offset per term")
+    if col_ptr[-1] != len(col_ordinals) or len(col_tfs) != len(col_ordinals):
+        raise ValueError("col_ptr, col_ordinals and col_tfs disagree in length")
+    if len(col_ordinals) and (col_ordinals.min() < 0 or col_ordinals.max() >= size or col_tfs.min() < 1):
+        raise ValueError("an ordinal or term frequency is out of range")
+    if np.any((np.diff(col_ordinals) <= 0) & _segment_pairs(col_ptr, len(col_ordinals))):
+        raise ValueError("a term's ordinals are not ascending and distinct")
+    total = int(col_tfs.sum())
+    for name, counts, count in (("lengths", lengths, size), ("cf", cf, len(terms))):
+        if len(counts) != count or (count and counts.min() < 0) or int(counts.sum()) != total:
+            raise ValueError(f"{name} is not {count} counts >= 0 summing to the postings' {total} tokens")
+    if len(id_rank) != size or size and (id_rank.min() < 0 or id_rank.max() >= size):
+        raise ValueError("id_rank is not a rank in range per item")
+    order = np.zeros(size, dtype=np.int64)  # each rank's ordinal, once id_rank is a permutation
+    order[id_rank] = np.arange(size)
+    if not np.array_equal(id_rank[order], np.arange(size)):
+        raise ValueError("id_rank is not a permutation")
+    ranked = [item_ids[o] for o in order.tolist()]
+    if not all(map(operator.lt, ranked, ranked[1:])):
+        raise ValueError("the ids do not ascend strictly in id_rank order")
+    return InvertedIndex(item_ids, terms, col_ptr, col_ordinals, col_tfs, lengths, cf, id_rank, *fingerprint)
 
 
 def load_index(path) -> InvertedIndex:

@@ -497,7 +497,7 @@ def rerank_by_rbo(pool: VariantPool, target: Query, config: QppConfig, res: Pipe
         table.fill(row, _internal_run(texts[row], config, res))
     order, overlaps = rbo_top_k(
         target_ordinals, table.ordinals[rows], table.lengths[rows], res.doc_index.size, config.k,
-        (res.query_index._id_rank[rows], pool.hops), config.rbo_params,
+        (res.query_index.id_rank[rows], pool.hops), config.rbo_params,
     )
     kept = [
         QVCandidate(Query(item_ids[row], texts[row]), hop, score, overlap, table.run(row))

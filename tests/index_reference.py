@@ -3,7 +3,9 @@
 Tokenizes one item at a time with :func:`qvqpp.tokenize` and maps each
 kept token through a ``defaultdict`` into an ``array``; then one sort of
 int64 keys gives the rows. Kept as the reference for the batched build:
-same arrays, same dtypes, and the peak memory the build must not exceed.
+same rows (the index's derived row view), same dtypes, and the peak memory
+the build must not exceed. :func:`index_from_rows` turns such rows into the
+stored form of an index.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from qvqpp import tokenize
+from qvqpp.text_index import InvertedIndex
 
 
 def build_index_arrays(items: Iterable[tuple[str, str]]) -> dict:
@@ -61,3 +64,24 @@ def build_index_arrays(items: Iterable[tuple[str, str]]) -> dict:
         "row_terms": pair_terms.astype(np.int32),
         "row_tfs": np.diff(bounds).astype(np.int32),
     }
+
+
+def index_from_rows(item_ids, terms, row_ptr, row_terms, row_tfs, *, tokenizer_sha256: str,
+                    file_sha256: str) -> InvertedIndex:
+    """The index whose rows these are, its stored members computed from them apart from ``build_index``.
+
+    The postings come from one lexsort of the entries by (term, row), the
+    lengths and cf from per-row and per-term sums, the id ranks from the
+    sorted ids.
+    """
+    entry_rows = np.repeat(np.arange(len(item_ids), dtype=np.int32), np.diff(row_ptr))
+    order = np.lexsort((entry_rows, row_terms))
+    col_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_terms, minlength=len(terms)), out=col_ptr[1:])
+    lengths = np.array([int(row_tfs[lo:hi].sum()) for lo, hi in zip(row_ptr[:-1], row_ptr[1:])], dtype=np.int64)
+    cf = np.zeros(len(terms), dtype=np.int64)
+    np.add.at(cf, row_terms, row_tfs)
+    rank_of = {item_id: rank for rank, item_id in enumerate(sorted(item_ids))}
+    id_rank = np.array([rank_of[item_id] for item_id in item_ids], dtype=np.int32)
+    return InvertedIndex(item_ids, terms, col_ptr, entry_rows[order], row_tfs[order], lengths, cf, id_rank,
+                         tokenizer_sha256, file_sha256)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 import qvqpp.variants
 from qvqpp import cli
 from qvqpp.cli import main
+from qvqpp.text_index import tokenize
 from qvqpp.variants import expand_2hop, rerank_by_rbo, retrieve_1hop
 
 DENSE_UEF = ("qpp.query_retriever=dense", "qpp.base=uef")
@@ -27,25 +29,25 @@ DENSE_UEF = ("qpp.query_retriever=dense", "qpp.base=uef")
 # The SHA-256 of each file in the index directory after index and a cold predict, by setting.
 ARTIFACT_GOLDENS = {
     "nqc-2hop": {
-        "documents.idx": "0bc8b965dfe0bd91bb1fe99c3c03759fcc63d2633a501f7f6249f7bdcec80e11",
+        "documents.idx": "21eb25924585e222ecf03a14221186899409bcea6583fa0c401e8ad48009db47",
         "internal_runs-bm25.k1=0.9-bm25.b=0.4-qpp.internal_depth=100.runs":
-            "0022bf75ecf6c88f7ab260db49703f37985d6d6e0cf351da626bbd64bbdafd01",
+            "b082465bbf81f8653fdeb1b3327539e5c4be588af421a3c7d0aacbc7c98db22e",
         "pseudo_query_hits-bm25.k1=0.9-bm25.b=0.4-qpp.pseudo_query_m=20-qpp.n=100.runs":
-            "80c60e26806e0e1936f8952b963da7283a0831c7018fbb5676d0f8fcb744c0ab",
-        "queries.idx": "930f3163277df5867b7a00d858d6a50249d487ccf999124f55f90918828e03f9",
+            "36c191212402231780cac69191d93056da31585f7fc2f725182a2304888298dc",
+        "queries.idx": "3748bd9bc04828bfb8cb44e5999280fe574fca8821542a707a00066cd29a4822",
         "variant_phi-qpp.base='nqc'-qpp.internal_depth=100-predictor.top_k=100-bm25.k1=0.9-bm25.b=0.4.runs":
-            "b4336cf1b07f1616a5cca471b9b9910834102a53ef3d22f56156c1301ed94042",
+            "c3be667a93e3fbf5335bc03e27599e09b0e17de70e0cf0c0324815306408d878",
     },
     "dense-uef": {
-        "documents.idx": "0bc8b965dfe0bd91bb1fe99c3c03759fcc63d2633a501f7f6249f7bdcec80e11",
+        "documents.idx": "21eb25924585e222ecf03a14221186899409bcea6583fa0c401e8ad48009db47",
         "internal_runs-bm25.k1=0.9-bm25.b=0.4-qpp.internal_depth=100.runs":
-            "ca2b2fd1f2a93ea1d18db7c68c0e157a81015c8dda706aee3181c640372aee76",
+            "8d14462965b27e96d3996f2971b03edbc3474b5cdd8e7685b9cddb5807427eec",
         "pseudo_query_hits-bm25.k1=0.9-bm25.b=0.4-qpp.pseudo_query_m=20-qpp.n=100.runs":
-            "5a6eda6a9110d88ae5dceab0cb1665129b9e7e4e7f16c1dfee512322ffabc2ac",
-        "queries.idx": "930f3163277df5867b7a00d858d6a50249d487ccf999124f55f90918828e03f9",
+            "5cc1dcacf6e7f47eef5cd1535bd0f4f9415d44c48e4fec2214d05cd9a7f85116",
+        "queries.idx": "3748bd9bc04828bfb8cb44e5999280fe574fca8821542a707a00066cd29a4822",
         "variant_phi-qpp.base='uef'-qpp.internal_depth=100-predictor.top_k=100-predictor.uef_samples=5-"
         "predictor.uef_sample_size=2-predictor.mu=1000.0-bm25.k1=0.9-bm25.b=0.4-seed=42-qpp.rbo_p=0.9-"
-        "qpp.rbo_depth=100.runs": "faeca20563526cd4e018f146f713ed88edf44dc5e22ab50ffaae1cd3a18a495e",
+        "qpp.rbo_depth=100.runs": "0aad50e285b3f5d38a82dd883cc2c8cf1353d82099456a2baad04a78471d5a70",
     },
 }
 
@@ -69,6 +71,30 @@ def test_index_and_cold_predict_write_the_golden_artifacts(workspace, tmp_path, 
         assert main(_argv(workspace, tmp_path, command, overrides)) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "index").iterdir()}
     assert digests == ARTIFACT_GOLDENS[setting]
+
+
+def test_warm_one_hop_nqc_predict_derives_no_row_view_and_only_the_gains_it_scores(workspace, tmp_path, monkeypatch):
+    """A warm 1-hop NQC predict reads both indexes as stored and derives nothing from the whole collection.
+
+    Its BM25 runs are each target's 1-hop retrieval and its own internal
+    run, so each index keeps gains for exactly the terms of the target
+    queries that it holds (but for a term its query repeats, weighed per
+    call); no relevance model or pseudo-query reads a row.
+    """
+    overrides = ("qpp.use_2hop=false",)
+    for command in ("index", "predict"):
+        assert main(_argv(workspace, tmp_path, command, overrides)) == 0
+    loaded = []
+    load_index = cli.load_index
+    monkeypatch.setattr(cli, "load_index", lambda path: loaded.append(load_index(path)) or loaded[-1])
+    assert main(_argv(workspace, tmp_path, "predict", overrides)) == 0
+    targets, run_map = cli._load_target_run(cli.load_config(workspace["config"], _overrides(tmp_path, overrides)))
+    assert len(loaded) == 2
+    for index in loaded:
+        assert "_rows" not in vars(index)
+        bags = [Counter(tokenize(targets[qid].text)) for qid in run_map]
+        scored = {index.term_id(term) for bag in bags for term, query_tf in bag.items() if query_tf == 1} - {-1}
+        assert scored and {tid for _, _, tid in index._gains} == scored
 
 
 def _expected_work(cfg, qpp) -> dict:

@@ -532,6 +532,25 @@ def test_a_key_named_twice_in_a_mapping_is_refused(tmp_path, libyaml, text, over
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+@pytest.mark.parametrize("value, tag, scalar", [
+    ("!!float #c 1", "float", "''"),  # the comment leaves the tag an empty scalar
+    ("!!bool maybe", "bool", "'maybe'"),
+    ("!!timestamp x", "timestamp", "'x'"),
+    ("!!int 1.5", "int", "'1.5'"),
+])
+def test_a_value_its_tag_cannot_construct_is_one_error_line(tmp_path, capsys, monkeypatch, libyaml, value, tag, scalar):
+    if not libyaml:
+        monkeypatch.setattr(cli, "_CSafeLoader", None)
+    config = tmp_path / "config.yaml"
+    config.write_text(f"seed: {value}\n{PATHS_TEXT}", encoding="utf-8")
+    assert cli.main(["index", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: malformed YAML: cannot construct tag:yaml.org,2002:{tag} from {scalar} "
+        f'in "{config}", line 1, column 7\n'
+    )
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
 @pytest.mark.parametrize("root", ["false", "0", "[]", "''", "[1]", "text"])
 def test_a_root_that_is_no_mapping_is_refused_even_when_falsy(tmp_path, libyaml, root):
     got = text_outcome(tmp_path, f"{root}\n", libyaml=libyaml)
@@ -614,6 +633,10 @@ def _named_stream(text: str):
 @example(text="a: 1\n\ufeff")
 @example(text="\ufeff\ufeffa: 1")
 @example(text="k: >#")
+@example(text="seed: !!float #c 1")
+@example(text="seed: !!bool maybe")
+@example(text="seed: !!timestamp x")
+@example(text="seed: !!int 1.5")
 def test_yaml_returns_what_safeloader_returns_or_raises_its_message(libyaml, text):
     with pytest.MonkeyPatch.context() as patch:
         if not libyaml:

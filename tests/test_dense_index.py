@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qvqpp import RankedList, knn_cosine, load_vectors, store_from_arrays
@@ -14,6 +16,20 @@ def knn_ranked(store, query, depth, exclude=()):
     """``knn_cosine``'s rows as a ranked list of their ids, excluding the rows of the ids in ``exclude``."""
     rows, sims = knn_cosine(store, query, depth, [store.index_of[item_id] for item_id in exclude])
     return RankedList("", [(store.ids[row], sim) for row, sim in zip(rows.tolist(), sims.tolist())])
+
+
+def knn_full_sort(store, query_vec, depth, exclude=()):
+    """knn_cosine as one lexsort of the whole store by (similarity desc, id asc): the form partitioning replaced."""
+    q = np.asarray(query_vec, dtype=np.float64)
+    qnorm = float(np.linalg.norm(q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = (store.matrix @ q) / (store.norms * qnorm)
+    sims = np.where(store.norms == 0.0, -np.inf, sims)
+    order = np.lexsort((np.asarray(store.ids), -sims))
+    stop = np.flatnonzero(sims[order] == -np.inf)  # -inf rows sort last, and the first of them ends the ranking
+    order = order[: stop[0] if len(stop) else len(order)]
+    order = order[~np.isin(order, np.fromiter(exclude, np.int64))][:depth]
+    return order, sims[order]
 
 
 def write_store(tmp_path, rows, header=None):
@@ -214,3 +230,30 @@ class TestKnnCosine:
         store = store_from_arrays(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="shape"):
             knn_ranked(store, [1.0, 0.0, 0.0], depth=1)
+
+
+# Stores of up to 12 rows of small integer components, so that similarities tie often (equal and parallel rows), with
+# zero rows among them. Ids hold no NUL: a numpy string array, which the full sort orders by, drops trailing NULs.
+_ids = st.text(st.characters(exclude_characters="\x00"), max_size=3)
+_stores = st.integers(1, 12).flatmap(lambda count: st.tuples(
+    st.lists(_ids, min_size=count, max_size=count, unique=True),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=count, max_size=count),
+))
+
+
+class TestKnnAgainstFullSort:
+    @settings(max_examples=300, deadline=None)
+    @given(_stores, st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any), st.integers(1, 15),
+           st.sets(st.integers(0, 11)))
+    @example(  # three rows tie at the depth-th similarity; the zero row and the excluded one never count
+        store=(["d", "c", "b", "a", "z"], [[1, 0, 0], [2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        query=[1, 0, 0], depth=2, exclude={1},
+    )
+    def test_equals_the_full_sort(self, store, query, depth, exclude):
+        ids, vectors = store
+        store = store_from_arrays(ids, vectors)
+        exclude = [row for row in sorted(exclude) if row < len(ids)]
+        rows, sims = knn_cosine(store, query, depth, exclude)
+        want_rows, want_sims = knn_full_sort(store, query, depth, exclude)
+        assert rows.dtype == want_rows.dtype and rows.tolist() == want_rows.tolist()
+        assert sims.tolist() == want_sims.tolist()

@@ -522,7 +522,18 @@ def value_faults(values: str):
     yield f"{values}-missing", _member_fault(lambda h, m: m.pop(values))
 
 
-INDEX_FAULTS = dict(artifact_faults("row_ptr", "row_terms"))
+def index_faults():
+    """(name, fault) pairs for an index artifact: those of its postings as CSR parts, then of what spans members."""
+    yield from artifact_faults("col_ptr", "col_ordinals")
+    yield "col_tfs-zero", _member_fault(_set("col_tfs", 0, 0))
+    yield "lengths-short", _member_fault(lambda h, m: m.update(lengths=m["lengths"][:-1]))
+    yield "lengths-negative", _member_fault(lambda h, m: _set("lengths", [0, 1], m["lengths"][[0, 1]] + [-1000, 1000])(h, m))
+    yield "cf-disagreeing", _member_fault(lambda h, m: _set("cf", 0, m["cf"][0] + 1)(h, m))
+    yield "id_rank-out-of-id-order", _member_fault(lambda h, m: _set("id_rank", [0, 1], m["id_rank"][[1, 0]])(h, m))
+    yield "id_rank-repeated", _member_fault(lambda h, m: _set("id_rank", 0, m["id_rank"][1])(h, m))
+
+
+INDEX_FAULTS = dict(index_faults())
 STORE_FAULTS = dict(artifact_faults("ptr", "ordinals", "scores", "keys"))
 PHI_FAULTS = dict(value_faults("phi"))
 
@@ -551,6 +562,7 @@ class TestMalformedArtifacts:
             assert main(["predict", "--config", str(pristine["config"]), "--out", str(pristine["root"] / "x")]) == 1
         finally:
             path.write_bytes(pristine["bytes"][path])
+        assert not (pristine["root"] / "x").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{path}: not a qvqpp.inverted_index artifact (" in err, err
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import random
 import tempfile
@@ -20,13 +21,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from index_reference import build_index_arrays
+from index_reference import build_index_arrays, index_from_rows
 from qvqpp import (
     Document,
     RankedList,
     bm25_retrieve,
     build_index,
     build_relevance_model,
+    collection_score,
     load_index,
     make_pseudo_query,
     parse_collection,
@@ -36,9 +38,10 @@ from qvqpp import (
 )
 from qvqpp import text_index
 from qvqpp.corpus_io import iter_tsv
+from qvqpp.predictors import COLLECTION_SCORE_FLOOR
 from qvqpp.text_index import (
+    INDEX_VERSION,
     TOKENIZER_SHA256,
-    InvertedIndex,
     bm25_ordinals,
     pseudo_query_terms,
     ranked_list,
@@ -117,7 +120,7 @@ class TestBuildIndex:
             ordinals, tfs = index.postings(term)
             assert ordinals.tolist() == sorted(ordinals.tolist())
             assert tfs.sum() == index.cf[tid]
-            assert len(ordinals) == index.df[tid]
+            assert len(ordinals) == index.col_ptr[tid + 1] - index.col_ptr[tid]
         assert index.avgdl == pytest.approx(index.total_tokens / index.size)
 
 
@@ -149,23 +152,34 @@ class TestIndexAgainstCounterBuilder:
             assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
         with tempfile.TemporaryDirectory() as scratch:
             save_index(index, Path(scratch) / "built.idx")
-            oracle_index = InvertedIndex(**want, tokenizer_sha256=TOKENIZER_SHA256, file_sha256="")
+            oracle_index = index_from_rows(**want, tokenizer_sha256=TOKENIZER_SHA256, file_sha256="")
             save_index(oracle_index, Path(scratch) / "oracle.idx")
             assert (Path(scratch) / "built.idx").read_bytes() == (Path(scratch) / "oracle.idx").read_bytes()
 
     def test_postings_order_past_two_byte_term_ids(self):
-        # 70,000 terms: ids past 2**16 need the high-digit pass to sort after the low ones
+        # 70,000 terms: the stored postings of ids past 2**16 agree with the rows
         rng = random.Random(7)
         words = [f"w{i:05d}" for i in range(70_000)]
         items = [("all", " ".join(words))] + [(f"d{doc}", " ".join(rng.choices(words, k=20_000))) for doc in range(3)]
         index = build_index(items)
         assert len(index.terms) > 1 << 16
-        col_ptr, ordinals, tfs = index._columns
+        col_ptr, ordinals, tfs = index.col_ptr, index.col_ordinals, index.col_tfs
         order = np.argsort(index.row_terms, kind="stable")
         rows = np.repeat(np.arange(index.size), np.diff(index.row_ptr))
         assert np.array_equal(ordinals, rows[order]) and np.array_equal(tfs, index.row_tfs[order])
         assert ordinals.dtype == tfs.dtype == np.int32
         assert np.array_equal(np.diff(col_ptr), np.bincount(index.row_terms, minlength=len(index.terms)))
+
+    def test_row_view_past_two_byte_ordinals(self):
+        # 70,000 items: ordinals past 2**16 need the row view's high-digit pass to sort after the low ones
+        rng = random.Random(8)
+        words = ["the", *(f"w{i}" for i in range(300))]
+        items = [(f"i{n:05d}", " ".join(rng.choices(words, k=rng.randint(0, 4)))) for n in range(70_000)]
+        index = build_index(items)
+        want = oracles.build_index_counter(items)
+        for name in ("row_ptr", "row_terms", "row_tfs"):
+            got = getattr(index, name)
+            assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
 
 
 def _assert_members_equal_the_reference(items):
@@ -358,17 +372,25 @@ class TestPersistence:
         for terms in (["coffee"], ["espresso", "crema"], ["water", "temperature"]):
             assert bm25_retrieve(index, terms, 10).entries == bm25_retrieve(reloaded, terms, 10).entries
 
-    def test_totals_computed_on_first_read_after_load(self, tmp_path):
-        # an artifact holds only the term matrix; every derived attribute is computed on first read
+    def test_loaded_index_holds_its_stored_members_and_derives_the_rest_on_first_use(self, tmp_path):
+        # the artifact holds the postings, lengths, cf and id ranks; the row view and gains are derived when read
         index = build_index(TOY_CORPUS)
         path = tmp_path / "toy.idx"
         save_index(index, path)
         reloaded = load_index(path)
-        derived = ("ordinal_of", "term_id", "lengths", "_columns", "df", "cf", "_id_rank", "total_tokens", "avgdl")
+        for name in ("col_ptr", "col_ordinals", "col_tfs", "lengths", "cf", "id_rank"):
+            assert np.array_equal(vars(reloaded)[name], getattr(index, name)), name
+        assert reloaded.lengths.tolist() == [len(tokenize(text)) for _, text in TOY_CORPUS]
+        derived = ("ordinal_of", "_rows", "_gains", "total_tokens", "avgdl")
         assert not set(derived) & set(vars(reloaded))
+        bm25_ordinals(reloaded, ["coffee", "beans", "absent"], 3)
+        assert "_rows" not in vars(reloaded)
+        assert sorted(reloaded._gains) == [(0.9, 0.4, reloaded.term_id("beans")), (0.9, 0.4, reloaded.term_id("coffee"))]
         assert reloaded.total_tokens == sum(len(tokenize(text)) for _, text in TOY_CORPUS)
         assert reloaded.avgdl == reloaded.total_tokens / index.size
         assert vars(reloaded)["avgdl"] == reloaded.avgdl
+        reloaded.rows([0])
+        assert np.array_equal(vars(reloaded)["_rows"][0], index.row_ptr)
 
     def test_bad_artifact_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
@@ -431,35 +453,53 @@ def _write_members(path, members):
                 np.lib.format.write_array(member, np.asarray(array), allow_pickle=True)
 
 
-def _swap_first_offsets(row_ptr):
-    row_ptr = row_ptr.copy()
-    row_ptr[1], row_ptr[2] = row_ptr[2], row_ptr[1]
-    return row_ptr
-
-
-def _set_first(array, value):
-    array = array.copy()
-    array[0] = value
-    return array
-
-
 def _header(**changes):
-    header = {"format": "qvqpp.inverted_index", "version": 4, "tokenizer_sha256": "0" * 64, "file_sha256": "0" * 64}
+    header = {"format": "qvqpp.inverted_index", "version": INDEX_VERSION, "tokenizer_sha256": "0" * 64,
+              "file_sha256": "0" * 64}
     header.update(changes)
     return _json_member({k: v for k, v in header.items() if v is not None})
 
 
+def _set(array, position, value):
+    """A copy of ``array`` with ``value`` at ``position``."""
+    array = array.copy()
+    array[position] = value
+    return array
+
+
+def _swap(array, i, j):
+    return _set(array, [i, j], array[[j, i]])
+
+
+def _repeat_in_a_term(m):
+    # the first term with two postings names its first item twice
+    start = int(np.flatnonzero(np.diff(m["col_ptr"]) >= 2)[0])
+    ordinals = m["col_ordinals"]
+    return {**m, "col_ordinals": _set(ordinals, m["col_ptr"][start] + 1, ordinals[m["col_ptr"][start]])}
+
+
 MALFORMED = {
-    "row_ptr-not-monotone": lambda m: {**m, "row_ptr": _swap_first_offsets(m["row_ptr"])},
-    "row_ptr-short": lambda m: {**m, "row_ptr": m["row_ptr"][:-1]},
-    "row_ptr-float": lambda m: {**m, "row_ptr": m["row_ptr"].astype(np.float64)},
-    "row_ptr-2d": lambda m: {**m, "row_ptr": m["row_ptr"].reshape(1, -1)},
-    "row_terms-short": lambda m: {**m, "row_terms": m["row_terms"][:-1]},
-    "row_tfs-short": lambda m: {**m, "row_tfs": m["row_tfs"][:-1]},
-    "term-id-past-vocabulary": lambda m: {**m, "row_terms": _set_first(m["row_terms"], 10_000)},
-    "term-id-negative": lambda m: {**m, "row_terms": _set_first(m["row_terms"], -1)},
-    "tf-zero": lambda m: {**m, "row_tfs": _set_first(m["row_tfs"], 0)},
-    "row_tfs-int64": lambda m: {**m, "row_tfs": m["row_tfs"].astype(np.int64)},
+    "col_ptr-not-monotone": lambda m: {**m, "col_ptr": _swap(m["col_ptr"], 1, 2)},
+    "col_ptr-short": lambda m: {**m, "col_ptr": m["col_ptr"][:-1]},
+    "col_ptr-float": lambda m: {**m, "col_ptr": m["col_ptr"].astype(np.float64)},
+    "col_ptr-2d": lambda m: {**m, "col_ptr": m["col_ptr"].reshape(1, -1)},
+    "col_ordinals-short": lambda m: {**m, "col_ordinals": m["col_ordinals"][:-1]},
+    "col_tfs-short": lambda m: {**m, "col_tfs": m["col_tfs"][:-1]},
+    "ordinal-past-items": lambda m: {**m, "col_ordinals": _set(m["col_ordinals"], 0, 10_000)},
+    "ordinal-negative": lambda m: {**m, "col_ordinals": _set(m["col_ordinals"], 0, -1)},
+    "ordinal-repeated-in-a-term": _repeat_in_a_term,
+    "tf-zero": lambda m: {**m, "col_tfs": _set(m["col_tfs"], 0, 0)},
+    "col_tfs-int64": lambda m: {**m, "col_tfs": m["col_tfs"].astype(np.int64)},
+    "lengths-short": lambda m: {**m, "lengths": m["lengths"][:-1]},
+    "lengths-negative": lambda m: {**m, "lengths": _set(m["lengths"], [0, 1], m["lengths"][[0, 1]] + [-100, 100])},
+    "lengths-disagreeing": lambda m: {**m, "lengths": _set(m["lengths"], 0, m["lengths"][0] + 1)},
+    "lengths-int32": lambda m: {**m, "lengths": m["lengths"].astype(np.int32)},
+    "cf-long": lambda m: {**m, "cf": np.append(m["cf"], 0)},
+    "cf-disagreeing": lambda m: {**m, "cf": _set(m["cf"], 0, m["cf"][0] + 1)},
+    "id_rank-short": lambda m: {**m, "id_rank": m["id_rank"][:-1]},
+    "id_rank-past-items": lambda m: {**m, "id_rank": _set(m["id_rank"], 0, len(m["id_rank"]))},
+    "id_rank-repeated": lambda m: {**m, "id_rank": _set(m["id_rank"], 0, m["id_rank"][1])},
+    "id_rank-out-of-id-order": lambda m: {**m, "id_rank": _swap(m["id_rank"], 0, 1)},
     "terms-unsorted": lambda m: {**m, "terms": _json_member(sorted(json.loads(m["terms"].tobytes()), reverse=True))},
     "terms-not-strings": lambda m: {**m, "terms": _json_member(list(range(len(json.loads(m["terms"].tobytes())))))},
     "item-ids-duplicated": lambda m: {**m, "item_ids": _json_member(["d1"] * len(TOY_CORPUS))},
@@ -470,7 +510,8 @@ MALFORMED = {
     "header-file-digest-not-string": lambda m: {**m, "header": _header(file_sha256=0)},
     "header-not-json": lambda m: {**m, "header": np.frombuffer(b"{not json", dtype=np.uint8)},
     "header-int64": lambda m: {**m, "header": m["header"].astype(np.int64)},
-    "member-missing": lambda m: {k: v for k, v in m.items() if k != "row_tfs"},
+    "member-missing": lambda m: {k: v for k, v in m.items() if k != "col_tfs"},
+    "id_rank-missing": lambda m: {k: v for k, v in m.items() if k != "id_rank"},
 }
 
 
@@ -517,20 +558,25 @@ class TestArtifactSafety:
         members["header"] = _header(version=1)
         path = tmp_path / "old.idx"
         _write_members(path, members)
-        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 4; rerun qvqpp index"):
+        with pytest.raises(ValueError, match=r"not a qvqpp.inverted_index artifact \(version 1, not 5; rerun qvqpp index"):
             load_index(path)
 
     @pytest.mark.parametrize("version, fields", [(2, ["source_sha256", "tokenizer_sha256"]),
-                                                 (3, ["source_sha256", "tokenizer_sha256", "file_sha256"])])
+                                                 (3, ["source_sha256", "tokenizer_sha256", "file_sha256"]),
+                                                 (4, ["tokenizer_sha256", "file_sha256"])])
     def test_older_artifacts_ask_for_a_rebuild(self, tmp_path, version, fields):
-        # a version 2 header, as written before the file digest, and a version 3 one, as written with the item
-        # digest: no second reader is kept for either
-        members = _members(tmp_path)
-        members["header"] = _json_member({"format": "qvqpp.inverted_index", "version": version,
-                                          **{field: "0" * 64 for field in fields}})
+        # a version 2 header, as written before the file digest, a version 3 one, as written with the item digest,
+        # and a version 4 one, as written with the rows in place of the postings: no second reader is kept for any
+        index = build_index(TOY_CORPUS)
+        members = {
+            "header": _json_member({"format": "qvqpp.inverted_index", "version": version,
+                                    **{field: "0" * 64 for field in fields}}),
+            "item_ids": _json_member(index.item_ids), "terms": _json_member(index.terms),
+            "row_ptr": index.row_ptr, "row_terms": index.row_terms, "row_tfs": index.row_tfs,
+        }
         path = tmp_path / f"v{version}.idx"
         _write_members(path, members)
-        with pytest.raises(ValueError, match=rf"not a qvqpp.inverted_index artifact \(version {version}, not 4; "
+        with pytest.raises(ValueError, match=rf"not a qvqpp.inverted_index artifact \(version {version}, not 5; "
                                              r"rerun qvqpp index\)$"):
             load_index(path)
 
@@ -555,7 +601,7 @@ class TestArtifactSafety:
         save_index(index, tmp_path / "documents.idx")
         assert load_index(tmp_path / "documents.idx").file_sha256 == digest
         assert index.built_from_file(source)
-        assert index.fingerprint == f"qvqpp.inverted_index/4/{digest}/{TOKENIZER_SHA256}"
+        assert index.fingerprint == f"qvqpp.inverted_index/5/{digest}/{TOKENIZER_SHA256}"
         assert not dataclasses.replace(index, tokenizer_sha256="0" * 64).built_from_file(source)
         assert not build_index([("d1", "coffee beans")]).built_from_file(source)  # built from items, not a file
         source.write_bytes(b"d1\tcoffee beans\r\n")  # other bytes, even though they parse to the same items
@@ -626,3 +672,97 @@ class TestIndexProperties:
         head = RankedList("q", [(doc_id, 1.0) for doc_id, _ in items])
         want = rm_rerank(model, head, index, depth=len(head), mu=mu)
         assert rm_rerank(model, head, reloaded, depth=len(head), mu=mu).entries == want.entries
+
+
+def _table_reference(index, k1, b):
+    """Each term id's idf and every posting's gain, in postings order, in one pass over the whole index.
+
+    The form the gains were computed in before they were computed per term;
+    the lengths and totals come from the postings, not the stored members.
+    """
+    df = np.diff(index.col_ptr)
+    distinct = np.flatnonzero(np.bincount(df))
+    idf_of_df = np.zeros(int(df.max(initial=0)) + 1)
+    idf_of_df[distinct] = [math.log(1.0 + (index.size - d + 0.5) / (d + 0.5)) for d in distinct.tolist()]
+    idf = idf_of_df[df]
+    lengths = np.bincount(index.col_ordinals, weights=index.col_tfs, minlength=index.size).astype(np.int64)
+    avgdl = int(index.col_tfs.sum()) / index.size
+    tfs = index.col_tfs
+    norm = k1 * (1.0 - b + b * lengths[index.col_ordinals] / avgdl)
+    return idf, np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + norm), lengths, avgdl
+
+
+def _bm25_reference(index, terms, depth, k1, b):
+    """bm25_ordinals over :func:`_table_reference`'s table, every hit sorted by (score desc, id asc)."""
+    term_id = {term: tid for tid, term in enumerate(index.terms)}
+    query = [(term_id[term], query_tf) for term, query_tf in Counter(terms).items() if term in term_id]
+    if not query:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
+    idf, posting_gains, lengths, avgdl = _table_reference(index, k1, b)
+    spans = [np.arange(index.col_ptr[tid], index.col_ptr[tid + 1]) for tid, _ in query]
+    positions = np.concatenate(spans)
+    ordinals = index.col_ordinals[positions]
+    if all(query_tf == 1 for _, query_tf in query):
+        gains = posting_gains[positions]
+    else:
+        tfs = index.col_tfs[positions]
+        weights = np.repeat([query_tf * idf[tid] for tid, query_tf in query], [len(span) for span in spans])
+        norm = k1 * (1.0 - b + b * lengths[ordinals] / avgdl)
+        gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
+    scores = np.bincount(ordinals, weights=gains, minlength=index.size)
+    hits = np.flatnonzero(scores > 0.0)
+    rank_of = {item_id: rank for rank, item_id in enumerate(sorted(index.item_ids))}
+    hits = hits[np.lexsort(([rank_of[index.item_ids[o]] for o in hits.tolist()], -scores[hits]))][:depth]
+    return hits.astype(np.int32), scores[hits]
+
+
+def _collection_score_reference(index, terms, k1, b):
+    """collection_score with each idf read from :func:`_table_reference`'s table and cf summed from the postings."""
+    idf, _, lengths, avgdl = _table_reference(index, k1, b)
+    total = int(lengths.sum())
+    term_id = {term: tid for tid, term in enumerate(index.terms)}
+    score = 0.0
+    for term, query_tf in Counter(terms).items():
+        if term not in term_id:
+            continue
+        tid = term_id[term]
+        cf = int(index.col_tfs[index.col_ptr[tid]:index.col_ptr[tid + 1]].sum())
+        norm = k1 * (1.0 - b + b * total / avgdl)
+        score += query_tf * float(idf[tid]) * cf * (k1 + 1.0) / (cf + norm)
+    return score if score > 0.0 else COLLECTION_SCORE_FLOOR
+
+
+# the words index_items' texts tokenize to, "the" (a stopword, so never indexed) and a word no text holds
+BAG_WORDS = ["alpha", "beta", "x1", "42", "b", "x", "y", "k", "kelvin", "the", "absent"]
+
+
+class TestGainsPerTerm:
+    """Gains computed per query term on first use give the floats the whole-table form gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_items, st.lists(st.tuples(st.lists(st.sampled_from(BAG_WORDS), max_size=6), bm25_params,
+                                           st.integers(1, 12)), min_size=1, max_size=4))
+    @example(  # x1 and 42 each in one item of equal length: i0 and i1 tie exactly at the depth cut
+        items=[("i1", "x1 y"), ("i0", "42 y"), ("i2", "beta")], queries=[(["x1", "42"], (0.9, 0.4), 1)],
+    )
+    @example(  # a repeated term, an unknown one and the empty bag, then a unit bag whose gains are kept
+        items=[("a", "alpha beta beta"), ("b", "beta"), ("c", "")],
+        queries=[(["beta", "beta", "absent"], (1.2, 0.75), 2), ([], (0.9, 0.4), 3), (["beta"], (1.2, 0.75), 1)],
+    )
+    def test_bm25_ordinals_and_collection_score_equal_the_table_form(self, items, queries):
+        index = build_index(items)
+        with tempfile.TemporaryDirectory() as scratch:
+            save_index(index, Path(scratch) / "index.idx")
+            loaded = load_index(Path(scratch) / "index.idx")
+        for terms, (k1, b), depth in queries:
+            want_ordinals, want_scores = _bm25_reference(index, terms, depth, k1, b)
+            for each in (index, loaded):
+                ordinals, scores = bm25_ordinals(each, terms, depth, k1=k1, b=b)
+                assert ordinals.dtype == np.int32 and scores.dtype == np.float64
+                assert ordinals.tolist() == want_ordinals.tolist()
+                assert scores.tolist() == want_scores.tolist()
+                if index.size:
+                    assert collection_score(each, terms, k1=k1, b=b) == _collection_score_reference(index, terms, k1, b)
+        scored = {(k1, b, index.term_id(term)) for terms, (k1, b), _ in queries
+                  for term, query_tf in Counter(terms).items() if query_tf == 1 and term in index.terms}
+        assert set(vars(loaded).get("_gains", {})) == scored  # each known term its bag holds once, once

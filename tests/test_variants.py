@@ -344,7 +344,7 @@ class TestRerankByRbo:
         rows = pool.ordinals
         overlaps = rbo_rows(target_run, table.ordinals[rows], table.lengths[rows], res.doc_index.size)
         assert len(np.unique(overlaps)) == len(rows)
-        order = np.lexsort((res.query_index._id_rank[rows], pool.hops, -overlaps))[: config.k]
+        order = np.lexsort((res.query_index.id_rank[rows], pool.hops, -overlaps))[: config.k]
         assert [(c.query.id, c.hop, c.rbo) for c in got.candidates] == [
             (f"q{rows[i]:03d}", pool.hops[i], overlaps[i]) for i in order.tolist()
         ]
