@@ -167,8 +167,9 @@ class _UniqueKeys:
     """Constructor checks shared by both loaders: a mapping that names a key twice is an error, not its last value.
 
     So is a mapping merged in with ``<<``, though a mapping's own key may override a merged one. A tagged
-    value that its tag's constructor cannot read (``!!bool maybe``, ``!!int 1.5``) is a ConstructorError at
-    the value, where PyYAML's constructors raise IndexError, KeyError, AttributeError or ValueError.
+    scalar that its tag's constructor cannot read (``!!bool maybe``, ``!!int 1.5``) is a ConstructorError at
+    the value, where PyYAML's constructors raise IndexError, KeyError, AttributeError or ValueError; the same
+    error under any other node is a fault of the constructor and is raised as it is.
     """
 
     def __init__(self, stream):
@@ -179,9 +180,10 @@ class _UniqueKeys:
         try:
             return super().construct_object(node, deep)
         except (IndexError, KeyError, AttributeError, ValueError):
-            value = f" from {node.value!r}" if isinstance(node, yaml.ScalarNode) else ""
+            if not isinstance(node, yaml.ScalarNode):
+                raise
             raise yaml.constructor.ConstructorError(
-                None, None, f"cannot construct {node.tag}{value}", node.start_mark) from None
+                None, None, f"cannot construct {node.tag} from {node.value!r}", node.start_mark) from None
 
     def flatten_mapping(self, node):
         self.own_pairs.setdefault(node, list(node.value))

@@ -19,8 +19,8 @@ and an index whose source file now holds other bytes is stale. It is saved
 as an artifact of :mod:`qvqpp.artifacts` that stores what query evaluation
 reads: the term-major postings, each item's length, each term's collection
 frequency and the id ranks. A command reading it derives nothing from the
-whole collection: BM25 gains are computed per query term on first use, and
-the row view only when a row is read (relevance models, pseudo-queries).
+whole collection: BM25 gains are computed for each query's postings only,
+and the row view only when a row is read (relevance models, pseudo-queries).
 """
 
 from __future__ import annotations
@@ -122,10 +122,9 @@ class InvertedIndex:
     tie-break). The two SHA-256 strings name the tokenizer and the bytes of
     the file the items were read from (``""`` when they came from no file).
     All of these are stored, so a command reads them and sorts nothing. The
-    row view (:meth:`rows`, ``row_ptr``, ``row_terms``, ``row_tfs``), the
-    ordinal of each id and each term's BM25 gains per ``(k1, b)`` are
-    derived on first use and kept, so an index must not be mutated after it
-    is read.
+    row view (:meth:`rows`, ``row_ptr``, ``row_terms``, ``row_tfs``) and the
+    ordinal of each id are derived on first use and kept, so an index must
+    not be mutated after it is read.
     """
 
     item_ids: list[str]
@@ -219,14 +218,6 @@ class InvertedIndex:
         return math.log(1.0 + (self.size - df + 0.5) / (df + 0.5))
 
     @cached_property
-    def _gains(self) -> dict[tuple[float, float, int], np.ndarray]:
-        """Each term's ``idf * tf * (k1 + 1.0) / (tf + norm)`` per posting, in postings order, by (k1, b, term id).
-
-        Filled by :func:`bm25_ordinals` with the terms it scores.
-        """
-        return {}
-
-    @cached_property
     def total_tokens(self) -> int:
         return int(self.lengths.sum())
 
@@ -295,8 +286,9 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
             texts, size = [], 0
     batches.append(_map_batch(texts, first_seen))
     terms = sorted(itertools.islice(first_seen, len(_SEEDED), None))
+    first_id = np.array([first_seen[term] for term in terms], dtype=np.int64)  # sorted id -> first-seen id
     sorted_id = np.zeros(len(first_seen), dtype=np.int64)  # first-seen id -> id in the sorted vocabulary
-    sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    sorted_id[first_id] = np.arange(len(terms))
     del first_seen
     marked = np.concatenate(batches)
     del batches
@@ -305,10 +297,9 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     tokens = marked[~at_end]
     del marked, at_end
     lengths = np.diff(ends, prepend=0)
-    keys = sorted_id[tokens]
+    cf = np.bincount(tokens, minlength=len(sorted_id))[first_id]
+    keys = (sorted_id * len(item_ids))[tokens]
     del tokens  # each per-token array is freed once read, so few are held at a time
-    cf = np.bincount(keys, minlength=len(terms))
-    keys *= len(item_ids)
     keys += np.repeat(np.arange(len(item_ids), dtype=np.int64), lengths)
     keys.sort()
     boundary = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end of the last one
@@ -368,11 +359,10 @@ def bm25_ordinals(
     """:func:`bm25_retrieve`'s ranking as the items' ordinals (int32) and their scores (float64).
 
     Each posting of a query term gains ``query_tf * idf * tf * (k1 + 1.0) /
-    (tf + norm)``, computed for all of the query's postings in one pass. The
-    gains of a term that occurs once in its bag are kept per ``(k1, b)``
-    (``1 * idf == idf``), so a later bag whose every term is kept gathers
-    them instead. Only the hits scoring at least the depth-th score (ties at
-    the cut included, found with ``np.partition``) are sorted.
+    (tf + norm)``, computed for the query's postings only, in one pass, with
+    the float operations of the whole-collection table this replaced
+    (``1 * idf == idf``). Only the hits scoring at least the depth-th score
+    (ties at the cut included, found with ``np.partition``) are sorted.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -380,20 +370,13 @@ def bm25_ordinals(
     query = [(tid, query_tf) for tid, query_tf in zip(map(index.term_id, bag), bag.values()) if tid >= 0]
     if not query:  # bincount of no postings would give int64 scores
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-    tids = [tid for tid, _ in query]
-    positions, bounds = _segments(index.col_ptr, tids)
+    positions, bounds = _segments(index.col_ptr, [tid for tid, _ in query])
     ordinals = index.col_ordinals[positions]
-    kept = [index._gains.get((k1, b, tid)) if query_tf == 1 else None for tid, query_tf in query]
-    if all(term_gains is not None for term_gains in kept):
-        gains = np.concatenate(kept)
-    else:  # query_tf * idf per term, then the gain of every posting of the query's terms in one pass
-        tfs = index.col_tfs[positions]
-        weights = np.repeat([query_tf * index.idf(tid) for tid, query_tf in query], np.diff(bounds))
-        norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
-        gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
-        for (tid, query_tf), lo, hi in zip(query, bounds[:-1].tolist(), bounds[1:].tolist()):
-            if query_tf == 1:
-                index._gains.setdefault((k1, b, tid), gains[lo:hi])
+    tfs = index.col_tfs[positions]
+    # query_tf * idf per term, then the gain of every posting of the query's terms in one pass
+    weights = np.repeat([query_tf * index.idf(tid) for tid, query_tf in query], np.diff(bounds))
+    norm = k1 * (1.0 - b + b * index.lengths[ordinals] / index.avgdl)
+    gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
     # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
     scores = np.bincount(ordinals, weights=gains, minlength=index.size)
     hits = np.flatnonzero(scores > 0.0)
@@ -500,7 +483,9 @@ def _index_from(header: dict, values: dict) -> InvertedIndex:
     Beyond bounds, the checks cost a pass over each member and none
     recomputes one: ``lengths`` and ``cf`` must sum to the postings'
     total, and the ids must ascend strictly in the order of ``id_rank``
-    (which makes them distinct).
+    (which makes them distinct). So counts moved between items, or between
+    terms, with their sums kept are not found: such an artifact loads and
+    scores by the counts it holds.
     """
     fingerprint = [header.get("tokenizer_sha256"), header.get("file_sha256")]
     if not all(isinstance(value, str) for value in fingerprint):

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qvqpp.variants
-from qvqpp import cli
+from qvqpp import cli, text_index
 from qvqpp.cli import main
 from qvqpp.text_index import tokenize
 from qvqpp.variants import expand_2hop, rerank_by_rbo, retrieve_1hop
@@ -77,9 +76,10 @@ def test_warm_one_hop_nqc_predict_derives_no_row_view_and_only_the_gains_it_scor
     """A warm 1-hop NQC predict reads both indexes as stored and derives nothing from the whole collection.
 
     Its BM25 runs are each target's 1-hop retrieval and its own internal
-    run, so each index keeps gains for exactly the terms of the target
-    queries that it holds (but for a term its query repeats, weighed per
-    call); no relevance model or pseudo-query reads a row.
+    run, and its collection scores are the targets', so each index reads the
+    idf of exactly the terms of the target queries that it holds, for the
+    gains of their postings only; no relevance model or pseudo-query reads a
+    row.
     """
     overrides = ("qpp.use_2hop=false",)
     for command in ("index", "predict"):
@@ -87,14 +87,16 @@ def test_warm_one_hop_nqc_predict_derives_no_row_view_and_only_the_gains_it_scor
     loaded = []
     load_index = cli.load_index
     monkeypatch.setattr(cli, "load_index", lambda path: loaded.append(load_index(path)) or loaded[-1])
+    idf_read = []
+    idf = text_index.InvertedIndex.idf
+    monkeypatch.setattr(text_index.InvertedIndex, "idf", lambda index, tid: idf_read.append((index, tid)) or idf(index, tid))
     assert main(_argv(workspace, tmp_path, "predict", overrides)) == 0
     targets, run_map = cli._load_target_run(cli.load_config(workspace["config"], _overrides(tmp_path, overrides)))
     assert len(loaded) == 2
     for index in loaded:
         assert "_rows" not in vars(index)
-        bags = [Counter(tokenize(targets[qid].text)) for qid in run_map]
-        scored = {index.term_id(term) for bag in bags for term, query_tf in bag.items() if query_tf == 1} - {-1}
-        assert scored and {tid for _, _, tid in index._gains} == scored
+        scored = {index.term_id(term) for qid in run_map for term in tokenize(targets[qid].text)} - {-1}
+        assert scored and {tid for each, tid in idf_read if each is index} == scored
 
 
 def _expected_work(cfg, qpp) -> dict:

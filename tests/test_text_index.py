@@ -372,8 +372,8 @@ class TestPersistence:
         for terms in (["coffee"], ["espresso", "crema"], ["water", "temperature"]):
             assert bm25_retrieve(index, terms, 10).entries == bm25_retrieve(reloaded, terms, 10).entries
 
-    def test_loaded_index_holds_its_stored_members_and_derives_the_rest_on_first_use(self, tmp_path):
-        # the artifact holds the postings, lengths, cf and id ranks; the row view and gains are derived when read
+    def test_loaded_index_holds_its_stored_members_and_derives_the_rest_on_first_use(self, tmp_path, monkeypatch):
+        # the artifact holds the postings, lengths, cf and id ranks; the row view is derived when read
         index = build_index(TOY_CORPUS)
         path = tmp_path / "toy.idx"
         save_index(index, path)
@@ -381,11 +381,14 @@ class TestPersistence:
         for name in ("col_ptr", "col_ordinals", "col_tfs", "lengths", "cf", "id_rank"):
             assert np.array_equal(vars(reloaded)[name], getattr(index, name)), name
         assert reloaded.lengths.tolist() == [len(tokenize(text)) for _, text in TOY_CORPUS]
-        derived = ("ordinal_of", "_rows", "_gains", "total_tokens", "avgdl")
+        derived = ("ordinal_of", "_rows", "total_tokens", "avgdl")
         assert not set(derived) & set(vars(reloaded))
-        bm25_ordinals(reloaded, ["coffee", "beans", "absent"], 3)
+        idf_read = []
+        idf = text_index.InvertedIndex.idf
+        monkeypatch.setattr(text_index.InvertedIndex, "idf", lambda index, tid: idf_read.append(tid) or idf(index, tid))
+        bm25_ordinals(reloaded, ["coffee", "beans", "coffee", "absent"], 3)
         assert "_rows" not in vars(reloaded)
-        assert sorted(reloaded._gains) == [(0.9, 0.4, reloaded.term_id("beans")), (0.9, 0.4, reloaded.term_id("coffee"))]
+        assert sorted(idf_read) == sorted([reloaded.term_id("beans"), reloaded.term_id("coffee")])
         assert reloaded.total_tokens == sum(len(tokenize(text)) for _, text in TOY_CORPUS)
         assert reloaded.avgdl == reloaded.total_tokens / index.size
         assert vars(reloaded)["avgdl"] == reloaded.avgdl
@@ -737,7 +740,7 @@ BAG_WORDS = ["alpha", "beta", "x1", "42", "b", "x", "y", "k", "kelvin", "the", "
 
 
 class TestGainsPerTerm:
-    """Gains computed per query term on first use give the floats the whole-table form gave."""
+    """Gains computed for each query's postings only give the floats the whole-table form gave."""
 
     @settings(max_examples=300, deadline=None)
     @given(index_items, st.lists(st.tuples(st.lists(st.sampled_from(BAG_WORDS), max_size=6), bm25_params,
@@ -745,7 +748,7 @@ class TestGainsPerTerm:
     @example(  # x1 and 42 each in one item of equal length: i0 and i1 tie exactly at the depth cut
         items=[("i1", "x1 y"), ("i0", "42 y"), ("i2", "beta")], queries=[(["x1", "42"], (0.9, 0.4), 1)],
     )
-    @example(  # a repeated term, an unknown one and the empty bag, then a unit bag whose gains are kept
+    @example(  # a repeated term, an unknown one and the empty bag, then the term alone
         items=[("a", "alpha beta beta"), ("b", "beta"), ("c", "")],
         queries=[(["beta", "beta", "absent"], (1.2, 0.75), 2), ([], (0.9, 0.4), 3), (["beta"], (1.2, 0.75), 1)],
     )
@@ -763,6 +766,3 @@ class TestGainsPerTerm:
                 assert scores.tolist() == want_scores.tolist()
                 if index.size:
                     assert collection_score(each, terms, k1=k1, b=b) == _collection_score_reference(index, terms, k1, b)
-        scored = {(k1, b, index.term_id(term)) for terms, (k1, b), _ in queries
-                  for term, query_tf in Counter(terms).items() if query_tf == 1 and term in index.terms}
-        assert set(vars(loaded).get("_gains", {})) == scored  # each known term its bag holds once, once
