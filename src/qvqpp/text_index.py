@@ -260,11 +260,12 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     are stored as int32. No :func:`tokenize` call runs, yet each row holds
     exactly ``Counter(tokenize(text))``.
 
-    Each kept token then gets one int64 key, ``term * n_items + row``; one
-    sort of the keys puts the tokens of each (term, item) pair in one run, in
-    term and then row order, so the runs are the postings and each run's
-    length is the pair's term frequency. An item's length and a term's cf
-    are their counts of kept tokens.
+    Each kept token then gets one int64 key, ``term << 32 | row``; one sort
+    of the keys puts the tokens of each (term, item) pair in one run, in term
+    and then row order, so the runs are the postings and each run's length
+    is the pair's term frequency. A key's high half is its term and its low
+    half its row, read with a shift and a mask. An item's length is its
+    count of kept tokens, and a term's cf the sum of its postings' tfs.
     """
     item_ids: list[str] = []
     seen: set[str] = set()
@@ -286,9 +287,8 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
             texts, size = [], 0
     batches.append(_map_batch(texts, first_seen))
     terms = sorted(itertools.islice(first_seen, len(_SEEDED), None))
-    first_id = np.array([first_seen[term] for term in terms], dtype=np.int64)  # sorted id -> first-seen id
     sorted_id = np.zeros(len(first_seen), dtype=np.int64)  # first-seen id -> id in the sorted vocabulary
-    sorted_id[first_id] = np.arange(len(terms))
+    sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
     del first_seen
     marked = np.concatenate(batches)
     del batches
@@ -297,10 +297,9 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     tokens = marked[~at_end]
     del marked, at_end
     lengths = np.diff(ends, prepend=0)
-    cf = np.bincount(tokens, minlength=len(sorted_id))[first_id]
-    keys = (sorted_id * len(item_ids))[tokens]
+    keys = (sorted_id << 32)[tokens]
     del tokens  # each per-token array is freed once read, so few are held at a time
-    keys += np.repeat(np.arange(len(item_ids), dtype=np.int64), lengths)
+    keys |= np.repeat(np.arange(len(item_ids), dtype=np.int64), lengths)
     keys.sort()
     boundary = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end of the last one
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:-1])
@@ -310,12 +309,11 @@ def build_index(items: Iterable[tuple[str, str]]) -> InvertedIndex:
     del keys
     col_tfs = np.diff(bounds).astype(np.int32)
     del bounds
-    # the pairs of term t have keys in [t * n_items, (t + 1) * n_items)
-    term_keys = np.arange(len(terms) + 1, dtype=np.int64) * len(item_ids)
-    col_ptr = np.searchsorted(pair_keys, term_keys)
-    pair_keys -= np.repeat(term_keys[:-1], np.diff(col_ptr))  # each pair's row
-    col_ordinals = pair_keys.astype(np.int32)
+    col_ordinals = (pair_keys & 0xFFFFFFFF).astype(np.int32)
+    col_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_keys >> 32, minlength=len(terms)), out=col_ptr[1:])
     del pair_keys
+    cf = np.add.reduceat(col_tfs, col_ptr[:-1], dtype=np.int64)  # every term has a posting: no segment is empty
     id_rank = np.empty(len(item_ids), dtype=np.int32)
     id_rank[sorted(range(len(item_ids)), key=item_ids.__getitem__)] = np.arange(len(item_ids), dtype=np.int32)
     return InvertedIndex(
