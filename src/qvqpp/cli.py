@@ -492,17 +492,13 @@ def cmd_qv(cfg: PipelineConfig, out_path: Path | None = None) -> int:
 
 
 def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
-    """Write one smoothed prediction per query in the target run file."""
-    from .variants import predict_query
-
+    """Write one smoothed prediction per query in the target run file: the grid engine at the config's one cell."""
     targets, run_map = _load_target_run(cfg, min_queries=1)
     res, stores = _load_resources(cfg)
     out = out_path or cfg.output_dir / "predictions.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    predictions = {
-        qid: predict_query(targets[qid], run_map[qid], cfg.qpp, res)
-        for qid in sorted(run_map)
-    }
+    cell = _prediction_engine(replace(cfg, lambdas=[cfg.qpp.lam], ks=[cfg.qpp.k]), res, targets, run_map)[0, 0]
+    predictions = dict(zip(sorted(run_map), cell.tolist()))
     write_score_tsv(predictions, out)
     logger.info("wrote %s (%d queries)", out, len(predictions))
     _save_run_stores(res, stores)
@@ -512,16 +508,15 @@ def cmd_predict(cfg: PipelineConfig, out_path: Path | None = None) -> int:
 def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run_map):
     """Every grid cell's prediction of every run query: the float64 array :mod:`qvqpp.evaluation` reads.
 
-    Each target's variant set and phi table are built once, at the largest
-    grid lambda and k, so a predictor error ends the command before any
-    cell is formed. The overlap-weighted mean of the first k variants' phi
-    does not depend on lambda, so each target takes it once per grid k
-    (:func:`variant_mean`), and one broadcast of the blend of
-    :func:`smooth_qpp` forms every cell: the same bytes as it.
+    The one prediction path of ``predict``, ``tune`` and ``sweep``: per target, in id order, one
+    :func:`~qvqpp.variants.predict_query` at the largest grid lambda and k (so a predictor error ends the command
+    before any cell is formed) gives phi(target) and a variant mean per grid k, and one broadcast blends them into
+    every cell with the float operations of :func:`~qvqpp.variants.smooth_qpp`: the same bytes as it. ``-v`` logs
+    how many targets have no variant mean at the widest cell, so that every cell of theirs is phi(target).
     """
     import numpy as np
 
-    from .variants import base_predictions, build_qv_set, variant_mean
+    from . import variants
 
     widest = replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
     ks = sorted(set(cfg.ks))
@@ -530,14 +525,13 @@ def _prediction_engine(cfg: PipelineConfig, res: PipelineResources, targets, run
     means = np.zeros((len(ks), len(ids)))
     has_mean = np.zeros(means.shape, dtype=bool)
     for column, qid in enumerate(ids):
-        qv_set = build_qv_set(targets[qid], widest, res)
-        phi = base_predictions(targets[qid], run_map[qid], qv_set, widest, res)
-        phi_targets[column] = phi[run_map[qid].query_id]
-        if widest.lam > 0.0:  # with every grid lambda 0, phi holds the target only and every cell is phi(target)
-            for row, k in enumerate(ks):
-                mean = variant_mean(qv_set.candidates[:k], phi)
-                if mean is not None:
-                    means[row, column], has_mean[row, column] = mean, True
+        # read from the module on each call, so a wrapper installed there sees every target
+        phi_targets[column], target_means = variants.predict_query(targets[qid], run_map[qid], widest, res, ks)
+        for row, mean in enumerate(target_means):
+            if mean is not None:
+                means[row, column], has_mean[row, column] = mean, True
+    fell_back = np.count_nonzero(~has_mean[-1])
+    logger.info("smoothing fell back to the base prediction for %d of %d targets", fell_back, len(ids))
     lams = np.array(sorted(set(cfg.lambdas)))[:, None, None]
     with np.errstate(all="ignore"):  # Python float arithmetic: an infinite phi makes nan, silently
         return np.where((lams != 0.0) & has_mean, (1.0 - lams) * phi_targets + lams * means, phi_targets)
@@ -636,7 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def __getattr__(name: str):
-    """``predict_query``, the function ``predict`` runs per target, for callers that read it from this module.
+    """``predict_query``, the per-target step of ``predict``, ``tune`` and ``sweep``, for callers that read it here.
 
     It is looked up in :mod:`qvqpp.variants` on each read, so importing
     this module loads no pipeline layer.

@@ -16,6 +16,7 @@ from typing import Callable, Collection, Sequence
 import numpy as np
 
 from .corpus_io import open_utf8, parse_number
+from .text_index import top_depth
 
 # The square root of the smallest normal float64: a norm below it was summed from subnormal squares and lost digits.
 MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -135,9 +136,8 @@ def knn_cosine(
     Rows in ``exclude`` are skipped. Ties are broken by id ascending.
     Stored zero-norm vectors score -inf and are never returned; a query
     with a non-finite component, or whose norm is not finite, is 0 or is
-    below :data:`MIN_NORM`, is an error. Only the rows scoring at least the
-    depth-th similarity (ties at the cut included, found with
-    ``np.partition``) are sorted.
+    below :data:`MIN_NORM`, is an error. The rows are cut to depth by
+    :func:`~qvqpp.text_index.top_depth`.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -157,10 +157,5 @@ def knn_cosine(
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ q) / (store.norms * qnorm)
     rows = np.flatnonzero(store.norms != 0.0)
-    rows = rows[~np.isin(rows, np.fromiter(exclude, np.int64))]
-    if len(rows) > depth:
-        row_sims = sims[rows]
-        rows = rows[row_sims >= np.partition(row_sims, len(rows) - depth)[len(rows) - depth]]
-    # primary key: similarity desc; secondary: id asc
-    rows = rows[np.lexsort((store.id_rank[rows], -sims[rows]))][:depth]
+    rows = top_depth(rows[~np.isin(rows, np.fromiter(exclude, np.int64))], sims, store.id_rank, depth)
     return rows, sims[rows]

@@ -346,6 +346,16 @@ def ordinal_run(index: InvertedIndex, ranked: RankedList) -> OrdinalRun:
     return np.array(ordinals, dtype=np.int32), np.array(ranked.scores(), dtype=np.float64)
 
 
+def top_depth(rows: np.ndarray, scores: np.ndarray, id_rank: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` of ``rows`` by ``scores`` descending, then ``id_rank`` ascending (both indexed by row).
+
+    Only the rows at or above the depth-th score (ties at the cut included, found with ``np.partition``) are sorted."""
+    if len(rows) > depth:
+        row_scores = scores[rows]
+        rows = rows[row_scores >= np.partition(row_scores, len(rows) - depth)[len(rows) - depth]]
+    return rows[np.lexsort((id_rank[rows], -scores[rows]))][:depth]
+
+
 def bm25_ordinals(
     index: InvertedIndex,
     terms: Sequence[str],
@@ -359,8 +369,7 @@ def bm25_ordinals(
     Each posting of a query term gains ``query_tf * idf * tf * (k1 + 1.0) /
     (tf + norm)``, computed for the query's postings only, in one pass, with
     the float operations of the whole-collection table this replaced
-    (``1 * idf == idf``). Only the hits scoring at least the depth-th score
-    (ties at the cut included, found with ``np.partition``) are sorted.
+    (``1 * idf == idf``). The hits are cut to depth by :func:`top_depth`.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -377,11 +386,7 @@ def bm25_ordinals(
     gains = weights * tfs * (k1 + 1.0) / (tfs + norm)
     # bincount adds each item's gains in query-term order, as a running sum from 0.0 would
     scores = np.bincount(ordinals, weights=gains, minlength=index.size)
-    hits = np.flatnonzero(scores > 0.0)
-    if len(hits) > depth:
-        hit_scores = scores[hits]
-        hits = hits[hit_scores >= np.partition(hit_scores, len(hits) - depth)[len(hits) - depth]]
-    hits = hits[np.lexsort((index.id_rank[hits], -scores[hits]))][:depth]
+    hits = top_depth(np.flatnonzero(scores > 0.0), scores, index.id_rank, depth)
     return hits.astype(np.int32), scores[hits]
 
 

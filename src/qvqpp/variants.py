@@ -28,11 +28,11 @@ The pipeline for one target query:
    (its run-table row), from the :class:`PhiTable` of the base and the
    settings it reads (:data:`~qvqpp.predictors.BASE_INPUTS`), evaluating
    it only the first time any target keeps that candidate (the phi table
-   of :func:`base_predictions`); then blend the target's estimate with the
-   overlap-weighted average of the candidates' estimates
-   (:func:`variant_mean`, :func:`smooth_qpp`) by plain arithmetic over
-   that table. A (lambda, k) grid re-runs no predictor and, as that
-   average does not depend on lambda, takes it once per k.
+   of :func:`base_predictions`); :func:`predict_query` takes that table at
+   a (lambda, k) grid's widest cell and the overlap-weighted average of the
+   candidates' estimates once per k (:func:`variant_mean`), which the CLI
+   blends with the target's estimate for every cell (:func:`smooth_qpp`'s
+   arithmetic), so a grid re-runs no predictor.
 
 Steps 1 to 3 pass the pool as one :class:`VariantPool` of arrays
 (query-index ordinals, hops, retrieval scores): target exclusion,
@@ -581,11 +581,11 @@ def smooth_qpp(
 ) -> float:
     """(1 - lambda) * phi(target) + lambda * sum_i (rbo_i / sum rbo) * phi(variant_i).
 
-    ``qv_set`` comes from :func:`rerank_by_rbo`, so every candidate
-    carries its overlap; ``phi`` is a table from :func:`base_predictions`
-    over the same or a longer variant set (built at a lambda > 0 unless
-    this lambda is 0), so smoothing is arithmetic only. Falls back to the plain base prediction when the
-    variant set is empty, every overlap weight is zero or lambda is zero.
+    ``qv_set`` comes from :func:`rerank_by_rbo`, so every candidate carries its overlap; ``phi`` is a table from
+    :func:`base_predictions` over the same or a longer variant set (built at a lambda > 0 unless this lambda is 0),
+    so smoothing is arithmetic only. Falls back to the plain base prediction when the variant set is empty, every
+    overlap weight is zero or lambda is zero. No command calls it: the CLI blends :func:`predict_query`'s output
+    with these float operations by array, and tests hold every cell of that blend to this object form.
     """
     phi_target = phi[target_run.query_id]
     mean = None if config.lam == 0.0 else variant_mean(qv_set.candidates, phi)
@@ -605,7 +605,12 @@ def predict_query(
     target_run: RankedList,
     config: QppConfig,
     res: PipelineResources,
-) -> float:
-    """Full smoothed estimate for one target query and its external run."""
+    ks: Sequence[int],
+) -> tuple[float, list[Optional[float]]]:
+    """phi(target run) and, per k of ``ks`` (none above ``config.k``), the :func:`variant_mean` of the first k variants.
+
+    The per-target step of ``predict``, ``tune`` and ``sweep``, run at a grid's widest cell. A mean is None where
+    smoothing falls back to phi(target): ``config.lam`` is 0, no variant survived or every kept overlap is 0."""
     qv_set = build_qv_set(target, config, res)
-    return smooth_qpp(target_run, qv_set, config, base_predictions(target, target_run, qv_set, config, res))
+    phi = base_predictions(target, target_run, qv_set, config, res)
+    return phi[target_run.query_id], [variant_mean(qv_set.candidates[:k], phi) if config.lam else None for k in ks]

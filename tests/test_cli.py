@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import pickle
@@ -20,10 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qvqpp
-from qvqpp import QppConfig, Query, QVCandidate, QVSet, RankedList, base_predictions, smooth_qpp
+from qvqpp import QppConfig, Query, QVCandidate, QVSet, RankedList, base_predictions, build_qv_set, smooth_qpp
 from qvqpp import ap_at_k, load_index, parse_qrels, parse_run, parse_score_tsv, save_index, write_score_tsv
 from qvqpp import cli, corpus_io, dense_index, variants
 from qvqpp.cli import main
+from qvqpp.variants import variant_mean
 from test_variants import predicting_resources
 
 # Outputs of the fixture workspace with its default 2-hop NQC configuration,
@@ -1092,20 +1094,68 @@ class TestTuneAndSweep:
         assert re.fullmatch(r"error: sample_size 5 exceeds the \d+ available documents\n", err), err
         assert not out.exists()
 
-    def test_grid_cells_equal_predict_query(self, indexed_workspace):
+    def test_grid_cells_equal_the_object_form_at_each_cell(self, indexed_workspace):
+        # the engine cuts the widest cell's survivors to k; rbo_top_k filters by k, so those equal the survivors
+        # built at k only if it keeps every row that can reach the top k
         cfg = cli.load_config(indexed_workspace["config"])
         res, _ = cli._load_resources(cfg)
         targets, run_map = cli._load_target_run(cfg)
         grid = cli._prediction_engine(cfg, res, targets, run_map)
-        fresh = replace(res)
         ids = sorted(run_map)
         lambdas, ks = sorted(set(cfg.lambdas)), sorted(set(cfg.ks))
         assert grid.dtype == np.float64 and grid.shape == (len(lambdas), len(ks), len(ids))
         for row, lam in enumerate(lambdas):
             for column, k in enumerate(ks):
-                qpp = replace(cfg.qpp, lam=lam, k=k)
-                want = [cli.predict_query(targets[qid], run_map[qid], qpp, fresh) for qid in ids]
+                qpp, fresh = replace(cfg.qpp, lam=lam, k=k), replace(res)
+                want = []
+                for qid in ids:
+                    qv_set = build_qv_set(targets[qid], qpp, fresh)
+                    phi = base_predictions(targets[qid], run_map[qid], qv_set, qpp, fresh)
+                    want.append(smooth_qpp(run_map[qid], qv_set, qpp, phi))
                 assert grid[row, column].tobytes() == np.array(want).tobytes(), (lam, k)
+
+    @pytest.mark.parametrize("command, golden", [
+        ("predict", NQC_PREDICTIONS_GOLDEN), ("sweep", NQC_SWEEP_GOLDEN), ("tune", TUNE_GOLDEN),
+    ], ids=["predict", "sweep", "tune"])
+    def test_every_command_predicts_through_predict_query_alone(self, indexed_workspace, tmp_path, monkeypatch,
+                                                                command, golden):
+        def refuse(*args, **kwargs):
+            raise AssertionError("smooth_qpp called")
+
+        targets = []
+        predict_query = variants.predict_query
+        monkeypatch.setattr(variants, "smooth_qpp", refuse)
+        monkeypatch.setattr(
+            variants, "predict_query", lambda target, *args: targets.append(target.id) or predict_query(target, *args)
+        )
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", indexed_workspace["config"], "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == golden
+        assert targets == ["dl01", "dl02", "dl03", "dl04", "dl05"]
+
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    @pytest.mark.parametrize("overrides, count", [
+        ((), 0), (("qpp.lambda=0.0", "evaluation.lambdas=[0.0]"), 5), (("qpp.internal_depth=1",), 2),
+    ], ids=["default", "lambda-zero", "zero-overlaps"])
+    def test_verbose_run_counts_the_targets_that_fell_back(self, indexed_workspace, tmp_path, caplog, command,
+                                                           overrides, count):
+        # a target falls back when lambda is 0 or its kept variants have no variant mean (none, or all overlaps 0)
+        config = indexed_workspace["config"]
+        caplog.set_level(logging.INFO, logger="qvqpp.cli")
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert run_cli("-v", command, "--config", config, *sets, "--out", tmp_path / "out") == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("smoothing fell back")]
+        cfg = cli.load_config(config, overrides)
+        res, _ = cli._load_resources(cfg)
+        targets, run_map = cli._load_target_run(cfg)
+        widest = cfg.qpp if command == "predict" else replace(cfg.qpp, lam=max(cfg.lambdas), k=max(cfg.ks))
+        fell_back = 0
+        for qid in sorted(run_map):
+            qv_set = build_qv_set(targets[qid], widest, res)
+            phi = base_predictions(targets[qid], run_map[qid], qv_set, widest, res)
+            fell_back += widest.lam == 0.0 or variant_mean(qv_set.candidates, phi) is None
+        assert fell_back == count
+        assert lines == [f"smoothing fell back to the base prediction for {count} of {len(run_map)} targets"]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -725,7 +725,7 @@ class TestRetrievalCache:
     def test_replace_starts_with_empty_caches(self, corpus, resources, target_run):
         res = replace(resources)
         for target in corpus.test_queries * 2:  # the second pass reads its variants' phi from the table
-            variants.predict_query(target, target_run[target.id], QppConfig(k=2, n=100), res)
+            variants.predict_query(target, target_run[target.id], QppConfig(k=2, n=100), res, [2])
         assert res.run_tables and res.pseudo_query_hits
         assert res.phi_tables and next(iter(res.phi_tables.values())).filled and res.phi_reads
         fresh = replace(res)
@@ -847,6 +847,12 @@ def scripted_prediction(corpus, target, run, config, k1, b):
     return merged, kept, (1.0 - config.lam) * phi(run, target.text) + config.lam * smoothed
 
 
+def predicted(target, run, config, res):
+    """The smoothed estimate at ``config``'s one cell, from :func:`variants.predict_query`'s phi(target) and mean."""
+    phi_target, (mean,) = variants.predict_query(target, run, config, res, [config.k])
+    return phi_target if mean is None else (1.0 - config.lam) * phi_target + config.lam * mean
+
+
 class TestOneOwner:
     """k1/b, the document index and the predictor are read from PipelineResources alone."""
 
@@ -865,9 +871,9 @@ class TestOneOwner:
             assert [(c.query.id, c.hop, c.retrieval_score) for c in pool.candidates] == merged
             qv_set = build_qv_set(target, config, res)
             assert [(c.query.id, c.hop, c.rbo) for c in qv_set.candidates] == kept
-            got = variants.predict_query(target, run, config, res)
+            got = predicted(target, run, config, res)
             assert got == want
-            moved += got != variants.predict_query(target, run, config, replace(resources))
+            moved += got != predicted(target, run, config, replace(resources))
             hops |= {hop for _, hop, _ in kept}
         assert moved == len(corpus.test_queries)
         assert hops == ({1, 2} if use_2hop else {1})
@@ -876,7 +882,7 @@ class TestOneOwner:
         res = replace(resources)
         target = corpus.test_queries[0]
         run, terms = target_run[target.id], tokenize(target.text)
-        variants.predict_query(target, run, QppConfig(k=2, n=100), res)
+        variants.predict_query(target, run, QppConfig(k=2, n=100), res, [2])
         assert res.predictor.index is res.doc_index and res.predictor._cache
         smaller = build_index((d.id, d.text) for d in corpus.documents[::2])
         swapped = replace(res, doc_index=smaller)
